@@ -4,8 +4,9 @@ Every bench reproduces one table or figure of the paper, prints the
 reproduction next to the paper's reference values, and saves the
 rendered text under ``benchmarks/results/`` (the source material for
 EXPERIMENTS.md).  Benches that also pass a ``data`` mapping get a
-machine-readable ``<name>.json`` alongside the text — CI uploads those
-as artifacts so the perf trajectory is tracked across PRs.
+machine-readable ``<name>.json`` alongside the text, which CI uploads
+as artifacts.  Wall-clock numbers emitted here are report-only; the
+perf trajectory is tracked by ``python3 -m bench`` (see ``bench/``).
 """
 
 from __future__ import annotations

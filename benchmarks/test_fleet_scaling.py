@@ -1,22 +1,19 @@
 """Multi-core fleet scaling: process backend wall-time vs K workers.
 
 The ROADMAP's "escape the GIL" item, measured.  The inline backend runs
-K workers as threads in one Python process, so no matter how large K
-grows, per-tuple work serializes on the GIL and wall time stays flat.
-The process backend forks K warm worker subprocesses — the fleet's
-simulated-cycle parallelism finally becomes wall-time parallelism, one
-core per worker.
+every worker's shards on the dispatcher thread, so no matter how large
+K grows, wall time stays flat.  The process backend forks K warm worker
+subprocesses — the fleet's simulated-cycle parallelism finally becomes
+wall-time parallelism, one core per worker.
 
 The sweep serves the same Zipf stream on both backends for K in
 {1, 2, 4} using the per-cycle simulator (the compute-bound engine where
 the GIL actually binds; the vectorised fast path mostly releases it
 inside NumPy) and reports wall time and speedup per K.
 
-Asserted headlines:
-- results are bit-identical between backends at every K (always);
-- on a host with >= 4 cores, the process backend beats inline wall time
-  by >= 1.5x at K = 4 (skipped on smaller hosts, where forked workers
-  time-slice one core and there is no parallelism to win).
+Asserted headline: results are bit-identical between backends at every
+K.  The wall times and speedups are reported, not asserted — wall time
+is ``python3 -m bench``'s to measure.
 """
 
 import os
@@ -36,7 +33,6 @@ CHUNK = 1_500
 WINDOW_SECONDS = 2.56e-6
 ALPHA = 1.5
 SEED = 11
-SPEEDUP_FLOOR = 1.5  # at K=4, multi-core hosts only
 
 
 def serve_once(backend: str, workers: int, batch) -> tuple:
@@ -64,7 +60,6 @@ def test_fleet_scaling_curve(emit):
     )
     data = {"tuples": TUPLES, "alpha": ALPHA, "engine": "cycle",
             "cores": cores, "sweep": []}
-    speedups = {}
     for workers in FLEET_SIZES:
         inline_s, inline_bits, tuples = serve_once("inline", workers,
                                                    batch)
@@ -75,7 +70,6 @@ def test_fleet_scaling_curve(emit):
             f"backend results diverged at K={workers}"
         assert tuples == TUPLES
         speedup = inline_s / process_s if process_s else 0.0
-        speedups[workers] = speedup
         table.add_row([workers, inline_s, process_s, speedup])
         data["sweep"].append({
             "workers": workers,
@@ -84,10 +78,6 @@ def test_fleet_scaling_curve(emit):
             "speedup": speedup,
         })
     emit("fleet_scaling", table.render(), data)
-    if cores >= 4:
-        assert speedups[4] >= SPEEDUP_FLOOR, (
-            f"process backend {speedups[4]:.2f}x at K=4 on {cores} "
-            f"cores; expected >= {SPEEDUP_FLOOR}x")
 
 
 def test_all_kernels_identical_across_backends():
@@ -139,7 +129,6 @@ TRANSPORT_TUPLES = 2_000_000
 TRANSPORT_CHUNK = 125_000
 TRANSPORT_WINDOW = 4e-5
 TRANSPORT_WORKERS = 4
-TRANSPORT_SPEEDUP_FLOOR = 1.3  # pipe/shm wall time, multi-core hosts
 
 
 def serve_transport(backend: str, transport: str, batch) -> tuple:
@@ -206,8 +195,3 @@ def test_transport_ablation(emit):
         "pipe": pipe_t,
         "shm": shm_t,
     })
-    if cores >= 4:
-        assert speedup >= TRANSPORT_SPEEDUP_FLOOR, (
-            f"shm transport {speedup:.2f}x over pipe at "
-            f"K={TRANSPORT_WORKERS} on {cores} cores; expected "
-            f">= {TRANSPORT_SPEEDUP_FLOOR}x")

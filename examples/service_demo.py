@@ -23,8 +23,8 @@ stream arrives over TCP through the `repro.net` gateway under
 credit-based backpressure, and the result is bit-identical to the
 in-process submission.
 
-Act six swaps the execution backend: the same fleet runs once on
-inline worker threads and once on warm pre-forked worker subprocesses
+Act six swaps the execution backend: the same fleet runs once inline
+on the dispatcher thread and once on warm pre-forked worker subprocesses
 (`backend="process"`), producing the golden histogram bit for bit both
 times — the process fleet is the multi-core wall-time path.
 
@@ -197,12 +197,13 @@ def main() -> None:
           "bit for bit")
 
     # Act six: the same fleet, but the workers are warm pre-forked
-    # subprocesses (backend="process") instead of threads.  Shards
-    # travel as raw NumPy buffers over pipes and partial sessions merge
-    # from compact snapshots — yet the merged histogram is bit-identical
-    # to the inline run.  On a multi-core host this is the configuration
-    # where K workers finally mean K cores (see
-    # benchmarks/test_fleet_scaling.py for the wall-time curve).
+    # subprocesses (backend="process") instead of running inline on
+    # the dispatcher thread.  Shards travel as raw NumPy buffers over
+    # pipes and partial sessions merge from compact snapshots — yet the
+    # merged histogram is bit-identical to the inline run.  On a
+    # multi-core host this is the configuration where K workers finally
+    # mean K cores (see benchmarks/test_fleet_scaling.py for the
+    # wall-time curve).
     import time
 
     times = {}
@@ -218,7 +219,7 @@ def main() -> None:
         fleet.shutdown()
         assert np.array_equal(backend_result, golden)
     print(f"\nexecution backends (cycle engine, {WORKERS} workers):")
-    print(f"  inline threads       : {times['inline']:.2f}s wall")
+    print(f"  inline (dispatcher)  : {times['inline']:.2f}s wall")
     print(f"  warm subprocesses    : {times['process']:.2f}s wall "
           f"({times['inline'] / times['process']:.2f}x)")
     print("  both backends produce the golden histogram bit for bit")

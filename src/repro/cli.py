@@ -48,6 +48,10 @@ from typing import List, Optional
 
 import numpy as np
 
+#: Seconds ``ingest --serve-jobs N`` lets open connections finish on
+#: their own after the N-th job turned terminal, before cutting them.
+SERVE_JOBS_GRACE = 5.0
+
 APP_SPECS = {
     "histo": "histogram_spec",
     "dp": "partition_spec",
@@ -347,6 +351,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         pathlib.Path(args.ready_file).write_text(
             f"{gateway.host} {gateway.port}\n")
     failed = False
+    grace = 0.0
     try:
         while True:
             time.sleep(0.05)
@@ -355,14 +360,17 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                       file=sys.stderr)
                 failed = True
                 break
-            metrics = service.metrics
-            done = (metrics.jobs_completed + metrics.jobs_failed
-                    + metrics.jobs_cancelled)
+            jobs = service.metrics.snapshot()["jobs"]
+            done = jobs["completed"] + jobs["failed"] + jobs["cancelled"]
             if args.serve_jobs is not None and done >= args.serve_jobs:
+                # The N-th job is terminal, but its client may not have
+                # asked for (or been sent) the result yet: let the open
+                # connections finish before cutting them.
+                grace = SERVE_JOBS_GRACE
                 break
     except KeyboardInterrupt:
         pass
-    gateway.stop()
+    gateway.stop(grace=grace)
     print()
     print(service.metrics.render())
     service.shutdown()
@@ -597,10 +605,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "(modeled cycles) or the per-cycle simulator")
         p.add_argument("--backend", default="inline",
                        choices=["inline", "process"],
-                       help="execution backend: in-process worker "
-                            "threads (deterministic default) or warm "
-                            "pre-forked worker subprocesses (multi-core "
-                            "wall-time; identical results)")
+                       help="execution backend: shards run inline on "
+                            "the dispatcher thread (deterministic "
+                            "default) or on warm pre-forked worker "
+                            "subprocesses (multi-core wall-time; "
+                            "identical results)")
         p.add_argument("--transport", default="pipe",
                        choices=["pipe", "shm"],
                        help="process-backend shard transport: copy "

@@ -88,7 +88,7 @@ class AdaptiveController:
         effect.
     pool:
         The fleet's :class:`~repro.service.executor.ExecutionBackend`
-        (any adapter — inline threads or warm subprocesses; resized by
+        (any adapter — inline or warm subprocesses; resized by
         the autoscaler through the port).
     metrics:
         Shared :class:`~repro.service.metrics.ServiceMetrics`.

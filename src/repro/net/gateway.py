@@ -173,7 +173,8 @@ class StreamGateway:
         self._listener = socket.create_server((self.host, self.port))
         self.host, self.port = self._listener.getsockname()[:2]
         self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="gateway-accept", daemon=True)
+            target=self._accept_loop, args=(self._listener,),
+            name="gateway-accept", daemon=True)
         self._accept_thread.start()
         if self._serve_on_start:
             self.start_serving()
@@ -188,17 +189,23 @@ class StreamGateway:
             daemon=True)
         self._dispatch_thread.start()
 
-    def stop(self) -> None:
+    def stop(self, grace: float = 0.0) -> None:
         """Stop accepting, abort open streams, and join every thread.
+
+        New connections are refused at once.  Connections already open
+        then get up to ``grace`` seconds to finish and close on their
+        own — the dispatcher keeps serving meanwhile, so a client that
+        has ended its stream can still ask for (and be sent) its result
+        — before whatever is left is cut.  The default cuts at once.
 
         The underlying service is left running — its owner shuts it
         down (``service.shutdown()``) when done with the fleet.
         """
-        self._stop.set()
-        if self._listener is not None:
+        listener, self._listener = self._listener, None
+        if listener is not None:
             # Closing a listening socket does not interrupt a blocked
             # accept() on every platform: poke it with a throwaway
-            # connection so the accept thread observes the stop flag.
+            # connection so the accept thread sees it was retired.
             try:
                 with socket.create_connection(
                         (self.host, self.port), timeout=1.0):
@@ -206,9 +213,15 @@ class StreamGateway:
             except OSError:
                 pass
             try:
-                self._listener.close()
+                listener.close()
             except OSError:
                 pass
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=10.0)
+        deadline = time.monotonic() + grace
+        for thread in list(self._threads):
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        self._stop.set()
         with self._conn_lock:
             connections = list(self._connections)
         for conn in connections:
@@ -227,13 +240,10 @@ class StreamGateway:
         with self._gates_lock:
             for gate in self._gates.values():
                 gate.notify()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=10.0)
         for thread in list(self._threads):
             thread.join(timeout=10.0)
         if self._dispatch_thread is not None:
             self._dispatch_thread.join(timeout=60.0)
-        self._listener = None
 
     @property
     def address(self) -> str:
@@ -273,14 +283,13 @@ class StreamGateway:
     # ------------------------------------------------------------------
     # Accept / connection threads
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stop.is_set():
+    def _accept_loop(self, listener: socket.socket) -> None:
+        while True:
             try:
-                sock, _ = self._listener.accept()
+                sock, _ = listener.accept()
             except OSError:
                 return  # listener closed by stop()
-            if self._stop.is_set():
+            if self._listener is not listener:
                 sock.close()  # stop()'s wake-up poke, not a client
                 return
             conn = _Connection(sock)

@@ -54,7 +54,7 @@ GATEWAY_SHED = "gateway.shed"    #: flooding client's batch dropped
 GATEWAY_ABORT = "gateway.abort"  #: an open stream aborted
 
 # --- execution backend (repro.service.pool / procpool) ---
-BACKEND_FORK = "backend.fork"        #: worker minted (thread or fork)
+BACKEND_FORK = "backend.fork"        #: worker minted (inline or fork)
 BACKEND_DRAIN = "backend.drain"      #: drain barrier completed
 BACKEND_CRASH = "backend.crash"      #: worker subprocess died
 BACKEND_RESPAWN = "backend.respawn"  #: crashed worker replaced

@@ -23,8 +23,9 @@ workers serving many clients:
     behind which the fleet runs, plus the picklable
     :class:`SessionSpec` job recipe it trades in.
 ``pool``
-    The ``"inline"`` adapter: K pipeline workers as daemon threads with
-    per-(worker, job) streaming sessions (deterministic default).
+    The ``"inline"`` adapter: K pipeline workers with per-(worker, job)
+    streaming sessions, every shard run on the dispatcher thread — no
+    worker threads (deterministic default, trace order included).
 ``procpool``
     The ``"process"`` adapter: K warm, pre-forked worker subprocesses
     fed raw NumPy buffers over pipes — the multi-core raw-speed path,

@@ -7,9 +7,10 @@ module), and the concrete mechanics of *where* a worker runs live in
 adapters:
 
 ``repro.service.pool.WorkerPool`` (``backend="inline"``)
-    K daemon threads inside the service process.  Deterministic, replay
-    safe, zero serialization — and GIL-serialized, so the fleet's
-    simulated-cycle parallelism never becomes wall-time parallelism.
+    K workers that are ids and sessions, not threads: every shard runs
+    on the dispatcher thread inside ``dispatch``.  Deterministic in
+    results *and* trace order, replay safe, zero serialization; the
+    fleet's parallelism is simulated-cycle accounting only.
 
 ``repro.service.procpool.ProcessBackend`` (``backend="process"``)
     K warm, pre-forked worker subprocesses that stay up across jobs.
@@ -69,7 +70,7 @@ def validate_transport(transport: str) -> str:
 class SessionSpec:
     """Picklable recipe for one job's per-worker streaming session.
 
-    Everything a worker — thread or subprocess — needs to build a fresh
+    Everything a worker — inline or subprocess — needs to build a fresh
     :class:`StreamingSession` with its own kernel instance: the app
     name and params (the kernel factory's inputs), the architecture
     configuration, and the engine/budget knobs.  Live objects (the Job,
@@ -102,8 +103,9 @@ class ExecutionBackend(ABC):
     1. :meth:`start` brings the fleet up warm; workers persist across
        jobs.  After :meth:`stop` — even a failed one — the backend must
        be restartable with a fresh :meth:`start`.
-    2. :meth:`dispatch` queues one window shard on one worker; shards
-       for the same worker process in FIFO order.
+    2. :meth:`dispatch` hands one window shard to one worker; shards
+       for the same worker process in FIFO order.  An adapter may run
+       the shard before returning (the inline one does) or queue it.
     3. :meth:`drain` barriers until every dispatched shard has been
        processed *and its segment metrics and errors are visible* to
        the parent (:class:`~repro.service.metrics.ServiceMetrics` and
@@ -132,7 +134,7 @@ class ExecutionBackend(ABC):
 
     @abstractmethod
     def dispatch(self, worker_id: int, item) -> None:
-        """Queue one :class:`~repro.service.pool.WorkItem` on one worker."""
+        """Hand one :class:`~repro.service.pool.WorkItem` to one worker."""
 
     @abstractmethod
     def drain(self) -> None:
@@ -164,7 +166,6 @@ def make_backend(
     workers: int,
     spec_factory: Callable[[str], SessionSpec],
     metrics,
-    join_timeout: float = 60.0,
     tracer=None,
     transport: str = "pipe",
 ) -> ExecutionBackend:
@@ -189,11 +190,9 @@ def make_backend(
             workers,
             lambda job_id: spec_factory(job_id).build(),
             metrics,
-            join_timeout=join_timeout,
             tracer=tracer,
         )
     from repro.service.procpool import ProcessBackend
 
-    return ProcessBackend(workers, spec_factory, metrics,
-                          join_timeout=join_timeout, tracer=tracer,
+    return ProcessBackend(workers, spec_factory, metrics, tracer=tracer,
                           transport=transport)

@@ -1,11 +1,11 @@
 """Service-level observability: per-worker throughput, queues, control.
 
-All counters are in *simulated* kernel cycles, not Python wall time: the
-worker threads interleave on the host, but each pipeline instance's cycle
-count is deterministic, so the fleet makespan — the cycles of the
-busiest worker, since real workers run in parallel, plus any fleet-wide
-rescheduling stalls — is the meaningful (and reproducible) throughput
-denominator.
+All counters are in *simulated* kernel cycles, not Python wall time:
+how the workers share the host is the backend's business, but each
+pipeline instance's cycle count is deterministic, so the fleet makespan
+— the cycles of the busiest worker, since real workers run in parallel,
+plus any fleet-wide rescheduling stalls — is the meaningful (and
+reproducible) throughput denominator.
 
 Long-lived services must not grow without bound, so time-series samples
 (queue depths, plan ages) live in fixed-size ring buffers: the newest

@@ -1,34 +1,30 @@
-"""Inline execution backend: K pipeline workers as daemon threads.
+"""Inline execution backend: K pipeline workers on the dispatcher thread.
 
-Each worker is a daemon thread owning a FIFO of :class:`WorkItem`s and a
-per-job :class:`~repro.runtime.session.StreamingSession` (so one worker
+The ``backend="inline"`` adapter of the
+:class:`~repro.service.executor.ExecutionBackend` port.  A worker is an
+id, a generation and its per-job
+:class:`~repro.runtime.session.StreamingSession`s (one worker
 accumulates its shard of every job it touches across windows — session
-reuse is what makes per-window dispatch cheap).  The pool mirrors the
-warm-pool executor shape from the ModelOps related work: workers stay
-up across jobs, work routing is the balancer's problem, and partial
-results merge on collection.
-
-This is the ``backend="inline"`` adapter of the
-:class:`~repro.service.executor.ExecutionBackend` port — deterministic
-and replay safe, but GIL-serialized; the multi-core raw-speed adapter
-lives in :mod:`repro.service.procpool`.
-
-Worker concurrency is real (threads), but throughput accounting is in
-deterministic simulated cycles — see :mod:`repro.service.metrics`.
+reuse is what makes per-window dispatch cheap), and
+:meth:`WorkerPool.dispatch` runs the shard to completion on the calling
+thread.  There are no worker threads, queues or locks: under the GIL
+they bought no wall-clock parallelism (that is the process adapter's
+job, :mod:`repro.service.procpool`) and cost a thread hand-off per
+shard.  Fleet parallelism is accounted in deterministic simulated
+cycles per worker (:mod:`repro.service.metrics`); results, metrics
+*and* the trace event order replay exactly.
 
 Sessions are keyed ``(worker_id, generation, job_id)``: the pool bumps
-its generation every time it mints new workers (grow, restart), so a
-worker id freed by a scale-down and later reissued by a scale-up can
-never silently adopt the removed worker's retained partial session.
+its generation every time it mints new worker ids (grow), so a worker
+id freed by a scale-down and later reissued by a scale-up can never
+silently adopt the removed worker's retained partial session.
 """
 
 from __future__ import annotations
 
-import queue
-import threading
 import traceback
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs import events as trace_events
 from repro.obs.collector import TraceCollector
@@ -37,9 +33,6 @@ from repro.service.executor import ExecutionBackend
 from repro.service.jobs import DEFAULT_TENANT
 from repro.workloads.tuples import TupleBatch
 
-#: Sentinel shutting a worker thread down.
-_STOP = object()
-
 
 @dataclass
 class WorkItem:
@@ -47,59 +40,17 @@ class WorkItem:
 
     ``tenant_id`` rides along so the worker can charge the segment's
     tuples and cycles to the owning tenant's metrics.  ``dispatch_clock``
-    is the dispatch-clock reading stamped by the dispatcher thread when
-    the shard was routed — segment trace events carry it instead of a
-    read at completion time, which is what makes their timestamps
-    identical across the inline and process backends (inline workers
-    record mid-dispatch, process children ship ledgers back at drain).
+    is the dispatch-clock reading stamped by the dispatcher when the
+    shard was routed — segment trace events carry it instead of a read
+    at completion time, which is what makes their timestamps identical
+    across the inline and process backends (inline records the segment
+    inside ``dispatch``, process children ship ledgers back at drain).
     """
 
     job_id: str
     batch: TupleBatch
     tenant_id: str = DEFAULT_TENANT
     dispatch_clock: int = 0
-
-
-class _Worker(threading.Thread):
-    """One pipeline worker draining its private work queue."""
-
-    def __init__(self, worker_id: int, generation: int,
-                 pool: "WorkerPool") -> None:
-        super().__init__(name=f"pipeline-worker-{worker_id}", daemon=True)
-        self.worker_id = worker_id
-        self.generation = generation
-        self.pool = pool
-        self.inbox: "queue.Queue" = queue.Queue()
-
-    def run(self) -> None:
-        while True:
-            item = self.inbox.get()
-            if item is _STOP:
-                self.inbox.task_done()
-                return
-            try:
-                self._process(item)
-            except Exception as exc:  # noqa: BLE001 — reported to the pool
-                self.pool._record_error(item.job_id, exc)
-            finally:
-                self.inbox.task_done()
-
-    def _process(self, item: WorkItem) -> None:  # hot-path
-        if len(item.batch) == 0:
-            return
-        session = self.pool._session(self.worker_id, self.generation,
-                                     item.job_id)
-        outcome = session.process(item.batch)
-        self.pool.metrics.record_segment(
-            self.worker_id, outcome.tuples, outcome.cycles,
-            tenant=item.tenant_id)
-        tracer = self.pool.tracer
-        if tracer.enabled:
-            tracer.emit(
-                trace_events.JOB_SEGMENT, item.dispatch_clock,
-                job_id=item.job_id, tenant_id=item.tenant_id,
-                worker=self.worker_id, generation=self.generation,
-                tuples=outcome.tuples, cycles=outcome.cycles)
 
 
 class WorkerPool(ExecutionBackend):
@@ -114,9 +65,6 @@ class WorkerPool(ExecutionBackend):
         own kernel instance) the first time a worker sees a job.
     metrics:
         Shared :class:`~repro.service.metrics.ServiceMetrics`.
-    join_timeout:
-        Seconds to wait for a worker thread to exit on :meth:`stop` /
-        scale-down before declaring it hung.
     tracer:
         Optional :class:`~repro.obs.collector.TraceCollector`; a
         disabled collector is installed when omitted so hot paths can
@@ -128,7 +76,6 @@ class WorkerPool(ExecutionBackend):
         workers: int,
         session_factory: Callable[[str], StreamingSession],
         metrics,
-        join_timeout: float = 60.0,
         tracer: Optional[TraceCollector] = None,
     ) -> None:
         if workers <= 0:
@@ -136,15 +83,13 @@ class WorkerPool(ExecutionBackend):
         self.size = workers
         self.session_factory = session_factory
         self.metrics = metrics
-        self.join_timeout = join_timeout
         self.tracer = tracer if tracer is not None else TraceCollector(
             enabled=False)
         self._generation = 0
-        self._workers = [_Worker(i, self._generation, self)
-                         for i in range(workers)]
-        self._sessions: Dict[Tuple[int, int, str], StreamingSession] = {}  # guarded-by: _lock
-        self._errors: Dict[str, List[str]] = {}  # guarded-by: _lock
-        self._lock = threading.Lock()
+        #: The generation each live worker id was minted under.
+        self._generations: List[int] = [0] * workers
+        self._sessions: Dict[Tuple[int, int, str], StreamingSession] = {}
+        self._errors: Dict[str, List[str]] = {}
         self._started = False
 
     # ------------------------------------------------------------------
@@ -153,67 +98,67 @@ class WorkerPool(ExecutionBackend):
     def start(self) -> None:
         if self._started:
             return
-        # Threads are single-use: after a stop(), build a fresh set so
-        # the pool (and hence the service) can be restarted.  The new
-        # workers get a fresh generation — if a previous stop() timed
-        # out, the hung thread keeps writing under its old generation
-        # key and can never collide with its replacement's sessions.
-        if any(worker.ident is not None for worker in self._workers):
-            self._generation += 1
-            self._workers = [_Worker(i, self._generation, self)
-                             for i in range(self.size)]
         self._started = True
-        for worker in self._workers:
-            worker.start()
-        if self.tracer.enabled:
-            for worker in self._workers:
-                self.tracer.emit(
-                    trace_events.BACKEND_FORK,
-                    worker=worker.worker_id,
-                    generation=worker.generation, worker_kind="thread")
+        self._trace_minted(range(self.size))
 
     def stop(self) -> None:
-        """Drain outstanding work, then stop every worker thread.
+        """Stop accepting shards; :meth:`start` resumes.
 
-        A worker that fails to exit within ``join_timeout`` raises
-        RuntimeError — but only after the pool has been marked stopped,
-        so a subsequent :meth:`start` still works (it mints replacement
-        workers under a fresh generation; the hung daemon thread is
-        abandoned).
+        Every dispatched shard already ran inside :meth:`dispatch`, so
+        there is nothing to drain or join.
         """
-        if not self._started:
-            return
-        for worker in self._workers:
-            worker.inbox.put(_STOP)
-        for worker in self._workers:
-            worker.join(timeout=self.join_timeout)
-        hung = [w.worker_id for w in self._workers if w.is_alive()]
-        # Mark stopped *before* surfacing the hang: the pool must stay
-        # restartable even when shutdown fails (satellite of record —
-        # the old code left _started=True, so start() was a no-op and
-        # dispatch() kept feeding a half-dead fleet).
         self._started = False
-        if hung:
-            raise RuntimeError(
-                f"workers {hung} did not stop within "
-                f"{self.join_timeout:g}s "
-                "(segment exceeding its cycle budget?)")
+
+    def _trace_minted(self, worker_ids: Iterable[int]) -> None:
+        if self.tracer.enabled:
+            for worker_id in worker_ids:
+                self.tracer.emit(
+                    trace_events.BACKEND_FORK, worker=worker_id,
+                    generation=self._generations[worker_id],
+                    worker_kind="inline")
 
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
     def dispatch(self, worker_id: int, item: WorkItem) -> None:  # hot-path
-        """Queue one shard onto one worker."""
+        """Run one shard on one worker, on the calling thread.
+
+        A kernel exception fails the shard's job (through the per-job
+        error ledger the dispatcher reads after :meth:`drain`), not the
+        dispatcher.
+        """
         if not 0 <= worker_id < self.size:
             raise ValueError(f"no such worker {worker_id}")
         if not self._started:
             raise RuntimeError("pool is not running; call start() first")
-        self._workers[worker_id].inbox.put(item)
+        if len(item.batch) == 0:
+            return
+        generation = self._generations[worker_id]
+        key = (worker_id, generation, item.job_id)
+        try:
+            session = self._sessions.get(key)
+            if session is None:
+                session = self._sessions[key] = self.session_factory(
+                    item.job_id)
+            outcome = session.process(item.batch)
+        except Exception as exc:  # noqa: BLE001 — reported via errors()
+            self._errors.setdefault(item.job_id, []).append(
+                "".join(traceback.format_exception_only(type(exc), exc))
+                .strip())
+            return
+        self.metrics.record_segment(
+            worker_id, outcome.tuples, outcome.cycles,
+            tenant=item.tenant_id)
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.emit(
+                trace_events.JOB_SEGMENT, item.dispatch_clock,
+                job_id=item.job_id, tenant_id=item.tenant_id,
+                worker=worker_id, generation=generation,
+                tuples=outcome.tuples, cycles=outcome.cycles)
 
     def drain(self) -> None:
-        """Block until every dispatched item has been processed."""
-        for worker in self._workers:
-            worker.inbox.join()
+        """The port's barrier; inline shards finished inside dispatch."""
         if self.tracer.enabled:
             self.tracer.emit(trace_events.BACKEND_DRAIN,
                              backend="inline", workers=self.size)
@@ -221,75 +166,31 @@ class WorkerPool(ExecutionBackend):
     def resize(self, workers: int) -> None:
         """Grow or shrink the fleet to ``workers`` pipeline instances.
 
-        Growing starts fresh worker threads immediately (if the pool is
-        running) under a new pool generation, so a worker id that was
-        removed by an earlier shrink cannot adopt the removed worker's
-        retained partial session.  Shrinking stops the highest-numbered
-        workers after they drain their queued items; their per-job
-        partial sessions stay registered so :meth:`collect` still
-        merges them.  Callers must stop routing to removed worker IDs
-        first (the balancer's ``reconfigure`` does this).
+        Growing mints the new worker ids under a new pool generation,
+        so a worker id that was removed by an earlier shrink cannot
+        adopt the removed worker's retained partial session.  Shrinking
+        retires the highest-numbered workers; their per-job partial
+        sessions stay registered so :meth:`collect` still merges them.
+        Callers must stop routing to removed worker IDs first (the
+        balancer's ``reconfigure`` does this).
         """
         if workers <= 0:
             raise ValueError("workers must be positive")
-        if workers == self.size:
-            return
-        if workers > self.size:
+        grown = range(self.size, workers)  # empty on a shrink
+        if grown:
             self._generation += 1
-            grown = [_Worker(i, self._generation, self)
-                     for i in range(self.size, workers)]
-            self._workers.extend(grown)
-            self.size = workers
-            if self._started:
-                for worker in grown:
-                    worker.start()
-                if self.tracer.enabled:
-                    for worker in grown:
-                        self.tracer.emit(
-                            trace_events.BACKEND_FORK,
-                            worker=worker.worker_id,
-                            generation=worker.generation, worker_kind="thread")
-            return
-        removed = self._workers[workers:]
-        # Trim the live roster before joining: even if a removed worker
-        # hangs, the pool's size/worker-list state stays consistent and
-        # later start()/resize() calls behave.
-        self._workers = self._workers[:workers]
+            self._generations.extend([self._generation] * len(grown))
+        else:
+            del self._generations[workers:]
         self.size = workers
         if self._started:
-            for worker in removed:
-                worker.inbox.put(_STOP)
-            for worker in removed:
-                worker.join(timeout=self.join_timeout)
-            hung = [w.worker_id for w in removed if w.is_alive()]
-            if hung:
-                raise RuntimeError(
-                    f"workers {hung} did not stop within "
-                    f"{self.join_timeout:g}s during scale-down")
+            self._trace_minted(grown)
 
     # ------------------------------------------------------------------
-    # Session management and collection
+    # Error ledger and collection
     # ------------------------------------------------------------------
-    def _session(self, worker_id: int, generation: int,
-                 job_id: str) -> StreamingSession:
-        key = (worker_id, generation, job_id)
-        with self._lock:
-            session = self._sessions.get(key)
-            if session is None:
-                session = self.session_factory(job_id)
-                self._sessions[key] = session
-            return session
-
-    def _record_error(self, job_id: str, exc: Exception) -> None:
-        with self._lock:
-            self._errors.setdefault(job_id, []).append(
-                "".join(traceback.format_exception_only(type(exc), exc))
-                .strip()
-            )
-
     def errors(self, job_id: str) -> List[str]:
-        with self._lock:
-            return list(self._errors.get(job_id, []))
+        return list(self._errors.get(job_id, []))
 
     def clear_errors(self, job_id: str) -> None:
         """Drop one job's error ledger.
@@ -298,30 +199,24 @@ class WorkerPool(ExecutionBackend):
         does not inherit a previous run's errors and fail instantly) and
         by :meth:`collect` (so the ledger cannot grow without bound).
         """
-        with self._lock:
-            self._errors.pop(job_id, None)
+        self._errors.pop(job_id, None)
 
     def collect(self, job_id: str) -> Optional[StreamingSession]:
         """Merge the per-worker partial sessions of one finished job.
 
-        Call only after :meth:`drain`.  Returns None if no worker
-        processed any tuple for the job.  The per-worker sessions (and
-        the job's error ledger) are released, so collection is one-shot.
-        Partials merge in ascending (worker_id, generation) order — the
-        fixed order both backends share, which keeps order-sensitive
-        reductions (partition lists) bit-identical across backends.
+        Returns None if no worker processed any tuple for the job.  The
+        per-worker sessions (and the job's error ledger) are released,
+        so collection is one-shot.  Partials merge in ascending
+        (worker_id, generation) order — the fixed order both backends
+        share, which keeps order-sensitive reductions (partition lists)
+        bit-identical across backends.
         """
-        partials: List[StreamingSession] = []
-        with self._lock:
-            self._errors.pop(job_id, None)
-            # Iterate the session registry, not range(size): workers
-            # removed by a scale-down still hold partials to merge.
-            owned = sorted(key for key in self._sessions
-                           if key[2] == job_id)
-            for key in owned:
-                partial = self._sessions.pop(key)
-                if partial.history:
-                    partials.append(partial)
+        self._errors.pop(job_id, None)
+        # Iterate the session registry, not range(size): workers
+        # removed by a scale-down still hold partials to merge.
+        owned = sorted(key for key in self._sessions if key[2] == job_id)
+        partials = [self._sessions.pop(key) for key in owned]
+        partials = [partial for partial in partials if partial.history]
         if not partials:
             return None
         merged = self.session_factory(job_id)
@@ -330,5 +225,5 @@ class WorkerPool(ExecutionBackend):
         return merged
 
 
-#: Port-facing alias: the thread adapter is the ``"inline"`` backend.
+#: Port-facing alias: this adapter is the ``"inline"`` backend.
 InlineBackend = WorkerPool

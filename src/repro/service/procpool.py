@@ -2,11 +2,11 @@
 
 The ``backend="process"`` adapter of the
 :class:`~repro.service.executor.ExecutionBackend` port.  Where the
-inline adapter (:mod:`repro.service.pool`) runs the fleet as threads —
-deterministic but GIL-serialized — this one forks K worker subprocesses
-once and keeps them warm across jobs, the ModelOps warm-pool shape: no
-per-job cold start, routing stays the balancer's problem, and partial
-results merge on collection.
+inline adapter (:mod:`repro.service.pool`) runs every shard on the
+dispatcher thread — deterministic, one core — this one forks K worker
+subprocesses once and keeps them warm across jobs, the ModelOps
+warm-pool shape: no per-job cold start, routing stays the balancer's
+problem, and partial results merge on collection.
 
 Each child owns one duplex pipe.  Job descriptions cross it once per
 (worker, job) as a picklable

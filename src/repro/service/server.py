@@ -34,7 +34,16 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Union,
+)
 
 import numpy as np
 
@@ -77,6 +86,38 @@ from repro.workloads.streams import TimestampedBatch
 SOURCE_WAIT = 0.001
 
 
+def _spec_factory(
+    jobs: Dict[str, Job],
+    jobs_lock,
+    config: ArchitectureConfig,
+    max_cycles_per_segment: int,
+    engine: str,
+) -> Callable[[str], SessionSpec]:
+    """``job_id -> SessionSpec``: the backend's per-job session recipes.
+
+    The backend port never sees the live :class:`Job` (it holds the
+    source iterator); only the picklable spec crosses it — and, for the
+    process backend, the process boundary.  The factory is bound to the
+    job registry and the service's fixed knobs, not to the service: a
+    backend holding a bound method of its own service closes a
+    reference cycle, and a dropped service's jobs and results would then
+    live until the cyclic collector's next full pass.
+    """
+
+    def spec_for(job_id: str) -> SessionSpec:
+        with jobs_lock:
+            job = jobs[job_id]
+        return SessionSpec(
+            app=job.app,
+            config=config,
+            max_cycles_per_segment=max_cycles_per_segment,
+            engine=engine,
+            params=job.params,
+        )
+
+    return spec_for
+
+
 @dataclass
 class _ActiveJob:
     """Dispatcher-side state of one admitted, still-streaming job."""
@@ -113,8 +154,9 @@ class StreamService:
     backend:
         Execution backend behind the fleet port
         (:mod:`repro.service.executor`): ``"inline"`` (default) runs
-        the K workers as threads in this process — deterministic and
-        replay safe; ``"process"`` runs them as warm, pre-forked
+        every shard on the dispatcher thread — no worker threads;
+        results and trace order are deterministic and replay safe;
+        ``"process"`` runs the K workers as warm, pre-forked
         subprocesses that escape the GIL for multi-core wall-time
         scaling.  Results are bit-identical across backends.
     transport:
@@ -227,10 +269,11 @@ class StreamService:
         self._jobs: Dict[str, Job] = {}  # guarded-by: _jobs_lock
         self._jobs_lock = threading.RLock()
         self._terminal: "OrderedDict[str, None]" = OrderedDict()  # guarded-by: _jobs_lock
-        self._pool = make_backend(self.backend, workers,
-                                  self._session_spec, self.metrics,
-                                  tracer=self.tracer,
-                                  transport=self.transport)
+        self._pool = make_backend(
+            self.backend, workers,
+            _spec_factory(self._jobs, self._jobs_lock, self.config,
+                          max_cycles_per_segment, self.engine),
+            self.metrics, tracer=self.tracer, transport=self.transport)
         self._controller: Optional[AdaptiveController] = None
         if adaptive:
             if not isinstance(self.balancer, SkewAwareBalancer):
@@ -320,7 +363,7 @@ class StreamService:
             job_id=job_id or "",
         )
         # Validate application parameters at admission, not deep inside a
-        # worker thread: a bad job must fail fast for the client.
+        # worker: a bad job must fail fast for the client.
         kernel_for(job.app, self.config.pripes, job.params)
         job.submit_clock = self.metrics.dispatch_clock()
         with self._jobs_lock:
@@ -576,22 +619,6 @@ class StreamService:
                 self._jobs.pop(job_id, None)
                 purged += 1
         return purged
-
-    def _session_spec(self, job_id: str) -> SessionSpec:
-        """Picklable per-job session recipe for the execution backend.
-
-        The backend port never sees the live :class:`Job` (it holds the
-        source iterator); only this spec crosses it — and, for the
-        process backend, the process boundary.
-        """
-        job = self._job(job_id)
-        return SessionSpec(
-            app=job.app,
-            config=self.config,
-            max_cycles_per_segment=self.max_cycles_per_segment,
-            engine=self.engine,
-            params=job.params,
-        )
 
     def _start_job(self, job: Job, other_by_key: bool) -> _ActiveJob:
         job.status = JobStatus.RUNNING

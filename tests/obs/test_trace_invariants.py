@@ -1,17 +1,20 @@
-"""Tracing's two hard promises, as tests.
+"""Tracing's hard promises, as tests.
 
 1. **Backend invariance**: with tracing on, the deterministic
    dispatch-clock timestamps of every job-lifecycle event are identical
-   whether the fleet runs on inline threads or warm worker
-   subprocesses — and, for subprocesses, whether shards travel as pipe
-   byte copies or shared-memory descriptors.  Segment events carry the
-   clock stamped at *dispatch* time (``WorkItem.dispatch_clock``,
-   shipped through the procpool pipe in both transports), so even
-   events that physically happen in another process at a different
-   wall time agree bit for bit.
+   whether the fleet runs inline on the dispatcher thread or on warm
+   worker subprocesses — and, for subprocesses, whether shards travel
+   as pipe byte copies or shared-memory descriptors.  Segment events
+   carry the clock stamped at *dispatch* time
+   (``WorkItem.dispatch_clock``, shipped through the procpool pipe in
+   both transports), so even events that physically happen in another
+   process at a different wall time agree bit for bit.
 2. **Non-perturbation**: enabling tracing changes no deterministic
    outcome — job results, cycle counts, and the metrics snapshot are
    identical with tracing on and off.
+3. **Replayable order** (inline backend): everything runs on the
+   dispatcher thread, so two runs of one scenario emit the identical
+   event *sequence*, not merely the same multiset.
 """
 
 import numpy as np
@@ -19,7 +22,7 @@ import pytest
 
 from repro.obs import MemorySink, TraceCollector
 from repro.obs import events as trace_events
-from repro.service import SERVED_APPS, StreamService
+from repro.service import SERVED_APPS, StreamService, TenantSpec
 from repro.workloads.streams import chunk_stream
 from repro.workloads.tuples import TupleBatch
 from repro.workloads.zipf import ZipfGenerator
@@ -66,10 +69,12 @@ def traced_run(app, backend, *, transport="pipe", tracer=None,
 def clock_view(events):
     """The deterministic, order-insensitive view of a job trace.
 
-    Worker threads interleave differently run to run, so events are
-    compared as sorted tuples; ``generation`` is excluded (the process
-    pool starts at generation 1, the thread pool at 0) and so is wall
-    time (host-dependent by design).
+    The inline backend emits a segment event inside ``dispatch``, the
+    process backend when the child's ledger comes back at a drain, so
+    across backends events are compared as sorted tuples;
+    ``generation`` is excluded (the process pool starts at generation
+    1, the inline pool at 0) and so is wall time (host-dependent by
+    design).
     """
     view = []
     for event in events:
@@ -154,3 +159,38 @@ class TestTracingDoesNotPerturb:
                          trace_events.JOB_COMPLETE):
             assert expected in kinds, expected
         assert len(sink.events) == len(events)
+
+
+def adaptive_tenant_sequence():
+    """One traced multi-tenant adaptive inline run, as the raw event
+    sequence — emission order kept, wall time and generation dropped."""
+    tracer = TraceCollector(enabled=True)
+    service = StreamService(workers=4, balancer="skew", adaptive=True,
+                            slo=2.0, tracer=tracer)
+    service.register_tenant(TenantSpec("interactive", weight=3.0,
+                                       slo_delay_tuples=30_000,
+                                       max_in_flight=2))
+    service.register_tenant(TenantSpec("batch", weight=1.0))
+    try:
+        jobs = [("batch", "histo", 1.5), ("batch", "hhd", 1.8),
+                ("interactive", "hll", 0.8), ("interactive", "dp", 1.2),
+                ("interactive", "histo", 2.0)]
+        for seed, (tenant, app, alpha) in enumerate(jobs):
+            batch = ZipfGenerator(alpha=alpha, seed=seed).generate(6_000)
+            service.submit(app, chunk_stream(batch, 1_500),
+                           window_seconds=2e-6, tenant_id=tenant,
+                           job_id=f"{tenant}-{app}-{seed}")
+        service.run()
+    finally:
+        service.shutdown()
+    return [(e.kind, e.clock, e.job_id, e.tenant_id, e.worker, e.data)
+            for e in tracer.events()]
+
+
+class TestInlineTraceOrderIsReplayable:
+    def test_two_inline_runs_emit_the_identical_event_sequence(self):
+        first = adaptive_tenant_sequence()
+        kinds = {event[0] for event in first}
+        assert trace_events.JOB_SEGMENT in kinds
+        assert any(kind.startswith("control.") for kind in kinds)
+        assert first == adaptive_tenant_sequence()

@@ -1,8 +1,8 @@
-"""Backend equivalence: inline threads vs warm worker subprocesses.
+"""Backend equivalence: inline workers vs warm worker subprocesses.
 
 The execution-backend port's core promise is that the backend choice is
 invisible in the results: given the same submit sequence, the inline
-(thread) and process (pre-forked subprocess) adapters produce
+(dispatcher-thread) and process (pre-forked subprocess) adapters produce
 bit-identical :class:`~repro.service.jobs.JobResult`s and identical
 deterministic metrics snapshots — across every served app kernel and
 through mid-job fleet resizes.
@@ -15,6 +15,7 @@ bytes at all); everything else must match exactly.
 
 import dataclasses
 import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -116,6 +117,23 @@ class TestBackendEquivalence:
         assert comparable(run("inline")) == comparable(run("process"))
 
 
+class TestInlineRunsOnTheDispatcherThread:
+    def test_inline_service_never_starts_a_thread(self):
+        before = threading.active_count()
+        while_running = []
+
+        def sampling_stream(service, batch):
+            # Pulled by the dispatcher between windows, pool started.
+            for events in chunk_stream(batch, 2_000):
+                while_running.append(threading.active_count())
+                yield events
+
+        serve_one("inline", "histo", stream=sampling_stream)
+        assert len(while_running) > 1
+        assert set(while_running) == {before}
+        assert threading.active_count() == before
+
+
 def resizing_stream(resize_to, at_chunk, chunk=1_500):
     """A source that resizes the fleet mid-job, from the dispatcher.
 
@@ -183,8 +201,9 @@ class TestProcessBackendLifecycle:
         inline = run("inline")
         process = run("process")
         assert inline["status"] == process["status"] == "failed"
-        # Worker completion order is not deterministic in either
-        # backend, so compare the error sets, not their order.
+        # Inline records an error inside dispatch, the process backend
+        # when a child's ledger returns at a drain, so compare the
+        # error sets, not their order.
         assert sorted(inline["error"].split("; ")) \
             == sorted(process["error"].split("; "))
 

@@ -1,19 +1,19 @@
 """Worker pool elasticity: resize up/down, session survival, collection."""
 
-import threading
-
 import numpy as np
 import pytest
 
 from repro.core.config import ArchitectureConfig
-from repro.runtime.session import SegmentOutcome, StreamingSession
+from repro.obs import TraceCollector
+from repro.obs import events as trace_events
+from repro.runtime.session import StreamingSession
 from repro.service.jobs import kernel_for
 from repro.service.metrics import ServiceMetrics
 from repro.service.pool import WorkItem, WorkerPool
 from repro.workloads.tuples import TupleBatch
 
 
-def make_pool(workers=2):
+def make_pool(workers=2, tracer=None):
     config = ArchitectureConfig(lanes=8, pripes=16, secpes=0,
                                 reschedule_threshold=0.0)
 
@@ -22,7 +22,8 @@ def make_pool(workers=2):
                                 kernel=kernel_for("histo", 16),
                                 engine="fast")
 
-    return WorkerPool(workers, factory, ServiceMetrics()), factory
+    return WorkerPool(workers, factory, ServiceMetrics(),
+                      tracer=tracer), factory
 
 
 def batch_of(keys):
@@ -88,10 +89,26 @@ class TestResize:
             pool.stop()
 
     def test_resize_to_same_size_is_a_no_op(self):
-        pool, _ = make_pool(2)
-        workers_before = list(pool._workers)
-        pool.resize(2)
-        assert pool._workers == workers_before
+        tracer = TraceCollector(enabled=True)
+        pool, _ = make_pool(2, tracer=tracer)
+        pool.start()
+        try:
+            pool.dispatch(1, WorkItem("job", batch_of([1, 2])))
+            pool.resize(2)
+            assert pool.size == 2
+            pool.dispatch(1, WorkItem("job", batch_of([3])))
+            pool.drain()
+            assert pool.collect("job").total_tuples == 3
+        finally:
+            pool.stop()
+        # No worker was minted beyond the two start() brought up, and
+        # worker 1 kept its generation across the resize.
+        forks = [e for e in tracer.events()
+                 if e.kind == trace_events.BACKEND_FORK]
+        assert [e.worker for e in forks] == [0, 1]
+        segments = [e for e in tracer.events()
+                    if e.kind == trace_events.JOB_SEGMENT]
+        assert len({e.generation for e in segments}) == 1
 
     def test_resize_validates(self):
         pool, _ = make_pool(2)
@@ -115,85 +132,13 @@ class TestResize:
         pool.stop()
         pool.start()
         try:
-            assert len(pool._workers) == 2
+            assert pool.size == 2
+            with pytest.raises(ValueError, match="no such worker"):
+                pool.dispatch(2, WorkItem("job", batch_of([1])))
             pool.dispatch(1, WorkItem("job", batch_of([9, 9])))
             pool.drain()
             assert pool.collect("job").total_tuples == 2
         finally:
-            pool.stop()
-
-
-class _BlockingSession:
-    """Session stub that parks its worker until released."""
-
-    def __init__(self, release):
-        self.release = release
-        self.history = []
-
-    def process(self, batch):
-        self.release.wait()
-        return SegmentOutcome(index=0, tuples=len(batch), cycles=1,
-                              tuples_per_cycle=float(len(batch)),
-                              plans=0, reschedules=0)
-
-
-class TestHungShutdown:
-    """Regression: a timed-out stop() must leave a restartable pool.
-
-    The old code raised before clearing ``_started``, so after a hang
-    ``start()`` was a silent no-op and ``dispatch()`` kept feeding the
-    half-dead fleet.
-    """
-
-    def make_sticky_pool(self, release, workers=2):
-        config = ArchitectureConfig(lanes=8, pripes=16, secpes=0,
-                                    reschedule_threshold=0.0)
-
-        def factory(job_id):
-            if job_id == "stuck":
-                return _BlockingSession(release)
-            return StreamingSession(config=config,
-                                    kernel=kernel_for("histo", 16),
-                                    engine="fast")
-
-        return WorkerPool(workers, factory, ServiceMetrics(),
-                          join_timeout=0.2)
-
-    def test_hung_stop_raises_but_leaves_pool_restartable(self):
-        release = threading.Event()
-        pool = self.make_sticky_pool(release)
-        pool.start()
-        pool.dispatch(0, WorkItem("stuck", batch_of([1])))
-        with pytest.raises(RuntimeError, match="did not stop"):
-            pool.stop()
-        try:
-            # The failed shutdown marked the pool stopped...
-            with pytest.raises(RuntimeError, match="not running"):
-                pool.dispatch(0, WorkItem("job", batch_of([1])))
-            # ...so a restart mints fresh workers and serves normally.
-            pool.start()
-            pool.dispatch(0, WorkItem("job", batch_of([4, 4])))
-            pool.drain()
-            assert pool.collect("job").total_tuples == 2
-        finally:
-            release.set()
-            pool.stop()
-
-    def test_restarted_workers_use_a_fresh_generation(self):
-        release = threading.Event()
-        pool = self.make_sticky_pool(release)
-        pool.start()
-        first_gen = pool._workers[0].generation
-        pool.dispatch(0, WorkItem("stuck", batch_of([1])))
-        with pytest.raises(RuntimeError, match="did not stop"):
-            pool.stop()
-        try:
-            pool.start()
-            # The abandoned hung thread keeps its old generation key, so
-            # its late writes can never collide with the replacements'.
-            assert all(w.generation > first_gen for w in pool._workers)
-        finally:
-            release.set()
             pool.stop()
 
 

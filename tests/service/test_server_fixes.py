@@ -3,8 +3,12 @@
 Covers the dispatcher rotation-pointer fix (no job skipped or
 double-stepped when a sibling finishes mid-rotation), balancer-counter
 sync on the failure path, bounded job retention with purge()/TTL, and
-the duplicate-job-id guard on the now thread-safe submit path.
+the duplicate-job-id guard on the now thread-safe submit path, and
+reclamation of a shut-down service by reference count alone.
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -217,3 +221,29 @@ class TestDuplicateJobIds:
         service.run()
         assert service.poll("mine")["status"] == "completed"
         service.shutdown()
+
+
+class TestDroppedServiceIsFreedByRefcount:
+    """Regression: the backend held a bound method of its own service
+    (the spec factory), a reference cycle — so a dropped service kept
+    its job registry and every result alive until the cyclic collector
+    got round to a full pass."""
+
+    @pytest.mark.parametrize("service_kw", [
+        {},
+        {"adaptive": True},
+        {"backend": "process", "transport": "shm"},
+    ], ids=["inline", "adaptive", "process-shm"])
+    def test_shutdown_service_dies_with_the_cyclic_gc_off(self,
+                                                          service_kw):
+        gc.disable()
+        try:
+            service = StreamService(workers=2, **service_kw)
+            job_id = run_one(service)
+            assert service.poll(job_id)["status"] == "completed"
+            service.shutdown()
+            alive = weakref.ref(service)
+            del service
+            assert alive() is None
+        finally:
+            gc.enable()

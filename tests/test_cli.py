@@ -2,7 +2,29 @@
 
 import pytest
 
+import threading
+import time
+
 from repro.cli import build_parser, main
+
+
+def start_ingest(tmp_path):
+    """Run ``repro ingest --serve-jobs 1`` on a thread.
+
+    Returns ``(server_thread, host, port)`` once the gateway is up.
+    """
+    ready = tmp_path / "ready"
+    server = threading.Thread(target=main, args=([
+        "ingest", "--serve-jobs", "1", "--workers", "2",
+        "--ready-file", str(ready),
+    ],))
+    server.start()
+    deadline = time.monotonic() + 30.0
+    while not ready.exists() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    assert ready.exists(), "gateway never came up"
+    host, port = ready.read_text().split()
+    return server, host, port
 
 
 class TestParser:
@@ -170,20 +192,7 @@ class TestServeSubmit:
 class TestNetworkCLI:
     def test_ingest_serves_submit_connect_round_trip(self, tmp_path,
                                                      capsys):
-        import threading
-        import time
-
-        ready = tmp_path / "ready"
-        server = threading.Thread(target=main, args=([
-            "ingest", "--serve-jobs", "1", "--workers", "2",
-            "--ready-file", str(ready),
-        ],))
-        server.start()
-        deadline = time.monotonic() + 30.0
-        while not ready.exists() and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert ready.exists(), "gateway never came up"
-        host, port = ready.read_text().split()
+        server, host, port = start_ingest(tmp_path)
         code = main([
             "submit", "--connect", f"{host}:{port}", "--app", "histo",
             "--tuples", "4000", "--alpha", "2.0",
@@ -195,6 +204,28 @@ class TestNetworkCLI:
         assert "status=completed" in out
         assert "over the wire" in out
         assert "gateway" in out  # ingest printed the fleet report
+
+    def test_serve_jobs_exit_waits_for_a_late_result_request(
+            self, tmp_path):
+        """Regression: once the N-th job turned terminal, the next 50 ms
+        poll cut every connection — including the one whose client had
+        not asked for its result yet."""
+        from repro.net import StreamClient
+        from repro.workloads.streams import chunk_stream
+        from repro.workloads.zipf import ZipfGenerator
+
+        server, host, port = start_ingest(tmp_path)
+        batch = ZipfGenerator(alpha=1.5, seed=3).generate(4_000)
+        with StreamClient(host, int(port)) as client:
+            job_id = client.submit_stream(
+                "histo", chunk_stream(batch, 1_000), window_seconds=4e-6)
+            while client.poll(job_id)["status"] != "completed":
+                time.sleep(0.01)
+            time.sleep(0.3)  # several exit polls of cmd_ingest
+            result = client.result(job_id)
+        server.join(timeout=60.0)
+        assert not server.is_alive()
+        assert result.tuples == 4_000
 
     def test_connect_rejects_bad_address(self):
         with pytest.raises(SystemExit):
@@ -240,20 +271,7 @@ class TestTraceCLI:
 
     def test_stats_fetches_prometheus_from_gateway(self, tmp_path,
                                                    capsys):
-        import threading
-        import time
-
-        ready = tmp_path / "ready"
-        server = threading.Thread(target=main, args=([
-            "ingest", "--serve-jobs", "1", "--workers", "2",
-            "--ready-file", str(ready),
-        ],))
-        server.start()
-        deadline = time.monotonic() + 30.0
-        while not ready.exists() and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert ready.exists(), "gateway never came up"
-        host, port = ready.read_text().split()
+        server, host, port = start_ingest(tmp_path)
         try:
             code = main(["stats", "--connect", f"{host}:{port}",
                          "--format", "prometheus"])
