@@ -109,41 +109,52 @@ class HeavyHitterKernel(KernelSpec):
         ):
             buffer.candidates[key] = int(estimate)
 
-    def process_batch(self, buffer: SketchBuffer, keys: np.ndarray,
-                      values: np.ndarray) -> None:
-        # Exact batch replay of the per-tuple loop.  The running
+    def process_routed(self, buffers: List[SketchBuffer],
+                       destinations: np.ndarray, keys: np.ndarray,
+                       values: np.ndarray) -> None:
+        # Exact shard replay of the per-tuple loop.  The running
         # estimate a tuple sees is, per row, the prior cell count plus
-        # its 1-based rank among this batch's tuples hashing to the
-        # same cell; estimates are monotone over time, so a key's
-        # candidacy (and stored estimate) is decided at its *last*
-        # occurrence — both are recoverable without stepping tuples.
+        # its 1-based rank among this shard's tuples hitting the same
+        # cell — a (PE, column) pair of the stacked sketches; estimates
+        # are monotone over time, so a key's candidacy (and stored
+        # estimate) is decided at its *last* occurrence — both are
+        # recoverable without stepping tuples.
         keys = np.asarray(keys, dtype=np.uint64)
         n = keys.size
         if n == 0:
             return
+        destinations = np.asarray(destinations, dtype=np.int64)
+        stacked = np.stack([buffer.cms for buffer in buffers], axis=1)
+        base = destinations * self.width
         estimates = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
         positions = np.arange(n)
+        new_run = np.ones(n, dtype=bool)
+        running = np.empty(n, dtype=np.int64)
         for row in range(self.depth):
-            cols = self.family.hash_array(row, keys)
-            order = np.argsort(cols, kind="stable")
-            sorted_cols = cols[order]
-            run_starts = np.flatnonzero(
-                np.r_[True, np.diff(sorted_cols) != 0])
-            run_lengths = np.diff(np.r_[run_starts, n])
-            rank = positions - np.repeat(run_starts, run_lengths) + 1
-            running = np.empty(n, dtype=np.int64)
-            running[order] = rank
-            np.minimum(estimates, buffer.cms[row][cols] + running,
-                       out=estimates)
-            np.add.at(buffer.cms[row], cols, 1)
+            cells = base + self.family.hash_array(row, keys)
+            order = np.argsort(cells, kind="stable")
+            sorted_cells = cells[order]
+            np.not_equal(sorted_cells[1:], sorted_cells[:-1],
+                         out=new_run[1:])
+            rank = positions + 1 - np.maximum.accumulate(
+                np.where(new_run, positions, 0))
+            counters = stacked[row].reshape(-1)  # a view: (PE, column)
+            running[order] = counters[sorted_cells] + rank
+            np.minimum(estimates, running, out=estimates)
+            np.add.at(counters, cells, 1)
+        for pe, buffer in enumerate(buffers):
+            buffer.cms[...] = stacked[:, pe]
         reversed_uniques, reversed_first = np.unique(keys[::-1],
                                                      return_index=True)
         last_seen = n - 1 - reversed_first
-        tracked = estimates[last_seen] >= (
-            self.track_fraction * self.threshold)
-        for key, estimate in zip(reversed_uniques[tracked],
-                                 estimates[last_seen][tracked]):
-            buffer.candidates[int(key)] = int(estimate)
+        final = estimates[last_seen]
+        tracked = final >= self.track_fraction * self.threshold
+        # Ascending key order within each PE's table.
+        for key, pe, estimate in zip(
+                reversed_uniques[tracked].tolist(),
+                destinations[last_seen[tracked]].tolist(),
+                final[tracked].tolist()):
+            buffers[pe].candidates[key] = estimate
 
     def merge_into(self, primary: SketchBuffer,
                    secondary: SketchBuffer) -> None:

@@ -75,10 +75,14 @@ class HistogramKernel(KernelSpec):
     def process(self, buffer: np.ndarray, key: int, value: int) -> None:
         buffer[self.bin_of(key) // self.pripes] += 1
 
-    def process_batch(self, buffer: np.ndarray, keys: np.ndarray,
-                      values: np.ndarray) -> None:
-        local = self.bin_array(keys) // self.pripes
-        buffer += np.bincount(local, minlength=buffer.size)
+    def process_routed(self, buffers: List[np.ndarray],
+                       destinations: np.ndarray, keys: np.ndarray,
+                       values: np.ndarray) -> None:
+        # Bin ``b`` lives in PE ``b % M`` at slot ``b // M``, so one
+        # full-width count folds into PE ``p`` as the stride-M slice.
+        counts = np.bincount(self.bin_array(keys), minlength=self.bins)
+        for pe, buffer in enumerate(buffers):
+            buffer += counts[pe::self.pripes]
 
     def merge_into(self, primary: np.ndarray, secondary: np.ndarray) -> None:
         primary += secondary

@@ -127,7 +127,7 @@ class HyperLogLogKernel(KernelSpec):
     def route_array(self, keys: np.ndarray) -> np.ndarray:
         # Routing needs only the register index: skip the rank (clz)
         # passes, which dominate _register_and_rho_arrays and are paid
-        # again by process_batch on the fast path.
+        # again by process_routed on the fast path.
         _, index = self._hash_index_arrays(
             np.asarray(keys, dtype=np.uint64))
         return index % self.pripes
@@ -141,12 +141,18 @@ class HyperLogLogKernel(KernelSpec):
         if rho > buffer[local]:
             buffer[local] = rho
 
-    def process_batch(self, buffer: np.ndarray, keys: np.ndarray,
-                      values: np.ndarray) -> None:
+    def process_routed(self, buffers: List[np.ndarray],
+                       destinations: np.ndarray, keys: np.ndarray,
+                       values: np.ndarray) -> None:
+        # Register ``r`` lives in PE ``r % M`` at slot ``r // M``: max-fold
+        # the shard into a scratch register file, then each PE takes its
+        # stride-M slice.
         index, rho = self._register_and_rho_arrays(
             np.asarray(keys, dtype=np.uint64))
-        np.maximum.at(buffer, index // self.pripes,
-                      rho.astype(buffer.dtype))
+        scratch = np.zeros(self.registers, dtype=np.int8)
+        np.maximum.at(scratch, index, rho.astype(np.int8))
+        for pe, buffer in enumerate(buffers):
+            np.maximum(buffer, scratch[pe::self.pripes], out=buffer)
 
     def merge_into(self, primary: np.ndarray, secondary: np.ndarray) -> None:
         np.maximum(primary, secondary, out=primary)

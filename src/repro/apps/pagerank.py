@@ -89,12 +89,18 @@ class PageRankKernel(KernelSpec):
     def process(self, buffer: np.ndarray, key: int, value: int) -> None:
         buffer[key // self.pripes] += value
 
-    def process_batch(self, buffer: np.ndarray, keys: np.ndarray,
-                      values: np.ndarray) -> None:
+    def process_routed(self, buffers: List[np.ndarray],
+                       destinations: np.ndarray, keys: np.ndarray,
+                       values: np.ndarray) -> None:
+        # Vertex ``v`` lives in PE ``v % M`` at slot ``v // M``: accumulate
+        # the shard once, then each PE takes its stride-M slice.
         # np.add.at keeps the accumulation in exact int64 (a weighted
         # bincount would round-trip the Q16.16 sums through float64).
-        np.add.at(buffer, np.asarray(keys, dtype=np.int64) // self.pripes,
+        sums = np.zeros(buffers[0].size * self.pripes, dtype=np.int64)
+        np.add.at(sums, np.asarray(keys, dtype=np.int64),
                   np.asarray(values, dtype=np.int64))
+        for pe, buffer in enumerate(buffers):
+            buffer += sums[pe::self.pripes]
 
     def merge_into(self, primary: np.ndarray, secondary: np.ndarray) -> None:
         primary += secondary

@@ -73,13 +73,15 @@ class PartitionKernel(KernelSpec):
                 value: int) -> None:
         buffer.setdefault(self.partition_of(key), []).append(key)
 
-    def process_batch(self, buffer: Dict[int, List[int]], keys: np.ndarray,
-                      values: np.ndarray) -> None:
+    def process_routed(self, buffers: List[Dict[int, List[int]]],
+                       destinations: np.ndarray, keys: np.ndarray,
+                       values: np.ndarray) -> None:
         keys = np.asarray(keys, dtype=np.uint64)
         # group_spans preserves stream order within each partition, so
         # the fast path appends exactly what the per-tuple loop would.
         for part, span in group_spans(self.partition_array(keys)):
-            buffer.setdefault(part, []).extend(keys[span].tolist())
+            buffers[part % self.pripes].setdefault(part, []).extend(
+                keys[span].tolist())
 
     def collect(
         self, buffers: List[Dict[int, List[int]]]

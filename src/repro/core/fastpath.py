@@ -7,11 +7,12 @@ compilers (FLOWER, the Cheng & Wawrzynek dataflow template) derive
 steady-state pipeline throughput from channel/PE occupancy models rather
 than cycle-stepping; this module does the same in NumPy:
 
-* the **application result** is exact — every tuple routed to PriPE
-  ``p`` is applied to ``p``'s private buffer through the vectorised
-  :meth:`~repro.core.kernel.KernelSpec.process_batch` hook (kernels that
-  don't opt in fall back to the per-tuple loop), in stream order, so the
-  collected output is bit-identical to the cycle engine's;
+* the **application result** is exact — the whole routed shard is
+  applied to the PE array in one call of the vectorised
+  :meth:`~repro.core.kernel.KernelSpec.process_routed` hook (kernels
+  that don't opt in fall back to the per-tuple loop): every tuple
+  routed to PriPE ``p`` lands in ``p``'s private buffer, in stream
+  order, so the collected output is bit-identical to the cycle engine's;
 * the **cycle count** is modeled from the analytic bottleneck.  Without
   skew handling the pipeline's completion time is governed by
   ``max(ceil(N / lanes), max_pe_load * II)`` — the memory interface
@@ -30,7 +31,7 @@ modeled cycles within 10% of simulated across Zipf skew factors.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -98,45 +99,21 @@ def bottleneck_cycles(config: ArchitectureConfig, tuples: int,
     return max(bandwidth, max_pe_load * config.ii_pe) + PIPELINE_FILL_CYCLES
 
 
-def modeled_cycles(
-    config: ArchitectureConfig, destinations: np.ndarray
-) -> Tuple[int, List[SchedulingPlan], int]:
-    """Modeled cycle count for a stream of per-tuple PriPE IDs.
-
-    Returns ``(cycles, plans, reschedules)``.  Without skew handling the
-    closed-form bottleneck applies; with SecPEs the windowed epoch model
-    captures the profiling transient and the hot channel's drain.
-    """
-    destinations = np.asarray(destinations, dtype=np.int64)
-    if not config.skew_handling:
-        counts = np.bincount(destinations, minlength=config.pripes)
-        return (
-            bottleneck_cycles(config, destinations.size, int(counts.max())),
-            [],
-            0,
-        )
-    from repro.perf.epoch import EpochModel
-
-    epoch = EpochModel(config).run(destinations)
-    return int(round(epoch.cycles)), list(epoch.plans), epoch.reschedules
-
-
 def _modeled_pe_counts(
     config: ArchitectureConfig,
     counts: np.ndarray,
     plan: Optional[SchedulingPlan],
 ) -> dict:
     """Per-designated-PE tuple counts under the final plan (modeled)."""
-    designated = np.zeros(config.designated_pes, dtype=np.float64)
     if plan is None or not plan.pairs:
-        designated[: config.pripes] = counts
-    else:
-        attached = np.zeros(config.pripes, dtype=np.int64)
-        for _, pripe in plan.pairs:
-            attached[pripe] += 1
-        designated[: config.pripes] = counts / (1 + attached)
-        for secpe, pripe in plan.pairs:
-            designated[secpe] = counts[pripe] / (1 + attached[pripe])
+        return dict(enumerate(counts.tolist() + [0] * config.secpes))
+    designated = np.zeros(config.designated_pes, dtype=np.float64)
+    attached = np.zeros(config.pripes, dtype=np.int64)
+    for _, pripe in plan.pairs:
+        attached[pripe] += 1
+    designated[: config.pripes] = counts / (1 + attached)
+    for secpe, pripe in plan.pairs:
+        designated[secpe] = counts[pripe] / (1 + attached[pripe])
     return {pe: int(round(load)) for pe, load in enumerate(designated)}
 
 
@@ -158,23 +135,34 @@ def run_fast(config: ArchitectureConfig, kernel: KernelSpec,
                               dtype=np.int64)
     values = kernel.prepare_value_array(batch.keys, batch.values)
 
-    # Exact result: apply each PriPE's tuples to its private buffer in
-    # stream order.  SecPE partials always merge back into (or union
-    # with) the owning PriPE's state, so routing straight to the PriPE
-    # reproduces the post-merge result.
+    # Exact result: one pass applies the shard to every PriPE's private
+    # buffer, stream order kept within each PE.  SecPE partials always
+    # merge back into (or union with) the owning PriPE's state, so
+    # routing straight to the PriPE reproduces the post-merge result.
     buffers = [kernel.make_buffer() for _ in range(config.pripes)]
-    for pe, span in group_spans(destinations):
-        kernel.process_batch(buffers[pe], batch.keys[span], values[span])
+    kernel.process_routed(buffers, destinations, batch.keys, values)
     result = kernel.collect(buffers)
 
-    cycles, plans, reschedules = modeled_cycles(config, destinations)
+    # Modeled cycles.  Without skew handling the closed-form bottleneck
+    # applies; with SecPEs the windowed epoch model captures the
+    # profiling transient and the hot channel's drain.
     counts = np.bincount(destinations, minlength=config.pripes)
+    max_pe_load = int(counts.max())
+    if config.skew_handling:
+        from repro.perf.epoch import EpochModel
+
+        epoch = EpochModel(config).run(destinations)
+        cycles = int(round(epoch.cycles))
+        plans, reschedules = list(epoch.plans), epoch.reschedules
+    else:
+        cycles = bottleneck_cycles(config, len(batch), max_pe_load)
+        plans, reschedules = [], 0
     final_plan = plans[-1] if plans else None
     if TRACE_HOOK is not None:
         TRACE_HOOK({
             "tuples": len(batch),
             "cycles": cycles,
-            "max_pe_load": int(counts.max()),
+            "max_pe_load": max_pe_load,
             "plans": len(plans),
             "reschedules": reschedules,
         })

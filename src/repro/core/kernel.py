@@ -25,6 +25,9 @@ class KernelSpec(ABC):
       PriPE ID (line 5 of Listing 2: ``dst = tuple.key & 0xf``).
     * :meth:`process` is the PriPE/SecPE body — it applies one tuple to a
       private buffer (lines 14-15: ``hist[HASH(tuple.key)]++``).
+    * :meth:`process_routed` is the PE array working at once — it
+      applies a routed shard to every PE's buffer in one vectorised
+      pass (the fast path's hook; defaults to looping :meth:`process`).
     * :meth:`make_buffer` builds one PE's private buffer.
     * :meth:`merge_into` folds a SecPE's partial buffer into a PriPE's
       (the merger module), for *decomposable* applications.
@@ -102,20 +105,26 @@ class KernelSpec(ABC):
     def process(self, buffer: Any, key: int, value: int) -> None:
         """Apply one routed tuple to ``buffer`` (takes II cycles on-chip)."""
 
-    def process_batch(self, buffer: Any, keys: np.ndarray,
-                      values: np.ndarray) -> None:
-        """Apply a whole routed batch to one PE's ``buffer``.
+    def process_routed(self, buffers: List[Any], destinations: np.ndarray,
+                       keys: np.ndarray, values: np.ndarray) -> None:
+        """Apply one routed shard to the whole PE array.
 
-        The fast-path executor (:mod:`repro.core.fastpath`) feeds every
-        tuple destined for one PE through this hook in stream order.
-        Kernels opt in by overriding with a NumPy reduction
-        (bincount / ``ufunc.at`` scatter); this default is the exact
-        per-tuple fallback, so the fast path is always available.
-        ``values`` have already been through :meth:`prepare_value`.
+        ``buffers[p]`` is PriPE ``p``'s private buffer and
+        ``destinations[i]`` (this kernel's :meth:`route_array` of
+        ``keys``) names the PE that owns tuple ``i``; stream order is
+        preserved within each PE.  The fast-path executor
+        (:mod:`repro.core.fastpath`) calls this once per shard.  Kernels
+        opt in by overriding with one NumPy pass over the shard
+        (bincount / ``ufunc.at`` scatter folded into the per-PE slices);
+        this default is the exact per-tuple fallback, so the fast path
+        is always available.  ``values`` have already been through
+        :meth:`prepare_value`; the arrays may be read-only views (the
+        shm transport's are), so implementations never write to them.
         """
-        for key, value in zip(np.asarray(keys).tolist(),
-                              np.asarray(values).tolist()):
-            self.process(buffer, int(key), int(value))
+        for pe, key, value in zip(np.asarray(destinations).tolist(),
+                                  np.asarray(keys).tolist(),
+                                  np.asarray(values).tolist()):
+            self.process(buffers[pe], key, value)
 
     # ------------------------------------------------------------------
     # Merging (merger logic)

@@ -15,6 +15,20 @@ import numpy as np
 
 _MERSENNE_P = (1 << 61) - 1
 
+_P = np.uint64(_MERSENNE_P)
+_U1, _U30, _U31, _U61 = (np.uint64(shift) for shift in (1, 30, 31, 61))
+_LOW30 = np.uint64((1 << 30) - 1)
+_LOW31 = np.uint64((1 << 31) - 1)
+
+
+def _fold_mersenne(x: np.ndarray) -> np.ndarray:
+    """``x mod (2^61 - 1)`` for a ``uint64`` array: since ``2^61 = 1``
+    (mod p) the high three bits add onto the low 61, leaving at most
+    ``p + 7``, which one conditional subtract brings below ``p``."""
+    folded = (x & _P) + (x >> _U61)
+    np.subtract(folded, _P, out=folded, where=folded >= _P)
+    return folded
+
 
 class PairwiseFamily:
     """``rows`` pairwise-independent hashes onto ``[0, width)``.
@@ -56,23 +70,30 @@ class PairwiseFamily:
     def hash_array(self, row: int, keys: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`hash` for one row over many keys.
 
-        Uses Python-object arithmetic on the (few) coefficient products to
-        avoid 64-bit overflow; keys are processed through numpy's object
-        path only when they exceed the safe range, otherwise a fast path
-        with modular reduction in uint64 pieces is used.
+        Exact in ``uint64``, no Python-object arithmetic.  With
+        ``p = 2^61 - 1``: the key is folded below ``p``, ``a`` and the
+        key are split into a 31-bit low and a 30-bit high limb, and the
+        limb products are reduced with ``2^61 = 1`` and ``2^62 = 2``
+        (mod p), which keeps the partial sum under ``2^64``.
         """
         if not 0 <= row < self.rows:
             raise IndexError(f"row {row} out of range 0..{self.rows - 1}")
         keys = np.asarray(keys, dtype=np.uint64)
-        a = self._a[row]
-        b = self._b[row]
-        # Split a*key into (a_hi*2^32 + a_lo)*key mod p using python ints is
-        # slow; instead reduce keys mod p first (keys < 2^64 < p^2) and use
-        # object dtype for exactness.  Datasets in the sketch path are
-        # sampled streams, so this stays fast enough in practice.
-        as_obj = keys.astype(object)
-        hashed = (a * as_obj + b) % _MERSENNE_P % self.width
-        return np.asarray(hashed, dtype=np.int64)
+        a_hi, a_lo = (np.uint64(limb)
+                      for limb in divmod(self._a[row], 1 << 31))
+        k = _fold_mersenne(keys)
+        k_hi = k >> _U31
+        k_lo = k & _LOW31
+        # a*k = a_hi*k_hi * 2^62 + mid * 2^31 + a_lo*k_lo, and
+        # mid * 2^31 = (mid >> 30) * 2^61 + (mid & (2^30 - 1)) * 2^31.
+        mid = a_hi * k_lo + a_lo * k_hi                      # < 2^62
+        total = (((a_hi * k_hi) << _U1)                      # < 2^61
+                 + (mid >> _U30)                             # < 2^32
+                 + ((mid & _LOW30) << _U31)                  # < 2^61
+                 + a_lo * k_lo                               # < 2^62
+                 + np.uint64(self._b[row]))                  # < 2^61
+        hashed = _fold_mersenne(total) % np.uint64(self.width)
+        return hashed.astype(np.int64)
 
     def all_rows(self, key: int) -> List[int]:
         """All ``d`` row indices of ``key`` — one CMS update touches these."""

@@ -35,7 +35,7 @@ def multiply_shift_array(
         raise ValueError("out_bits must be in 1..63")
     if a % 2 == 0:
         raise ValueError("multiplier must be odd")
-    keys = np.asarray(keys, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        product = keys * np.uint64(a)
+    # Array integer arithmetic wraps mod 2^64 silently (only NumPy
+    # *scalar* ops warn on overflow), which is the hash's definition.
+    product = np.asarray(keys, dtype=np.uint64) * np.uint64(a)
     return (product >> np.uint64(64 - out_bits)).astype(np.int64)

@@ -5,9 +5,13 @@ bit-identical to the cycle engine's and modeled cycles stay within 10%
 of simulated, across Zipf skew factors, for every splittable app.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import repro.apps.partition
+import repro.core.fastpath
 from repro.apps.heavy_hitter import HeavyHitterKernel, half_duplicate_stream
 from repro.apps.histo import HistogramKernel
 from repro.apps.hyperloglog import HyperLogLogKernel
@@ -38,6 +42,8 @@ def make_app(app: str, tuples: int = TUPLES, alpha: float = 1.2):
         return PartitionKernel(radix_bits_count=6, pripes=16), batch
     if app == "hll":
         return HyperLogLogKernel(precision=12, pripes=16), batch
+    if app == "hhd":
+        return HeavyHitterKernel(pripes=16), batch
     if app == "pagerank":
         rng = np.random.default_rng(SEED)
         vertices = 2_048
@@ -97,10 +103,11 @@ class TestSkewHandlingEquivalence:
 
 
 class TestHeavyHitterFastPath:
-    def test_process_batch_replays_the_per_tuple_loop_exactly(self):
+    def test_process_routed_replays_the_per_tuple_loop_exactly(self):
         """Sketch cells AND candidate admissions (decided at each key's
         last occurrence against its running estimate) must match the
-        sequential loop, even with heavy collisions and warm buffers."""
+        sequential loop, even with heavy collisions and warm buffers —
+        with four PEs sharing each call."""
         rng = np.random.default_rng(0)
         for trial in range(10):
             kernel = HeavyHitterKernel(
@@ -112,15 +119,18 @@ class TestHeavyHitterFastPath:
             warm = rng.integers(0, 30, 20).astype(np.uint64)
             keys = rng.integers(0, 50, int(rng.integers(1, 400))
                                 ).astype(np.uint64)
-            sequential = kernel.make_buffer()
+            sequential = [kernel.make_buffer() for _ in range(4)]
             for key in np.concatenate([warm, keys]):
-                kernel.process(sequential, int(key), 1)
-            batched = kernel.make_buffer()
+                kernel.process(sequential[kernel.route(int(key))],
+                               int(key), 1)
+            routed = [kernel.make_buffer() for _ in range(4)]
             for chunk in (warm, keys):
-                kernel.process_batch(batched, chunk,
-                                     np.ones(chunk.size, dtype=np.int64))
-            assert np.array_equal(sequential.cms, batched.cms)
-            assert sequential.candidates == batched.candidates
+                kernel.process_routed(routed, kernel.route_array(chunk),
+                                      chunk,
+                                      np.ones(chunk.size, dtype=np.int64))
+            for ours, theirs in zip(routed, sequential):
+                assert np.array_equal(theirs.cms, ours.cms)
+                assert theirs.candidates == ours.candidates
 
     def test_detected_hitters_match_cycle_engine(self):
         batch = half_duplicate_stream(6_000, seed=3)
@@ -132,6 +142,46 @@ class TestHeavyHitterFastPath:
             SERVING_CONFIG, fast_kernel).run(batch, engine="fast")
         assert simulated.result == fast.result
         assert 0xDEAD in fast.result
+
+
+class TestPerShardCost:
+    """The PE array runs as one pass per shard, not one per PriPE.
+
+    Counted, not timed: a regression to per-PE stepping (16 kernel
+    calls, 17 hashes of the shard, an argsort/split per shard) changes
+    no result, so otherwise only the wall-clock benchmark would notice.
+    """
+
+    SHARDS = 3
+
+    @pytest.mark.parametrize("app",
+                             ["histo", "hll", "pagerank", "hhd", "dp"])
+    def test_one_kernel_pass_per_shard(self, app, monkeypatch):
+        kernel, batch = make_app(app, tuples=self.SHARDS * 1_000)
+        calls = Counter()
+
+        def count(owner, name, label):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[label] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+
+        count(type(kernel), "process_routed", "process_routed")
+        count(HistogramKernel, "bin_array", "bin_array")
+        count(repro.core.fastpath, "group_spans", "run_fast.group_spans")
+        count(repro.apps.partition, "group_spans", "dp.group_spans")
+
+        for shard in range(self.SHARDS):
+            run_fast(SERVING_CONFIG, kernel,
+                     batch.slice(shard * 1_000, (shard + 1) * 1_000))
+
+        assert calls["process_routed"] == self.SHARDS
+        assert calls["bin_array"] <= 2 * self.SHARDS  # route + process
+        assert calls["run_fast.group_spans"] == 0
+        # DP groups by partition id once per shard; nobody else sorts.
+        assert calls["dp.group_spans"] == (self.SHARDS if app == "dp" else 0)
 
 
 class _LoopOnlyKernel(KernelSpec):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.hashing.family import PairwiseFamily
+from repro.hashing.family import _MERSENNE_P, PairwiseFamily
+
+#: Where the uint64 reduction could go wrong: around the modulus and its
+#: multiples, at the limb boundaries and at the top of the key range.
+EDGE_KEYS = [0, _MERSENNE_P - 1, _MERSENNE_P, _MERSENNE_P + 1,
+             2 * _MERSENNE_P, 1 << 61, 1 << 63, (1 << 64) - 1]
 
 
 def test_validation():
@@ -34,6 +39,23 @@ def test_property_scalar_vector_agree_and_in_range(key, row):
     vector = fam.hash_array(row, np.array([key], dtype=np.uint64))
     assert scalar == int(vector[0])
     assert 0 <= scalar < 97
+
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1),
+                max_size=50),
+       st.sampled_from([1, 97, 1024, (1 << 40) + 1]),
+       st.booleans())
+def test_property_hash_array_is_exact_over_all_of_uint64(keys, width,
+                                                         extreme):
+    """``hash_array`` reduces mod 2^61 - 1 in uint64 limbs; it must equal
+    the arbitrary-precision scalar on every key a uint64 can hold, also
+    with the largest coefficients the family can draw."""
+    fam = PairwiseFamily(2, width, seed=3)
+    if extreme:
+        fam._a[0] = fam._b[0] = _MERSENNE_P - 1
+    keys = EDGE_KEYS + keys
+    vector = fam.hash_array(0, np.array(keys, dtype=np.uint64))
+    assert vector.dtype == np.int64
+    assert vector.tolist() == [fam.hash(0, key) for key in keys]
 
 def test_rows_are_distinct_functions():
     fam = PairwiseFamily(4, 1024, seed=1)

@@ -1,5 +1,7 @@
 """Multiply-shift hashing."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -28,6 +30,17 @@ def test_property_scalar_vector_agree_and_in_range(key, bits):
     vector = multiply_shift_array(np.array([key], dtype=np.uint64), bits)
     assert scalar == int(vector[0])
     assert 0 <= scalar < (1 << bits)
+
+def test_wraparound_needs_no_overflow_guard():
+    """Every product of a key >= 2^63 overflows 64 bits.  Array integer
+    arithmetic wraps without a RuntimeWarning (only NumPy scalars warn),
+    so the array form runs unguarded and still equals the scalar."""
+    keys = [1 << 63, (1 << 63) + 1, 0xDEADBEEFCAFEF00D, (1 << 64) - 2,
+            (1 << 64) - 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hashed = multiply_shift_array(np.array(keys, dtype=np.uint64), 10)
+    assert hashed.tolist() == [multiply_shift(key, 10) for key in keys]
 
 def test_distributes_sequential_keys():
     """Sequential keys should spread across buckets (the whole point of
