@@ -221,7 +221,6 @@ def _service_for(args: argparse.Namespace):
                             transport=args.transport,
                             adaptive=args.adaptive, slo=args.slo,
                             reschedule_cost_cycles=args.reschedule_cost,
-                            scheduler=args.scheduler,
                             retained_jobs=args.retain_jobs,
                             tracer=tracer)
     if args.tenant is not None:
@@ -631,11 +630,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "charged per plan change (0 = free; "
                             "default: free, or derived from the config "
                             "when --adaptive)")
-        p.add_argument("--scheduler", default="fair",
-                       choices=["fair", "strict"],
-                       help="cross-tenant job order: weighted-fair "
-                            "queueing (default) or the legacy global "
-                            "strict-priority order")
         p.add_argument("--tenant", default=None,
                        help="tenant to register and submit under "
                             "(default: the built-in default tenant)")

@@ -201,7 +201,7 @@ class AdaptiveController:
         else:
             report = self.detector.update(histogram)
             if report.drifted:
-                self.metrics.record_control(drift=1)
+                self.metrics.record_control(drift_events=1)
                 interval = self.tuples - self._tuples_at_last_drift
                 self._tuples_at_last_drift = self.tuples
                 settled = self._drift_has_settled(histogram)
@@ -228,10 +228,10 @@ class AdaptiveController:
                     action = "replan"
                 elif decision is ReplanDecision.FREEZE:
                     self.frozen = True
-                    self.metrics.record_control(suppressed=1)
+                    self.metrics.record_control(replans_suppressed=1)
                     action = "freeze"
                 else:
-                    self.metrics.record_control(suppressed=1)
+                    self.metrics.record_control(replans_suppressed=1)
                     action = "hold"
                 if self.tracer.enabled:
                     self.tracer.emit(
@@ -337,10 +337,10 @@ class AdaptiveController:
         self._settled_drift_windows = 0
         cost = self.policy.reschedule_cost_cycles
         self.metrics.record_control(
-            cache_hits=int(hit),
-            cache_misses=int(not hit),
-            replans=0 if initial else 1,
-            stall_cycles=0 if initial else cost,
+            plan_cache_hits=int(hit),
+            plan_cache_misses=int(not hit),
+            replans_applied=0 if initial else 1,
+            reschedule_stall_cycles=0 if initial else cost,
             plan_age=None if initial else plan_age,
             tenant=tenant_id,
         )
@@ -422,4 +422,5 @@ class AdaptiveController:
         self._scale_busy_cycles = self.metrics.busiest_worker_cycles(
             within=self.pool.size)
         self.metrics.record_control(
-            scale_ups=int(growing), scale_downs=int(not growing))
+            scale_up_events=int(growing),
+            scale_down_events=int(not growing))

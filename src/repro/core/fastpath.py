@@ -49,20 +49,6 @@ ENGINES = ("fast", "cycle")
 #: the residual is well under the 10% equivalence tolerance).
 PIPELINE_FILL_CYCLES = 10
 
-#: Optional per-segment telemetry hook: ``None`` (the common case —
-#: a single attribute read on the hot path) or a callable receiving one
-#: dict per :func:`run_fast` call.  Installed by
-#: :mod:`repro.obs` consumers via :func:`set_trace_hook`; kept a plain
-#: module global rather than a TraceCollector so the core layer has no
-#: import-time dependency on the observability package.
-TRACE_HOOK = None
-
-
-def set_trace_hook(hook) -> None:
-    """Install (or with ``None`` remove) the fast-path segment hook."""
-    global TRACE_HOOK
-    TRACE_HOOK = hook
-
 
 def validate_engine(engine: str) -> str:
     """Return ``engine`` or raise on an unknown name."""
@@ -147,7 +133,6 @@ def run_fast(config: ArchitectureConfig, kernel: KernelSpec,
     # applies; with SecPEs the windowed epoch model captures the
     # profiling transient and the hot channel's drain.
     counts = np.bincount(destinations, minlength=config.pripes)
-    max_pe_load = int(counts.max())
     if config.skew_handling:
         from repro.perf.epoch import EpochModel
 
@@ -155,17 +140,9 @@ def run_fast(config: ArchitectureConfig, kernel: KernelSpec,
         cycles = int(round(epoch.cycles))
         plans, reschedules = list(epoch.plans), epoch.reschedules
     else:
-        cycles = bottleneck_cycles(config, len(batch), max_pe_load)
+        cycles = bottleneck_cycles(config, len(batch), int(counts.max()))
         plans, reschedules = [], 0
     final_plan = plans[-1] if plans else None
-    if TRACE_HOOK is not None:
-        TRACE_HOOK({
-            "tuples": len(batch),
-            "cycles": cycles,
-            "max_pe_load": max_pe_load,
-            "plans": len(plans),
-            "reschedules": reschedules,
-        })
     report = SimulationReport(
         cycles=cycles,
         completed=True,

@@ -305,7 +305,7 @@ class StreamGateway:
             thread.start()
 
     def _serve_connection(self, conn: _Connection) -> None:
-        self.metrics.record_gateway(connections=1)
+        self.metrics.record_gateway(connections_opened=1)
         rfile = conn.sock.makefile("rb")
         try:
             while True:
@@ -315,9 +315,9 @@ class StreamGateway:
                 line = rfile.readline(self.max_line_bytes + 1)
                 if not line:
                     break
-                self.metrics.record_gateway(bytes_in=len(line))
+                self.metrics.record_gateway(bytes_received=len(line))
                 if len(line) > self.max_line_bytes:
-                    self.metrics.record_gateway(errors=1)
+                    self.metrics.record_gateway(protocol_errors=1)
                     self._send(conn, {
                         "type": "error", "code": "protocol",
                         "error": f"line exceeds {self.max_line_bytes} "
@@ -327,7 +327,7 @@ class StreamGateway:
                     message = protocol.decode(line)
                     reply = self._handle(conn, message)
                 except protocol.ProtocolError as exc:
-                    self.metrics.record_gateway(errors=1)
+                    self.metrics.record_gateway(protocol_errors=1)
                     reply = {"type": "error", "code": "protocol",
                              "error": str(exc)}
                     message = {}
@@ -358,12 +358,12 @@ class StreamGateway:
                 conn.sock.close()
             except OSError:
                 pass
-            self.metrics.record_gateway(disconnects=1)
+            self.metrics.record_gateway(connections_closed=1)
 
     def _send(self, conn: _Connection, reply: Dict[str, Any]) -> None:
         payload = protocol.encode(reply)
         conn.sock.sendall(payload)
-        self.metrics.record_gateway(bytes_out=len(payload))
+        self.metrics.record_gateway(bytes_sent=len(payload))
 
     # ------------------------------------------------------------------
     # Message handlers
@@ -390,7 +390,7 @@ class StreamGateway:
         }
         handler = handlers.get(kind)
         if handler is None:
-            self.metrics.record_gateway(errors=1)
+            self.metrics.record_gateway(protocol_errors=1)
             return {"type": "error", "code": "protocol",
                     "error": f"unknown message type {kind!r}"}
         return handler(conn, message)
@@ -403,7 +403,7 @@ class StreamGateway:
             # new batches are credit-checked against the new one,
             # corrupting per-tenant backpressure accounting (and
             # letting a client re-auth without closing its streams).
-            self.metrics.record_gateway(errors=1)
+            self.metrics.record_gateway(protocol_errors=1)
             return {"type": "error", "code": "protocol",
                     "error": "hello already accepted on this "
                              "connection; reconnect to change tenant"}
@@ -482,7 +482,7 @@ class StreamGateway:
                     # put (gateway stop or connection teardown from
                     # another thread): refuse coherently instead of
                     # killing the handler thread.
-                    self.metrics.record_gateway(errors=1)
+                    self.metrics.record_gateway(protocol_errors=1)
                     return {"type": "error", "code": "closed-stream",
                             "error": f"stream for job {job_id!r} "
                                      "closed while the batch was in "
@@ -492,7 +492,7 @@ class StreamGateway:
             # The client out-ran its credits: shed, never buffer.  The
             # batch is gone — the client decides whether to retry after
             # a credit wait or to accept the loss.
-            self.metrics.record_gateway(shed=1)
+            self.metrics.record_gateway(batches_shed=1)
             self.metrics.sample_ingest_depth(depth)
             if self.tracer.enabled:
                 self.tracer.emit(
@@ -500,7 +500,8 @@ class StreamGateway:
                     job_id=job_id, tenant_id=conn.tenant,
                     tuples=len(batch), depth=depth)
             return {"type": "busy", "job_id": job_id, "credits": 0}
-        self.metrics.record_gateway(batches=1, tuples=len(batch))
+        self.metrics.record_gateway(batches_ingested=1,
+                                    tuples_ingested=len(batch))
         self.metrics.sample_ingest_depth(depth)
         if self.tracer.enabled:
             self.tracer.emit(
@@ -533,7 +534,7 @@ class StreamGateway:
                     and not self._stop.is_set():
                 if not stalled:
                     stalled = True
-                    self.metrics.record_gateway(stalls=1)
+                    self.metrics.record_gateway(credit_stalls=1)
                     if self.tracer.enabled:
                         self.tracer.emit(trace_events.GATEWAY_STALL,
                                          tenant_id=conn.tenant,
@@ -631,7 +632,7 @@ class StreamGateway:
             return {"type": "stats", "format": "prometheus",
                     "body": self.service.metrics.to_prometheus()}
         if fmt != "json":
-            self.metrics.record_gateway(errors=1)
+            self.metrics.record_gateway(protocol_errors=1)
             return {"type": "error", "code": "bad-request",
                     "error": f"unknown stats format {fmt!r} "
                              "(json | prometheus)"}

@@ -22,10 +22,11 @@ from typing import Any, Dict, List, Tuple
 #: Prometheus metric/label name rule.
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 
-#: One sample line: name, optional {labels}, value.
+#: One sample line: name, optional {labels}, value.  A quoted label
+#: value may hold ``}``: the set ends at the first one outside quotes.
 _SAMPLE_RE = re.compile(
     r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})?"
+    r'(?:\{(?P<labels>(?:[^"}]|"(?:[^"\\]|\\.)*")*)\})?'
     r"\s+(?P<value>[^\s]+)\s*$")
 
 _LABEL_RE = re.compile(
@@ -35,6 +36,12 @@ _LABEL_RE = re.compile(
 def _escape_label(value: str) -> str:
     return (str(value).replace("\\", "\\\\").replace('"', '\\"')
             .replace("\n", "\\n"))
+
+
+def _unescape_label(value: str) -> str:
+    """Inverse of :func:`_escape_label`, in one pass: chained ``replace``
+    calls would read an escaped backslash's tail as a newline's head."""
+    return re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], value)
 
 
 class _Exposition:
@@ -90,6 +97,21 @@ def _quantiles(exp: _Exposition, name: str, help_text: str,
                "gauge", section.get("samples", 0), labels)
 
 
+def _flat_counters(exp: _Exposition, snapshot: Dict[str, Any],
+                   section: str) -> Dict[str, Any]:
+    """The section's declared counters, in order; returns the section."""
+    # Function-level (service imports obs, not the reverse): at module
+    # level this closes the cycle control.controller -> obs ->
+    # exposition -> service -> server -> control.controller.
+    from repro.service.metrics import COUNTERS
+
+    values = snapshot.get(section, {})
+    for name, help_text in COUNTERS[section].items():
+        exp.sample(f"{section}_{name}_total", help_text, "counter",
+                   values.get(name, 0))
+    return values
+
+
 def to_prometheus(snapshot: Dict[str, Any], prefix: str = "repro") -> str:
     """Render one :meth:`ServiceMetrics.snapshot` dict as Prometheus text.
 
@@ -136,52 +158,12 @@ def to_prometheus(snapshot: Dict[str, Any], prefix: str = "repro") -> str:
         exp.sample("worker_cycles_total", "Cycles per worker", "counter",
                    stats.get("cycles", 0), labels)
 
-    gateway = snapshot.get("gateway", {})
-    for key, help_text in (
-        ("connections_opened", "Gateway connections accepted"),
-        ("connections_closed", "Gateway connections closed"),
-        ("bytes_received", "Gateway bytes received"),
-        ("bytes_sent", "Gateway bytes sent"),
-        ("batches_ingested", "Batches buffered by the gateway"),
-        ("tuples_ingested", "Tuples ingested over the wire"),
-        ("batches_shed", "Batches dropped with a busy reply"),
-        ("credit_stalls", "Well-behaved client credit stalls"),
-        ("protocol_errors", "Wire protocol errors"),
-    ):
-        exp.sample(f"gateway_{key}_total", help_text, "counter",
-                   gateway.get(key, 0))
+    gateway = _flat_counters(exp, snapshot, "gateway")
     _quantiles(exp, "gateway_ingest_depth",
                "Per-tenant buffered-batch depth",
                gateway.get("ingest_depth", {}))
-
-    transport = snapshot.get("transport", {})
-    for key, help_text in (
-        ("shards_pipe", "Shards shipped as pipe byte copies"),
-        ("shards_shm", "Shards shipped as shared-memory descriptors"),
-        ("shard_bytes_copied", "Shard bytes serialized through pipes"),
-        ("shard_bytes_shared", "Shard bytes written once to shared slabs"),
-        ("slabs_allocated", "Shared-memory slabs created"),
-        ("slab_blocks_reused", "Slab allocations served from recycled blocks"),
-        ("slabs_released", "Shared-memory slabs unlinked"),
-        ("slab_fallbacks", "Shards that fell back from shm to pipe"),
-        ("shard_retries", "Lost shards replayed after a worker crash"),
-    ):
-        exp.sample(f"transport_{key}_total", help_text, "counter",
-                   transport.get(key, 0))
-
-    control = snapshot.get("control", {})
-    for key, help_text in (
-        ("drift_events", "Drift detections"),
-        ("replans_applied", "Replans applied"),
-        ("replans_suppressed", "Replans suppressed (hold/freeze)"),
-        ("plan_cache_hits", "Plan cache hits"),
-        ("plan_cache_misses", "Plan cache misses"),
-        ("scale_up_events", "Autoscaler grow events"),
-        ("scale_down_events", "Autoscaler shrink events"),
-        ("reschedule_stall_cycles", "Fleet-wide rescheduling stalls"),
-    ):
-        exp.sample(f"control_{key}_total", help_text, "counter",
-                   control.get(key, 0))
+    _flat_counters(exp, snapshot, "transport")
+    control = _flat_counters(exp, snapshot, "control")
     exp.sample("control_plan_cache_hit_rate",
                "Plan cache hits over lookups", "gauge",
                control.get("plan_cache_hit_rate", 0.0))
@@ -224,7 +206,9 @@ def parse_prometheus(text: str) -> Dict[Tuple[str, frozenset], float]:
     tests run against :func:`to_prometheus` output.
     """
     samples: Dict[Tuple[str, frozenset], float] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only: str.splitlines would also cut at "\r",
+    # U+2028 and friends, which a quoted label value may contain.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         match = _SAMPLE_RE.match(line)
@@ -232,8 +216,7 @@ def parse_prometheus(text: str) -> Dict[Tuple[str, frozenset], float]:
             raise ValueError(f"line {lineno} is not a valid sample: "
                              f"{line!r}")
         labels = frozenset(
-            (m.group("key"), m.group("value"))
-            for m in _LABEL_RE.finditer(match.group("labels") or ""))
-        samples[(match.group("name"), labels)] = float(
-            match.group("value"))
+            (m["key"], _unescape_label(m["value"]))
+            for m in _LABEL_RE.finditer(match["labels"] or ""))
+        samples[(match["name"], labels)] = float(match["value"])
     return samples

@@ -60,7 +60,6 @@ from repro.service.jobs import (
     kernel_for,
 )
 from repro.service.metrics import (
-    GatewayStats,
     ServiceMetrics,
     TenantStats,
     WorkerStats,
@@ -89,7 +88,6 @@ __all__ = [
     "EventWindow",
     "ExecutionBackend",
     "FleetBalancer",
-    "GatewayStats",
     "InlineBackend",
     "Job",
     "JobQueue",

@@ -42,6 +42,27 @@ def _percentile(samples: List[int], q: float) -> float:
     return float(np.percentile(np.asarray(samples, dtype=np.float64), q))
 
 
+def _ring_summary(ring: Deque[int]) -> Dict[str, Any]:
+    """p50 / p95 / peak / sample count of one ring buffer."""
+    samples = list(ring)
+    return {
+        "p50": _percentile(samples, 50),
+        "p95": _percentile(samples, 95),
+        "peak": max(samples, default=0),
+        "samples": len(samples),
+    }
+
+
+def _count(section: Dict[str, int], deltas: Dict[str, int]) -> None:
+    """Add ``deltas`` to one section's counters (the caller holds its
+    lock); an undeclared name raises before anything is counted."""
+    if not deltas.keys() <= section.keys():
+        undeclared = sorted(deltas.keys() - section.keys())
+        raise TypeError(f"undeclared counter(s): {undeclared}")
+    for name, delta in deltas.items():
+        section[name] += delta
+
+
 @dataclass
 class WorkerStats:
     """Cumulative load of one pipeline worker."""
@@ -94,61 +115,64 @@ class TenantStats:
         return self.slo_met / judged if judged else 1.0
 
 
-@dataclass
-class TransportStats:
-    """Shard-transport accounting for the process backend.
-
-    This is the **only** deliberately transport-variant section of the
-    metrics snapshot: ``pipe`` transport pays two full copies per shard
-    (serialize in the parent, deserialize in the child) and counts them
-    in ``shard_bytes_copied``; ``shm`` transport pays a single write
-    into a shared slab, counted in ``shard_bytes_shared``, and ships
-    only a descriptor.  Equivalence tests compare snapshots with this
-    section stripped; the transport benchmark asserts on exactly this
-    section.
-
-    Shard and byte counters are deterministic given a dispatch
-    sequence.  The slab counters (``slabs_allocated``,
-    ``slab_blocks_reused``) are not: block recycling depends on how
-    fast children consume shards relative to the dispatcher, which is
-    wall-clock scheduling.
-    """
-
-    shards_pipe: int = 0
-    shards_shm: int = 0
-    shard_bytes_copied: int = 0
-    shard_bytes_shared: int = 0
-    slabs_allocated: int = 0
-    slab_blocks_reused: int = 0
-    slabs_released: int = 0
-    slab_fallbacks: int = 0
-    shard_retries: int = 0
-
-
-@dataclass
-class GatewayStats:
-    """Counters of the network ingestion front-end (:mod:`repro.net`).
-
-    ``batches_shed`` counts batches dropped with a ``busy`` reply
-    because the owning tenant was over its high-water mark;
-    ``credit_stalls`` counts the times a well-behaved client blocked on
-    a ``credit`` request instead.  ``ingest_depth_samples`` is a ring
-    buffer of per-tenant buffered-batch depths, sampled at every batch
-    arrival — its p95 is the bounded-memory claim the backpressure
-    benchmark checks.
-    """
-
-    connections_opened: int = 0
-    connections_closed: int = 0
-    bytes_received: int = 0
-    bytes_sent: int = 0
-    batches_ingested: int = 0
-    tuples_ingested: int = 0
-    batches_shed: int = 0
-    credit_stalls: int = 0
-    protocol_errors: int = 0
-    ingest_depth_samples: Deque[int] = field(
-        default_factory=lambda: deque(maxlen=INGEST_DEPTH_WINDOW))
+#: The flat counters of the ``gateway`` / ``transport`` / ``control``
+#: sections, declared once as ``section -> {name: Prometheus help}``.
+#: :class:`ServiceMetrics`' zeroed state, the ``record_*`` keywords, the
+#: snapshot keys and the ``repro_<section>_<name>_total`` samples all
+#: derive from this table, in this order: a new counter is one line here.
+COUNTERS: Dict[str, Dict[str, str]] = {
+    # The network front-end (repro.net).  batches_shed counts batches
+    # dropped with a ``busy`` reply because the owning tenant was over
+    # its high-water mark, credit_stalls the times a well-behaved client
+    # blocked on a ``credit`` request instead.
+    "gateway": {
+        "connections_opened": "Gateway connections accepted",
+        "connections_closed": "Gateway connections closed",
+        "bytes_received": "Gateway bytes received",
+        "bytes_sent": "Gateway bytes sent",
+        "batches_ingested": "Batches buffered by the gateway",
+        "tuples_ingested": "Tuples ingested over the wire",
+        "batches_shed": "Batches dropped with a busy reply",
+        "credit_stalls": "Well-behaved client credit stalls",
+        "protocol_errors": "Wire protocol errors",
+    },
+    # The process backend's shard transport, the **only** deliberately
+    # transport-variant section of the snapshot: ``pipe`` pays two full
+    # copies per shard (serialize in the parent, deserialize in the
+    # child), counted in shard_bytes_copied; ``shm`` pays a single write
+    # into a shared slab, counted in shard_bytes_shared, and ships only
+    # a descriptor.  Equivalence tests compare snapshots with this
+    # section stripped; the transport benchmark asserts on exactly this
+    # section.  Shard and byte counters are deterministic given a
+    # dispatch sequence; slabs_allocated and slab_blocks_reused are not
+    # — block recycling depends on how fast children consume shards
+    # relative to the dispatcher, which is wall-clock scheduling.
+    "transport": {
+        "shards_pipe": "Shards shipped as pipe byte copies",
+        "shards_shm": "Shards shipped as shared-memory descriptors",
+        "shard_bytes_copied": "Shard bytes serialized through pipes",
+        "shard_bytes_shared": "Shard bytes written once to shared slabs",
+        "slabs_allocated": "Shared-memory slabs created",
+        "slab_blocks_reused": "Slab allocations served from recycled blocks",
+        "slabs_released": "Shared-memory slabs unlinked",
+        "slab_fallbacks": "Shards that fell back from shm to pipe",
+        "shard_retries": "Lost shards replayed after a worker crash",
+    },
+    # The control plane (repro.control).  reschedule_stall_cycles models
+    # the fleet-wide cost of applying a plan (detection + drain +
+    # re-enqueue + re-profiling) and extends the makespan, because every
+    # worker pauses while kernels re-enqueue.
+    "control": {
+        "drift_events": "Drift detections",
+        "replans_applied": "Replans applied",
+        "replans_suppressed": "Replans suppressed (hold/freeze)",
+        "plan_cache_hits": "Plan cache hits",
+        "plan_cache_misses": "Plan cache misses",
+        "scale_up_events": "Autoscaler grow events",
+        "scale_down_events": "Autoscaler shrink events",
+        "reschedule_stall_cycles": "Fleet-wide rescheduling stalls",
+    },
+}
 
 
 @dataclass
@@ -167,19 +191,16 @@ class ServiceMetrics:
     rebalances: int = 0  # guarded-by: _lock
     queue_depth_samples: Deque[int] = field(  # guarded-by: _lock
         default_factory=lambda: deque(maxlen=QUEUE_DEPTH_WINDOW))
-    # --- network front-end (repro.net) ---
-    gateway: GatewayStats = field(default_factory=GatewayStats)  # guarded-by: _lock
-    # --- shard transport (repro.service.procpool / shm) ---
-    transport: TransportStats = field(default_factory=TransportStats)  # guarded-by: _lock
-    # --- control plane (repro.control) ---
-    drift_events: int = 0  # guarded-by: _lock
-    replans_applied: int = 0  # guarded-by: _lock
-    replans_suppressed: int = 0  # guarded-by: _lock
-    plan_cache_hits: int = 0  # guarded-by: _lock
-    plan_cache_misses: int = 0  # guarded-by: _lock
-    scale_up_events: int = 0  # guarded-by: _lock
-    scale_down_events: int = 0  # guarded-by: _lock
-    reschedule_stall_cycles: int = 0  # guarded-by: _lock
+    # --- the flat sections of COUNTERS: the state is the snapshot ---
+    gateway: Dict[str, int] = field(  # guarded-by: _lock
+        default_factory=lambda: dict.fromkeys(COUNTERS["gateway"], 0))
+    transport: Dict[str, int] = field(  # guarded-by: _lock
+        default_factory=lambda: dict.fromkeys(COUNTERS["transport"], 0))
+    control: Dict[str, int] = field(  # guarded-by: _lock
+        default_factory=lambda: dict.fromkeys(COUNTERS["control"], 0))
+    # Its p95 is the bounded-memory claim the backpressure benchmark checks.
+    ingest_depth_samples: Deque[int] = field(  # guarded-by: _lock
+        default_factory=lambda: deque(maxlen=INGEST_DEPTH_WINDOW))
     plan_ages: Deque[int] = field(  # guarded-by: _lock
         default_factory=lambda: deque(maxlen=PLAN_AGE_WINDOW))
     _lock: threading.Lock = field(default_factory=threading.Lock,
@@ -276,95 +297,33 @@ class ServiceMetrics:
         with self._lock:
             self.queue_depth_samples.append(depth)
 
-    def record_gateway(
-        self,
-        *,
-        connections: int = 0,
-        disconnects: int = 0,
-        bytes_in: int = 0,
-        bytes_out: int = 0,
-        batches: int = 0,
-        tuples: int = 0,
-        shed: int = 0,
-        stalls: int = 0,
-        errors: int = 0,
-    ) -> None:
+    def record_gateway(self, **deltas: int) -> None:
         """Fold one gateway event into the front-end counters."""
         with self._lock:
-            stats = self.gateway
-            stats.connections_opened += connections
-            stats.connections_closed += disconnects
-            stats.bytes_received += bytes_in
-            stats.bytes_sent += bytes_out
-            stats.batches_ingested += batches
-            stats.tuples_ingested += tuples
-            stats.batches_shed += shed
-            stats.credit_stalls += stalls
-            stats.protocol_errors += errors
+            _count(self.gateway, deltas)
 
-    def record_transport(
-        self,
-        *,
-        shards_pipe: int = 0,
-        shards_shm: int = 0,
-        shard_bytes_copied: int = 0,
-        shard_bytes_shared: int = 0,
-        slabs_allocated: int = 0,
-        slab_blocks_reused: int = 0,
-        slabs_released: int = 0,
-        slab_fallbacks: int = 0,
-        shard_retries: int = 0,
-    ) -> None:
+    def record_transport(self, **deltas: int) -> None:
         """Fold one shard-transport event into the counters."""
         with self._lock:
-            stats = self.transport
-            stats.shards_pipe += shards_pipe
-            stats.shards_shm += shards_shm
-            stats.shard_bytes_copied += shard_bytes_copied
-            stats.shard_bytes_shared += shard_bytes_shared
-            stats.slabs_allocated += slabs_allocated
-            stats.slab_blocks_reused += slab_blocks_reused
-            stats.slabs_released += slabs_released
-            stats.slab_fallbacks += slab_fallbacks
-            stats.shard_retries += shard_retries
+            _count(self.transport, deltas)
 
     def sample_ingest_depth(self, depth: int) -> None:
         """One per-tenant buffered-batch depth reading (ring buffer)."""
         with self._lock:
-            self.gateway.ingest_depth_samples.append(depth)
+            self.ingest_depth_samples.append(depth)
 
-    def record_control(
-        self,
-        *,
-        drift: int = 0,
-        replans: int = 0,
-        suppressed: int = 0,
-        cache_hits: int = 0,
-        cache_misses: int = 0,
-        scale_ups: int = 0,
-        scale_downs: int = 0,
-        stall_cycles: int = 0,
-        plan_age: Optional[int] = None,
-        tenant: Optional[str] = None,
-    ) -> None:
+    def record_control(self, *, plan_age: Optional[int] = None,
+                       tenant: Optional[str] = None, **deltas: int) -> None:
         """Fold one control-plane event into the counters.
 
-        ``stall_cycles`` models the fleet-wide cost of applying a plan
-        (detection + drain + re-enqueue + re-profiling); it extends the
-        makespan because every worker pauses while kernels re-enqueue.
         ``plan_age`` is how many windows the retired plan served.
-        ``tenant`` attributes the stall to the tenant whose window's
-        drift triggered the replan (who pays the rescheduling stall).
+        ``tenant`` attributes a ``reschedule_stall_cycles`` delta to the
+        tenant whose window's drift triggered the replan (who pays the
+        rescheduling stall).
         """
         with self._lock:
-            self.drift_events += drift
-            self.replans_applied += replans
-            self.replans_suppressed += suppressed
-            self.plan_cache_hits += cache_hits
-            self.plan_cache_misses += cache_misses
-            self.scale_up_events += scale_ups
-            self.scale_down_events += scale_downs
-            self.reschedule_stall_cycles += stall_cycles
+            _count(self.control, deltas)
+            stall_cycles = deltas.get("reschedule_stall_cycles", 0)
             if stall_cycles and tenant is not None:
                 self._tenant(tenant).stall_cycles += stall_cycles
             if plan_age is not None:
@@ -393,7 +352,7 @@ class ServiceMetrics:
     def _makespan_locked(self) -> int:
         busiest = max(
             (stats.cycles for stats in self.workers.values()), default=0)
-        return busiest + self.reschedule_stall_cycles
+        return busiest + self.control["reschedule_stall_cycles"]
 
     def makespan_cycles(self) -> int:
         """Fleet completion time: busiest worker plus fleet-wide stalls."""
@@ -415,17 +374,10 @@ class ServiceMetrics:
             total = sum(stats.tuples for stats in self.workers.values())
         return total / makespan if makespan else 0.0
 
-    def imbalance(self) -> float:
-        """Max/mean worker cycles (1.0 = perfectly balanced)."""
-        with self._lock:
-            cycles = [stats.cycles for stats in self.workers.values()]
-        if not cycles or sum(cycles) == 0:
-            return 1.0
-        return max(cycles) / (sum(cycles) / len(cycles))
-
     def _plan_cache_hit_rate_locked(self) -> float:  # guarded-by: _lock
-        lookups = self.plan_cache_hits + self.plan_cache_misses
-        return self.plan_cache_hits / lookups if lookups else 0.0
+        hits = self.control["plan_cache_hits"]
+        lookups = hits + self.control["plan_cache_misses"]
+        return hits / lookups if lookups else 0.0
 
     def plan_cache_hit_rate(self) -> float:
         """Cache hits over lookups (0.0 before any plan lookup).
@@ -459,11 +411,10 @@ class ServiceMetrics:
         worker_cycles = [s.cycles for s in self.workers.values()]
         total_tuples = sum(s.tuples for s in self.workers.values())
         busiest = max(worker_cycles, default=0)
-        makespan = busiest + self.reschedule_stall_cycles
+        makespan = busiest + self.control["reschedule_stall_cycles"]
         mean_cycles = (sum(worker_cycles) / len(worker_cycles)
                        if worker_cycles else 0.0)
-        depths = list(self.queue_depth_samples)
-        ages = list(self.plan_ages)
+        depths = self.queue_depth_samples
         return {
             "jobs": {
                 "submitted": self.jobs_submitted,
@@ -482,11 +433,8 @@ class ServiceMetrics:
             "imbalance": (busiest / mean_cycles if mean_cycles else 1.0),
             "rebalances": self.rebalances,
             "queue_depth": {
-                "p50": _percentile(depths, 50),
-                "p95": _percentile(depths, 95),
-                "peak": max(depths, default=0),
+                **_ring_summary(depths),
                 "last": depths[-1] if depths else 0,
-                "samples": len(depths),
             },
             "workers": {
                 worker: {
@@ -497,29 +445,15 @@ class ServiceMetrics:
                 }
                 for worker, stats in sorted(self.workers.items())
             },
-            "gateway": self._gateway_snapshot(),
-            "transport": {
-                "shards_pipe": self.transport.shards_pipe,
-                "shards_shm": self.transport.shards_shm,
-                "shard_bytes_copied": self.transport.shard_bytes_copied,
-                "shard_bytes_shared": self.transport.shard_bytes_shared,
-                "slabs_allocated": self.transport.slabs_allocated,
-                "slab_blocks_reused": self.transport.slab_blocks_reused,
-                "slabs_released": self.transport.slabs_released,
-                "slab_fallbacks": self.transport.slab_fallbacks,
-                "shard_retries": self.transport.shard_retries,
+            "gateway": {
+                **self.gateway,
+                "ingest_depth": _ring_summary(self.ingest_depth_samples),
             },
+            "transport": dict(self.transport),
             "control": {
-                "drift_events": self.drift_events,
-                "replans_applied": self.replans_applied,
-                "replans_suppressed": self.replans_suppressed,
-                "plan_cache_hits": self.plan_cache_hits,
-                "plan_cache_misses": self.plan_cache_misses,
+                **self.control,
                 "plan_cache_hit_rate": self._plan_cache_hit_rate_locked(),
-                "scale_up_events": self.scale_up_events,
-                "scale_down_events": self.scale_down_events,
-                "reschedule_stall_cycles": self.reschedule_stall_cycles,
-                "plan_age_p50": _percentile(ages, 50),
+                "plan_age_p50": _percentile(list(self.plan_ages), 50),
             },
             "tenants": {
                 tenant_id: self._tenant_snapshot(stats)
@@ -538,31 +472,8 @@ class ServiceMetrics:
 
         return to_prometheus(self.snapshot())
 
-    def _gateway_snapshot(self) -> Dict[str, Any]:  # guarded-by: _lock
-        """Gateway section of :meth:`snapshot` (caller holds the lock)."""
-        stats = self.gateway
-        depths = list(stats.ingest_depth_samples)
-        return {
-            "connections_opened": stats.connections_opened,
-            "connections_closed": stats.connections_closed,
-            "bytes_received": stats.bytes_received,
-            "bytes_sent": stats.bytes_sent,
-            "batches_ingested": stats.batches_ingested,
-            "tuples_ingested": stats.tuples_ingested,
-            "batches_shed": stats.batches_shed,
-            "credit_stalls": stats.credit_stalls,
-            "protocol_errors": stats.protocol_errors,
-            "ingest_depth": {
-                "p50": _percentile(depths, 50),
-                "p95": _percentile(depths, 95),
-                "peak": max(depths, default=0),
-                "samples": len(depths),
-            },
-        }
-
     @staticmethod
     def _tenant_snapshot(stats: TenantStats) -> Dict[str, Any]:
-        delays = list(stats.queue_delays)
         return {
             "weight": stats.weight,
             "jobs": {
@@ -576,12 +487,7 @@ class ServiceMetrics:
             "cycles": stats.cycles,
             "tuples_per_cycle": stats.tuples_per_cycle,
             "stall_cycles": stats.stall_cycles,
-            "queue_delay": {
-                "p50": _percentile(delays, 50),
-                "p95": _percentile(delays, 95),
-                "peak": max(delays, default=0),
-                "samples": len(delays),
-            },
+            "queue_delay": _ring_summary(stats.queue_delays),
             "slo_delay_tuples": stats.slo_delay_tuples,
             "slo_attainment": stats.slo_attainment,
         }

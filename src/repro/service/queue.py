@@ -11,15 +11,15 @@ smallest virtual start tag goes next, so a backlogged tenant receives
 starve another — a batch tenant flooding high-priority jobs only ever
 reorders *its own* backlog.
 
-Two starvation guards are independent of the fair scheduler:
+With a single tenant the fair scheduler has nothing to choose between,
+so the queue pops in plain ``Job.sort_key()`` order — the "no tenant
+isolation" baseline is the same traffic submitted under one tenant id.
 
-* **Age promotion**: a PENDING job that has waited ``promote_after``
-  pops is served next regardless of priority, so a continuously
-  replenished higher class cannot hold a lower-class job back forever
-  (``promote_after=None`` disables this).
-* ``fair=False`` restores the legacy single global strict-priority
-  order across all tenants (the pre-tenant scheduler, kept as the
-  benchmark baseline); age promotion still applies.
+One starvation guard is independent of the fair scheduler, **age
+promotion**: a PENDING job that has waited ``promote_after`` pops is
+served next regardless of priority, so a continuously replenished
+higher class cannot hold a lower-class job back forever
+(``promote_after=None`` disables this).
 
 The queue is thread-safe so ingest threads can submit while the
 dispatcher drains.  Cancellation is lazy, the standard ``heapq`` idiom:
@@ -79,20 +79,15 @@ class JobQueue:
 
     Parameters
     ----------
-    fair:
-        True (default) schedules tenants by weighted fair share; False
-        restores the legacy global strict-priority order (tenant
-        identity is kept but ignored for ordering).
     promote_after:
         Pops a pending job may wait before being served out of order
         (None disables age promotion).
     """
 
-    def __init__(self, fair: bool = True,
-                 promote_after: Optional[int] = PROMOTE_AFTER_POPS) -> None:
+    def __init__(
+            self, promote_after: Optional[int] = PROMOTE_AFTER_POPS) -> None:
         if promote_after is not None and promote_after < 1:
             raise ValueError("promote_after must be at least 1 (or None)")
-        self.fair = fair
         self.promote_after = promote_after
         self._tenants: Dict[str, _TenantQueue] = {}  # guarded-by: _lock
         self._specs: Dict[str, TenantSpec] = {}  # guarded-by: _lock
@@ -233,21 +228,14 @@ class JobQueue:
             state = aged[1]
             job = state.fifo.popleft()
         else:
-            if self.fair:
-                # Start-time fair queueing: the smallest virtual start
-                # tag wins; an idle tenant re-enters at the current
-                # virtual time rather than cashing in saved-up credit.
-                state = min(
-                    eligible,
-                    key=lambda item: (max(self._virtual, item[1].finish),
-                                      item[0]),
-                )[1]
-            else:
-                # Legacy global order: the best head job wins outright.
-                state = min(
-                    eligible,
-                    key=lambda item: item[1].heap[0][1].sort_key(),
-                )[1]
+            # Start-time fair queueing: the smallest virtual start tag
+            # wins; an idle tenant re-enters at the current virtual
+            # time rather than cashing in saved-up credit.
+            state = min(
+                eligible,
+                key=lambda item: (max(self._virtual, item[1].finish),
+                                  item[0]),
+            )[1]
             job = heapq.heappop(state.heap)[1]
         return self._take(state, job)
 
@@ -275,10 +263,9 @@ class JobQueue:
         state.runnable -= 1
         self._runnable -= 1
         self._pops += 1
-        if self.fair:
-            start = max(self._virtual, state.finish)
-            state.finish = start + 1.0 / state.weight
-            self._virtual = start
+        start = max(self._virtual, state.finish)
+        state.finish = start + 1.0 / state.weight
+        self._virtual = start
         return job
 
     # ------------------------------------------------------------------

@@ -20,12 +20,12 @@ The dispatcher serves jobs *per tenant*: the queue's weighted-fair
 scheduler picks which tenant's job is admitted next (strict priority /
 EDF / FIFO only order jobs *within* a tenant), and up to
 ``TenantSpec.max_in_flight`` jobs per tenant run concurrently, their
-source batches interleaved in proportion to tenant weight.  With only
-the default tenant (``max_in_flight=1``) this degenerates to the
-historical one-job-at-a-time loop in strict queue order; every job's
-windows are sharded across the whole fleet either way, so the
-fleet-throughput accounting stays crisp while tenants get weighted fair
-shares, admission quotas, and queue-delay SLO tracking.
+source batches interleaved in proportion to tenant weight.  With a
+single tenant (``max_in_flight=1``) that *is* one job at a time in
+strict queue order; every job's windows are sharded across the whole
+fleet either way, so the fleet-throughput accounting stays crisp while
+tenants get weighted fair shares, admission quotas, and queue-delay SLO
+tracking.
 """
 
 from __future__ import annotations
@@ -189,10 +189,6 @@ class StreamService:
         accounting) for non-adaptive services and derives a cost from
         the architecture configuration for adaptive ones; an explicit
         value (including 0) is honored as given in both modes.
-    scheduler:
-        ``"fair"`` (default) runs weighted-fair queueing across tenants;
-        ``"strict"`` restores the legacy global strict-priority order
-        (kept as the starvation baseline for benchmarks).
     retained_jobs:
         Bounded retention of *terminal* (completed / failed / cancelled)
         jobs: once more than this many are held, the oldest are dropped
@@ -225,7 +221,6 @@ class StreamService:
         slo: Optional[float] = None,
         control: Optional[ControlPolicy] = None,
         reschedule_cost_cycles: Optional[int] = None,
-        scheduler: str = "fair",
         retained_jobs: Optional[int] = None,
         tracer: Optional[TraceCollector] = None,
     ) -> None:
@@ -248,11 +243,7 @@ class StreamService:
         if reschedule_cost_cycles is not None and reschedule_cost_cycles < 0:
             raise ValueError("reschedule_cost_cycles must be non-negative")
         self.reschedule_cost_cycles = reschedule_cost_cycles or 0
-        if scheduler not in ("fair", "strict"):
-            raise ValueError(
-                f"unknown scheduler {scheduler!r} (fair | strict)")
-        self.scheduler = scheduler
-        self._queue = JobQueue(fair=(scheduler == "fair"))
+        self._queue = JobQueue()
         self._tenants: Dict[str, TenantSpec] = {
             DEFAULT_TENANT: DEFAULT_TENANT_SPEC,
         }
@@ -462,11 +453,6 @@ class StreamService:
         while True:
             self.metrics.sample_queue_depth(self._queue.depth())
             while max_jobs is None or admitted < max_jobs:
-                if self.scheduler == "strict" and active:
-                    # The legacy dispatcher: one job at a time in global
-                    # strict order — a tenant at its cap must NOT let
-                    # lower-ranked tenants jump the line.
-                    break
                 blocked = {
                     tenant for tenant, count in in_flight.items()
                     if count >= self.tenant_spec(tenant).max_in_flight
@@ -779,7 +765,8 @@ class StreamService:
                 changed = self.balancer.rebalances - changes_before
                 if changed and self.reschedule_cost_cycles:
                     self.metrics.record_control(
-                        stall_cycles=changed * self.reschedule_cost_cycles,
+                        reschedule_stall_cycles=(
+                            changed * self.reschedule_cost_cycles),
                         tenant=job.tenant_id)
             shards = self.balancer.split(batch, by_key=by_key)
             shards = self._fold_to_quota(shards, spec)

@@ -64,8 +64,8 @@ class TestControlLoop:
         controller, balancer, metrics = make_controller()
         assert controller.on_window(hot_keys(1), WINDOW_TUPLES) == "plan"
         assert balancer.plan is not None
-        assert metrics.replans_applied == 0
-        assert metrics.reschedule_stall_cycles == 0
+        assert metrics.control["replans_applied"] == 0
+        assert metrics.control["reschedule_stall_cycles"] == 0
 
     def test_stable_windows_stay_steady(self):
         controller, _, metrics = make_controller()
@@ -73,7 +73,7 @@ class TestControlLoop:
         for _ in range(3):
             assert controller.on_window(hot_keys(1),
                                         WINDOW_TUPLES) == "steady"
-        assert metrics.drift_events == 0
+        assert metrics.control["drift_events"] == 0
 
     def test_fast_drift_is_held_and_charged_nothing(self):
         controller, balancer, metrics = make_controller(
@@ -85,8 +85,8 @@ class TestControlLoop:
             action = controller.on_window(hot_keys(seed), WINDOW_TUPLES)
             held += action == "hold"
         assert held >= 3
-        assert metrics.replans_applied == 0
-        assert metrics.reschedule_stall_cycles == 0
+        assert metrics.control["replans_applied"] == 0
+        assert metrics.control["reschedule_stall_cycles"] == 0
         assert balancer.plan.pairs == plan_before
 
     def test_slow_drift_replans_and_charges_the_stall(self):
@@ -99,8 +99,8 @@ class TestControlLoop:
             controller.on_window(hot_keys(1), WINDOW_TUPLES)
         action = controller.on_window(hot_keys(4), WINDOW_TUPLES)
         assert action == "replan"
-        assert metrics.replans_applied == 1
-        assert metrics.reschedule_stall_cycles == 100
+        assert metrics.control["replans_applied"] == 1
+        assert metrics.control["reschedule_stall_cycles"] == 100
         assert metrics.plan_ages  # retired plan's age was recorded
 
     def test_persistent_shift_replans_despite_thrash_classification(self):
@@ -117,7 +117,7 @@ class TestControlLoop:
                    for _ in range(6)]
         assert "replan" in actions[:4], actions
         assert balancer.plan.pairs != plan_before
-        assert metrics.replans_applied >= 1
+        assert metrics.control["replans_applied"] >= 1
         # And once replanned, the settled distribution is steady again.
         assert actions[-1] == "steady"
 
@@ -132,7 +132,7 @@ class TestControlLoop:
                                     WINDOW_TUPLES) == "frozen"
         controller.unfreeze()
         assert not controller.frozen
-        assert metrics.replans_suppressed >= 1
+        assert metrics.control["replans_suppressed"] >= 1
 
     def test_replans_hit_the_cache_on_recurring_distributions(self):
         controller, _, metrics = make_controller(
@@ -143,8 +143,9 @@ class TestControlLoop:
                 controller.on_window(hot_keys(seed), WINDOW_TUPLES)
                 for _ in range(5):
                     controller.on_window(hot_keys(seed), WINDOW_TUPLES)
-        assert metrics.replans_applied >= 3
-        assert metrics.plan_cache_hits >= metrics.replans_applied - 2
+        assert metrics.control["replans_applied"] >= 3
+        assert metrics.control["plan_cache_hits"] \
+            >= metrics.control["replans_applied"] - 2
 
     def test_describe_mentions_cache_and_slo(self):
         controller, _, _ = make_controller(slo=0.5)
@@ -250,14 +251,14 @@ class TestServiceIntegration:
                    window_seconds=WINDOW)
         svc.run()
         assert svc.controller.frozen  # first job froze the loop
-        drift_after_first = svc.metrics.drift_events
+        drift_after_first = svc.metrics.control["drift_events"]
         svc.submit("histo", arrival_stream(bursty),
                    window_seconds=WINDOW, job_id="second")
         svc.run()
         assert svc.poll("second")["status"] == "completed"
         # The loop was re-armed at job start: the second job's drift was
         # *evaluated* again (and re-froze), not skipped as "frozen".
-        assert svc.metrics.drift_events > drift_after_first
+        assert svc.metrics.control["drift_events"] > drift_after_first
         svc.shutdown()
 
     def test_multiple_jobs_share_one_control_loop(self):

@@ -43,13 +43,13 @@ class TestStallAttribution:
         assert metrics.tenants["mover"].stall_cycles == 300
         assert "steady" not in metrics.tenants \
             or metrics.tenants["steady"].stall_cycles == 0
-        assert metrics.reschedule_stall_cycles == 300
+        assert metrics.control["reschedule_stall_cycles"] == 300
 
     def test_initial_plan_charges_nobody(self):
         controller, _, metrics = make_controller()
         assert controller.on_window(hot_keys(1), WINDOW_TUPLES,
                                     tenant_id="first") == "plan"
-        assert metrics.reschedule_stall_cycles == 0
+        assert metrics.control["reschedule_stall_cycles"] == 0
         assert "first" not in metrics.tenants \
             or metrics.tenants["first"].stall_cycles == 0
 
@@ -74,7 +74,7 @@ class TestMergedHistogramAcrossTenants:
                                                 tenant_id="hot"))
         # One replan at most to adopt the mixture, then steady: the
         # merged load is identical window to window.
-        assert metrics.replans_applied <= 1
+        assert metrics.control["replans_applied"] <= 1
         assert actions[-6:] == ["steady"] * 6, actions
 
     def test_forget_tenant_removes_its_load_share(self):
@@ -145,7 +145,7 @@ class TestControllerConsultsAttainment:
             controller.on_window(hot_keys(1), WINDOW_TUPLES,
                                  tenant_id="starved")
         assert pool.size == size_before + 1
-        assert metrics.scale_up_events == 1
+        assert metrics.control["scale_up_events"] == 1
 
     def test_attaining_tenants_leave_sizing_to_the_cycle_slo(self):
         controller, pool, metrics = make_controller(
@@ -160,4 +160,4 @@ class TestControllerConsultsAttainment:
         # A generous 100 c/t SLO with no recorded worker cycles: no
         # growth pressure from either objective.
         assert pool.size == size_before
-        assert metrics.scale_up_events == 0
+        assert metrics.control["scale_up_events"] == 0

@@ -2,10 +2,46 @@
 
 import pytest
 
+from repro.obs.exposition import parse_prometheus
 from repro.service.metrics import (
+    COUNTERS,
     QUEUE_DEPTH_WINDOW,
     ServiceMetrics,
 )
+
+DECLARED = [(section, name) for section, names in COUNTERS.items()
+            for name in names]
+
+
+class TestDeclaredCounters:
+    """Every flat counter is declared once, in ``COUNTERS``; recording,
+    the snapshot and the exposition all follow from the table."""
+
+    def test_the_table_is_the_three_flat_sections(self):
+        assert list(COUNTERS) == ["gateway", "transport", "control"]
+        assert len(DECLARED) == 26
+
+    @pytest.mark.parametrize("section,name", DECLARED)
+    def test_recording_one_shows_in_snapshot_and_exposition(
+            self, section, name):
+        metrics = ServiceMetrics()
+        getattr(metrics, f"record_{section}")(**{name: 1})
+        snapshot = metrics.snapshot()
+        counted = {(sec, key): snapshot[sec][key] for sec, key in DECLARED}
+        assert counted == {pair: int(pair == (section, name))
+                           for pair in DECLARED}
+        samples = parse_prometheus(metrics.to_prometheus())
+        assert samples[(f"repro_{section}_{name}_total",
+                        frozenset())] == 1
+
+    @pytest.mark.parametrize("section", list(COUNTERS))
+    def test_undeclared_name_raises_and_counts_nothing(self, section):
+        metrics = ServiceMetrics()
+        record = getattr(metrics, f"record_{section}")
+        declared = next(iter(COUNTERS[section]))
+        with pytest.raises(TypeError, match="no_such_counter"):
+            record(**{declared: 1, "no_such_counter": 1})
+        assert metrics.snapshot() == ServiceMetrics().snapshot()
 
 
 class TestQueueDepthRingBuffer:
@@ -42,7 +78,7 @@ class TestStallAccounting:
         metrics = ServiceMetrics()
         metrics.record_segment(0, tuples=100, cycles=1_000)
         metrics.record_segment(1, tuples=100, cycles=400)
-        metrics.record_control(stall_cycles=500)
+        metrics.record_control(reschedule_stall_cycles=500)
         assert metrics.busiest_worker_cycles() == 1_000
         assert metrics.makespan_cycles() == 1_500
         assert metrics.fleet_throughput() == pytest.approx(200 / 1_500)
@@ -61,18 +97,20 @@ class TestStallAccounting:
         metrics = ServiceMetrics()
         metrics.record_segment(0, tuples=10, cycles=10)
         assert "control plane" not in metrics.render()
-        metrics.record_control(drift=2, replans=1, suppressed=1,
-                               cache_hits=1, stall_cycles=123)
+        metrics.record_control(drift_events=2, replans_applied=1,
+                               replans_suppressed=1, plan_cache_hits=1,
+                               reschedule_stall_cycles=123)
         text = metrics.render()
         assert "control plane" in text
         assert "2 drift events" in text
 
     def test_snapshot_control_section_tracks_counters(self):
         metrics = ServiceMetrics()
-        metrics.record_control(drift=3, replans=2, suppressed=1,
-                               cache_hits=1, cache_misses=1,
-                               scale_ups=1, scale_downs=2,
-                               stall_cycles=42, plan_age=7)
+        metrics.record_control(drift_events=3, replans_applied=2,
+                               replans_suppressed=1,
+                               plan_cache_hits=1, plan_cache_misses=1,
+                               scale_up_events=1, scale_down_events=2,
+                               reschedule_stall_cycles=42, plan_age=7)
         control = metrics.snapshot()["control"]
         assert control["drift_events"] == 3
         assert control["replans_applied"] == 2
@@ -104,7 +142,7 @@ class TestPlanCacheHitRateLocking:
 
     def test_rate_is_computed_under_the_metrics_lock(self):
         metrics = ServiceMetrics()
-        metrics.record_control(cache_hits=3, cache_misses=1)
+        metrics.record_control(plan_cache_hits=3, plan_cache_misses=1)
         probe = self._RecordingLock(metrics._lock)
         metrics._lock = probe
         assert metrics.plan_cache_hit_rate() == pytest.approx(0.75)
@@ -115,7 +153,7 @@ class TestPlanCacheHitRateLocking:
         # non-reentrant lock; a naive `with self._lock` in the public
         # accessor would deadlock here.
         metrics = ServiceMetrics()
-        metrics.record_control(cache_hits=1, cache_misses=3)
+        metrics.record_control(plan_cache_hits=1, plan_cache_misses=3)
         snapshot = metrics.snapshot()
         assert snapshot["control"]["plan_cache_hit_rate"] == \
             pytest.approx(0.25)
@@ -127,12 +165,12 @@ class TestPlanCacheHitRateLocking:
         import threading
 
         metrics = ServiceMetrics()
-        metrics.record_control(cache_hits=1, cache_misses=1)
+        metrics.record_control(plan_cache_hits=1, plan_cache_misses=1)
         stop = threading.Event()
 
         def writer():
             while not stop.is_set():
-                metrics.record_control(cache_hits=1, cache_misses=1)
+                metrics.record_control(plan_cache_hits=1, plan_cache_misses=1)
 
         thread = threading.Thread(target=writer, daemon=True)
         thread.start()

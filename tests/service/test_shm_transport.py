@@ -326,7 +326,7 @@ class TestArenaCleanup:
             assert np.array_equal(first.result, second.result)
         finally:
             service.shutdown()
-        assert service.metrics.transport.shards_shm > 0
+        assert service.metrics.transport["shards_shm"] > 0
 
 
 # ----------------------------------------------------------------------
