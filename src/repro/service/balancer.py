@@ -25,7 +25,7 @@ design the paper improves on.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,13 +42,22 @@ from repro.workloads.tuples import TupleBatch
 FLEET_SHARD_SEED = 0x51EE7
 
 
+def _fleet_hash(keys: np.ndarray,
+                seed: int = FLEET_SHARD_SEED) -> np.ndarray:
+    """Raw 32-bit murmur3 of each key, before any shard modulus."""
+    return murmur3_32_array(np.asarray(keys, dtype=np.uint64), seed=seed)
+
+
+def _shard_of_hash(hashed: np.ndarray, shards: int) -> np.ndarray:
+    return (hashed % np.uint32(shards)).astype(np.int64)
+
+
 def shard_of_keys(keys: np.ndarray, shards: int,
                   seed: int = FLEET_SHARD_SEED) -> np.ndarray:
     """Fleet shard ID of each key (murmur3 over the raw key)."""
     if shards <= 0:
         raise ValueError("shards must be positive")
-    hashed = murmur3_32_array(np.asarray(keys, dtype=np.uint64), seed=seed)
-    return (hashed % np.uint32(shards)).astype(np.int64)
+    return _shard_of_hash(_fleet_hash(keys, seed), shards)
 
 
 class FleetBalancer(ABC):
@@ -119,8 +128,11 @@ class SkewAwareBalancer(FleetBalancer):
     profile_sample:
         Keys profiled per segment before (re)planning; the paper samples
         a short profiling window rather than the full stream.  Segments
-        larger than this are subsampled with a seeded RNG so ``observe``
-        stays O(profile_sample) on the serving hot path.
+        larger than this are subsampled with a seeded RNG.  ``observe``
+        hashes the whole segment once and histograms the sample of
+        those hashes; ``split`` of the same batch routes by them, so a
+        window's keys are hashed one time, as the paper's PrePE computes
+        a destination once for routing and profiling alike.
     auto_replan:
         When True (default), every ``observe`` refreshes the greedy
         helper plan — the reflexive per-segment rescheduling the paper's
@@ -162,6 +174,10 @@ class SkewAwareBalancer(FleetBalancer):
         # rebalances and team reconfigurations.  Grows with the distinct
         # keys of by-key jobs; reset_key_ownership() between tenants.
         self._key_owner: Dict[int, int] = {}
+        # (keys, raw fleet hash) of the window last observed, for the
+        # split of that same array; dropped by split and reconfigure.
+        # Raw, so the shard is always taken modulo the current fleet.
+        self._hashed: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     def sample_keys(self, keys: np.ndarray) -> np.ndarray:
         """A profiling sample of at most ``profile_sample`` keys.
@@ -176,12 +192,19 @@ class SkewAwareBalancer(FleetBalancer):
         return keys[chosen]
 
     def observe(self, keys: np.ndarray) -> None:
-        """Histogram a key sample; refresh the plan if auto-replanning."""
+        """Histogram a key sample; refresh the plan if auto-replanning.
+
+        The sample is drawn from the hashes of ``keys`` — the positions
+        ``sample_keys(keys)`` would draw — and the hashes are kept for
+        the ``split`` of that same array.
+        """
         if len(keys) == 0:
             return
-        sample = self.sample_keys(keys)
+        hashed = _fleet_hash(keys)
+        self._hashed = (keys, hashed)
         histogram = workload_histogram(
-            shard_of_keys(sample, self.primaries), self.primaries)
+            _shard_of_hash(self.sample_keys(hashed), self.primaries),
+            self.primaries)
         self.last_histogram = histogram
         if not self.auto_replan:
             return
@@ -235,6 +258,7 @@ class SkewAwareBalancer(FleetBalancer):
         self.secondaries = secondaries
         self.plan = None
         self.last_histogram = None
+        self._hashed = None
         self._teams = [[p] for p in range(self.primaries)]
         self.reconfigurations += 1
 
@@ -252,9 +276,12 @@ class SkewAwareBalancer(FleetBalancer):
 
     def split(self, batch: TupleBatch,
               by_key: bool = False) -> Dict[int, TupleBatch]:
+        memo, self._hashed = self._hashed, None
         if by_key:
             return self._split_by_key(batch)
-        shards = shard_of_keys(batch.keys, self.primaries)
+        hashed = (memo[1] if memo is not None and memo[0] is batch.keys
+                  else _fleet_hash(batch.keys))
+        shards = _shard_of_hash(hashed, self.primaries)
         out: Dict[int, TupleBatch] = {}
         for primary in range(self.primaries):
             positions = np.nonzero(shards == primary)[0]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import numpy as np
 
@@ -55,12 +55,21 @@ class EventWindow:
         if not self._keys:
             return TupleBatch(np.zeros(0, dtype=np.uint64),
                               np.zeros(0, dtype=np.int64))
+        if len(self._keys) == 1:  # already the window's own copy
+            return TupleBatch(self._keys[0], self._values[0])
         return TupleBatch(np.concatenate(self._keys),
                           np.concatenate(self._values))
 
 
 class WindowManager:
     """Groups a timestamped stream into closable event-time windows.
+
+    Window assignment is monotone in event time, so ``observe`` cuts a
+    chunk with non-decreasing stamps into one slice per window; only an
+    out-of-order chunk is indexed and masked per tuple.  Same windows,
+    tuple order and late count either way.  A window copies what it
+    takes (sources may reuse chunk buffers); a NaN or infinite stamp
+    raises ``ValueError`` and leaves the manager untouched.
 
     Parameters
     ----------
@@ -101,6 +110,14 @@ class WindowManager:
         indices[snapped] = nearest[snapped].astype(np.int64)
         return indices
 
+    def _window_of_stamp(self, timestamp: float) -> int:
+        """Scalar twin of :meth:`_window_of`: same IEEE operations."""
+        quotient = timestamp / self.window_seconds
+        nearest = round(quotient)
+        if abs(quotient - nearest) <= 4.0 * math.ulp(abs(quotient)):
+            return nearest
+        return math.floor(quotient)
+
     def _ensure(self, index: int) -> EventWindow:
         window = self._open.get(index)
         if window is None:
@@ -121,17 +138,52 @@ class WindowManager:
         if len(events) == 0:
             return []
         ts = events.timestamps
-        indices = self._window_of(ts)
+        keys, values = events.batch.keys, events.batch.values
         cutoff = self._close_cutoff()
-        late = (indices + 1) * self.window_seconds <= cutoff
-        self.late_tuples += int(late.sum())
-        fresh = ~late
-        for index in np.unique(indices[fresh]):
-            mask = fresh & (indices == index)
-            self._ensure(int(index)).add(events.batch.keys[mask],
-                                         events.batch.values[mask])
-        self.watermark = max(self.watermark, float(ts.max()))
+        # NaN fails the ordering test and ±inf can only sit at the ends
+        # of an ordered chunk; min/max propagate both.
+        in_order = (ts[1:] >= ts[:-1]).all()
+        oldest, newest = ((ts.item(0), ts.item(-1)) if in_order
+                          else (float(ts.min()), float(ts.max())))
+        if not (math.isfinite(oldest) and math.isfinite(newest)):
+            raise ValueError("event times must be finite")
+        if in_order:
+            for index, lo, hi in self._runs(ts):
+                if (index + 1) * self.window_seconds <= cutoff:
+                    self.late_tuples += hi - lo
+                else:
+                    self._ensure(index).add(keys[lo:hi].copy(),
+                                            values[lo:hi].copy())
+        else:
+            indices = self._window_of(ts)
+            late = (indices + 1) * self.window_seconds <= cutoff
+            self.late_tuples += int(late.sum())
+            fresh = ~late
+            for index in np.unique(indices[fresh]):
+                mask = fresh & (indices == index)
+                self._ensure(int(index)).add(keys[mask], values[mask])
+        self.watermark = max(self.watermark, newest)
         return self._close_ready()
+
+    def _runs(self, ts: np.ndarray) -> Iterator[Tuple[int, int, int]]:
+        """``(window, lo, hi)`` slices of a non-decreasing chunk: each
+        window is one run, its end bisected over positions."""
+        window_of, stamp, end = self._window_of_stamp, ts.item, len(ts)
+        last = window_of(stamp(-1))
+        lo = 0
+        while lo < end:
+            index = window_of(stamp(lo))
+            inside, hi = lo, end  # ts[inside] is in `index`, ts[hi] is not
+            if index != last:
+                hi = end - 1
+                while hi - inside > 1:
+                    mid = (inside + hi) // 2
+                    if window_of(stamp(mid)) == index:
+                        inside = mid
+                    else:
+                        hi = mid
+            yield index, lo, hi
+            lo = hi
 
     def _close_cutoff(self) -> float:
         return self.watermark - self.allowed_lateness

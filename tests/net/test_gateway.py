@@ -521,6 +521,31 @@ class TestRobustness:
             gateway.stop()
             service.shutdown()
 
+    def test_non_finite_timestamp_fails_job_and_gateway_keeps_serving(
+            self, fleet):
+        """``json.loads`` accepts ``Infinity``, so a wire client can
+        send one (``protocol.encode`` refuses to, hence the raw line);
+        it must cost that client its job, nothing else."""
+        service, gateway = fleet
+        batches = zipf_batches(tuples=4_000)
+        with StreamClient(gateway.host, gateway.port) as client:
+            job_id = client.submit("histo", window_seconds=WINDOW)
+            client._sock.sendall(
+                b'{"type":"batch","job_id":"%s","keys":[1,2],'
+                b'"values":[1,1],"timestamps":[0.5,Infinity]}\n'
+                % job_id.encode())
+            assert protocol.decode(
+                client._rfile.readline())["type"] == "ack"
+            client.end(job_id)
+            with pytest.raises(GatewayError) as excinfo:
+                client.result(job_id)
+            assert excinfo.value.code == "failed"
+            assert "event times must be finite" in str(excinfo.value)
+            retry = client.submit_stream("histo", iter(batches),
+                                         window_seconds=WINDOW)
+            result = client.result(retry)
+        assert np.array_equal(result.result, golden_histogram(batches))
+
 
 class TestConcurrency:
     def test_concurrent_clients_merge_deterministically(self):

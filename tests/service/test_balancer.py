@@ -1,20 +1,27 @@
 """Fleet balancers: sharding invariants and the greedy helper plan."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.service.balancer as balancer_module
 from repro.core.profiler import (
     SchedulingPlan,
+    greedy_secpe_plan,
     plan_for_destinations,
     workload_histogram,
 )
+from repro.service import StreamService
 from repro.service.balancer import (
     RoundRobinBalancer,
     SkewAwareBalancer,
     make_balancer,
     shard_of_keys,
 )
+from repro.workloads.streams import chunk_stream
 from repro.workloads.tuples import TupleBatch
 from repro.workloads.zipf import ZipfGenerator
 
@@ -157,6 +164,169 @@ class TestProfileSampling:
         balancer.observe(keys)
         hot_primary = int(shard_of_keys(hot[:1], balancer.primaries)[0])
         assert balancer.plan.pairs[0][1] == hot_primary
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """Length of every key array the balancer module murmur-hashes."""
+    calls = []
+    murmur = balancer_module.murmur3_32_array
+
+    def counting(keys, *args, **kwargs):
+        calls.append(len(keys))
+        return murmur(keys, *args, **kwargs)
+
+    monkeypatch.setattr(balancer_module, "murmur3_32_array", counting)
+    return calls
+
+
+def reference_observe(twin: SkewAwareBalancer, keys) -> None:
+    """Profile as before the hash hand-over: hash the *sample*."""
+    histogram = workload_histogram(
+        shard_of_keys(twin.sample_keys(keys), twin.primaries),
+        twin.primaries)
+    twin.last_histogram = histogram
+    twin.apply_plan(greedy_secpe_plan(histogram, twin.secondaries,
+                                      twin.primaries))
+
+
+def reference_split(balancer: SkewAwareBalancer, batch: TupleBatch):
+    """``shard_of_keys`` routing under the balancer's current teams."""
+    shards = shard_of_keys(batch.keys, balancer.primaries)
+    out = {}
+    for primary in range(balancer.primaries):
+        positions = np.nonzero(shards == primary)[0]
+        team = balancer.team_of(primary)
+        for lane, worker in enumerate(team):
+            chosen = positions[lane::len(team)]
+            if chosen.size:
+                out[worker] = multiset(TupleBatch(batch.keys[chosen],
+                                                  batch.values[chosen]))
+    return out
+
+
+def routed(parts):
+    return {worker: multiset(part) for worker, part in parts.items()}
+
+
+def numbered(alpha, tuples, seed):
+    """A Zipf batch whose values number the tuples (routing visible)."""
+    keys = ZipfGenerator(alpha=alpha, seed=seed).generate(tuples).keys
+    return TupleBatch(keys, np.arange(tuples, dtype=np.int64))
+
+
+#: Window sizes either side of the default ``profile_sample`` (4096).
+BELOW_SAMPLE, ABOVE_SAMPLE = 3_000, 20_000
+
+
+class TestHashOnce:
+    """``observe`` hashes the window, ``split`` of the same array reuses
+    the hashes; every other ``split`` routes by ``shard_of_keys``."""
+
+    @pytest.mark.parametrize("tuples", [BELOW_SAMPLE, ABOVE_SAMPLE])
+    def test_observe_then_split_hashes_the_window_once(self, hashed,
+                                                       tuples):
+        balancer = SkewAwareBalancer(4)
+        batch = numbered(1.5, tuples, seed=3)
+        balancer.observe(batch.keys)
+        assert hashed == [tuples]
+        expected = reference_split(balancer, batch)
+        del hashed[:]
+        assert routed(balancer.split(batch)) == expected
+        assert hashed == []
+
+    # 1.5625 tuples/ns at line rate: 3 125- and 12 500-tuple windows.
+    @pytest.mark.parametrize("window_seconds", [2e-6, 8e-6])
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_service_hashes_each_tuple_once(self, hashed, adaptive,
+                                            window_seconds):
+        batch = ZipfGenerator(alpha=1.2, seed=9).generate(50_000)
+        service = StreamService(workers=4, adaptive=adaptive)
+        try:
+            job_id = service.submit("histo", chunk_stream(batch, 4_000),
+                                    window_seconds=window_seconds)
+            service.run()
+            result = service.result(job_id)
+        finally:
+            service.shutdown()
+        assert result.tuples == len(batch)
+        assert sum(hashed) == len(batch)
+        assert len(hashed) == service.metrics.windows_closed
+
+    @pytest.mark.parametrize("alphas", [(0.0,) * 6,
+                                        (1.5, 1.5, 2.0, 0.5, 2.0, 1.1)])
+    def test_profile_equals_hashing_the_sample(self, alphas):
+        """Same histogram, plan sequence, rebalance count and RNG state
+        as hashing ``sample_keys(keys)``, window after window."""
+        balancer, twin = SkewAwareBalancer(8), SkewAwareBalancer(8)
+        for seed, alpha in enumerate(alphas):
+            tuples = ABOVE_SAMPLE if seed % 2 else BELOW_SAMPLE
+            batch = numbered(alpha, tuples, seed=seed)
+            balancer.observe(batch.keys)
+            reference_observe(twin, batch.keys)
+            assert np.array_equal(balancer.last_histogram,
+                                  twin.last_histogram)
+            assert balancer.plan.pairs == twin.plan.pairs
+            assert balancer.rebalances == twin.rebalances
+            assert balancer._rng.bit_generator.state \
+                == twin._rng.bit_generator.state
+            assert routed(balancer.split(batch)) \
+                == reference_split(twin, batch)
+
+    def test_reconfigure_between_observe_and_split_uses_new_modulus(self):
+        balancer = SkewAwareBalancer(4)
+        batch = numbered(1.0, BELOW_SAMPLE, seed=4)
+        balancer.observe(batch.keys)
+        balancer.reconfigure(7, secondaries=2)
+        parts = routed(balancer.split(batch))
+        assert parts == reference_split(balancer, batch)
+        assert set(parts) == set(range(5))  # five primaries, no plan
+
+    def test_only_the_observed_array_reuses_the_hashes(self, hashed):
+        balancer = SkewAwareBalancer(4)
+        observed = numbered(1.5, BELOW_SAMPLE, seed=5)
+        other = numbered(0.0, BELOW_SAMPLE, seed=6)
+        balancer.observe(observed.keys)
+        expected = [reference_split(balancer, batch)
+                    for batch in (other, observed, observed)]
+        del hashed[:]
+        # The hand-over is for one split of one array: a different
+        # batch is hashed, and so is the observed one afterwards —
+        # twice if it is split twice.
+        assert [routed(balancer.split(batch))
+                for batch in (other, observed, observed)] == expected
+        assert hashed == [BELOW_SAMPLE] * 3
+
+    def test_by_key_split_does_not_use_or_keep_the_hashes(self, hashed):
+        balancer, twin = SkewAwareBalancer(4), SkewAwareBalancer(4)
+        batch = numbered(1.5, BELOW_SAMPLE, seed=7)
+        balancer.observe(batch.keys)
+        reference_observe(twin, batch.keys)
+        assert routed(balancer.split(batch, by_key=True)) \
+            == routed(twin._split_by_key(batch))
+        expected = reference_split(balancer, batch)
+        del hashed[:]
+        assert routed(balancer.split(batch)) == expected
+        assert hashed == [BELOW_SAMPLE]
+
+    def test_split_without_observe_routes_by_shard_of_keys(self, hashed):
+        balancer = SkewAwareBalancer(4)
+        batch = numbered(1.5, BELOW_SAMPLE, seed=8)
+        expected = reference_split(balancer, batch)
+        del hashed[:]
+        assert routed(balancer.split(batch)) == expected
+        assert hashed == [BELOW_SAMPLE]
+
+    def test_nothing_keeps_the_window_alive_after_split(self):
+        balancer = SkewAwareBalancer(4)
+        batch = numbered(1.5, BELOW_SAMPLE, seed=9)
+        alive = weakref.ref(batch.keys)
+        balancer.observe(batch.keys)
+        parts = balancer.split(batch)
+        del batch
+        gc.collect()
+        assert alive() is None
+        assert sum(len(part) for part in parts.values()) == BELOW_SAMPLE
 
 
 class TestExternalControl:

@@ -204,6 +204,26 @@ class TestFailurePaths:
         with pytest.raises(RuntimeError, match="failed"):
             service.result(job_id)
 
+    def test_non_finite_event_time_fails_the_job_not_the_service(
+            self, service):
+        batch = zipf_batch(tuples=4_000)
+        chunks = list(chunk_stream(batch, 1_000))
+        chunks[2].timestamps[-1] = np.inf
+        job_id = service.submit("histo", iter(chunks),
+                                window_seconds=WINDOW)
+        service.run()
+        status = service.poll(job_id)
+        assert status["status"] == "failed"
+        assert status["error"] \
+            == "source error: event times must be finite"
+        # The next job on the same service is served as if nothing
+        # happened.
+        retry = service.submit("histo", chunk_stream(batch, 1_000),
+                               window_seconds=WINDOW)
+        service.run()
+        golden = kernel_for("histo", 16).golden(batch.keys, batch.values)
+        assert np.array_equal(service.result(retry).result, golden)
+
     def test_unknown_job_id(self, service):
         with pytest.raises(KeyError):
             service.poll("job-does-not-exist")

@@ -112,6 +112,49 @@ class TestLateData:
         assert manager.late_tuples == 0
 
 
+class TestNonFiniteStamps:
+    """A NaN or infinite event time is refused before it can move the
+    watermark (+inf would make every later tuple late) or open a
+    window (NaN lands in window -2**63)."""
+
+    @pytest.mark.parametrize("times", [
+        [1.5, np.inf], [-np.inf, 1.5], [np.nan], [1.5, np.nan, 1.6],
+        [1.9, np.inf, 1.1], [1.9, -np.inf, 1.95], [np.inf, np.nan],
+    ])
+    def test_rejected_with_the_manager_untouched(self, times):
+        manager = WindowManager(window_seconds=1.0)
+        manager.observe(stamped([0.1, 1.4, 0.2]))
+
+        def state():
+            return (manager.watermark, manager.late_tuples,
+                    manager.windows_closed, manager.open_windows)
+
+        before = state()
+        with pytest.raises(ValueError, match="event times must be finite"):
+            manager.observe(stamped(times))
+        assert state() == before
+        # ... and it keeps serving: window 1 holds the one tuple it had.
+        closed = manager.observe(stamped([2.5]))
+        assert [(w.index, w.tuples) for w in closed] == [(1, 1)]
+
+
+class TestOwnership:
+    @pytest.mark.parametrize("times", [[0.1, 0.2, 0.3, 1.5],
+                                       [0.3, 0.1, 0.2, 1.5]])
+    def test_source_may_reuse_its_chunk_buffers(self, times):
+        keys = np.arange(4, dtype=np.uint64)
+        values = np.arange(4, dtype=np.int64) * 10
+        events = TimestampedBatch(np.asarray(times),
+                                  TupleBatch(keys, values))
+        assert events.batch.keys is keys  # no copy on the way in
+        closed = WindowManager(window_seconds=1.0).observe(events)
+        keys[:] = 99
+        values[:] = -1
+        batch = closed[0].to_batch()
+        assert batch.keys.tolist() == [0, 1, 2]
+        assert batch.values.tolist() == [0, 10, 20]
+
+
 class TestFlush:
     def test_flush_closes_everything_in_order(self):
         manager = WindowManager(window_seconds=1.0)
