@@ -19,6 +19,7 @@ from typing import Tuple
 #: they may only enter through :mod:`repro.wallclock`.
 DETERMINISTIC_MODULES: Tuple[str, ...] = (
     "repro.service.server",
+    "repro.service.dispatcher",
     "repro.service.queue",
     "repro.service.metrics",
     "repro.service.pool",

@@ -17,7 +17,7 @@ workers serving many clients:
 ``balancer``
     Cluster-level skew balancing: key-range sharding with the paper's
     greedy SecPE plan (reused from :mod:`repro.core.profiler`) attaching
-    secondary workers to hot ranges; plus the naive round-robin baseline.
+    secondary workers to hot ranges; none is the round-robin baseline.
 ``executor``
     The hexagonal execution-backend port (:class:`ExecutionBackend`)
     behind which the fleet runs, plus the picklable
@@ -30,9 +30,13 @@ workers serving many clients:
     The ``"process"`` adapter: K warm, pre-forked worker subprocesses
     fed raw NumPy buffers over pipes — the multi-core raw-speed path,
     bit-identical to inline.
+``dispatcher``
+    The serving loop between ``queue`` and the backend as one unit,
+    :class:`~repro.service.dispatcher.Dispatcher`, stepped on the
+    calling thread.
 ``server``
     The :class:`~repro.service.server.StreamService` façade: submit /
-    poll / result / run.
+    poll / result / run, the job registry and the tenant table.
 ``metrics``
     Deterministic fleet accounting (simulated-cycle makespan).
 
@@ -43,8 +47,6 @@ plan caching and elastic autoscaling around this fleet — lives in
 """
 
 from repro.service.balancer import (
-    FleetBalancer,
-    RoundRobinBalancer,
     SkewAwareBalancer,
     make_balancer,
     shard_of_keys,
@@ -73,7 +75,8 @@ from repro.service.executor import (
     validate_backend,
     validate_transport,
 )
-from repro.service.pool import InlineBackend, WorkItem, WorkerPool
+from repro.service.dispatcher import Dispatcher, Step
+from repro.service.pool import WorkItem, WorkerPool
 from repro.service.procpool import ProcessBackend
 from repro.service.shm import ShardDescriptor, SlabArena, SlabClient
 from repro.service.queue import JobQueue
@@ -85,23 +88,22 @@ __all__ = [
     "DEFAULT_TENANT",
     "SERVED_APPS",
     "TRANSPORTS",
+    "Dispatcher",
     "EventWindow",
     "ExecutionBackend",
-    "FleetBalancer",
-    "InlineBackend",
     "Job",
     "JobQueue",
     "JobResult",
     "JobStatus",
     "ProcessBackend",
     "QuotaExceededError",
-    "RoundRobinBalancer",
     "ServiceMetrics",
     "SessionSpec",
     "ShardDescriptor",
     "SkewAwareBalancer",
     "SlabArena",
     "SlabClient",
+    "Step",
     "StreamService",
     "TenantSpec",
     "TenantStats",

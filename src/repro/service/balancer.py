@@ -16,15 +16,15 @@ key-ranges:
   tuples are then round-robined across its primary plus the attached
   secondaries — exactly the even-share assumption the greedy plan makes.
 
-:class:`RoundRobinBalancer` is the naive baseline: all ``K`` workers are
-primaries with a static ``shard -> shard mod K`` assignment and no
-profiling, the fleet analogue of the skew-oblivious-less data-routing
-design the paper improves on.
+``secondaries=0`` is the naive round-robin baseline
+(``make_balancer("roundrobin", K)``): all ``K`` workers are primaries
+with a static ``shard -> worker`` assignment and an empty helper plan,
+the fleet analogue of the data-routing design without skew handling
+that the paper improves on.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -60,60 +60,7 @@ def shard_of_keys(keys: np.ndarray, shards: int,
     return _shard_of_hash(_fleet_hash(keys, seed), shards)
 
 
-class FleetBalancer(ABC):
-    """Splits each stream segment across the worker pool."""
-
-    def __init__(self, workers: int) -> None:
-        if workers <= 0:
-            raise ValueError("workers must be positive")
-        self.workers = workers
-        self.rebalances = 0
-
-    def observe(self, keys: np.ndarray) -> None:
-        """Profile a sample of keys before splitting a segment."""
-
-    @abstractmethod
-    def split(self, batch: TupleBatch,
-              by_key: bool = False) -> Dict[int, TupleBatch]:
-        """Partition ``batch`` into per-worker sub-batches.
-
-        ``by_key=True`` guarantees one key's tuples all land on the
-        same worker (required by non-``splittable`` kernels such as
-        heavy-hitter detection, whose per-key state cannot be diluted
-        across independent sketches).
-        """
-
-    def describe(self) -> str:
-        """One-line summary for logs and metrics renderings."""
-        return type(self).__name__
-
-
-class RoundRobinBalancer(FleetBalancer):
-    """Static hash sharding: shard ``s`` always goes to worker ``s``.
-
-    Every worker is a primary owning one fixed key range.  Under skew the
-    worker owning the hot range becomes the fleet bottleneck — the
-    cluster-level rendition of Fig. 2's overloaded PriPE.
-    """
-
-    def split(self, batch: TupleBatch,
-              by_key: bool = False) -> Dict[int, TupleBatch]:
-        # Static sharding is already per-key: a key's shard never moves.
-        shards = shard_of_keys(batch.keys, self.workers)
-        out: Dict[int, TupleBatch] = {}
-        for worker in range(self.workers):
-            mask = shards == worker
-            if mask.any():
-                out[worker] = TupleBatch(batch.keys[mask],
-                                         batch.values[mask],
-                                         batch.tuple_bytes)
-        return out
-
-    def describe(self) -> str:
-        return f"round-robin sharding ({self.workers} static ranges)"
-
-
-class SkewAwareBalancer(FleetBalancer):
+class SkewAwareBalancer:
     """Profiled greedy balancing (the paper's Fig. 5 plan, fleet-level).
 
     Parameters
@@ -150,34 +97,39 @@ class SkewAwareBalancer(FleetBalancer):
     def __init__(self, workers: int, secondaries: Optional[int] = None,
                  profile_sample: int = 4096, auto_replan: bool = True,
                  sample_seed: int = SAMPLE_SEED) -> None:
-        super().__init__(workers)
-        if secondaries is None:
-            secondaries = max(1, workers // 4) if workers > 1 else 0
-        if not 0 <= secondaries < workers:
-            raise ValueError(
-                "secondaries must leave at least one primary worker")
         if profile_sample <= 0:
             raise ValueError("profile_sample must be positive")
-        self.primaries = workers - secondaries
-        self.secondaries = secondaries
+        self._shape(workers, secondaries)
+        self.rebalances = 0
+        self.reconfigurations = 0
         self.profile_sample = profile_sample
         self.auto_replan = auto_replan
         self._rng = np.random.default_rng(sample_seed)
-        self.plan: Optional[SchedulingPlan] = None
-        self.last_histogram: Optional[np.ndarray] = None
-        self.reconfigurations = 0
-        self._teams: List[List[int]] = [
-            [p] for p in range(self.primaries)
-        ]
         # Sticky by-key ownership: non-splittable kernels need each key's
         # tuples on ONE worker for a job's whole lifetime, across
         # rebalances and team reconfigurations.  Grows with the distinct
         # keys of by-key jobs; reset_key_ownership() between tenants.
         self._key_owner: Dict[int, int] = {}
+
+    def _shape(self, workers: int, secondaries: Optional[int]) -> None:
+        """Size the fleet; plan, histogram and memo start fresh."""
+        if workers <= 0:
+            raise ValueError("workers must be positive")
+        if secondaries is None:
+            secondaries = max(1, workers // 4) if workers > 1 else 0
+        if not 0 <= secondaries < workers:
+            raise ValueError(
+                "secondaries must leave at least one primary worker")
+        self.workers = workers
+        self.primaries = workers - secondaries
+        self.secondaries = secondaries
+        self.plan: Optional[SchedulingPlan] = None
+        self.last_histogram: Optional[np.ndarray] = None
         # (keys, raw fleet hash) of the window last observed, for the
         # split of that same array; dropped by split and reconfigure.
         # Raw, so the shard is always taken modulo the current fleet.
         self._hashed: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._teams = [[p] for p in range(self.primaries)]
 
     def sample_keys(self, keys: np.ndarray) -> np.ndarray:
         """A profiling sample of at most ``profile_sample`` keys.
@@ -246,20 +198,7 @@ class SkewAwareBalancer(FleetBalancer):
         keys whose owner still exists stay put, only keys owned by a
         removed worker are reassigned.
         """
-        if workers <= 0:
-            raise ValueError("workers must be positive")
-        if secondaries is None:
-            secondaries = max(1, workers // 4) if workers > 1 else 0
-        if not 0 <= secondaries < workers:
-            raise ValueError(
-                "secondaries must leave at least one primary worker")
-        self.workers = workers
-        self.primaries = workers - secondaries
-        self.secondaries = secondaries
-        self.plan = None
-        self.last_histogram = None
-        self._hashed = None
-        self._teams = [[p] for p in range(self.primaries)]
+        self._shape(workers, secondaries)
         self.reconfigurations += 1
 
     def team_of(self, primary: int) -> List[int]:
@@ -276,6 +215,13 @@ class SkewAwareBalancer(FleetBalancer):
 
     def split(self, batch: TupleBatch,
               by_key: bool = False) -> Dict[int, TupleBatch]:
+        """Partition ``batch`` into per-worker sub-batches.
+
+        ``by_key=True`` guarantees one key's tuples all land on the
+        same worker (required by non-``splittable`` kernels such as
+        heavy-hitter detection, whose per-key state cannot be diluted
+        across independent sketches).
+        """
         memo, self._hashed = self._hashed, None
         if by_key:
             return self._split_by_key(batch)
@@ -350,16 +296,19 @@ class SkewAwareBalancer(FleetBalancer):
         return placed
 
     def describe(self) -> str:
+        """One-line summary for logs and metrics renderings."""
+        if self.secondaries == 0:
+            return f"round-robin sharding ({self.workers} static ranges)"
         mode = "auto" if self.auto_replan else "controlled"
         return (f"skew-aware ({self.primaries} primary + "
                 f"{self.secondaries} secondary workers, "
                 f"{self.rebalances} rebalances, {mode})")
 
 
-def make_balancer(name: str, workers: int, **kwargs) -> FleetBalancer:
+def make_balancer(name: str, workers: int) -> SkewAwareBalancer:
     """Balancer factory used by the service façade and the CLI."""
     if name in ("skew", "skew-aware"):
-        return SkewAwareBalancer(workers, **kwargs)
+        return SkewAwareBalancer(workers)
     if name in ("rr", "roundrobin", "round-robin"):
-        return RoundRobinBalancer(workers)
+        return SkewAwareBalancer(workers, secondaries=0)
     raise ValueError(f"unknown balancer {name!r} (skew | roundrobin)")

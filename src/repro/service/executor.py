@@ -156,10 +156,6 @@ class ExecutionBackend(ABC):
     def clear_errors(self, job_id: str) -> None:
         """Drop one job's error ledger (job start / collection)."""
 
-    def describe(self) -> str:
-        """One-line summary for logs."""
-        return f"{type(self).__name__} ({self.size} workers)"
-
 
 def make_backend(
     backend: str,

@@ -130,51 +130,41 @@ def kernel_for(app: str, pripes: int,
                params: Optional[Dict[str, Any]] = None) -> KernelSpec:
     """Build a fresh kernel instance for one job on one worker.
 
-    Every (worker, job) pair gets its *own* kernel object so worker
-    threads never share mutable kernel state.  ``params`` carries the
-    per-application knobs a client may tune at submission time.
+    Every (worker, job) pair gets its *own* kernel object: a session's
+    kernel state is that worker's partial result, merged on collection,
+    never shared.  ``params`` carries the per-application knobs a
+    client may tune at submission time.
     """
     params = dict(params or {})
+    kernel_class = kernel_class_for(app)
     if app == "histo":
-        from repro.apps.histo import HistogramKernel
-
-        return HistogramKernel(bins=params.get("bins", 1024),
-                               pripes=pripes)
+        return kernel_class(bins=params.get("bins", 1024), pripes=pripes)
     if app == "dp":
-        from repro.apps.partition import PartitionKernel
-
-        return PartitionKernel(
+        return kernel_class(
             radix_bits_count=params.get("radix_bits", 6), pripes=pripes)
     if app == "hll":
-        from repro.apps.hyperloglog import HyperLogLogKernel
-
-        return HyperLogLogKernel(precision=params.get("precision", 12),
-                                 pripes=pripes)
+        return kernel_class(precision=params.get("precision", 12),
+                            pripes=pripes)
     if app == "hhd":
-        from repro.apps.heavy_hitter import HeavyHitterKernel
-
-        return HeavyHitterKernel(
+        return kernel_class(
             threshold=params.get("threshold", 256),
             track_fraction=params.get("track_fraction", 0.25),
             pripes=pripes,
         )
-    if app == "pagerank":
-        from repro.apps.pagerank import PageRankKernel, to_fixed
+    from repro.apps.pagerank import to_fixed
 
-        if "num_vertices" not in params:
-            raise ValueError("pagerank jobs require params['num_vertices']")
-        vertices = int(params["num_vertices"])
-        kernel = PageRankKernel(vertices, pripes=pripes)
-        contributions = params.get("contributions")
-        if contributions is None:
-            # One scatter pass from uniform ranks (a PR iteration's
-            # gather half); iterative drivers install real contributions.
-            contributions = np.full(
-                vertices, to_fixed(1.0 / vertices), dtype=np.int64)
-        kernel.set_contributions(np.asarray(contributions, dtype=np.int64))
-        return kernel
-    raise ValueError(
-        f"unknown application {app!r}; served apps: {SERVED_APPS}")
+    if "num_vertices" not in params:
+        raise ValueError("pagerank jobs require params['num_vertices']")
+    vertices = int(params["num_vertices"])
+    kernel = kernel_class(vertices, pripes=pripes)
+    contributions = params.get("contributions")
+    if contributions is None:
+        # One scatter pass from uniform ranks (a PR iteration's
+        # gather half); iterative drivers install real contributions.
+        contributions = np.full(
+            vertices, to_fixed(1.0 / vertices), dtype=np.int64)
+    kernel.set_contributions(np.asarray(contributions, dtype=np.int64))
+    return kernel
 
 
 class JobStatus(str, Enum):

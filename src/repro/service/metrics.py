@@ -293,6 +293,11 @@ class ServiceMetrics:
         with self._lock:
             self.late_tuples += tuples
 
+    def set_rebalances(self, count: int) -> None:
+        """The balancer's plan-change count, pushed when it moves."""
+        with self._lock:
+            self.rebalances = count
+
     def sample_queue_depth(self, depth: int) -> None:
         with self._lock:
             self.queue_depth_samples.append(depth)

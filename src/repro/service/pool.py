@@ -223,7 +223,3 @@ class WorkerPool(ExecutionBackend):
         for partial in partials:
             merged.merge_from(partial)
         return merged
-
-
-#: Port-facing alias: this adapter is the ``"inline"`` backend.
-InlineBackend = WorkerPool

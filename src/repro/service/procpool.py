@@ -65,7 +65,6 @@ retained partial.
 from __future__ import annotations
 
 import multiprocessing
-import threading
 import traceback
 from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
 
@@ -284,7 +283,7 @@ class ProcessBackend(ExecutionBackend):
         #: Partials handed off by removed/stopped workers, awaiting
         #: collection, keyed (worker_id, generation, job_id).
         self._orphans: Dict[Tuple[int, int, str], SessionSnapshot] = {}
-        self._errors: Dict[str, List[str]] = {}  # guarded-by: _lock
+        self._errors: Dict[str, List[str]] = {}
         #: Crash-replay ledger: every dispatched shard of every live
         #: job, per worker, in dispatch order.  Entries drop at collect.
         self._retained: Dict[int, List[_Retained]] = {}
@@ -293,7 +292,6 @@ class ProcessBackend(ExecutionBackend):
         #: recovery exactly-once (pipe FIFO order makes the first N
         #: dispatched shards of a job the first N recorded).
         self._recorded: Dict[Tuple[int, str], int] = {}
-        self._lock = threading.Lock()
         self._started = False
 
     # ------------------------------------------------------------------
@@ -450,13 +448,11 @@ class ProcessBackend(ExecutionBackend):
     # Errors and collection
     # ------------------------------------------------------------------
     def errors(self, job_id: str) -> List[str]:
-        with self._lock:
-            return list(self._errors.get(job_id, []))
+        return list(self._errors.get(job_id, []))
 
     def clear_errors(self, job_id: str) -> None:
         """Drop one job's error ledger (see the inline pool's docs)."""
-        with self._lock:
-            self._errors.pop(job_id, None)
+        self._errors.pop(job_id, None)
 
     def collect(self, job_id: str) -> Optional[StreamingSession]:
         """Merge one finished job's partials from children and orphans.
@@ -469,8 +465,7 @@ class ProcessBackend(ExecutionBackend):
         flushed, and asked again — its partial is reconstructed, not
         lost.  The job's replay ledger is released either way.
         """
-        with self._lock:
-            self._errors.pop(job_id, None)
+        self._errors.pop(job_id, None)
         snaps: List[Tuple[int, int, SessionSnapshot]] = []
         if self._started:
             for worker_id in range(self.size):
@@ -589,9 +584,8 @@ class ProcessBackend(ExecutionBackend):
                     job_id=job_id, tenant_id=tenant_id,
                     worker=worker_id, generation=generation,
                     tuples=tuples, cycles=cycles)
-        with self._lock:
-            for job_id, message in errors:
-                self._errors.setdefault(job_id, []).append(message)
+        for job_id, message in errors:
+            self._errors.setdefault(job_id, []).append(message)
 
     def _abandon(self, child: _ChildHandle) -> None:
         """Write off a dead/unresponsive child and its in-flight jobs.
@@ -599,11 +593,10 @@ class ProcessBackend(ExecutionBackend):
         Only the stop/shrink handoff path lands here — a crash during
         serving goes through :meth:`_revive` + replay instead.
         """
-        with self._lock:
-            for job_id in sorted(child.jobs):
-                self._errors.setdefault(job_id, []).append(
-                    f"RuntimeError: worker {child.worker_id} subprocess "
-                    "died; its partial results for this job were lost")
+        for job_id in sorted(child.jobs):
+            self._errors.setdefault(job_id, []).append(
+                f"RuntimeError: worker {child.worker_id} subprocess "
+                "died; its partial results for this job were lost")
         self._terminate(child)
 
     def _terminate(self, child: _ChildHandle) -> None:
@@ -680,12 +673,11 @@ class ProcessBackend(ExecutionBackend):
         retained = self._retained.get(worker_id, [])
         doomed = ({entry.job_id for entry in retained}
                   | set(child.jobs) | set(also))
-        with self._lock:
-            for job_id in sorted(doomed):
-                self._errors.setdefault(job_id, []).append(
-                    f"RuntimeError: worker {worker_id} subprocess died "
-                    "and its replacement failed during shard replay; "
-                    "partial results for this job were lost")
+        for job_id in sorted(doomed):
+            self._errors.setdefault(job_id, []).append(
+                f"RuntimeError: worker {worker_id} subprocess died "
+                "and its replacement failed during shard replay; "
+                "partial results for this job were lost")
         self._terminate(child)
         self._forget(worker_id)
 

@@ -16,7 +16,6 @@ from repro.core.profiler import (
 )
 from repro.service import StreamService
 from repro.service.balancer import (
-    RoundRobinBalancer,
     SkewAwareBalancer,
     make_balancer,
     shard_of_keys,
@@ -54,18 +53,39 @@ class TestSharding:
 
 
 class TestRoundRobin:
+    """Round-robin sharding is the skew-aware balancer with no
+    secondaries: every worker a primary, the helper plan empty."""
+
     def test_split_covers_all_workers_on_uniform_keys(self):
-        balancer = RoundRobinBalancer(4)
+        balancer = make_balancer("roundrobin", 4)
         batch = ZipfGenerator(alpha=0.0, seed=3).generate(4_000)
         parts = split_conserves_tuples(balancer, batch)
         assert set(parts) == {0, 1, 2, 3}
 
-    def test_static_assignment_keeps_keys_on_one_worker(self):
-        balancer = RoundRobinBalancer(4)
+    @pytest.mark.parametrize("by_key", [False, True])
+    def test_static_assignment_keeps_keys_on_one_worker(self, by_key):
+        balancer = make_balancer("roundrobin", 4)
         batch = TupleBatch.from_keys(
             np.full(100, 0xABCD, dtype=np.uint64))
-        parts = balancer.split(batch)
+        parts = balancer.split(batch, by_key=by_key)
         assert len(parts) == 1  # one key -> exactly one worker
+
+    @pytest.mark.parametrize("by_key", [False, True])
+    def test_shard_s_always_goes_to_worker_s(self, by_key):
+        """Profiling skewed windows never moves a range: worker ``s``
+        gets exactly the tuples of shard ``s``, in stream order."""
+        balancer = make_balancer("roundrobin", 4)
+        for seed in range(3):
+            batch = ZipfGenerator(alpha=2.0, seed=seed).generate(3_000)
+            balancer.observe(batch.keys)
+            parts = balancer.split(batch, by_key=by_key)
+            shards = shard_of_keys(batch.keys, 4)
+            assert list(parts) == sorted(set(shards.tolist()))
+            for worker, part in parts.items():
+                mask = shards == worker
+                assert np.array_equal(part.keys, batch.keys[mask])
+                assert np.array_equal(part.values, batch.values[mask])
+        assert balancer.rebalances == 0
 
 
 class TestSkewAware:
@@ -452,7 +472,8 @@ class TestProfilerExposure:
 class TestFactory:
     def test_factory_names(self):
         assert isinstance(make_balancer("skew", 4), SkewAwareBalancer)
-        assert isinstance(make_balancer("roundrobin", 4),
-                          RoundRobinBalancer)
+        roundrobin = make_balancer("roundrobin", 4)
+        assert (roundrobin.primaries, roundrobin.secondaries) == (4, 0)
+        assert "round-robin sharding (4 static" in roundrobin.describe()
         with pytest.raises(ValueError, match="unknown balancer"):
             make_balancer("magic", 4)

@@ -1,8 +1,9 @@
 """Regressions for the serving-layer correctness fixes.
 
 Covers the dispatcher rotation-pointer fix (no job skipped or
-double-stepped when a sibling finishes mid-rotation), balancer-counter
-sync on the failure path, bounded job retention with purge()/TTL, and
+double-stepped when a sibling finishes mid-rotation), the balancer's
+plan-change count in the metrics (pushed per window, failure path
+included), bounded job retention with purge()/TTL, and
 the duplicate-job-id guard on the now thread-safe submit path, and
 reclamation of a shut-down service by reference count alone.
 """
@@ -13,10 +14,17 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.service import StreamService, shard_of_keys
-from repro.service.jobs import Job
-from repro.service.server import _ActiveJob
-from repro.service.windows import WindowManager
+from repro.service import (
+    Dispatcher,
+    JobQueue,
+    ServiceMetrics,
+    SessionSpec,
+    SkewAwareBalancer,
+    StreamService,
+    WorkerPool,
+    shard_of_keys,
+)
+from repro.service.jobs import Job, TenantSpec
 from repro.workloads.streams import chunk_stream, timestamp_batch
 from repro.workloads.tuples import TupleBatch
 from repro.workloads.zipf import ZipfGenerator
@@ -36,64 +44,111 @@ def run_one(service, **submit_kwargs):
     return job_id
 
 
-class TestRotationFairness:
-    """White-box: drive _step_round with a scripted _step_job."""
+def standalone_dispatcher(config, tenants=None):
+    """A Dispatcher wired from its parts — no StreamService."""
+    metrics = ServiceMetrics()
+    spec = SessionSpec(app="histo", config=config)
+    pool = WorkerPool(1, lambda job_id: spec.build(), metrics)
+    return Dispatcher(JobQueue(), SkewAwareBalancer(1), pool, metrics,
+                      tenants=tenants)
 
-    def drive(self, service, names, finish_at):
-        """Step jobs A,B,C... one round at a time; ``finish_at`` maps a
-        global step index to True (that job leaves the fleet).  Returns
-        the order jobs were stepped in."""
+
+class TestRotationFairness:
+    """Drive a bare Dispatcher over scripted sources through step()."""
+
+    def drive(self, dispatcher, batches):
+        """Serve jobs A,B,C... whose sources hold ``batches[name]``
+        chunks (a job leaves on the pull that finds its source empty).
+        Returns the order sources were pulled in and every Step."""
         order = []
 
-        def scripted_step(entry):
-            order.append(entry.job.job_id)
-            return finish_at.get(len(order) - 1, False)
+        def scripted(name):
+            for _ in range(batches[name]):
+                order.append(name)
+                yield timestamp_batch(TupleBatch.from_keys(
+                    np.arange(4, dtype=np.uint64)))
+            order.append(name)
 
-        service._step_job = scripted_step
-        active = [
-            _ActiveJob(job=Job(app="histo", source=[], job_id=name),
-                       windows=WindowManager(WINDOW),
-                       source=iter(()), by_key=False)
-            for name in names
-        ]
-        while active:
-            for entry in service._step_round(active):
-                active.remove(entry)
-            if len(order) > 50:  # safety against livelock regressions
+        dispatcher.start()
+        for name in batches:
+            dispatcher.queue.submit(
+                Job(app="histo", source=scripted(name), job_id=name))
+        steps = []
+        while len(steps) < 50:  # safety against livelock regressions
+            steps.append(dispatcher.step())
+            if steps[-1].idle:
                 break
-        return order
+        return order, steps
 
-    def test_finish_with_wrapped_pointer_does_not_skip_successor(self):
+    def test_finish_with_wrapped_pointer_does_not_skip_successor(
+            self, small_config):
         """Seed bug: with a persisted rotation pointer beyond the list
         length, removing the finished job shifted indices under it and
         the *next* job in the rotation was skipped."""
-        service = StreamService(workers=1)
+        dispatcher = standalone_dispatcher(
+            small_config,
+            {"default": TenantSpec("default", max_in_flight=3)})
         # Weight 1 => one step per round; pointer reaches 3 (== len)
         # after the first full rotation, then A finishes on step 3.
-        order = self.drive(service, ["A", "B", "C"],
-                           finish_at={3: True, 4: True, 5: True})
+        order, steps = self.drive(dispatcher, {"A": 1, "B": 1, "C": 1})
         # Steps 0-2 rotate A,B,C; step 3 serves A (wrapped pointer) and
         # finishes it; the very next step MUST serve B, not C.
         assert order == ["A", "B", "C", "A", "B", "C"]
-        service.shutdown()
+        assert steps[0] == (3, [], 1, 0, 3)
+        assert [[job.job_id for job in step.finished] for step in steps] \
+            == [[], [], [], ["A"], ["B"], ["C"], []]
+        assert [step.in_flight for step in steps] == [3, 3, 3, 2, 1, 0, 0]
+        assert all(job.status.value == "completed"
+                   for step in steps for job in step.finished)
 
-    def test_mid_round_finish_steps_every_survivor_once(self):
+    def test_mid_round_finish_steps_every_survivor_once(self, small_config):
         """Weight 3 grants three steps per round: when the first job
         finishes on its step, the remaining two must each get exactly
         one step in the same round (no skip, no double-step)."""
-        from repro.service.jobs import TenantSpec
-
-        service = StreamService(workers=1)
-        service.register_tenant(TenantSpec("default", weight=3.0,
-                                           max_in_flight=3))
-        order = self.drive(
-            service, ["A", "B", "C"],
-            finish_at={0: True, 3: True, 4: True})
+        dispatcher = standalone_dispatcher(
+            small_config,
+            {"default": TenantSpec("default", weight=3.0,
+                                   max_in_flight=3)})
+        order, steps = self.drive(dispatcher, {"A": 0, "B": 1, "C": 1})
         # Round 1: A finishes, then B and C each step once.
         assert order[:3] == ["A", "B", "C"]
         # Round 2: B and C again (B finishes on its step, C after).
         assert order[3:] == ["B", "C"]
-        service.shutdown()
+        assert [step.pulled for step in steps] == [3, 2, 0]
+
+    def test_unready_source_is_passed_over_not_pulled(self, small_config):
+        """A source whose poll_ready() says "would block" costs the
+        round a wait, never a pull; the step after it turns ready
+        serves it."""
+
+        class Gated:
+            ready = False
+
+            def __init__(self):
+                self.batches = iter([timestamp_batch(TupleBatch.from_keys(
+                    np.arange(4, dtype=np.uint64)))])
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                return next(self.batches)
+
+            def poll_ready(self):
+                return self.ready
+
+        dispatcher = standalone_dispatcher(small_config)
+        source = Gated()
+        dispatcher.start()
+        dispatcher.queue.submit(
+            Job(app="histo", source=source, job_id="net"))
+        assert dispatcher.step() == (1, [], 0, 1, 1)
+        assert dispatcher.step() == (0, [], 0, 1, 1)
+        source.ready = True
+        assert dispatcher.step() == (0, [], 1, 0, 1)
+        (done,) = dispatcher.step().finished
+        assert done.job_id == "net" and done.result.sum() == 4
+        assert dispatcher.step().idle
 
 
 class TestRebalanceSyncOnFailure:
@@ -124,6 +179,25 @@ class TestRebalanceSyncOnFailure:
         assert service.poll(job_id)["status"] == "failed"
         assert service.balancer.rebalances >= 1  # the plan did move
         assert service.metrics.rebalances == service.balancer.rebalances
+        service.shutdown()
+
+    def test_metrics_follow_the_balancer_mid_job(self):
+        """Seed bug: the count was copied only when a job left the
+        fleet, so a scrape during a long job read 0 whatever the
+        balancer had done."""
+        service = StreamService(workers=4)
+        job_id = service.submit(
+            "histo", zipf_source(tuples=40_000, alpha=0.0, chunk=4_000),
+            window_seconds=WINDOW)
+        service.dispatcher.start()
+        seen_mid_job = []
+        while not service.step().idle:
+            assert service.metrics.snapshot()["rebalances"] \
+                == service.balancer.rebalances
+            if service.poll(job_id)["status"] == "running":
+                seen_mid_job.append(service.balancer.rebalances)
+        assert seen_mid_job and seen_mid_job[-1] >= 1  # not vacuous
+        assert service.poll(job_id)["status"] == "completed"
         service.shutdown()
 
 
