@@ -6,9 +6,11 @@ paper's network-fed scenario implies (tuples arriving at line rate with
 the accelerator either keeping up or falling behind):
 
 ``protocol``
-    Newline-delimited JSON wire format: ``hello`` / ``submit`` /
+    Wire format: one JSON object per line — ``hello`` / ``submit`` /
     ``batch`` / ``end`` / ``credit`` / ``poll`` / ``result`` /
-    ``cancel``, with exact (bit-identical) batch and result payloads.
+    ``cancel`` / ``stats`` — with a ``batch`` header followed by its
+    tuples as raw bytes; exact (bit-identical) batch and result
+    payloads.
 ``buffer``
     :class:`~repro.net.buffer.IngestBuffer` — the per-job FIFO between
     a client connection and the service dispatcher.

@@ -5,7 +5,7 @@ credit protocol: it tracks the credits each reply carries and, at zero,
 stalls on a ``credit`` request instead of flooding (``send_batch`` with
 ``wait=False`` skips the stall — the over-admitting client the
 backpressure benchmark exercises).  Requests are synchronous — one
-request line, one reply line — so a single client observes a totally
+request frame, one reply line — so a single client observes a totally
 ordered view of its own streams.
 
 .. code-block:: python
@@ -85,6 +85,14 @@ class StreamClient:
             self.close()
             raise GatewayError(welcome.get("code", "error"),
                                welcome.get("error", "hello refused"))
+        if welcome.get("protocol") != protocol.PROTOCOL_VERSION:
+            # A gateway of another revision would misread the batch
+            # frames (or this client its replies): refuse up front.
+            self.close()
+            raise GatewayError(
+                "protocol",
+                f"gateway speaks protocol {welcome.get('protocol')!r}, "
+                f"this client {protocol.PROTOCOL_VERSION}")
         #: Remaining write credits; ``-1`` means unlimited.
         self.credits: int = welcome["credits"]
         self.high_water: Optional[int] = welcome.get("high_water")
@@ -93,6 +101,8 @@ class StreamClient:
     # Connection plumbing
     # ------------------------------------------------------------------
     def _request(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        # One sendall per frame, header and payload together: two
+        # writes before the read would stall on Nagle + delayed ACK.
         with self._lock:
             self._sock.sendall(protocol.encode(message))
             line = self._rfile.readline()
@@ -253,7 +263,7 @@ class StreamClient:
         return bool(reply["cancelled"])
 
     def stats(self, format: str = "json") -> Any:
-        """The service's telemetry snapshot (protocol >= 2).
+        """The service's telemetry snapshot.
 
         ``format="json"`` (default) returns the raw
         :meth:`~repro.service.metrics.ServiceMetrics.snapshot` dict;

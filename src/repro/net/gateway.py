@@ -4,8 +4,8 @@
 network service: clients connect over TCP, authenticate a tenant, and
 stream batches into per-job :class:`~repro.net.buffer.IngestBuffer`\\ s
 that the service dispatcher (run by the gateway's own dispatcher
-thread) consumes.  The wire protocol is newline-delimited JSON
-(:mod:`repro.net.protocol`).
+thread) consumes.  The wire protocol is newline-delimited JSON with a
+binary payload behind each ``batch`` header (:mod:`repro.net.protocol`).
 
 Backpressure is credit based: a tenant may keep at most ``high_water``
 batches buffered across its open streams.  Each ``batch`` consumes one
@@ -111,9 +111,10 @@ class StreamGateway:
         submit and then go quiet (no batch, no ``end``).  None keeps
         such streams in flight forever.
     max_line_bytes:
-        Reject (and disconnect) any wire line longer than this; reads
-        are capped at this length, so a client cannot grow gateway
-        memory with an endless unterminated line.
+        Reject (and disconnect) any header line or batch payload longer
+        than this; reads are capped at this length, so a client cannot
+        grow gateway memory with an endless unterminated line or a
+        payload length it merely declares.
     """
 
     def __init__(
@@ -306,34 +307,34 @@ class StreamGateway:
 
     def _serve_connection(self, conn: _Connection) -> None:
         self.metrics.record_gateway(connections_opened=1)
-        rfile = conn.sock.makefile("rb")
+        reader = protocol.FrameReader(conn.sock.makefile("rb"),
+                                      self.max_line_bytes)
         try:
             while True:
-                # Bounded read: an unterminated line cannot grow past
-                # the cap before the length check runs — readline
-                # returns at most max_line_bytes + 1 bytes.
-                line = rfile.readline(self.max_line_bytes + 1)
-                if not line:
-                    break
-                self.metrics.record_gateway(bytes_received=len(line))
-                if len(line) > self.max_line_bytes:
-                    self.metrics.record_gateway(protocol_errors=1)
-                    self._send(conn, {
-                        "type": "error", "code": "protocol",
-                        "error": f"line exceeds {self.max_line_bytes} "
-                                 "bytes"})
-                    break  # stream framing is lost; disconnect
                 try:
-                    message = protocol.decode(line)
+                    message = reader.read()
+                except protocol.ProtocolError as exc:
+                    self.metrics.record_gateway(
+                        bytes_received=reader.frame_bytes,
+                        protocol_errors=1)
+                    self._send(conn, {"type": "error", "code": "protocol",
+                                      "error": str(exc)})
+                    if isinstance(exc, protocol.FramingError):
+                        break  # where the next frame starts is unknown
+                    continue
+                if message is None:
+                    break
+                self.metrics.record_gateway(
+                    bytes_received=reader.frame_bytes)
+                try:
                     reply = self._handle(conn, message)
                 except protocol.ProtocolError as exc:
                     self.metrics.record_gateway(protocol_errors=1)
                     reply = {"type": "error", "code": "protocol",
                              "error": str(exc)}
-                    message = {}
                 if reply is not None:
                     self._send(conn, reply)
-                if message.get("type") == "bye":
+                if message["type"] == "bye":
                     break
         except (OSError, ValueError):
             pass  # connection torn down mid-read

@@ -293,14 +293,16 @@ class Dispatcher:
         merged = self.backend.collect(job.job_id)
         if merged is not None:
             job.result = merged.result
-            job.history = merged.history
+            job.tuples = merged.total_tuples
+            job.cycles = merged.total_cycles
+            job.segments = len(merged.history)
         job.status = JobStatus.COMPLETED
         self.metrics.record_completed(job.tenant_id)
         if self.tracer.enabled:
             self.tracer.emit(
                 trace_events.JOB_COMPLETE,
                 job_id=job.job_id, tenant_id=job.tenant_id,
-                segments=len(job.history),
+                segments=job.segments,
                 late_tuples=job.late_tuples)
 
     def _fail(self, job: Job, message: str) -> None:

@@ -20,12 +20,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, Optional
 
 import numpy as np
 
 from repro.core.kernel import KernelSpec
-from repro.runtime.session import SegmentOutcome
 from repro.workloads.streams import TimestampedBatch
 
 #: Applications a job may request, in the paper's Table I naming.
@@ -219,7 +218,12 @@ class Job:
     error: Optional[str] = None
     seq: int = field(default_factory=lambda: next(_job_counter))
     result: Any = None
-    history: List[SegmentOutcome] = field(default_factory=list)
+    #: Totals of the merged session, filled in when the job completes
+    #: (the per-segment records behind them are not kept: a retained
+    #: job would pin one per shard for as long as it is retained).
+    tuples: int = 0
+    cycles: int = 0
+    segments: int = 0
     windows_dispatched: int = 0
     late_tuples: int = 0
     #: Dispatch-clock reading (cumulative dispatched tuples) at submit

@@ -363,7 +363,7 @@ class StreamService:
             "priority": job.priority,
             "deadline": job.deadline,
             "windows_dispatched": job.windows_dispatched,
-            "segments_done": len(job.history),
+            "segments_done": job.segments,
             "late_tuples": job.late_tuples,
             "queue_delay": job.queue_delay,
             "error": job.error,
@@ -380,9 +380,9 @@ class StreamService:
             job_id=job.job_id,
             app=job.app,
             result=job.result,
-            tuples=sum(record.tuples for record in job.history),
-            cycles=sum(record.cycles for record in job.history),
-            segments=len(job.history),
+            tuples=job.tuples,
+            cycles=job.cycles,
+            segments=job.segments,
             late_tuples=job.late_tuples,
             tenant_id=job.tenant_id,
             queue_delay=job.queue_delay,

@@ -18,7 +18,8 @@ import pytest
 from repro.net import GatewayError, StreamClient, StreamGateway, protocol
 from repro.service import StreamService, TenantSpec
 from repro.service.jobs import QuotaExceededError, kernel_for
-from repro.workloads.streams import chunk_stream
+from repro.workloads.streams import TimestampedBatch, chunk_stream
+from repro.workloads.tuples import TupleBatch
 from repro.workloads.zipf import ZipfGenerator
 
 WINDOW = 2.56e-6
@@ -523,19 +524,18 @@ class TestRobustness:
 
     def test_non_finite_timestamp_fails_job_and_gateway_keeps_serving(
             self, fleet):
-        """``json.loads`` accepts ``Infinity``, so a wire client can
-        send one (``protocol.encode`` refuses to, hence the raw line);
-        it must cost that client its job, nothing else."""
+        """The payload is raw float64, so nothing on the wire stops a
+        client sending ``inf`` (the gateway acks it: stamps are the
+        window manager's to judge); it must cost that client its job,
+        nothing else."""
         service, gateway = fleet
         batches = zipf_batches(tuples=4_000)
+        poisoned = TimestampedBatch(
+            np.array([0.5, np.inf]), TupleBatch(np.array([1, 2]),
+                                                np.array([1, 1])))
         with StreamClient(gateway.host, gateway.port) as client:
             job_id = client.submit("histo", window_seconds=WINDOW)
-            client._sock.sendall(
-                b'{"type":"batch","job_id":"%s","keys":[1,2],'
-                b'"values":[1,1],"timestamps":[0.5,Infinity]}\n'
-                % job_id.encode())
-            assert protocol.decode(
-                client._rfile.readline())["type"] == "ack"
+            assert client.send_batch(job_id, poisoned)
             client.end(job_id)
             with pytest.raises(GatewayError) as excinfo:
                 client.result(job_id)
@@ -545,6 +545,254 @@ class TestRobustness:
                                          window_seconds=WINDOW)
             result = client.result(retry)
         assert np.array_equal(result.result, golden_histogram(batches))
+
+
+class RawConnection:
+    """A socket that has said hello; sends bytes as given, reads reply
+    lines — the client the framing has to survive."""
+
+    def __init__(self, gateway):
+        self.sock = socket.create_connection(
+            (gateway.host, gateway.port), timeout=10)
+        self.rfile = self.sock.makefile("rb")
+        assert self.request(protocol.encode(
+            {"type": "hello", "tenant": "default"}))["type"] == "welcome"
+
+    def request(self, data):
+        self.sock.sendall(data)
+        return self.reply()
+
+    def reply(self):
+        return protocol.decode(self.rfile.readline())
+
+    def submit(self):
+        reply = self.request(protocol.encode(
+            {"type": "submit", "app": "histo", "window_seconds": WINDOW}))
+        assert reply["type"] == "accepted"
+        return reply["job_id"]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.rfile.close()
+        self.sock.close()
+
+
+def batch_frame(job_id, batch, **fields):
+    return protocol.encode({"type": "batch", "job_id": job_id,
+                            **protocol.batch_payload(batch), **fields})
+
+
+def protocol_errors(service):
+    return service.metrics.snapshot()["gateway"]["protocol_errors"]
+
+
+class TestBinaryFrames:
+    """Protocol 3 batch frames against a live gateway: what is refused,
+    what it costs the connection, and what arrives."""
+
+    def stream_and_check(self, conn, batches, job_id=None):
+        """The connection still serves a whole job, exactly (the job
+        the refused frame was aimed at, when there is one: the refusal
+        must not have cost it anything either)."""
+        job_id = job_id or conn.submit()
+        for batch in batches:
+            assert conn.request(
+                batch_frame(job_id, batch))["type"] == "ack"
+        assert conn.request(protocol.encode(
+            {"type": "end", "job_id": job_id}))["type"] == "ack"
+        reply = conn.request(protocol.encode(
+            {"type": "result", "job_id": job_id}))
+        assert reply["type"] == "result"
+        assert np.array_equal(protocol.from_wire(reply["result"]),
+                              golden_histogram(batches))
+
+    @pytest.mark.parametrize("line", [
+        b"\xff\xfe\n",
+        b'{"type":' + b"[" * 100_000 + b"\n",
+    ], ids=["not-utf-8", "nested-past-the-recursion-limit"])
+    def test_unparseable_line_is_answered_counted_and_survived(
+            self, fleet, line):
+        """Parent: UnicodeDecodeError dropped the connection without a
+        reply or a count; RecursionError killed the handler thread."""
+        service, gateway = fleet
+        with RawConnection(gateway) as conn:
+            reply = conn.request(line)
+            assert reply["type"] == "error"
+            assert reply["code"] == "protocol"
+            assert protocol_errors(service) == 1
+            self.stream_and_check(conn, zipf_batches(tuples=2_000))
+
+    def test_protocol_2_batch_is_refused_by_name_and_survived(
+            self, fleet):
+        service, gateway = fleet
+        with RawConnection(gateway) as conn:
+            job_id = conn.submit()
+            reply = conn.request(
+                b'{"type":"batch","job_id":"%s","keys":[1,2],'
+                b'"values":[1,1],"timestamps":[0.0,0.5]}\n'
+                % job_id.encode())
+            assert reply["type"] == "error"
+            assert reply["code"] == "protocol"
+            assert "protocol 3" in reply["error"]
+            assert protocol_errors(service) == 1
+            self.stream_and_check(conn, zipf_batches(tuples=2_000),
+                                  job_id)
+
+    def test_refused_frame_with_its_payload_consumed_is_survived(
+            self, fleet):
+        """Wrong dtypes, honest length: the payload is read and
+        dropped, so the next frame starts where the gateway looks."""
+        service, gateway = fleet
+        batch = zipf_batches(tuples=1_000, chunk=1_000)[0]
+        with RawConnection(gateway) as conn:
+            job_id = conn.submit()
+            reply = conn.request(batch_frame(
+                job_id, batch, dtypes=["<i8", "<u8", "<f8"]))
+            assert reply["type"] == "error"
+            assert reply["code"] == "protocol"
+            assert protocol_errors(service) == 1
+            self.stream_and_check(conn, zipf_batches(tuples=2_000),
+                                  job_id)
+
+    @pytest.mark.parametrize("header", [
+        b'{"type":"batch","job_id":"j","count":%d,"dtypes":'
+        b'["<u8","<i8","<f8"],"payload_bytes":%d}\n'
+        % (2**40 // 24, 2**40 // 24 * 24),
+        b'{"type":"batch","job_id":"j","count":2,"dtypes":'
+        b'["<u8","<i8","<f8"],"payload_bytes":-48}\n',
+        b'{"type":"batch","job_id":"j","count":1,"dtypes":'
+        b'["<u8","<i8","<f8"],"payload_bytes":true}\n',
+        b'{"type":"batch","job_id":"j","count":3,"dtypes":'
+        b'["<u8","<i8","<f8"],"payload_bytes":48}\n',
+        b'{"type":"end","job_id":"j","count":2,"payload_bytes":48}\n',
+    ], ids=["a-terabyte", "negative", "bool", "count-lies", "not-a-batch"])
+    def test_bad_declaration_is_answered_at_once_then_disconnected(
+            self, fleet, header):
+        """The error comes back on the header alone — no payload byte
+        is sent, so a gateway that waited for (or allocated) the
+        declared length would hang here instead."""
+        service, gateway = fleet
+        with RawConnection(gateway) as conn:
+            reply = conn.request(header)
+            assert reply["type"] == "error"
+            assert reply["code"] == "protocol"
+            assert conn.rfile.readline() == b""  # server hung up
+        assert protocol_errors(service) == 1
+
+    def test_payload_over_the_gateway_cap_is_refused_unread(self):
+        service = StreamService(workers=1)
+        gateway = StreamGateway(service, serve=False,
+                                max_line_bytes=24 * 100)
+        gateway.start()
+        try:
+            with RawConnection(gateway) as conn:
+                job_id = conn.submit()
+                at_cap, over = (
+                    zipf_batches(tuples=n, chunk=n)[0] for n in (100, 101))
+                assert conn.request(
+                    batch_frame(job_id, at_cap))["type"] == "ack"
+                reply = conn.request(batch_frame(job_id, over))
+                assert reply["type"] == "error"
+                assert reply["code"] == "protocol"
+                assert conn.rfile.readline() == b""
+        finally:
+            gateway.stop()
+            service.shutdown()
+
+    def test_client_dying_mid_payload_fails_its_job_only(self, fleet):
+        service, gateway = fleet
+        batches = zipf_batches(tuples=4_000)
+        with RawConnection(gateway) as conn:
+            job_id = conn.submit()
+            assert conn.request(
+                batch_frame(job_id, batches[0]))["type"] == "ack"
+            half = batch_frame(job_id, batches[1])
+            conn.sock.sendall(half[:len(half) // 2])
+            conn.sock.shutdown(socket.SHUT_RDWR)
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline \
+                and service.poll(job_id)["status"] != "failed":
+            time.sleep(0.02)
+        status = service.poll(job_id)
+        assert status["status"] == "failed"
+        assert "client connection lost" in status["error"]
+        with RawConnection(gateway) as conn:
+            self.stream_and_check(conn, batches)
+
+    def test_batches_arrive_as_read_only_views_and_results_match(
+            self, fleet, monkeypatch):
+        """Nothing between the socket and the windows may write into a
+        chunk (or need to): an out-of-order chunk takes the masked
+        path, a chunk spanning several windows the run path, and both
+        must give what the in-process run gives."""
+        from repro.net.buffer import IngestBuffer
+
+        service, gateway = fleet
+        ordered = zipf_batches(tuples=20_000, chunk=12_000)
+        assert ordered[0].span[1] - ordered[0].span[0] > 2 * WINDOW
+        shuffle = np.random.default_rng(5).permutation(8_000)
+        batches = [ordered[0], TimestampedBatch(
+            ordered[1].timestamps[shuffle],
+            TupleBatch(ordered[1].batch.keys[shuffle],
+                       ordered[1].batch.values[shuffle]))]
+        reference = in_process_result(batches)
+        arrived = []
+        put = IngestBuffer.put
+
+        def recording_put(buffer, batch):
+            arrived.append(batch)
+            put(buffer, batch)
+
+        monkeypatch.setattr(IngestBuffer, "put", recording_put)
+        with StreamClient(gateway.host, gateway.port) as client:
+            job_id = client.submit_stream("histo", iter(batches),
+                                          window_seconds=WINDOW)
+            result = client.result(job_id)
+        assert len(arrived) == 2
+        for got, sent in zip(arrived, batches):
+            for column, original in (
+                    (got.batch.keys, sent.batch.keys),
+                    (got.batch.values, sent.batch.values),
+                    (got.timestamps, sent.timestamps)):
+                assert not column.flags.writeable
+                assert not column.flags.owndata
+                assert column.flags.aligned
+                assert np.array_equal(column, original)
+        assert np.array_equal(result.result, reference.result)
+        assert (result.tuples, result.cycles, result.segments,
+                result.late_tuples) == (
+            reference.tuples, reference.cycles, reference.segments,
+            reference.late_tuples)
+
+    def test_bytes_received_counts_header_and_payload_once(self, fleet):
+        service, gateway = fleet
+        batch = zipf_batches(tuples=1_000, chunk=1_000)[0]
+        sent = len(protocol.encode({"type": "hello", "tenant": "default"}))
+        with RawConnection(gateway) as conn:
+            submit = protocol.encode(
+                {"type": "submit", "app": "histo", "job_id": "counted",
+                 "window_seconds": WINDOW})
+            frames = [submit, batch_frame("counted", batch),
+                      protocol.encode({"type": "end", "job_id": "counted"})]
+            for data in frames:
+                assert conn.request(data)["type"] != "error"
+                sent += len(data)
+            assert len(frames[1]) > 24 * 1_000
+            assert service.metrics.snapshot()["gateway"][
+                "bytes_received"] == sent
+
+    def test_client_refuses_a_gateway_of_another_revision(
+            self, fleet, monkeypatch):
+        _, gateway = fleet
+        on_hello = gateway._on_hello
+        monkeypatch.setattr(
+            gateway, "_on_hello", lambda conn, message: {
+                **on_hello(conn, message), "protocol": 2})
+        with pytest.raises(GatewayError) as excinfo:
+            StreamClient(gateway.host, gateway.port)
+        assert excinfo.value.code == "protocol"
 
 
 class TestConcurrency:
@@ -618,7 +866,7 @@ class TestConcurrency:
 
 
 class TestStatsVerb:
-    """The ``stats`` telemetry verb (protocol >= 2)."""
+    """The ``stats`` telemetry verb, and the revision ``welcome`` carries."""
 
     def test_json_snapshot_over_the_wire(self, fleet):
         service, gateway = fleet
@@ -664,7 +912,7 @@ class TestStatsVerb:
             reply = protocol.decode(rfile.readline())
         assert reply["type"] == "error"
 
-    def test_welcome_advertises_protocol_2(self, fleet):
+    def test_welcome_advertises_protocol_3(self, fleet):
         service, gateway = fleet
         with socket.create_connection(
                 (gateway.host, gateway.port), timeout=10) as sock:
@@ -672,4 +920,4 @@ class TestStatsVerb:
             sock.sendall(protocol.encode(
                 {"type": "hello", "tenant": "default"}))
             welcome = protocol.decode(rfile.readline())
-        assert welcome["protocol"] == protocol.PROTOCOL_VERSION == 2
+        assert welcome["protocol"] == protocol.PROTOCOL_VERSION == 3
