@@ -17,7 +17,7 @@ same key" — a single guaranteed heavy hitter — which
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -109,23 +109,22 @@ class HeavyHitterKernel(KernelSpec):
         ):
             buffer.candidates[key] = int(estimate)
 
-    def process_routed(self, buffers: List[SketchBuffer],
-                       destinations: np.ndarray, keys: np.ndarray,
-                       values: np.ndarray) -> None:
-        # Exact shard replay of the per-tuple loop.  The running
-        # estimate a tuple sees is, per row, the prior cell count plus
-        # its 1-based rank among this shard's tuples hitting the same
-        # cell — a (PE, column) pair of the stacked sketches; estimates
-        # are monotone over time, so a key's candidacy (and stored
-        # estimate) is decided at its *last* occurrence — both are
-        # recoverable without stepping tuples.
+    def process_shard(self, keys: np.ndarray,
+                      values: np.ndarray) -> Tuple[np.ndarray, Dict[int, int]]:
+        # Exact shard replay of the per-tuple loop on fresh sketches.
+        # The running estimate a tuple sees is, per row, its 1-based
+        # rank among this shard's tuples hitting the same cell — a
+        # (PE, column) pair of the sketches laid side by side;
+        # estimates are monotone over time, so a key's candidacy (and
+        # stored estimate) is decided at its *last* occurrence — both
+        # are recoverable without stepping tuples.
         keys = np.asarray(keys, dtype=np.uint64)
+        destinations = self.route_array(keys)
         n = keys.size
-        if n == 0:
-            return
-        destinations = np.asarray(destinations, dtype=np.int64)
-        stacked = np.stack([buffer.cms for buffer in buffers], axis=1)
         base = destinations * self.width
+        sketches = np.zeros((self.depth, self.pripes, self.width),
+                            dtype=np.int64)
+        counters = sketches.reshape(self.depth, -1)  # a view: (PE, column)
         estimates = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
         positions = np.arange(n)
         new_run = np.ones(n, dtype=bool)
@@ -136,14 +135,13 @@ class HeavyHitterKernel(KernelSpec):
             sorted_cells = cells[order]
             np.not_equal(sorted_cells[1:], sorted_cells[:-1],
                          out=new_run[1:])
-            rank = positions + 1 - np.maximum.accumulate(
+            running[order] = positions + 1 - np.maximum.accumulate(
                 np.where(new_run, positions, 0))
-            counters = stacked[row].reshape(-1)  # a view: (PE, column)
-            running[order] = counters[sorted_cells] + rank
             np.minimum(estimates, running, out=estimates)
-            np.add.at(counters, cells, 1)
-        for pe, buffer in enumerate(buffers):
-            buffer.cms[...] = stacked[:, pe]
+            np.add.at(counters[row], cells, 1)
+        # Each PE's thresholds are evaluated on its private sketch.
+        buffers = [SketchBuffer(cms=sketches[:, pe])
+                   for pe in range(self.pripes)]
         reversed_uniques, reversed_first = np.unique(keys[::-1],
                                                      return_index=True)
         last_seen = n - 1 - reversed_first
@@ -155,6 +153,7 @@ class HeavyHitterKernel(KernelSpec):
                 destinations[last_seen[tracked]].tolist(),
                 final[tracked].tolist()):
             buffers[pe].candidates[key] = estimate
+        return destinations, self.collect(buffers)
 
     def merge_into(self, primary: SketchBuffer,
                    secondary: SketchBuffer) -> None:

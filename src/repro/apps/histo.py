@@ -14,7 +14,7 @@ read straight out of the partitioned buffers).
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -75,14 +75,13 @@ class HistogramKernel(KernelSpec):
     def process(self, buffer: np.ndarray, key: int, value: int) -> None:
         buffer[self.bin_of(key) // self.pripes] += 1
 
-    def process_routed(self, buffers: List[np.ndarray],
-                       destinations: np.ndarray, keys: np.ndarray,
-                       values: np.ndarray) -> None:
-        # Bin ``b`` lives in PE ``b % M`` at slot ``b // M``, so one
-        # full-width count folds into PE ``p`` as the stride-M slice.
-        counts = np.bincount(self.bin_array(keys), minlength=self.bins)
-        for pe, buffer in enumerate(buffers):
-            buffer += counts[pe::self.pripes]
+    def process_shard(self, keys: np.ndarray,
+                      values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        # Bin ``b`` lives in PE ``b % M`` at slot ``b // M`` and
+        # ``collect`` de-interleaves the slots again, so one full-width
+        # count of the shard already is the collected histogram.
+        bins = self.bin_array(keys)
+        return bins % self.pripes, np.bincount(bins, minlength=self.bins)
 
     def merge_into(self, primary: np.ndarray, secondary: np.ndarray) -> None:
         primary += secondary

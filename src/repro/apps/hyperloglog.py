@@ -20,7 +20,7 @@ same PE — exactly the overload pattern Fig. 7 sweeps with Zipf datasets.
 from __future__ import annotations
 
 import math
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -126,8 +126,7 @@ class HyperLogLogKernel(KernelSpec):
 
     def route_array(self, keys: np.ndarray) -> np.ndarray:
         # Routing needs only the register index: skip the rank (clz)
-        # passes, which dominate _register_and_rho_arrays and are paid
-        # again by process_routed on the fast path.
+        # passes, which dominate _register_and_rho_arrays.
         _, index = self._hash_index_arrays(
             np.asarray(keys, dtype=np.uint64))
         return index % self.pripes
@@ -141,18 +140,16 @@ class HyperLogLogKernel(KernelSpec):
         if rho > buffer[local]:
             buffer[local] = rho
 
-    def process_routed(self, buffers: List[np.ndarray],
-                       destinations: np.ndarray, keys: np.ndarray,
-                       values: np.ndarray) -> None:
-        # Register ``r`` lives in PE ``r % M`` at slot ``r // M``: max-fold
-        # the shard into a scratch register file, then each PE takes its
-        # stride-M slice.
+    def process_shard(self, keys: np.ndarray,
+                      values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        # Register ``r`` lives in PE ``r % M`` at slot ``r // M`` and
+        # ``collect`` de-interleaves the slots again, so max-folding the
+        # shard into one full register file already is the result.
         index, rho = self._register_and_rho_arrays(
             np.asarray(keys, dtype=np.uint64))
-        scratch = np.zeros(self.registers, dtype=np.int8)
-        np.maximum.at(scratch, index, rho.astype(np.int8))
-        for pe, buffer in enumerate(buffers):
-            np.maximum(buffer, scratch[pe::self.pripes], out=buffer)
+        registers = np.zeros(self.registers, dtype=np.int8)
+        np.maximum.at(registers, index, rho.astype(np.int8))
+        return index % self.pripes, registers
 
     def merge_into(self, primary: np.ndarray, secondary: np.ndarray) -> None:
         np.maximum(primary, secondary, out=primary)

@@ -15,7 +15,7 @@ pipeline and the golden reference agree bit-exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -89,18 +89,30 @@ class PageRankKernel(KernelSpec):
     def process(self, buffer: np.ndarray, key: int, value: int) -> None:
         buffer[key // self.pripes] += value
 
-    def process_routed(self, buffers: List[np.ndarray],
-                       destinations: np.ndarray, keys: np.ndarray,
-                       values: np.ndarray) -> None:
-        # Vertex ``v`` lives in PE ``v % M`` at slot ``v // M``: accumulate
-        # the shard once, then each PE takes its stride-M slice.
+    def process_shard(self, keys: np.ndarray,
+                      values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        # Vertex ``v`` lives in PE ``v % M`` at slot ``v // M`` and
+        # ``collect`` de-interleaves the slots again, so accumulating
+        # the shard into one vector already is the result; like
+        # ``collect``, it drops what landed in the last slots' ragged
+        # tail past ``num_vertices``.
+        keys = np.asarray(keys, dtype=np.uint64)
+        slots = -(-self.num_vertices // self.pripes)
+        limit = slots * self.pripes
+        # Checked before the signed cast: a uint64 key >= 2**63 would
+        # turn into a negative index and credit a real vertex, where
+        # the PE body raises.
+        if int(keys.max()) >= limit:
+            first = int(keys[np.argmax(keys >= limit)])
+            raise IndexError(
+                f"index {first // self.pripes} is out of bounds for "
+                f"axis 0 with size {slots}")
         # np.add.at keeps the accumulation in exact int64 (a weighted
         # bincount would round-trip the Q16.16 sums through float64).
-        sums = np.zeros(buffers[0].size * self.pripes, dtype=np.int64)
-        np.add.at(sums, np.asarray(keys, dtype=np.int64),
-                  np.asarray(values, dtype=np.int64))
-        for pe, buffer in enumerate(buffers):
-            buffer += sums[pe::self.pripes]
+        sums = np.zeros(limit, dtype=np.int64)
+        np.add.at(sums, keys.astype(np.int64),
+                  self.prepare_value_array(keys, values))
+        return self.route_array(keys), sums[:self.num_vertices]
 
     def merge_into(self, primary: np.ndarray, secondary: np.ndarray) -> None:
         primary += secondary

@@ -17,7 +17,7 @@ chunk lists per partition.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -73,15 +73,21 @@ class PartitionKernel(KernelSpec):
                 value: int) -> None:
         buffer.setdefault(self.partition_of(key), []).append(key)
 
-    def process_routed(self, buffers: List[Dict[int, List[int]]],
-                       destinations: np.ndarray, keys: np.ndarray,
-                       values: np.ndarray) -> None:
+    def process_shard(
+        self, keys: np.ndarray, values: np.ndarray,
+    ) -> Tuple[np.ndarray, Dict[int, List[int]]]:
         keys = np.asarray(keys, dtype=np.uint64)
-        # group_spans preserves stream order within each partition, so
-        # the fast path appends exactly what the per-tuple loop would.
-        for part, span in group_spans(self.partition_array(keys)):
-            buffers[part % self.pripes].setdefault(part, []).extend(
-                keys[span].tolist())
+        parts = self.partition_array(keys)
+        destinations = parts % self.pripes
+        # The result's key order is pinned (its pickle, and so a digest
+        # of it, sees it): PE-major as ``collect`` walks the PEs,
+        # ascending partition id within a PE — what grouping by
+        # (PE, partition) yields directly.  group_spans keeps stream
+        # order within each partition, as the per-tuple appends do.
+        return destinations, {
+            label % self.fanout: keys[span].tolist()
+            for label, span in group_spans(destinations * self.fanout + parts)
+        }
 
     def collect(
         self, buffers: List[Dict[int, List[int]]]

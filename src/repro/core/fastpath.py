@@ -7,12 +7,16 @@ compilers (FLOWER, the Cheng & Wawrzynek dataflow template) derive
 steady-state pipeline throughput from channel/PE occupancy models rather
 than cycle-stepping; this module does the same in NumPy:
 
-* the **application result** is exact — the whole routed shard is
-  applied to the PE array in one call of the vectorised
-  :meth:`~repro.core.kernel.KernelSpec.process_routed` hook (kernels
+* the **application result** is exact — one call of the fused
+  :meth:`~repro.core.kernel.KernelSpec.process_shard` hook routes the
+  shard and returns what the PE array would hold after it (kernels
   that don't opt in fall back to the per-tuple loop): every tuple
-  routed to PriPE ``p`` lands in ``p``'s private buffer, in stream
-  order, so the collected output is bit-identical to the cycle engine's;
+  routed to PriPE ``p`` counts as landing in ``p``'s private buffer,
+  in stream order, so the output is bit-identical to the cycle
+  engine's — but the storage itself is not stepped: partitioned
+  buffers need no aggregation, so the one-pass reduction over the
+  shard already *is* the collected result and nothing is zeroed,
+  folded per PE or de-interleaved on the way;
 * the **cycle count** is modeled from the analytic bottleneck.  Without
   skew handling the pipeline's completion time is governed by
   ``max(ceil(N / lanes), max_pe_load * II)`` — the memory interface
@@ -31,10 +35,12 @@ modeled cycles within 10% of simulated across Zipf skew factors.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.architecture import ArchitectureResult
 from repro.core.config import ArchitectureConfig
 from repro.core.kernel import KernelSpec
 from repro.core.profiler import SchedulingPlan
@@ -103,58 +109,73 @@ def _modeled_pe_counts(
     return {pe: int(round(load)) for pe, load in enumerate(designated)}
 
 
-def run_fast(config: ArchitectureConfig, kernel: KernelSpec,
-             batch: TupleBatch):
+class _ModeledResult(ArchitectureResult):
+    """A fast-path :class:`ArchitectureResult`.
+
+    ``report`` and ``pe_tuple_counts`` describe a run nobody stepped;
+    no serving caller reads them, so they are derived on first read
+    instead of once per shard.
+    """
+
+    def __init__(self, config: ArchitectureConfig, result, tuples: int,
+                 cycles: int, counts: np.ndarray,
+                 plans: List[SchedulingPlan], reschedules: int) -> None:
+        self.config = config
+        self.result = result
+        self.tuples = tuples
+        self.cycles = cycles
+        self.plans = plans
+        self.reschedules = reschedules
+        self._counts = counts
+
+    @cached_property
+    def report(self) -> SimulationReport:
+        return SimulationReport(
+            cycles=self.cycles,
+            completed=True,
+            module_utilization={"fastpath": 1.0},
+        )
+
+    @cached_property
+    def pe_tuple_counts(self) -> Dict[int, int]:
+        return _modeled_pe_counts(self.config, self._counts,
+                                  self.plans[-1] if self.plans else None)
+
+
+def run_fast(config: ArchitectureConfig, kernel: KernelSpec,  # hot-path
+             batch: TupleBatch) -> ArchitectureResult:
     """Process ``batch`` through the vectorized fast path.
 
     Returns the same :class:`~repro.core.architecture.ArchitectureResult`
     shape as the cycle engine: an exact application result plus modeled
     cycles, per-PE loads and scheduling plans.
     """
-    from repro.core.architecture import ArchitectureResult
-
-    if len(batch) == 0:
+    tuples = len(batch)
+    if tuples == 0:
         raise ValueError("cannot run an empty batch")
     kernel.pripes = config.pripes
 
-    destinations = np.asarray(kernel.route_array(batch.keys),
-                              dtype=np.int64)
-    values = kernel.prepare_value_array(batch.keys, batch.values)
-
-    # Exact result: one pass applies the shard to every PriPE's private
-    # buffer, stream order kept within each PE.  SecPE partials always
-    # merge back into (or union with) the owning PriPE's state, so
-    # routing straight to the PriPE reproduces the post-merge result.
-    buffers = [kernel.make_buffer() for _ in range(config.pripes)]
-    kernel.process_routed(buffers, destinations, batch.keys, values)
-    result = kernel.collect(buffers)
+    # Exact result: one fused pass routes the shard and reduces it to
+    # what the PriPEs' private buffers would collect to, stream order
+    # kept within each PE.  SecPE partials always merge back into (or
+    # union with) the owning PriPE's state, so routing straight to the
+    # PriPE reproduces the post-merge result.
+    destinations, result = kernel.process_shard(batch.keys, batch.values)
 
     # Modeled cycles.  Without skew handling the closed-form bottleneck
     # applies; with SecPEs the windowed epoch model captures the
     # profiling transient and the hot channel's drain.
     counts = np.bincount(destinations, minlength=config.pripes)
     if config.skew_handling:
+        # Imported here: repro.perf.epoch imports repro.core, whose
+        # package init imports this module.
         from repro.perf.epoch import EpochModel
 
         epoch = EpochModel(config).run(destinations)
         cycles = int(round(epoch.cycles))
         plans, reschedules = list(epoch.plans), epoch.reschedules
     else:
-        cycles = bottleneck_cycles(config, len(batch), int(counts.max()))
+        cycles = bottleneck_cycles(config, tuples, int(counts.max()))
         plans, reschedules = [], 0
-    final_plan = plans[-1] if plans else None
-    report = SimulationReport(
-        cycles=cycles,
-        completed=True,
-        module_utilization={"fastpath": 1.0},
-    )
-    return ArchitectureResult(
-        result=result,
-        cycles=cycles,
-        tuples=len(batch),
-        report=report,
-        pe_tuple_counts=_modeled_pe_counts(config, counts, final_plan),
-        plans=plans,
-        reschedules=reschedules,
-        config=config,
-    )
+    return _ModeledResult(config, result, tuples, cycles, counts, plans,
+                          reschedules)

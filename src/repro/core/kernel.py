@@ -11,7 +11,7 @@ models consume it.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -25,9 +25,9 @@ class KernelSpec(ABC):
       PriPE ID (line 5 of Listing 2: ``dst = tuple.key & 0xf``).
     * :meth:`process` is the PriPE/SecPE body — it applies one tuple to a
       private buffer (lines 14-15: ``hist[HASH(tuple.key)]++``).
-    * :meth:`process_routed` is the PE array working at once — it
-      applies a routed shard to every PE's buffer in one vectorised
-      pass (the fast path's hook; defaults to looping :meth:`process`).
+    * :meth:`process_shard` is the whole pipeline at once — it routes
+      a shard and applies it to a fresh PE array in one vectorised pass
+      (the fast path's hook; defaults to looping :meth:`process`).
     * :meth:`make_buffer` builds one PE's private buffer.
     * :meth:`merge_into` folds a SecPE's partial buffer into a PriPE's
       (the merger module), for *decomposable* applications.
@@ -105,26 +105,41 @@ class KernelSpec(ABC):
     def process(self, buffer: Any, key: int, value: int) -> None:
         """Apply one routed tuple to ``buffer`` (takes II cycles on-chip)."""
 
-    def process_routed(self, buffers: List[Any], destinations: np.ndarray,
-                       keys: np.ndarray, values: np.ndarray) -> None:
-        """Apply one routed shard to the whole PE array.
+    def process_shard(self, keys: np.ndarray,
+                      values: np.ndarray) -> Tuple[np.ndarray, Any]:
+        """Route one shard and apply it to a **fresh** PE array.
 
-        ``buffers[p]`` is PriPE ``p``'s private buffer and
-        ``destinations[i]`` (this kernel's :meth:`route_array` of
-        ``keys``) names the PE that owns tuple ``i``; stream order is
-        preserved within each PE.  The fast-path executor
-        (:mod:`repro.core.fastpath`) calls this once per shard.  Kernels
-        opt in by overriding with one NumPy pass over the shard
-        (bincount / ``ufunc.at`` scatter folded into the per-PE slices);
-        this default is the exact per-tuple fallback, so the fast path
-        is always available.  ``values`` have already been through
-        :meth:`prepare_value`; the arrays may be read-only views (the
-        shm transport's are), so implementations never write to them.
+        Returns ``(destinations, result)``: ``destinations[i]`` is the
+        PriPE that owns tuple ``i`` (an int64 array equal to
+        :meth:`route_array` of ``keys``) and ``result`` is exactly what
+        :meth:`collect` returns after every tuple has been through
+        :meth:`prepare_value` and :meth:`process` into its PE's fresh
+        :meth:`make_buffer`, stream order kept within each PE.  The
+        fast-path executor (:mod:`repro.core.fastpath`) makes this one
+        call per (non-empty) shard and models cycles from
+        ``np.bincount(destinations)``.
+
+        Kernels opt in by overriding with one NumPy pass that computes
+        the shard's hash once for routing and reducing alike and
+        returns the collected result directly (a full-width bincount
+        *is* the de-interleaved histogram); this default is the exact
+        per-tuple loop, so the fast path is always available.
+
+        Two points the process backend depends on.  The inputs may be
+        read-only views (the shm transport's are): never write to them.
+        And ``result`` must own its memory: the shm child drops its
+        slab views and recycles the slab right after the call, so a
+        result aliasing ``keys`` or ``values`` would be overwritten by
+        the next shard.
         """
-        for pe, key, value in zip(np.asarray(destinations).tolist(),
+        destinations = np.asarray(self.route_array(keys), dtype=np.int64)
+        prepared = self.prepare_value_array(keys, values)
+        buffers = [self.make_buffer() for _ in range(self.pripes)]
+        for pe, key, value in zip(destinations.tolist(),
                                   np.asarray(keys).tolist(),
-                                  np.asarray(values).tolist()):
+                                  prepared.tolist()):
             self.process(buffers[pe], key, value)
+        return destinations, self.collect(buffers)
 
     # ------------------------------------------------------------------
     # Merging (merger logic)

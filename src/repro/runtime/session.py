@@ -13,7 +13,7 @@ application (histograms add, HLL registers max-fold, partitions extend).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, List, Optional
 
 from repro.core.architecture import SkewObliviousArchitecture
@@ -79,10 +79,14 @@ class StreamingSession:
     result: Optional[Any] = None
     history: List[SegmentOutcome] = field(default_factory=list)
 
-    def process(self, batch: TupleBatch) -> SegmentOutcome:
+    def __post_init__(self) -> None:
+        # One pipeline description per session, not one per segment.
+        self._architecture = SkewObliviousArchitecture(self.config,
+                                                       self.kernel)
+
+    def process(self, batch: TupleBatch) -> SegmentOutcome:  # hot-path
         """Run one segment and fold its result into the running total."""
-        architecture = SkewObliviousArchitecture(self.config, self.kernel)
-        outcome = architecture.run(
+        outcome = self._architecture.run(
             batch, max_cycles=self.max_cycles_per_segment,
             engine=self.engine)
         if self.result is None:
@@ -106,9 +110,8 @@ class StreamingSession:
 
         The serving layer shards one stream across several workers, each
         holding a partial :class:`StreamingSession`; the partials merge
-        back into a single session with the same ``combine_results``
-        reduction used between segments.  Histories concatenate and are
-        re-indexed so ``history[i].index == i`` stays true.
+        back into a single session exactly as :meth:`absorb` folds a
+        snapshot.
         """
         if other.kernel.__class__ is not self.kernel.__class__:
             raise ValueError(
@@ -116,14 +119,7 @@ class StreamingSession:
                 f"({type(self.kernel).__name__} vs "
                 f"{type(other.kernel).__name__})"
             )
-        if other.result is not None:
-            if self.result is None:
-                self.result = other.result
-            else:
-                self.result = self.kernel.combine_results(self.result,
-                                                          other.result)
-        for record in other.history:
-            self.history.append(replace(record, index=len(self.history)))
+        self.absorb(other.snapshot())
 
     def snapshot(self) -> SessionSnapshot:
         """Portable copy of the session's accumulated state.
@@ -141,9 +137,9 @@ class StreamingSession:
     def absorb(self, snapshot: SessionSnapshot) -> None:
         """Fold a :class:`SessionSnapshot` into this session.
 
-        The cross-process analogue of :meth:`merge_from`: same
-        ``combine_results`` reduction, same history concatenation and
-        re-indexing, applied to a snapshot instead of a live session.
+        Results fold with the same ``combine_results`` reduction used
+        between segments.  Histories concatenate and are re-indexed so
+        ``history[i].index == i`` stays true.
         """
         if snapshot.kernel_type != type(self.kernel).__name__:
             raise ValueError(
@@ -157,8 +153,12 @@ class StreamingSession:
             else:
                 self.result = self.kernel.combine_results(
                     self.result, snapshot.result)
-        for record in snapshot.history:
-            self.history.append(replace(record, index=len(self.history)))
+        self.history.extend(
+            SegmentOutcome(index, record.tuples, record.cycles,
+                           record.tuples_per_cycle, record.plans,
+                           record.reschedules)
+            for index, record in enumerate(snapshot.history,
+                                           len(self.history)))
 
     @property
     def total_tuples(self) -> int:

@@ -13,7 +13,10 @@ from repro.apps.pagerank import (
     to_fixed,
 )
 from repro.core.config import ArchitectureConfig
+from repro.core.fastpath import run_fast
+from repro.core.kernel import KernelSpec
 from repro.workloads.graphs import GraphDataset, rmat_graph
+from repro.workloads.tuples import TupleBatch
 
 
 def small_graph():
@@ -62,6 +65,22 @@ class TestKernel:
         sums = kernel.golden(np.array([1, 1, 2]), np.array([0, 0, 0]))
         assert sums[1] == 200
         assert sums[2] == 100
+
+
+    def test_fast_path_refuses_an_out_of_range_vertex_like_the_pe_body(self):
+        """A ``uint64`` key >= 2**63 must not wrap into a negative index
+        that credits the last real vertex: the all-ones sentinel fails
+        the shard exactly as the per-tuple PE body does."""
+        kernel = PageRankKernel(64)
+        kernel.set_contributions(np.full(64, 3, dtype=np.int64))
+        batch = TupleBatch(np.array([2**64 - 1, 3], dtype=np.uint64),
+                           np.zeros(2, dtype=np.int64))
+        with pytest.raises(IndexError) as looped:
+            KernelSpec.process_shard(kernel, batch.keys, batch.values)
+        with pytest.raises(IndexError) as fast:
+            run_fast(ArchitectureConfig(), kernel, batch)
+        assert str(fast.value) == str(looped.value)
+        assert "index 1152921504606846975 is out of bounds" in str(fast.value)
 
 
 class TestEndToEnd:

@@ -10,6 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import repro.apps.hyperloglog
 import repro.apps.partition
 import repro.core.fastpath
 from repro.apps.heavy_hitter import HeavyHitterKernel, half_duplicate_stream
@@ -103,11 +104,12 @@ class TestSkewHandlingEquivalence:
 
 
 class TestHeavyHitterFastPath:
-    def test_process_routed_replays_the_per_tuple_loop_exactly(self):
-        """Sketch cells AND candidate admissions (decided at each key's
-        last occurrence against its running estimate) must match the
-        sequential loop, even with heavy collisions and warm buffers —
-        with four PEs sharing each call."""
+    def test_process_shard_replays_the_per_tuple_loop_exactly(self):
+        """Candidate admissions (decided at each key's last occurrence
+        against its running estimate) and the final thresholds on each
+        PE's private sketch must match the sequential loop, even with
+        heavy collisions — with four PEs sharing each call, one fresh
+        PE array per shard."""
         rng = np.random.default_rng(0)
         for trial in range(10):
             kernel = HeavyHitterKernel(
@@ -119,18 +121,15 @@ class TestHeavyHitterFastPath:
             warm = rng.integers(0, 30, 20).astype(np.uint64)
             keys = rng.integers(0, 50, int(rng.integers(1, 400))
                                 ).astype(np.uint64)
-            sequential = [kernel.make_buffer() for _ in range(4)]
-            for key in np.concatenate([warm, keys]):
-                kernel.process(sequential[kernel.route(int(key))],
-                               int(key), 1)
-            routed = [kernel.make_buffer() for _ in range(4)]
             for chunk in (warm, keys):
-                kernel.process_routed(routed, kernel.route_array(chunk),
-                                      chunk,
-                                      np.ones(chunk.size, dtype=np.int64))
-            for ours, theirs in zip(routed, sequential):
-                assert np.array_equal(theirs.cms, ours.cms)
-                assert theirs.candidates == ours.candidates
+                sequential = [kernel.make_buffer() for _ in range(4)]
+                for key in chunk.tolist():
+                    kernel.process(sequential[kernel.route(key)], key, 1)
+                destinations, result = kernel.process_shard(
+                    chunk, np.ones(chunk.size, dtype=np.int64))
+                assert np.array_equal(destinations,
+                                      kernel.route_array(chunk))
+                assert result == kernel.collect(sequential)
 
     def test_detected_hitters_match_cycle_engine(self):
         batch = half_duplicate_stream(6_000, seed=3)
@@ -145,10 +144,11 @@ class TestHeavyHitterFastPath:
 
 
 class TestPerShardCost:
-    """The PE array runs as one pass per shard, not one per PriPE.
+    """One fused kernel pass per shard; the PE storage is not stepped.
 
-    Counted, not timed: a regression to per-PE stepping (16 kernel
-    calls, 17 hashes of the shard, an argsort/split per shard) changes
+    Counted, not timed: a regression to per-PE stepping (16 buffers
+    zeroed, folded into and de-interleaved, the shard hashed once to
+    route and once more to reduce, an argsort/split per shard) changes
     no result, so otherwise only the wall-clock benchmark would notice.
     """
 
@@ -168,8 +168,11 @@ class TestPerShardCost:
                 return original(*args, **kwargs)
             monkeypatch.setattr(owner, name, counted)
 
-        count(type(kernel), "process_routed", "process_routed")
-        count(HistogramKernel, "bin_array", "bin_array")
+        count(type(kernel), "process_shard", "process_shard")
+        count(type(kernel), "make_buffer", "make_buffer")
+        count(HistogramKernel, "bin_array", "histo")
+        count(repro.apps.hyperloglog, "fmix64_array", "hll")
+        count(PartitionKernel, "partition_array", "dp")
         count(repro.core.fastpath, "group_spans", "run_fast.group_spans")
         count(repro.apps.partition, "group_spans", "dp.group_spans")
 
@@ -177,8 +180,12 @@ class TestPerShardCost:
             run_fast(SERVING_CONFIG, kernel,
                      batch.slice(shard * 1_000, (shard + 1) * 1_000))
 
-        assert calls["process_routed"] == self.SHARDS
-        assert calls["bin_array"] <= 2 * self.SHARDS  # route + process
+        assert calls["process_shard"] == self.SHARDS
+        # The shard's hash serves routing and reducing alike.
+        for hashed in ("histo", "hll", "dp"):
+            assert calls[hashed] == (self.SHARDS if app == hashed else 0)
+        if app in ("histo", "hll", "pagerank"):
+            assert calls["make_buffer"] == 0
         assert calls["run_fast.group_spans"] == 0
         # DP groups by partition id once per shard; nobody else sorts.
         assert calls["dp.group_spans"] == (self.SHARDS if app == "dp" else 0)

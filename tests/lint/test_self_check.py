@@ -6,11 +6,12 @@ unlocked guarded access, a raw clock call on the dispatch path, a copy
 in a hot function, or an unregistered trace kind fails here first.
 """
 
+import ast
 from pathlib import Path
 
 import pytest
 
-from repro.lint import run_lint
+from repro.lint import load_project, run_lint
 
 SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -36,3 +37,16 @@ def test_suppressions_are_deliberate_hot_path_copies_only(report):
     assert {f.rule for f in report.suppressed} <= {"hot-path"}
     assert len(report.suppressed) <= 4, [
         f.render() for f in report.suppressed]
+
+
+@pytest.mark.parametrize("path, function", [
+    ("core/fastpath.py", "run_fast"),
+    ("runtime/session.py", "process"),
+])
+def test_the_per_shard_call_chain_is_policed(path, function):
+    # One call of each per shard on the serving path: a copy or a
+    # ``.tolist()`` coming back costs more than the kernels they wrap.
+    src = load_project([SRC / path]).files[0]
+    marked = [node.name for node in ast.walk(src.tree)
+              if isinstance(node, ast.FunctionDef) and src.is_hot(node)]
+    assert function in marked

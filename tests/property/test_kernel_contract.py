@@ -1,31 +1,40 @@
-"""The fast path's kernel contract: ``process_routed`` ≡ the ``process`` loop.
+"""The fast path's kernel contract: ``process_shard`` ≡ the ``process`` loop.
 
-:func:`repro.core.fastpath.run_fast` hands every kernel a whole routed
-shard in one :meth:`~repro.core.kernel.KernelSpec.process_routed` call.
-Whatever one-pass reduction a kernel implements there must leave the PE
-array in the state the per-tuple PE body would: arrays bit-equal, DP
-partition lists in stream order, HHD sketches and candidate estimates
-equal — on cold buffers and on buffers an earlier shard already warmed.
+:func:`repro.core.fastpath.run_fast` hands every kernel a whole shard in
+one :meth:`~repro.core.kernel.KernelSpec.process_shard` call and takes
+back ``(destinations, result)``.  Whatever one-pass reduction a kernel
+implements there must return what the per-tuple PE body leaves behind:
+``destinations`` the ``route`` of every key, ``result`` the ``collect``
+of a fresh PE array after every tuple was ``prepare_value``d and
+``process``ed into its PE — arrays bit-equal with equal dtype, DP
+partition lists in stream order, HHD estimates equal.
 
-One thing is pinned separately because the loop cannot define it: the
-*position* of the dict keys a shard adds (DP partition ids, HHD
-candidates).  The loop inserts a key when it first shows up in the
-stream; the vectorised hooks insert a shard's new keys in ascending
-order after the keys already present.  A result's pickle — and so the
-benchmark's ``result_digest`` — sees that order, so it may not drift.
+Three things are pinned separately because the loop cannot define them.
+The *position* of the dict keys in a result (DP partition ids, HHD
+hitters): the loop inserts a key when it first shows up in the stream,
+the vectorised hooks yield PE-major order, ascending within a PE; a
+result's pickle — and so the benchmark's ``result_digest`` — sees that
+order, so it may not drift.  And the two properties the shm transport
+relies on: a hook never writes to its inputs (they are read-only slab
+views there) and never returns memory shared with them (the slab is
+recycled right after the call).
 """
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.apps.heavy_hitter import HeavyHitterKernel, SketchBuffer
+from repro.apps.heavy_hitter import HeavyHitterKernel
 from repro.apps.histo import HistogramKernel
 from repro.apps.hyperloglog import HyperLogLogKernel
 from repro.apps.pagerank import PageRankKernel
 from repro.apps.partition import PartitionKernel
+from repro.core.config import ArchitectureConfig
+from repro.runtime import StreamingSession
+from repro.workloads.tuples import TupleBatch
 
 VERTICES = 61  # not a multiple of either PE count: the last slots are ragged
+SLOTS = 64     # ... and 61..63 fall in their tail under both PE counts
 
 
 def _pagerank(pripes):
@@ -57,42 +66,47 @@ shards = st.tuples(
 )
 
 
-def routed_shard(kernel, shard):
-    """Read-only ``(destinations, keys, prepared values)`` of a shard —
-    what ``run_fast`` passes, as the shm transport delivers it."""
+def shard_arrays(kernel, shard):
+    """Read-only ``(keys, values)`` of a shard — what ``run_fast``
+    passes, as the shm transport delivers it."""
     raw_keys, value_seed, single_pe = shard
     keys = np.array(raw_keys, dtype=np.uint64)
     if isinstance(kernel, PageRankKernel):
-        keys %= np.uint64(VERTICES)
+        keys %= np.uint64(SLOTS)
     values = np.random.default_rng(value_seed).integers(
         0, VERTICES, keys.size, dtype=np.int64)
-    destinations = np.asarray(kernel.route_array(keys), dtype=np.int64)
     if single_pe:
+        destinations = np.asarray(kernel.route_array(keys))
         keep = destinations == destinations[0]
-        destinations, keys, values = (
-            destinations[keep], keys[keep], values[keep])
-    values = kernel.prepare_value_array(keys, values)
-    for array in (destinations, keys, values):
-        array.setflags(write=False)
-    return destinations, keys, values
+        keys, values = keys[keep], values[keep]
+    keys.setflags(write=False)
+    values.setflags(write=False)
+    return keys, values
 
 
-def dict_of(buffer):
-    """The insertion-ordered dict a buffer carries, if any."""
-    if isinstance(buffer, SketchBuffer):
-        return buffer.candidates
-    return buffer if isinstance(buffer, dict) else None
+def looped(kernel, keys, values):
+    """``(destinations, result)`` by the PrePE and PE bodies, per tuple."""
+    buffers = [kernel.make_buffer() for _ in range(kernel.pripes)]
+    destinations = []
+    for key, value in zip(keys.tolist(), values.tolist()):
+        destinations.append(kernel.route(key))
+        kernel.process(buffers[destinations[-1]], key,
+                       kernel.prepare_value(key, value))
+    return destinations, kernel.collect(buffers)
 
 
-def assert_same_state(ours, theirs):
-    if isinstance(ours, SketchBuffer):
-        assert_same_state(ours.cms, theirs.cms)
-        ours, theirs = ours.candidates, theirs.candidates
+def arrays_in(result):
+    if isinstance(result, np.ndarray):
+        return [result]
+    return [item for item in result.values() if isinstance(item, np.ndarray)]
+
+
+def assert_same_result(ours, theirs):
     if isinstance(ours, np.ndarray):
         assert ours.dtype == theirs.dtype
         assert np.array_equal(ours, theirs)
     else:
-        assert ours == theirs  # dict of lists: stream order inside each
+        assert ours == theirs  # DP: dict of lists, stream order inside each
 
 
 @pytest.mark.parametrize("pripes", [4, 16])
@@ -102,22 +116,33 @@ def assert_same_state(ours, theirs):
 @example(first=([3], 0, False), second=([3], 1, False))
 @example(first=([0, 1, 2, 3, 4, 5, 6, 7] * 6, 2, True),
          second=([7, 6, 5, 4, 3, 2, 1, 0] * 6, 3, True))
-def test_process_routed_equals_the_per_tuple_loop(app, pripes, first, second):
+@example(first=([61, 62, 63, 60, 0], 4, False), second=([63] * 9, 5, False))
+def test_process_shard_equals_the_per_tuple_loop(app, pripes, first, second):
     kernel = KERNELS[app](pripes)
-    routed = [kernel.make_buffer() for _ in range(pripes)]
-    looped = [kernel.make_buffer() for _ in range(pripes)]
-    for shard in (first, second):  # the second meets warm buffers
-        destinations, keys, values = routed_shard(kernel, shard)
-        present = [list(dict_of(buffer) or ()) for buffer in routed]
+    session = StreamingSession(
+        config=ArchitectureConfig(pripes=pripes), kernel=kernel,
+        engine="fast")
+    expected = []
+    for shard in (first, second):
+        keys, values = shard_arrays(kernel, shard)
+        destinations, result = kernel.process_shard(keys, values)
+        loop_destinations, loop_result = looped(kernel, keys, values)
+        expected.append(loop_result)
 
-        kernel.process_routed(routed, destinations, keys, values)
-        for pe, key, value in zip(destinations.tolist(), keys.tolist(),
-                                  values.tolist()):
-            kernel.process(looped[pe], key, value)
+        assert destinations.dtype == np.int64
+        assert destinations.tolist() == loop_destinations
+        assert_same_result(result, loop_result)
+        for array in arrays_in(result):
+            assert not np.shares_memory(array, keys)
+            assert not np.shares_memory(array, values)
+        if isinstance(result, dict):
+            # PE-major as collect walks the PEs, ascending within a PE.
+            owner = dict(zip(keys.tolist(), loop_destinations))
+            if app == "dp":
+                owner = {part: part % pripes for part in result}
+            assert list(result) == sorted(
+                result, key=lambda key: (owner[key], key))
 
-        for ours, theirs, before in zip(routed, looped, present):
-            assert_same_state(ours, theirs)
-            if dict_of(ours) is not None:
-                order = list(dict_of(ours))
-                assert order[:len(before)] == before
-                assert order[len(before):] == sorted(order[len(before):])
+        # Each shard meets a fresh PE array; the session folds results.
+        session.process(TupleBatch(keys, values))
+    assert_same_result(session.result, kernel.combine_results(*expected))

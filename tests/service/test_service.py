@@ -224,6 +224,30 @@ class TestFailurePaths:
         golden = kernel_for("histo", 16).golden(batch.keys, batch.values)
         assert np.array_equal(service.result(retry).result, golden)
 
+    def test_out_of_range_vertex_fails_its_job_not_its_neighbour(
+            self, service):
+        """The all-ones key sentinel used to wrap into index -1 on the
+        fast path and credit the last real vertex: the job completed
+        with a wrong result where the PE body raises."""
+        params = {"num_vertices": 64}
+        bad = TupleBatch(np.array([2**64 - 1, 3], dtype=np.uint64),
+                         np.zeros(2, dtype=np.int64))
+        rng = np.random.default_rng(6)
+        good = TupleBatch(rng.integers(0, 64, 500).astype(np.uint64),
+                          rng.integers(0, 64, 500, dtype=np.int64))
+        bad_id = service.submit("pagerank", chunk_stream(bad, 2),
+                                window_seconds=WINDOW, params=params)
+        good_id = service.submit("pagerank", chunk_stream(good, 250),
+                                 window_seconds=WINDOW, params=params)
+        service.run()
+        status = service.poll(bad_id)
+        assert status["status"] == "failed"
+        assert "index 1152921504606846975 is out of bounds" \
+            in status["error"]
+        golden = kernel_for("pagerank", 16, params).golden(good.keys,
+                                                           good.values)
+        assert np.array_equal(service.result(good_id).result, golden)
+
     def test_unknown_job_id(self, service):
         with pytest.raises(KeyError):
             service.poll("job-does-not-exist")
