@@ -109,6 +109,11 @@ def test_capture_yields_complete_stage_breakdown(emit):
     assert max(e.clock for e in events) == snapshot["tuples_windowed"]
     assert sum(e.data["tuples"] for e in segments) \
         == snapshot["total_tuples"]
+    # Each window event lists the shards its segments answer.
+    windows = [e for e in events if e.kind == "job.window"]
+    assert sum(len(e.data["shards"]) for e in windows) == len(segments)
+    assert sum(tuples for e in windows for _, tuples in e.data["shards"]) \
+        == snapshot["total_tuples"]
 
     # Every tenant's jobs fold into a full four-stage breakdown.
     breakdown = stage_breakdown(events)
@@ -130,6 +135,7 @@ def test_capture_yields_complete_stage_breakdown(emit):
          data={
              "events": len(events),
              "jobs": len(submits),
+             "windows": len(windows),
              "segments": len(segments),
              "breakdown": breakdown,
          })

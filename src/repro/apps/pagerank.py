@@ -169,11 +169,6 @@ class PageRankRun:
     total_cycles: int
     edges_processed: int
 
-    @property
-    def ranks_float(self) -> np.ndarray:
-        """Rank vector as floats."""
-        return from_fixed(self.ranks)
-
     def mteps(self, frequency_mhz: float) -> float:
         """Million traversed edges per second at ``frequency_mhz``."""
         if self.total_cycles == 0:

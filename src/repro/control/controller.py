@@ -41,35 +41,34 @@ from repro.obs import events as trace_events
 from repro.obs.collector import TraceCollector
 
 
+#: Per-tenant queue-delay SLO attainment below which the autoscaler
+#: treats the fleet as under-provisioned: it grows (capacity
+#: permitting) and refuses to shrink even if the fleet-wide
+#: cycles-per-tuple objective looks comfortable.
+TENANT_ATTAINMENT_TARGET = 0.9
+
+
 @dataclass(frozen=True)
 class ControlPolicy:
     """Tunables of the adaptive control loop.
 
-    Drift / replanning knobs mirror :class:`CostAwareReplanner` and
-    :class:`DriftDetector`; autoscaling knobs mirror :class:`Autoscaler`.
+    Replanning knobs mirror :class:`CostAwareReplanner`; autoscaling
+    knobs mirror :class:`Autoscaler`.
     ``reschedule_cost_cycles=None`` derives the cost from the service's
     architecture configuration
     (:func:`~repro.control.replanner.default_reschedule_cost_cycles`).
     """
 
-    drift_threshold: float = 0.25
     reschedule_cost_cycles: Optional[int] = None
     cycles_per_tuple: float = 0.5
     amortize_factor: float = 4.0
     burst_tuples: int = 0
     hysteresis_windows: int = 2
-    cache_capacity: int = 32
-    signature_levels: int = 8
     autoscale_every: int = 8
     min_workers: int = 1
     max_workers: int = 32
     shrink_margin: float = 0.4
     scale_cooldown: int = 1
-    #: Per-tenant queue-delay SLO attainment below which the autoscaler
-    #: treats the fleet as under-provisioned: it grows (capacity
-    #: permitting) and refuses to shrink even if the fleet-wide
-    #: cycles-per-tuple objective looks comfortable.
-    tenant_attainment_target: float = 0.9
 
     def with_cost(self, cost: int) -> "ControlPolicy":
         """A copy with a concrete rescheduling cost filled in."""
@@ -124,7 +123,7 @@ class AdaptiveController:
             raise ValueError(
                 "policy.reschedule_cost_cycles must be resolved before "
                 "constructing the controller")
-        self.detector = DriftDetector(self.policy.drift_threshold)
+        self.detector = DriftDetector()
         self.replanner = CostAwareReplanner(
             self.policy.reschedule_cost_cycles,
             cycles_per_tuple=self.policy.cycles_per_tuple,
@@ -132,8 +131,7 @@ class AdaptiveController:
             burst_tuples=self.policy.burst_tuples,
             hysteresis_windows=self.policy.hysteresis_windows,
         )
-        self.cache = PlanCache(self.policy.cache_capacity,
-                               self.policy.signature_levels)
+        self.cache = PlanCache()
         self.autoscaler = None if slo is None else Autoscaler(
             slo,
             min_workers=self.policy.min_workers,
@@ -259,7 +257,7 @@ class AdaptiveController:
         previous = self._previous_histogram
         if (previous is not None and len(previous) == len(histogram)
                 and total_variation(histogram, previous)
-                < self.policy.drift_threshold):
+                < self.detector.threshold):
             self._settled_drift_windows += 1
         else:
             self._settled_drift_windows = 0
@@ -376,7 +374,7 @@ class AdaptiveController:
         # capacity even when the fleet-wide cycles-per-tuple looks fine.
         attainment = self.metrics.tenant_slo_attainment()
         pressure = any(
-            value < self.policy.tenant_attainment_target
+            value < TENANT_ATTAINMENT_TARGET
             for value in attainment.values()
         )
         decision = self.autoscaler.decide(

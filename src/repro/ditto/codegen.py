@@ -253,10 +253,6 @@ class GeneratedSource:
         """Number of ``__kernel`` definitions across all files."""
         return sum(text.count("__kernel") for text in self.files.values())
 
-    def full_text(self) -> str:
-        """All files concatenated (for structure checks)."""
-        return "\n".join(self.files[name] for name in sorted(self.files))
-
 
 class OpenCLGenerator:
     """Emits the OpenCL source set for one implementation.

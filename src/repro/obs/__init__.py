@@ -54,7 +54,6 @@ from repro.obs.events import (
     JOB_FAIL,
     JOB_MERGE,
     JOB_SEGMENT,
-    JOB_SHARD,
     JOB_SUBMIT,
     JOB_WINDOW,
     SIM_CHANNEL,
@@ -79,7 +78,6 @@ __all__ = [
     "JOB_SUBMIT",
     "JOB_ADMIT",
     "JOB_WINDOW",
-    "JOB_SHARD",
     "JOB_SEGMENT",
     "JOB_MERGE",
     "JOB_COMPLETE",

@@ -12,7 +12,7 @@ Stage semantics (per job, then aggregated per tenant):
     Dispatch-clock tuples between ``job.submit`` and ``job.admit`` —
     how long the job sat behind other tenants' work.
 ``dispatch``
-    Clock span from ``job.admit`` to the job's last ``job.shard`` —
+    Clock span from ``job.admit`` to the job's last ``job.window`` —
     how long the dispatcher spent streaming the job's windows out.
 ``execute``
     Deterministic busiest-worker cycles summed from the job's
@@ -38,8 +38,8 @@ from repro.obs.events import (
     JOB_COMPLETE,
     JOB_MERGE,
     JOB_SEGMENT,
-    JOB_SHARD,
     JOB_SUBMIT,
+    JOB_WINDOW,
     TraceEvent,
 )
 
@@ -86,7 +86,7 @@ def job_spans(events: Iterable[TraceEvent]) -> Dict[str, Dict[str, Any]]:
         record = jobs.setdefault(event.job_id, {
             "tenant_id": event.tenant_id,
             "submit_clock": None, "admit_clock": None,
-            "last_shard_clock": None, "execute_cycles": 0,
+            "last_window_clock": None, "execute_cycles": 0,
             "merge_wall": None, "complete_wall": None,
             "segments": 0,
         })
@@ -96,8 +96,8 @@ def job_spans(events: Iterable[TraceEvent]) -> Dict[str, Dict[str, Any]]:
             record["submit_clock"] = event.clock
         elif event.kind == JOB_ADMIT:
             record["admit_clock"] = event.clock
-        elif event.kind == JOB_SHARD:
-            record["last_shard_clock"] = event.clock
+        elif event.kind == JOB_WINDOW:
+            record["last_window_clock"] = event.clock
         elif event.kind == JOB_SEGMENT:
             record["segments"] += 1
             record["execute_cycles"] += int(
@@ -112,7 +112,7 @@ def job_spans(events: Iterable[TraceEvent]) -> Dict[str, Dict[str, Any]]:
         record["queue"] = (admit - submit
                            if submit is not None and admit is not None
                            else None)
-        last = record["last_shard_clock"]
+        last = record["last_window_clock"]
         record["dispatch"] = (last - admit
                               if admit is not None and last is not None
                               else None)

@@ -130,10 +130,6 @@ class TraceCollector:
         self._sinks.append(sink)
         return sink
 
-    def remove_sink(self, sink: TraceSink) -> None:
-        if sink in self._sinks:
-            self._sinks.remove(sink)
-
     def close(self) -> None:
         """Close every sink (the ring stays readable)."""
         for sink in self._sinks:

@@ -28,12 +28,11 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-# --- job lifecycle spans (submit -> admit -> dispatch -> window-close
-# --- -> shard -> segment -> merge -> complete) ---
+# --- job lifecycle spans (submit -> admit -> window-close -> segment
+# --- -> merge -> complete) ---
 JOB_SUBMIT = "job.submit"        #: job accepted into the queue
 JOB_ADMIT = "job.admit"          #: dispatcher started the job
-JOB_WINDOW = "job.window"        #: one event-time window closed
-JOB_SHARD = "job.shard"          #: one window shard sent to one worker
+JOB_WINDOW = "job.window"        #: one window closed; lists its shards
 JOB_SEGMENT = "job.segment"      #: one worker finished one shard
 JOB_MERGE = "job.merge"          #: per-worker partials being merged
 JOB_COMPLETE = "job.complete"    #: job reached COMPLETED
@@ -80,16 +79,9 @@ def _registered_kinds() -> frozenset:
 
 #: The dotted-kind registry: the set of event names this schema admits.
 #: ``repro.lint``'s *trace-schema* rule checks every emit site against
-#: it statically; runtime consumers (``repro trace`` analysis, replay
-#: diffing) can use it to reject captures with unknown kinds.  A new
-#: subsystem mints a kind by adding a module constant above — the
-#: registry picks it up automatically.
+#: it statically.  A new subsystem mints a kind by adding a module
+#: constant above — the registry picks it up automatically.
 KINDS = _registered_kinds()
-
-
-def is_registered(kind: str) -> bool:
-    """True if ``kind`` is a registered dotted event name."""
-    return kind in KINDS
 
 
 @dataclass(frozen=True)

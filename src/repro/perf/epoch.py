@@ -242,7 +242,3 @@ class EpochModel:
             reschedules=0,
             window_rates=[rate],
         )
-
-    def _shares(self, window: np.ndarray) -> np.ndarray:
-        counts = np.bincount(window, minlength=self.config.pripes)
-        return counts / max(1, window.size)

@@ -7,6 +7,6 @@ deployment keeps a running histogram / register file / sketch while the
 skew-handling machinery adapts underneath.
 """
 
-from repro.runtime.session import SegmentOutcome, StreamingSession
+from repro.runtime.session import StreamingSession
 
-__all__ = ["SegmentOutcome", "StreamingSession"]
+__all__ = ["StreamingSession"]

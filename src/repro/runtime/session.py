@@ -3,9 +3,9 @@
 Each segment runs through a fresh pipeline instance (as the hardware
 would restart its input DMA per buffer), while the application-level
 result accumulates on the host side — a running histogram, a running
-HLL register file, growing partitions.  The session also tracks
-per-segment throughput so online experiments can watch the architecture
-adapt to distribution changes.
+HLL register file, growing partitions — and three running totals
+(segments, tuples, cycles).  Nothing is kept per segment, so a session's
+size does not grow with the stream.
 
 Accumulation uses :meth:`KernelSpec.combine_results`, implemented per
 application (histograms add, HLL registers max-fold, partitions extend).
@@ -14,29 +14,20 @@ application (histograms add, HLL registers max-fold, partitions extend).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional
+from typing import Any, Optional
 
-from repro.core.architecture import SkewObliviousArchitecture
+from repro.core.architecture import (
+    ArchitectureResult,
+    SkewObliviousArchitecture,
+)
 from repro.core.config import ArchitectureConfig
 from repro.core.kernel import KernelSpec
 from repro.workloads.tuples import TupleBatch
 
 
 @dataclass
-class SegmentOutcome:
-    """Per-segment record kept by the session."""
-
-    index: int
-    tuples: int
-    cycles: int
-    tuples_per_cycle: float
-    plans: int
-    reschedules: int
-
-
-@dataclass
 class SessionSnapshot:
-    """Portable state of one session: the running result plus history.
+    """Portable state of one session: the running result plus totals.
 
     This is the unit the multi-process execution backend ships between a
     worker subprocess and the dispatcher: everything needed to fold the
@@ -49,7 +40,9 @@ class SessionSnapshot:
 
     kernel_type: str
     result: Any
-    history: List[SegmentOutcome] = field(default_factory=list)
+    segments: int
+    total_tuples: int
+    total_cycles: int
 
 
 @dataclass
@@ -77,15 +70,18 @@ class StreamingSession:
     max_cycles_per_segment: int = 20_000_000
     engine: str = "cycle"
     result: Optional[Any] = None
-    history: List[SegmentOutcome] = field(default_factory=list)
+    #: Segments processed, and the tuples / cycles summed over them.
+    segments: int = field(default=0, init=False)
+    total_tuples: int = field(default=0, init=False)
+    total_cycles: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         # One pipeline description per session, not one per segment.
         self._architecture = SkewObliviousArchitecture(self.config,
                                                        self.kernel)
 
-    def process(self, batch: TupleBatch) -> SegmentOutcome:  # hot-path
-        """Run one segment and fold its result into the running total."""
+    def process(self, batch: TupleBatch) -> ArchitectureResult:  # hot-path
+        """Run one segment, fold it in, and return the engine's outcome."""
         outcome = self._architecture.run(
             batch, max_cycles=self.max_cycles_per_segment,
             engine=self.engine)
@@ -94,31 +90,19 @@ class StreamingSession:
         else:
             self.result = self.kernel.combine_results(self.result,
                                                       outcome.result)
-        record = SegmentOutcome(
-            index=len(self.history),
-            tuples=len(batch),
-            cycles=outcome.cycles,
-            tuples_per_cycle=outcome.tuples_per_cycle,
-            plans=len(outcome.plans),
-            reschedules=outcome.reschedules,
-        )
-        self.history.append(record)
-        return record
+        self.segments += 1
+        self.total_tuples += outcome.tuples
+        self.total_cycles += outcome.cycles
+        return outcome
 
     def merge_from(self, other: "StreamingSession") -> None:
-        """Fold another session's running result and history into this one.
+        """Fold another session's running result and totals into this one.
 
         The serving layer shards one stream across several workers, each
         holding a partial :class:`StreamingSession`; the partials merge
         back into a single session exactly as :meth:`absorb` folds a
-        snapshot.
+        snapshot (which is what rejects another application's session).
         """
-        if other.kernel.__class__ is not self.kernel.__class__:
-            raise ValueError(
-                "cannot merge sessions of different applications "
-                f"({type(self.kernel).__name__} vs "
-                f"{type(other.kernel).__name__})"
-            )
         self.absorb(other.snapshot())
 
     def snapshot(self) -> SessionSnapshot:
@@ -131,19 +115,20 @@ class StreamingSession:
         return SessionSnapshot(
             kernel_type=type(self.kernel).__name__,
             result=self.result,
-            history=list(self.history),
+            segments=self.segments,
+            total_tuples=self.total_tuples,
+            total_cycles=self.total_cycles,
         )
 
     def absorb(self, snapshot: SessionSnapshot) -> None:
         """Fold a :class:`SessionSnapshot` into this session.
 
         Results fold with the same ``combine_results`` reduction used
-        between segments.  Histories concatenate and are re-indexed so
-        ``history[i].index == i`` stays true.
+        between segments; the totals add.
         """
         if snapshot.kernel_type != type(self.kernel).__name__:
             raise ValueError(
-                "cannot absorb a snapshot of a different application "
+                "cannot fold in state of different applications "
                 f"({type(self.kernel).__name__} vs "
                 f"{snapshot.kernel_type})"
             )
@@ -153,22 +138,9 @@ class StreamingSession:
             else:
                 self.result = self.kernel.combine_results(
                     self.result, snapshot.result)
-        self.history.extend(
-            SegmentOutcome(index, record.tuples, record.cycles,
-                           record.tuples_per_cycle, record.plans,
-                           record.reschedules)
-            for index, record in enumerate(snapshot.history,
-                                           len(self.history)))
-
-    @property
-    def total_tuples(self) -> int:
-        """Tuples processed across all segments."""
-        return sum(record.tuples for record in self.history)
-
-    @property
-    def total_cycles(self) -> int:
-        """Cycles consumed across all segments."""
-        return sum(record.cycles for record in self.history)
+        self.segments += snapshot.segments
+        self.total_tuples += snapshot.total_tuples
+        self.total_cycles += snapshot.total_cycles
 
     def average_throughput(self) -> float:
         """Session-wide tuples per cycle."""

@@ -87,16 +87,14 @@ class SkewAwareBalancer:
         (:mod:`repro.control`) turns this off and supplies plans
         explicitly through :meth:`apply_plan`; ``observe`` then only
         records the sample histogram in :attr:`last_histogram`.
-    sample_seed:
-        Seed of the profiling subsampler (deterministic replays).
     """
 
     #: Seed for the profiling subsampler (distinct from the shard seeds).
     SAMPLE_SEED = 0x5A3C1E
 
     def __init__(self, workers: int, secondaries: Optional[int] = None,
-                 profile_sample: int = 4096, auto_replan: bool = True,
-                 sample_seed: int = SAMPLE_SEED) -> None:
+                 profile_sample: int = 4096,
+                 auto_replan: bool = True) -> None:
         if profile_sample <= 0:
             raise ValueError("profile_sample must be positive")
         self._shape(workers, secondaries)
@@ -104,7 +102,7 @@ class SkewAwareBalancer:
         self.reconfigurations = 0
         self.profile_sample = profile_sample
         self.auto_replan = auto_replan
-        self._rng = np.random.default_rng(sample_seed)
+        self._rng = np.random.default_rng(self.SAMPLE_SEED)
         # Sticky by-key ownership: non-splittable kernels need each key's
         # tuples on ONE worker for a job's whole lifetime, across
         # rebalances and team reconfigurations.  Grows with the distinct
@@ -307,8 +305,8 @@ class SkewAwareBalancer:
 
 def make_balancer(name: str, workers: int) -> SkewAwareBalancer:
     """Balancer factory used by the service façade and the CLI."""
-    if name in ("skew", "skew-aware"):
+    if name == "skew":
         return SkewAwareBalancer(workers)
-    if name in ("rr", "roundrobin", "round-robin"):
+    if name == "roundrobin":
         return SkewAwareBalancer(workers, secondaries=0)
     raise ValueError(f"unknown balancer {name!r} (skew | roundrobin)")

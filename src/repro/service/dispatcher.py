@@ -295,7 +295,7 @@ class Dispatcher:
             job.result = merged.result
             job.tuples = merged.total_tuples
             job.cycles = merged.total_cycles
-            job.segments = len(merged.history)
+            job.segments = merged.segments
         job.status = JobStatus.COMPLETED
         self.metrics.record_completed(job.tenant_id)
         if self.tracer.enabled:
@@ -332,12 +332,6 @@ class Dispatcher:
             # nothing.
             dispatch_clock = (self.metrics.dispatch_clock()
                               if tracer.enabled else 0)
-            if tracer.enabled:
-                tracer.emit(
-                    trace_events.JOB_WINDOW, dispatch_clock,
-                    job_id=job.job_id, tenant_id=job.tenant_id,
-                    tuples=len(batch),
-                    window_index=job.windows_dispatched)
             keys = np.asarray(batch.keys)
             plans_before = balancer.rebalances
             if self.controller is not None:
@@ -361,12 +355,17 @@ class Dispatcher:
                         tenant=job.tenant_id)
             shards = balancer.split(batch, by_key=by_key)
             shards = self._fold_to_quota(shards, spec)
+            if tracer.enabled:
+                # Names every shard about to be handed over; each comes
+                # back as a ``job.segment`` under the same clock.
+                tracer.emit(
+                    trace_events.JOB_WINDOW, dispatch_clock,
+                    job_id=job.job_id, tenant_id=job.tenant_id,
+                    tuples=len(batch),
+                    window_index=job.windows_dispatched,
+                    shards=[[worker_id, len(shard)]
+                            for worker_id, shard in shards.items()])
             for worker_id, shard in shards.items():
-                if tracer.enabled:
-                    tracer.emit(
-                        trace_events.JOB_SHARD, dispatch_clock,
-                        job_id=job.job_id, tenant_id=job.tenant_id,
-                        worker=worker_id, tuples=len(shard))
                 self.backend.dispatch(
                     worker_id,
                     WorkItem(job_id=job.job_id, batch=shard,

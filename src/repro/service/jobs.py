@@ -218,9 +218,7 @@ class Job:
     error: Optional[str] = None
     seq: int = field(default_factory=lambda: next(_job_counter))
     result: Any = None
-    #: Totals of the merged session, filled in when the job completes
-    #: (the per-segment records behind them are not kept: a retained
-    #: job would pin one per shard for as long as it is retained).
+    #: Totals of the merged session, filled in when the job completes.
     tuples: int = 0
     cycles: int = 0
     segments: int = 0

@@ -216,7 +216,7 @@ class WorkerPool(ExecutionBackend):
         # removed by a scale-down still hold partials to merge.
         owned = sorted(key for key in self._sessions if key[2] == job_id)
         partials = [self._sessions.pop(key) for key in owned]
-        partials = [partial for partial in partials if partial.history]
+        partials = [partial for partial in partials if partial.segments]
         if not partials:
             return None
         merged = self.session_factory(job_id)

@@ -170,13 +170,13 @@ def _child_main(conn, worker_id: int, ctrl_name: Optional[str]) -> None:  # hot-
                 _, job_id = msg
                 session = sessions.pop(job_id, None)
                 snap = (session.snapshot()
-                        if session is not None and session.history
+                        if session is not None and session.segments
                         else None)
                 conn.send(("collected", snap))
             elif kind == "handoff":
                 snaps = {job_id: session.snapshot()
                          for job_id, session in sessions.items()
-                         if session.history}
+                         if session.segments}
                 conn.send(("handoff", snaps, records, errors))
                 conn.close()
                 return

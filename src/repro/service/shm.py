@@ -284,9 +284,6 @@ class SlabArena:
         self.reclaim()
         return sum(len(ring) for ring in self._rings.values())
 
-    def slab_names(self) -> List[str]:
-        return [slab.name for slab in self._order]
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------

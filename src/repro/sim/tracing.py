@@ -13,7 +13,7 @@ trace``, :func:`repro.obs.read_jsonl`) reads either.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 from repro.sim.channel import Channel
 
@@ -36,10 +36,6 @@ class ChannelOccupancyTrace:
         self.cycles.append(cycle)
         for channel in self._channels:
             self.samples[channel.name].append(channel.occupancy)
-
-    def as_callback(self) -> Callable[[int], None]:
-        """Adapter usable as ``Simulator.run(progress=...)``."""
-        return self.sample
 
     def max_occupancy(self, name: str) -> int:
         """Largest sampled occupancy of channel ``name``."""

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-import networkx as nx
 import numpy as np
 
 
@@ -74,17 +73,6 @@ class GraphDataset:
         pe = self.dst % destinations
         counts = np.bincount(pe, minlength=destinations)
         return counts.max() / max(1, self.num_edges)
-
-
-def _from_networkx(name: str, graph: "nx.Graph") -> GraphDataset:
-    """Symmetrise a networkx graph into the edge-array form."""
-    edges = np.asarray(list(graph.edges()), dtype=np.int64)
-    if edges.size == 0:
-        return GraphDataset(name, graph.number_of_nodes(),
-                            np.empty(0, np.int64), np.empty(0, np.int64))
-    src = np.concatenate([edges[:, 0], edges[:, 1]])
-    dst = np.concatenate([edges[:, 1], edges[:, 0]])
-    return GraphDataset(name, graph.number_of_nodes(), src, dst)
 
 
 def rmat_graph(

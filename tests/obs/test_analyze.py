@@ -12,21 +12,23 @@ from repro.obs.analyze import job_spans
 from repro.obs.events import TraceEvent
 
 
-def _lifecycle(job_id, tenant, submit, admit, shard, cycles,
+def _lifecycle(job_id, tenant, submit, admit, window, cycles,
                merge_wall, complete_wall):
     return [
         TraceEvent(trace_events.JOB_SUBMIT, submit, 0.0,
                    job_id=job_id, tenant_id=tenant),
         TraceEvent(trace_events.JOB_ADMIT, admit, 0.0,
                    job_id=job_id, tenant_id=tenant),
-        TraceEvent(trace_events.JOB_SHARD, shard, 0.0,
-                   job_id=job_id, tenant_id=tenant, worker=0),
-        TraceEvent(trace_events.JOB_SEGMENT, shard, 0.0,
+        TraceEvent(trace_events.JOB_WINDOW, window, 0.0,
+                   job_id=job_id, tenant_id=tenant,
+                   data={"tuples": 100, "window_index": 0,
+                         "shards": [[0, 100]]}),
+        TraceEvent(trace_events.JOB_SEGMENT, window, 0.0,
                    job_id=job_id, tenant_id=tenant, worker=0,
                    data={"tuples": 100, "cycles": cycles}),
-        TraceEvent(trace_events.JOB_MERGE, shard, merge_wall,
+        TraceEvent(trace_events.JOB_MERGE, window, merge_wall,
                    job_id=job_id, tenant_id=tenant),
-        TraceEvent(trace_events.JOB_COMPLETE, shard, complete_wall,
+        TraceEvent(trace_events.JOB_COMPLETE, window, complete_wall,
                    job_id=job_id, tenant_id=tenant),
     ]
 
@@ -34,7 +36,7 @@ def _lifecycle(job_id, tenant, submit, admit, shard, cycles,
 class TestJobSpans:
     def test_stage_arithmetic(self):
         spans = job_spans(_lifecycle("j", "alice", submit=0, admit=4_000,
-                                     shard=12_000, cycles=900,
+                                     window=12_000, cycles=900,
                                      merge_wall=10.0,
                                      complete_wall=10.002))
         record = spans["j"]

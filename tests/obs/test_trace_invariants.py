@@ -110,6 +110,38 @@ class TestBackendInvariantTimestamps:
         assert {e.clock for e in segments} <= windows
         assert sum(e.data["cycles"] for e in segments) > 0
 
+    @pytest.mark.parametrize("quota", (None, 2))
+    def test_window_event_lists_the_shards_dispatched(self, quota):
+        """A ``job.window`` names every (worker, tuples) shard handed
+        over for it — after the quota fold — and inline each comes
+        straight back as a ``job.segment`` under the same clock."""
+        tracer = TraceCollector(enabled=True)
+        service = StreamService(workers=4, balancer="skew",
+                                tracer=tracer)
+        service.register_tenant(TenantSpec("capped", worker_quota=quota))
+        try:
+            batch, _ = app_workload("histo")
+            service.submit("histo", chunk_stream(batch, 2_000),
+                           window_seconds=2e-6, tenant_id="capped")
+            service.run()
+        finally:
+            service.shutdown()
+        events = [e for e in tracer.events() if e.kind in (
+            trace_events.JOB_WINDOW, trace_events.JOB_SEGMENT)]
+        windows = [i for i, e in enumerate(events)
+                   if e.kind == trace_events.JOB_WINDOW]
+        assert windows
+        workers = set()
+        for start, stop in zip(windows, windows[1:] + [len(events)]):
+            window, segments = events[start], events[start + 1:stop]
+            shards = window.data["shards"]
+            assert sum(t for _, t in shards) == window.data["tuples"]
+            assert shards == [[e.worker, e.data["tuples"]]
+                              for e in segments]
+            assert {e.clock for e in segments} == {window.clock}
+            workers.update(worker for worker, _ in shards)
+        assert workers == set(range(quota or 4))
+
     def test_process_backend_traces_forks_and_drain(self):
         events, _, _ = traced_run("histo", "process")
         forks = [e for e in events
@@ -153,7 +185,6 @@ class TestTracingDoesNotPerturb:
         for expected in (trace_events.JOB_SUBMIT,
                          trace_events.JOB_ADMIT,
                          trace_events.JOB_WINDOW,
-                         trace_events.JOB_SHARD,
                          trace_events.JOB_SEGMENT,
                          trace_events.JOB_MERGE,
                          trace_events.JOB_COMPLETE):

@@ -1,7 +1,10 @@
 """Streaming sessions: result accumulation across segments."""
 
+import pickle
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.heavy_hitter import HeavyHitterKernel
 from repro.apps.histo import HistogramKernel
@@ -10,6 +13,8 @@ from repro.apps.partition import PartitionKernel
 from repro.core.config import ArchitectureConfig
 from repro.core.kernel import KernelSpec
 from repro.runtime import StreamingSession
+from repro.service.metrics import ServiceMetrics
+from repro.service.pool import WorkItem, WorkerPool
 from repro.workloads.evolving import EvolvingZipfStream
 from repro.workloads.zipf import ZipfGenerator
 
@@ -37,28 +42,100 @@ class TestHistogramSession:
         assert np.array_equal(session.result, golden)
         assert session.total_tuples == 15_000
 
-    def test_history_records_each_segment(self):
+    def test_totals_count_each_segment(self):
         kernel = HistogramKernel(bins=256, pripes=16)
         session = make_session(kernel)
+        cycles = 0
         for i in range(3):
-            record = session.process(
+            outcome = session.process(
                 ZipfGenerator(alpha=1.0, seed=i).generate(3_000))
-            assert record.index == i
-            assert record.tuples == 3_000
-        assert len(session.history) == 3
+            assert outcome.tuples == 3_000
+            cycles += outcome.cycles
+            assert session.segments == i + 1
+        assert session.total_tuples == 9_000
+        assert session.total_cycles == cycles
         assert 0 < session.average_throughput() <= 8.0
 
-    def test_per_segment_throughput_records_are_complete(self):
+    def test_process_returns_the_engines_own_outcome(self):
         kernel = HistogramKernel(bins=256, pripes=16)
         session = make_session(kernel, secpes=8, threshold=0.0)
-        record = session.process(
+        outcome = session.process(
             ZipfGenerator(alpha=2.0, seed=4).generate(4_000))
-        assert record.cycles > 0
-        assert record.tuples_per_cycle == pytest.approx(
-            record.tuples / record.cycles)
-        assert record.plans >= 1      # skew handling planned at least once
-        assert record.reschedules == 0  # threshold 0 disables monitoring
-        assert session.total_cycles == record.cycles
+        assert outcome.cycles > 0
+        assert outcome.tuples_per_cycle == pytest.approx(
+            outcome.tuples / outcome.cycles)
+        assert len(outcome.plans) >= 1  # skew handling planned at least once
+        assert outcome.reschedules == 0  # threshold 0 disables monitoring
+        assert session.total_cycles == outcome.cycles
+
+
+def fast_histo_session():
+    return StreamingSession(
+        config=ArchitectureConfig(secpes=0, reschedule_threshold=0.0),
+        kernel=HistogramKernel(bins=256, pripes=16), engine="fast")
+
+
+class TestFootprintDoesNotGrowWithTheStream:
+    """A session is three integers and the running result however many
+    shards it served.  Pickle widens an int by at most three bytes as
+    it grows (1 -> 4 byte operand), hence the 9-byte allowance; a
+    per-shard record would add hundreds of bytes per shard."""
+
+    def test_session_snapshot(self):
+        session = fast_histo_session()
+        batch = ZipfGenerator(alpha=1.2, seed=8).generate(20_000)
+        sizes = {}
+        for done in range(1, 1_001):
+            session.process(batch.slice(20 * (done - 1), 20 * done))
+            if done in (10, 1_000):
+                sizes[done] = len(pickle.dumps(session.snapshot()))
+        assert session.segments == 1_000
+        assert 0 <= sizes[1_000] - sizes[10] <= 9
+
+    def test_merged_session_a_pool_collects(self):
+        sizes = {}
+        for shards in (10, 1_000):
+            pool = WorkerPool(2, lambda job_id: fast_histo_session(),
+                              ServiceMetrics())
+            pool.start()
+            batch = ZipfGenerator(alpha=1.2, seed=8).generate(20 * shards)
+            for i in range(shards):
+                pool.dispatch(i % 2, WorkItem(
+                    "job", batch.slice(20 * i, 20 * i + 20)))
+            merged = pool.collect("job")
+            pool.stop()
+            assert merged.segments == shards
+            sizes[shards] = len(pickle.dumps(merged.snapshot()))
+        assert 0 <= sizes[1_000] - sizes[10] <= 9
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    sizes=st.lists(st.integers(min_value=1, max_value=300),
+                   min_size=1, max_size=12),
+    owners=st.data(),
+)
+def test_merged_totals_are_the_sums_over_process_returns(sizes, owners):
+    """Shards of any size on any partial, partials folded in any order
+    through ``merge_from`` or ``absorb``: the merged session's three
+    totals are the sums over what ``process`` returned."""
+    batch = ZipfGenerator(alpha=1.0, seed=3).generate(sum(sizes))
+    partials = [fast_histo_session() for _ in range(3)]
+    outcomes, start = [], 0
+    for size in sizes:
+        partial = owners.draw(st.sampled_from(partials))
+        outcomes.append(partial.process(batch.slice(start, start + size)))
+        start += size
+    merged = fast_histo_session()
+    for partial in owners.draw(st.permutations(partials)):
+        if owners.draw(st.booleans()):
+            merged.merge_from(partial)
+        else:
+            merged.absorb(partial.snapshot())
+    assert merged.segments == len(outcomes)
+    assert merged.total_tuples == sum(o.tuples for o in outcomes)
+    assert merged.total_cycles == sum(o.cycles for o in outcomes)
+    assert merged.total_tuples == len(batch)
 
 
 class TestHeavyHitterSession:
@@ -99,7 +176,8 @@ class TestMergeFrom:
         golden = kernel.golden(batch.keys, batch.values)
         assert np.array_equal(merged.result, golden)
         assert merged.total_tuples == 8_000
-        assert [r.index for r in merged.history] == [0, 1]
+        assert merged.segments == 2
+        assert merged.total_cycles == left.total_cycles + right.total_cycles
 
     def test_merge_into_empty_adopts_result(self):
         source = make_session(HistogramKernel(bins=256, pripes=16))

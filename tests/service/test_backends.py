@@ -87,6 +87,10 @@ class TestBackendEquivalence:
         process, process_metrics = serve_one("process", app)
         assert result_bits(inline) == result_bits(process)
         assert comparable(inline_metrics) == comparable(process_metrics)
+        shm, _ = serve_one("process", app, transport="shm")
+        assert [(job.segments, job.tuples, job.cycles)
+                for job in (process, shm)] \
+            == [(inline.segments, inline.tuples, inline.cycles)] * 2
 
     def test_cycle_engine_identical_across_backends(self):
         # The per-cycle simulator exercises a completely different

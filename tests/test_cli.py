@@ -8,13 +8,20 @@ import time
 from repro.cli import build_parser, main
 
 
+@pytest.fixture
 def start_ingest(tmp_path):
-    """Run ``repro ingest --serve-jobs 1`` on a thread.
+    """``repro ingest --serve-jobs 1`` on a thread this fixture owns.
 
-    Returns ``(server_thread, host, port)`` once the gateway is up.
+    Yields ``(server_thread, host, port)`` once the gateway is up.
+    Teardown serves the one job ``--serve-jobs`` waits for if the body
+    did not (it failed first, or never meant to), joins the thread and
+    fails if it is still alive — a server cannot outlive its test and
+    park the interpreter in ``threading._shutdown``.
     """
+    from repro.net import GatewayError, StreamClient
+
     ready = tmp_path / "ready"
-    server = threading.Thread(target=main, args=([
+    server = threading.Thread(daemon=True, target=main, args=([
         "ingest", "--serve-jobs", "1", "--workers", "2",
         "--ready-file", str(ready),
     ],))
@@ -24,7 +31,19 @@ def start_ingest(tmp_path):
         time.sleep(0.02)
     assert ready.exists(), "gateway never came up"
     host, port = ready.read_text().split()
-    return server, host, port
+    yield server, host, port
+    try:
+        with StreamClient(host, int(port)) as client:
+            served = sum(client.stats()["jobs"][state] for state in
+                         ("completed", "failed", "cancelled"))
+        if not served:
+            main(["submit", "--connect", f"{host}:{port}",
+                  "--app", "histo", "--tuples", "200"])
+    except (OSError, GatewayError):
+        pass  # the gateway is already closing; the join below decides
+    finally:
+        server.join(timeout=60.0)
+        assert not server.is_alive(), "`repro ingest` outlived its test"
 
 
 class TestParser:
@@ -190,23 +209,22 @@ class TestServeSubmit:
 
 
 class TestNetworkCLI:
-    def test_ingest_serves_submit_connect_round_trip(self, tmp_path,
+    def test_ingest_serves_submit_connect_round_trip(self, start_ingest,
                                                      capsys):
-        server, host, port = start_ingest(tmp_path)
+        server, host, port = start_ingest
         code = main([
             "submit", "--connect", f"{host}:{port}", "--app", "histo",
             "--tuples", "4000", "--alpha", "2.0",
         ])
-        server.join(timeout=60.0)
         assert code == 0
-        assert not server.is_alive()
+        server.join(timeout=60.0)  # the fleet report is printed at exit
         out = capsys.readouterr().out
         assert "status=completed" in out
         assert "over the wire" in out
         assert "gateway" in out  # ingest printed the fleet report
 
     def test_serve_jobs_exit_waits_for_a_late_result_request(
-            self, tmp_path):
+            self, start_ingest):
         """Regression: once the N-th job turned terminal, the next 50 ms
         poll cut every connection — including the one whose client had
         not asked for its result yet."""
@@ -214,7 +232,7 @@ class TestNetworkCLI:
         from repro.workloads.streams import chunk_stream
         from repro.workloads.zipf import ZipfGenerator
 
-        server, host, port = start_ingest(tmp_path)
+        server, host, port = start_ingest
         batch = ZipfGenerator(alpha=1.5, seed=3).generate(4_000)
         with StreamClient(host, int(port)) as client:
             job_id = client.submit_stream(
@@ -223,9 +241,8 @@ class TestNetworkCLI:
                 time.sleep(0.01)
             time.sleep(0.3)  # several exit polls of cmd_ingest
             result = client.result(job_id)
-        server.join(timeout=60.0)
-        assert not server.is_alive()
         assert result.tuples == 4_000
+        server.join(timeout=60.0)  # its exit report stays in this test
 
     def test_connect_rejects_bad_address(self):
         with pytest.raises(SystemExit):
@@ -269,23 +286,15 @@ class TestTraceCLI:
         assert code == 2
         assert "cannot read trace" in capsys.readouterr().err
 
-    def test_stats_fetches_prometheus_from_gateway(self, tmp_path,
+    def test_stats_fetches_prometheus_from_gateway(self, start_ingest,
                                                    capsys):
-        server, host, port = start_ingest(tmp_path)
-        try:
-            code = main(["stats", "--connect", f"{host}:{port}",
-                         "--format", "prometheus"])
-            assert code == 0
-            out = capsys.readouterr().out
-            # The ingest thread's startup banner shares the captured
-            # stdout; the exposition starts at its first HELP line.
-            body = out[out.index("# HELP"):]
-            from repro.obs.exposition import parse_prometheus
-            assert parse_prometheus(body)
-        finally:
-            main([
-                "submit", "--connect", f"{host}:{port}",
-                "--app", "histo", "--tuples", "4000",
-            ])
-            server.join(timeout=60.0)
-        assert not server.is_alive()
+        _, host, port = start_ingest
+        code = main(["stats", "--connect", f"{host}:{port}",
+                     "--format", "prometheus"])
+        assert code == 0
+        out = capsys.readouterr().out
+        # The ingest thread's startup banner shares the captured
+        # stdout; the exposition starts at its first HELP line.
+        body = out[out.index("# HELP"):]
+        from repro.obs.exposition import parse_prometheus
+        assert parse_prometheus(body)
