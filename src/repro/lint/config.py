@@ -1,11 +1,11 @@
-"""Tunable knobs of the ``repro.lint`` checkers.
+"""Project-specific facts of the ``repro.lint`` checkers.
 
-Rules read every project-specific fact — which modules sit on the
-deterministic dispatch-clock path, which calls count as wall-clock
-reads, which operations are copies a hot path must not pay — from one
-:class:`LintConfig` value, so tests can point a rule at a fixture file
-with a custom config instead of having to mimic the real tree's
-layout.
+Which calls count as wall-clock reads, which operations are copies a
+hot path must not pay, where the trace-kind registry lives: constants
+here, read directly by their rule.  The one thing a caller varies is
+which modules sit on the deterministic dispatch-clock path
+(:class:`LintConfig`), so tests can point the determinism rule at a
+fixture file instead of having to mimic the real tree's layout.
 """
 
 from __future__ import annotations
@@ -89,31 +89,28 @@ HOT_BANNED_BUILTINS: Tuple[str, ...] = (
 )
 
 
+#: The vetted host-time shim: the one module allowed the raw clock, and
+#: where the determinism rule tells everyone else to go.
+WALLCLOCK_MODULE = "repro.wallclock"
+
+#: Module holding the dotted-kind registry constants (*trace-schema*).
+TRACE_EVENTS_MODULE = "repro.obs.events"
+
+#: *guarded-by* inference: an undeclared attribute is inferred
+#: lock-guarded when at least ``GUARD_MIN_LOCKED`` accesses happen under
+#: a lock and they make up at least ``GUARD_RATIO`` of all its
+#: (non-``__init__``) accesses; the remaining unlocked accesses are then
+#: flagged.
+GUARD_MIN_LOCKED = 3
+GUARD_RATIO = 0.75
+
+
 @dataclass(frozen=True)
 class LintConfig:
-    """One immutable bundle of every rule's knobs (defaults = the repo)."""
+    """What a caller may point elsewhere (default = the repo): tests
+    name their fixture files as clock-path modules."""
 
-    # --- determinism ---
     deterministic_modules: Tuple[str, ...] = DETERMINISTIC_MODULES
-    wallclock_module: str = "repro.wallclock"
-    banned_clock_calls: Tuple[str, ...] = BANNED_CLOCK_CALLS
-
-    # --- hot-path ---
-    hot_banned_calls: Tuple[str, ...] = HOT_BANNED_CALLS
-    hot_banned_methods: Tuple[str, ...] = HOT_BANNED_METHODS
-    hot_banned_builtins: Tuple[str, ...] = HOT_BANNED_BUILTINS
-
-    # --- trace-schema ---
-    #: Module holding the dotted-kind registry constants.
-    trace_events_module: str = "repro.obs.events"
-
-    # --- guarded-by inference ---
-    #: An undeclared attribute is inferred lock-guarded when at least
-    #: ``guard_min_locked`` accesses happen under a lock and they make
-    #: up at least ``guard_ratio`` of all its (non-``__init__``)
-    #: accesses; the remaining unlocked accesses are then flagged.
-    guard_min_locked: int = 3
-    guard_ratio: float = 0.75
 
 
 #: The default configuration used by the CLI and the self-check test.

@@ -24,9 +24,9 @@ The pieces here are rule-agnostic:
 :class:`ClassInfo` / :class:`MethodInfo`
     The lock model of one class: declared locks (with
     ``Condition(wrapped_lock)`` aliasing), guard declarations, and per
-    method the attribute accesses, lock acquisitions, and calls made
-    while holding locks.  Both the *guarded-by* and *lock-order* rules
-    consume this.
+    method the attribute accesses, ``with self.<lock>`` acquisitions
+    and same-class calls, each with the class locks held around it.
+    Both the *guarded-by* and *lock-order* rules consume this.
 
 :class:`Rule` / :func:`run_lint`
     The driver: load files, run each rule project-wide, split findings
@@ -56,14 +56,9 @@ from repro.lint.config import DEFAULT_CONFIG, LintConfig
 
 _PRAGMA_RE = re.compile(r"lint:\s*disable=([A-Za-z0-9_,\- ]+)")
 _GUARD_RE = re.compile(r"guarded-by:\s*([A-Za-z_]\w*)")
-_HOT_RE = re.compile(r"hot-path\b")
-
-#: Attribute names that look like synchronisation primitives even when
-#: their declaration is out of sight (inherited, foreign object).
-_LOCKISH_RE = re.compile(r"(lock|cond|mutex|sem|not_empty)$")
-
-#: ``method_holds`` marker: the method runs with every class lock held.
-HOLDS_ALL = "*"
+#: Anchored: the marker is the comment's own text, not a rule name in
+#: a ``# lint: disable=hot-path`` pragma.
+_HOT_RE = re.compile(r"#\s*hot-path\b")
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +205,7 @@ class SourceFile:
             guard = _GUARD_RE.search(comment)
             if guard:
                 self.guards[line] = guard.group(1)
-            if _HOT_RE.search(comment):
+            if _HOT_RE.match(comment):
                 self.hot_lines.add(line)
 
         #: (start, end, rules) spans from pragmas on def/class headers
@@ -264,25 +259,10 @@ class SourceFile:
 # ----------------------------------------------------------------------
 # The lock model
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class LockRef:
-    """One synchronisation primitive as seen from an acquisition site.
-
-    ``cls`` is the owning class name when resolvable (``self.X``, or a
-    typed local/attribute), else None with ``token`` keeping distinct
-    unresolved locks from merging in the acquisition graph.
-    """
-
-    cls: Optional[str]
-    attr: str
-    token: str
-
-    @property
-    def node(self) -> str:
-        """Graph-node label (and human name) for this lock."""
-        return f"{self.cls}.{self.attr}" if self.cls else self.token
-
-
+# A lock is modelled only where it is owned: ``self.<lock>`` inside the
+# class that declares it, named by its canonical attribute.  Another
+# object's lock (``gate.cond`` as a ``with`` item) is not followed — the
+# lock-order rule reports taking it as a finding of its own.
 @dataclass
 class Access:
     """One ``self.<attr>`` data access inside a method."""
@@ -290,39 +270,36 @@ class Access:
     attr: str
     line: int
     col: int
-    held: frozenset  # held-lock tokens (canonical attr for own locks)
+    held: frozenset  # canonical attrs of the class locks held
 
 
 @dataclass
 class Acquire:
-    """One lock acquisition (a ``with`` item) inside a method."""
+    """One ``with self.<lock>:`` item inside a method."""
 
-    ref: LockRef
+    lock: str  # canonical attr
     line: int
     col: int
-    held: Tuple[LockRef, ...]  # locks already held at this point
+    held: Tuple[str, ...]  # locks already held at this point
 
 
 @dataclass
-class HeldCall:
-    """A call made while at least one lock is held."""
+class SelfCall:
+    """One ``self.<method>(...)`` call and the locks held around it."""
 
-    node: ast.Call
-    held: Tuple[LockRef, ...]
+    callee: str
     line: int
+    col: int
+    held: Tuple[str, ...]
 
 
 @dataclass
 class MethodInfo:
     name: str
-    node: ast.AST
-    entry_held: Tuple[LockRef, ...]
+    entry_held: Tuple[str, ...]
     accesses: List[Access] = field(default_factory=list)
     acquires: List[Acquire] = field(default_factory=list)
-    held_calls: List[HeldCall] = field(default_factory=list)
-    self_calls: Set[str] = field(default_factory=set)
-    var_types: Dict[str, str] = field(default_factory=dict)
-    return_type: Optional[str] = None
+    self_calls: List[SelfCall] = field(default_factory=list)
 
 
 _LOCK_FACTORIES = {
@@ -333,14 +310,12 @@ _LOCK_FACTORIES = {
 }
 
 
-def _annotation_type(node: Optional[ast.AST]) -> Optional[str]:
-    """Class name of a plain Name/Attribute annotation (no generics)."""
-    if node is None:
-        return None
-    dotted = dotted_name(node)
-    if dotted is None:
-        return None
-    return dotted.split(".")[-1]
+def self_attr(node: ast.AST) -> Optional[str]:
+    """``x`` for the expression ``self.x``, else None."""
+    if isinstance(node, ast.Attribute) and \
+            isinstance(node.value, ast.Name) and node.value.id == "self":
+        return node.attr
+    return None
 
 
 class ClassInfo:
@@ -350,18 +325,12 @@ class ClassInfo:
         self.node = node
         self.src = src
         self.name = node.name
-        #: lock attr -> "lock" | "reentrant" | "unknown"
+        #: lock attr -> "lock" | "reentrant"
         self.locks: Dict[str, str] = {}
         #: Condition attr -> the lock attr it wraps
         self.aliases: Dict[str, str] = {}
         #: data attr -> declared guard lock (canonical)
         self.declared: Dict[str, str] = {}
-        #: method name -> locks held on entry (HOLDS_ALL = every lock)
-        self.method_holds: Dict[str, Set[str]] = {}
-        #: attr -> class name, from ``self.a = ClassName(...)`` / annots
-        self.attr_types: Dict[str, str] = {}
-        self.method_names: Set[str] = set()
-        self.methods: Dict[str, MethodInfo] = {}
 
         body_methods = [n for n in node.body
                         if isinstance(n, (ast.FunctionDef,
@@ -369,13 +338,15 @@ class ClassInfo:
         self.method_names = {m.name for m in body_methods}
 
         self._collect_decls(body_methods)
-        for method in body_methods:
-            self.methods[method.name] = self._analyze_method(method)
+        self.methods: Dict[str, MethodInfo] = {
+            method.name: self._analyze_method(method)
+            for method in body_methods
+        }
 
     # -- declarations --------------------------------------------------
     def _collect_decls(self, methods: Sequence[ast.AST]) -> None:
         imports = self.src.imports
-        # Class-body fields: annotations declare both locks and types.
+        # Class-body fields: a lock-typed annotation declares a lock.
         for stmt in self.node.body:
             if isinstance(stmt, ast.AnnAssign) and \
                     isinstance(stmt.target, ast.Name):
@@ -391,9 +362,6 @@ class ClassInfo:
                     guard = self.src.guards.get(stmt.lineno)
                     if guard:
                         self.declared[attr] = guard
-                    typ = _annotation_type(stmt.annotation)
-                    if typ:
-                        self.attr_types[attr] = typ
             elif isinstance(stmt, ast.Assign):
                 guard = self.src.guards.get(stmt.lineno)
                 if guard:
@@ -401,78 +369,36 @@ class ClassInfo:
                         if isinstance(target, ast.Name):
                             self.declared[target.id] = guard
 
-        # __init__-style assignments: lock factories, guards, types.
+        # __init__-style assignments: lock factories and guards.
         for method in methods:
             for stmt in ast.walk(method):
                 if isinstance(stmt, ast.Assign):
                     targets = stmt.targets
-                    value: Optional[ast.AST] = stmt.value
                 elif isinstance(stmt, ast.AnnAssign):
                     targets = [stmt.target]
-                    value = stmt.value
                 else:
                     continue
                 for target in targets:
-                    if not (isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"):
-                        continue
-                    attr = target.attr
-                    if isinstance(stmt, ast.AnnAssign):
-                        typ = _annotation_type(stmt.annotation)
-                        if typ:
-                            self.attr_types.setdefault(attr, typ)
-                    self._classify_assignment(attr, value, stmt.lineno)
-
-        # Guard annotations on def headers: caller holds the lock.
-        for method in methods:
-            holds: Set[str] = set()
-            if method.name.endswith("_locked"):
-                holds.add(HOLDS_ALL)
-            header_lines = [method.lineno]
-            header_lines += [d.lineno for d in method.decorator_list]
-            for line in header_lines:
-                guard = self.src.guards.get(line)
-                if guard:
-                    holds.add(guard)
-            if holds:
-                self.method_holds[method.name] = holds
+                    attr = self_attr(target)
+                    if attr is not None:
+                        self._classify_assignment(attr, stmt.value,
+                                                  stmt.lineno)
 
     def _classify_assignment(self, attr: str, value: Optional[ast.AST],
                              lineno: int) -> None:
-        imports = self.src.imports
         if isinstance(value, ast.Call):
-            resolved = resolve_call(value, imports)
+            resolved = resolve_call(value, self.src.imports)
             if resolved in _LOCK_FACTORIES:
                 self.locks[attr] = _LOCK_FACTORIES[resolved]
             elif resolved is not None and \
                     resolved.endswith("threading.Condition"):
-                wrapped = None
-                if value.args:
-                    inner = value.args[0]
-                    if isinstance(inner, ast.Attribute) and \
-                            isinstance(inner.value, ast.Name) and \
-                            inner.value.id == "self":
-                        wrapped = inner.attr
+                wrapped = self_attr(value.args[0]) if value.args \
+                    else None
                 if wrapped is not None:
                     self.aliases[attr] = wrapped
                 else:
                     # A bare Condition() wraps a fresh RLock.
                     self.locks[attr] = "reentrant"
-            elif resolved == "dataclasses.field" or \
-                    (resolved or "").endswith(".field"):
-                for kw in value.keywords:
-                    if kw.arg != "default_factory":
-                        continue
-                    factory = dotted_name(kw.value)
-                    factory = imports.resolve(factory) if factory \
-                        else None
-                    if factory in _LOCK_FACTORIES:
-                        self.locks[attr] = _LOCK_FACTORIES[factory]
-            else:
-                func = dotted_name(value.func)
-                if func is not None and "." not in func:
-                    self.attr_types.setdefault(attr, func)
         guard = self.src.guards.get(lineno)
         if guard and attr not in self.locks:
             self.declared.setdefault(attr, guard)
@@ -488,69 +414,26 @@ class ClassInfo:
     def is_lock_attr(self, attr: str) -> bool:
         return attr in self.locks or attr in self.aliases
 
-    def entry_refs(self, method: str) -> Tuple[LockRef, ...]:
-        holds = self.method_holds.get(method, set())
-        attrs: Set[str] = set()
-        for entry in holds:
-            if entry == HOLDS_ALL:
-                attrs |= set(self.locks)
-            else:
-                attrs.add(self.canonical(entry))
-        return tuple(
-            LockRef(self.name, attr, attr) for attr in sorted(attrs))
-
     # -- per-method analysis ------------------------------------------
-    def _analyze_method(self, method: ast.AST) -> MethodInfo:
-        info = MethodInfo(
-            name=method.name,
-            node=method,
-            entry_held=self.entry_refs(method.name),
-            return_type=_annotation_type(method.returns),
-        )
-        # Local type facts: parameter annotations and simple assigns.
-        for arg in (list(method.args.posonlyargs)
-                    + list(method.args.args)
-                    + list(method.args.kwonlyargs)):
-            typ = _annotation_type(arg.annotation)
-            if typ:
-                info.var_types[arg.arg] = typ
-        for stmt in ast.walk(method):
-            if isinstance(stmt, ast.AnnAssign) and \
-                    isinstance(stmt.target, ast.Name):
-                typ = _annotation_type(stmt.annotation)
-                if typ:
-                    info.var_types[stmt.target.id] = typ
-            elif isinstance(stmt, ast.Assign) and \
-                    len(stmt.targets) == 1 and \
-                    isinstance(stmt.targets[0], ast.Name) and \
-                    isinstance(stmt.value, ast.Call):
-                func = dotted_name(stmt.value.func)
-                if func is None:
-                    continue
-                if "." not in func:
-                    info.var_types[stmt.targets[0].id] = func
-                elif func.startswith("self."):
-                    callee = func.split(".")[1]
-                    # Typed via the callee's return annotation (filled
-                    # in lazily: the callee may be analysed later).
-                    info.var_types.setdefault(
-                        stmt.targets[0].id, f"@ret:{callee}")
+    def _entry_held(self, method: ast.AST) -> Tuple[str, ...]:
+        """Locks the caller holds by convention: every class lock for a
+        ``*_locked`` name, plus any ``# guarded-by`` on the def header."""
+        attrs = set(self.locks) if method.name.endswith("_locked") \
+            else set()
+        for line in [method.lineno] + [d.lineno
+                                       for d in method.decorator_list]:
+            guard = self.src.guards.get(line)
+            if guard:
+                attrs.add(self.canonical(guard))
+        return tuple(sorted(attrs))
 
+    def _analyze_method(self, method: ast.AST) -> MethodInfo:
+        info = MethodInfo(name=method.name,
+                          entry_held=self._entry_held(method))
         visitor = _MethodVisitor(self, info)
         for stmt in method.body:
             visitor.visit(stmt)
         return info
-
-    def resolve_var_type(self, info: MethodInfo,
-                         var: str) -> Optional[str]:
-        """Class name of a local/param, chasing ``@ret:`` indirection."""
-        typ = info.var_types.get(var)
-        if typ is None:
-            return None
-        if typ.startswith("@ret:"):
-            callee = self.methods.get(typ[5:])
-            return callee.return_type if callee else None
-        return typ
 
 
 class _MethodVisitor(ast.NodeVisitor):
@@ -559,47 +442,22 @@ class _MethodVisitor(ast.NodeVisitor):
     def __init__(self, cls: ClassInfo, info: MethodInfo) -> None:
         self.cls = cls
         self.info = info
-        self.held: List[LockRef] = list(info.entry_held)
+        self.held: List[str] = list(info.entry_held)
 
-    # -- lock expressions ---------------------------------------------
-    def _lock_ref(self, expr: ast.AST) -> Optional[LockRef]:
-        dotted = dotted_name(expr)
-        if dotted is None:
-            return None
-        parts = dotted.split(".")
-        if parts[0] == "self" and len(parts) == 2:
-            attr = parts[1]
-            if self.cls.is_lock_attr(attr) or _LOCKISH_RE.search(attr):
-                canon = self.cls.canonical(attr)
-                return LockRef(self.cls.name, canon, canon)
-            return None
-        if not _LOCKISH_RE.search(parts[-1]):
-            return None
-        attr = parts[-1]
-        owner: Optional[str] = None
-        if len(parts) == 2:
-            owner = self.cls.resolve_var_type(self.info, parts[0])
-        elif len(parts) == 3 and parts[0] == "self":
-            owner = self.cls.attr_types.get(parts[1])
-        if owner is not None:
-            return LockRef(owner, attr, f"{owner}.{attr}")
-        token = f"{self.cls.name}.{self.info.name}:{dotted}"
-        return LockRef(None, attr, token)
-
-    # -- visitors ------------------------------------------------------
     def _visit_with(self, node: ast.AST) -> None:
         acquired = 0
         for item in node.items:
             self.visit(item.context_expr)
-            ref = self._lock_ref(item.context_expr)
-            if ref is not None:
+            attr = self_attr(item.context_expr)
+            if attr is not None and self.cls.is_lock_attr(attr):
+                lock = self.cls.canonical(attr)
                 self.info.acquires.append(Acquire(
-                    ref=ref,
+                    lock=lock,
                     line=item.context_expr.lineno,
                     col=item.context_expr.col_offset,
                     held=tuple(self.held),
                 ))
-                self.held.append(ref)
+                self.held.append(lock)
                 acquired += 1
             if item.optional_vars is not None:
                 self.visit(item.optional_vars)
@@ -612,31 +470,27 @@ class _MethodVisitor(ast.NodeVisitor):
     visit_AsyncWith = _visit_with
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
-        if isinstance(node.value, ast.Name) and node.value.id == "self":
-            attr = node.attr
-            if not self.cls.is_lock_attr(attr) and \
-                    attr not in self.cls.method_names:
-                self.info.accesses.append(Access(
-                    attr=attr,
-                    line=node.lineno,
-                    col=node.col_offset,
-                    held=frozenset(ref.token for ref in self.held),
-                ))
-            return
-        self.generic_visit(node)
+        attr = self_attr(node)
+        if attr is None:
+            self.generic_visit(node)
+        elif not self.cls.is_lock_attr(attr) and \
+                attr not in self.cls.method_names:
+            self.info.accesses.append(Access(
+                attr=attr,
+                line=node.lineno,
+                col=node.col_offset,
+                held=frozenset(self.held),
+            ))
 
     def visit_Call(self, node: ast.Call) -> None:
-        if self.held:
-            self.info.held_calls.append(HeldCall(
-                node=node,
-                held=tuple(self.held),
+        callee = self_attr(node.func)
+        if callee is not None:
+            self.info.self_calls.append(SelfCall(
+                callee=callee,
                 line=node.lineno,
+                col=node.col_offset,
+                held=tuple(self.held),
             ))
-        func = node.func
-        if isinstance(func, ast.Attribute) and \
-                isinstance(func.value, ast.Name) and \
-                func.value.id == "self":
-            self.info.self_calls.add(func.attr)
         self.generic_visit(node)
 
 

@@ -8,7 +8,7 @@ diff against.  One stray ``time.time()`` or unseeded RNG in a module on
 that path is a silent replay-divergence bug.
 
 Modules listed in :data:`~repro.lint.config.LintConfig.deterministic_modules`
-therefore must not call the raw clock functions in ``banned_clock_calls``
+therefore must not call the raw clock functions in ``BANNED_CLOCK_CALLS``
 or use nondeterministic randomness; host time they legitimately need
 (event wall stamps, condition-wait deadlines) goes through the vetted
 :mod:`repro.wallclock` shim so every wall-clock dependency stays
@@ -20,6 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, List
 
+from repro.lint.config import BANNED_CLOCK_CALLS, WALLCLOCK_MODULE
 from repro.lint.framework import (
     Finding,
     Project,
@@ -35,10 +36,9 @@ class DeterminismRule(Rule):
                    "deterministic dispatch-clock path")
 
     def _applies(self, src: SourceFile, project: Project) -> bool:
-        config = project.config
-        if src.module == config.wallclock_module:
+        if src.module == WALLCLOCK_MODULE:
             return False
-        for entry in config.deterministic_modules:
+        for entry in project.config.deterministic_modules:
             if entry.endswith("."):
                 if src.module.startswith(entry) or \
                         src.module == entry[:-1]:
@@ -58,7 +58,7 @@ class DeterminismRule(Rule):
                 resolved = resolve_call(node, src.imports)
                 if resolved is None:
                     continue
-                message = self._verdict(resolved, node, project)
+                message = self._verdict(resolved, node)
                 if message is not None:
                     findings.append(Finding(
                         path=str(src.path),
@@ -69,13 +69,11 @@ class DeterminismRule(Rule):
                     ))
         return findings
 
-    def _verdict(self, resolved: str, node: ast.Call,
-                 project: Project) -> str:
-        config = project.config
-        if resolved in config.banned_clock_calls:
+    def _verdict(self, resolved: str, node: ast.Call) -> str:
+        if resolved in BANNED_CLOCK_CALLS:
             return (f"raw wall-clock call {resolved}() on the "
                     "deterministic dispatch-clock path — route host "
-                    f"time through {config.wallclock_module}")
+                    f"time through {WALLCLOCK_MODULE}")
         if resolved == "numpy.random.default_rng":
             if not node.args and not node.keywords:
                 return ("unseeded numpy.random.default_rng() on the "

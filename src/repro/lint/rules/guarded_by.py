@@ -28,6 +28,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Dict, Iterable, List
 
+from repro.lint.config import GUARD_MIN_LOCKED, GUARD_RATIO
 from repro.lint.framework import (
     Access,
     ClassInfo,
@@ -51,13 +52,11 @@ class GuardedByRule(Rule):
         for src in project.files:
             for cls in src.classes():
                 if cls.locks:
-                    findings.extend(self._check_class(src, cls,
-                                                      project))
+                    findings.extend(self._check_class(src, cls))
         return findings
 
-    def _check_class(self, src: SourceFile, cls: ClassInfo,
-                     project: Project) -> Iterable[Finding]:
-        config = project.config
+    def _check_class(self, src: SourceFile,
+                     cls: ClassInfo) -> Iterable[Finding]:
         per_attr: Dict[str, List[Access]] = defaultdict(list)
         for method in cls.methods.values():
             if method.name in _CONSTRUCTION:
@@ -87,8 +86,8 @@ class GuardedByRule(Rule):
             locked = [a for a in accesses if a.held]
             unlocked = [a for a in accesses if not a.held]
             if not unlocked or \
-                    len(locked) < config.guard_min_locked or \
-                    len(locked) / len(accesses) < config.guard_ratio:
+                    len(locked) < GUARD_MIN_LOCKED or \
+                    len(locked) / len(accesses) < GUARD_RATIO:
                 continue
             for access in unlocked:
                 yield Finding(

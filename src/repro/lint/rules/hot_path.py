@@ -9,8 +9,8 @@ passes — byte accounting is a benchmark artifact, not a unit assert.
 
 Any function whose ``def`` line (or the line directly above it) carries
 a ``# hot-path`` comment is checked: calls listed in
-``hot_banned_calls``, method names in ``hot_banned_methods``, and the
-allocating builtins in ``hot_banned_builtins`` are findings.  A
+``HOT_BANNED_CALLS``, method names in ``HOT_BANNED_METHODS``, and the
+allocating builtins in ``HOT_BANNED_BUILTINS`` are findings.  A
 deliberate copy (the counted pipe fallback) carries an inline
 ``# lint: disable=hot-path`` pragma, which is the point: intentional
 copies are visible and reviewed, accidental ones fail CI.
@@ -21,6 +21,11 @@ from __future__ import annotations
 import ast
 from typing import Iterable, List
 
+from repro.lint.config import (
+    HOT_BANNED_BUILTINS,
+    HOT_BANNED_CALLS,
+    HOT_BANNED_METHODS,
+)
 from repro.lint.framework import (
     Finding,
     Project,
@@ -42,26 +47,24 @@ class HotPathRule(Rule):
                 if isinstance(node, (ast.FunctionDef,
                                      ast.AsyncFunctionDef)) and \
                         src.is_hot(node):
-                    findings.extend(self._check_function(src, node,
-                                                         project))
+                    findings.extend(self._check_function(src, node))
         return findings
 
-    def _check_function(self, src: SourceFile, func: ast.AST,
-                        project: Project) -> Iterable[Finding]:
-        config = project.config
+    def _check_function(self, src: SourceFile,
+                        func: ast.AST) -> Iterable[Finding]:
         for node in ast.walk(func):
             if not isinstance(node, ast.Call):
                 continue
             message = None
             resolved = resolve_call(node, src.imports)
-            if resolved in config.hot_banned_calls:
+            if resolved in HOT_BANNED_CALLS:
                 message = (f"{resolved}() copies/serialises inside a "
                            "# hot-path function")
-            elif resolved in config.hot_banned_builtins:
+            elif resolved in HOT_BANNED_BUILTINS:
                 message = (f"{resolved}() allocates a copy inside a "
                            "# hot-path function")
             elif isinstance(node.func, ast.Attribute) and \
-                    node.func.attr in config.hot_banned_methods:
+                    node.func.attr in HOT_BANNED_METHODS:
                 message = (f".{node.func.attr}() copies/serialises "
                            "inside a # hot-path function")
             if message is not None:

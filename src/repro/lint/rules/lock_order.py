@@ -1,33 +1,34 @@
-"""*lock-order*: the lock acquisition graph must stay acyclic.
+"""*lock-order*: each class takes its own locks, in one order.
 
 With 50+ ``with self._lock`` blocks across ``service``/``net``/``obs``,
 the deadlock a reviewer cannot see is two locks taken in opposite
 orders on two different code paths — each path is locally correct and
 the hang only manifests under concurrent load.
 
-The rule builds a project-wide acquisition graph:
+The rule works class by class, which its first finding makes sound: a
+lock acquired only inside the class that declares it has its whole
+acquisition order in that class.
 
-* **lexical nesting** — acquiring lock B inside a ``with A:`` block
-  adds the edge A -> B (entry-held locks from ``*_locked`` naming or
-  ``# guarded-by`` def annotations count as held);
-* **calls under a lock** — calling a method (same class, or through a
-  typed local/attribute) that itself acquires locks adds edges from
-  every held lock to each lock the callee (transitively, within its
-  class) acquires.
-
-Findings:
-
-* a **cycle** among distinct locks (the classic AB/BA deadlock);
+* **owner-only** — a ``with`` item that reaches a lock through
+  anything but ``self.<lock>`` (``gate.cond``: any attribute some
+  linted class declares as a lock) takes another object's lock; the
+  block belongs in a method of the owning class.
+* a **cycle** among one class's locks (the classic AB/BA deadlock).
+  Acquiring B inside a ``with self.A:`` block adds the edge A -> B,
+  and so does calling, with A held, a same-class method that
+  (transitively, through same-class calls) acquires B; entry-held
+  locks from ``*_locked`` naming or ``# guarded-by`` def annotations
+  count as held.
 * a **re-acquisition** of a *non-reentrant* ``threading.Lock`` that is
   already held — the single-thread self-deadlock, which is exactly the
   bug a naive "just add the lock" fix to a ``*_locked``-calling method
   introduces.  ``RLock`` and bare ``Condition()`` (RLock-backed) are
-  reentrant and exempt.
+  reentrant and exempt; a ``Condition(self._lock)`` is the lock it
+  wraps.
 
-Lock identity is resolved per owning class (``ServiceMetrics._lock``
-and ``JobQueue._lock`` are different nodes); a ``Condition(self._lock)``
-is the lock it wraps.  Unresolvable foreign locks stay distinct
-(conservative: missing edges, never false merges).
+Not modelled: calls into *other* objects made under a lock
+(``buffer.put()`` under a gate's condition) — the class that nests
+them states the order in its docstring.
 """
 
 from __future__ import annotations
@@ -38,206 +39,141 @@ from typing import Dict, Iterable, List, Set, Tuple
 from repro.lint.framework import (
     ClassInfo,
     Finding,
-    LockRef,
-    MethodInfo,
     Project,
     Rule,
     SourceFile,
-    dotted_name,
+    self_attr,
 )
 
 
 class LockOrderRule(Rule):
     name = "lock-order"
-    description = ("cycles in the lock acquisition graph and "
+    description = ("locks acquired outside their owning class, "
+                   "conflicting per-class acquisition orders and "
                    "re-acquisition of non-reentrant locks")
 
     def check(self, project: Project) -> Iterable[Finding]:
-        registry: Dict[str, ClassInfo] = {}
-        owners: Dict[str, SourceFile] = {}
+        lock_attrs: Set[str] = set()
         for src in project.files:
             for cls in src.classes():
-                # First definition wins on (unlikely) name collisions.
-                if cls.name not in registry:
-                    registry[cls.name] = cls
-                    owners[cls.name] = src
-
-        closures = {
-            name: self._acq_closure(cls)
-            for name, cls in registry.items()
-        }
-
+                lock_attrs.update(cls.locks, cls.aliases)
         findings: List[Finding] = []
-        #: (src_label, dst_label) -> (path, line, src_ref, dst_ref)
-        edges: Dict[Tuple[str, str],
-                    Tuple[str, int, LockRef, LockRef]] = {}
-
-        for name, cls in registry.items():
-            src = owners[name]
-            for method in cls.methods.values():
-                self._method_edges(src, cls, method, registry,
-                                   closures, edges, findings)
-
-        findings.extend(self._cycle_findings(edges))
+        for src in project.files:
+            findings.extend(self._foreign_acquisitions(src, lock_attrs))
+            for cls in src.classes():
+                findings.extend(self._check_class(str(src.path), cls))
         return findings
 
-    # -- per-class transitive acquisitions ----------------------------
+    # -- owner-only ----------------------------------------------------
+    def _foreign_acquisitions(self, src: SourceFile,
+                              lock_attrs: Set[str]) -> Iterable[Finding]:
+        for node in ast.walk(src.tree):
+            if not isinstance(node, (ast.With, ast.AsyncWith)):
+                continue
+            for item in node.items:
+                expr = item.context_expr
+                if not isinstance(expr, ast.Attribute) or \
+                        expr.attr not in lock_attrs or \
+                        self_attr(expr) is not None:
+                    continue
+                yield Finding(
+                    path=str(src.path),
+                    line=expr.lineno,
+                    col=expr.col_offset,
+                    rule=self.name,
+                    message=(
+                        f"{ast.unparse(expr)} is another object's lock "
+                        "— take it inside the owning class (a method "
+                        "there), so its order is checkable per class"),
+                )
+
+    # -- per-class order ----------------------------------------------
     def _acq_closure(self, cls: ClassInfo) -> Dict[str, Set[str]]:
-        """method -> canonical self-lock attrs it (transitively)
-        acquires via lexical ``with`` and same-class calls."""
-        direct: Dict[str, Set[str]] = {}
-        for method in cls.methods.values():
-            direct[method.name] = {
-                acq.ref.attr for acq in method.acquires
-                if acq.ref.cls == cls.name
-            }
-        closure = {name: set(acqs) for name, acqs in direct.items()}
+        """method -> canonical lock attrs it (transitively) acquires
+        via lexical ``with`` and same-class calls."""
+        closure = {
+            method.name: {acq.lock for acq in method.acquires}
+            for method in cls.methods.values()
+        }
         changed = True
         while changed:
             changed = False
             for method in cls.methods.values():
                 acc = closure[method.name]
-                for callee in method.self_calls:
-                    extra = closure.get(callee)
+                for call in method.self_calls:
+                    extra = closure.get(call.callee)
                     if extra and not extra <= acc:
                         acc |= extra
                         changed = True
         return closure
 
-    # -- edge construction --------------------------------------------
-    def _method_edges(
-        self,
-        src: SourceFile,
-        cls: ClassInfo,
-        method: MethodInfo,
-        registry: Dict[str, ClassInfo],
-        closures: Dict[str, Dict[str, Set[str]]],
-        edges: Dict[Tuple[str, str],
-                    Tuple[str, int, LockRef, LockRef]],
-        findings: List[Finding],
-    ) -> None:
-        path = str(src.path)
+    def _check_class(self, path: str,
+                     cls: ClassInfo) -> Iterable[Finding]:
+        closure = self._acq_closure(cls)
+        #: (held, taken) -> line of the first site that nests them
+        edges: Dict[Tuple[str, str], int] = {}
 
-        def add_edge(held: LockRef, taken: LockRef,
-                     line: int, col: int) -> None:
-            if held.node == taken.node:
-                if self._kind(held, registry) == "lock":
-                    findings.append(Finding(
+        def nest(held: Tuple[str, ...], taken: str,
+                 line: int, col: int) -> Iterable[Finding]:
+            for lock in held:
+                if lock != taken:
+                    edges.setdefault((lock, taken), line)
+                elif cls.lock_kind(lock) == "lock":
+                    yield Finding(
                         path=path,
                         line=line,
                         col=col,
                         rule=self.name,
                         message=(
                             "re-acquisition of non-reentrant lock "
-                            f"{held.node} while already held — "
+                            f"{cls.name}.{lock} while already held — "
                             "single-thread deadlock (use a _locked "
                             "variant or an RLock)"),
-                    ))
-                return
-            edges.setdefault((held.node, taken.node),
-                             (path, line, held, taken))
+                    )
 
-        for acq in method.acquires:
-            for held in acq.held:
-                add_edge(held, acq.ref, acq.line, acq.col)
+        for method in cls.methods.values():
+            for acq in method.acquires:
+                yield from nest(acq.held, acq.lock, acq.line, acq.col)
+            for call in method.self_calls:
+                for taken in sorted(closure.get(call.callee, ())):
+                    yield from nest(call.held, taken,
+                                    call.line, call.col)
 
-        for call in method.held_calls:
-            for target_cls, callee in self._resolve_callee(
-                    cls, method, call.node, registry):
-                acquired = closures.get(target_cls, {}).get(callee)
-                if not acquired:
-                    continue
-                for attr in sorted(acquired):
-                    taken = LockRef(target_cls, attr, attr)
-                    for held in call.held:
-                        add_edge(held, taken, call.line,
-                                 call.node.col_offset)
-
-    def _resolve_callee(
-        self, cls: ClassInfo, method: MethodInfo, node: ast.Call,
-        registry: Dict[str, ClassInfo],
-    ) -> Iterable[Tuple[str, str]]:
-        dotted = dotted_name(node.func)
-        if dotted is None:
-            return
-        parts = dotted.split(".")
-        if len(parts) == 2 and parts[0] == "self":
-            yield cls.name, parts[1]
-        elif len(parts) == 2:
-            owner = cls.resolve_var_type(method, parts[0])
-            if owner in registry:
-                yield owner, parts[1]
-        elif len(parts) == 3 and parts[0] == "self":
-            owner = cls.attr_types.get(parts[1])
-            if owner in registry:
-                yield owner, parts[2]
-
-    def _kind(self, ref: LockRef,
-              registry: Dict[str, ClassInfo]) -> str:
-        if ref.cls is None:
-            return "unknown"
-        cls = registry.get(ref.cls)
-        return cls.lock_kind(ref.attr) if cls is not None else "unknown"
-
-    # -- cycle detection (Tarjan SCC) ---------------------------------
-    def _cycle_findings(
-        self,
-        edges: Dict[Tuple[str, str],
-                    Tuple[str, int, LockRef, LockRef]],
-    ) -> Iterable[Finding]:
-        graph: Dict[str, List[str]] = {}
-        for (a, b) in edges:
-            graph.setdefault(a, []).append(b)
-            graph.setdefault(b, [])
-
-        index: Dict[str, int] = {}
-        low: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        stack: List[str] = []
-        counter = [0]
-        sccs: List[List[str]] = []
-
-        def strongconnect(v: str) -> None:
-            index[v] = low[v] = counter[0]
-            counter[0] += 1
-            stack.append(v)
-            on_stack.add(v)
-            for w in graph[v]:
-                if w not in index:
-                    strongconnect(w)
-                    low[v] = min(low[v], low[w])
-                elif w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if low[v] == index[v]:
-                component: List[str] = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    component.append(w)
-                    if w == v:
-                        break
-                if len(component) > 1:
-                    sccs.append(sorted(component))
-
-        for vertex in sorted(graph):
-            if vertex not in index:
-                strongconnect(vertex)
-
-        for component in sccs:
-            member = set(component)
-            sites = sorted(
-                (path, line)
-                for (a, b), (path, line, _, _) in edges.items()
-                if a in member and b in member
-            )
-            path, line = sites[0]
+        # Locks that reach each other through the edges are taken in
+        # conflicting orders; one finding per such group.
+        graph: Dict[str, Set[str]] = {}
+        for held, taken in edges:
+            graph.setdefault(held, set()).add(taken)
+        reach = {lock: self._reachable(graph, lock) for lock in graph}
+        reported: Set[str] = set()
+        for lock in sorted(graph):
+            group = {other for other in reach[lock]
+                     if lock in reach.get(other, ())}
+            if not group or lock in reported:
+                continue
+            reported |= group
+            sites = sorted(line for (a, b), line in edges.items()
+                           if a in group and b in group)
+            names = " <-> ".join(f"{cls.name}.{member}"
+                                 for member in sorted(group))
             yield Finding(
                 path=path,
-                line=line,
+                line=sites[0],
                 col=0,
                 rule=self.name,
                 message=(
-                    f"lock-order cycle: {' <-> '.join(component)} "
+                    f"lock-order cycle: {names} "
                     "acquired in conflicting orders across "
                     f"{len(sites)} sites — potential deadlock"),
             )
+
+    @staticmethod
+    def _reachable(graph: Dict[str, Set[str]], start: str) -> Set[str]:
+        seen: Set[str] = set()
+        stack = [start]
+        while stack:
+            for nxt in graph.get(stack.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
+from repro.lint.config import TRACE_EVENTS_MODULE
 from repro.lint.framework import (
     Finding,
     Project,
@@ -55,11 +56,10 @@ class TraceSchemaRule(Rule):
     description = ("emitted trace kinds must exist in the "
                    "repro.obs.events registry")
 
-    def _registry(self, project: Project) -> Tuple[Dict[str, str], str]:
-        module = project.config.trace_events_module
-        src = project.file_for_module(module)
+    def _registry(self, project: Project) -> Dict[str, str]:
+        src = project.file_for_module(TRACE_EVENTS_MODULE)
         if src is not None:
-            return _parse_registry(src.tree), module
+            return _parse_registry(src.tree)
         # The linted paths may not include the registry (e.g. linting
         # tests/): fall back to the installed module next to this file.
         fallback = Path(__file__).resolve().parents[2] / "obs" / \
@@ -67,36 +67,35 @@ class TraceSchemaRule(Rule):
         try:
             tree = ast.parse(fallback.read_text(encoding="utf-8"))
         except (OSError, SyntaxError):
-            return {}, module
-        return _parse_registry(tree), module
+            return {}
+        return _parse_registry(tree)
 
     def check(self, project: Project) -> Iterable[Finding]:
-        registry, reg_module = self._registry(project)
+        registry = self._registry(project)
         if not registry:
             return []
         kinds = set(registry.values())
         findings: List[Finding] = []
         for src in project.files:
-            if src.module == reg_module:
+            if src.module == TRACE_EVENTS_MODULE:
                 continue
             aliases = {
                 local for local, target in src.imports.names.items()
-                if target == reg_module
+                if target == TRACE_EVENTS_MODULE
             }
             for node in ast.walk(src.tree):
                 if isinstance(node, ast.Attribute):
                     finding = self._check_constant_ref(
-                        src, node, aliases, registry, reg_module)
+                        src, node, aliases, registry)
                     if finding:
                         findings.append(finding)
                 elif isinstance(node, ast.Call):
-                    findings.extend(self._check_emit(
-                        src, node, kinds, reg_module))
+                    findings.extend(self._check_emit(src, node, kinds))
         return findings
 
     def _check_constant_ref(
         self, src: SourceFile, node: ast.Attribute, aliases: set,
-        registry: Dict[str, str], reg_module: str,
+        registry: Dict[str, str],
     ) -> Optional[Finding]:
         if not (isinstance(node.value, ast.Name)
                 and node.value.id in aliases):
@@ -110,11 +109,11 @@ class TraceSchemaRule(Rule):
             col=node.col_offset,
             rule=self.name,
             message=(f"unknown trace-kind constant {name!r} — not "
-                     f"defined in {reg_module}"),
+                     f"defined in {TRACE_EVENTS_MODULE}"),
         )
 
     def _check_emit(self, src: SourceFile, node: ast.Call,
-                    kinds: set, reg_module: str) -> Iterable[Finding]:
+                    kinds: set) -> Iterable[Finding]:
         func = node.func
         dotted = dotted_name(func)
         is_emit = isinstance(func, ast.Attribute) and \
@@ -139,7 +138,7 @@ class TraceSchemaRule(Rule):
                     col=expr.col_offset,
                     rule=self.name,
                     message=(f"emitted kind {expr.value!r} is not in "
-                             f"the {reg_module} registry — register a "
-                             "constant for it (typo'd kinds vanish "
-                             "from trace analysis)"),
+                             f"the {TRACE_EVENTS_MODULE} registry — "
+                             "register a constant for it (typo'd kinds "
+                             "vanish from trace analysis)"),
                 )

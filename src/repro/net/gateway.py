@@ -30,13 +30,14 @@ from __future__ import annotations
 import socket
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net import protocol
 from repro.net.buffer import IngestBuffer
 from repro.obs import events as trace_events
 from repro.service.jobs import DEFAULT_TENANT, QuotaExceededError
 from repro.service.server import StreamService
+from repro.workloads.streams import TimestampedBatch
 
 #: How long the dispatcher thread naps between empty-queue sweeps, and
 #: how often blocked waits (credit, result) re-check for shutdown.
@@ -47,25 +48,67 @@ DEFAULT_HIGH_WATER = 64
 
 
 class _TenantGate:
-    """One tenant's ingest accounting: open buffers + a wakeup point."""
+    """One tenant's ingest accounting: open buffers + a wakeup point.
+
+    Lock order, stated here because only this class takes both:
+    ``_cond`` first, then ``IngestBuffer._cond`` under it (the put in
+    :meth:`admit`, the per-buffer reads of the depth sum).  Never the
+    reverse — a buffer calls :meth:`notify` (its ``on_drain``) only
+    after it has released its own lock.
+    """
 
     def __init__(self) -> None:
-        self.cond = threading.Condition()
-        self.buffers: List[IngestBuffer] = []  # guarded-by: cond
+        self._cond = threading.Condition()
+        self._buffers: List[IngestBuffer] = []  # guarded-by: _cond
 
     def add(self, buffer: IngestBuffer) -> None:
-        with self.cond:
-            self.buffers.append(buffer)
+        with self._cond:
+            self._buffers.append(buffer)
 
     def depth(self) -> int:
         """Buffered batches across the tenant's live streams."""
-        with self.cond:
-            self.buffers = [b for b in self.buffers if not b.drained()]
-            return sum(b.depth() for b in self.buffers)
+        with self._cond:
+            return self._depth_locked()
+
+    def _depth_locked(self) -> int:
+        self._buffers = [b for b in self._buffers if not b.drained()]
+        return sum(b.depth() for b in self._buffers)
+
+    def admit(self, buffer: IngestBuffer, batch: TimestampedBatch,
+              high_water: Optional[int]) -> Tuple[bool, int]:
+        """Put ``batch`` unless the tenant already sits at the mark.
+
+        Check-then-put under one acquisition: a tenant streaming over
+        several connections must not race two puts past the mark.
+        Returns ``(admitted, depth)`` — the depth after the put, or the
+        depth that refused it — so one reading serves the over-check,
+        the metrics sample and the credit count (the sum prunes and
+        walks every live buffer of the tenant, too hot to recompute
+        per reply).  A closed ``buffer`` raises the put's
+        :class:`RuntimeError`.
+        """
+        with self._cond:
+            depth = self._depth_locked()
+            if high_water is not None and depth >= high_water:
+                return False, depth
+            buffer.put(batch)
+            return True, depth + 1
+
+    def wait_below(self, high_water: int, stopped: Callable[[], bool],
+                   on_stall: Callable[[], None]) -> None:
+        """Block until the tenant is under the mark or ``stopped()``;
+        ``on_stall`` runs once, before the first wait."""
+        with self._cond:
+            stalled = False
+            while self._depth_locked() >= high_water and not stopped():
+                if not stalled:
+                    stalled = True
+                    on_stall()
+                self._cond.wait(timeout=POLL_INTERVAL * 10)
 
     def notify(self) -> None:
-        with self.cond:
-            self.cond.notify_all()
+        with self._cond:
+            self._cond.notify_all()
 
 
 class _Connection:
@@ -465,31 +508,19 @@ class StreamGateway:
             return {"type": "error", "code": "unknown-job",
                     "error": f"no open stream for job {job_id!r}"}
         batch = protocol.decode_batch(message)
-        gate = self._gate(conn.tenant)
-        # Check-then-put under the gate lock: a tenant streaming over
-        # several connections must not race two puts past the mark.
-        # One depth reading serves the over-check, the metrics sample
-        # and the credit count — depth() prunes and sums every live
-        # buffer of the tenant, too hot to recompute per reply.
-        with gate.cond:
-            depth = gate.depth()
-            over = (self.high_water is not None
-                    and depth >= self.high_water)
-            if not over:
-                try:
-                    buffer.put(batch)
-                except RuntimeError:
-                    # Aborted between the closed check above and the
-                    # put (gateway stop or connection teardown from
-                    # another thread): refuse coherently instead of
-                    # killing the handler thread.
-                    self.metrics.record_gateway(protocol_errors=1)
-                    return {"type": "error", "code": "closed-stream",
-                            "error": f"stream for job {job_id!r} "
-                                     "closed while the batch was in "
-                                     "flight"}
-                depth += 1
-        if over:
+        try:
+            admitted, depth = self._gate(conn.tenant).admit(
+                buffer, batch, self.high_water)
+        except RuntimeError:
+            # Aborted between the closed check above and the put
+            # (gateway stop or connection teardown from another
+            # thread): refuse coherently instead of killing the
+            # handler thread.
+            self.metrics.record_gateway(protocol_errors=1)
+            return {"type": "error", "code": "closed-stream",
+                    "error": f"stream for job {job_id!r} closed while "
+                             "the batch was in flight"}
+        if not admitted:
             # The client out-ran its credits: shed, never buffer.  The
             # batch is gone — the client decides whether to retry after
             # a credit wait or to accept the loss.
@@ -528,19 +559,16 @@ class StreamGateway:
         if self.high_water is None:
             return {"type": "credit",
                     "credits": protocol.UNLIMITED_CREDITS}
-        gate = self._gate(conn.tenant)
-        stalled = False
-        with gate.cond:
-            while gate.depth() >= self.high_water \
-                    and not self._stop.is_set():
-                if not stalled:
-                    stalled = True
-                    self.metrics.record_gateway(credit_stalls=1)
-                    if self.tracer.enabled:
-                        self.tracer.emit(trace_events.GATEWAY_STALL,
-                                         tenant_id=conn.tenant,
-                                         high_water=self.high_water)
-                gate.cond.wait(timeout=POLL_INTERVAL * 10)
+
+        def on_stall() -> None:
+            self.metrics.record_gateway(credit_stalls=1)
+            if self.tracer.enabled:
+                self.tracer.emit(trace_events.GATEWAY_STALL,
+                                 tenant_id=conn.tenant,
+                                 high_water=self.high_water)
+
+        self._gate(conn.tenant).wait_below(
+            self.high_water, self._stop.is_set, on_stall)
         return {"type": "credit", "credits": self._credits(conn.tenant)}
 
     def _on_poll(self, conn: _Connection,

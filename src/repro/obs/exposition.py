@@ -120,9 +120,12 @@ def to_prometheus(snapshot: Dict[str, Any], prefix: str = "repro") -> str:
     p50/p95 ring-buffer sections become ``quantile``-labelled summary
     samples.
     """
+    # Function-level import for the same cycle as in _flat_counters.
+    from repro.service.metrics import JOB_STATES, TENANT_JOB_STATES
+
     exp = _Exposition(prefix)
     jobs = snapshot.get("jobs", {})
-    for state in ("submitted", "completed", "failed", "cancelled"):
+    for state in JOB_STATES:
         exp.sample("jobs_total", "Jobs by terminal/ingress state",
                    "counter", jobs.get(state, 0), {"state": state})
     exp.sample("windows_closed_total", "Event-time windows closed",
@@ -173,8 +176,7 @@ def to_prometheus(snapshot: Dict[str, Any], prefix: str = "repro") -> str:
 
     for tenant_id, stats in sorted(snapshot.get("tenants", {}).items()):
         labels = {"tenant": tenant_id}
-        for state in ("submitted", "completed", "failed", "cancelled",
-                      "rejected"):
+        for state in TENANT_JOB_STATES:
             exp.sample("tenant_jobs_total", "Per-tenant jobs by state",
                        "counter", stats.get("jobs", {}).get(state, 0),
                        {**labels, "state": state})

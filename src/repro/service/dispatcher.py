@@ -297,7 +297,7 @@ class Dispatcher:
             job.cycles = merged.total_cycles
             job.segments = merged.segments
         job.status = JobStatus.COMPLETED
-        self.metrics.record_completed(job.tenant_id)
+        self.metrics.record_job("completed", job.tenant_id)
         if self.tracer.enabled:
             self.tracer.emit(
                 trace_events.JOB_COMPLETE,
@@ -308,7 +308,7 @@ class Dispatcher:
     def _fail(self, job: Job, message: str) -> None:
         job.status = JobStatus.FAILED
         job.error = message
-        self.metrics.record_failed(job.tenant_id)
+        self.metrics.record_job("failed", job.tenant_id)
         if self.tracer.enabled:
             self.tracer.emit(
                 trace_events.JOB_FAIL,

@@ -76,6 +76,17 @@ class WorkerStats:
         return self.tuples / self.cycles if self.cycles else 0.0
 
 
+#: The states a job is counted under, declared once: the fleet ``jobs``
+#: counters, the snapshot's ``jobs`` dicts and the ``state`` labels of
+#: ``repro_jobs_total`` / ``repro_tenant_jobs_total`` derive from these,
+#: in this order.
+JOB_STATES = ("submitted", "completed", "failed", "cancelled")
+
+#: Per tenant there is one more: admission-control rejections (quota
+#: exceeded), which never became a fleet job.
+TENANT_JOB_STATES = JOB_STATES + ("rejected",)
+
+
 @dataclass
 class TenantStats:
     """Cumulative serving record of one tenant.
@@ -90,11 +101,8 @@ class TenantStats:
 
     weight: float = 1.0
     slo_delay_tuples: Optional[int] = None
-    jobs_submitted: int = 0
-    jobs_completed: int = 0
-    jobs_failed: int = 0
-    jobs_cancelled: int = 0
-    jobs_rejected: int = 0
+    jobs: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(TENANT_JOB_STATES, 0))
     tuples: int = 0
     cycles: int = 0
     stall_cycles: int = 0
@@ -184,10 +192,8 @@ class ServiceMetrics:
     windows_closed: int = 0  # guarded-by: _lock
     tuples_windowed: int = 0  # guarded-by: _lock
     late_tuples: int = 0  # guarded-by: _lock
-    jobs_submitted: int = 0  # guarded-by: _lock
-    jobs_completed: int = 0  # guarded-by: _lock
-    jobs_failed: int = 0  # guarded-by: _lock
-    jobs_cancelled: int = 0  # guarded-by: _lock
+    jobs: Dict[str, int] = field(  # guarded-by: _lock
+        default_factory=lambda: dict.fromkeys(JOB_STATES, 0))
     rebalances: int = 0  # guarded-by: _lock
     queue_depth_samples: Deque[int] = field(  # guarded-by: _lock
         default_factory=lambda: deque(maxlen=QUEUE_DEPTH_WINDOW))
@@ -220,30 +226,15 @@ class ServiceMetrics:
             stats.weight = weight
             stats.slo_delay_tuples = slo_delay_tuples
 
-    def record_submit(self, tenant_id: str) -> None:
+    def record_job(self, state: str, tenant_id: str) -> None:
+        """One job of ``tenant_id`` entered ``state``, one of
+        :data:`TENANT_JOB_STATES`; ``rejected`` (an admission-control
+        refusal, quota exceeded) never became a fleet job and is counted
+        for the tenant alone."""
         with self._lock:
-            self.jobs_submitted += 1
-            self._tenant(tenant_id).jobs_submitted += 1
-
-    def record_completed(self, tenant_id: str) -> None:
-        with self._lock:
-            self.jobs_completed += 1
-            self._tenant(tenant_id).jobs_completed += 1
-
-    def record_failed(self, tenant_id: str) -> None:
-        with self._lock:
-            self.jobs_failed += 1
-            self._tenant(tenant_id).jobs_failed += 1
-
-    def record_cancelled(self, tenant_id: str) -> None:
-        with self._lock:
-            self.jobs_cancelled += 1
-            self._tenant(tenant_id).jobs_cancelled += 1
-
-    def record_rejected(self, tenant_id: str) -> None:
-        """An admission-control rejection (quota exceeded)."""
-        with self._lock:
-            self._tenant(tenant_id).jobs_rejected += 1
+            if state in self.jobs:
+                self.jobs[state] += 1
+            self._tenant(tenant_id).jobs[state] += 1
 
     def record_queue_delay(self, tenant_id: str, delay: int) -> None:
         """A started job waited ``delay`` dispatch-clock tuples."""
@@ -421,12 +412,7 @@ class ServiceMetrics:
                        if worker_cycles else 0.0)
         depths = self.queue_depth_samples
         return {
-            "jobs": {
-                "submitted": self.jobs_submitted,
-                "completed": self.jobs_completed,
-                "failed": self.jobs_failed,
-                "cancelled": self.jobs_cancelled,
-            },
+            "jobs": dict(self.jobs),
             "windows_closed": self.windows_closed,
             "tuples_windowed": self.tuples_windowed,
             "late_tuples": self.late_tuples,
@@ -481,13 +467,7 @@ class ServiceMetrics:
     def _tenant_snapshot(stats: TenantStats) -> Dict[str, Any]:
         return {
             "weight": stats.weight,
-            "jobs": {
-                "submitted": stats.jobs_submitted,
-                "completed": stats.jobs_completed,
-                "failed": stats.jobs_failed,
-                "cancelled": stats.jobs_cancelled,
-                "rejected": stats.jobs_rejected,
-            },
+            "jobs": dict(stats.jobs),
             "tuples": stats.tuples,
             "cycles": stats.cycles,
             "tuples_per_cycle": stats.tuples_per_cycle,

@@ -328,9 +328,9 @@ class StreamService:
         except QuotaExceededError:
             with self._jobs_lock:
                 self._jobs.pop(job.job_id, None)
-            self.metrics.record_rejected(tenant_id)
+            self.metrics.record_job("rejected", tenant_id)
             raise
-        self.metrics.record_submit(tenant_id)
+        self.metrics.record_job("submitted", tenant_id)
         if self.tracer.enabled:
             self.tracer.emit(
                 trace_events.JOB_SUBMIT, job.submit_clock,
@@ -343,7 +343,7 @@ class StreamService:
         cancelled = self._queue.cancel(job_id)
         if cancelled:
             job = self._job(job_id)
-            self.metrics.record_cancelled(job.tenant_id)
+            self.metrics.record_job("cancelled", job.tenant_id)
             if self.tracer.enabled:
                 self.tracer.emit(trace_events.JOB_CANCEL,
                                  job_id=job.job_id,

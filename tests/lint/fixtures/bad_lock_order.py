@@ -34,3 +34,15 @@ class Reacquire:
     def inner(self):
         with self._lock:
             pass
+
+
+class Outsider:
+    """Takes a lock it does not own: the order it nests ``_a_lock`` in
+    is invisible from ``Pair``, where that order is checked."""
+
+    def __init__(self, pair):
+        self.pair = pair
+
+    def poke(self):
+        with self.pair._a_lock:
+            pass

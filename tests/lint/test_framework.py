@@ -106,6 +106,20 @@ class TestAnnotations:
         assert not src.guards
         assert not src.hot_lines
 
+    def test_pragma_naming_the_rule_is_not_a_hot_marker(self):
+        # "hot-path" inside a pragma's rule list is the pragma's text:
+        # it must not put the def below (or beside) it under the rule.
+        src = parse("""
+            x = 1  # lint: disable=hot-path
+            def g(b):
+                return pickle.dumps(b)
+
+            def h(b):  # lint: disable=hot-path
+                return b
+        """)
+        assert not src.hot_lines
+        assert not any(src.is_hot(node) for node in src.tree.body[1:])
+
     def test_is_hot_line_above(self):
         src = parse("""
             # hot-path
@@ -166,10 +180,9 @@ class TestLockModel:
                     pass
         """)
         (cls,) = src.classes()
-        assert [r.attr for r in cls.entry_refs("_helper_locked")] == \
-            ["_lock"]
-        assert [r.attr for r in cls.entry_refs("helper")] == ["_lock"]
-        assert cls.entry_refs("__init__") == ()
+        assert cls.methods["_helper_locked"].entry_held == ("_lock",)
+        assert cls.methods["helper"].entry_held == ("_lock",)
+        assert cls.methods["__init__"].entry_held == ()
 
 
 class TestProjectLoading:

@@ -57,6 +57,16 @@ class TestLockOrder:
         assert "Reacquire._lock" in reacq[0]
         assert "single-thread deadlock" in reacq[0]
 
+    def test_another_objects_lock_is_a_finding(self):
+        report = lint_fixture("bad_lock_order.py", rules=["lock-order"])
+        foreign = [f for f in report.findings
+                   if "another object's lock" in f.message]
+        assert len(foreign) == 1
+        assert "self.pair._a_lock" in foreign[0].message
+        assert "inside the owning class" in foreign[0].message
+        # Pair's own ``with self._a_lock:`` blocks are not outsiders.
+        assert len(report.findings) == 3
+
     def test_good_fixture_clean(self):
         report = lint_fixture("good_lock_order.py",
                               rules=["lock-order"])

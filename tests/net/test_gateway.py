@@ -238,6 +238,92 @@ class TestBackpressure:
             service.shutdown()
 
 
+class TestTenantGate:
+    """``_TenantGate`` on its own: no sockets, no service."""
+
+    @staticmethod
+    def gate_with_buffer():
+        from repro.net.buffer import IngestBuffer
+        from repro.net.gateway import _TenantGate
+
+        gate = _TenantGate()
+        buffer = IngestBuffer(on_drain=gate.notify)
+        gate.add(buffer)
+        return gate, buffer, zipf_batches(tuples=100, chunk=100)[0]
+
+    def test_admit_returns_the_depth_after_the_put(self):
+        gate, buffer, batch = self.gate_with_buffer()
+        assert gate.admit(buffer, batch, 2) == (True, 1)
+        assert gate.admit(buffer, batch, 2) == (True, 2)
+        assert gate.admit(buffer, batch, None) == (True, 3)  # no mark
+        assert buffer.depth() == gate.depth() == 3
+
+    def test_admit_refuses_at_the_mark_with_the_depth_it_saw(self):
+        gate, buffer, batch = self.gate_with_buffer()
+        assert gate.admit(buffer, batch, 1) == (True, 1)
+        assert gate.admit(buffer, batch, 1) == (False, 1)
+        assert buffer.depth() == 1  # shed, never buffered
+        next(buffer)
+        assert gate.admit(buffer, batch, 1) == (True, 1)
+
+    def test_admit_into_a_closed_buffer_raises(self):
+        gate, buffer, batch = self.gate_with_buffer()
+        buffer.abort("connection torn down")
+        with pytest.raises(RuntimeError):
+            gate.admit(buffer, batch, 4)
+
+    def test_two_threads_at_the_mark_admit_exactly_one(self):
+        """Check and put are one critical section: with a put slow
+        enough for both checks to pass before either lands, an
+        unlocked check-then-put would admit both."""
+        from repro.net.buffer import IngestBuffer
+
+        gate, buffer, batch = self.gate_with_buffer()
+
+        def slow_put(item):
+            time.sleep(0.05)
+            IngestBuffer.put(buffer, item)
+
+        buffer.put = slow_put
+        start = threading.Barrier(2)
+        outcomes = []
+
+        def producer():
+            start.wait()
+            outcomes.append(gate.admit(buffer, batch, 1))
+
+        threads = [threading.Thread(target=producer) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10.0)
+        assert sorted(outcomes) == [(False, 1), (True, 1)]
+        assert buffer.depth() == 1
+
+    def test_wait_below_stalls_once_until_stopped(self):
+        gate, buffer, batch = self.gate_with_buffer()
+        gate.admit(buffer, batch, 1)
+        stop = threading.Event()
+        stalls = []
+        waiter = threading.Thread(
+            target=gate.wait_below,
+            args=(1, stop.is_set, lambda: stalls.append(1)))
+        waiter.start()
+        waiter.join(timeout=0.2)  # several wake-ups of the wait loop
+        assert waiter.is_alive()  # at the mark and not stopped
+        stop.set()
+        waiter.join(timeout=10.0)
+        assert not waiter.is_alive()
+        assert stalls == [1]
+
+    def test_wait_below_under_the_mark_returns_without_a_stall(self):
+        gate, buffer, batch = self.gate_with_buffer()
+        gate.admit(buffer, batch, 2)
+        stalls = []
+        gate.wait_below(2, lambda: False, lambda: stalls.append(1))
+        assert stalls == []
+
+
 class TestRobustness:
     def test_stale_credit_busy_is_retried_not_lost(self):
         """A wait=True sender whose cached credit count is stale (e.g.

@@ -19,14 +19,14 @@ GOLDEN = Path(__file__).with_name("golden_exposition.prom")
 
 def _exercised_metrics() -> ServiceMetrics:
     metrics = ServiceMetrics()
-    metrics.record_submit("alice")
-    metrics.record_submit("bob")
+    metrics.record_job("submitted", "alice")
+    metrics.record_job("submitted", "bob")
     metrics.sample_queue_depth(2)
     metrics.record_window(4_000)
     metrics.record_segment(0, 3_000, 900, tenant="alice")
     metrics.record_segment(1, 1_000, 400, tenant="bob")
-    metrics.record_completed("alice")
-    metrics.record_completed("bob")
+    metrics.record_job("completed", "alice")
+    metrics.record_job("completed", "bob")
     metrics.record_gateway(batches_ingested=3, tuples_ingested=4_000)
     metrics.record_control(drift_events=1, replans_suppressed=1)
     return metrics
@@ -39,12 +39,12 @@ def _golden_metrics() -> ServiceMetrics:
     metrics.register_tenant("alice", weight=3.0, slo_delay_tuples=5_000)
     metrics.register_tenant("bob", weight=0.5)
     for tenant in ("alice", "alice", "alice", "bob", "bob", "bob", "bob"):
-        metrics.record_submit(tenant)
-    metrics.record_rejected("bob")
-    metrics.record_cancelled("bob")
-    metrics.record_failed("bob")
+        metrics.record_job("submitted", tenant)
+    metrics.record_job("rejected", "bob")
+    metrics.record_job("cancelled", "bob")
+    metrics.record_job("failed", "bob")
     for tenant in ("alice", "alice", "alice", "bob", "bob"):
-        metrics.record_completed(tenant)
+        metrics.record_job("completed", tenant)
     for delay in (0, 4_000, 9_000):
         metrics.record_queue_delay("alice", delay)
     metrics.record_queue_delay("bob", 12_500)

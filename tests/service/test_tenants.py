@@ -454,7 +454,7 @@ class TestCancelledTenantAccounting:
                             window_seconds=WINDOW, tenant_id="flaky")
         assert svc.cancel(job_id)
         svc.shutdown()
-        assert svc.metrics.jobs_cancelled == 1
-        assert svc.metrics.tenants["flaky"].jobs_cancelled == 1
+        assert svc.metrics.jobs["cancelled"] == 1
+        assert svc.metrics.tenants["flaky"].jobs["cancelled"] == 1
         job = svc._job(job_id)
         assert job.status is JobStatus.CANCELLED
