@@ -114,84 +114,3 @@ def test_all_kernels_identical_across_backends():
     for app in workloads:
         assert inline[app] == process[app], f"{app} diverged"
 
-
-# ----------------------------------------------------------------------
-# Pipe vs shared-memory shard transport
-# ----------------------------------------------------------------------
-# Big shards on the fast engine: per-tuple compute is vectorised and
-# cheap, so what remains between dispatcher and children is the
-# transport itself.  The pipe serialises every shard twice (tobytes in
-# the parent, recv_bytes in the child) through a 64 KiB kernel buffer;
-# the shm transport memcpys once into a slab and ships a ~100 B
-# descriptor.  Roundrobin keeps shard sizes uniform so the two
-# transports move identical byte totals.
-TRANSPORT_TUPLES = 2_000_000
-TRANSPORT_CHUNK = 125_000
-TRANSPORT_WINDOW = 4e-5
-TRANSPORT_WORKERS = 4
-
-
-def serve_transport(backend: str, transport: str, batch) -> tuple:
-    """Wall time, result bytes and transport counters for one job."""
-    service = StreamService(workers=TRANSPORT_WORKERS,
-                            balancer="roundrobin", engine="fast",
-                            backend=backend, transport=transport)
-    started = time.perf_counter()
-    job_id = service.submit("histo", chunk_stream(batch, TRANSPORT_CHUNK),
-                            window_seconds=TRANSPORT_WINDOW,
-                            job_id=f"xport-{backend}-{transport}")
-    service.run()
-    elapsed = time.perf_counter() - started
-    result = service.result(job_id)
-    counters = service.metrics.snapshot()["transport"]
-    service.shutdown()
-    return elapsed, pickle.dumps(result.result), counters
-
-
-def test_transport_ablation(emit):
-    batch = ZipfGenerator(alpha=ALPHA, seed=SEED).generate(TRANSPORT_TUPLES)
-    cores = os.cpu_count() or 1
-    inline_s, inline_bits, _ = serve_transport("inline", "pipe", batch)
-    pipe_s, pipe_bits, pipe_t = serve_transport("process", "pipe", batch)
-    shm_s, shm_bits, shm_t = serve_transport("process", "shm", batch)
-
-    # Correctness headline, asserted on every host: the transport is
-    # invisible in the results.
-    assert inline_bits == pipe_bits == shm_bits, "transports diverged"
-
-    # Copy headline, counter-verified on every host: shm moved strictly
-    # fewer copied bytes per shard — zero, since the 64 MiB arena never
-    # exhausts under this job's 32 MiB of payload (no fallbacks).
-    assert shm_t["slab_fallbacks"] == 0
-    assert shm_t["shards_shm"] == pipe_t["shards_pipe"] > 0
-    assert shm_t["shard_bytes_copied"] == 0
-    assert shm_t["shard_bytes_copied"] < pipe_t["shard_bytes_copied"]
-    # Each pipe shard is copied twice (serialise + receive); the shm
-    # shard is written once.  Identical shard streams, so exactly 2x.
-    assert pipe_t["shard_bytes_copied"] == 2 * shm_t["shard_bytes_shared"]
-
-    speedup = pipe_s / shm_s if shm_s else 0.0
-    table = Table(
-        ["transport", "wall s", "MiB copied", "MiB shared", "shards"],
-        title=("Shard transport ablation, fast engine, "
-               f"{TRANSPORT_TUPLES:,} tuples, K={TRANSPORT_WORKERS} "
-               f"({cores} cores)"),
-    )
-    mib = 1024 * 1024
-    table.add_row(["inline", inline_s, 0.0, 0.0, 0])
-    table.add_row(["pipe", pipe_s,
-                   pipe_t["shard_bytes_copied"] / mib, 0.0,
-                   pipe_t["shards_pipe"]])
-    table.add_row(["shm", shm_s, 0.0,
-                   shm_t["shard_bytes_shared"] / mib,
-                   shm_t["shards_shm"]])
-    emit("fleet_transport", table.render(), {
-        "tuples": TRANSPORT_TUPLES, "engine": "fast", "cores": cores,
-        "workers": TRANSPORT_WORKERS,
-        "inline_seconds": inline_s,
-        "pipe_seconds": pipe_s,
-        "shm_seconds": shm_s,
-        "speedup_pipe_over_shm": speedup,
-        "pipe": pipe_t,
-        "shm": shm_t,
-    })

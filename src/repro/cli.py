@@ -218,7 +218,6 @@ def _service_for(args: argparse.Namespace):
         tracer.add_sink(JsonlSink(args.trace))
     service = StreamService(workers=args.workers, balancer=args.balancer,
                             engine=args.engine, backend=args.backend,
-                            transport=args.transport,
                             adaptive=args.adaptive, slo=args.slo,
                             reschedule_cost_cycles=args.reschedule_cost,
                             retained_jobs=args.retain_jobs,
@@ -308,12 +307,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
                            window_seconds=window),
         ]
     served = service.run()
-    backend_desc = args.backend
-    if args.backend == "process":
-        backend_desc = f"{args.backend}/{args.transport}"
     print(f"served {served} jobs on {service.balancer.workers} workers "
           f"[{service.balancer.describe()}, {args.engine} engine, "
-          f"{backend_desc} backend]")
+          f"{args.backend} backend]")
     if service.controller is not None:
         print(f"  {service.controller.describe()}")
     print()
@@ -609,14 +605,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "default) or on warm pre-forked worker "
                             "subprocesses (multi-core wall-time; "
                             "identical results)")
-        p.add_argument("--transport", default="pipe",
-                       choices=["pipe", "shm"],
-                       help="process-backend shard transport: copy "
-                            "shard bytes through each worker's pipe, "
-                            "or write them once to a shared-memory "
-                            "slab arena and ship descriptors "
-                            "(zero-copy; identical results). Ignored "
-                            "by the inline backend")
         p.add_argument("--adaptive", action="store_true",
                        help="enable the adaptive control plane: drift "
                             "detection, cost-aware replanning with plan "

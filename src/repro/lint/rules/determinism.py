@@ -2,9 +2,8 @@
 
 The dispatch clock (cumulative dispatched tuples) is the stack's only
 sanctioned notion of time in deterministic accounting: it is what makes
-results and traces bit-identical across the inline / process+pipe /
-process+shm backends, and what the ROADMAP's shadow-replay item will
-diff against.  One stray ``time.time()`` or unseeded RNG in a module on
+results and traces bit-identical across the inline and process
+backends, and what the ROADMAP's shadow-replay item will diff against.  One stray ``time.time()`` or unseeded RNG in a module on
 that path is a silent replay-divergence bug.
 
 Modules listed in :data:`~repro.lint.config.LintConfig.deterministic_modules`

@@ -1,19 +1,19 @@
 """*hot-path*: no serialisation or implicit copies in ``# hot-path``.
 
-PR 9's shared-memory shard transport exists to make the dispatcher ->
-worker route cost **zero copied bytes**; the pipe fallback deliberately
-pays two (and counts them).  A casually added ``pickle.dumps``,
-``deepcopy``, ``.tobytes()`` or copying NumPy op in one of those
-functions would silently undo the optimisation while every test still
-passes — byte accounting is a benchmark artifact, not a unit assert.
+The shared-memory shard transport exists to make the dispatcher ->
+worker route cost **zero copied bytes** beyond its one write into a
+slab.  A casually added ``pickle.dumps``, ``deepcopy``, ``.tobytes()``
+or copying NumPy op in one of those functions would silently undo that
+while every test still passes — byte accounting is a benchmark
+artifact, not a unit assert.
 
 Any function whose ``def`` line (or the line directly above it) carries
 a ``# hot-path`` comment is checked: calls listed in
 ``HOT_BANNED_CALLS``, method names in ``HOT_BANNED_METHODS``, and the
 allocating builtins in ``HOT_BANNED_BUILTINS`` are findings.  A
-deliberate copy (the counted pipe fallback) carries an inline
-``# lint: disable=hot-path`` pragma, which is the point: intentional
-copies are visible and reviewed, accidental ones fail CI.
+deliberate copy would carry an inline ``# lint: disable=hot-path``
+pragma, which is the point: intentional copies are visible and
+reviewed, accidental ones fail CI.  ``src/`` has none.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Lock-cheap trace collection: a ring buffer plus pluggable sinks.
 
 The collector is built to sit on hot paths (the dispatcher's per-window
-loop, the procpool pipe transport, the gateway's per-batch handler)
+loop, the procpool shard transport, the gateway's per-batch handler)
 without being felt when tracing is off:
 
 * callers guard on ``if tracer.enabled:`` — one attribute read — before

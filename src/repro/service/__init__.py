@@ -28,8 +28,8 @@ workers serving many clients:
     worker threads (deterministic default, trace order included).
 ``procpool``
     The ``"process"`` adapter: K warm, pre-forked worker subprocesses
-    fed raw NumPy buffers over pipes — the multi-core raw-speed path,
-    bit-identical to inline.
+    fed shards through a shared-memory slab arena — the multi-core
+    raw-speed path, bit-identical to inline.
 ``dispatcher``
     The serving loop between ``queue`` and the backend as one unit,
     :class:`~repro.service.dispatcher.Dispatcher`, stepped on the
@@ -68,12 +68,10 @@ from repro.service.metrics import (
 )
 from repro.service.executor import (
     BACKENDS,
-    TRANSPORTS,
     ExecutionBackend,
     SessionSpec,
     make_backend,
     validate_backend,
-    validate_transport,
 )
 from repro.service.dispatcher import Dispatcher, Step
 from repro.service.pool import WorkItem, WorkerPool
@@ -87,7 +85,6 @@ __all__ = [
     "BACKENDS",
     "DEFAULT_TENANT",
     "SERVED_APPS",
-    "TRANSPORTS",
     "Dispatcher",
     "EventWindow",
     "ExecutionBackend",
@@ -116,5 +113,4 @@ __all__ = [
     "make_balancer",
     "shard_of_keys",
     "validate_backend",
-    "validate_transport",
 ]

@@ -14,8 +14,10 @@ adapters:
 
 ``repro.service.procpool.ProcessBackend`` (``backend="process"``)
     K warm, pre-forked worker subprocesses that stay up across jobs.
-    Shards travel as raw NumPy buffers over pipes, per-(worker, job)
-    sessions live in the child, and partial results come back as compact
+    Shards are written once into a shared-memory slab arena
+    (:mod:`repro.service.shm`) and only a descriptor crosses each
+    worker's pipe; per-(worker, job) sessions live in the child, and
+    partial results come back as compact
     :class:`~repro.runtime.session.SessionSnapshot`s on collection.
     This is the multi-core raw-speed path (the ModelOps warm-pool shape:
     processes are forked once and reused, never cold-started per job).
@@ -42,13 +44,6 @@ from repro.runtime.session import StreamingSession
 #: The registered execution backends, in preference-for-replay order.
 BACKENDS = ("inline", "process")
 
-#: Shard transports of the process backend, in copies-per-shard order:
-#: ``pipe`` serializes both arrays through the pipe (two copies),
-#: ``shm`` writes them once into a shared-memory slab and ships a
-#: descriptor (:mod:`repro.service.shm`).  The inline backend has no
-#: process boundary, so the knob is accepted and ignored there.
-TRANSPORTS = ("pipe", "shm")
-
 
 def validate_backend(backend: str) -> str:
     """Normalize and validate a backend name (mirrors validate_engine)."""
@@ -56,14 +51,6 @@ def validate_backend(backend: str) -> str:
         raise ValueError(
             f"unknown backend {backend!r} (inline | process)")
     return backend
-
-
-def validate_transport(transport: str) -> str:
-    """Normalize and validate a shard-transport name."""
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {transport!r} (pipe | shm)")
-    return transport
 
 
 @dataclass(frozen=True)
@@ -163,7 +150,6 @@ def make_backend(
     spec_factory: Callable[[str], SessionSpec],
     metrics,
     tracer=None,
-    transport: str = "pipe",
 ) -> ExecutionBackend:
     """Build the named adapter behind the :class:`ExecutionBackend` port.
 
@@ -173,12 +159,8 @@ def make_backend(
     ``tracer`` is the service's shared
     :class:`~repro.obs.collector.TraceCollector` (or None for a disabled
     one) — both adapters emit segment and lifecycle events through it.
-    ``transport`` picks the process backend's shard path (pipe copies
-    vs shared-memory descriptors); the inline adapter, having no
-    process boundary, validates and ignores it.
     """
     validate_backend(backend)
-    validate_transport(transport)
     if backend == "inline":
         from repro.service.pool import WorkerPool
 
@@ -190,5 +172,4 @@ def make_backend(
         )
     from repro.service.procpool import ProcessBackend
 
-    return ProcessBackend(workers, spec_factory, metrics, tracer=tracer,
-                          transport=transport)
+    return ProcessBackend(workers, spec_factory, metrics, tracer=tracer)

@@ -145,25 +145,20 @@ COUNTERS: Dict[str, Dict[str, str]] = {
         "protocol_errors": "Wire protocol errors",
     },
     # The process backend's shard transport, the **only** deliberately
-    # transport-variant section of the snapshot: ``pipe`` pays two full
-    # copies per shard (serialize in the parent, deserialize in the
-    # child), counted in shard_bytes_copied; ``shm`` pays a single write
-    # into a shared slab, counted in shard_bytes_shared, and ships only
-    # a descriptor.  Equivalence tests compare snapshots with this
-    # section stripped; the transport benchmark asserts on exactly this
-    # section.  Shard and byte counters are deterministic given a
+    # backend-variant section of the snapshot: each shard is written
+    # once into a shared slab, counted in shard_bytes_shared, and only a
+    # descriptor crosses the pipe; the inline backend moves no bytes at
+    # all.  Equivalence tests compare snapshots with this section
+    # stripped.  Shard and byte counters are deterministic given a
     # dispatch sequence; slabs_allocated and slab_blocks_reused are not
     # — block recycling depends on how fast children consume shards
     # relative to the dispatcher, which is wall-clock scheduling.
     "transport": {
-        "shards_pipe": "Shards shipped as pipe byte copies",
         "shards_shm": "Shards shipped as shared-memory descriptors",
-        "shard_bytes_copied": "Shard bytes serialized through pipes",
         "shard_bytes_shared": "Shard bytes written once to shared slabs",
         "slabs_allocated": "Shared-memory slabs created",
         "slab_blocks_reused": "Slab allocations served from recycled blocks",
         "slabs_released": "Shared-memory slabs unlinked",
-        "slab_fallbacks": "Shards that fell back from shm to pipe",
         "shard_retries": "Lost shards replayed after a worker crash",
     },
     # The control plane (repro.control).  reschedule_stall_cycles models
@@ -554,15 +549,12 @@ class ServiceMetrics:
                 f"{gateway['bytes_received']:,} B in / "
                 f"{gateway['bytes_sent']:,} B out")
         transport = snap["transport"]
-        if transport["shards_pipe"] or transport["shards_shm"]:
+        if transport["shards_shm"]:
             lines.append(
-                f"shard transport  : {transport['shards_pipe']} pipe / "
-                f"{transport['shards_shm']} shm shards, "
-                f"{transport['shard_bytes_copied']:,} B copied / "
+                f"shard transport  : {transport['shards_shm']} shm shards, "
                 f"{transport['shard_bytes_shared']:,} B shared, "
                 f"{transport['slabs_allocated']} slabs "
-                f"({transport['slab_blocks_reused']} blocks reused, "
-                f"{transport['slab_fallbacks']} fallbacks), "
+                f"({transport['slab_blocks_reused']} blocks reused), "
                 f"{transport['shard_retries']} shard retries")
         control = snap["control"]
         if (control["drift_events"] or control["replans_applied"]

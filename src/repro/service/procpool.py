@@ -12,24 +12,16 @@ Each child owns one duplex pipe.  Job descriptions cross it once per
 (worker, job) as a picklable
 :class:`~repro.service.executor.SessionSpec`; partial results come back
 as compact :class:`~repro.runtime.session.SessionSnapshot`s.  Window
-shards cross it through one of two **transports**:
-
-``transport="pipe"``
-    The shard's key/value arrays are serialized (``tobytes`` — a copy
-    in the parent) and deserialized (``recv_bytes`` — a copy in the
-    child).  Simple, allocation-free parent state, two copies per
-    shard.  The shard header carries the arrays' dtypes, so kernels
-    with non-default key/value dtypes round-trip exactly.
-
-``transport="shm"``
-    The arrays are written once into a shared-memory slab
-    (:class:`~repro.service.shm.SlabArena`) and the pipe carries only a
-    small :class:`~repro.service.shm.ShardDescriptor`; the child builds
-    read-only NumPy views straight over the shared mapping — zero
-    copies on the hot path.  Blocks recycle through a per-worker
-    consumed-sequence handshake (no reverse pipe traffic), and when the
-    arena cannot place a shard the backend falls back to the pipe copy
-    for that shard — counted, never fatal.
+shards never cross it as bytes: their key/value arrays are written once
+into a shared-memory slab (:class:`~repro.service.shm.SlabArena`) and
+the pipe carries only a small
+:class:`~repro.service.shm.ShardDescriptor` (which names both dtypes);
+the child builds read-only NumPy views straight over the shared mapping.
+Blocks recycle through a per-worker consumed-sequence handshake (no
+reverse pipe traffic).  When the arena is full, dispatch waits for that
+handshake, bounded by ``join_timeout``: a holder found dead meanwhile is
+revived and replayed (below), and a wait that times out fails the
+shard's job through the error ledger.
 
 Determinism contract: the child records each segment's (job, tenant,
 tuples, cycles, dispatch clock) locally and ships the ledger back on
@@ -37,12 +29,11 @@ tuples, cycles, dispatch clock) locally and ships the ledger back on
 :class:`~repro.service.metrics.ServiceMetrics`.  Segment accounting is
 commutative per worker, and the dispatch clock is advanced only by the
 dispatcher thread, so metrics snapshots after a drain are identical to
-the inline backend's — and identical across both transports (the only
-transport-variant section of the snapshot is the dedicated
-``transport`` counter block).  Collection merges partials in ascending
-(worker_id, generation) order — the same fixed order the inline adapter
-uses — which keeps order-sensitive reductions (partition lists)
-bit-identical across backends.
+the inline backend's (the only backend-variant section of the snapshot
+is the dedicated ``transport`` counter block).  Collection merges
+partials in ascending (worker_id, generation) order — the same fixed
+order the inline adapter uses — which keeps order-sensitive reductions
+(partition lists) bit-identical across backends.
 
 Crash recovery replays instead of failing: the parent retains a
 reference to every dispatched shard of each live job (the arrays the
@@ -65,21 +56,18 @@ retained partial.
 from __future__ import annotations
 
 import multiprocessing
+import time
 import traceback
-from typing import Callable, Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
+from repro import wallclock
 from repro.obs import events as trace_events
 from repro.obs.collector import TraceCollector
 from repro.runtime.session import SessionSnapshot, StreamingSession
-from repro.service.executor import (
-    ExecutionBackend,
-    SessionSpec,
-    validate_transport,
-)
+from repro.service.executor import ExecutionBackend, SessionSpec
 from repro.service.pool import WorkItem
 from repro.service.shm import (
+    CTRL_SLOTS,
     DEFAULT_MAX_SLABS,
     DEFAULT_SLAB_BYTES,
     SlabArena,
@@ -92,14 +80,18 @@ from repro.workloads.tuples import TupleBatch
 #: and matches the pre-forked-pool design).
 _CTX = multiprocessing.get_context("fork")
 
+#: Seconds between arena retries while a full arena waits for children
+#: to consume their blocks.
+_ARENA_POLL = 0.0005
 
-def _child_main(conn, worker_id: int, ctrl_name: Optional[str]) -> None:  # hot-path
+
+def _child_main(conn, worker_id: int, ctrl_name: str) -> None:  # hot-path
     """One warm worker subprocess: drain the pipe until handoff.
 
     State lives entirely in this process: job specs, per-job streaming
     sessions, and the segment/error ledgers that ship back on flush.
-    ``ctrl_name`` is the arena control block for shm transport (None
-    for pipe transport); slabs attach lazily on the first descriptor.
+    ``ctrl_name`` is the arena control block; slabs attach lazily on
+    their first descriptor.
     """
     specs: Dict[str, SessionSpec] = {}
     sessions: Dict[str, StreamingSession] = {}
@@ -108,27 +100,7 @@ def _child_main(conn, worker_id: int, ctrl_name: Optional[str]) -> None:  # hot-
     #: with the clock stamped at dispatch time, not drain time.
     records: List[Tuple[str, str, int, int, int]] = []
     errors: List[Tuple[str, str]] = []        # (job_id, message)
-    slabs: Optional[SlabClient] = None
-
-    def process(job_id: str, tenant_id: str, keys: np.ndarray,
-                values: np.ndarray, tuple_bytes: int,
-                dispatch_clock: int, record: bool) -> None:
-        try:
-            batch = TupleBatch(keys, values, tuple_bytes)
-            session = sessions.get(job_id)
-            if session is None:
-                session = specs[job_id].build()
-                sessions[job_id] = session
-            outcome = session.process(batch)
-            if record:
-                records.append((job_id, tenant_id, outcome.tuples,
-                                outcome.cycles, dispatch_clock))
-        except Exception as exc:  # noqa: BLE001 — shipped to parent
-            errors.append((
-                job_id,
-                "".join(traceback.format_exception_only(type(exc), exc))
-                .strip(),
-            ))
+    slabs = SlabClient(ctrl_name)
 
     try:
         while True:
@@ -140,24 +112,26 @@ def _child_main(conn, worker_id: int, ctrl_name: Optional[str]) -> None:  # hot-
             if kind == "job":
                 _, job_id, spec = msg
                 specs[job_id] = spec
-            elif kind == "work":
-                (_, job_id, tenant_id, tuple_bytes, dispatch_clock,
-                 record, keys_dtype, values_dtype) = msg
-                keys = np.frombuffer(conn.recv_bytes(),
-                                     dtype=np.dtype(keys_dtype))
-                values = np.frombuffer(conn.recv_bytes(),
-                                       dtype=np.dtype(values_dtype))
-                process(job_id, tenant_id, keys, values, tuple_bytes,
-                        dispatch_clock, record)
             elif kind == "shard":
                 (_, job_id, tenant_id, tuple_bytes, dispatch_clock,
                  record, desc) = msg
-                if slabs is None:
-                    slabs = SlabClient(ctrl_name)
                 keys, values = slabs.views(desc)
                 try:
-                    process(job_id, tenant_id, keys, values,
-                            tuple_bytes, dispatch_clock, record)
+                    session = sessions.get(job_id)
+                    if session is None:
+                        session = specs[job_id].build()
+                        sessions[job_id] = session
+                    outcome = session.process(
+                        TupleBatch(keys, values, tuple_bytes))
+                    if record:
+                        records.append((job_id, tenant_id, outcome.tuples,
+                                        outcome.cycles, dispatch_clock))
+                except Exception as exc:  # noqa: BLE001 — shipped to parent
+                    errors.append((
+                        job_id,
+                        "".join(traceback.format_exception_only(
+                            type(exc), exc)).strip(),
+                    ))
                 finally:
                     # Drop the views, then publish the consumed
                     # sequence so the parent can recycle the block.
@@ -181,31 +155,14 @@ def _child_main(conn, worker_id: int, ctrl_name: Optional[str]) -> None:  # hot-
                 conn.close()
                 return
     finally:
-        if slabs is not None:
-            slabs.detach()  # close mappings before interpreter teardown
-
-
-class _Retained(NamedTuple):
-    """One dispatched shard, retained parent-side for crash replay.
-
-    Holds *references* to the shard arrays the balancer already
-    materialized (no extra copies) — the replay ledger's memory cost is
-    the job's in-flight working set, released at collect.
-    """
-
-    job_id: str
-    tenant_id: str
-    keys: np.ndarray
-    values: np.ndarray
-    tuple_bytes: int
-    dispatch_clock: int
+        slabs.detach()  # close mappings before interpreter teardown
 
 
 class _ChildHandle:
     """Parent-side bookkeeping for one warm worker subprocess."""
 
     def __init__(self, worker_id: int, generation: int,
-                 ctrl_name: Optional[str] = None) -> None:
+                 ctrl_name: str) -> None:
         self.worker_id = worker_id
         self.generation = generation
         parent_conn, child_conn = _CTX.Pipe()
@@ -223,12 +180,12 @@ class _ChildHandle:
 
 
 class ProcessBackend(ExecutionBackend):
-    """K warm pre-forked pipeline workers behind pipes.
+    """K warm pre-forked pipeline workers fed through a slab arena.
 
     Parameters
     ----------
     workers:
-        Fleet size K.
+        Fleet size K, at most :data:`~repro.service.shm.CTRL_SLOTS`.
     spec_factory:
         ``job_id -> SessionSpec``; the spec is shipped to the owning
         child on the job's first shard so the child can build the
@@ -238,21 +195,17 @@ class ProcessBackend(ExecutionBackend):
         segment ledgers are folded in on :meth:`drain`, and shard
         transport events land in its ``transport`` counters.
     join_timeout:
-        Seconds to wait for a child to exit on :meth:`stop` /
-        scale-down before it is forcibly terminated.
+        Seconds to wait for a child to reply, to exit on :meth:`stop` /
+        scale-down before it is forcibly terminated, or to free arena
+        blocks for a shard before that shard's job fails.
     tracer:
         Optional :class:`~repro.obs.collector.TraceCollector`; a
         disabled collector is installed when omitted.  Children never
         trace — their ledgers carry the context and the parent emits on
         their behalf at drain, keeping the pipe protocol free of trace
         traffic.
-    transport:
-        ``"pipe"`` ships shard bytes through the pipe (two copies);
-        ``"shm"`` writes them once into a shared-memory slab arena and
-        ships descriptors (see the module docstring).  Results and
-        deterministic metrics are bit-identical across both.
     slab_bytes / max_slabs:
-        Arena sizing for ``transport="shm"`` (ignored for pipe).
+        Arena sizing (see :class:`~repro.service.shm.SlabArena`).
     """
 
     def __init__(
@@ -262,19 +215,17 @@ class ProcessBackend(ExecutionBackend):
         metrics,
         join_timeout: float = 60.0,
         tracer: Optional[TraceCollector] = None,
-        transport: str = "pipe",
         slab_bytes: int = DEFAULT_SLAB_BYTES,
         max_slabs: int = DEFAULT_MAX_SLABS,
     ) -> None:
-        if workers <= 0:
-            raise ValueError("workers must be positive")
+        if not 0 < workers <= CTRL_SLOTS:
+            raise ValueError(f"workers must be in 1..{CTRL_SLOTS}")
         self.size = workers
         self.spec_factory = spec_factory
         self.metrics = metrics
         self.join_timeout = join_timeout
         self.tracer = tracer if tracer is not None else TraceCollector(
             enabled=False)
-        self.transport = validate_transport(transport)
         self.slab_bytes = slab_bytes
         self.max_slabs = max_slabs
         self._arena: Optional[SlabArena] = None
@@ -285,8 +236,10 @@ class ProcessBackend(ExecutionBackend):
         self._orphans: Dict[Tuple[int, int, str], SessionSnapshot] = {}
         self._errors: Dict[str, List[str]] = {}
         #: Crash-replay ledger: every dispatched shard of every live
-        #: job, per worker, in dispatch order.  Entries drop at collect.
-        self._retained: Dict[int, List[_Retained]] = {}
+        #: job, per worker, in dispatch order.  It holds the dispatched
+        #: WorkItems themselves (references to the arrays the balancer
+        #: already materialized, no copies); entries drop at collect.
+        self._retained: Dict[int, List[WorkItem]] = {}
         #: Segment records already folded into the metrics, per
         #: (worker_id, job_id) — the replay cursor that keeps crash
         #: recovery exactly-once (pipe FIFO order makes the first N
@@ -300,10 +253,8 @@ class ProcessBackend(ExecutionBackend):
     def start(self) -> None:
         if self._started:
             return
-        if self.transport == "shm" and self._arena is None:
-            self._arena = SlabArena(self.slab_bytes, self.max_slabs,
-                                    metrics=self.metrics,
-                                    tracer=self.tracer)
+        self._arena = SlabArena(self.slab_bytes, self.max_slabs,
+                                metrics=self.metrics, tracer=self.tracer)
         self._generation += 1
         self._children = [self._mint(i) for i in range(self.size)]
         self._started = True
@@ -321,10 +272,10 @@ class ProcessBackend(ExecutionBackend):
         Children flush their segment/error ledgers and surrender their
         retained partial sessions as orphan snapshots (so a post-stop
         :meth:`collect` still merges them, matching the inline pool's
-        retained ``_sessions``).  The arena — when shm transport is on —
-        is closed and unlinked here, whatever else fails: stop leaves no
-        ``/dev/shm`` residue.  The pool is marked stopped before any
-        failure is surfaced, so it always stays restartable.
+        retained ``_sessions``).  The arena is closed and unlinked here,
+        whatever else fails: stop leaves no ``/dev/shm`` residue.  The
+        pool is marked stopped before any failure is surfaced, so it
+        always stays restartable.
         """
         if not self._started:
             return
@@ -344,9 +295,8 @@ class ProcessBackend(ExecutionBackend):
                     if child.process.is_alive():
                         stuck.append(child.worker_id)
         finally:
-            if self._arena is not None:
-                self._arena.close()
-                self._arena = None
+            self._arena.close()
+            self._arena = None
         if stuck:
             raise RuntimeError(
                 f"workers {stuck} did not stop within "
@@ -357,21 +307,29 @@ class ProcessBackend(ExecutionBackend):
     # Dispatch
     # ------------------------------------------------------------------
     def dispatch(self, worker_id: int, item: WorkItem) -> None:  # hot-path
-        """Ship one shard to one child; retain it for crash replay."""
+        """Ship one shard to one child; retain it for crash replay.
+
+        A shard the arena could not place within ``join_timeout`` is
+        not sent: its job fails through the error ledger.
+        """
         if not 0 <= worker_id < self.size:
             raise ValueError(f"no such worker {worker_id}")
         if not self._started:
             raise RuntimeError("pool is not running; call start() first")
         if len(item.batch) == 0:
             return  # parity with the inline worker's empty-shard skip
-        entry = _Retained(item.job_id, item.tenant_id, item.batch.keys,
-                          item.batch.values, item.batch.tuple_bytes,
-                          item.dispatch_clock)
-        self._retained.setdefault(worker_id, []).append(entry)
+        retained = self._retained.setdefault(worker_id, [])
+        retained.append(item)
         try:
-            self._send(self._children[worker_id], entry, record=True)
+            sent = self._send(self._children[worker_id], item, record=True)
         except (BrokenPipeError, EOFError, OSError):
             self._revive(worker_id, crashed_while=item.job_id)
+            return
+        if not sent:
+            retained.pop()
+            self._errors.setdefault(item.job_id, []).append(
+                f"RuntimeError: no shared-memory block freed for a shard "
+                f"to worker {worker_id} within {self.join_timeout:g}s")
 
     def drain(self) -> None:
         """Flush every child and fold their ledgers into the metrics.
@@ -411,8 +369,8 @@ class ProcessBackend(ExecutionBackend):
         and exit.  Callers must stop routing to removed worker IDs
         first (the balancer's ``reconfigure`` does this).
         """
-        if workers <= 0:
-            raise ValueError("workers must be positive")
+        if not 0 < workers <= CTRL_SLOTS:
+            raise ValueError(f"workers must be in 1..{CTRL_SLOTS}")
         if workers == self.size:
             return
         if workers > self.size:
@@ -499,45 +457,48 @@ class ProcessBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # Shard transport
     # ------------------------------------------------------------------
-    def _send(self, child: _ChildHandle, entry: _Retained,  # hot-path
-              record: bool) -> None:
-        """Ship one retained shard over the child's pipe.
+    def _send(self, child: _ChildHandle, item: WorkItem,  # hot-path
+              record: bool) -> bool:
+        """Write one shard into the arena and send its descriptor.
 
-        Tries the slab arena first under shm transport; a shard the
-        arena cannot place falls back to the pipe byte copy (counted as
-        a ``slab_fallbacks``).  Pipe errors propagate to the caller.
+        While the arena is full this polls the consumed-sequence
+        handshake for at most ``join_timeout``, then returns False
+        (nothing sent).  A block holder found dead meanwhile is revived
+        and replayed, which frees its blocks; if that holder is
+        ``child`` itself, the pipe error is raised for the caller's
+        crash path.  Pipe errors propagate to the caller.
         """
-        if entry.job_id not in child.jobs:
+        if item.job_id not in child.jobs:
             child.conn.send(
-                ("job", entry.job_id, self.spec_factory(entry.job_id)))
-            child.jobs.add(entry.job_id)
-        header = (entry.job_id, entry.tenant_id, entry.tuple_bytes,
-                  entry.dispatch_clock, record)
-        payload = entry.keys.nbytes + entry.values.nbytes
-        if self._arena is not None:
-            desc = self._arena.write(child.worker_id, entry.keys,
-                                     entry.values)
-            if desc is not None:
-                child.conn.send(("shard",) + header + (desc,))
-                self.metrics.record_transport(
-                    shards_shm=1, shard_bytes_shared=payload)
-                return
-            self.metrics.record_transport(slab_fallbacks=1)
-        child.conn.send(("work",) + header
-                        + (str(entry.keys.dtype), str(entry.values.dtype)))
-        child.conn.send_bytes(entry.keys.tobytes())  # lint: disable=hot-path
-        child.conn.send_bytes(entry.values.tobytes())  # lint: disable=hot-path
-        # tobytes() in the parent + recv_bytes() in the child: two full
-        # copies per pipe shard — the cost shm transport removes.
+                ("job", item.job_id, self.spec_factory(item.job_id)))
+            child.jobs.add(item.job_id)
+        keys, values = item.batch.keys, item.batch.values
+        deadline = wallclock.monotonic() + self.join_timeout
+        while (desc := self._arena.write(child.worker_id, keys,
+                                         values)) is None:
+            for worker_id in self._arena.holders():
+                if self._children[worker_id].process.is_alive():
+                    continue
+                if worker_id == child.worker_id:
+                    raise BrokenPipeError(
+                        f"worker {worker_id} died holding arena blocks")
+                self._revive(worker_id)
+            if wallclock.monotonic() >= deadline:
+                return False
+            time.sleep(_ARENA_POLL)
+        child.conn.send(("shard", item.job_id, item.tenant_id,
+                         item.batch.tuple_bytes, item.dispatch_clock,
+                         record, desc))
         self.metrics.record_transport(
-            shards_pipe=1, shard_bytes_copied=2 * payload)
+            shards_shm=1, shard_bytes_shared=keys.nbytes + values.nbytes)
+        return True
 
     # ------------------------------------------------------------------
     # Child plumbing
     # ------------------------------------------------------------------
     def _mint(self, worker_id: int) -> _ChildHandle:
-        ctrl = self._arena.ctrl_name if self._arena is not None else None
-        return _ChildHandle(worker_id, self._generation, ctrl)
+        return _ChildHandle(worker_id, self._generation,
+                            self._arena.ctrl_name)
 
     def _roundtrip(self, child: _ChildHandle, msg) -> Optional[tuple]:
         """Send one request and await its reply; None if the child died."""
@@ -629,10 +590,9 @@ class ProcessBackend(ExecutionBackend):
                 retained_shards=len(retained))
         lost_jobs = set(child.jobs)
         self._terminate(child)
-        if self._arena is not None:
-            # The dead child's unconsumed blocks are unreadable now;
-            # replay re-places the shards.
-            self._arena.release_worker(worker_id)
+        # The dead child's unconsumed blocks are unreadable now; replay
+        # re-places the shards.
+        self._arena.release_worker(worker_id)
         self._generation += 1
         replacement = self._mint(worker_id)
         self._children[worker_id] = replacement
@@ -654,7 +614,9 @@ class ProcessBackend(ExecutionBackend):
                 replayed[entry.job_id] = index + 1
                 record = index >= self._recorded.get(
                     (worker_id, entry.job_id), 0)
-                self._send(child, entry, record=record)
+                if not self._send(child, entry, record=record):
+                    self._give_up(worker_id, also=lost_jobs)
+                    return
                 self.metrics.record_transport(shard_retries=1)
                 if trace:
                     self.tracer.emit(
@@ -663,12 +625,13 @@ class ProcessBackend(ExecutionBackend):
                         job_id=entry.job_id, tenant_id=entry.tenant_id,
                         worker=worker_id,
                         generation=child.generation,
-                        tuples=len(entry.keys), recorded=record)
+                        tuples=len(entry.batch), recorded=record)
         except (BrokenPipeError, EOFError, OSError):
             self._give_up(worker_id, also=lost_jobs)
 
     def _give_up(self, worker_id: int, also: Set[str] = frozenset()) -> None:
-        """A worker died again during recovery: fail its live jobs."""
+        """A worker died again (or its replay found the arena full
+        past the timeout) during recovery: fail its live jobs."""
         child = self._children[worker_id]
         retained = self._retained.get(worker_id, [])
         doomed = ({entry.job_id for entry in retained}
@@ -702,8 +665,7 @@ class ProcessBackend(ExecutionBackend):
         self._retained.pop(worker_id, None)
         for key in [key for key in self._recorded if key[0] == worker_id]:
             del self._recorded[key]
-        if self._arena is not None:
-            self._arena.release_worker(worker_id)
+        self._arena.release_worker(worker_id)
 
     def _release_job(self, job_id: str) -> None:
         """Drop one job's replay ledger across all workers (at collect)."""

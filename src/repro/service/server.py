@@ -47,7 +47,6 @@ from repro.service.executor import (
     SessionSpec,
     make_backend,
     validate_backend,
-    validate_transport,
 )
 from repro.service.metrics import ServiceMetrics
 from repro.service.queue import JobQueue
@@ -123,13 +122,10 @@ class StreamService:
         subprocesses that escape the GIL for multi-core wall-time
         scaling.  Results are bit-identical across backends.
     transport:
-        Shard transport of the process backend: ``"pipe"`` (default)
-        serializes shard arrays through each worker's pipe; ``"shm"``
-        writes them once into a shared-memory slab arena
-        (:mod:`repro.service.shm`) and ships only descriptors — zero
-        copies on the hot path.  Results, dispatch clocks, and the
-        deterministic metrics are bit-identical across transports; the
-        inline backend accepts and ignores the knob.
+        Only ``"shm"`` is accepted: the process backend always moves
+        shards through its shared-memory slab arena
+        (:mod:`repro.service.shm`).  The keyword survives for callers
+        that still pass it and goes with ROADMAP item 1(b).
     adaptive:
         Enable the :mod:`repro.control` control plane: the balancer
         stops replanning reflexively on every window and an
@@ -180,7 +176,7 @@ class StreamService:
         allowed_lateness: float = 0.0,
         engine: str = "fast",
         backend: str = "inline",
-        transport: str = "pipe",
+        transport: str = "shm",
         adaptive: bool = False,
         slo: Optional[float] = None,
         control: Optional[ControlPolicy] = None,
@@ -192,7 +188,9 @@ class StreamService:
             lanes=8, pripes=16, secpes=0, reschedule_threshold=0.0)
         self.engine = validate_engine(engine)
         self.backend = validate_backend(backend)
-        self.transport = validate_transport(transport)
+        if transport != "shm":
+            raise ValueError(
+                f"unknown transport {transport!r} (shm is the only one)")
         if isinstance(balancer, str):
             balancer = make_balancer(balancer, workers)
         if balancer.workers != workers:
@@ -222,7 +220,7 @@ class StreamService:
             self.backend, workers,
             _spec_factory(self._jobs, self._jobs_lock, self.config,
                           max_cycles_per_segment, self.engine),
-            self.metrics, tracer=self.tracer, transport=self.transport)
+            self.metrics, tracer=self.tracer)
         #: The adaptive controller, or None when ``adaptive=False``.
         self.controller: Optional[AdaptiveController] = None
         if adaptive:

@@ -1,11 +1,8 @@
-"""Shared-memory slab arena: zero-copy shard transport for the fleet.
+"""Shared-memory slab arena: the process backend's shard transport.
 
 The paper's routing premise is that throughput dies when data movement
-sits on the critical path.  The ``process`` backend's original pipe
-transport reproduced exactly that sin in software: every shard was
-serialized (``ndarray.tobytes()`` — one full copy in the parent) and
-deserialized (``recv_bytes`` — a second full copy in the child).  This
-module replaces the byte stream with *references to buffers*:
+sits on the critical path, so a shard crosses the process boundary as a
+*reference to a buffer*, not as a byte stream:
 
 ``SlabArena`` (parent / dispatcher side)
     A pool of ``multiprocessing.shared_memory`` slabs with a first-fit
@@ -35,10 +32,11 @@ platform CPython runs on.
 Lifecycle is observable: slab creation/recycling/teardown emit
 ``backend.slab.alloc`` / ``backend.slab.reuse`` / ``backend.slab.release``
 trace events and bump the ``transport`` counters on
-:class:`~repro.service.metrics.ServiceMetrics`.  When the arena cannot
-place a shard (slabs exhausted, or a shard bigger than a slab), callers
-fall back to the classic pipe copy — a counted, graceful degradation,
-never an error.
+:class:`~repro.service.metrics.ServiceMetrics`.  When every slab is
+full, ``write`` returns None and the caller waits for the owners to
+consume (the handshake above frees blocks); a shard bigger than a slab
+gets a slab of its own, past ``max_slabs`` only once nothing is
+outstanding, so a lone oversize shard always places.
 """
 
 from __future__ import annotations
@@ -58,7 +56,8 @@ from repro.obs import events as trace_events
 #: free-list fragmentation).
 DEFAULT_SLAB_BYTES = 4 << 20
 
-#: Ceiling on lazily created slabs; past it, writes fall back to pipes.
+#: Ceiling on lazily created slabs; past it, writes wait for consumed
+#: blocks.
 DEFAULT_MAX_SLABS = 16
 
 #: Consumed-sequence slots in the control block (one per worker id).
@@ -93,11 +92,10 @@ def _attach(name: str) -> shared_memory.SharedMemory:
 class ShardDescriptor:
     """Everything a child needs to view one shard in shared memory.
 
-    This — not the shard's bytes — is what crosses the pipe in shm
-    transport: ~100 bytes of pickle regardless of shard size.  The
-    value array sits immediately after the (alignment-padded) key
-    array inside the same block, so one ``(offset, length, dtypes)``
-    tuple locates both.  ``seq`` is the per-worker consumed-sequence
+    This — not the shard's bytes — is what crosses the pipe: ~100 bytes
+    of pickle regardless of shard size.  The value array sits
+    immediately after the (alignment-padded) key array inside the same
+    block, so one ``(offset, length, dtypes)`` tuple locates both.  ``seq`` is the per-worker consumed-sequence
     handshake token (see the module docstring).
     """
 
@@ -169,11 +167,11 @@ class _Slab:
 class SlabArena:
     """Parent-side slab pool: write shards once, hand out descriptors.
 
-    Owned by the :class:`~repro.service.procpool.ProcessBackend` whose
-    ``transport="shm"``; created at :meth:`start`, torn down (close +
-    unlink, no ``/dev/shm`` residue) at :meth:`stop`.  All calls come
-    from the dispatcher thread — the only cross-process state is the
-    control block, and its slots are single-writer (the owning child).
+    Owned by the :class:`~repro.service.procpool.ProcessBackend`;
+    created at its ``start``, torn down (close + unlink, no ``/dev/shm``
+    residue) at its ``stop``.  All calls come from the dispatcher
+    thread — the only cross-process state is the control block, and
+    its slots are single-writer (the owning child).
     """
 
     def __init__(
@@ -215,17 +213,14 @@ class SlabArena:
     # ------------------------------------------------------------------
     def write(self, worker_id: int,  # hot-path
               keys: np.ndarray, values: np.ndarray) -> Optional[ShardDescriptor]:
-        """Place one shard in shared memory; None means "use the pipe".
+        """Place one shard in shared memory; None means "full right now".
 
-        The single copy of shm transport happens here (two ``copyto``
-        calls into the slab).  Returns None — never raises — when the
-        shard cannot be placed: bigger than a slab, every slab full at
-        the ``max_slabs`` ceiling, or a worker id beyond the control
-        block.  The caller counts that as a ``slab_fallbacks`` and
-        ships bytes the classic way.
+        The transport's single copy happens here (two ``copyto`` calls
+        into the slab).  Returns None — never raises — while every slab
+        is full at the ``max_slabs`` ceiling: the caller waits for
+        owners to consume and retries.  ``worker_id`` must be below
+        :data:`CTRL_SLOTS`.
         """
-        if self.closed or not 0 <= worker_id < CTRL_SLOTS:
-            return None
         self.reclaim()
         nbytes = block_size(len(keys), keys.dtype, values.dtype)
         placed = self._place(nbytes)
@@ -279,6 +274,12 @@ class SlabArena:
         for _, slab_name, offset, nbytes in ring:
             self._slabs[slab_name].release(offset, nbytes)
 
+    def holders(self) -> List[int]:
+        """Workers with in-flight (unreclaimed) blocks, post-reclaim."""
+        self.reclaim()
+        return [worker_id for worker_id, ring in self._rings.items()
+                if ring]
+
     def outstanding(self) -> int:
         """In-flight (unreclaimed) block count, post-reclaim — for tests."""
         self.reclaim()
@@ -312,23 +313,23 @@ class SlabArena:
     # Placement
     # ------------------------------------------------------------------
     def _place(self, nbytes: int) -> Optional[Tuple[_Slab, int]]:
-        if nbytes > self.slab_bytes:
-            return None
+        # First fit, else a new slab of max(slab_bytes, nbytes): past
+        # max_slabs only when nothing is outstanding (no wait can help).
         for slab in self._order:
             offset = slab.allocate(nbytes)
             if offset is not None:
                 return slab, offset
-        if len(self._order) >= self.max_slabs:
+        if len(self._order) >= self.max_slabs and any(self._rings.values()):
             return None
         slab = _Slab(shared_memory.SharedMemory(
-            create=True, size=self.slab_bytes))
+            create=True, size=max(self.slab_bytes, nbytes)))
         self._slabs[slab.name] = slab
         self._order.append(slab)
         if self.metrics is not None:
             self.metrics.record_transport(slabs_allocated=1)
         if self.tracer is not None and self.tracer.enabled:
             self.tracer.emit(trace_events.BACKEND_SLAB_ALLOC,
-                             slab=slab.name, nbytes=self.slab_bytes,
+                             slab=slab.name, nbytes=slab.shm.size,
                              slabs=len(self._order))
         offset = slab.allocate(nbytes)
         return slab, offset
@@ -337,8 +338,8 @@ class SlabArena:
 class SlabClient:
     """Child-side arena access: lazy attaches, zero-copy views.
 
-    One per worker subprocess (built in ``_child_main`` when the parent
-    passes a control-block name).  The child never closes or unlinks
+    One per worker subprocess (built in ``_child_main`` from the control
+    block name the parent passes).  The child never closes or unlinks
     segments — the parent owns them; process exit unmaps.
     """
 

@@ -64,10 +64,8 @@ def _golden_metrics() -> ServiceMetrics:
     for depth in (1, 2, 5):
         metrics.sample_ingest_depth(depth)
     metrics.record_transport(
-        shards_pipe=11, shards_shm=13, shard_bytes_copied=88_000,
-        shard_bytes_shared=104_000, slabs_allocated=2,
-        slab_blocks_reused=9, slabs_released=1, slab_fallbacks=4,
-        shard_retries=6)
+        shards_shm=13, shard_bytes_shared=104_000, slabs_allocated=2,
+        slab_blocks_reused=9, slabs_released=1, shard_retries=6)
     metrics.record_control(
         drift_events=7, replans_applied=3, replans_suppressed=4,
         plan_cache_hits=2, plan_cache_misses=1, scale_up_events=1,

@@ -3,11 +3,9 @@
 1. **Backend invariance**: with tracing on, the deterministic
    dispatch-clock timestamps of every job-lifecycle event are identical
    whether the fleet runs inline on the dispatcher thread or on warm
-   worker subprocesses — and, for subprocesses, whether shards travel
-   as pipe byte copies or shared-memory descriptors.  Segment events
-   carry the clock stamped at *dispatch* time
-   (``WorkItem.dispatch_clock``, shipped through the procpool pipe in
-   both transports), so even events that physically happen in another
+   worker subprocesses.  Segment events carry the clock stamped at
+   *dispatch* time (``WorkItem.dispatch_clock``, shipped through the
+   procpool pipe), so even events that physically happen in another
    process at a different wall time agree bit for bit.
 2. **Non-perturbation**: enabling tracing changes no deterministic
    outcome — job results, cycle counts, and the metrics snapshot are
@@ -27,11 +25,9 @@ from repro.workloads.streams import chunk_stream
 from repro.workloads.tuples import TupleBatch
 from repro.workloads.zipf import ZipfGenerator
 
-BACKENDS = ("inline", "process")
-
-#: The full invariance matrix: every (backend, transport) the service
-#: can run shards through.  The inline backend has no transport.
-CONFIGS = (("inline", "pipe"), ("process", "pipe"), ("process", "shm"))
+#: The full invariance matrix: every backend the service can run
+#: shards through.
+CONFIGS = ("inline", "process")
 
 
 def app_workload(app, tuples=6_000, seed=5):
@@ -45,15 +41,13 @@ def app_workload(app, tuples=6_000, seed=5):
     return ZipfGenerator(alpha=1.5, seed=seed).generate(tuples), {}
 
 
-def traced_run(app, backend, *, transport="pipe", tracer=None,
-               workers=4, **service_kw):
+def traced_run(app, backend, *, tracer=None, workers=4, **service_kw):
     """Serve one job; returns (events, result, snapshot)."""
     batch, params = app_workload(app)
     if tracer is None:
         tracer = TraceCollector(enabled=True)
     service = StreamService(workers=workers, balancer="skew",
-                            backend=backend, transport=transport,
-                            tracer=tracer, **service_kw)
+                            backend=backend, tracer=tracer, **service_kw)
     try:
         job_id = service.submit(app, chunk_stream(batch, 2_000),
                                 window_seconds=2e-6, params=params,
@@ -90,9 +84,8 @@ def clock_view(events):
 class TestBackendInvariantTimestamps:
     @pytest.mark.parametrize("app", SERVED_APPS)
     def test_dispatch_clock_identical_across_backends(self, app):
-        runs = {config: traced_run(app, config[0], transport=config[1])
-                for config in CONFIGS}
-        baseline_events, baseline_result, _ = runs[("inline", "pipe")]
+        runs = {config: traced_run(app, config) for config in CONFIGS}
+        baseline_events, baseline_result, _ = runs["inline"]
         for config, (events, result, _) in runs.items():
             assert clock_view(events) == clock_view(baseline_events), \
                 config
@@ -153,14 +146,13 @@ class TestBackendInvariantTimestamps:
 
 
 class TestTracingDoesNotPerturb:
-    @pytest.mark.parametrize("backend,transport", CONFIGS)
-    def test_results_and_metrics_identical_on_off(self, backend,
-                                                  transport):
+    @pytest.mark.parametrize("backend", CONFIGS)
+    def test_results_and_metrics_identical_on_off(self, backend):
         traced_events, traced_result, traced_snap = traced_run(
-            "histo", backend, transport=transport)
+            "histo", backend)
         off = TraceCollector(enabled=False)
         off_events, off_result, off_snap = traced_run(
-            "histo", backend, transport=transport, tracer=off)
+            "histo", backend, tracer=off)
         assert off_events == []
         assert np.array_equal(traced_result.result, off_result.result)
         assert traced_result.cycles == off_result.cycles
@@ -171,9 +163,7 @@ class TestTracingDoesNotPerturb:
         traced_transport = traced_snap.pop("transport")
         off_transport = off_snap.pop("transport")
         assert traced_snap == off_snap
-        for key in ("shards_pipe", "shards_shm", "shard_bytes_copied",
-                    "shard_bytes_shared", "slab_fallbacks",
-                    "shard_retries"):
+        for key in ("shards_shm", "shard_bytes_shared", "shard_retries"):
             assert traced_transport[key] == off_transport[key], key
         assert traced_events  # the traced run did capture
 

@@ -8,9 +8,9 @@ deterministic metrics snapshots — across every served app kernel and
 through mid-job fleet resizes.
 
 Snapshots are compared with the ``transport`` section stripped: it is
-the one deliberately backend/transport-variant section (pipe shards
-count copied bytes, shm shards count shared bytes, inline moves no
-bytes at all); everything else must match exactly.
+the one deliberately backend-variant section (process shards count the
+bytes they share through the slab arena, inline moves no bytes at all);
+everything else must match exactly.
 """
 
 import dataclasses
@@ -87,10 +87,10 @@ class TestBackendEquivalence:
         process, process_metrics = serve_one("process", app)
         assert result_bits(inline) == result_bits(process)
         assert comparable(inline_metrics) == comparable(process_metrics)
-        shm, _ = serve_one("process", app, transport="shm")
-        assert [(job.segments, job.tuples, job.cycles)
-                for job in (process, shm)] \
-            == [(inline.segments, inline.tuples, inline.cycles)] * 2
+        assert (process.segments, process.tuples, process.cycles) \
+            == (inline.segments, inline.tuples, inline.cycles)
+        # Every process shard crossed through the arena, none as bytes.
+        assert process_metrics["transport"]["shard_bytes_shared"] > 0
 
     def test_cycle_engine_identical_across_backends(self):
         # The per-cycle simulator exercises a completely different
@@ -234,6 +234,15 @@ class TestProcessBackendLifecycle:
             validate_backend("threads")
         with pytest.raises(ValueError, match="unknown backend"):
             StreamService(workers=2, backend="remote")
+
+    @pytest.mark.parametrize("transport", ("pipe", "SHM", "inline"))
+    def test_service_accepts_only_the_shm_transport(self, transport):
+        # The keyword survives for callers that pass "shm"; every other
+        # value, the deleted "pipe" included, is refused up front.
+        for backend in BACKENDS:
+            with pytest.raises(ValueError, match="unknown transport"):
+                StreamService(workers=2, backend=backend,
+                              transport=transport)
 
     def test_empty_job_collects_none_on_both_backends(self):
         from repro.service.executor import SessionSpec

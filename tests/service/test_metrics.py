@@ -19,7 +19,7 @@ class TestDeclaredCounters:
 
     def test_the_table_is_the_three_flat_sections(self):
         assert list(COUNTERS) == ["gateway", "transport", "control"]
-        assert len(DECLARED) == 26
+        assert len(DECLARED) == 23
 
     @pytest.mark.parametrize("section,name", DECLARED)
     def test_recording_one_shows_in_snapshot_and_exposition(
@@ -33,6 +33,23 @@ class TestDeclaredCounters:
         samples = parse_prometheus(metrics.to_prometheus())
         assert samples[(f"repro_{section}_{name}_total",
                         frozenset())] == 1
+
+    @pytest.mark.parametrize(
+        "name", ("shards_pipe", "shard_bytes_copied", "slab_fallbacks"))
+    def test_pipe_transport_counters_are_gone(self, name):
+        # Shards only ever cross through the slab arena: the copy and
+        # fallback counters of the deleted pipe path are undeclared, so
+        # recording one is an error and no report shows one.
+        assert name not in COUNTERS["transport"]
+        metrics = ServiceMetrics()
+        with pytest.raises(TypeError, match=name):
+            metrics.record_transport(**{name: 1})
+        metrics.record_transport(shards_shm=1, shard_bytes_shared=8)
+        assert name not in metrics.snapshot()["transport"]
+        assert name not in metrics.to_prometheus()
+        text = metrics.render()
+        assert "1 shm shards" in text
+        assert "pipe" not in text and "fallbacks" not in text
 
     @pytest.mark.parametrize("section", list(COUNTERS))
     def test_undeclared_name_raises_and_counts_nothing(self, section):

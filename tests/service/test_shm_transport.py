@@ -1,29 +1,31 @@
-"""The shared-memory shard transport, end to end.
+"""The process backend's shared-memory shard transport, end to end.
 
-Four promises under test:
+Four promises under test (inline ≡ process equivalence across the app
+matrix lives in ``test_backends.py``):
 
-1. **Equivalence** — ``transport="shm"`` produces bit-identical
-   :class:`JobResult`s and identical deterministic metrics to
-   ``transport="pipe"`` across the full app matrix, while actually
-   moving zero copied bytes (counter-verified).
-2. **Graceful exhaustion** — a shard the arena cannot place falls back
-   to the pipe copy, counted, never failed.
-3. **Hygiene** — no ``/dev/shm`` segment survives ``stop()``, a worker
-   crash, or a service restart.
-4. **Lost-shard retry** — a worker crash mid-job replays the crashed
+1. **Exhaustion waits** — a shard the arena cannot place waits for the
+   owners' consumed-sequence handshake: a service inside a tiny arena
+   still matches inline bit for bit, a holder that dies mid-wait is
+   revived and replayed, and a wait past ``join_timeout`` fails only
+   that shard's job, through the error ledger.  (The arena alone is
+   driven by generated schedules in
+   ``tests/property/test_slab_arena.py``.)
+2. **Hygiene** — no ``/dev/shm`` segment survives ``stop()``, a worker
+   crash, a timed-out wait, or a service restart.
+3. **Lost-shard retry** — a worker crash mid-job replays the crashed
    worker's retained shards to its replacement instead of failing the
    job: same result bits, same metrics, ``backend.shard.retry`` events
-   in the trace.  (The retry ledger is transport-independent, so both
-   transports are exercised.)
-
-Plus the dtype satellite: the shard header carries the arrays' dtypes
-in both transports, so non-default key/value dtypes round-trip instead
-of being misdecoded as the historical hardcoded uint64/int64.
+   in the trace.
+4. **Dtypes** — the shard descriptor carries the arrays' dtypes, so
+   non-default key/value dtypes round-trip instead of being misdecoded
+   as uint64/int64.
 """
 
 import dataclasses
 import os
 import pickle
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -41,12 +43,10 @@ from repro.service import (
     StreamService,
 )
 from repro.service.pool import WorkItem
-from repro.service.shm import block_size
+from repro.service.shm import CTRL_SLOTS, block_size
 from repro.workloads.streams import chunk_stream
 from repro.workloads.tuples import TupleBatch
 from repro.workloads.zipf import ZipfGenerator
-
-TRANSPORTS = ("pipe", "shm")
 
 
 def shm_segments():
@@ -73,20 +73,27 @@ def result_bits(job_result):
 
 
 def comparable(snapshot):
-    """Snapshot minus the (deliberately transport-variant) counters."""
+    """Snapshot minus the (deliberately backend-variant) counters."""
     stripped = dict(snapshot)
     stripped.pop("transport", None)
     return stripped
 
 
-def serve_one(transport, app, *, stream=None, tracer=None, workers=4):
-    """One job on the process backend; (result, snapshot, events)."""
-    batch, params = app_workload(app)
+def serve_one(app, *, backend="process", stream=None, tracer=None,
+              workers=4, slab_bytes=None, tuples=6_000):
+    """One job on a fresh service; (result, snapshot, events).
+
+    ``slab_bytes`` shrinks the process backend's arena to one slab of
+    that size, so shards have to wait for blocks to be consumed.
+    """
+    batch, params = app_workload(app, tuples=tuples)
     if tracer is None:
         tracer = TraceCollector(enabled=False)
     service = StreamService(workers=workers, balancer="skew",
-                            backend="process", transport=transport,
-                            tracer=tracer)
+                            backend=backend, tracer=tracer)
+    if slab_bytes is not None:
+        service._pool.slab_bytes = slab_bytes  # the arena starts in run()
+        service._pool.max_slabs = 1
     try:
         source = stream(service, batch) if stream is not None \
             else chunk_stream(batch, 2_000)
@@ -170,12 +177,24 @@ class TestSlabArena:
             client.detach()
             arena.close()
 
-    def test_oversize_and_exhausted_writes_return_none(self):
+    def test_oversize_shard_waits_then_gets_its_own_slab(self):
         arena = SlabArena(slab_bytes=4096, max_slabs=1)
+        client = SlabClient(arena.ctrl_name)
         try:
-            huge = np.zeros(4096, dtype=np.uint64)  # > slab on its own
-            assert arena.write(0, huge, huge.astype(np.int64)) is None
+            small = np.arange(8, dtype=np.uint64)
+            first = arena.write(0, small, small.astype(np.int64))
+            huge = np.arange(4096, dtype=np.uint64)  # > slab on its own
+            # Something is outstanding: waiting can free space, so the
+            # arena refuses rather than grow past max_slabs.
+            assert arena.write(1, huge, huge.astype(np.int64)) is None
+            client.done(0, first.seq)
+            desc = arena.write(1, huge, huge.astype(np.int64))
+            assert desc is not None and desc.slab != first.slab
+            seen_keys, _ = client.views(desc)
+            assert np.array_equal(seen_keys, huge)
+            del seen_keys, _
         finally:
+            client.detach()
             arena.close()
 
     def test_close_unlinks_every_segment(self):
@@ -203,86 +222,136 @@ class TestSlabArena:
 
 
 # ----------------------------------------------------------------------
-# Transport equivalence across the app matrix
+# Arena exhaustion waits
 # ----------------------------------------------------------------------
-class TestTransportEquivalence:
-    @pytest.mark.parametrize("app", SERVED_APPS)
-    def test_results_and_metrics_identical_pipe_vs_shm(self, app):
-        pipe_result, pipe_snap, _ = serve_one("pipe", app)
-        shm_result, shm_snap, _ = serve_one("shm", app)
-        assert result_bits(pipe_result) == result_bits(shm_result)
-        assert comparable(pipe_snap) == comparable(shm_snap)
-        # The win is counter-verified, not asserted: shm moved strictly
-        # fewer copied bytes (zero, when nothing fell back) and the
-        # pipe path shared nothing.
-        pipe_t, shm_t = pipe_snap["transport"], shm_snap["transport"]
-        assert pipe_t["shards_pipe"] > 0 and pipe_t["shards_shm"] == 0
-        assert shm_t["shards_shm"] > 0
-        assert shm_t["shard_bytes_copied"] < pipe_t["shard_bytes_copied"]
-        assert shm_t["shard_bytes_shared"] > 0
-        assert pipe_t["shard_bytes_shared"] == 0
-        if shm_t["slab_fallbacks"] == 0:
-            assert shm_t["shard_bytes_copied"] == 0
-
-
-# ----------------------------------------------------------------------
-# Exhaustion fallback
-# ----------------------------------------------------------------------
-def make_backend_pair(transport, **kwargs):
+def make_backend(**kwargs):
     config = ArchitectureConfig(lanes=8, pripes=16, secpes=0,
                                 reschedule_threshold=0.0)
     spec = SessionSpec(app="histo", config=config)
     metrics = ServiceMetrics()
-    backend = ProcessBackend(2, lambda job_id: spec, metrics,
-                             transport=transport, **kwargs)
-    return backend, metrics
+    return ProcessBackend(2, lambda job_id: spec, metrics, **kwargs), metrics
 
 
-class TestExhaustionFallback:
-    def test_unplaceable_shards_fall_back_to_pipe(self):
-        # A 4 KiB single-slab arena: the big shard cannot be placed and
-        # must travel as pipe bytes; the small one rides the slab.  The
-        # merged result sees both either way.
-        backend, metrics = make_backend_pair("shm", slab_bytes=4096,
-                                             max_slabs=1)
+def ones(tuples, first_key=0):
+    return TupleBatch(np.arange(first_key, first_key + tuples,
+                                dtype=np.uint64),
+                      np.ones(tuples, dtype=np.int64))
+
+
+#: An arena of exactly two 100-tuple blocks.
+TWO_BLOCKS = 2 * block_size(100, np.uint64, np.int64)
+
+
+def fill_stopped_worker(backend, job_id="held"):
+    """SIGSTOP worker 0, then hand it two shards: it holds the whole
+    two-block arena, alive, until it is continued or killed."""
+    child = backend._children[0]
+    os.kill(child.process.pid, signal.SIGSTOP)
+    backend.dispatch(0, WorkItem(job_id, ones(100)))
+    backend.dispatch(0, WorkItem(job_id, ones(100, first_key=100)))
+    assert backend._arena.outstanding() == 2
+    return child
+
+
+class TestExhaustionWaits:
+    def test_service_inside_one_16k_slab_matches_inline(self):
+        # A 2 000-tuple window splits into shards of up to ~1 000
+        # tuples (16 KiB of keys and values): they wait for blocks,
+        # and the biggest need a slab of their own.
+        tracer = TraceCollector(enabled=True)
+        shm_result, shm_snap, events = serve_one(
+            "histo", slab_bytes=16 << 10, tuples=12_000, tracer=tracer)
+        inline_result, inline_snap, _ = serve_one(
+            "histo", backend="inline", tuples=12_000)
+        assert result_bits(shm_result) == result_bits(inline_result)
+        assert comparable(shm_snap) == comparable(inline_snap)
+        assert int(shm_result.result.sum()) == 12_000
+        assert any(e.kind == trace_events.BACKEND_SLAB_REUSE
+                   for e in events)
+        assert shm_snap["transport"]["slabs_allocated"] >= 2  # oversize
+
+    def test_holder_killed_mid_wait_is_revived(self):
+        tracer = TraceCollector(enabled=True)
+        backend, metrics = make_backend(slab_bytes=TWO_BLOCKS,
+                                        max_slabs=1, tracer=tracer)
         backend.start()
         try:
-            big = TupleBatch(np.arange(2_000, dtype=np.uint64),
-                             np.ones(2_000, dtype=np.int64))
-            small = TupleBatch(np.arange(10, dtype=np.uint64),
-                               np.ones(10, dtype=np.int64))
-            backend.dispatch(0, WorkItem("job", big))
-            backend.dispatch(1, WorkItem("job", small))
+            held = fill_stopped_worker(backend)
+            held.process.kill()
+            held.process.join(timeout=10)
+            assert not held.process.is_alive()
+            # Worker 1's shard waits on worker 0's blocks; the wait
+            # finds the holder dead, revives it and replays its two
+            # shards, then places once the replacement consumes them.
+            backend.dispatch(1, WorkItem("held", ones(100, first_key=200)))
+            assert backend._children[0] is not held
             backend.drain()
-            merged = backend.collect("job")
-            assert merged is not None
-            assert int(merged.result.sum()) == 2_010
-            transport = metrics.snapshot()["transport"]
-            assert transport["slab_fallbacks"] == 1
-            assert transport["shards_pipe"] == 1
-            assert transport["shards_shm"] == 1
-            assert transport["shard_bytes_copied"] > 0
+            assert backend.errors("held") == []
+            merged = backend.collect("held")
+            assert int(merged.result.sum()) == 300
+            assert metrics.snapshot()["transport"]["shard_retries"] == 2
+            kinds = [e.kind for e in tracer.events()]
+            assert kinds.count(trace_events.BACKEND_CRASH) == 1
+            assert kinds.count(trace_events.BACKEND_RESPAWN) == 1
         finally:
             backend.stop()
 
-    def test_sustained_service_inside_tiny_arena(self):
-        # Far more in-flight bytes than the arena holds: consumed-block
-        # recycling plus pipe fallback keep the job correct.
-        tracer = TraceCollector(enabled=True)
-        service = StreamService(workers=4, balancer="skew",
-                                backend="process", transport="shm",
-                                tracer=tracer)
-        service._pool.slab_bytes = 1 << 14  # fleet starts lazily in run()
-        service._pool.max_slabs = 1
+    def test_wait_places_once_a_live_holder_consumes(self):
+        backend, metrics = make_backend(slab_bytes=TWO_BLOCKS, max_slabs=1)
+        backend.start()
+        held = backend._children[0]
+        resume = threading.Timer(0.3, os.kill,
+                                 (held.process.pid, signal.SIGCONT))
         try:
-            batch = ZipfGenerator(alpha=1.5, seed=5).generate(12_000)
-            job_id = service.submit("histo", chunk_stream(batch, 2_000),
-                                    window_seconds=2e-6)
-            service.run()
-            assert service.poll(job_id)["status"] == "completed"
-            assert int(service.result(job_id).result.sum()) == 12_000
+            fill_stopped_worker(backend)
+            # Worker 1's shard waits while worker 0 is stopped; once it
+            # resumes and consumes, a freed block takes the shard.  The
+            # holder was alive throughout, so nothing is revived.
+            resume.start()
+            backend.dispatch(1, WorkItem("held", ones(100, first_key=200)))
+            assert backend._children[0] is held
+            backend.drain()
+            assert backend.errors("held") == []
+            assert int(backend.collect("held").result.sum()) == 300
+            transport = metrics.snapshot()["transport"]
+            assert transport["slabs_allocated"] == 1
+            assert transport["slab_blocks_reused"] == 1
+            assert transport["shard_retries"] == 0
         finally:
-            service.shutdown()
+            resume.join()
+            os.kill(held.process.pid, signal.SIGCONT)  # stop() must reach it
+            backend.stop()
+
+    def test_wait_past_timeout_fails_only_that_job(self):
+        before = shm_segments()
+        backend, _ = make_backend(slab_bytes=TWO_BLOCKS, max_slabs=1,
+                                  join_timeout=0.5)
+        backend.start()
+        held = backend._children[0]
+        try:
+            fill_stopped_worker(backend)
+            # Returns (no hang, no raise) with the job failed instead.
+            backend.dispatch(1, WorkItem("starved", ones(100)))
+            assert any("no shared-memory block freed" in error
+                       for error in backend.errors("starved"))
+            os.kill(held.process.pid, signal.SIGCONT)
+            backend.drain()
+            assert backend.errors("held") == []
+            assert int(backend.collect("held").result.sum()) == 200
+            assert backend.collect("starved") is None  # nothing was sent
+        finally:
+            os.kill(held.process.pid, signal.SIGCONT)  # stop() must reach it
+            backend.stop()
+        assert shm_segments() == before
+
+    @pytest.mark.parametrize("workers", (0, CTRL_SLOTS + 1))
+    def test_worker_count_is_bounded_by_the_control_block(self, workers):
+        spec = SessionSpec(app="histo", config=ArchitectureConfig())
+        with pytest.raises(ValueError, match="workers must be in"):
+            ProcessBackend(workers, lambda job_id: spec, ServiceMetrics())
+        backend = ProcessBackend(1, lambda job_id: spec, ServiceMetrics())
+        with pytest.raises(ValueError, match="workers must be in"):
+            backend.resize(workers)
 
 
 # ----------------------------------------------------------------------
@@ -291,7 +360,7 @@ class TestExhaustionFallback:
 class TestArenaCleanup:
     def test_stop_leaves_no_segments(self):
         before = shm_segments()
-        serve_one("shm", "histo")
+        serve_one("histo")
         assert shm_segments() == before
 
     def test_crash_leaves_no_segments(self):
@@ -305,14 +374,14 @@ class TestArenaCleanup:
                     child.process.join()
                 yield events
 
-        result, _, _ = serve_one("shm", "histo", stream=crashing)
+        result, _, _ = serve_one("histo", stream=crashing)
         assert result.result is not None
         assert shm_segments() == before
 
     def test_service_restart_recreates_the_arena(self):
         batch, _ = app_workload("histo", tuples=3_000)
         service = StreamService(workers=2, balancer="skew",
-                                backend="process", transport="shm")
+                                backend="process")
         try:
             service.submit("histo", chunk_stream(batch, 1_500),
                            window_seconds=2e-6, job_id="first")
@@ -365,15 +434,14 @@ def kill_after_stream(victim=0, chunk=2_000):
 
 
 class TestLostShardRetry:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    @pytest.mark.parametrize("app", ("histo", "hhd"))
-    def test_crash_replays_instead_of_failing(self, transport, app):
+    @pytest.mark.parametrize("app", SERVED_APPS)
+    def test_crash_replays_instead_of_failing(self, app):
         # hhd is by_key: replay must land on the same worker id or the
         # per-key ownership (and the merged result) would shift.
-        clean_result, clean_snap, _ = serve_one(transport, app)
+        clean_result, clean_snap, _ = serve_one(app)
         tracer = TraceCollector(enabled=True)
         crash_result, crash_snap, events = serve_one(
-            transport, app, stream=killing_stream(), tracer=tracer)
+            app, stream=killing_stream(), tracer=tracer)
         assert result_bits(clean_result) == result_bits(crash_result)
         # Exactly-once accounting: the replayed shards fold no
         # duplicate segment records, so the deterministic snapshot
@@ -388,40 +456,43 @@ class TestLostShardRetry:
         assert crash_snap["transport"]["shard_retries"] == len(retries)
         assert all(e.worker == crashes[0].worker for e in retries)
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_crash_at_drain_is_recovered(self, transport):
+    def test_crash_at_drain_is_recovered(self):
         # Kill after the last chunk: the loss is only discovered at the
         # drain barrier, whose revive+replay+reflush path must recover.
-        clean_result, clean_snap, _ = serve_one(transport, "histo")
+        clean_result, clean_snap, _ = serve_one("histo")
         crash_result, crash_snap, _ = serve_one(
-            transport, "histo", stream=kill_after_stream())
+            "histo", stream=kill_after_stream())
         assert result_bits(clean_result) == result_bits(crash_result)
         assert comparable(clean_snap) == comparable(crash_snap)
 
 
 # ----------------------------------------------------------------------
-# Dtype-carrying shard headers
+# Dtype-carrying shard descriptors
 # ----------------------------------------------------------------------
 class TestDtypeHeaders:
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_non_default_dtypes_roundtrip(self, transport):
-        # The historical pipe protocol hardcoded uint64/int64 decodes:
-        # a uint32 key array would be misparsed as half as many uint64s.
-        # The header now carries both dtypes; the child decodes with
-        # them and TupleBatch's own coercion restores the canonical
-        # types, so results match the uint64 baseline exactly.
+    @pytest.mark.parametrize("key_dtype,value_dtype", (
+        (np.uint32, np.int32),
+        (np.uint16, np.int64),
+        (np.uint64, np.int16),
+    ))
+    def test_non_default_dtypes_roundtrip(self, key_dtype, value_dtype):
+        # Decoding with hardcoded uint64/int64 would misparse a uint32
+        # key array as half as many uint64s.  The descriptor carries
+        # both dtypes; the child views with them and TupleBatch's own
+        # coercion restores the canonical types, so results match the
+        # uint64 baseline exactly.
         rng = np.random.default_rng(7)
         keys = rng.integers(0, 1 << 16, 1_000).astype(np.uint64)
         values = rng.integers(0, 1 << 10, 1_000, dtype=np.int64)
 
         def run(shrink_dtypes):
-            backend, _ = make_backend_pair(transport)
+            backend, _ = make_backend()
             backend.start()
             try:
                 batch = TupleBatch(keys.copy(), values.copy())
                 if shrink_dtypes:
-                    batch.keys = batch.keys.astype(np.uint32)
-                    batch.values = batch.values.astype(np.int32)
+                    batch.keys = batch.keys.astype(key_dtype)
+                    batch.values = batch.values.astype(value_dtype)
                 backend.dispatch(0, WorkItem("job", batch))
                 backend.drain()
                 merged = backend.collect("job")

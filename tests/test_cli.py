@@ -55,6 +55,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--app", "nope"])
 
+    @pytest.mark.parametrize("command", ("serve", "submit"))
+    def test_transport_flag_is_gone(self, command, capsys):
+        # The process backend has one shard path, so there is no knob.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                [command, "--backend", "process", "--transport", "shm"])
+        assert "--transport" in capsys.readouterr().err
+
 
 class TestExperiment:
     def test_list(self, capsys):
@@ -179,25 +187,7 @@ class TestServeSubmit:
         assert code == 0
         out = capsys.readouterr().out
         assert "served 4 jobs" in out
-        assert "process/pipe backend" in out
-
-    def test_serve_process_backend_shm_transport(self, capsys):
-        code = main([
-            "serve", "--demo", "--tuples", "4000", "--workers", "2",
-            "--backend", "process", "--transport", "shm",
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "served 4 jobs" in out
-        assert "process/shm backend" in out
-
-    def test_submit_shm_transport(self, capsys):
-        code = main([
-            "submit", "--app", "histo", "--tuples", "4000",
-            "--backend", "process", "--transport", "shm",
-        ])
-        assert code == 0
-        assert "status=completed" in capsys.readouterr().out
+        assert "process backend" in out
 
     def test_submit_process_backend(self, capsys):
         code = main([
