@@ -1,7 +1,7 @@
 """*guarded-by*: lock-guarded attributes stay behind their lock.
 
-The torn-read class of bug (PR 8's ``ServiceMetrics`` snapshot fixes,
-this PR's ``plan_cache_hit_rate``): two counters that are updated
+The torn-read class of bug (the ``ServiceMetrics`` snapshot and
+plan-cache hit-rate fixes): two counters that are updated
 together under a lock get *read* in two separate unlocked loads, and
 the derived figure describes no instant that ever existed.
 

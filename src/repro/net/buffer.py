@@ -14,10 +14,10 @@ source-error path).
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from typing import Callable, Deque, Iterator, Optional
 
+from repro import wallclock
 from repro.workloads.streams import TimestampedBatch
 
 
@@ -53,7 +53,7 @@ class IngestBuffer:
         self._on_drain = on_drain
         self._idle_timeout = idle_timeout
         self._probed = False  # guarded-by: _cond
-        self._last_activity = time.monotonic()  # guarded-by: _cond
+        self._last_activity = wallclock.monotonic()  # guarded-by: _cond
         self.batches_in = 0
         self.tuples_in = 0
         self.depth_peak = 0
@@ -67,7 +67,7 @@ class IngestBuffer:
             if self._closed or self._abort_reason is not None:
                 raise RuntimeError("ingest stream is closed")
             self._items.append(batch)
-            self._last_activity = time.monotonic()
+            self._last_activity = wallclock.monotonic()
             self.batches_in += 1
             self.tuples_in += len(batch)
             self.depth_peak = max(self.depth_peak, len(self._items))
@@ -105,7 +105,7 @@ class IngestBuffer:
     def __next__(self) -> TimestampedBatch:
         with self._cond:
             deadline = (None if self._idle_timeout is None
-                        else time.monotonic() + self._idle_timeout)
+                        else wallclock.monotonic() + self._idle_timeout)
             while True:
                 if self._abort_reason is not None:
                     raise RuntimeError(
@@ -114,14 +114,14 @@ class IngestBuffer:
                     item = self._items.popleft()
                     # The idle clock measures how long the *next* batch
                     # has been owed; it restarts at every consumption.
-                    self._last_activity = time.monotonic()
+                    self._last_activity = wallclock.monotonic()
                     break
                 if self._closed:
                     raise StopIteration
                 if deadline is None:
                     self._cond.wait()
                     continue
-                remaining = deadline - time.monotonic()
+                remaining = deadline - wallclock.monotonic()
                 if remaining <= 0:
                     raise RuntimeError(
                         "ingest stream idle for "
@@ -154,10 +154,10 @@ class IngestBuffer:
                 # sat queued longer than idle_timeout must not be
                 # evicted before its client could stream anything.
                 self._probed = True
-                self._last_activity = time.monotonic()
+                self._last_activity = wallclock.monotonic()
                 return False
             if self._idle_timeout is not None and (
-                    time.monotonic() - self._last_activity
+                    wallclock.monotonic() - self._last_activity
                     >= self._idle_timeout):
                 self._abort_reason = (
                     f"idle for {self._idle_timeout:g}s (client "

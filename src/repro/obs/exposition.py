@@ -97,76 +97,61 @@ def _quantiles(exp: _Exposition, name: str, help_text: str,
                "gauge", section.get("samples", 0), labels)
 
 
-def _flat_counters(exp: _Exposition, snapshot: Dict[str, Any],
-                   section: str) -> Dict[str, Any]:
-    """The section's declared counters, in order; returns the section."""
-    # Function-level (service imports obs, not the reverse): at module
-    # level this closes the cycle control.controller -> obs ->
-    # exposition -> service -> server -> control.controller.
-    from repro.service.metrics import COUNTERS
+def _figures(exp: _Exposition, figures: Dict[str, Tuple[str, str, str]],
+             values: Dict[str, Any], labels: Dict[str, Any] = None) -> None:
+    """One sample per declared ``key -> (family, type, help)``, in order."""
+    for key, (family, kind, help_text) in figures.items():
+        exp.sample(family, help_text, kind, values.get(key, 0), labels)
 
-    values = snapshot.get(section, {})
-    for name, help_text in COUNTERS[section].items():
-        exp.sample(f"{section}_{name}_total", help_text, "counter",
-                   values.get(name, 0))
-    return values
+
+def _counters(exp: _Exposition, prefix: str, counters: Dict[str, str],
+              values: Dict[str, Any], labels: Dict[str, Any] = None) -> None:
+    """One ``<prefix>_<name>_total`` counter per declared ``name -> help``."""
+    for name, help_text in counters.items():
+        exp.sample(f"{prefix}_{name}_total", help_text, "counter",
+                   values.get(name, 0), labels)
 
 
 def to_prometheus(snapshot: Dict[str, Any], prefix: str = "repro") -> str:
     """Render one :meth:`ServiceMetrics.snapshot` dict as Prometheus text.
 
-    Every numeric leaf of the snapshot appears as a sample; dict
-    sections keyed by tenant / worker become label dimensions, and
-    p50/p95 ring-buffer sections become ``quantile``-labelled summary
-    samples.
+    Every figure declared in :mod:`repro.service.metrics`' tables
+    appears as a sample; dict sections keyed by tenant / worker become
+    label dimensions, and p50/p95 ring-buffer sections become
+    ``quantile``-labelled summary samples.
     """
-    # Function-level import for the same cycle as in _flat_counters.
-    from repro.service.metrics import JOB_STATES, TENANT_JOB_STATES
+    # Function-level (service imports obs, not the reverse): at module
+    # level this closes the cycle control.controller -> obs ->
+    # exposition -> service -> server -> control.controller.
+    from repro.service.metrics import (
+        COUNTERS,
+        FLEET_FIGURES,
+        JOB_STATES,
+        TENANT_FIGURES,
+        TENANT_JOB_STATES,
+        WORKER_COUNTERS,
+    )
 
     exp = _Exposition(prefix)
     jobs = snapshot.get("jobs", {})
     for state in JOB_STATES:
         exp.sample("jobs_total", "Jobs by terminal/ingress state",
                    "counter", jobs.get(state, 0), {"state": state})
-    exp.sample("windows_closed_total", "Event-time windows closed",
-               "counter", snapshot.get("windows_closed", 0))
-    exp.sample("tuples_windowed_total",
-               "Tuples dispatched through closed windows (the "
-               "deterministic dispatch clock)", "counter",
-               snapshot.get("tuples_windowed", 0))
-    exp.sample("late_tuples_total", "Tuples dropped as late", "counter",
-               snapshot.get("late_tuples", 0))
-    exp.sample("worker_tuples_processed_total",
-               "Tuples processed across the fleet", "counter",
-               snapshot.get("total_tuples", 0))
-    exp.sample("busiest_worker_cycles", "Cycles of the busiest worker",
-               "gauge", snapshot.get("busiest_worker_cycles", 0))
-    exp.sample("makespan_cycles",
-               "Fleet completion time in simulated cycles", "gauge",
-               snapshot.get("makespan_cycles", 0))
-    exp.sample("fleet_throughput_tuples_per_cycle",
-               "Fleet tuples per cycle", "gauge",
-               snapshot.get("fleet_throughput", 0.0))
-    exp.sample("rebalances_total", "Fleet plan changes", "counter",
-               snapshot.get("rebalances", 0))
+    _figures(exp, FLEET_FIGURES, snapshot)
     _quantiles(exp, "queue_depth", "Job-queue depth",
                snapshot.get("queue_depth", {}))
-
     for worker_id, stats in sorted(snapshot.get("workers", {}).items()):
-        labels = {"worker": worker_id}
-        exp.sample("worker_segments_total", "Segments per worker",
-                   "counter", stats.get("segments", 0), labels)
-        exp.sample("worker_tuples_total", "Tuples per worker", "counter",
-                   stats.get("tuples", 0), labels)
-        exp.sample("worker_cycles_total", "Cycles per worker", "counter",
-                   stats.get("cycles", 0), labels)
-
-    gateway = _flat_counters(exp, snapshot, "gateway")
+        _counters(exp, "worker", WORKER_COUNTERS, stats,
+                  {"worker": worker_id})
+    gateway = snapshot.get("gateway", {})
+    _counters(exp, "gateway", COUNTERS["gateway"], gateway)
     _quantiles(exp, "gateway_ingest_depth",
                "Per-tenant buffered-batch depth",
                gateway.get("ingest_depth", {}))
-    _flat_counters(exp, snapshot, "transport")
-    control = _flat_counters(exp, snapshot, "control")
+    _counters(exp, "transport", COUNTERS["transport"],
+              snapshot.get("transport", {}))
+    control = snapshot.get("control", {})
+    _counters(exp, "control", COUNTERS["control"], control)
     exp.sample("control_plan_cache_hit_rate",
                "Plan cache hits over lookups", "gauge",
                control.get("plan_cache_hit_rate", 0.0))
@@ -180,19 +165,7 @@ def to_prometheus(snapshot: Dict[str, Any], prefix: str = "repro") -> str:
             exp.sample("tenant_jobs_total", "Per-tenant jobs by state",
                        "counter", stats.get("jobs", {}).get(state, 0),
                        {**labels, "state": state})
-        exp.sample("tenant_weight", "Fair-share weight", "gauge",
-                   stats.get("weight", 1.0), labels)
-        exp.sample("tenant_tuples_total", "Per-tenant tuples processed",
-                   "counter", stats.get("tuples", 0), labels)
-        exp.sample("tenant_cycles_total", "Per-tenant cycles consumed",
-                   "counter", stats.get("cycles", 0), labels)
-        exp.sample("tenant_stall_cycles_total",
-                   "Rescheduling stalls charged to the tenant",
-                   "counter", stats.get("stall_cycles", 0), labels)
-        exp.sample("tenant_slo_attainment",
-                   "Fraction of started jobs meeting the queue-delay "
-                   "SLO", "gauge", stats.get("slo_attainment", 1.0),
-                   labels)
+        _figures(exp, TENANT_FIGURES, stats, labels)
         _quantiles(exp, "tenant_queue_delay",
                    "Queue delay in dispatch-clock tuples",
                    stats.get("queue_delay", {}), labels)

@@ -61,11 +61,7 @@ from repro.service.jobs import (
     TenantSpec,
     kernel_for,
 )
-from repro.service.metrics import (
-    ServiceMetrics,
-    TenantStats,
-    WorkerStats,
-)
+from repro.service.metrics import ServiceMetrics
 from repro.service.executor import (
     BACKENDS,
     ExecutionBackend,
@@ -103,11 +99,9 @@ __all__ = [
     "Step",
     "StreamService",
     "TenantSpec",
-    "TenantStats",
     "WindowManager",
     "WorkItem",
     "WorkerPool",
-    "WorkerStats",
     "kernel_for",
     "make_backend",
     "make_balancer",

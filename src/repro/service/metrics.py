@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -63,17 +63,16 @@ def _count(section: Dict[str, int], deltas: Dict[str, int]) -> None:
         section[name] += delta
 
 
-@dataclass
-class WorkerStats:
-    """Cumulative load of one pipeline worker."""
+def _tuples_per_cycle(tuples: int, cycles: int) -> float:
+    """A worker's, a tenant's or the fleet's rate (0.0 before any cycle)."""
+    return tuples / cycles if cycles else 0.0
 
-    segments: int = 0
-    tuples: int = 0
-    cycles: int = 0
 
-    @property
-    def tuples_per_cycle(self) -> float:
-        return self.tuples / self.cycles if self.cycles else 0.0
+def _slo_attainment(tenant: Dict[str, Any]) -> float:
+    """Started jobs whose queue delay met the SLO (1.0 with no data or
+    no SLO — an unmeasured tenant is not a failing tenant)."""
+    judged = tenant["slo_met"] + tenant["slo_missed"]
+    return tenant["slo_met"] / judged if judged else 1.0
 
 
 #: The states a job is counted under, declared once: the fleet ``jobs``
@@ -87,47 +86,12 @@ JOB_STATES = ("submitted", "completed", "failed", "cancelled")
 TENANT_JOB_STATES = JOB_STATES + ("rejected",)
 
 
-@dataclass
-class TenantStats:
-    """Cumulative serving record of one tenant.
-
-    ``queue_delays`` samples are in *dispatch-clock* units (cumulative
-    tuples the dispatcher had handed to the fleet when the job started,
-    minus the reading at submit) — a deterministic stand-in for wall
-    time that replays identically.  ``slo_met``/``slo_missed`` classify
-    each started job's delay against the tenant's registered
-    ``slo_delay_tuples``.
-    """
-
-    weight: float = 1.0
-    slo_delay_tuples: Optional[int] = None
-    jobs: Dict[str, int] = field(
-        default_factory=lambda: dict.fromkeys(TENANT_JOB_STATES, 0))
-    tuples: int = 0
-    cycles: int = 0
-    stall_cycles: int = 0
-    slo_met: int = 0
-    slo_missed: int = 0
-    queue_delays: Deque[int] = field(
-        default_factory=lambda: deque(maxlen=QUEUE_DELAY_WINDOW))
-
-    @property
-    def tuples_per_cycle(self) -> float:
-        return self.tuples / self.cycles if self.cycles else 0.0
-
-    @property
-    def slo_attainment(self) -> float:
-        """Started jobs whose queue delay met the SLO (1.0 with no data
-        or no SLO — an unmeasured tenant is not a failing tenant)."""
-        judged = self.slo_met + self.slo_missed
-        return self.slo_met / judged if judged else 1.0
-
-
 #: The flat counters of the ``gateway`` / ``transport`` / ``control``
 #: sections, declared once as ``section -> {name: Prometheus help}``.
 #: :class:`ServiceMetrics`' zeroed state, the ``record_*`` keywords, the
-#: snapshot keys and the ``repro_<section>_<name>_total`` samples all
-#: derive from this table, in this order: a new counter is one line here.
+#: snapshot keys, the ``repro_<section>_<name>_total`` samples and the
+#: report's section lines all derive from this table, in this order: a
+#: new counter is one line here.
 COUNTERS: Dict[str, Dict[str, str]] = {
     # The network front-end (repro.net).  batches_shed counts batches
     # dropped with a ``busy`` reply because the owning tenant was over
@@ -177,13 +141,89 @@ COUNTERS: Dict[str, Dict[str, str]] = {
     },
 }
 
+#: The per-worker counters, ``name -> Prometheus help``: a worker's
+#: record is ``dict.fromkeys(WORKER_COUNTERS, 0)``, and each counter is
+#: exported as ``repro_worker_<name>_total{worker=...}``.
+WORKER_COUNTERS: Dict[str, str] = {
+    "segments": "Segments per worker",
+    "tuples": "Tuples per worker",
+    "cycles": "Cycles per worker",
+}
+
+#: The fleet-level snapshot figures, ``key -> (Prometheus family, type,
+#: help)``, in exposition order (after ``repro_jobs_total``, before the
+#: queue-depth summary).
+FLEET_FIGURES: Dict[str, Tuple[str, str, str]] = {
+    "windows_closed": ("windows_closed_total", "counter",
+                       "Event-time windows closed"),
+    "tuples_windowed": ("tuples_windowed_total", "counter",
+                        "Tuples dispatched through closed windows (the "
+                        "deterministic dispatch clock)"),
+    "late_tuples": ("late_tuples_total", "counter",
+                    "Tuples dropped as late"),
+    "total_tuples": ("worker_tuples_processed_total", "counter",
+                     "Tuples processed across the fleet"),
+    "busiest_worker_cycles": ("busiest_worker_cycles", "gauge",
+                              "Cycles of the busiest worker"),
+    "makespan_cycles": ("makespan_cycles", "gauge",
+                        "Fleet completion time in simulated cycles"),
+    "fleet_throughput": ("fleet_throughput_tuples_per_cycle", "gauge",
+                         "Fleet tuples per cycle"),
+    "rebalances": ("rebalances_total", "counter", "Fleet plan changes"),
+}
+
+#: The per-tenant snapshot figures, declared as the fleet's and labelled
+#: ``tenant=...`` (after ``repro_tenant_jobs_total``, before the
+#: queue-delay summary).
+TENANT_FIGURES: Dict[str, Tuple[str, str, str]] = {
+    "weight": ("tenant_weight", "gauge", "Fair-share weight"),
+    "tuples": ("tenant_tuples_total", "counter",
+               "Per-tenant tuples processed"),
+    "cycles": ("tenant_cycles_total", "counter",
+               "Per-tenant cycles consumed"),
+    "stall_cycles": ("tenant_stall_cycles_total", "counter",
+                     "Rescheduling stalls charged to the tenant"),
+    "slo_attainment": ("tenant_slo_attainment", "gauge",
+                       "Fraction of started jobs meeting the queue-delay "
+                       "SLO"),
+}
+
+
+def _new_tenant() -> Dict[str, Any]:
+    """One tenant's record, keyed as its snapshot section.
+
+    ``queue_delay`` samples are in *dispatch-clock* units (cumulative
+    tuples the dispatcher had handed to the fleet when the job started,
+    minus the reading at submit) — a deterministic stand-in for wall
+    time that replays identically.  ``slo_met``/``slo_missed`` classify
+    each started job's delay against the tenant's ``slo_delay_tuples``.
+    """
+    return {"weight": 1.0, "slo_delay_tuples": None,
+            "jobs": dict.fromkeys(TENANT_JOB_STATES, 0),
+            "tuples": 0, "cycles": 0, "stall_cycles": 0,
+            "slo_met": 0, "slo_missed": 0,
+            "queue_delay": deque(maxlen=QUEUE_DELAY_WINDOW)}
+
+
+def _tenant_snapshot(tenant: Dict[str, Any]) -> Dict[str, Any]:
+    """The record with its ring summarised and its ratios derived."""
+    return {
+        **{key: value for key, value in tenant.items()
+           if key not in ("slo_met", "slo_missed")},
+        "jobs": dict(tenant["jobs"]),
+        "queue_delay": _ring_summary(tenant["queue_delay"]),
+        "tuples_per_cycle": _tuples_per_cycle(tenant["tuples"],
+                                              tenant["cycles"]),
+        "slo_attainment": _slo_attainment(tenant),
+    }
+
 
 @dataclass
 class ServiceMetrics:
     """Thread-safe counters for one :class:`~repro.service.server.StreamService`."""
 
-    workers: Dict[int, WorkerStats] = field(default_factory=dict)  # guarded-by: _lock
-    tenants: Dict[str, TenantStats] = field(default_factory=dict)  # guarded-by: _lock
+    workers: Dict[int, Dict[str, int]] = field(default_factory=dict)  # guarded-by: _lock
+    tenants: Dict[str, Dict[str, Any]] = field(default_factory=dict)  # guarded-by: _lock
     windows_closed: int = 0  # guarded-by: _lock
     tuples_windowed: int = 0  # guarded-by: _lock
     late_tuples: int = 0  # guarded-by: _lock
@@ -210,16 +250,18 @@ class ServiceMetrics:
     # ------------------------------------------------------------------
     # Tenant registry and per-tenant events
     # ------------------------------------------------------------------
-    def _tenant(self, tenant_id: str) -> TenantStats:  # guarded-by: _lock
-        return self.tenants.setdefault(tenant_id, TenantStats())
+    def _tenant(self, tenant_id: str) -> Dict[str, Any]:  # guarded-by: _lock
+        tenant = self.tenants.get(tenant_id)
+        if tenant is None:
+            tenant = self.tenants[tenant_id] = _new_tenant()
+        return tenant
 
     def register_tenant(self, tenant_id: str, weight: float = 1.0,
                         slo_delay_tuples: Optional[int] = None) -> None:
         """Install a tenant's weight and queue-delay SLO for reporting."""
         with self._lock:
-            stats = self._tenant(tenant_id)
-            stats.weight = weight
-            stats.slo_delay_tuples = slo_delay_tuples
+            self._tenant(tenant_id).update(
+                weight=weight, slo_delay_tuples=slo_delay_tuples)
 
     def record_job(self, state: str, tenant_id: str) -> None:
         """One job of ``tenant_id`` entered ``state``, one of
@@ -229,27 +271,25 @@ class ServiceMetrics:
         with self._lock:
             if state in self.jobs:
                 self.jobs[state] += 1
-            self._tenant(tenant_id).jobs[state] += 1
+            self._tenant(tenant_id)["jobs"][state] += 1
 
     def record_queue_delay(self, tenant_id: str, delay: int) -> None:
         """A started job waited ``delay`` dispatch-clock tuples."""
         with self._lock:
-            stats = self._tenant(tenant_id)
-            stats.queue_delays.append(delay)
-            if stats.slo_delay_tuples is not None:
-                if delay <= stats.slo_delay_tuples:
-                    stats.slo_met += 1
-                else:
-                    stats.slo_missed += 1
+            tenant = self._tenant(tenant_id)
+            tenant["queue_delay"].append(delay)
+            slo = tenant["slo_delay_tuples"]
+            if slo is not None:
+                tenant["slo_met" if delay <= slo else "slo_missed"] += 1
 
     def tenant_slo_attainment(self) -> Dict[str, float]:
         """SLO attainment of every tenant with an SLO and started jobs."""
         with self._lock:
             return {
-                tenant_id: stats.slo_attainment
-                for tenant_id, stats in self.tenants.items()
-                if stats.slo_delay_tuples is not None
-                and (stats.slo_met or stats.slo_missed)
+                tenant_id: _slo_attainment(tenant)
+                for tenant_id, tenant in self.tenants.items()
+                if tenant["slo_delay_tuples"] is not None
+                and (tenant["slo_met"] or tenant["slo_missed"])
             }
 
     def dispatch_clock(self) -> int:
@@ -261,14 +301,17 @@ class ServiceMetrics:
     def record_segment(self, worker: int, tuples: int, cycles: int,
                        tenant: Optional[str] = None) -> None:
         with self._lock:
-            stats = self.workers.setdefault(worker, WorkerStats())
-            stats.segments += 1
-            stats.tuples += tuples
-            stats.cycles += cycles
+            record = self.workers.get(worker)
+            if record is None:
+                record = self.workers[worker] = dict.fromkeys(
+                    WORKER_COUNTERS, 0)
+            record["segments"] += 1
+            record["tuples"] += tuples
+            record["cycles"] += cycles
             if tenant is not None:
-                tenant_stats = self._tenant(tenant)
-                tenant_stats.tuples += tuples
-                tenant_stats.cycles += cycles
+                record = self._tenant(tenant)
+                record["tuples"] += tuples
+                record["cycles"] += cycles
 
     def record_window(self, tuples: int) -> None:
         with self._lock:
@@ -316,16 +359,23 @@ class ServiceMetrics:
             _count(self.control, deltas)
             stall_cycles = deltas.get("reschedule_stall_cycles", 0)
             if stall_cycles and tenant is not None:
-                self._tenant(tenant).stall_cycles += stall_cycles
+                self._tenant(tenant)["stall_cycles"] += stall_cycles
             if plan_age is not None:
                 self.plan_ages.append(plan_age)
 
     # ------------------------------------------------------------------
     # Fleet-level aggregates
     # ------------------------------------------------------------------
+    def _total_tuples_locked(self) -> int:
+        return sum(record["tuples"] for record in self.workers.values())
+
     def total_tuples(self) -> int:
         with self._lock:
-            return sum(stats.tuples for stats in self.workers.values())
+            return self._total_tuples_locked()
+
+    def _busiest_locked(self, within: Optional[int] = None) -> int:
+        return max([record["cycles"] for worker, record in self.workers.items()
+                    if within is None or worker < within], default=0)
 
     def busiest_worker_cycles(self, within: Optional[int] = None) -> int:
         """Cycles of the busiest worker (excludes rescheduling stalls).
@@ -336,14 +386,10 @@ class ServiceMetrics:
         cannot freeze the measurement.
         """
         with self._lock:
-            cycles = [stats.cycles for worker, stats in self.workers.items()
-                      if within is None or worker < within]
-            return max(cycles, default=0)
+            return self._busiest_locked(within)
 
     def _makespan_locked(self) -> int:
-        busiest = max(
-            (stats.cycles for stats in self.workers.values()), default=0)
-        return busiest + self.control["reschedule_stall_cycles"]
+        return self._busiest_locked() + self.control["reschedule_stall_cycles"]
 
     def makespan_cycles(self) -> int:
         """Fleet completion time: busiest worker plus fleet-wide stalls."""
@@ -361,34 +407,17 @@ class ServiceMetrics:
         the ratio is never computed from two different instants.
         """
         with self._lock:
-            makespan = self._makespan_locked()
-            total = sum(stats.tuples for stats in self.workers.values())
-        return total / makespan if makespan else 0.0
-
-    def _plan_cache_hit_rate_locked(self) -> float:  # guarded-by: _lock
-        hits = self.control["plan_cache_hits"]
-        lookups = hits + self.control["plan_cache_misses"]
-        return hits / lookups if lookups else 0.0
-
-    def plan_cache_hit_rate(self) -> float:
-        """Cache hits over lookups (0.0 before any plan lookup).
-
-        Both counters are read under one lock acquisition — the control
-        thread bumps hits and misses together, so reading them unlocked
-        could observe a lookup's hit without its miss-side update (a
-        rate transiently above 1.0 or below its true value).
-        """
-        with self._lock:
-            return self._plan_cache_hit_rate_locked()
+            return _tuples_per_cycle(self._total_tuples_locked(),
+                                     self._makespan_locked())
 
     def snapshot(self) -> Dict[str, Any]:
         """Point-in-time machine-readable summary of the whole service.
 
         The whole dict is built under a **single** lock acquisition, so
         every derived figure (fleet throughput, makespan, imbalance, the
-        per-tenant sections) describes the same instant — composing the
-        public single-metric accessors would let the counters move
-        between reads and tear the snapshot.
+        plan-cache hit rate, the per-tenant sections) describes the same
+        instant — composing the public single-metric accessors would let
+        the counters move between reads and tear the snapshot.
 
         Queue depth is reported as percentiles over the retained ring
         buffer (p50/p95), not the raw series — the series is bounded, the
@@ -399,13 +428,14 @@ class ServiceMetrics:
 
     def _snapshot_locked(self) -> Dict[str, Any]:
         """Build the snapshot dict (caller holds the lock)."""
-        worker_cycles = [s.cycles for s in self.workers.values()]
-        total_tuples = sum(s.tuples for s in self.workers.values())
-        busiest = max(worker_cycles, default=0)
-        makespan = busiest + self.control["reschedule_stall_cycles"]
-        mean_cycles = (sum(worker_cycles) / len(worker_cycles)
-                       if worker_cycles else 0.0)
+        cycles = [record["cycles"] for record in self.workers.values()]
+        total_tuples = self._total_tuples_locked()
+        busiest = max(cycles, default=0)
+        makespan = self._makespan_locked()
+        mean_cycles = sum(cycles) / len(cycles) if cycles else 0.0
         depths = self.queue_depth_samples
+        hits = self.control["plan_cache_hits"]
+        lookups = hits + self.control["plan_cache_misses"]
         return {
             "jobs": dict(self.jobs),
             "windows_closed": self.windows_closed,
@@ -414,8 +444,7 @@ class ServiceMetrics:
             "total_tuples": total_tuples,
             "busiest_worker_cycles": busiest,
             "makespan_cycles": makespan,
-            "fleet_throughput": (total_tuples / makespan
-                                 if makespan else 0.0),
+            "fleet_throughput": _tuples_per_cycle(total_tuples, makespan),
             "imbalance": (busiest / mean_cycles if mean_cycles else 1.0),
             "rebalances": self.rebalances,
             "queue_depth": {
@@ -423,13 +452,9 @@ class ServiceMetrics:
                 "last": depths[-1] if depths else 0,
             },
             "workers": {
-                worker: {
-                    "segments": stats.segments,
-                    "tuples": stats.tuples,
-                    "cycles": stats.cycles,
-                    "tuples_per_cycle": stats.tuples_per_cycle,
-                }
-                for worker, stats in sorted(self.workers.items())
+                worker: {**record, "tuples_per_cycle": _tuples_per_cycle(
+                    record["tuples"], record["cycles"])}
+                for worker, record in sorted(self.workers.items())
             },
             "gateway": {
                 **self.gateway,
@@ -438,12 +463,12 @@ class ServiceMetrics:
             "transport": dict(self.transport),
             "control": {
                 **self.control,
-                "plan_cache_hit_rate": self._plan_cache_hit_rate_locked(),
+                "plan_cache_hit_rate": hits / lookups if lookups else 0.0,
                 "plan_age_p50": _percentile(list(self.plan_ages), 50),
             },
             "tenants": {
-                tenant_id: self._tenant_snapshot(stats)
-                for tenant_id, stats in sorted(self.tenants.items())
+                tenant_id: _tenant_snapshot(tenant)
+                for tenant_id, tenant in sorted(self.tenants.items())
             },
         }
 
@@ -458,26 +483,13 @@ class ServiceMetrics:
 
         return to_prometheus(self.snapshot())
 
-    @staticmethod
-    def _tenant_snapshot(stats: TenantStats) -> Dict[str, Any]:
-        return {
-            "weight": stats.weight,
-            "jobs": dict(stats.jobs),
-            "tuples": stats.tuples,
-            "cycles": stats.cycles,
-            "tuples_per_cycle": stats.tuples_per_cycle,
-            "stall_cycles": stats.stall_cycles,
-            "queue_delay": _ring_summary(stats.queue_delays),
-            "slo_delay_tuples": stats.slo_delay_tuples,
-            "slo_attainment": stats.slo_attainment,
-        }
-
     def render(self) -> str:
         """Human-readable summary (the CLI's ``serve`` report).
 
         Rendered from one :meth:`snapshot`, so every figure in the
         report — throughput, makespan, the tenant table — describes the
-        same instant even while the service is still dispatching.
+        same instant even while the service is still dispatching.  Each
+        :data:`COUNTERS` section is one line of its non-zero counters.
         """
         from repro.analysis.tables import Table
 
@@ -535,41 +547,9 @@ class ServiceMetrics:
                 f"queue depth      : p50 {depth['p50']:.0f}, "
                 f"p95 {depth['p95']:.0f}, "
                 f"peak {depth['peak']}, last {depth['last']}")
-        gateway = snap["gateway"]
-        if gateway["connections_opened"]:
-            lines.append(
-                f"gateway          : {gateway['connections_opened']} conns "
-                f"({gateway['connections_closed']} closed), "
-                f"{gateway['batches_ingested']} batches "
-                f"({gateway['tuples_ingested']:,} tuples) in, "
-                f"{gateway['batches_shed']} shed, "
-                f"{gateway['credit_stalls']} credit stalls, "
-                f"ingest depth p95 {gateway['ingest_depth']['p95']:.0f} "
-                f"(peak {gateway['ingest_depth']['peak']}), "
-                f"{gateway['bytes_received']:,} B in / "
-                f"{gateway['bytes_sent']:,} B out")
-        transport = snap["transport"]
-        if transport["shards_shm"]:
-            lines.append(
-                f"shard transport  : {transport['shards_shm']} shm shards, "
-                f"{transport['shard_bytes_shared']:,} B shared, "
-                f"{transport['slabs_allocated']} slabs "
-                f"({transport['slab_blocks_reused']} blocks reused), "
-                f"{transport['shard_retries']} shard retries")
-        control = snap["control"]
-        if (control["drift_events"] or control["replans_applied"]
-                or control["replans_suppressed"]
-                or control["scale_up_events"]
-                or control["scale_down_events"]):
-            lookups = (control["plan_cache_hits"]
-                       + control["plan_cache_misses"])
-            lines.append(
-                f"control plane    : {control['drift_events']} "
-                "drift events, "
-                f"{control['replans_applied']} replans "
-                f"({control['replans_suppressed']} suppressed, "
-                f"cache {control['plan_cache_hits']}/{lookups} hit), "
-                f"scale +{control['scale_up_events']}"
-                f"/-{control['scale_down_events']}, "
-                f"stalls {control['reschedule_stall_cycles']:,} cycles")
+        for section, names in COUNTERS.items():
+            counted = [f"{name} {snap[section][name]:,}" for name in names
+                       if snap[section][name]]
+            if counted:
+                lines.append(f"{section:<17}: " + ", ".join(counted))
         return "\n".join(lines)

@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from repro import wallclock
 from repro.net import GatewayError, StreamClient, StreamGateway, protocol
 from repro.service import StreamService, TenantSpec
 from repro.service.jobs import QuotaExceededError, kernel_for
@@ -363,10 +364,18 @@ class TestRobustness:
             gateway.stop()
             service.shutdown()
 
-    def test_idle_client_fails_its_job_with_a_bounded_stall(self):
+    def test_idle_client_fails_its_job_with_a_bounded_stall(
+            self, monkeypatch):
         """A client that submits and goes silent (no batch, no end,
         connection up) must not stall the fleet forever: its stream
-        times out, the job fails, and other tenants' jobs complete."""
+        times out, the job fails, and other tenants' jobs complete.
+
+        The idle clock is the fakeable wallclock shim.  It stands still
+        while the healthy tenant streams, so a host stall between that
+        client's batches cannot evict it too, and only then moves past
+        the timeout."""
+        now = [0.0]
+        monkeypatch.setattr(wallclock, "monotonic", lambda: now[0])
         service = StreamService(workers=2)
         gateway = StreamGateway(service, high_water=8, idle_timeout=0.2)
         gateway.start()
@@ -384,9 +393,13 @@ class TestRobustness:
                 result = other.result(job_id, timeout=30.0)
             assert np.array_equal(result.result,
                                   golden_histogram(batches))
+            assert service.poll(stalled_job)["status"] != "failed"
             deadline = time.monotonic() + 30.0
             while time.monotonic() < deadline \
                     and service.poll(stalled_job)["status"] != "failed":
+                # Every tick is past the timeout, so the eviction needs
+                # no particular probe to have started the idle clock.
+                now[0] += 1.0
                 time.sleep(0.02)
             status = service.poll(stalled_job)
             assert status["status"] == "failed"

@@ -1,5 +1,6 @@
 """The Prometheus text exposition and its matching parser."""
 
+import json
 import os
 import subprocess
 import sys
@@ -10,11 +11,22 @@ from hypothesis import given, strategies as st
 
 import repro
 from repro.obs.exposition import parse_prometheus, to_prometheus
-from repro.service.metrics import ServiceMetrics
+from repro.service.metrics import (
+    COUNTERS,
+    FLEET_FIGURES,
+    TENANT_FIGURES,
+    WORKER_COUNTERS,
+    ServiceMetrics,
+)
 
 #: ``_golden_metrics().to_prometheus()`` as the commit before the
 #: counter table rendered it (hand-written per-section tuples).
 GOLDEN = Path(__file__).with_name("golden_exposition.prom")
+
+#: ``json.dumps(_golden_metrics().snapshot(), sort_keys=True, indent=2)``
+#: as the commit before the figure tables built the records: the shape
+#: the ``stats`` verb serves and the benchmark reads.
+GOLDEN_SNAPSHOT = Path(__file__).with_name("golden_snapshot.json")
 
 
 def _exercised_metrics() -> ServiceMetrics:
@@ -56,7 +68,7 @@ def _golden_metrics() -> ServiceMetrics:
     metrics.record_segment(0, 3_000, 900, tenant="alice")
     metrics.record_segment(1, 1_000, 400, tenant="bob")
     metrics.record_segment(0, 2_500, 700, tenant="alice")
-    metrics.rebalances = 2
+    metrics.set_rebalances(2)
     metrics.record_gateway(
         connections_opened=5, connections_closed=4, bytes_received=123_456,
         bytes_sent=7_890, batches_ingested=31, tuples_ingested=6_517,
@@ -84,6 +96,32 @@ class TestToPrometheus:
         assert text == GOLDEN.read_text(encoding="utf-8")
         # The scenario leaves no fleet-level or flat counter at zero.
         assert " 0\n" not in text.split("repro_tenant_", 1)[0]
+
+    def test_golden_snapshot_is_unchanged(self):
+        snapshot = _golden_metrics().snapshot()
+        assert json.dumps(snapshot, sort_keys=True, indent=2) + "\n" == \
+            GOLDEN_SNAPSHOT.read_text(encoding="utf-8")
+
+    def test_families_are_the_tables_plus_the_hand_written_ones(self):
+        text = _golden_metrics().to_prometheus()
+        families = {line.split()[2] for line in text.splitlines()
+                    if line.startswith("# HELP")}
+        declared = (
+            {family for family, _, _ in FLEET_FIGURES.values()}
+            | {family for family, _, _ in TENANT_FIGURES.values()}
+            | {f"worker_{name}_total" for name in WORKER_COUNTERS}
+            | {f"{section}_{name}_total"
+               for section, names in COUNTERS.items() for name in names})
+        summaries = {f"{ring}{suffix}"
+                     for ring in ("queue_depth", "gateway_ingest_depth",
+                                  "tenant_queue_delay")
+                     for suffix in ("", "_peak", "_samples")}
+        hand_written = summaries | {
+            "jobs_total", "tenant_jobs_total",
+            "control_plan_cache_hit_rate", "control_plan_age_windows"}
+        assert not declared & hand_written
+        assert families == {f"repro_{family}"
+                            for family in declared | hand_written}
 
     def test_parser_accepts_every_line(self):
         samples = parse_prometheus(

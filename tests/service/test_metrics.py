@@ -5,21 +5,85 @@ import pytest
 from repro.obs.exposition import parse_prometheus
 from repro.service.metrics import (
     COUNTERS,
+    FLEET_FIGURES,
     QUEUE_DEPTH_WINDOW,
+    TENANT_FIGURES,
+    WORKER_COUNTERS,
     ServiceMetrics,
 )
 
 DECLARED = [(section, name) for section, names in COUNTERS.items()
             for name in names]
 
+#: How to record each fleet / tenant figure once, and the value the
+#: snapshot and the sample then show.
+FLEET_RECORDED = {
+    "windows_closed": (lambda m: m.record_window(5), 1),
+    "tuples_windowed": (lambda m: m.record_window(5), 5),
+    "late_tuples": (lambda m: m.record_late(5), 5),
+    "total_tuples": (lambda m: m.record_segment(0, 14, 7), 14),
+    "busiest_worker_cycles": (lambda m: m.record_segment(0, 14, 7), 7),
+    "makespan_cycles": (
+        lambda m: m.record_control(reschedule_stall_cycles=7), 7),
+    "fleet_throughput": (lambda m: m.record_segment(0, 14, 7), 2.0),
+    "rebalances": (lambda m: m.set_rebalances(5), 5),
+}
+
+TENANT_RECORDED = {
+    "weight": (lambda m: m.register_tenant("t", weight=2.5), 2.5),
+    "tuples": (lambda m: m.record_segment(0, 14, 7, tenant="t"), 14),
+    "cycles": (lambda m: m.record_segment(0, 14, 7, tenant="t"), 7),
+    "stall_cycles": (lambda m: m.record_control(
+        reschedule_stall_cycles=5, tenant="t"), 5),
+    "slo_attainment": (lambda m: (
+        m.register_tenant("t", slo_delay_tuples=10),
+        m.record_queue_delay("t", 5), m.record_queue_delay("t", 50)), 0.5),
+}
+
 
 class TestDeclaredCounters:
-    """Every flat counter is declared once, in ``COUNTERS``; recording,
-    the snapshot and the exposition all follow from the table."""
+    """Every figure is declared once, in ``COUNTERS``, ``WORKER_COUNTERS``,
+    ``FLEET_FIGURES`` or ``TENANT_FIGURES``; recording, the snapshot and
+    the exposition all follow from the tables."""
 
     def test_the_table_is_the_three_flat_sections(self):
         assert list(COUNTERS) == ["gateway", "transport", "control"]
         assert len(DECLARED) == 23
+
+    def test_every_figure_has_a_recording_case(self):
+        assert list(FLEET_RECORDED) == list(FLEET_FIGURES)
+        assert list(TENANT_RECORDED) == list(TENANT_FIGURES)
+
+    @pytest.mark.parametrize("name", list(WORKER_COUNTERS))
+    def test_worker_counter_shows_in_snapshot_and_exposition(self, name):
+        metrics = ServiceMetrics()
+        metrics.record_segment(3, tuples=14, cycles=7)
+        value = {"segments": 1, "tuples": 14, "cycles": 7}[name]
+        assert metrics.snapshot()["workers"][3][name] == value
+        samples = parse_prometheus(metrics.to_prometheus())
+        assert samples[(f"repro_worker_{name}_total",
+                        frozenset({("worker", "3")}))] == value
+
+    @pytest.mark.parametrize("key", list(FLEET_FIGURES))
+    def test_fleet_figure_shows_in_snapshot_and_exposition(self, key):
+        metrics = ServiceMetrics()
+        record, value = FLEET_RECORDED[key]
+        record(metrics)
+        assert metrics.snapshot()[key] == value
+        family = FLEET_FIGURES[key][0]
+        samples = parse_prometheus(metrics.to_prometheus())
+        assert samples[(f"repro_{family}", frozenset())] == value
+
+    @pytest.mark.parametrize("key", list(TENANT_FIGURES))
+    def test_tenant_figure_shows_in_snapshot_and_exposition(self, key):
+        metrics = ServiceMetrics()
+        record, value = TENANT_RECORDED[key]
+        record(metrics)
+        assert metrics.snapshot()["tenants"]["t"][key] == value
+        family = TENANT_FIGURES[key][0]
+        samples = parse_prometheus(metrics.to_prometheus())
+        assert samples[(f"repro_{family}",
+                        frozenset({("tenant", "t")}))] == value
 
     @pytest.mark.parametrize("section,name", DECLARED)
     def test_recording_one_shows_in_snapshot_and_exposition(
@@ -48,7 +112,7 @@ class TestDeclaredCounters:
         assert name not in metrics.snapshot()["transport"]
         assert name not in metrics.to_prometheus()
         text = metrics.render()
-        assert "1 shm shards" in text
+        assert "shards_shm 1" in text
         assert "pipe" not in text and "fallbacks" not in text
 
     @pytest.mark.parametrize("section", list(COUNTERS))
@@ -113,13 +177,15 @@ class TestStallAccounting:
     def test_render_includes_control_line_when_active(self):
         metrics = ServiceMetrics()
         metrics.record_segment(0, tuples=10, cycles=10)
-        assert "control plane" not in metrics.render()
+        assert "\ncontrol " not in metrics.render()
         metrics.record_control(drift_events=2, replans_applied=1,
                                replans_suppressed=1, plan_cache_hits=1,
                                reschedule_stall_cycles=123)
-        text = metrics.render()
-        assert "control plane" in text
-        assert "2 drift events" in text
+        line = metrics.render().split("\ncontrol ", 1)[1]
+        # Only the non-zero declared counters, in table order.
+        assert line.split(": ", 1)[1] == (
+            "drift_events 2, replans_applied 1, replans_suppressed 1, "
+            "plan_cache_hits 1, reschedule_stall_cycles 123")
 
     def test_snapshot_control_section_tracks_counters(self):
         metrics = ServiceMetrics()
@@ -137,33 +203,13 @@ class TestStallAccounting:
         assert control["scale_down_events"] == 2
         assert control["reschedule_stall_cycles"] == 42
         assert control["plan_age_p50"] == 7
-        assert metrics.plan_cache_hit_rate() == 0.5
 
 
 class TestPlanCacheHitRateLocking:
-    """Regression: plan_cache_hit_rate read hits and misses in two
-    unlocked loads, so a concurrent record_control could surface a
-    rate describing no instant that ever existed (torn read)."""
-
-    class _RecordingLock:
-        def __init__(self, inner):
-            self.inner = inner
-            self.entered = 0
-
-        def __enter__(self):
-            self.entered += 1
-            return self.inner.__enter__()
-
-        def __exit__(self, *exc):
-            return self.inner.__exit__(*exc)
-
-    def test_rate_is_computed_under_the_metrics_lock(self):
-        metrics = ServiceMetrics()
-        metrics.record_control(plan_cache_hits=3, plan_cache_misses=1)
-        probe = self._RecordingLock(metrics._lock)
-        metrics._lock = probe
-        assert metrics.plan_cache_hit_rate() == pytest.approx(0.75)
-        assert probe.entered == 1
+    """Regression: the plan-cache hit rate was once read from hits and
+    misses in two unlocked loads, so a concurrent record_control could
+    surface a rate describing no instant that ever existed (torn read).
+    The snapshot computes it under its single lock acquisition."""
 
     def test_snapshot_reuses_the_held_lock_without_deadlock(self):
         # _snapshot_locked computes the rate while already holding the
@@ -193,7 +239,8 @@ class TestPlanCacheHitRateLocking:
         thread.start()
         try:
             for _ in range(2_000):
-                assert metrics.plan_cache_hit_rate() == 0.5
+                snapshot = metrics.snapshot()
+                assert snapshot["control"]["plan_cache_hit_rate"] == 0.5
         finally:
             stop.set()
             thread.join(timeout=10.0)

@@ -177,7 +177,7 @@ class TestMultiTenancy:
                                              2_000),
                        window_seconds=WINDOW)
         service.run()
-        assert set(service.metrics.workers) == {0, 1, 2, 3}
+        assert set(service.metrics.snapshot()["workers"]) == {0, 1, 2, 3}
         assert service.metrics.fleet_throughput() > 0
 
 

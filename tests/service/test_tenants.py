@@ -346,8 +346,9 @@ class TestTenantService:
         golden = kernel_for("histo", 16).golden(batch.keys, batch.values)
         assert np.array_equal(svc.result(job_id).result, golden)
         # Only workers 0 and 1 ever saw this tenant's shards.
-        busy = {worker for worker, stats in svc.metrics.workers.items()
-                if stats.tuples > 0}
+        workers = svc.metrics.snapshot()["workers"]
+        busy = {worker for worker, stats in workers.items()
+                if stats["tuples"] > 0}
         assert busy <= {0, 1}
 
     def test_worker_quota_cannot_exceed_fleet(self):
@@ -403,14 +404,11 @@ class TestTenantMetrics:
         metrics.register_tenant("acme", weight=2.0, slo_delay_tuples=100)
         for delay in (0, 50, 100, 101, 500):
             metrics.record_queue_delay("acme", delay)
-        stats = metrics.tenants["acme"]
-        assert stats.slo_met == 3
-        assert stats.slo_missed == 2
-        assert stats.slo_attainment == pytest.approx(0.6)
         assert metrics.tenant_slo_attainment() == {
             "acme": pytest.approx(0.6)}
         snap = metrics.snapshot()["tenants"]["acme"]
-        assert snap["slo_attainment"] == pytest.approx(0.6)
+        assert snap["slo_attainment"] == pytest.approx(3 / 5)
+        assert snap["queue_delay"]["samples"] == 5
         assert snap["queue_delay"]["peak"] == 500
 
     def test_no_slo_means_no_attainment_entry(self):
@@ -424,10 +422,9 @@ class TestTenantMetrics:
         metrics = ServiceMetrics()
         metrics.record_control(reschedule_stall_cycles=500, tenant="noisy")
         metrics.record_control(reschedule_stall_cycles=250)
-        assert metrics.control["reschedule_stall_cycles"] == 750
-        assert metrics.tenants["noisy"].stall_cycles == 500
-        assert metrics.snapshot()["tenants"]["noisy"][
-            "stall_cycles"] == 500
+        snap = metrics.snapshot()
+        assert snap["control"]["reschedule_stall_cycles"] == 750
+        assert snap["tenants"]["noisy"]["stall_cycles"] == 500
 
     def test_render_shows_tenant_table(self, two_tenant_service):
         svc = two_tenant_service
@@ -454,7 +451,8 @@ class TestCancelledTenantAccounting:
                             window_seconds=WINDOW, tenant_id="flaky")
         assert svc.cancel(job_id)
         svc.shutdown()
-        assert svc.metrics.jobs["cancelled"] == 1
-        assert svc.metrics.tenants["flaky"].jobs["cancelled"] == 1
+        snap = svc.metrics.snapshot()
+        assert snap["jobs"]["cancelled"] == 1
+        assert snap["tenants"]["flaky"]["jobs"]["cancelled"] == 1
         job = svc._job(job_id)
         assert job.status is JobStatus.CANCELLED

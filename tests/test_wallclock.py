@@ -2,14 +2,18 @@
 
 ``repro.wallclock`` is the only sanctioned door to host time for
 modules on the deterministic dispatch-clock path (enforced by the
-``determinism`` lint rule).  These tests pin the two consumer sites
-that PR 10 rerouted — trace wall stamps and queue pop deadlines — to
-the shim, so shadow replay can fake both by patching one module.
+``determinism`` lint rule).  These tests pin its consumer sites —
+trace wall stamps, queue pop deadlines and the ingest buffer's idle
+clock — to the shim, so shadow replay and tests can fake all of them by
+patching one module.
 """
 
 import time
 
+import pytest
+
 from repro import wallclock
+from repro.net.buffer import IngestBuffer
 from repro.obs import events as trace_events
 from repro.obs.collector import TraceCollector
 from repro.service.queue import JobQueue
@@ -51,3 +55,20 @@ class TestQueueUsesShim:
         start = time.monotonic()
         assert JobQueue().pop(timeout=0.5) is None
         assert time.monotonic() - start < 0.4
+
+
+class TestBufferUsesShim:
+    def test_idle_eviction_reads_the_shim_not_time(self, monkeypatch):
+        # The stream is evicted exactly when the shim, not the host, has
+        # moved idle_timeout past the first probe: a buffer still reading
+        # time.monotonic() would see no time pass and never evict.
+        now = [100.0]
+        monkeypatch.setattr(wallclock, "monotonic", lambda: now[0])
+        buffer = IngestBuffer(idle_timeout=0.2)
+        assert not buffer.poll_ready()  # the first probe starts the clock
+        now[0] = 100.1
+        assert not buffer.poll_ready()
+        now[0] = 100.2
+        assert buffer.poll_ready()
+        with pytest.raises(RuntimeError, match="idle for 0.2s"):
+            next(buffer)
