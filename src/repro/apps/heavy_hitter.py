@@ -21,6 +21,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.core.fastpath import stable_order
 from repro.core.kernel import KernelSpec
 from repro.hashing.family import PairwiseFamily
 from repro.resources.estimator import AppResourceProfile
@@ -131,7 +132,7 @@ class HeavyHitterKernel(KernelSpec):
         running = np.empty(n, dtype=np.int64)
         for row in range(self.depth):
             cells = base + self.family.hash_array(row, keys)
-            order = np.argsort(cells, kind="stable")
+            order = stable_order(cells, self.pripes * self.width)
             sorted_cells = cells[order]
             np.not_equal(sorted_cells[1:], sorted_cells[:-1],
                          out=new_run[1:])

@@ -58,6 +58,20 @@ def hll_estimate_from_registers(registers: np.ndarray) -> float:
     return float(raw)
 
 
+def rank_array(rest: np.ndarray, precision: int) -> np.ndarray:
+    """HLL rank of every 64-bit word in ``rest``: leading zeros + 1,
+    capped at ``65 - precision`` (an all-zero word's rank).
+
+    A ``uint64`` can round up a power of two in float64, but each 32-bit
+    half converts exactly, so ``np.frexp``'s exponent of a half is its
+    bit length (0 for a zero half).
+    """
+    _, high = np.frexp((rest >> np.uint64(32)).astype(np.float64))
+    _, low = np.frexp((rest & np.uint64(0xFFFFFFFF)).astype(np.float64))
+    bit_length = np.where(high > 0, high + 32, low)
+    return np.minimum(65 - bit_length, 65 - precision)
+
+
 class HyperLogLogKernel(KernelSpec):
     """HLL with ``2**precision`` registers partitioned across PriPEs.
 
@@ -103,21 +117,8 @@ class HyperLogLogKernel(KernelSpec):
 
     def _register_and_rho_arrays(self, keys: np.ndarray) -> tuple:
         h, index = self._hash_index_arrays(keys)
-        rest = h << np.uint64(self.precision)
-        # Count leading zeros via float exponent extraction would lose
-        # precision; do it with a bit-length computation instead.
-        rest_nonzero = rest != 0
-        bitlen = np.zeros(keys.shape, dtype=np.int64)
-        work = rest.copy()
-        for shift in (32, 16, 8, 4, 2, 1):
-            mask = work >= (np.uint64(1) << np.uint64(shift))
-            bitlen[mask] += shift
-            work[mask] >>= np.uint64(shift)
-        bitlen[rest_nonzero] += 1  # bit_length of the value
-        rho = np.where(rest_nonzero, 64 - bitlen + 1,
-                       64 - self.precision + 1).astype(np.int64)
-        rho = np.minimum(rho, 64 - self.precision + 1)
-        return index, rho
+        return index, rank_array(h << np.uint64(self.precision),
+                                 self.precision)
 
     # -- KernelSpec ----------------------------------------------------
     def route(self, key: int) -> int:
@@ -125,8 +126,7 @@ class HyperLogLogKernel(KernelSpec):
         return index % self.pripes
 
     def route_array(self, keys: np.ndarray) -> np.ndarray:
-        # Routing needs only the register index: skip the rank (clz)
-        # passes, which dominate _register_and_rho_arrays.
+        # Routing needs only the register index: skip the rank.
         _, index = self._hash_index_arrays(
             np.asarray(keys, dtype=np.uint64))
         return index % self.pripes

@@ -84,9 +84,12 @@ class PartitionKernel(KernelSpec):
         # ascending partition id within a PE — what grouping by
         # (PE, partition) yields directly.  group_spans keeps stream
         # order within each partition, as the per-tuple appends do.
+        order, spans = group_spans(destinations * self.fanout + parts,
+                                   self.pripes * self.fanout)
+        gathered = keys[order].tolist()
         return destinations, {
-            label % self.fanout: keys[span].tolist()
-            for label, span in group_spans(destinations * self.fanout + parts)
+            label % self.fanout: gathered[start:stop]
+            for label, start, stop in spans
         }
 
     def collect(
@@ -108,20 +111,22 @@ class PartitionKernel(KernelSpec):
         first: Dict[int, List[int]],
         second: Dict[int, List[int]],
     ) -> Dict[int, List[int]]:
-        """Partition chunks of consecutive segments concatenate."""
-        combined = {part: list(chunk) for part, chunk in first.items()}
+        """Partition chunks of consecutive segments concatenate.
+
+        ``first`` is extended in place, so a job's fold costs its new
+        chunks, not a copy of every chunk accumulated so far.
+        """
         for part, chunk in second.items():
-            combined.setdefault(part, []).extend(chunk)
-        return combined
+            first.setdefault(part, []).extend(chunk)
+        return first
 
     def golden(self, keys: np.ndarray,
                values: np.ndarray) -> Dict[int, List[int]]:
         """Vectorised reference partitioning."""
         keys = np.asarray(keys, dtype=np.uint64)
-        return {
-            part: keys[span].tolist()
-            for part, span in group_spans(self.partition_array(keys))
-        }
+        order, spans = group_spans(self.partition_array(keys), self.fanout)
+        gathered = keys[order].tolist()
+        return {part: gathered[start:stop] for part, start, stop in spans}
 
     def resource_profile(self) -> AppResourceProfile:
         """Component costs for the resource estimator."""

@@ -36,7 +36,7 @@ modeled cycles within 10% of simulated across Zipf skew factors.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,20 +64,37 @@ def validate_engine(engine: str) -> str:
     return engine
 
 
-def group_spans(labels: np.ndarray) -> Iterator[Tuple[int, np.ndarray]]:
-    """Yield ``(label, positions)`` per distinct label value.
+def stable_order(labels: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(labels, kind="stable")`` for int64 labels in
+    ``[0, bound)``.
 
-    ``positions`` index the original array in stream order (stable
-    argsort), so consumers that append per group preserve arrival
-    order within each group.
+    The labels are sorted as the narrowest unsigned dtype that holds
+    ``bound``: at 8 and 16 bits NumPy's stable sort is a radix sort, an
+    order of magnitude cheaper than int64 timsort for the same
+    permutation.  Wider bounds sort the labels as they are.
     """
-    labels = np.asarray(labels)
-    order = np.argsort(labels, kind="stable")
+    for dtype in (np.uint8, np.uint16):
+        if bound <= np.iinfo(dtype).max + 1:
+            return np.argsort(labels.astype(dtype), kind="stable")
+    return np.argsort(labels, kind="stable")
+
+
+def group_spans(labels: np.ndarray,
+                bound: int) -> Tuple[np.ndarray, List[Tuple[int, int, int]]]:
+    """Group the positions of int64 ``labels`` in ``[0, bound)`` by value.
+
+    Returns ``(order, spans)``: ``order`` is :func:`stable_order`'s
+    permutation, and each ``(label, start, stop)`` of ``spans``, in
+    ascending label order, says ``order[start:stop]`` are that label's
+    positions in stream order.  A consumer gathers once through
+    ``order`` and slices per group, instead of indexing per group.
+    """
+    order = stable_order(labels, bound)
     sorted_labels = labels[order]
-    boundaries = np.flatnonzero(np.diff(sorted_labels)) + 1
-    for span in np.split(order, boundaries):
-        if span.size:
-            yield int(labels[span[0]]), span
+    breaks = np.flatnonzero(sorted_labels[1:] != sorted_labels[:-1]) + 1
+    edges = [0, *breaks.tolist(), order.size] if order.size else []
+    return order, list(zip(sorted_labels[edges[:-1]].tolist(),
+                           edges[:-1], edges[1:]))
 
 
 def bottleneck_cycles(config: ArchitectureConfig, tuples: int,

@@ -166,6 +166,14 @@ class KernelSpec(ABC):
         Used by :class:`repro.runtime.session.StreamingSession` to keep
         a running result across stream segments.  Applications override
         with their reduction (histograms add, HLL registers max-fold).
+
+        ``first`` is the caller's running result and is consumed: an
+        override may fold into it in place and return it (DP's lists
+        extend), so the caller keeps only the return value.  ``second``
+        is neither modified nor aliased by the return value.  Every
+        caller folds state it owns: ``WorkerPool.collect`` pops and
+        discards the partials, the process backend's snapshots arrive
+        pickled, and nothing keeps a segment's ``outcome.result``.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not define a streaming "

@@ -10,6 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import repro.apps.heavy_hitter
 import repro.apps.hyperloglog
 import repro.apps.partition
 import repro.core.fastpath
@@ -175,6 +176,9 @@ class TestPerShardCost:
         count(PartitionKernel, "partition_array", "dp")
         count(repro.core.fastpath, "group_spans", "run_fast.group_spans")
         count(repro.apps.partition, "group_spans", "dp.group_spans")
+        count(repro.core.fastpath, "stable_order", "dp.stable_order")
+        count(repro.apps.heavy_hitter, "stable_order", "hhd.stable_order")
+        count(np, "argsort", "argsort")
 
         for shard in range(self.SHARDS):
             run_fast(SERVING_CONFIG, kernel,
@@ -187,8 +191,15 @@ class TestPerShardCost:
         if app in ("histo", "hll", "pagerank"):
             assert calls["make_buffer"] == 0
         assert calls["run_fast.group_spans"] == 0
-        # DP groups by partition id once per shard; nobody else sorts.
+        # DP groups by partition id once per shard, HHD sorts each
+        # sketch row's cells; both through the narrow-label sort, and
+        # nobody else sorts.
         assert calls["dp.group_spans"] == (self.SHARDS if app == "dp" else 0)
+        assert calls["dp.stable_order"] == calls["dp.group_spans"]
+        assert calls["hhd.stable_order"] == (
+            self.SHARDS * kernel.depth if app == "hhd" else 0)
+        assert calls["argsort"] == (calls["dp.stable_order"]
+                                    + calls["hhd.stable_order"])
 
 
 class _LoopOnlyKernel(KernelSpec):

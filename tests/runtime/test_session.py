@@ -220,6 +220,38 @@ class TestPartitionSession:
         for part in golden:
             assert sorted(session.result[part]) == sorted(golden[part])
 
+    def test_combine_consumes_first_and_leaves_second_alone(self):
+        kernel = PartitionKernel(radix_bits_count=6, pripes=16)
+        a = {1: [10, 11], 2: [20]}
+        b = {2: [21, 22], 3: [30]}
+        b_lists = dict(b)
+        combined = kernel.combine_results(a, b)
+        assert combined is a
+        assert a == {1: [10, 11], 2: [20, 21, 22], 3: [30]}
+        assert b == {2: [21, 22], 3: [30]}
+        assert all(b[part] is chunk for part, chunk in b_lists.items())
+        assert all(a[part] is not chunk for part, chunk in b.items())
+
+    def test_folds_extend_the_running_lists(self):
+        """Counted, not timed: a fold that copied the accumulated chunk
+        lists (quadratic in segments) would hand back new list objects.
+        Over 50 segments every partition keeps its one list."""
+        kernel = PartitionKernel(radix_bits_count=6, pripes=16)
+        session = StreamingSession(
+            config=ArchitectureConfig(secpes=0, reschedule_threshold=0.0),
+            kernel=kernel, engine="fast")
+        batch = ZipfGenerator(alpha=1.0, seed=6).generate(50 * 200)
+        lists = {}
+        for segment in range(50):
+            session.process(batch.slice(200 * segment, 200 * segment + 200))
+            for part, chunk in lists.items():
+                assert session.result[part] is chunk
+            lists = dict(session.result)
+        assert session.segments == 50
+        golden = kernel.golden(batch.keys, batch.values)
+        assert {part: sorted(chunk) for part, chunk in lists.items()} == {
+            part: sorted(chunk) for part, chunk in golden.items()}
+
 
 class TestEvolvingSession:
     def test_adapts_across_distribution_changes(self):
