@@ -90,8 +90,7 @@ class HeavyHitterKernel(KernelSpec):
         return key % self.pripes
 
     def route_array(self, keys: np.ndarray) -> np.ndarray:
-        return (np.asarray(keys, dtype=np.uint64)
-                % np.uint64(self.pripes)).astype(np.int64)
+        return self.pripe_of(np.asarray(keys, dtype=np.uint64))
 
     def make_buffer(self) -> SketchBuffer:
         return SketchBuffer(

@@ -67,7 +67,7 @@ class HistogramKernel(KernelSpec):
         return self.bin_of(key) % self.pripes
 
     def route_array(self, keys: np.ndarray) -> np.ndarray:
-        return self.bin_array(keys) % self.pripes
+        return self.pripe_of(self.bin_array(keys))
 
     def make_buffer(self) -> np.ndarray:
         return np.zeros(self.bins // self.pripes, dtype=np.int64)
@@ -81,7 +81,7 @@ class HistogramKernel(KernelSpec):
         # ``collect`` de-interleaves the slots again, so one full-width
         # count of the shard already is the collected histogram.
         bins = self.bin_array(keys)
-        return bins % self.pripes, np.bincount(bins, minlength=self.bins)
+        return self.pripe_of(bins), np.bincount(bins, minlength=self.bins)
 
     def merge_into(self, primary: np.ndarray, secondary: np.ndarray) -> None:
         primary += secondary

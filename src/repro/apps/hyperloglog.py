@@ -129,7 +129,7 @@ class HyperLogLogKernel(KernelSpec):
         # Routing needs only the register index: skip the rank.
         _, index = self._hash_index_arrays(
             np.asarray(keys, dtype=np.uint64))
-        return index % self.pripes
+        return self.pripe_of(index)
 
     def make_buffer(self) -> np.ndarray:
         return np.zeros(self.registers // self.pripes, dtype=np.int8)
@@ -149,7 +149,7 @@ class HyperLogLogKernel(KernelSpec):
             np.asarray(keys, dtype=np.uint64))
         registers = np.zeros(self.registers, dtype=np.int8)
         np.maximum.at(registers, index, rho.astype(np.int8))
-        return index % self.pripes, registers
+        return self.pripe_of(index), registers
 
     def merge_into(self, primary: np.ndarray, secondary: np.ndarray) -> None:
         np.maximum(primary, secondary, out=primary)

@@ -72,8 +72,7 @@ class PageRankKernel(KernelSpec):
         return key % self.pripes
 
     def route_array(self, keys: np.ndarray) -> np.ndarray:
-        return (np.asarray(keys, dtype=np.uint64)
-                % np.uint64(self.pripes)).astype(np.int64)
+        return self.pripe_of(np.asarray(keys, dtype=np.uint64))
 
     def prepare_value(self, key: int, value: int) -> int:
         return int(self.contributions[value])

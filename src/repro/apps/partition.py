@@ -63,7 +63,7 @@ class PartitionKernel(KernelSpec):
         return self.partition_of(key) % self.pripes
 
     def route_array(self, keys: np.ndarray) -> np.ndarray:
-        return self.partition_array(keys) % self.pripes
+        return self.pripe_of(self.partition_array(keys))
 
     def make_buffer(self) -> Dict[int, List[int]]:
         """Per-PE output space: partition id -> list of keys."""
@@ -78,7 +78,7 @@ class PartitionKernel(KernelSpec):
     ) -> Tuple[np.ndarray, Dict[int, List[int]]]:
         keys = np.asarray(keys, dtype=np.uint64)
         parts = self.partition_array(keys)
-        destinations = parts % self.pripes
+        destinations = self.pripe_of(parts)
         # The result's key order is pinned (its pickle, and so a digest
         # of it, sees it): PE-major as ``collect`` walks the PEs,
         # ascending partition id within a PE — what grouping by

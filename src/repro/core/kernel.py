@@ -67,6 +67,14 @@ class KernelSpec(ABC):
             count=len(keys),
         )
 
+    def pripe_of(self, slots: np.ndarray) -> np.ndarray:
+        """PriPE of each slot, ``slots % pripes`` as int64, by mask when
+        ``pripes`` is a power of two (Listing 2's ``dst = key & 0xf``);
+        ``uint64`` slots come back as an exact int64 view."""
+        mask = self.pripes - 1
+        owner = slots % self.pripes if self.pripes & mask else slots & mask
+        return owner.view(np.int64)
+
     def prepare_value(self, key: int, value: int) -> int:
         """PrePE value transformation (identity by default).
 

@@ -105,9 +105,9 @@ def workload_histogram(
     """Merged profiling histogram from observed destination IDs.
 
     This is the host-side equivalent of the profiler's N ``hist``
-    instances after merging: external callers (the fleet-level balancer
-    in :mod:`repro.service`) profile a sample of routed destinations and
-    feed the histogram to :func:`greedy_secpe_plan`.
+    instances after merging: external callers profile a sample of
+    routed destinations, range-checked here, and feed the histogram to
+    :func:`greedy_secpe_plan`.
     """
     dst = np.asarray(destinations, dtype=np.int64)
     if dst.size and (dst.min() < 0 or dst.max() >= pripes):

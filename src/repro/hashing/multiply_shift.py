@@ -37,5 +37,7 @@ def multiply_shift_array(
         raise ValueError("multiplier must be odd")
     # Array integer arithmetic wraps mod 2^64 silently (only NumPy
     # *scalar* ops warn on overflow), which is the hash's definition.
+    # The shifted product is below 2^63, so the int64 view is exact.
     product = np.asarray(keys, dtype=np.uint64) * np.uint64(a)
-    return (product >> np.uint64(64 - out_bits)).astype(np.int64)
+    product >>= np.uint64(64 - out_bits)
+    return product.view(np.int64)

@@ -9,7 +9,9 @@ Two variants are provided:
   keys (a handful of multiplies and shifts, II = 1), and what the
   simulated PrePEs use.
 
-Both have vectorised numpy twins that are bit-exact with the scalar code.
+Both have vectorised numpy twins that are bit-exact with the scalar code;
+:func:`murmur3_32_array`, the fleet's sharding hash, is one fused
+``uint32`` pass over little-endian words, independent of host byte order.
 """
 
 from __future__ import annotations
@@ -70,32 +72,40 @@ def murmur3_32(data: bytes | int, seed: int = 0) -> int:
     return h
 
 
+#: The array hash's ``uint32`` scalars, built once rather than per call.
+_C1, _C2, _N = (np.uint32(c) for c in (0xCC9E2D51, 0x1B873593, 0xE6546B64))
+_F1, _F2 = np.uint32(0x85EBCA6B), np.uint32(0xC2B2AE35)
+_U32 = {c: np.uint32(c) for c in (5, 8, 13, 15, 16, 17, 19)}
+
+
 def murmur3_32_array(keys: np.ndarray, seed: int = 0) -> np.ndarray:
     """Vectorised :func:`murmur3_32` for arrays of 64-bit integer keys.
 
-    Each key is hashed as its 8 little-endian bytes, matching
-    ``murmur3_32(int_key)``.
+    One fused pass over the keys as little-endian ``uint32`` word pairs:
+    ``murmur3_32(int_key)`` on any host, with signed keys wrapped as
+    ``np.asarray(keys, uint64)`` wraps them, in the keys' shape.
     """
-    keys = np.asarray(keys, dtype=np.uint64)
-    c1 = np.uint32(0xCC9E2D51)
-    c2 = np.uint32(0x1B873593)
-    h = np.full(keys.shape, np.uint32(seed), dtype=np.uint32)
-    with np.errstate(over="ignore"):
-        for word_idx in range(2):  # two 32-bit words per 8-byte key
-            k = (keys >> np.uint64(32 * word_idx)).astype(np.uint32)
-            k = k * c1
-            k = (k << np.uint32(15)) | (k >> np.uint32(17))
-            k = k * c2
-            h ^= k
-            h = (h << np.uint32(13)) | (h >> np.uint32(19))
-            h = h * np.uint32(5) + np.uint32(0xE6546B64)
-        h ^= np.uint32(8)  # length
-        h ^= h >> np.uint32(16)
-        h = h * np.uint32(0x85EBCA6B)
-        h ^= h >> np.uint32(13)
-        h = h * np.uint32(0xC2B2AE35)
-        h ^= h >> np.uint32(16)
-    return h
+    words = np.ascontiguousarray(keys, "<u8").view("<u4").reshape(-1, 2)
+    # Array (not scalar) uint32 arithmetic wraps silently, as hashing needs.
+    k = words * _C1  # both words' k at once
+    high = k >> _U32[17]  # k = rotl32(k, 15), in place
+    k <<= _U32[15]
+    k |= high
+    k *= _C2
+    h = k[:, 0] ^ np.uint32(seed & _MASK32)
+    for word in (k[:, 1], _U32[8]):  # the second word, then the length
+        high = h >> _U32[19]  # h = rotl32(h, 13), in place
+        h <<= _U32[13]
+        h |= high
+        h *= _U32[5]
+        h += _N
+        h ^= word
+    h ^= h >> _U32[16]
+    h *= _F1
+    h ^= h >> _U32[13]
+    h *= _F2
+    h ^= h >> _U32[16]
+    return h.reshape(np.shape(keys))
 
 
 def fmix64(key: int) -> int:

@@ -32,4 +32,4 @@ def radix_bits_array(keys: np.ndarray, bits: int, shift: int = 0) -> np.ndarray:
         raise ValueError("shift must be non-negative")
     keys = np.asarray(keys, dtype=np.uint64)
     mask = np.uint64((1 << bits) - 1)
-    return ((keys >> np.uint64(shift)) & mask).astype(np.int64)
+    return ((keys >> np.uint64(shift)) & mask).view(np.int64)

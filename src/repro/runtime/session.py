@@ -21,6 +21,7 @@ from repro.core.architecture import (
     SkewObliviousArchitecture,
 )
 from repro.core.config import ArchitectureConfig
+from repro.core.fastpath import run_fast, validate_engine
 from repro.core.kernel import KernelSpec
 from repro.workloads.tuples import TupleBatch
 
@@ -76,15 +77,16 @@ class StreamingSession:
     total_cycles: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        # One pipeline description per session, not one per segment.
+        # One pipeline and one engine choice per session, not per segment.
         self._architecture = SkewObliviousArchitecture(self.config,
                                                        self.kernel)
+        self._fast = validate_engine(self.engine) == "fast"
 
     def process(self, batch: TupleBatch) -> ArchitectureResult:  # hot-path
         """Run one segment, fold it in, and return the engine's outcome."""
-        outcome = self._architecture.run(
-            batch, max_cycles=self.max_cycles_per_segment,
-            engine=self.engine)
+        outcome = (run_fast(self.config, self.kernel, batch) if self._fast
+                   else self._architecture.run(
+                       batch, max_cycles=self.max_cycles_per_segment))
         if self.result is None:
             self.result = outcome.result
         else:

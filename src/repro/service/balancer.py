@@ -29,11 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.profiler import (
-    SchedulingPlan,
-    greedy_secpe_plan,
-    workload_histogram,
-)
+from repro.core.profiler import SchedulingPlan, greedy_secpe_plan
 from repro.hashing.murmur3 import murmur3_32_array
 from repro.workloads.tuples import TupleBatch
 
@@ -42,14 +38,13 @@ from repro.workloads.tuples import TupleBatch
 FLEET_SHARD_SEED = 0x51EE7
 
 
-def _fleet_hash(keys: np.ndarray,
-                seed: int = FLEET_SHARD_SEED) -> np.ndarray:
-    """Raw 32-bit murmur3 of each key, before any shard modulus."""
-    return murmur3_32_array(np.asarray(keys, dtype=np.uint64), seed=seed)
-
-
-def _shard_of_hash(hashed: np.ndarray, shards: int) -> np.ndarray:
-    return (hashed % np.uint32(shards)).astype(np.int64)
+def _shard_ids(keys: np.ndarray, shards: int,
+               seed: int = FLEET_SHARD_SEED) -> np.ndarray:
+    """``uint32`` murmur3 ``% shards`` of each key, as ``h - h // s * s``:
+    NumPy divides by a scalar fast (libdivide), ``%`` it does not."""
+    ids = murmur3_32_array(keys, seed=seed)
+    ids -= ids // np.uint32(shards) * np.uint32(shards)
+    return ids
 
 
 def shard_of_keys(keys: np.ndarray, shards: int,
@@ -57,7 +52,7 @@ def shard_of_keys(keys: np.ndarray, shards: int,
     """Fleet shard ID of each key (murmur3 over the raw key)."""
     if shards <= 0:
         raise ValueError("shards must be positive")
-    return _shard_of_hash(_fleet_hash(keys, seed), shards)
+    return _shard_ids(keys, shards, seed).astype(np.int64)
 
 
 class SkewAwareBalancer:
@@ -76,9 +71,10 @@ class SkewAwareBalancer:
         Keys profiled per segment before (re)planning; the paper samples
         a short profiling window rather than the full stream.  Segments
         larger than this are subsampled with a seeded RNG.  ``observe``
-        hashes the whole segment once and histograms the sample of
-        those hashes; ``split`` of the same batch routes by them, so a
-        window's keys are hashed one time, as the paper's PrePE computes
+        takes the whole segment's shard ids once (one murmur3 pass, one
+        modulus) and histograms the sample of those ids; ``split`` of
+        the same batch routes by the memoised ids, so a window's keys
+        are hashed and reduced one time, as the paper's PrePE computes
         a destination once for routing and profiling alike.
     auto_replan:
         When True (default), every ``observe`` refreshes the greedy
@@ -123,10 +119,10 @@ class SkewAwareBalancer:
         self.secondaries = secondaries
         self.plan: Optional[SchedulingPlan] = None
         self.last_histogram: Optional[np.ndarray] = None
-        # (keys, raw fleet hash) of the window last observed, for the
-        # split of that same array; dropped by split and reconfigure.
-        # Raw, so the shard is always taken modulo the current fleet.
-        self._hashed: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # (keys, shard ids) of the window last observed, for the split
+        # of that same array; dropped by split, and here, so ids taken
+        # modulo a previous fleet's primaries never route.
+        self._shards: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._teams = [[p] for p in range(self.primaries)]
 
     def sample_keys(self, keys: np.ndarray) -> np.ndarray:
@@ -144,17 +140,18 @@ class SkewAwareBalancer:
     def observe(self, keys: np.ndarray) -> None:
         """Histogram a key sample; refresh the plan if auto-replanning.
 
-        The sample is drawn from the hashes of ``keys`` — the positions
-        ``sample_keys(keys)`` would draw — and the hashes are kept for
-        the ``split`` of that same array.
+        The sample is drawn from the shard ids of ``keys`` — the
+        positions ``sample_keys(keys)`` would draw, so it equals the
+        shard ids of that sample — and the ids, not the raw hashes, are
+        kept for the ``split`` of that same array.
         """
         if len(keys) == 0:
             return
-        hashed = _fleet_hash(keys)
-        self._hashed = (keys, hashed)
-        histogram = workload_histogram(
-            _shard_of_hash(self.sample_keys(hashed), self.primaries),
-            self.primaries)
+        shards = _shard_ids(keys, self.primaries)
+        self._shards = (keys, shards)
+        # The ids are in [0, primaries) by construction: no range check.
+        histogram = np.bincount(self.sample_keys(shards),
+                                minlength=self.primaries)
         self.last_histogram = histogram
         if not self.auto_replan:
             return
@@ -219,13 +216,16 @@ class SkewAwareBalancer:
         same worker (required by non-``splittable`` kernels such as
         heavy-hitter detection, whose per-key state cannot be diluted
         across independent sketches).
+
+        A tuple split of the array ``observe`` last saw routes by its
+        memoised shard ids, of any other array by hashing it here;
+        either way the memo is dropped.
         """
-        memo, self._hashed = self._hashed, None
+        memo, self._shards = self._shards, None
         if by_key:
             return self._split_by_key(batch)
-        hashed = (memo[1] if memo is not None and memo[0] is batch.keys
-                  else _fleet_hash(batch.keys))
-        shards = _shard_of_hash(hashed, self.primaries)
+        shards = (memo[1] if memo is not None and memo[0] is batch.keys
+                  else _shard_ids(batch.keys, self.primaries))
         out: Dict[int, TupleBatch] = {}
         for primary in range(self.primaries):
             positions = np.nonzero(shards == primary)[0]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.hashing.murmur3 import (
     fmix64,
@@ -10,6 +10,7 @@ from repro.hashing.murmur3 import (
     murmur3_32,
     murmur3_32_array,
 )
+from repro.service.balancer import FLEET_SHARD_SEED, SkewAwareBalancer
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -48,6 +49,54 @@ class TestVectorisedAgreement:
         vec = fmix64_array(arr)
         for key, value in zip(keys, vec):
             assert fmix64(key) == int(value)
+
+
+#: The seeds the fleet hashes with, plus both ends of the 32-bit range.
+SEEDS = st.sampled_from([0, FLEET_SHARD_SEED, SkewAwareBalancer.TEAM_SEED,
+                         (1 << 32) - 1])
+
+
+def laid_out(keys, layout):
+    """``keys`` as one of the array layouts the fleet can hand in."""
+    flat = np.array(keys, dtype=np.uint64)
+    if layout == "0-d":
+        return np.array(keys[0] if keys else 0, dtype=np.uint64)
+    if layout == "2-D":
+        return flat[:flat.size // 2 * 2].reshape(2, -1)
+    if layout == "strided":
+        return flat[::-2]  # non-contiguous, negative stride
+    if layout == "read-only":  # what the shm transport hands kernels
+        flat.setflags(write=False)
+        return flat
+    if layout == ">u8":
+        return flat.astype(">u8")
+    if layout == "int64":  # keys >= 2**63 read as negative values
+        return flat.view(np.int64)
+    return flat
+
+
+class TestLayouts:
+    """The fused ``uint32`` pass equals the scalar hash on every layout,
+    byte order and dtype the balancer may see, keeping the input's
+    shape."""
+
+    @given(keys=st.lists(U64, max_size=48), seed=SEEDS,
+           layout=st.sampled_from(["flat", "0-d", "2-D", "strided",
+                                   "read-only", ">u8", "int64"]))
+    @example(keys=[], seed=0, layout="flat")
+    @example(keys=[(1 << 64) - 1, 1 << 63, 5], seed=FLEET_SHARD_SEED,
+             layout="int64")
+    def test_array_matches_scalar(self, keys, seed, layout):
+        arr = laid_out(keys, layout)
+        before = arr.copy()
+        hashed = murmur3_32_array(arr, seed)
+        # The reference wraps signed keys as np.asarray(..., uint64) does.
+        wrapped = np.asarray(arr, dtype=np.uint64)
+        expected = [murmur3_32(key, seed) for key in wrapped.ravel().tolist()]
+        assert hashed.dtype == np.uint32
+        assert hashed.shape == arr.shape
+        assert hashed.ravel().tolist() == expected
+        assert np.array_equal(arr, before)
 
 
 class TestMixingProperties:

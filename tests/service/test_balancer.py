@@ -286,6 +286,7 @@ class TestHashOnce:
             reference_observe(twin, batch.keys)
             assert np.array_equal(balancer.last_histogram,
                                   twin.last_histogram)
+            assert balancer.last_histogram.dtype == np.int64
             assert balancer.plan.pairs == twin.plan.pairs
             assert balancer.rebalances == twin.rebalances
             assert balancer._rng.bit_generator.state \
@@ -293,29 +294,33 @@ class TestHashOnce:
             assert routed(balancer.split(batch)) \
                 == reference_split(twin, batch)
 
-    def test_reconfigure_between_observe_and_split_uses_new_modulus(self):
+    def test_reconfigure_between_observe_and_split_uses_new_modulus(
+            self, hashed):
         balancer = SkewAwareBalancer(4)
         batch = numbered(1.0, BELOW_SAMPLE, seed=4)
         balancer.observe(batch.keys)
         balancer.reconfigure(7, secondaries=2)
         parts = routed(balancer.split(batch))
+        # observe's shard ids were taken modulo 3 primaries: re-sharded.
+        assert hashed == [BELOW_SAMPLE] * 2
         assert parts == reference_split(balancer, batch)
         assert set(parts) == set(range(5))  # five primaries, no plan
 
     def test_only_the_observed_array_reuses_the_hashes(self, hashed):
         balancer = SkewAwareBalancer(4)
         observed = numbered(1.5, BELOW_SAMPLE, seed=5)
+        twin = TupleBatch(observed.keys.copy(), observed.values)
         other = numbered(0.0, BELOW_SAMPLE, seed=6)
         balancer.observe(observed.keys)
-        expected = [reference_split(balancer, batch)
-                    for batch in (other, observed, observed)]
+        batches = (twin, other, observed, observed)
+        expected = [reference_split(balancer, batch) for batch in batches]
         del hashed[:]
         # The hand-over is for one split of one array: a different
-        # batch is hashed, and so is the observed one afterwards —
-        # twice if it is split twice.
+        # array is hashed, even one with equal keys, and so is the
+        # observed one afterwards — twice if it is split twice.
         assert [routed(balancer.split(batch))
-                for batch in (other, observed, observed)] == expected
-        assert hashed == [BELOW_SAMPLE] * 3
+                for batch in batches] == expected
+        assert hashed == [BELOW_SAMPLE] * 4
 
     def test_by_key_split_does_not_use_or_keep_the_hashes(self, hashed):
         balancer, twin = SkewAwareBalancer(4), SkewAwareBalancer(4)
@@ -347,6 +352,54 @@ class TestHashOnce:
         gc.collect()
         assert alive() is None
         assert sum(len(part) for part in parts.values()) == BELOW_SAMPLE
+
+
+def expected_workers(balancer: SkewAwareBalancer, keys) -> np.ndarray:
+    """Each tuple's worker: its ``shard_of_keys`` shard, then the
+    round-robin lane of that shard's team."""
+    shards = shard_of_keys(keys, balancer.primaries)
+    workers = np.empty(len(keys), dtype=np.int64)
+    for primary in range(balancer.primaries):
+        positions = np.nonzero(shards == primary)[0]
+        team = balancer.team_of(primary)
+        workers[positions] = [team[lane % len(team)]
+                              for lane in range(positions.size)]
+    return workers
+
+
+class TestShardRouting:
+    """A window's shard ids, memoised by ``observe`` or taken by
+    ``split``, route every tuple exactly as ``shard_of_keys`` does."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(keys=st.lists(st.one_of(st.integers(0, 15),
+                                   st.integers(0, (1 << 64) - 1)),
+                         min_size=1, max_size=300),
+           shape=st.sampled_from([(2, 1), (4, 1), (5, 1), (6, 2)]),
+           observed=st.booleans())
+    def test_each_tuple_goes_to_its_shard_and_team_lane(self, keys, shape,
+                                                        observed):
+        """For M = 1, 3, 4 primaries (and M = 4 with two helpers), a
+        tuple's worker is its ``shard_of_keys`` shard's team lane, in
+        stream order, whether or not the window was observed first."""
+        workers, secondaries = shape
+        balancer = SkewAwareBalancer(workers, secondaries=secondaries)
+        batch = TupleBatch(np.array(keys, dtype=np.uint64),
+                           np.arange(len(keys), dtype=np.int64))
+        if observed:
+            balancer.observe(batch.keys)
+        expected = expected_workers(balancer, batch.keys)
+        parts = balancer.split(batch)
+        assert sum(len(part) for part in parts.values()) == len(keys)
+        for worker, part in parts.items():
+            assert np.array_equal(part.values,
+                                  np.nonzero(expected == worker)[0])
+
+    def test_shard_of_keys_returns_int64(self):
+        keys = np.arange(100, dtype=np.uint64)
+        for shards in (1, 3, 4):
+            assert shard_of_keys(keys, shards).dtype == np.int64
+            assert shard_of_keys(keys[:0], shards).dtype == np.int64
 
 
 class TestExternalControl:
