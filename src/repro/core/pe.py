@@ -84,7 +84,7 @@ class ProcessingElement(Module):
             if self._in.exhausted:
                 self.finish()
             else:
-                self.note_idle()
+                self.idle_until(self._in)
             return
         _, key, value = item
         self._kernel.process(self.buffer, key, value)

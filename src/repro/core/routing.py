@@ -33,16 +33,6 @@ RoutedTuple = Tuple[int, int, int]
 """``(designated_pe, key, value)`` as produced by mappers / PrePEs."""
 
 
-def decode_mask(group: Sequence[RoutedTuple], pe_id: int) -> List[int]:
-    """The decoder's preset-table lookup, in functional form.
-
-    Returns the positions within ``group`` whose destination matches
-    ``pe_id`` — hardware implements this as an N-bit mask indexing a
-    precomputed position table (§IV-C1); the behaviour is identical.
-    """
-    return [i for i, (dst, _, _) in enumerate(group) if dst == pe_id]
-
-
 class Combiner(Module):
     """Gathers up to N routed tuples per cycle and broadcasts the group.
 
@@ -143,14 +133,17 @@ class FilterDecoder(Module):
                 self._pe_out.close()
                 self.finish()
             else:
-                self.note_idle()
+                self.idle_until(self._group_in)
             return
-        positions = decode_mask(group, self._pe_id)
-        matched = [group[i] for i in positions]
-        for item in matched:
-            if self._pe_out.can_write():
-                self._pe_out.write(item)
-                self.tuples_forwarded += 1
-            else:
-                self._pending.append(item)
+        # The decoder's mask lookup (an N-bit mask indexing a preset
+        # position table in hardware) as one pass over the group.
+        pe_id = self._pe_id
+        out = self._pe_out
+        for item in group:
+            if item[0] == pe_id:
+                if out.can_write():
+                    out.write(item)
+                    self.tuples_forwarded += 1
+                else:
+                    self._pending.append(item)
         self.note_busy()

@@ -7,13 +7,15 @@ stalls.  Crucially a value written in cycle *t* can be consumed at the
 earliest in cycle *t + 1*.  :class:`Channel` reproduces this with a
 two-phase protocol: during a cycle, writes land in a staging buffer;
 :meth:`Channel.commit` (called by the simulator between cycles) makes them
-visible to readers.
+visible to readers.  A channel registered with a simulator enlists itself
+on the simulator's dirty list at its first write or close of a cycle, so
+the simulator commits only the channels that changed.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Iterator, List
+from typing import Any, Deque, Iterator, List, Optional
 
 
 class ChannelClosed(RuntimeError):
@@ -48,6 +50,8 @@ class Channel:
         self._staged: List[Any] = []
         self._closed = False
         self._close_pending = False
+        # The registering simulator's dirty list (Simulator.add_channel).
+        self._dirty: Optional[List["Channel"]] = None
         # Statistics.
         self.total_written = 0
         self.total_read = 0
@@ -68,12 +72,15 @@ class Channel:
         Returns ``True`` on success and ``False`` when the FIFO is full
         (the caller is expected to stall and retry next cycle).
         """
-        if self._closed or self._close_pending:
+        if self._close_pending:  # stays set once committed as _closed
             raise ChannelClosed(f"channel {self.name!r} is closed")
-        if not self.can_write():
+        staged = self._staged
+        if len(self._queue) + len(staged) >= self.capacity:
             self.write_stalls += 1
             return False
-        self._staged.append(item)
+        if not staged and self._dirty is not None:
+            self._dirty.append(self)
+        staged.append(item)
         self.total_written += 1
         return True
 
@@ -84,6 +91,9 @@ class Channel:
         observe all in-flight elements before seeing the channel as
         exhausted.
         """
+        if not (self._close_pending or self._staged) \
+                and self._dirty is not None:
+            self._dirty.append(self)
         self._close_pending = True
 
     # ------------------------------------------------------------------

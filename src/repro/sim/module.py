@@ -10,9 +10,10 @@ autorun-kernel programming model the paper uses.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.sim.channel import Channel
     from repro.sim.engine import Simulator
 
 
@@ -30,6 +31,12 @@ class Module:
         self.stall_cycles = 0
         self.idle_cycles = 0
         self._done = False
+        # The registering simulator's list of idle_until requests
+        # (Simulator.add_module) — the list, not the simulator, so no
+        # reference cycle keeps a finished simulation alive; _parked_at
+        # is the cycle of the request while the module waits for a commit.
+        self._parking: Optional[List[Tuple["Module", "Channel"]]] = None
+        self._parked_at: Optional[int] = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -38,8 +45,8 @@ class Module:
         """Advance the module by one cycle.
 
         Subclasses must override.  Implementations should call one of
-        :meth:`note_busy`, :meth:`note_stall` or :meth:`note_idle` so the
-        utilisation statistics stay meaningful.
+        :meth:`note_busy`, :meth:`note_stall`, :meth:`note_idle` or
+        :meth:`idle_until` so the utilisation statistics stay meaningful.
         """
         raise NotImplementedError
 
@@ -74,6 +81,25 @@ class Module:
     def note_idle(self) -> None:
         """Record that this cycle had no input available."""
         self.idle_cycles += 1
+
+    def idle_until(self, channel: "Channel") -> None:
+        """Record an idle cycle and sleep until ``channel`` next commits.
+
+        Counts the cycle exactly as :meth:`note_idle` does.  When the
+        module is registered with a simulator (and ``channel`` with the
+        same one), the simulator also stops ticking the module until
+        ``channel``'s next commit, then credits it one idle cycle per
+        skipped tick and ticks it again from the following cycle.
+
+        Contract: call it only when this tick did nothing but idle, and
+        when the next tick's outcome depends only on ``channel``'s
+        committed state — a tick that would also poll another channel,
+        count down a timer or observe another module must call
+        :meth:`note_idle` instead, or it sleeps through its own wake-up.
+        """
+        self.idle_cycles += 1
+        if self._parking is not None:
+            self._parking.append((self, channel))
 
     @property
     def utilization(self) -> float:

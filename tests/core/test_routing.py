@@ -1,34 +1,45 @@
-"""Data routing: decoder masks, combiner broadcast, filter extraction,
+"""Data routing: decoder matching, combiner broadcast, filter extraction,
 conservation and backpressure."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.routing import Combiner, FilterDecoder, decode_mask
+from repro.core.routing import Combiner, FilterDecoder
 from repro.sim.channel import Channel
 from repro.sim.engine import Simulator
 
 
-class TestDecodeMask:
-    def test_positions_of_matches(self):
-        group = [(0, 1, 1), (2, 2, 1), (0, 3, 1)]
-        assert decode_mask(group, 0) == [0, 2]
-        assert decode_mask(group, 2) == [1]
-        assert decode_mask(group, 5) == []
+def filtered(group, pe_id):
+    """What one filter forwards to its PE from a single ``group``."""
+    group_in = Channel("g", capacity=4)
+    pe_out = Channel("pe", capacity=max(len(group), 1))
+    filt = FilterDecoder("f", pe_id, group_in, pe_out)
+    group_in.write(tuple(group))
+    group_in.commit()
+    filt.tick(0)
+    pe_out.commit()
+    return list(pe_out)
 
-    @given(st.lists(st.integers(min_value=0, max_value=7), max_size=16),
-           st.integers(min_value=0, max_value=7))
-    def test_property_mask_partition(self, dsts, pe_id):
-        """Every tuple appears in exactly one PE's mask; masks partition
-        the group."""
+
+class TestDecoder:
+    def test_forwards_matches_in_group_order(self):
+        group = [(0, 1, 1), (2, 2, 1), (0, 3, 1)]
+        assert filtered(group, 0) == [(0, 1, 1), (0, 3, 1)]
+        assert filtered(group, 2) == [(2, 2, 1)]
+        assert filtered(group, 5) == []
+
+    @given(st.lists(st.integers(min_value=0, max_value=7), max_size=16))
+    def test_property_filters_partition_the_group(self, dsts):
+        """The filters of all PE ids together forward every tuple of a
+        group exactly once, each to its own PE, in group order."""
         group = [(d, i, 1) for i, d in enumerate(dsts)]
-        all_positions = []
+        forwarded = []
         for pe in range(8):
-            all_positions.extend(decode_mask(group, pe))
-        assert sorted(all_positions) == list(range(len(group)))
-        assert decode_mask(group, pe_id) == [
-            i for i, d in enumerate(dsts) if d == pe_id
-        ]
+            matched = filtered(group, pe)
+            assert matched == [item for item in group if item[0] == pe]
+            forwarded.extend(matched)
+        # Keys are group positions: one sort restores the group.
+        assert sorted(forwarded, key=lambda item: item[1]) == group
 
 
 def build_routing(num_pes=4, lanes=2, group_depth=4, pe_depth=8,
