@@ -60,7 +60,9 @@ class HeavyHitterKernel(KernelSpec):
     decomposable = True
     # A key's count must accumulate in ONE sketch per stream segment:
     # splitting its tuples across independent workers dilutes every
-    # per-worker estimate below the detection threshold.
+    # per-worker estimate below the detection threshold.  The fleet
+    # routes such a job by key, so each window's tuples of a key meet
+    # in one worker's segment; hitters are detected per segment.
     splittable = False
 
     def __init__(

@@ -33,11 +33,7 @@ from repro.control.autoscaler import Autoscaler, ScaleDecision
 from repro.control.controller import AdaptiveController, ControlPolicy
 from repro.control.detector import DriftDetector, DriftReport
 from repro.control.plan_cache import PlanCache, histogram_signature
-from repro.control.replanner import (
-    CostAwareReplanner,
-    ReplanDecision,
-    default_reschedule_cost_cycles,
-)
+from repro.control.replanner import CostAwareReplanner, ReplanDecision
 
 __all__ = [
     "AdaptiveController",
@@ -49,6 +45,5 @@ __all__ = [
     "PlanCache",
     "ReplanDecision",
     "ScaleDecision",
-    "default_reschedule_cost_cycles",
     "histogram_signature",
 ]

@@ -56,7 +56,7 @@ class ControlPolicy:
     knobs mirror :class:`Autoscaler`.
     ``reschedule_cost_cycles=None`` derives the cost from the service's
     architecture configuration
-    (:func:`~repro.control.replanner.default_reschedule_cost_cycles`).
+    (:meth:`~repro.core.config.ArchitectureConfig.reschedule_cost_cycles`).
     """
 
     reschedule_cost_cycles: Optional[int] = None

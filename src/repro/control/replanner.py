@@ -20,27 +20,6 @@ from __future__ import annotations
 
 from enum import Enum
 
-from repro.core.config import ArchitectureConfig
-
-
-def default_reschedule_cost_cycles(
-    config: ArchitectureConfig, detection_windows: int = 2
-) -> int:
-    """Cycles from distribution change to a fresh effective fleet plan.
-
-    The same decomposition as
-    :attr:`repro.perf.evolving.EvolvingSkewModel.reschedule_cost_cycles`:
-    detection + channel drain + host re-enqueue + re-profiling + serial
-    plan emission.
-    """
-    return int(
-        detection_windows * config.monitor_window
-        + config.channel_depth * config.ii_pe
-        + config.reenqueue_delay_cycles
-        + config.profiling_cycles
-        + config.secpes
-    )
-
 
 class ReplanDecision(Enum):
     """What to do about one detected drift event."""

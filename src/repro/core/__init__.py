@@ -36,8 +36,6 @@ from repro.core.profiler import (
     RuntimeProfiler,
     SchedulingPlan,
     greedy_secpe_plan,
-    plan_for_destinations,
-    workload_histogram,
 )
 from repro.core.routing import Combiner, FilterDecoder
 
@@ -57,8 +55,6 @@ __all__ = [
     "SchedulingPlan",
     "SkewObliviousArchitecture",
     "greedy_secpe_plan",
-    "plan_for_destinations",
     "run_fast",
     "validate_engine",
-    "workload_histogram",
 ]

@@ -109,6 +109,16 @@ class ArchitectureConfig:
         """(PriPE ID range, SecPE ID range) — IDs 0..M-1 and M..M+X-1."""
         return range(self.pripes), range(self.pripes, self.designated_pes)
 
+    def reschedule_cost_cycles(self, detection_windows: int = 2) -> int:
+        """Cycles from a distribution change to a fresh effective plan:
+        detection, channel drain, host re-enqueue, re-profiling and the
+        serial emission of one plan pair per SecPE."""
+        return (detection_windows * self.monitor_window
+                + self.channel_depth * self.ii_pe
+                + self.reenqueue_delay_cycles
+                + self.profiling_cycles
+                + self.secpes)
+
     def balanced_for_bandwidth(self) -> bool:
         """Check Eq. 1: N / II_PrePE == M / II_PE == W_mem / W_tuple.
 

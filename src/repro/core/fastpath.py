@@ -36,7 +36,7 @@ modeled cycles within 10% of simulated across Zipf skew factors.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -108,24 +108,6 @@ def bottleneck_cycles(config: ArchitectureConfig, tuples: int,
     return max(bandwidth, max_pe_load * config.ii_pe) + PIPELINE_FILL_CYCLES
 
 
-def _modeled_pe_counts(
-    config: ArchitectureConfig,
-    counts: np.ndarray,
-    plan: Optional[SchedulingPlan],
-) -> dict:
-    """Per-designated-PE tuple counts under the final plan (modeled)."""
-    if plan is None or not plan.pairs:
-        return dict(enumerate(counts.tolist() + [0] * config.secpes))
-    designated = np.zeros(config.designated_pes, dtype=np.float64)
-    attached = np.zeros(config.pripes, dtype=np.int64)
-    for _, pripe in plan.pairs:
-        attached[pripe] += 1
-    designated[: config.pripes] = counts / (1 + attached)
-    for secpe, pripe in plan.pairs:
-        designated[secpe] = counts[pripe] / (1 + attached[pripe])
-    return {pe: int(round(load)) for pe, load in enumerate(designated)}
-
-
 class _ModeledResult(ArchitectureResult):
     """A fast-path :class:`ArchitectureResult`.
 
@@ -155,8 +137,10 @@ class _ModeledResult(ArchitectureResult):
 
     @cached_property
     def pe_tuple_counts(self) -> Dict[int, int]:
-        return _modeled_pe_counts(self.config, self._counts,
-                                  self.plans[-1] if self.plans else None)
+        # Modeled: the final plan's even split of each PriPE's count.
+        plan = self.plans[-1] if self.plans else SchedulingPlan(pairs=[])
+        loads = plan.split_loads(self._counts, self.config.designated_pes)
+        return {pe: int(round(load)) for pe, load in enumerate(loads)}
 
 
 def run_fast(config: ArchitectureConfig, kernel: KernelSpec,  # hot-path

@@ -48,8 +48,10 @@ class KernelSpec(ABC):
     #: in between).  True for per-tuple reductions (histogram add, HLL
     #: max, partition extend, rank-mass add); False when per-key state
     #: must stay together, e.g. heavy-hitter thresholds evaluated on
-    #: each group's private sketch.  The fleet balancer uses this to
-    #: pick tuple-level vs key-level splitting.
+    #: each group's private sketch.  The fleet balancer then picks a
+    #: shard team's lane by a hash of the key instead of round-robin,
+    #: so a key stays whole within each window's split (it keeps no
+    #: per-key table, so not across windows).
     splittable: bool = True
 
     # ------------------------------------------------------------------

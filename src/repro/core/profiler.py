@@ -64,6 +64,24 @@ class SchedulingPlan:
                 return p
         return None
 
+    def split_loads(self, loads: Sequence[float],
+                    designated: int) -> np.ndarray:
+        """Each of ``designated`` PEs' part of per-PriPE ``loads``.
+
+        A PriPE's load divides evenly over itself and its attached
+        SecPEs (the mappers' round-robin): PriPEs first, each SecPE at
+        its ID, unassigned SecPEs at zero.
+        """
+        loads = np.asarray(loads, dtype=np.float64)
+        attached = np.zeros(len(loads), dtype=np.int64)
+        for _, pripe in self.pairs:
+            attached[pripe] += 1
+        split = np.zeros(designated, dtype=np.float64)
+        split[: len(loads)] = loads / (1 + attached)
+        for secpe, pripe in self.pairs:
+            split[secpe] = loads[pripe] / (1 + attached[pripe])
+        return split
+
 
 def greedy_secpe_plan(
     workloads: Sequence[float], secpes: int, pripes: Optional[int] = None
@@ -97,35 +115,6 @@ def greedy_secpe_plan(
         pairs.append((m + index, target))
         attached[target] += 1
     return SchedulingPlan(pairs=pairs, workloads=base)
-
-
-def workload_histogram(
-    destinations: Sequence[int], pripes: int
-) -> np.ndarray:
-    """Merged profiling histogram from observed destination IDs.
-
-    This is the host-side equivalent of the profiler's N ``hist``
-    instances after merging: external callers profile a sample of
-    routed destinations, range-checked here, and feed the histogram to
-    :func:`greedy_secpe_plan`.
-    """
-    dst = np.asarray(destinations, dtype=np.int64)
-    if dst.size and (dst.min() < 0 or dst.max() >= pripes):
-        raise ValueError("destination IDs must be in [0, pripes)")
-    return np.bincount(dst, minlength=pripes)
-
-
-def plan_for_destinations(
-    destinations: Sequence[int], secpes: int, pripes: int
-) -> SchedulingPlan:
-    """Profile observed destinations and build the greedy SecPE plan.
-
-    Convenience wrapper exposing the profiler's histogram + greedy-plan
-    machinery to callers outside the cycle simulator.
-    """
-    return greedy_secpe_plan(
-        workload_histogram(destinations, pripes), secpes, pripes
-    )
 
 
 class RuntimeProfiler(Module):

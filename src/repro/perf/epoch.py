@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.core.config import ArchitectureConfig
 from repro.core.profiler import SchedulingPlan, greedy_secpe_plan
-from repro.perf.steady import steady_rate
 
 
 @dataclass
@@ -112,6 +111,7 @@ class EpochModel:
         reschedules = 0
         rates: List[float] = []
         plan: Optional[SchedulingPlan] = None
+        unplanned = SchedulingPlan(pairs=[])
         cursor = 0
         # Profiling control: while `profile_left` > 0 the mappers route
         # identity (no SecPEs) and the profiler accumulates counts.
@@ -131,8 +131,9 @@ class EpochModel:
             counts = np.bincount(window, minlength=cfg.pripes).astype(float)
             cursor += window.size
 
-            active_plan = plan if profile_left <= 0 else None
-            arrivals = self._split_arrivals(counts, active_plan, designated)
+            active_plan = (plan if profile_left <= 0 and plan is not None
+                           else unplanned)
+            arrivals = active_plan.split_loads(counts, designated)
             window_cycles = self._advance(backlog, arrivals, window.size)
             cycles += window_cycles
             rate = window.size / max(window_cycles, 1e-9)
@@ -175,26 +176,6 @@ class EpochModel:
             window_rates=rates,
         )
 
-    def _split_arrivals(
-        self,
-        counts: np.ndarray,
-        plan: Optional[SchedulingPlan],
-        designated: int,
-    ) -> np.ndarray:
-        """Round-robin split of per-PriPE counts across designated PEs."""
-        cfg = self.config
-        arrivals = np.zeros(designated, dtype=np.float64)
-        if plan is None or not plan.pairs:
-            arrivals[: cfg.pripes] = counts
-            return arrivals
-        attached = np.zeros(cfg.pripes, dtype=np.int64)
-        for _, pripe in plan.pairs:
-            attached[pripe] += 1
-        arrivals[: cfg.pripes] = counts / (1 + attached)
-        for secpe, pripe in plan.pairs:
-            arrivals[secpe] = counts[pripe] / (1 + attached[pripe])
-        return arrivals
-
     def _advance(self, backlog: np.ndarray, arrivals: np.ndarray,
                  tuples: int) -> float:
         """Advance one window; mutates ``backlog``; returns cycles."""
@@ -208,37 +189,3 @@ class EpochModel:
         backlog += arrivals - serviced
         np.clip(backlog, 0.0, None, out=backlog)
         return window_cycles
-
-    # ------------------------------------------------------------------
-    def run_shares(self, shares: np.ndarray, tuples: int) -> EpochResult:
-        """Model a stationary stream given only its share vector.
-
-        Shortcut used by the alpha-sweep benchmarks where the share
-        vector per Zipf factor is computed analytically.
-        """
-        cfg = self.config
-        shares = np.asarray(shares, dtype=np.float64)
-        plan = (
-            greedy_secpe_plan(shares, cfg.secpes, cfg.pripes)
-            if cfg.skew_handling else None
-        )
-        rate = steady_rate(shares, lanes=cfg.lanes, ii_pe=cfg.ii_pe,
-                           plan=plan)
-        cycles = tuples / max(rate, 1e-9)
-        if cfg.skew_handling:
-            unaided = steady_rate(shares, lanes=cfg.lanes, ii_pe=cfg.ii_pe)
-            # profiling happens at the unaided rate
-            profiled = max(1, int(unaided * cfg.profiling_cycles))
-            profiled = min(profiled, tuples)
-            cycles = (
-                cfg.profiling_cycles
-                + cfg.secpes
-                + (tuples - profiled) / max(rate, 1e-9)
-            )
-        return EpochResult(
-            cycles=cycles,
-            tuples=tuples,
-            plans=[plan] if plan else [],
-            reschedules=0,
-            window_rates=[rate],
-        )

@@ -123,16 +123,7 @@ class EvolvingSkewModel:
     @property
     def reschedule_cost_cycles(self) -> float:
         """Cycles from distribution change to a fresh effective plan."""
-        cfg = self.config
-        detection = self.detection_windows * cfg.monitor_window
-        drain = cfg.channel_depth * cfg.ii_pe
-        return (
-            detection
-            + drain
-            + cfg.reenqueue_delay_cycles
-            + cfg.profiling_cycles
-            + cfg.secpes
-        )
+        return self.config.reschedule_cost_cycles(self.detection_windows)
 
     def absorption_interval_s(self) -> float:
         """Largest interval whose hot burst the channels absorb."""

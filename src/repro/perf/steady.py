@@ -38,17 +38,8 @@ def effective_shares(
     SecPEs (round-robin mapper).  Returns one entry per *designated* PE
     (PriPEs first, then each SecPE's slice).
     """
-    shares = np.asarray(shares, dtype=np.float64)
-    if plan is None or not plan.pairs:
-        return shares.copy()
-    attached = np.zeros(len(shares), dtype=np.int64)
-    for _, pripe in plan.pairs:
-        attached[pripe] += 1
-    slices = [shares / (1 + attached)]
-    secpe_loads = [
-        shares[pripe] / (1 + attached[pripe]) for _, pripe in plan.pairs
-    ]
-    return np.concatenate([slices[0], np.asarray(secpe_loads)])
+    plan = plan or SchedulingPlan(pairs=[])
+    return plan.split_loads(shares, len(shares) + len(plan.pairs))
 
 
 def steady_rate(

@@ -16,6 +16,15 @@ key-ranges:
   tuples are then round-robined across its primary plus the attached
   secondaries — exactly the even-share assumption the greedy plan makes.
 
+A non-``splittable`` kernel's job (heavy hitters) is split *by key*
+with the same stateless rule at a different lane choice: a tuple of
+shard ``p`` goes to ``team[murmur3(key, TEAM_SEED) % len(team)]``, so a
+key stays whole within each window's split.  No per-key table is kept —
+as on chip, where the PrePE routes by ``HASH(key) & mask`` alone — so a
+key may land on another worker in a later window; heavy hitters are
+detected per segment (one worker's shard of one window), which that
+does not change.
+
 ``secondaries=0`` is the naive round-robin baseline
 (``make_balancer("roundrobin", K)``): all ``K`` workers are primaries
 with a static ``shard -> worker`` assignment and an empty helper plan,
@@ -99,11 +108,6 @@ class SkewAwareBalancer:
         self.profile_sample = profile_sample
         self.auto_replan = auto_replan
         self._rng = np.random.default_rng(self.SAMPLE_SEED)
-        # Sticky by-key ownership: non-splittable kernels need each key's
-        # tuples on ONE worker for a job's whole lifetime, across
-        # rebalances and team reconfigurations.  Grows with the distinct
-        # keys of by-key jobs; reset_key_ownership() between tenants.
-        self._key_owner: Dict[int, int] = {}
 
     def _shape(self, workers: int, secondaries: Optional[int]) -> None:
         """Size the fleet; plan, histogram and memo start fresh."""
@@ -189,9 +193,8 @@ class SkewAwareBalancer:
         usable on its own to convert primaries into secondaries (or back)
         at a fixed fleet size.  The active plan and last histogram are
         dropped — they describe a shard space that no longer exists — so
-        the next plan starts fresh.  Sticky by-key ownership survives:
-        keys whose owner still exists stay put, only keys owned by a
-        removed worker are reassigned.
+        the next plan starts fresh; by-key routing, which keeps no
+        per-key state, follows the new teams from the next split.
         """
         self._shape(workers, secondaries)
         self.reconfigurations += 1
@@ -201,8 +204,11 @@ class SkewAwareBalancer:
         return list(self._teams[primary])
 
     def reset_key_ownership(self) -> None:
-        """Forget sticky by-key assignments (e.g. between tenants)."""
-        self._key_owner.clear()
+        """No-op: by-key routing keeps no per-key state to forget.
+
+        Kept because the benchmark's replay (``bench/replay.py``) calls
+        it for each by-key job.
+        """
 
     #: Seed for intra-team key spreading; distinct from the shard seed
     #: so a shard's keys do not all collapse onto one team lane.
@@ -212,18 +218,20 @@ class SkewAwareBalancer:
               by_key: bool = False) -> Dict[int, TupleBatch]:
         """Partition ``batch`` into per-worker sub-batches.
 
-        ``by_key=True`` guarantees one key's tuples all land on the
-        same worker (required by non-``splittable`` kernels such as
-        heavy-hitter detection, whose per-key state cannot be diluted
-        across independent sketches).
+        Each tuple goes to its shard's team.  By default the team's
+        lanes take the shard's tuples round-robin; ``by_key=True``
+        (non-``splittable`` kernels such as heavy-hitter detection,
+        whose per-key sketch state cannot be diluted across workers)
+        picks the lane by a ``TEAM_SEED`` hash of the key instead, so
+        one key's tuples all land on one worker, and returns the
+        sub-batches in ascending worker order.  Either way a worker
+        gets its tuples in stream order.
 
-        A tuple split of the array ``observe`` last saw routes by its
+        A split of the array ``observe`` last saw routes by its
         memoised shard ids, of any other array by hashing it here;
         either way the memo is dropped.
         """
         memo, self._shards = self._shards, None
-        if by_key:
-            return self._split_by_key(batch)
         shards = (memo[1] if memo is not None and memo[0] is batch.keys
                   else _shard_ids(batch.keys, self.primaries))
         out: Dict[int, TupleBatch] = {}
@@ -232,66 +240,18 @@ class SkewAwareBalancer:
             if positions.size == 0:
                 continue
             team = self._teams[primary]
+            lanes = (_shard_ids(batch.keys[positions], len(team),
+                                self.TEAM_SEED)
+                     if by_key and len(team) > 1 else None)
             for lane, worker in enumerate(team):
-                chosen = positions[lane::len(team)]
+                chosen = (positions[lane::len(team)] if lanes is None
+                          else positions[lanes == lane])
                 if chosen.size == 0:
                     continue
                 out[worker] = TupleBatch(batch.keys[chosen],
                                          batch.values[chosen],
                                          batch.tuple_bytes)
-        return out
-
-    def _split_by_key(self, batch: TupleBatch) -> Dict[int, TupleBatch]:
-        """Key-granular split with sticky ownership.
-
-        Non-splittable kernels (heavy hitters) keep per-key state that
-        must never be diluted across workers, not just within one window
-        but across the job's lifetime: the first worker to see a key owns
-        it until that worker leaves the fleet, whatever rebalances or
-        reconfigurations happen in between.  New keys are placed with the
-        *current* team routing, so balancing still helps fresh traffic.
-        """
-        uniques, inverse = np.unique(batch.keys, return_inverse=True)
-        owners = np.array(
-            [self._key_owner.get(key, -1) for key in uniques.tolist()],
-            dtype=np.int64)
-        unseen = np.nonzero((owners < 0) | (owners >= self.workers))[0]
-        if unseen.size:
-            placed = self._place_keys(uniques[unseen])
-            owners[unseen] = placed
-            for key, worker in zip(uniques[unseen].tolist(),
-                                   placed.tolist()):
-                self._key_owner[key] = worker
-        per_tuple = owners[inverse]
-        out: Dict[int, TupleBatch] = {}
-        for worker in np.unique(per_tuple):
-            mask = per_tuple == worker
-            out[int(worker)] = TupleBatch(batch.keys[mask],
-                                          batch.values[mask],
-                                          batch.tuple_bytes)
-        return out
-
-    def _place_keys(self, keys: np.ndarray) -> np.ndarray:
-        """First-placement of unseen keys: each shard's team, hashed by
-        key.
-
-        Spreading a shard's *keys* (not tuples) across the team keeps a
-        single mega-hot key on one worker — correct results first, with
-        balancing limited to the key granularity.  Vectorised per
-        primary: two hash passes per occupied shard, not per key.
-        """
-        primaries = shard_of_keys(keys, self.primaries)
-        placed = np.empty(len(keys), dtype=np.int64)
-        for primary in np.unique(primaries):
-            team = self._teams[primary]
-            mask = primaries == primary
-            if len(team) == 1:
-                placed[mask] = team[0]
-            else:
-                lanes = shard_of_keys(keys[mask], len(team),
-                                      seed=self.TEAM_SEED)
-                placed[mask] = np.asarray(team, dtype=np.int64)[lanes]
-        return placed
+        return dict(sorted(out.items())) if by_key else out
 
     def describe(self) -> str:
         """One-line summary for logs and metrics renderings."""

@@ -224,19 +224,10 @@ class Dispatcher:
                 queue_delay=job.queue_delay)
         # A resubmitted job id must not inherit a previous run's errors.
         self.backend.clear_errors(job.job_id)
-        # Non-splittable kernels (heavy hitters) need every key's tuples
-        # on one worker; a class-level contract, no kernel built.
+        # Non-splittable kernels (heavy hitters) need each key's tuples
+        # of a window on one worker; a class-level contract, no kernel
+        # built.
         by_key = not kernel_class_for(job.app).splittable
-        if by_key and not any(
-                entry.by_key for entries in self._in_flight.values()
-                for entry in entries):
-            # Sticky ownership is a per-job contract (sessions are per
-            # (worker, job)): forget the previous job's pins so this
-            # job's keys place under the *current* plan and the map
-            # cannot grow without bound across jobs.  With another
-            # by-key job still in flight the pins are shared state and
-            # must survive until that job collects.
-            self.balancer.reset_key_ownership()
         if self.controller is not None:
             # A freeze is a per-workload verdict, not a service-lifetime
             # one: re-arm the control loop for the new job's stream.
@@ -378,8 +369,8 @@ class Dispatcher:
         """Cap a tenant's fan-out at its worker quota.
 
         Shards bound for workers beyond the quota fold onto
-        ``worker_id % quota`` — deterministic, so a by-key job's tuples
-        still land on one (folded) worker per key.
+        ``worker_id % quota`` — deterministic, so a by-key window's
+        tuples still land on one (folded) worker per key.
         """
         quota = spec.worker_quota
         if quota is None or quota >= self.backend.size:

@@ -571,9 +571,10 @@ class ProcessBackend(ExecutionBackend):
     def _revive(self, worker_id: int, crashed_while: str = None) -> None:
         """Replace a crashed child and replay its retained shards.
 
-        The replacement keeps the same worker id (merge order and
-        by-key ownership are per-id, so results stay bit-identical)
-        under a fresh generation.  Replay rebuilds every live job's
+        The replacement keeps the same worker id (merge order is
+        per-id, and a replayed shard holds the tuples its window's
+        split gave that id, so results stay bit-identical) under a
+        fresh generation.  Replay rebuilds every live job's
         session from the retained ledger; records already folded replay
         silently (``record=False``).
         """

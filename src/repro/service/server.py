@@ -26,7 +26,6 @@ from typing import (
 )
 
 from repro.control.controller import AdaptiveController, ControlPolicy
-from repro.control.replanner import default_reschedule_cost_cycles
 from repro.core.config import ArchitectureConfig
 from repro.core.fastpath import validate_engine
 from repro.obs import events as trace_events
@@ -235,7 +234,7 @@ class StreamService:
                 policy = policy.with_cost(
                     reschedule_cost_cycles
                     if reschedule_cost_cycles is not None
-                    else default_reschedule_cost_cycles(self.config))
+                    else self.config.reschedule_cost_cycles())
             # Reacting is the controller's call now, not a reflex.
             self.balancer.auto_replan = False
             self.controller = AdaptiveController(

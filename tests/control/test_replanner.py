@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.control.replanner import (
-    CostAwareReplanner,
-    ReplanDecision,
-    default_reschedule_cost_cycles,
-)
+from repro.control.replanner import CostAwareReplanner, ReplanDecision
 from repro.core.config import ArchitectureConfig
 
 
@@ -62,7 +58,7 @@ class TestDecisions:
 class TestDefaults:
     def test_default_cost_matches_config_decomposition(self):
         config = ArchitectureConfig(secpes=4)
-        cost = default_reschedule_cost_cycles(config)
+        cost = config.reschedule_cost_cycles()
         expected = (2 * config.monitor_window
                     + config.channel_depth * config.ii_pe
                     + config.reenqueue_delay_cycles

@@ -76,13 +76,3 @@ class TestControlLoop:
         rate_on = EpochModel(on).run(stream).tuples_per_cycle
         rate_off = EpochModel(off).run(stream).tuples_per_cycle
         assert rate_on > rate_off
-
-
-class TestRunShares:
-    def test_matches_run_on_stationary_stream(self):
-        ids = route_ids(2.0, 200_000)
-        cfg = ArchitectureConfig(secpes=8, reschedule_threshold=0.0)
-        shares = np.bincount(ids, minlength=16) / ids.size
-        a = EpochModel(cfg).run(ids).tuples_per_cycle
-        b = EpochModel(cfg).run_shares(shares, ids.size).tuples_per_cycle
-        assert a == pytest.approx(b, rel=0.15)

@@ -18,7 +18,7 @@ def model():
 class TestSplitArrivals:
     def test_identity_without_plan(self, model):
         counts = np.arange(16, dtype=float)
-        arrivals = model._split_arrivals(counts, None, 31)
+        arrivals = SchedulingPlan(pairs=[]).split_loads(counts, 31)
         assert np.array_equal(arrivals[:16], counts)
         assert arrivals[16:].sum() == 0
 
@@ -26,7 +26,7 @@ class TestSplitArrivals:
         counts = np.zeros(16)
         counts[3] = 90.0
         plan = SchedulingPlan(pairs=[(16, 3), (17, 3)])
-        arrivals = model._split_arrivals(counts, plan, 31)
+        arrivals = plan.split_loads(counts, 31)
         assert arrivals[3] == pytest.approx(30.0)
         assert arrivals[16] == pytest.approx(30.0)
         assert arrivals[17] == pytest.approx(30.0)
@@ -37,8 +37,9 @@ class TestSplitArrivals:
     def test_property_mass_conserved(self, raw, secpes):
         model = EpochModel(ArchitectureConfig(secpes=15))
         counts = np.asarray(raw, dtype=float)
-        plan = greedy_secpe_plan(counts, secpes) if secpes else None
-        arrivals = model._split_arrivals(counts, plan, 31)
+        plan = greedy_secpe_plan(counts, secpes) if secpes \
+            else SchedulingPlan(pairs=[])
+        arrivals = plan.split_loads(counts, 31)
         assert arrivals.sum() == pytest.approx(counts.sum())
         assert (arrivals >= 0).all()
 

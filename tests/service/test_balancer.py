@@ -5,15 +5,11 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import repro.service.balancer as balancer_module
-from repro.core.profiler import (
-    SchedulingPlan,
-    greedy_secpe_plan,
-    plan_for_destinations,
-    workload_histogram,
-)
+from repro.core.profiler import SchedulingPlan, greedy_secpe_plan
+from repro.hashing.murmur3 import murmur3_32
 from repro.service import StreamService
 from repro.service.balancer import (
     SkewAwareBalancer,
@@ -202,9 +198,9 @@ def hashed(monkeypatch):
 
 def reference_observe(twin: SkewAwareBalancer, keys) -> None:
     """Profile as before the hash hand-over: hash the *sample*."""
-    histogram = workload_histogram(
+    histogram = np.bincount(
         shard_of_keys(twin.sample_keys(keys), twin.primaries),
-        twin.primaries)
+        minlength=twin.primaries)
     twin.last_histogram = histogram
     twin.apply_plan(greedy_secpe_plan(histogram, twin.secondaries,
                                       twin.primaries))
@@ -322,18 +318,6 @@ class TestHashOnce:
                 for batch in batches] == expected
         assert hashed == [BELOW_SAMPLE] * 4
 
-    def test_by_key_split_does_not_use_or_keep_the_hashes(self, hashed):
-        balancer, twin = SkewAwareBalancer(4), SkewAwareBalancer(4)
-        batch = numbered(1.5, BELOW_SAMPLE, seed=7)
-        balancer.observe(batch.keys)
-        reference_observe(twin, batch.keys)
-        assert routed(balancer.split(batch, by_key=True)) \
-            == routed(twin._split_by_key(batch))
-        expected = reference_split(balancer, batch)
-        del hashed[:]
-        assert routed(balancer.split(batch)) == expected
-        assert hashed == [BELOW_SAMPLE]
-
     def test_split_without_observe_routes_by_shard_of_keys(self, hashed):
         balancer = SkewAwareBalancer(4)
         batch = numbered(1.5, BELOW_SAMPLE, seed=8)
@@ -402,6 +386,92 @@ class TestShardRouting:
             assert shard_of_keys(keys[:0], shards).dtype == np.int64
 
 
+def by_key_worker(balancer: SkewAwareBalancer, key: int) -> int:
+    """A by-key tuple's worker, by the scalar hash: its shard's team
+    lane that the ``TEAM_SEED`` hash of the key picks."""
+    team = balancer.team_of(
+        murmur3_32(key, balancer_module.FLEET_SHARD_SEED)
+        % balancer.primaries)
+    return team[murmur3_32(key, SkewAwareBalancer.TEAM_SEED) % len(team)]
+
+
+@st.composite
+def planned_fleets(draw):
+    """A fleet of M = 1, 3 or 4 primaries and a random helper plan."""
+    workers, secondaries = draw(st.sampled_from(
+        [(1, 0), (2, 1), (4, 1), (5, 1), (6, 2), (7, 3)]))
+    primaries = workers - secondaries
+    targets = draw(st.lists(st.integers(0, primaries - 1),
+                            min_size=secondaries, max_size=secondaries))
+    return workers, secondaries, SchedulingPlan(
+        pairs=[(primaries + i, t) for i, t in enumerate(targets)])
+
+
+class TestByKeyRouting:
+    """A by-key split is a stateless lane rule: each tuple's worker is a
+    function of its key and the plan in force, never of history."""
+
+    @settings(deadline=None, max_examples=30)
+    @given(keys=st.lists(st.one_of(st.integers(0, 15),
+                                   st.integers(0, (1 << 64) - 1)),
+                         min_size=1, max_size=300),
+           fleet=planned_fleets(),
+           history=planned_fleets(),
+           observed=st.booleans())
+    def test_each_tuple_goes_to_its_key_hashed_team_lane(
+            self, keys, fleet, history, observed):
+        workers, secondaries, plan = fleet
+        batch = TupleBatch(np.array(keys, dtype=np.uint64),
+                           np.arange(len(keys), dtype=np.int64))
+        calls = []
+        murmur = balancer_module.murmur3_32_array
+
+        def counting(array, *args, **kwargs):
+            calls.append(len(array))
+            return murmur(array, *args, **kwargs)
+
+        balancer = SkewAwareBalancer(workers, secondaries=secondaries,
+                                     auto_replan=False)
+        balancer.apply_plan(plan)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(balancer_module, "murmur3_32_array", counting)
+            if observed:
+                balancer.observe(batch.keys)
+            parts = balancer.split(batch, by_key=True)
+        expected = np.array([by_key_worker(balancer, key) for key in keys])
+        assert list(parts) == sorted(parts)
+        for worker, part in parts.items():
+            # Stream order, nothing lost: the values number the tuples.
+            assert np.array_equal(part.values,
+                                  np.nonzero(expected == worker)[0])
+            assert np.array_equal(part.keys, batch.keys[part.values])
+        assert sum(len(part) for part in parts.values()) == len(keys)
+        # Every key whole: one worker per key within the split.
+        owners = {}
+        for worker, part in parts.items():
+            for key in part.keys.tolist():
+                assert owners.setdefault(key, worker) == worker
+        # The window is hashed once (observed or not); only the tuples
+        # of multi-lane teams are hashed again, for their lane.
+        shards = shard_of_keys(batch.keys, balancer.primaries)
+        multi_lane = [int(np.count_nonzero(shards == primary))
+                      for primary in range(balancer.primaries)
+                      if len(balancer.team_of(primary)) > 1]
+        assert calls == [len(keys)] + [n for n in multi_lane if n]
+        # History-independent: another plan's split and two reshapes
+        # later, the same plan routes exactly as a fresh balancer's.
+        h_workers, h_secondaries, h_plan = history
+        balancer.reconfigure(h_workers, secondaries=h_secondaries)
+        balancer.apply_plan(h_plan)
+        balancer.split(batch, by_key=True)
+        balancer.reconfigure(workers, secondaries=secondaries)
+        balancer.apply_plan(plan)
+        assert [(worker, part.values.tolist()) for worker, part
+                in balancer.split(batch, by_key=True).items()] \
+            == [(worker, part.values.tolist())
+                for worker, part in parts.items()]
+
+
 class TestExternalControl:
     def test_observe_without_auto_replan_only_histograms(self):
         balancer = SkewAwareBalancer(4, auto_replan=False)
@@ -447,79 +517,6 @@ class TestExternalControl:
         balancer = SkewAwareBalancer(4)
         with pytest.raises(ValueError, match="at least one primary"):
             balancer.reconfigure(4, secondaries=4)
-
-
-class TestByKeyStability:
-    """Non-splittable kernels need each key pinned to ONE worker for the
-    job's whole lifetime — across rebalances and reconfigurations."""
-
-    @settings(deadline=None, max_examples=20,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(
-        seeds=st.lists(st.integers(min_value=0, max_value=500),
-                       min_size=3, max_size=6),
-        secondaries=st.sampled_from([1, 2]),
-        grow_by=st.sampled_from([0, 2, 4]),
-    )
-    def test_by_key_owner_never_moves(self, seeds, secondaries, grow_by):
-        balancer = SkewAwareBalancer(6, secondaries=secondaries)
-        owners = {}
-        for index, seed in enumerate(seeds):
-            batch = ZipfGenerator(alpha=2.0, seed=seed).generate(1_500)
-            balancer.observe(batch.keys)  # replans between windows
-            if grow_by and index == len(seeds) // 2:
-                balancer.reconfigure(balancer.workers + grow_by)
-            parts = balancer.split(batch, by_key=True)
-            # Conservation: every tuple routed exactly once.
-            assert sum(len(part) for part in parts.values()) == len(batch)
-            for worker, part in parts.items():
-                for key in np.unique(part.keys):
-                    assert owners.setdefault(int(key), worker) == worker, \
-                        f"key {key:#x} moved workers"
-
-    def test_shrink_reassigns_only_orphaned_keys(self):
-        balancer = SkewAwareBalancer(8, secondaries=2)
-        batch = ZipfGenerator(alpha=1.2, seed=4).generate(4_000)
-        balancer.observe(batch.keys)
-        before = {
-            int(key): worker
-            for worker, part in balancer.split(batch, by_key=True).items()
-            for key in np.unique(part.keys)
-        }
-        balancer.reconfigure(4)
-        after = {
-            int(key): worker
-            for worker, part in balancer.split(batch, by_key=True).items()
-            for key in np.unique(part.keys)
-        }
-        assert set(after.values()) <= set(range(4))
-        for key, worker in before.items():
-            if worker < 4:  # owner survived the shrink
-                assert after[key] == worker
-
-    def test_reset_key_ownership_forgets_assignments(self):
-        balancer = SkewAwareBalancer(4, secondaries=1)
-        batch = TupleBatch.from_keys(
-            np.full(100, 0x51, dtype=np.uint64))
-        balancer.observe(batch.keys)
-        balancer.split(batch, by_key=True)
-        assert balancer._key_owner
-        balancer.reset_key_ownership()
-        assert not balancer._key_owner
-
-
-class TestProfilerExposure:
-    def test_workload_histogram_counts_destinations(self):
-        hist = workload_histogram([0, 1, 1, 3], pripes=4)
-        assert hist.tolist() == [1, 2, 0, 1]
-        with pytest.raises(ValueError, match=r"\[0, pripes\)"):
-            workload_histogram([5], pripes=4)
-
-    def test_plan_for_destinations_matches_manual_pipeline(self):
-        destinations = [0] * 70 + [1] * 20 + [2] * 10
-        plan = plan_for_destinations(destinations, secpes=2, pripes=3)
-        # Both helpers go to the dominant destination: 70/3 > 20, 10.
-        assert [pripe for _, pripe in plan.pairs] == [0, 0]
 
 
 class TestFactory:

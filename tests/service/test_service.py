@@ -101,28 +101,6 @@ class TestHeavyHitterIntegrity:
         assert hitters[7] >= 300
 
 
-class TestByKeyOwnershipLifecycle:
-    def test_key_ownership_resets_between_jobs(self):
-        """Sticky by-key pins are a per-job contract: a later job must
-        place its keys under the current plan, and the ownership map
-        must not accumulate every tenant's key universe."""
-        svc = StreamService(workers=2, balancer="skew")
-        first_keys = np.arange(1_000, dtype=np.uint64)
-        svc.submit("hhd", chunk_stream(TupleBatch.from_keys(first_keys),
-                                       500),
-                   window_seconds=WINDOW, params={"threshold": 10})
-        svc.run()
-        second_keys = np.arange(50_000, 50_400, dtype=np.uint64)
-        svc.submit("hhd", chunk_stream(TupleBatch.from_keys(second_keys),
-                                       200),
-                   window_seconds=WINDOW, params={"threshold": 10})
-        svc.run()
-        svc.shutdown()
-        owned = set(svc.balancer._key_owner)
-        assert owned <= set(second_keys.tolist())
-        assert not owned & set(first_keys.tolist())
-
-
 class TestServiceRestart:
     def test_service_usable_again_after_shutdown(self):
         svc = StreamService(workers=2, balancer="skew")
