@@ -9,6 +9,17 @@ skew handling, are split between the PriPE and its SecPEs and re-combined
 by the merger (count-min sketches merge by element-wise addition, and
 min-estimates only improve after merging).
 
+The fast-path hook :meth:`HeavyHitterKernel.process_shard` works on a
+shard's distinct keys and is bit-identical to the per-tuple loop on
+fresh sketches, by two exact facts.  A key's cells depend on the key
+alone (its PriPE and ``h_r(key)``), so a cell's final total is the summed
+count of the distinct keys mapping to it, and a key's minimum over its
+cells is the estimate ``collect`` reads.  Estimates only grow, so a key's
+candidacy is decided at its last occurrence, where each of its cells
+holds at least its own count: a key counted ``track_fraction *
+threshold`` times is tracked.  Only a key reaching the threshold below
+that line, through collisions, is replayed up to its last occurrence.
+
 The paper's uniform-comparison dataset has "half of the tuples with the
 same key" — a single guaranteed heavy hitter — which
 :func:`half_duplicate_stream` generates.
@@ -21,7 +32,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.fastpath import stable_order
 from repro.core.kernel import KernelSpec
 from repro.hashing.family import PairwiseFamily
 from repro.resources.estimator import AppResourceProfile
@@ -113,49 +123,36 @@ class HeavyHitterKernel(KernelSpec):
 
     def process_shard(self, keys: np.ndarray,
                       values: np.ndarray) -> Tuple[np.ndarray, Dict[int, int]]:
-        # Exact shard replay of the per-tuple loop on fresh sketches.
-        # The running estimate a tuple sees is, per row, its 1-based
-        # rank among this shard's tuples hitting the same cell — a
-        # (PE, column) pair of the sketches laid side by side;
-        # estimates are monotone over time, so a key's candidacy (and
-        # stored estimate) is decided at its *last* occurrence — both
-        # are recoverable without stepping tuples.
+        # Bit-identical to the per-tuple loop on fresh sketches, from
+        # the distinct keys.  A key's cells depend on the key alone, so
+        # one bincount of the distinct keys' counts is every cell's
+        # final total, and a gather and a min every key's final
+        # estimate.  Estimates only grow, so candidacy is decided at a
+        # key's last occurrence, where its cells hold at least its own
+        # count: only a key counted below the track line that reaches
+        # the threshold has its cells counted up to that occurrence.
         keys = np.asarray(keys, dtype=np.uint64)
         destinations = self.route_array(keys)
-        n = keys.size
-        base = destinations * self.width
-        sketches = np.zeros((self.depth, self.pripes, self.width),
-                            dtype=np.int64)
-        counters = sketches.reshape(self.depth, -1)  # a view: (PE, column)
-        estimates = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-        positions = np.arange(n)
-        new_run = np.ones(n, dtype=bool)
-        running = np.empty(n, dtype=np.int64)
-        for row in range(self.depth):
-            cells = base + self.family.hash_array(row, keys)
-            order = stable_order(cells, self.pripes * self.width)
-            sorted_cells = cells[order]
-            np.not_equal(sorted_cells[1:], sorted_cells[:-1],
-                         out=new_run[1:])
-            running[order] = positions + 1 - np.maximum.accumulate(
-                np.where(new_run, positions, 0))
-            np.minimum(estimates, running, out=estimates)
-            np.add.at(counters[row], cells, 1)
-        # Each PE's thresholds are evaluated on its private sketch.
-        buffers = [SketchBuffer(cms=sketches[:, pe])
-                   for pe in range(self.pripes)]
-        reversed_uniques, reversed_first = np.unique(keys[::-1],
-                                                     return_index=True)
-        last_seen = n - 1 - reversed_first
-        final = estimates[last_seen]
-        tracked = final >= self.track_fraction * self.threshold
-        # Ascending key order within each PE's table.
-        for key, pe, estimate in zip(
-                reversed_uniques[tracked].tolist(),
-                destinations[last_seen[tracked]].tolist(),
-                final[tracked].tolist()):
-            buffers[pe].candidates[key] = estimate
-        return destinations, self.collect(buffers)
+        uniques, counts = np.unique(keys, return_counts=True)
+        pes = self.pripe_of(uniques)
+        # Cells of the (d, M, w) sketches laid side by side.
+        row_base = np.arange(self.depth)[:, None] * (self.pripes * self.width)
+        cells = self.family.hash_rows(uniques) + (pes * self.width + row_base)
+        totals = np.bincount(cells.ravel(), np.tile(counts, self.depth))
+        final = totals[cells].min(axis=0).astype(np.int64)
+        line = self.track_fraction * self.threshold
+        hitters = final >= self.threshold
+        doubtful = np.flatnonzero(hitters & (counts < line))
+        if doubtful.size:
+            inverse = np.searchsorted(uniques, keys)
+            for at in doubtful.tolist():
+                upto = np.flatnonzero(inverse == at)[-1] + 1
+                running = cells[:, inverse[:upto]] == cells[:, at, None]
+                hitters[at] = running.sum(axis=1).min() >= line
+        # PE-major, ascending key within each PE's table.
+        order = np.argsort(pes[hitters], kind="stable")
+        return destinations, dict(zip(uniques[hitters][order].tolist(),
+                                      final[hitters][order].tolist()))
 
     def merge_into(self, primary: SketchBuffer,
                    secondary: SketchBuffer) -> None:
@@ -201,24 +198,24 @@ class HeavyHitterKernel(KernelSpec):
     def golden(self, keys: np.ndarray, values: np.ndarray) -> Dict[int, int]:
         """Reference detection using the same per-PE sketch construction.
 
-        Vectorised: updates each PE's sketch with numpy scatter-adds, then
-        evaluates every distinct key against its PE's sketch.
+        Vectorised: hashes each PE's distinct keys once for every row,
+        scatter-adds the PE's tuples into its own dense sketch, then
+        reads every distinct key's estimate with one gather.
         """
         keys = np.asarray(keys, dtype=np.uint64)
         routes = self.route_array(keys)
+        rows = np.arange(self.depth)[:, None]
         hitters: Dict[int, int] = {}
         for pe in range(self.pripes):
-            pe_keys = keys[routes == pe]
-            if pe_keys.size == 0:
-                continue
+            uniques, inverse = np.unique(keys[routes == pe],
+                                         return_inverse=True)
+            cols = self.family.hash_rows(uniques)
             cms = np.zeros((self.depth, self.width), dtype=np.int64)
-            for row in range(self.depth):
-                cols = self.family.hash_array(row, pe_keys)
-                np.add.at(cms[row], cols, 1)
-            for key in np.unique(pe_keys):
-                estimate = self.estimate_from(cms, int(key))
-                if estimate >= self.threshold:
-                    hitters[int(key)] = estimate
+            np.add.at(cms, (rows, cols[:, inverse]), 1)
+            estimates = cms[rows, cols].min(axis=0)
+            hit = estimates >= self.threshold
+            hitters.update(zip(uniques[hit].tolist(),
+                               estimates[hit].tolist()))
         return hitters
 
     def resource_profile(self) -> AppResourceProfile:

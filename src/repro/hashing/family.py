@@ -67,23 +67,23 @@ class PairwiseFamily:
         value = (self._a[row] * key + self._b[row]) % _MERSENNE_P
         return value % self.width
 
-    def hash_array(self, row: int, keys: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`hash` for one row over many keys.
+    def hash_rows(self, keys: np.ndarray) -> np.ndarray:
+        """Every row's :meth:`hash` of every key, as ``(rows, n)`` int64.
 
         Exact in ``uint64``, no Python-object arithmetic.  With
-        ``p = 2^61 - 1``: the key is folded below ``p``, ``a`` and the
-        key are split into a 31-bit low and a 30-bit high limb, and the
-        limb products are reduced with ``2^61 = 1`` and ``2^62 = 2``
-        (mod p), which keeps the partial sum under ``2^64``.
+        ``p = 2^61 - 1``: the keys are folded below ``p`` and split into
+        a 31-bit low and a 30-bit high limb once, ``a`` is split the
+        same way per row, and the limb products are reduced with
+        ``2^61 = 1`` and ``2^62 = 2`` (mod p), which keeps the partial
+        sum under ``2^64``.  The ``d`` coefficient pairs broadcast over
+        the keys' limbs.
         """
-        if not 0 <= row < self.rows:
-            raise IndexError(f"row {row} out of range 0..{self.rows - 1}")
-        keys = np.asarray(keys, dtype=np.uint64)
-        a_hi, a_lo = (np.uint64(limb)
-                      for limb in divmod(self._a[row], 1 << 31))
-        k = _fold_mersenne(keys)
+        k = _fold_mersenne(np.asarray(keys, dtype=np.uint64))
         k_hi = k >> _U31
         k_lo = k & _LOW31
+        a = np.array(self._a, dtype=np.uint64)[:, None]
+        a_hi = a >> _U31
+        a_lo = a & _LOW31
         # a*k = a_hi*k_hi * 2^62 + mid * 2^31 + a_lo*k_lo, and
         # mid * 2^31 = (mid >> 30) * 2^61 + (mid & (2^30 - 1)) * 2^31.
         mid = a_hi * k_lo + a_lo * k_hi                      # < 2^62
@@ -91,10 +91,6 @@ class PairwiseFamily:
                  + (mid >> _U30)                             # < 2^32
                  + ((mid & _LOW30) << _U31)                  # < 2^61
                  + a_lo * k_lo                               # < 2^62
-                 + np.uint64(self._b[row]))                  # < 2^61
+                 + np.array(self._b, dtype=np.uint64)[:, None])  # < 2^61
         hashed = _fold_mersenne(total) % np.uint64(self.width)
         return hashed.astype(np.int64)
-
-    def all_rows(self, key: int) -> List[int]:
-        """All ``d`` row indices of ``key`` — one CMS update touches these."""
-        return [self.hash(row, key) for row in range(self.rows)]

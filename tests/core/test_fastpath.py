@@ -10,7 +10,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import repro.apps.heavy_hitter
 import repro.apps.hyperloglog
 import repro.apps.partition
 import repro.core.fastpath
@@ -23,6 +22,7 @@ from repro.core.architecture import SkewObliviousArchitecture
 from repro.core.config import ArchitectureConfig
 from repro.core.fastpath import run_fast, validate_engine
 from repro.core.kernel import KernelSpec
+from repro.hashing.family import PairwiseFamily
 from repro.runtime import StreamingSession
 from repro.workloads.tuples import TupleBatch
 from repro.workloads.zipf import ZipfGenerator
@@ -177,7 +177,7 @@ class TestPerShardCost:
         count(repro.core.fastpath, "group_spans", "run_fast.group_spans")
         count(repro.apps.partition, "group_spans", "dp.group_spans")
         count(repro.core.fastpath, "stable_order", "dp.stable_order")
-        count(repro.apps.heavy_hitter, "stable_order", "hhd.stable_order")
+        count(PairwiseFamily, "hash_rows", "hhd")
         count(np, "argsort", "argsort")
 
         for shard in range(self.SHARDS):
@@ -186,20 +186,19 @@ class TestPerShardCost:
 
         assert calls["process_shard"] == self.SHARDS
         # The shard's hash serves routing and reducing alike.
-        for hashed in ("histo", "hll", "dp"):
+        # (HHD hashes the shard's distinct keys once, for every row.)
+        for hashed in ("histo", "hll", "dp", "hhd"):
             assert calls[hashed] == (self.SHARDS if app == hashed else 0)
-        if app in ("histo", "hll", "pagerank"):
+        if app in ("histo", "hll", "pagerank", "hhd"):
             assert calls["make_buffer"] == 0
         assert calls["run_fast.group_spans"] == 0
-        # DP groups by partition id once per shard, HHD sorts each
-        # sketch row's cells; both through the narrow-label sort, and
-        # nobody else sorts.
+        # DP groups by partition id once per shard through the
+        # narrow-label sort, HHD orders its hitters by PE; nobody else
+        # sorts.
         assert calls["dp.group_spans"] == (self.SHARDS if app == "dp" else 0)
         assert calls["dp.stable_order"] == calls["dp.group_spans"]
-        assert calls["hhd.stable_order"] == (
-            self.SHARDS * kernel.depth if app == "hhd" else 0)
-        assert calls["argsort"] == (calls["dp.stable_order"]
-                                    + calls["hhd.stable_order"])
+        assert calls["argsort"] == (
+            calls["dp.stable_order"] + (self.SHARDS if app == "hhd" else 0))
 
 
 class _LoopOnlyKernel(KernelSpec):

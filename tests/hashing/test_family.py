@@ -20,8 +20,6 @@ def test_validation():
     fam = PairwiseFamily(2, 8)
     with pytest.raises(IndexError):
         fam.hash(2, 1)
-    with pytest.raises(IndexError):
-        fam.hash_array(5, np.array([1], dtype=np.uint64))
 
 def test_deterministic_for_seed():
     a = PairwiseFamily(3, 64, seed=7)
@@ -31,31 +29,32 @@ def test_deterministic_for_seed():
     assert [a.hash(1, k) for k in keys] == [b.hash(1, k) for k in keys]
     assert [a.hash(1, k) for k in keys] != [c.hash(1, k) for k in keys]
 
-@given(st.integers(min_value=0, max_value=(1 << 62) - 1),
-       st.integers(min_value=0, max_value=3))
-def test_property_scalar_vector_agree_and_in_range(key, row):
+@given(st.integers(min_value=0, max_value=(1 << 62) - 1))
+def test_property_scalar_vector_agree_and_in_range(key):
     fam = PairwiseFamily(4, 97, seed=3)
-    scalar = fam.hash(row, key)
-    vector = fam.hash_array(row, np.array([key], dtype=np.uint64))
-    assert scalar == int(vector[0])
-    assert 0 <= scalar < 97
+    vector = fam.hash_rows(np.array([key], dtype=np.uint64))
+    assert vector.shape == (4, 1)
+    assert vector[:, 0].tolist() == [fam.hash(row, key) for row in range(4)]
+    assert all(0 <= col < 97 for col in vector[:, 0].tolist())
 
 @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1),
                 max_size=50),
        st.sampled_from([1, 97, 1024, (1 << 40) + 1]),
        st.booleans())
-def test_property_hash_array_is_exact_over_all_of_uint64(keys, width,
-                                                         extreme):
-    """``hash_array`` reduces mod 2^61 - 1 in uint64 limbs; it must equal
-    the arbitrary-precision scalar on every key a uint64 can hold, also
-    with the largest coefficients the family can draw."""
+def test_property_hash_rows_is_exact_over_all_of_uint64(keys, width,
+                                                        extreme):
+    """``hash_rows`` reduces mod 2^61 - 1 in uint64 limbs; every row must
+    equal the arbitrary-precision scalar on every key a uint64 can hold,
+    also with the largest coefficients the family can draw."""
     fam = PairwiseFamily(2, width, seed=3)
     if extreme:
         fam._a[0] = fam._b[0] = _MERSENNE_P - 1
     keys = EDGE_KEYS + keys
-    vector = fam.hash_array(0, np.array(keys, dtype=np.uint64))
+    vector = fam.hash_rows(np.array(keys, dtype=np.uint64))
     assert vector.dtype == np.int64
-    assert vector.tolist() == [fam.hash(0, key) for key in keys]
+    assert vector.shape == (2, len(keys))
+    for row in range(2):
+        assert vector[row].tolist() == [fam.hash(row, key) for key in keys]
 
 def test_rows_are_distinct_functions():
     fam = PairwiseFamily(4, 1024, seed=1)
@@ -63,14 +62,8 @@ def test_rows_are_distinct_functions():
     rows = [tuple(fam.hash(r, k) for k in keys) for r in range(4)]
     assert len(set(rows)) == 4
 
-def test_all_rows_returns_one_index_per_row():
-    fam = PairwiseFamily(5, 128)
-    idx = fam.all_rows(123456)
-    assert len(idx) == 5
-    assert all(0 <= i < 128 for i in idx)
-
 def test_near_uniform_spread():
     fam = PairwiseFamily(1, 16, seed=9)
-    cols = fam.hash_array(0, np.arange(16_000, dtype=np.uint64))
+    cols = fam.hash_rows(np.arange(16_000, dtype=np.uint64))[0]
     counts = np.bincount(cols, minlength=16)
     assert counts.max() < 1.3 * counts.mean()
