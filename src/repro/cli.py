@@ -602,9 +602,10 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["inline", "process"],
                        help="execution backend: shards run inline on "
                             "the dispatcher thread (deterministic "
-                            "default) or on warm pre-forked worker "
-                            "subprocesses (multi-core wall-time; "
-                            "identical results)")
+                            "default) or on at most cores-1 warm "
+                            "children, one per spare CPU, fed one "
+                            "shared-memory block per child per window "
+                            "(multi-core wall time; identical results)")
         p.add_argument("--adaptive", action="store_true",
                        help="enable the adaptive control plane: drift "
                             "detection, cost-aware replanning with plan "

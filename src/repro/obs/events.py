@@ -55,8 +55,8 @@ GATEWAY_ABORT = "gateway.abort"  #: an open stream aborted
 # --- execution backend (repro.service.pool / procpool) ---
 BACKEND_FORK = "backend.fork"        #: worker minted (inline or fork)
 BACKEND_DRAIN = "backend.drain"      #: drain barrier completed
-BACKEND_CRASH = "backend.crash"      #: worker subprocess died
-BACKEND_RESPAWN = "backend.respawn"  #: crashed worker replaced
+BACKEND_CRASH = "backend.crash"      #: a child process died
+BACKEND_RESPAWN = "backend.respawn"  #: crashed child replaced
 BACKEND_SHARD_RETRY = "backend.shard.retry"  #: lost shard replayed
 
 # --- shared-memory shard transport (repro.service.shm) ---

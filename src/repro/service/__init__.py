@@ -27,9 +27,10 @@ workers serving many clients:
     streaming sessions, every shard run on the dispatcher thread — no
     worker threads (deterministic default, trace order included).
 ``procpool``
-    The ``"process"`` adapter: K warm, pre-forked worker subprocesses
-    fed shards through a shared-memory slab arena — the multi-core
-    raw-speed path, bit-identical to inline.
+    The ``"process"`` adapter: the K workers hosted on at most
+    cores − 1 warm children, each fed one shared-memory slab
+    block per window — the multi-core raw-speed path, bit-identical to
+    inline.
 ``dispatcher``
     The serving loop between ``queue`` and the backend as one unit,
     :class:`~repro.service.dispatcher.Dispatcher`, stepped on the

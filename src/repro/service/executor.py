@@ -13,11 +13,13 @@ adapters:
     fleet's parallelism is simulated-cycle accounting only.
 
 ``repro.service.procpool.ProcessBackend`` (``backend="process"``)
-    K warm, pre-forked worker subprocesses that stay up across jobs.
-    Shards are written once into a shared-memory slab arena
-    (:mod:`repro.service.shm`) and only a descriptor crosses each
-    worker's pipe; per-(worker, job) sessions live in the child, and
-    partial results come back as compact
+    The same K logical workers hosted on at most cores − 1 warm child
+    processes, one per spare CPU (worker ``w`` in child
+    ``w % spare``), that stay up across jobs.  Each child gets one
+    block per window: its workers' shards are written once into a
+    shared-memory slab arena (:mod:`repro.service.shm`) and one
+    descriptor crosses its pipe; per-(worker, job) sessions live in the
+    child, and partial results come back as compact
     :class:`~repro.runtime.session.SessionSnapshot`s on collection.
     This is the multi-core raw-speed path (the ModelOps warm-pool shape:
     processes are forked once and reused, never cold-started per job).
@@ -155,7 +157,7 @@ def make_backend(
 
     ``spec_factory`` maps a job id to its :class:`SessionSpec`; the
     inline adapter builds sessions from it directly, the process adapter
-    ships the spec to the owning subprocess on the job's first shard.
+    ships the spec to each hosting child with the job's first block.
     ``tracer`` is the service's shared
     :class:`~repro.obs.collector.TraceCollector` (or None for a disabled
     one) — both adapters emit segment and lifecycle events through it.

@@ -1,64 +1,77 @@
-"""Process execution backend: K warm, pre-forked worker subprocesses.
+"""Process execution backend: K logical workers on at most cores − 1
+warm child processes.
 
 The ``backend="process"`` adapter of the
 :class:`~repro.service.executor.ExecutionBackend` port.  Where the
 inline adapter (:mod:`repro.service.pool`) runs every shard on the
-dispatcher thread — deterministic, one core — this one forks K worker
-subprocesses once and keeps them warm across jobs, the ModelOps
+dispatcher thread — deterministic, one core — this one runs them in
+child processes forked once and kept warm across jobs (the ModelOps
 warm-pool shape: no per-job cold start, routing stays the balancer's
-problem, and partial results merge on collection.
+problem, partial results merge on collection).
 
-Each child owns one duplex pipe.  Job descriptions cross it once per
-(worker, job) as a picklable
-:class:`~repro.service.executor.SessionSpec`; partial results come back
-as compact :class:`~repro.runtime.session.SessionSnapshot`s.  Window
-shards never cross it as bytes: their key/value arrays are written once
-into a shared-memory slab (:class:`~repro.service.shm.SlabArena`) and
-the pipe carries only a small
-:class:`~repro.service.shm.ShardDescriptor` (which names both dtypes);
-the child builds read-only NumPy views straight over the shared mapping.
-Blocks recycle through a per-worker consumed-sequence handshake (no
-reverse pipe traffic).  When the arena is full, dispatch waits for that
-handshake, bounded by ``join_timeout``: a holder found dead meanwhile is
-revived and replayed (below), and a wait that times out fails the
-shard's job through the error ledger.
+Hosting rule.  K stays the fleet's *logical* worker count — worker ids,
+per-(worker, generation) sessions, segment records and the merge order
+are the inline pool's.  The processes that host them are sized to the
+host instead: one CPU of the affinity set stays the dispatcher's, and
+each spare CPU gets at most one child.  Worker ``w`` lives in child
+``w % max(1, spare)``; a child is forked the first time a minted worker
+maps to it, so K ≤ spare CPUs keeps one child per worker and a 2-core
+host runs one child.  (Pinning each child to its CPU was measured and
+did not pay: the kernel already keeps one busy child off the
+dispatcher's CPU.)  The map never moves a live
+session: a shrink takes the removed workers' sessions back as orphans
+and their host keeps serving its other workers.
 
-Determinism contract: the child records each segment's (job, tenant,
-tuples, cycles, dispatch clock) locally and ships the ledger back on
-:meth:`ProcessBackend.drain`, where the parent folds it into the shared
-:class:`~repro.service.metrics.ServiceMetrics`.  Segment accounting is
-commutative per worker, and the dispatch clock is advanced only by the
-dispatcher thread, so metrics snapshots after a drain are identical to
-the inline backend's (the only backend-variant section of the snapshot
-is the dedicated ``transport`` counter block).  Collection merges
-partials in ascending (worker_id, generation) order — the same fixed
-order the inline adapter uses — which keeps order-sensitive reductions
+One block per child per window.  :meth:`ProcessBackend.dispatch` only
+stages a shard on its host's list (and in the crash-replay ledger).  A
+host's staged shards ship together when the next window begins there
+(a shard arrives for a worker already staged), before a shard of other
+dtypes, and at the start of ``drain``, ``collect``, ``resize`` and
+``stop``: one :meth:`~repro.service.shm.SlabArena.write_block` into the
+shared-memory arena (:mod:`repro.service.shm`, one consumed-sequence
+ring per child) and one ``("window", descriptor, entries)`` pipe
+message, whose entries name each shard's worker, job, tenant, dispatch
+clock and ``[start, stop)`` range in the block.  The child runs the
+entries in order on their (worker, job) sessions over read-only views,
+then publishes the block's sequence once.  Job specs
+(:class:`~repro.service.executor.SessionSpec`) cross the pipe once per
+(child, job); partials come back as
+:class:`~repro.runtime.session.SessionSnapshot`s.  When the arena is
+full, shipping waits for the handshake, bounded by ``join_timeout``: a
+holder found dead meanwhile is revived and replayed (below), and a wait
+that times out fails the block's jobs through the error ledger.
+
+Determinism contract: a child records each segment's (worker, job,
+tenant, tuples, cycles, dispatch clock) locally, and every reply it
+sends carries that ledger back, where the parent folds it into the
+shared :class:`~repro.service.metrics.ServiceMetrics`.  Segment
+accounting is commutative per worker, and the dispatch clock is
+advanced only by the dispatcher thread, so metrics snapshots after a
+drain are identical to the inline backend's (the only backend-variant
+section of the snapshot is the dedicated ``transport`` counter block).
+Collection merges partials in ascending (worker_id, generation) order —
+the inline adapter's order — which keeps order-sensitive reductions
 (partition lists) bit-identical across backends.
 
 Crash recovery replays instead of failing: the parent retains a
 reference to every dispatched shard of each live job (the arrays the
-balancer already materialized — released when the job collects).  When
-a child dies mid-job, its replacement is respawned at the same worker
-id and the retained ledger is replayed to it in the original dispatch
-order, rebuilding the per-(worker, job) sessions bit-identically.
-Shards whose segment records were already folded into the metrics
-replay with ``record=False`` (the child reprocesses them for session
-state but ships no duplicate record), so crash recovery never
-double-counts a segment.  Only a second failure during replay gives up
-and fails the job the old way.
-
-Like the inline pool, sessions/snapshots are tagged with a pool
-generation (bumped whenever new workers are minted), so a worker id
-reissued after shrink-then-grow can never adopt a removed worker's
-retained partial.
+balancer already materialized — released when the job collects), per
+host in dispatch order.  When a child dies, its replacement is forked
+at the same index and the retained ledger — every worker it
+hosted — is replayed to it in order, rebuilding the sessions
+bit-identically.  Shards whose segment records were already folded
+replay with ``record=False``, so recovery never double-counts a
+segment.  Only a second failure during replay gives up and fails the
+host's jobs.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 import traceback
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro import wallclock
 from repro.obs import events as trace_events
@@ -76,134 +89,188 @@ from repro.service.shm import (
 from repro.workloads.tuples import TupleBatch
 
 #: Fork is required: children must inherit the imported code (spawn
-#: would re-import, which also works, but fork keeps warm start cheap
-#: and matches the pre-forked-pool design).
+#: would re-import, which also works, but fork keeps warm start cheap).
 _CTX = multiprocessing.get_context("fork")
 
 #: Seconds between arena retries while a full arena waits for children
 #: to consume their blocks.
 _ARENA_POLL = 0.0005
 
+#: What a pipe to a dead child raises.
+_PIPE_ERRORS = (BrokenPipeError, EOFError, OSError)
 
-def _child_main(conn, worker_id: int, ctrl_name: str) -> None:  # hot-path
-    """One warm worker subprocess: drain the pipe until handoff.
+#: A staged shard: (worker_id, item, record its segment).
+_Staged = Tuple[int, WorkItem, bool]
 
-    State lives entirely in this process: job specs, per-job streaming
-    sessions, and the segment/error ledgers that ship back on flush.
-    ``ctrl_name`` is the arena control block; slabs attach lazily on
-    their first descriptor.
+
+def _spare_cores() -> int:
+    """CPUs left for warm children: the affinity set (or, where the
+    platform has none, ``os.cpu_count()``) minus the dispatcher's.  The
+    one place the hosting map reads the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) - 1
+    return (os.cpu_count() or 1) - 1
+
+
+def _child_main(conn, slot: int, ctrl_name: str) -> None:
+    """One warm child: run its workers' window blocks until handoff.
+
+    ``slot`` is this child's consumed-sequence slot in the arena control
+    block ``ctrl_name``; slabs attach lazily.
+    """
+    slabs = SlabClient(ctrl_name)
+    try:
+        _serve(conn, slot, slabs)
+    finally:
+        # Close the mappings once _serve's frame — and with it every
+        # local still viewing a slab — is gone.
+        slabs.detach()
+
+
+def _serve(conn, slot: int, slabs: SlabClient) -> None:  # hot-path
+    """The child's message loop.
+
+    State lives entirely in this process: job specs, the hosted
+    workers' per-(worker, job) sessions, and the segment/error ledgers
+    every reply ships back.
     """
     specs: Dict[str, SessionSpec] = {}
-    sessions: Dict[str, StreamingSession] = {}
-    #: (job_id, tenant, tuples, cycles, dispatch_clock) — the trace
-    #: context rides the ledger so the parent can emit segment events
-    #: with the clock stamped at dispatch time, not drain time.
-    records: List[Tuple[str, str, int, int, int]] = []
+    sessions: Dict[Tuple[int, str], StreamingSession] = {}
+    #: (worker, job_id, tenant, tuples, cycles, dispatch_clock) — the
+    #: trace context rides the ledger so the parent can emit segment
+    #: events with the clock stamped at dispatch time, not drain time.
+    records: List[Tuple[int, str, str, int, int, int]] = []
     errors: List[Tuple[str, str]] = []        # (job_id, message)
-    slabs = SlabClient(ctrl_name)
-
-    try:
-        while True:
+    while True:
+        try:
+            msg = conn.recv()
+        except (EOFError, OSError):
+            return  # parent went away; daemon child just exits
+        kind = msg[0]
+        if kind == "window":
+            _, desc, entries = msg
+            keys, values = slabs.views(desc)
             try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                return  # parent went away; daemon child just exits
-            kind = msg[0]
-            if kind == "job":
-                _, job_id, spec = msg
-                specs[job_id] = spec
-            elif kind == "shard":
-                (_, job_id, tenant_id, tuple_bytes, dispatch_clock,
-                 record, desc) = msg
-                keys, values = slabs.views(desc)
-                try:
-                    session = sessions.get(job_id)
-                    if session is None:
-                        session = specs[job_id].build()
-                        sessions[job_id] = session
-                    outcome = session.process(
-                        TupleBatch(keys, values, tuple_bytes))
-                    if record:
-                        records.append((job_id, tenant_id, outcome.tuples,
-                                        outcome.cycles, dispatch_clock))
-                except Exception as exc:  # noqa: BLE001 — shipped to parent
-                    errors.append((
-                        job_id,
-                        "".join(traceback.format_exception_only(
-                            type(exc), exc)).strip(),
-                    ))
-                finally:
-                    # Drop the views, then publish the consumed
-                    # sequence so the parent can recycle the block.
-                    del keys, values
-                    slabs.done(worker_id, desc.seq)
-            elif kind == "flush":
-                conn.send(("flushed", records, errors))
-                records, errors = [], []
-            elif kind == "collect":
-                _, job_id = msg
-                session = sessions.pop(job_id, None)
-                snap = (session.snapshot()
-                        if session is not None and session.segments
-                        else None)
-                conn.send(("collected", snap))
-            elif kind == "handoff":
-                snaps = {job_id: session.snapshot()
-                         for job_id, session in sessions.items()
-                         if session.segments}
-                conn.send(("handoff", snaps, records, errors))
-                conn.close()
-                return
-    finally:
-        slabs.detach()  # close mappings before interpreter teardown
+                for (worker_id, job_id, tenant_id, tuple_bytes,
+                     clock, record, start, stop) in entries:
+                    try:
+                        session = sessions.get((worker_id, job_id))
+                        if session is None:
+                            session = specs[job_id].build()
+                            sessions[worker_id, job_id] = session
+                        outcome = session.process(TupleBatch(
+                            keys[start:stop], values[start:stop],
+                            tuple_bytes))
+                        if record:
+                            records.append((
+                                worker_id, job_id, tenant_id,
+                                outcome.tuples, outcome.cycles, clock))
+                    except Exception as exc:  # noqa: BLE001 — shipped
+                        errors.append((job_id, "".join(
+                            traceback.format_exception_only(
+                                type(exc), exc)).strip()))
+            finally:
+                # Drop the views, then publish the consumed
+                # sequence so the parent can recycle the block.
+                del keys, values
+                slabs.done(slot, desc.seq)
+            continue
+        if kind == "job":
+            specs[msg[1]] = msg[2]
+            continue
+        # A request — flush, collect or handoff: the reply carries
+        # the surrendered snapshots and both ledgers.
+        if kind == "collect":
+            taken = [key for key in sessions if key[1] == msg[1]]
+        elif kind == "handoff":
+            taken = [key for key in sessions
+                     if msg[1] is None or key[0] in msg[1]]
+        else:
+            taken = []
+        snaps = {}
+        for key in taken:
+            session = sessions.pop(key)
+            if session.segments:
+                snaps[key] = session.snapshot()
+        conn.send((snaps, records, errors))
+        records, errors = [], []
+        if kind == "handoff" and msg[1] is None:
+            conn.close()
+            return
 
 
-class _ChildHandle:
-    """Parent-side bookkeeping for one warm worker subprocess."""
+class _Host:
+    """Parent-side bookkeeping for one warm child and its workers."""
 
-    def __init__(self, worker_id: int, generation: int,
-                 ctrl_name: str) -> None:
-        self.worker_id = worker_id
-        self.generation = generation
+    def __init__(self, index: int, ctrl_name: str) -> None:
+        self.index = index
         parent_conn, child_conn = _CTX.Pipe()
         self.conn = parent_conn
         self.process = _CTX.Process(
             target=_child_main,
-            args=(child_conn, worker_id, ctrl_name),
-            name=f"pipeline-proc-{worker_id}",
+            args=(child_conn, index, ctrl_name),
+            name=f"pipeline-proc-{index}",
             daemon=True,
         )
         self.process.start()
         child_conn.close()
         #: Jobs whose SessionSpec this child has received.
         self.jobs: Set[str] = set()
+        #: Shards waiting for the next block, in dispatch order.
+        self.staged: List[_Staged] = []
+        self._staged_workers: Set[int] = set()
+        #: Crash-replay ledger: (worker_id, item) for every dispatched
+        #: shard of every live job hosted here, in dispatch order — the
+        #: WorkItems themselves (no copies); entries drop at collect.
+        self.retained: List[Tuple[int, WorkItem]] = []
+
+    def fits(self, worker_id: int, batch: TupleBatch) -> bool:
+        """Whether a shard joins the staged block: same window (its
+        worker is not staged yet) and the block's dtypes."""
+        if not self.staged:
+            return True
+        first = self.staged[0][1].batch
+        return (worker_id not in self._staged_workers
+                and batch.keys.dtype == first.keys.dtype
+                and batch.values.dtype == first.values.dtype)
+
+    def stage(self, worker_id: int, item: WorkItem, record: bool) -> None:
+        self.staged.append((worker_id, item, record))
+        self._staged_workers.add(worker_id)
+
+    def take(self) -> List[_Staged]:
+        staged, self.staged = self.staged, []
+        self._staged_workers = set()
+        return staged
 
 
 class ProcessBackend(ExecutionBackend):
-    """K warm pre-forked pipeline workers fed through a slab arena.
+    """K logical workers on at most cores − 1 warm children, fed one
+    slab-arena block per child per window.
 
     Parameters
     ----------
     workers:
-        Fleet size K, at most :data:`~repro.service.shm.CTRL_SLOTS`.
+        Logical fleet size K, at most
+        :data:`~repro.service.shm.CTRL_SLOTS`.  The child count comes
+        from the host (see the module docstring), not from K.
     spec_factory:
-        ``job_id -> SessionSpec``; the spec is shipped to the owning
-        child on the job's first shard so the child can build the
-        per-(worker, job) session itself.
+        ``job_id -> SessionSpec``; the spec is shipped to a child with
+        the first block holding the job's shards, so the child can
+        build the per-(worker, job) sessions itself.
     metrics:
         Shared :class:`~repro.service.metrics.ServiceMetrics`; child
-        segment ledgers are folded in on :meth:`drain`, and shard
+        segment ledgers are folded in as replies arrive, and shard
         transport events land in its ``transport`` counters.
     join_timeout:
-        Seconds to wait for a child to reply, to exit on :meth:`stop` /
-        scale-down before it is forcibly terminated, or to free arena
-        blocks for a shard before that shard's job fails.
+        Seconds to wait for a child to reply, to exit on :meth:`stop`
+        before it is forcibly terminated, or to free arena blocks for a
+        block before that block's jobs fail.
     tracer:
         Optional :class:`~repro.obs.collector.TraceCollector`; a
         disabled collector is installed when omitted.  Children never
         trace — their ledgers carry the context and the parent emits on
-        their behalf at drain, keeping the pipe protocol free of trace
-        traffic.
+        their behalf, keeping the pipe protocol free of trace traffic.
     slab_bytes / max_slabs:
         Arena sizing (see :class:`~repro.service.shm.SlabArena`).
     """
@@ -229,17 +296,16 @@ class ProcessBackend(ExecutionBackend):
         self.slab_bytes = slab_bytes
         self.max_slabs = max_slabs
         self._arena: Optional[SlabArena] = None
+        #: Child count: worker ``w`` lives in child ``w % _slots``.
+        self._slots = 1
+        self._hosts: Dict[int, _Host] = {}
         self._generation = 0
-        self._children: List[_ChildHandle] = []
+        #: The generation each live worker id was minted under.
+        self._generations: List[int] = [0] * workers
         #: Partials handed off by removed/stopped workers, awaiting
         #: collection, keyed (worker_id, generation, job_id).
         self._orphans: Dict[Tuple[int, int, str], SessionSnapshot] = {}
         self._errors: Dict[str, List[str]] = {}
-        #: Crash-replay ledger: every dispatched shard of every live
-        #: job, per worker, in dispatch order.  It holds the dispatched
-        #: WorkItems themselves (references to the arrays the balancer
-        #: already materialized, no copies); entries drop at collect.
-        self._retained: Dict[int, List[WorkItem]] = {}
         #: Segment records already folded into the metrics, per
         #: (worker_id, job_id) — the replay cursor that keeps crash
         #: recovery exactly-once (pipe FIFO order makes the first N
@@ -255,51 +321,49 @@ class ProcessBackend(ExecutionBackend):
             return
         self._arena = SlabArena(self.slab_bytes, self.max_slabs,
                                 metrics=self.metrics, tracer=self.tracer)
+        self._slots = max(1, _spare_cores())
         self._generation += 1
-        self._children = [self._mint(i) for i in range(self.size)]
+        self._generations = [self._generation] * self.size
         self._started = True
-        if self.tracer.enabled:
-            for child in self._children:
-                self.tracer.emit(
-                    trace_events.BACKEND_FORK,
-                    worker=child.worker_id,
-                    generation=child.generation, worker_kind="process",
-                    pid=child.process.pid)
+        self._mint(range(self.size))
 
     def stop(self) -> None:
         """Hand off every child's state, then stop the fleet.
 
-        Children flush their segment/error ledgers and surrender their
-        retained partial sessions as orphan snapshots (so a post-stop
+        Staged shards ship first.  Children then surrender their
+        partial sessions as orphan snapshots (so a post-stop
         :meth:`collect` still merges them, matching the inline pool's
-        retained ``_sessions``).  The arena is closed and unlinked here,
+        retained sessions) and exit.  The arena is closed and unlinked
         whatever else fails: stop leaves no ``/dev/shm`` residue.  The
         pool is marked stopped before any failure is surfaced, so it
         always stays restartable.
         """
         if not self._started:
             return
-        children, self._children = self._children, []
         self._started = False
-        self._retained.clear()
-        self._recorded.clear()
         stuck: List[int] = []
         try:
-            for child in children:
-                if not self._handoff(child):
+            self._ship_all()
+            for host in list(self._hosts.values()):
+                snaps = self._roundtrip(host, ("handoff", None))
+                if snaps is None:
+                    self._abandon(host)
                     continue
-                child.process.join(timeout=self.join_timeout)
-                if child.process.is_alive():
-                    child.process.terminate()
-                    child.process.join(timeout=5.0)
-                    if child.process.is_alive():
-                        stuck.append(child.worker_id)
+                self._orphan(snaps)
+                host.process.join(timeout=self.join_timeout)
+                if host.process.is_alive():
+                    host.process.terminate()
+                    host.process.join(timeout=5.0)
+                    if host.process.is_alive():
+                        stuck.append(host.index)
         finally:
+            self._hosts = {}
+            self._recorded.clear()
             self._arena.close()
             self._arena = None
         if stuck:
             raise RuntimeError(
-                f"workers {stuck} did not stop within "
+                f"worker processes {stuck} did not stop within "
                 f"{self.join_timeout:g}s (segment exceeding its cycle "
                 "budget?)")
 
@@ -307,10 +371,10 @@ class ProcessBackend(ExecutionBackend):
     # Dispatch
     # ------------------------------------------------------------------
     def dispatch(self, worker_id: int, item: WorkItem) -> None:  # hot-path
-        """Ship one shard to one child; retain it for crash replay.
+        """Stage one shard on its worker's host; retain it for replay.
 
-        A shard the arena could not place within ``join_timeout`` is
-        not sent: its job fails through the error ledger.
+        The staged block ships first if this shard starts the host's
+        next window or changes its dtypes (see the module docstring).
         """
         if not 0 <= worker_id < self.size:
             raise ValueError(f"no such worker {worker_id}")
@@ -318,24 +382,18 @@ class ProcessBackend(ExecutionBackend):
             raise RuntimeError("pool is not running; call start() first")
         if len(item.batch) == 0:
             return  # parity with the inline worker's empty-shard skip
-        retained = self._retained.setdefault(worker_id, [])
-        retained.append(item)
-        try:
-            sent = self._send(self._children[worker_id], item, record=True)
-        except (BrokenPipeError, EOFError, OSError):
-            self._revive(worker_id, crashed_while=item.job_id)
-            return
-        if not sent:
-            retained.pop()
-            self._errors.setdefault(item.job_id, []).append(
-                f"RuntimeError: no shared-memory block freed for a shard "
-                f"to worker {worker_id} within {self.join_timeout:g}s")
+        index = worker_id % self._slots
+        if not self._hosts[index].fits(worker_id, item.batch):
+            self._flush(index)
+        host = self._hosts[index]  # a crash while flushing replaced it
+        host.stage(worker_id, item, True)
+        host.retained.append((worker_id, item))
 
     def drain(self) -> None:
-        """Flush every child and fold their ledgers into the metrics.
+        """Ship every staged block, then flush every child's ledgers.
 
         The pipe is FIFO, so the flush reply doubles as a completion
-        barrier: when it arrives, every previously dispatched shard has
+        barrier: when it arrives, every block shipped before it has
         been processed.  The parent never holds a recv while a child
         waits on it, so the barrier cannot deadlock.  A child found
         dead at the barrier is revived and its retained shards replayed
@@ -344,29 +402,23 @@ class ProcessBackend(ExecutionBackend):
         """
         if not self._started:
             return
-        for worker_id in range(self.size):
-            for _ in range(2):
-                child = self._children[worker_id]
-                reply = self._roundtrip(child, ("flush",))
-                if reply is not None:
-                    _, records, errors = reply
-                    self._fold(child.worker_id, child.generation,
-                               records, errors)
-                    break
-                self._revive(worker_id)
-            else:
-                self._give_up(worker_id)
+        self._ship_all()
+        for index in list(self._hosts):
+            if self._ask(index, ("flush",)) is None:
+                self._give_up(index)
         if self.tracer.enabled:
             self.tracer.emit(trace_events.BACKEND_DRAIN,
                              backend="process", workers=self.size)
 
     def resize(self, workers: int) -> None:
-        """Grow with fresh warm children or shrink via state handoff.
+        """Grow with fresh workers or shrink via state handoff.
 
-        New children get a bumped pool generation (worker-id reuse can
-        never adopt an old partial); removed children flush, surrender
-        their partial sessions as orphan snapshots for :meth:`collect`,
-        and exit.  Callers must stop routing to removed worker IDs
+        New workers get a bumped pool generation (worker-id reuse can
+        never adopt an old partial) and live where the hosting rule puts
+        them, forking a child only if theirs is not running yet.
+        Removed workers' hosts surrender those workers' partial sessions
+        as orphan snapshots for :meth:`collect` and keep serving their
+        other workers.  Callers must stop routing to removed worker IDs
         first (the balancer's ``reconfigure`` does this).
         """
         if not 0 < workers <= CTRL_SLOTS:
@@ -374,33 +426,31 @@ class ProcessBackend(ExecutionBackend):
         if workers == self.size:
             return
         if workers > self.size:
-            if self._started:
-                self._generation += 1
-                grown = [self._mint(i)
-                         for i in range(self.size, workers)]
-                self._children.extend(grown)
-                if self.tracer.enabled:
-                    for child in grown:
-                        self.tracer.emit(
-                            trace_events.BACKEND_FORK,
-                            worker=child.worker_id,
-                            generation=child.generation,
-                            worker_kind="process", pid=child.process.pid)
+            grown = range(self.size, workers)
+            self._generation += 1
+            self._generations.extend([self._generation] * len(grown))
             self.size = workers
+            if self._started:
+                self._mint(grown)
             return
-        removed = self._children[workers:] if self._started else []
         if self._started:
-            self._children = self._children[:workers]
+            self._ship_all()
+            slots = self._slots
+            removed = range(workers, self.size)
+            for index in sorted({w % slots for w in removed}):
+                snaps = self._ask(index, ("handoff", [
+                    w for w in removed if w % slots == index]))
+                if snaps is None:
+                    self._give_up(index)
+                    continue
+                self._orphan(snaps)
+                host = self._hosts[index]
+                host.retained = [entry for entry in host.retained
+                                 if entry[0] < workers]
+            for key in [key for key in self._recorded if key[0] >= workers]:
+                del self._recorded[key]
+        del self._generations[workers:]
         self.size = workers
-        for child in removed:
-            # A handed-off worker has processed everything dispatched
-            # to it; its snapshots carry the state, so the replay
-            # ledger (and any slab blocks) can go.
-            self._forget(child.worker_id)
-            if self._handoff(child):
-                child.process.join(timeout=self.join_timeout)
-                if child.process.is_alive():
-                    child.process.terminate()
 
     # ------------------------------------------------------------------
     # Errors and collection
@@ -416,31 +466,28 @@ class ProcessBackend(ExecutionBackend):
         """Merge one finished job's partials from children and orphans.
 
         Call only after :meth:`drain`.  Children surrender their
-        snapshot for the job over the pipe; partials from workers
-        removed by a scale-down (or a stop) come from the orphan store.
-        Merge order is ascending (worker_id, generation), identical to
-        the inline pool.  A child found dead here is revived, replayed,
-        flushed, and asked again — its partial is reconstructed, not
-        lost.  The job's replay ledger is released either way.
+        workers' snapshots for the job over the pipe; partials from
+        workers removed by a scale-down (or a stop) come from the
+        orphan store.  Merge order is ascending (worker_id,
+        generation), identical to the inline pool.  A child found dead
+        here is revived, replayed and asked again — its partials are
+        reconstructed, not lost.  The job's replay ledger is released
+        either way.
         """
         self._errors.pop(job_id, None)
         snaps: List[Tuple[int, int, SessionSnapshot]] = []
         if self._started:
-            for worker_id in range(self.size):
-                child = self._children[worker_id]
-                if job_id not in child.jobs:
+            self._ship_all()
+            for index in list(self._hosts):
+                if job_id not in self._hosts[index].jobs:
                     continue
-                child.jobs.discard(job_id)
-                reply = self._roundtrip(child, ("collect", job_id))
-                if reply is None:
-                    reply = self._recollect(worker_id, job_id)
-                    if reply is None:
-                        self._give_up(worker_id)
-                        continue
-                    child = self._children[worker_id]
-                snap = reply[1]
-                if snap is not None:
-                    snaps.append((child.worker_id, child.generation, snap))
+                taken = self._ask(index, ("collect", job_id))
+                self._hosts[index].jobs.discard(job_id)
+                if taken is None:
+                    self._give_up(index)
+                    continue
+                snaps.extend((worker_id, self._generations[worker_id], snap)
+                             for (worker_id, _), snap in taken.items())
         self._release_job(job_id)
         orphan_keys = sorted(key for key in self._orphans
                              if key[2] == job_id)
@@ -457,73 +504,125 @@ class ProcessBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # Shard transport
     # ------------------------------------------------------------------
-    def _send(self, child: _ChildHandle, item: WorkItem,  # hot-path
-              record: bool) -> bool:
-        """Write one shard into the arena and send its descriptor.
+    def _ship_all(self) -> None:
+        for index in list(self._hosts):
+            self._flush(index)
+
+    def _flush(self, index: int) -> None:
+        """Ship one host's staged block; a dead host is revived instead
+        (its replay re-ships the block), and a block the arena could
+        not place within ``join_timeout`` fails its jobs unsent."""
+        host = self._hosts[index]
+        staged = host.take()
+        try:
+            if self._ship(host, staged):
+                return
+        except _PIPE_ERRORS:
+            self._revive(index)
+            return
+        del host.retained[-len(staged):]  # staged: the ledger's tail
+        for job_id in sorted({item.job_id for _, item, _ in staged}):
+            self._errors.setdefault(job_id, []).append(
+                f"RuntimeError: no shared-memory block freed for a "
+                f"window to worker process {index} within "
+                f"{self.join_timeout:g}s")
+
+    def _ship(self, host: _Host, staged: List[_Staged]) -> bool:  # hot-path
+        """Write staged shards as one block; send one window message.
 
         While the arena is full this polls the consumed-sequence
         handshake for at most ``join_timeout``, then returns False
         (nothing sent).  A block holder found dead meanwhile is revived
         and replayed, which frees its blocks; if that holder is
-        ``child`` itself, the pipe error is raised for the caller's
+        ``host`` itself, the pipe error is raised for the caller's
         crash path.  Pipe errors propagate to the caller.
         """
-        if item.job_id not in child.jobs:
-            child.conn.send(
-                ("job", item.job_id, self.spec_factory(item.job_id)))
-            child.jobs.add(item.job_id)
-        keys, values = item.batch.keys, item.batch.values
+        if not staged:
+            return True
+        keys = [item.batch.keys for _, item, _ in staged]
+        values = [item.batch.values for _, item, _ in staged]
         deadline = wallclock.monotonic() + self.join_timeout
-        while (desc := self._arena.write(child.worker_id, keys,
-                                         values)) is None:
-            for worker_id in self._arena.holders():
-                if self._children[worker_id].process.is_alive():
+        while (desc := self._arena.write_block(host.index, keys,
+                                               values)) is None:
+            for index in self._arena.holders():
+                if self._hosts[index].process.is_alive():
                     continue
-                if worker_id == child.worker_id:
+                if index == host.index:
                     raise BrokenPipeError(
-                        f"worker {worker_id} died holding arena blocks")
-                self._revive(worker_id)
+                        f"worker process {index} died holding arena "
+                        "blocks")
+                self._revive(index)
             if wallclock.monotonic() >= deadline:
                 return False
             time.sleep(_ARENA_POLL)
-        child.conn.send(("shard", item.job_id, item.tenant_id,
-                         item.batch.tuple_bytes, item.dispatch_clock,
-                         record, desc))
+        entries = []
+        start = 0
+        for worker_id, item, record in staged:
+            if item.job_id not in host.jobs:
+                host.conn.send(
+                    ("job", item.job_id, self.spec_factory(item.job_id)))
+                host.jobs.add(item.job_id)
+            stop = start + len(item.batch)
+            entries.append((worker_id, item.job_id, item.tenant_id,
+                            item.batch.tuple_bytes, item.dispatch_clock,
+                            record, start, stop))
+            start = stop
+        host.conn.send(("window", desc, entries))
         self.metrics.record_transport(
-            shards_shm=1, shard_bytes_shared=keys.nbytes + values.nbytes)
+            shards_shm=len(staged),
+            shard_bytes_shared=sum(k.nbytes + v.nbytes
+                                   for k, v in zip(keys, values)))
         return True
 
     # ------------------------------------------------------------------
     # Child plumbing
     # ------------------------------------------------------------------
-    def _mint(self, worker_id: int) -> _ChildHandle:
-        return _ChildHandle(worker_id, self._generation,
-                            self._arena.ctrl_name)
+    def _mint(self, worker_ids: Iterable[int]) -> None:
+        """Place new workers, forking a host the first time one maps
+        to it; ``backend.fork`` is per logical worker, host's pid."""
+        for worker_id in worker_ids:
+            index = worker_id % self._slots
+            host = self._hosts.get(index)
+            if host is None:
+                host = self._hosts[index] = _Host(index,
+                                                  self._arena.ctrl_name)
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    trace_events.BACKEND_FORK, worker=worker_id,
+                    generation=self._generations[worker_id],
+                    worker_kind="process", pid=host.process.pid)
 
-    def _roundtrip(self, child: _ChildHandle, msg) -> Optional[tuple]:
-        """Send one request and await its reply; None if the child died."""
+    def _roundtrip(self, host: _Host, msg) -> Optional[dict]:
+        """Send one request and fold the ledgers its reply carries.
+
+        Returns the reply's ``{(worker_id, job_id): snapshot}`` map, or
+        None if the child died.
+        """
         try:
-            child.conn.send(msg)
-            if not child.conn.poll(self.join_timeout):
+            host.conn.send(msg)
+            if not host.conn.poll(self.join_timeout):
                 return None
-            return child.conn.recv()
-        except (BrokenPipeError, EOFError, OSError):
+            snaps, records, errors = host.conn.recv()
+        except _PIPE_ERRORS:
             return None
+        self._fold(records, errors)
+        return snaps
 
-    def _handoff(self, child: _ChildHandle) -> bool:
-        """Ask a child to flush, surrender its sessions, and exit."""
-        reply = self._roundtrip(child, ("handoff",))
-        if reply is None:
-            self._abandon(child)
-            return False
-        _, snapshots, records, errors = reply
-        for job_id, snap in snapshots.items():
-            self._orphans[(child.worker_id, child.generation, job_id)] = snap
-        self._fold(child.worker_id, child.generation, records, errors)
-        return True
+    def _ask(self, index: int, msg) -> Optional[dict]:
+        """:meth:`_roundtrip`, reviving (and replaying) a dead host and
+        asking once more; None if that fails too."""
+        snaps = self._roundtrip(self._hosts[index], msg)
+        if snaps is None:
+            self._revive(index)
+            snaps = self._roundtrip(self._hosts[index], msg)
+        return snaps
 
-    def _fold(self, worker_id: int, generation: int,
-              records: List[Tuple[str, str, int, int, int]],
+    def _orphan(self, snaps: dict) -> None:
+        for (worker_id, job_id), snap in snaps.items():
+            self._orphans[
+                (worker_id, self._generations[worker_id], job_id)] = snap
+
+    def _fold(self, records: List[Tuple[int, str, str, int, int, int]],
               errors: List[Tuple[str, str]]) -> None:
         """Fold a child's shipped ledgers into the parent's state.
 
@@ -534,7 +633,7 @@ class ProcessBackend(ExecutionBackend):
         its (worker, job): those shards will never record again.
         """
         trace = self.tracer.enabled
-        for job_id, tenant_id, tuples, cycles, clock in records:
+        for worker_id, job_id, tenant_id, tuples, cycles, clock in records:
             self.metrics.record_segment(worker_id, tuples, cycles,
                                         tenant=tenant_id)
             key = (worker_id, job_id)
@@ -542,139 +641,109 @@ class ProcessBackend(ExecutionBackend):
             if trace:
                 self.tracer.emit(
                     trace_events.JOB_SEGMENT, clock,
-                    job_id=job_id, tenant_id=tenant_id,
-                    worker=worker_id, generation=generation,
+                    job_id=job_id, tenant_id=tenant_id, worker=worker_id,
+                    generation=self._generations[worker_id],
                     tuples=tuples, cycles=cycles)
         for job_id, message in errors:
             self._errors.setdefault(job_id, []).append(message)
 
-    def _abandon(self, child: _ChildHandle) -> None:
-        """Write off a dead/unresponsive child and its in-flight jobs.
-
-        Only the stop/shrink handoff path lands here — a crash during
-        serving goes through :meth:`_revive` + replay instead.
-        """
-        for job_id in sorted(child.jobs):
+    def _abandon(self, host: _Host) -> None:
+        """Write off a child that died at stop, and its jobs."""
+        for job_id in sorted(host.jobs):
             self._errors.setdefault(job_id, []).append(
-                f"RuntimeError: worker {child.worker_id} subprocess "
-                "died; its partial results for this job were lost")
-        self._terminate(child)
+                f"RuntimeError: worker process {host.index} died; its "
+                "partial results for this job were lost")
+        self._terminate(host)
 
-    def _terminate(self, child: _ChildHandle) -> None:
+    def _terminate(self, host: _Host) -> None:
         try:
-            child.conn.close()
+            host.conn.close()
         except OSError:
             pass
-        if child.process.is_alive():
-            child.process.terminate()
+        if host.process.is_alive():
+            host.process.terminate()
 
-    def _revive(self, worker_id: int, crashed_while: str = None) -> None:
+    def _revive(self, index: int) -> None:
         """Replace a crashed child and replay its retained shards.
 
-        The replacement keeps the same worker id (merge order is
-        per-id, and a replayed shard holds the tuples its window's
-        split gave that id, so results stay bit-identical) under a
-        fresh generation.  Replay rebuilds every live job's
-        session from the retained ledger; records already folded replay
-        silently (``record=False``).
+        The replacement takes the same index, so every worker
+        keeps its host, id and generation (merge order is per id, and a
+        replayed shard holds the tuples its window's split gave that
+        id, so results stay bit-identical).  Replay rebuilds every live
+        job's sessions from the retained ledger; records already folded
+        replay silently (``record=False``).
         """
-        child = self._children[worker_id]
-        if crashed_while is not None:
-            child.jobs.add(crashed_while)
-        retained = self._retained.get(worker_id, [])
+        host = self._hosts[index]
+        hosted = list(range(index, self.size, self._slots))
         if self.tracer.enabled:
             self.tracer.emit(
-                trace_events.BACKEND_CRASH,
-                job_id=crashed_while,
-                worker=child.worker_id, generation=child.generation,
-                lost_jobs=len(child.jobs),
-                retained_shards=len(retained))
-        lost_jobs = set(child.jobs)
-        self._terminate(child)
+                trace_events.BACKEND_CRASH, workers=hosted,
+                lost_jobs=len(host.jobs),
+                retained_shards=len(host.retained))
+        self._terminate(host)
         # The dead child's unconsumed blocks are unreadable now; replay
         # re-places the shards.
-        self._arena.release_worker(worker_id)
-        self._generation += 1
-        replacement = self._mint(worker_id)
-        self._children[worker_id] = replacement
+        self._arena.release_worker(index)
+        replacement = self._hosts[index] = _Host(index,
+                                                 self._arena.ctrl_name)
+        replacement.retained = host.retained
         if self.tracer.enabled:
-            self.tracer.emit(
-                trace_events.BACKEND_RESPAWN,
-                worker=worker_id, generation=replacement.generation,
-                pid=replacement.process.pid)
-        self._replay(worker_id, lost_jobs)
+            self.tracer.emit(trace_events.BACKEND_RESPAWN, workers=hosted,
+                             pid=replacement.process.pid)
+        self._replay(index)
 
-    def _replay(self, worker_id: int, lost_jobs: Set[str]) -> None:
-        """Resend a revived worker's retained shards in dispatch order."""
-        child = self._children[worker_id]
-        replayed: Dict[str, int] = {}
-        trace = self.tracer.enabled
+    def _replay(self, index: int) -> None:
+        """Re-ship a revived host's retained shards in dispatch order."""
+        host = self._hosts[index]
+        replayed: Dict[Tuple[int, str], int] = {}
         try:
-            for entry in self._retained.get(worker_id, []):
-                index = replayed.get(entry.job_id, 0)
-                replayed[entry.job_id] = index + 1
-                record = index >= self._recorded.get(
-                    (worker_id, entry.job_id), 0)
-                if not self._send(child, entry, record=record):
-                    self._give_up(worker_id, also=lost_jobs)
-                    return
+            for worker_id, item in host.retained:
+                if not host.fits(worker_id, item.batch) \
+                        and not self._ship(host, host.take()):
+                    break
+                key = (worker_id, item.job_id)
+                count = replayed.get(key, 0)
+                replayed[key] = count + 1
+                record = count >= self._recorded.get(key, 0)
+                host.stage(worker_id, item, record)
                 self.metrics.record_transport(shard_retries=1)
-                if trace:
+                if self.tracer.enabled:
                     self.tracer.emit(
                         trace_events.BACKEND_SHARD_RETRY,
-                        entry.dispatch_clock,
-                        job_id=entry.job_id, tenant_id=entry.tenant_id,
-                        worker=worker_id,
-                        generation=child.generation,
-                        tuples=len(entry.batch), recorded=record)
-        except (BrokenPipeError, EOFError, OSError):
-            self._give_up(worker_id, also=lost_jobs)
+                        item.dispatch_clock, job_id=item.job_id,
+                        tenant_id=item.tenant_id, worker=worker_id,
+                        generation=self._generations[worker_id],
+                        tuples=len(item.batch), recorded=record)
+            else:
+                if self._ship(host, host.take()):
+                    return
+        except _PIPE_ERRORS:
+            pass
+        self._give_up(index)
 
-    def _give_up(self, worker_id: int, also: Set[str] = frozenset()) -> None:
-        """A worker died again (or its replay found the arena full
-        past the timeout) during recovery: fail its live jobs."""
-        child = self._children[worker_id]
-        retained = self._retained.get(worker_id, [])
-        doomed = ({entry.job_id for entry in retained}
-                  | set(child.jobs) | set(also))
+    def _give_up(self, index: int) -> None:
+        """A host died again (or its replay found the arena full past
+        the timeout) during recovery: fail its live jobs."""
+        host = self._hosts[index]
+        doomed = {item.job_id for _, item in host.retained} | host.jobs
         for job_id in sorted(doomed):
             self._errors.setdefault(job_id, []).append(
-                f"RuntimeError: worker {worker_id} subprocess died "
-                "and its replacement failed during shard replay; "
-                "partial results for this job were lost")
-        self._terminate(child)
-        self._forget(worker_id)
-
-    def _recollect(self, worker_id: int, job_id: str) -> Optional[tuple]:
-        """Collect from a worker that died at collection time.
-
-        Revive + replay rebuilt the session; flush the replayed
-        segments (folding only not-yet-recorded ones), then ask for
-        the snapshot again.
-        """
-        self._revive(worker_id)
-        child = self._children[worker_id]
-        reply = self._roundtrip(child, ("flush",))
-        if reply is None:
-            return None
-        self._fold(child.worker_id, child.generation, reply[1], reply[2])
-        child.jobs.discard(job_id)
-        return self._roundtrip(child, ("collect", job_id))
-
-    def _forget(self, worker_id: int) -> None:
-        """Drop a worker's replay ledger and slab blocks."""
-        self._retained.pop(worker_id, None)
-        for key in [key for key in self._recorded if key[0] == worker_id]:
+                f"RuntimeError: worker process {index} died and its "
+                "replacement failed during shard replay; partial "
+                "results for this job were lost")
+        self._terminate(host)
+        host.take()
+        host.retained = []
+        host.jobs.clear()
+        self._arena.release_worker(index)
+        for key in [key for key in self._recorded
+                    if key[0] % self._slots == index]:
             del self._recorded[key]
-        self._arena.release_worker(worker_id)
 
     def _release_job(self, job_id: str) -> None:
-        """Drop one job's replay ledger across all workers (at collect)."""
-        for worker_id, entries in list(self._retained.items()):
-            kept = [e for e in entries if e.job_id != job_id]
-            if kept:
-                self._retained[worker_id] = kept
-            else:
-                self._retained.pop(worker_id)
+        """Drop one job's replay ledger on every host (at collect)."""
+        for host in self._hosts.values():
+            host.retained = [entry for entry in host.retained
+                             if entry[1].job_id != job_id]
         for key in [key for key in self._recorded if key[1] == job_id]:
             del self._recorded[key]

@@ -117,9 +117,11 @@ class StreamService:
         (:mod:`repro.service.executor`): ``"inline"`` (default) runs
         every shard on the dispatcher thread — no worker threads;
         results and trace order are deterministic and replay safe;
-        ``"process"`` runs the K workers as warm, pre-forked
-        subprocesses that escape the GIL for multi-core wall-time
-        scaling.  Results are bit-identical across backends.
+        ``"process"`` hosts the K workers on at most cores − 1 warm
+        child processes, one per spare CPU, fed one
+        shared-memory block per child per window — they escape the
+        GIL for multi-core wall time.  Results are bit-identical
+        across backends.
     transport:
         Only ``"shm"`` is accepted: the process backend always moves
         shards through its shared-memory slab arena

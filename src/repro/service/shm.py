@@ -1,15 +1,17 @@
 """Shared-memory slab arena: the process backend's shard transport.
 
 The paper's routing premise is that throughput dies when data movement
-sits on the critical path, so a shard crosses the process boundary as a
+sits on the critical path, so shards cross the process boundary as a
 *reference to a buffer*, not as a byte stream:
 
 ``SlabArena`` (parent / dispatcher side)
     A pool of ``multiprocessing.shared_memory`` slabs with a first-fit
-    free-list allocator.  ``write()`` copies a shard's key/value arrays
-    into a slab **once** and returns a tiny picklable
-    :class:`ShardDescriptor` (slab name, offset, dtypes, length,
-    sequence number) — that descriptor is all the pipe carries.
+    free-list allocator.  ``write_block()`` copies one window's shards
+    for one child — each part straight into its place, once — into a
+    single block and returns a tiny picklable :class:`ShardDescriptor`
+    (slab name, offset, dtypes, length, sequence number); that
+    descriptor is all the pipe carries.  ``write()`` is the one-shard
+    block.
 
 ``SlabClient`` (child / worker side)
     Attaches slabs lazily on first use and builds NumPy views straight
@@ -21,11 +23,13 @@ sits on the critical path, so a shard crosses the process boundary as a
     corruption.
 
 Reclamation needs no reverse pipe traffic.  The arena owns a small
-shared *control block*: one ``int64`` consumed-sequence slot per worker.
-Each descriptor carries a per-worker monotone sequence number; the child
-stores it into its slot after the shard is processed, and the parent
+shared *control block*: one ``int64`` consumed-sequence slot per child
+(a *slot* is whatever id the writer files blocks under; the process
+backend uses its child index, so each child has one ring).  Each
+descriptor carries a per-slot monotone sequence number; the child
+stores it into its slot after the block is processed, and the parent
 lazily frees every block whose sequence the owner has consumed (a
-per-worker FIFO ring, matching the pipe's FIFO delivery order).  Slot
+per-slot FIFO ring, matching the pipe's FIFO delivery order).  Slot
 stores/loads are single aligned 8-byte accesses — atomic on every
 platform CPython runs on.
 
@@ -33,10 +37,10 @@ Lifecycle is observable: slab creation/recycling/teardown emit
 ``backend.slab.alloc`` / ``backend.slab.reuse`` / ``backend.slab.release``
 trace events and bump the ``transport`` counters on
 :class:`~repro.service.metrics.ServiceMetrics`.  When every slab is
-full, ``write`` returns None and the caller waits for the owners to
-consume (the handshake above frees blocks); a shard bigger than a slab
+full, a write returns None and the caller waits for the owners to
+consume (the handshake above frees blocks); a block bigger than a slab
 gets a slab of its own, past ``max_slabs`` only once nothing is
-outstanding, so a lone oversize shard always places.
+outstanding, so a lone oversize block always places.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import bisect
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,7 +64,7 @@ DEFAULT_SLAB_BYTES = 4 << 20
 #: blocks.
 DEFAULT_MAX_SLABS = 16
 
-#: Consumed-sequence slots in the control block (one per worker id).
+#: Consumed-sequence slots in the control block (one per writer slot).
 CTRL_SLOTS = 1024
 
 #: Block alignment. 64 keeps every view cache-line aligned.
@@ -90,26 +94,27 @@ def _attach(name: str) -> shared_memory.SharedMemory:
 
 @dataclass(frozen=True)
 class ShardDescriptor:
-    """Everything a child needs to view one shard in shared memory.
+    """Everything a child needs to view one block in shared memory.
 
-    This — not the shard's bytes — is what crosses the pipe: ~100 bytes
-    of pickle regardless of shard size.  The value array sits
+    This — not the block's bytes — is what crosses the pipe: ~250 bytes
+    of pickle regardless of block size.  The value array sits
     immediately after the (alignment-padded) key array inside the same
-    block, so one ``(offset, length, dtypes)`` tuple locates both.  ``seq`` is the per-worker consumed-sequence
-    handshake token (see the module docstring).
+    block, so one ``(offset, length, dtypes)`` tuple locates both.  The
+    dtypes travel as ``np.dtype`` objects, resolved once per block on
+    each side.  ``seq`` is the per-slot consumed-sequence handshake
+    token (see the module docstring).
     """
 
     slab: str
     offset: int
     length: int
-    keys_dtype: str
-    values_dtype: str
+    keys_dtype: np.dtype
+    values_dtype: np.dtype
     seq: int
 
     @property
     def values_offset(self) -> int:
-        key_bytes = np.dtype(self.keys_dtype).itemsize * self.length
-        return self.offset + _align(key_bytes)
+        return self.offset + _align(self.keys_dtype.itemsize * self.length)
 
 
 def block_size(length: int, keys_dtype, values_dtype) -> int:
@@ -189,10 +194,10 @@ class SlabArena:
         self.tracer = tracer
         self._slabs: Dict[str, _Slab] = {}
         self._order: List[_Slab] = []
-        #: Per-worker FIFO of in-flight blocks: (seq, slab, offset, size).
+        #: Per-slot FIFO of in-flight blocks: (seq, slab, offset, size).
         self._rings: Dict[int, Deque[Tuple[int, str, int, int]]] = {}
-        #: Per-worker monotone dispatch sequence.  Never reset while the
-        #: arena lives — a respawned worker continues its predecessor's
+        #: Per-slot monotone dispatch sequence.  Never reset while the
+        #: arena lives — a respawned child continues its predecessor's
         #: numbering, so a stale consumed value written by the dead
         #: child can never reclaim a block the replacement still needs.
         self._seqs: Dict[int, int] = {}
@@ -211,74 +216,85 @@ class SlabArena:
     # ------------------------------------------------------------------
     # Hot path
     # ------------------------------------------------------------------
-    def write(self, worker_id: int,  # hot-path
-              keys: np.ndarray, values: np.ndarray) -> Optional[ShardDescriptor]:
-        """Place one shard in shared memory; None means "full right now".
+    def write(self, slot: int, keys: np.ndarray,
+              values: np.ndarray) -> Optional[ShardDescriptor]:
+        """Place one shard in shared memory: a one-part block."""
+        return self.write_block(slot, (keys,), (values,))
 
-        The transport's single copy happens here (two ``copyto`` calls
-        into the slab).  Returns None — never raises — while every slab
-        is full at the ``max_slabs`` ceiling: the caller waits for
-        owners to consume and retries.  ``worker_id`` must be below
-        :data:`CTRL_SLOTS`.
+    def write_block(self, slot: int,  # hot-path
+                    keys: Sequence[np.ndarray],
+                    values: Sequence[np.ndarray]) -> Optional[ShardDescriptor]:
+        """Place the concatenation of several shards as one block.
+
+        ``keys[i]`` and ``values[i]`` are one shard; every part shares
+        the first part's dtypes.  The transport's single copy happens
+        here: each part is copied straight into its place in the slab.
+        Returns None — never raises — while every slab is full at the
+        ``max_slabs`` ceiling: the caller waits for owners to consume
+        and retries.  ``slot`` must be below :data:`CTRL_SLOTS`.
         """
         self.reclaim()
-        nbytes = block_size(len(keys), keys.dtype, values.dtype)
+        keys_dtype, values_dtype = keys[0].dtype, values[0].dtype
+        length = sum(len(part) for part in keys)
+        nbytes = block_size(length, keys_dtype, values_dtype)
         placed = self._place(nbytes)
         if placed is None:
             return None
         slab, offset = placed
-        key_view = np.frombuffer(slab.shm.buf, dtype=keys.dtype,
-                                 count=len(keys), offset=offset)
-        np.copyto(key_view, keys, casting="no")
-        values_offset = offset + _align(keys.nbytes)
-        value_view = np.frombuffer(slab.shm.buf, dtype=values.dtype,
-                                   count=len(values), offset=values_offset)
-        np.copyto(value_view, values, casting="no")
+        key_view = np.frombuffer(slab.shm.buf, dtype=keys_dtype,
+                                 count=length, offset=offset)
+        value_view = np.frombuffer(
+            slab.shm.buf, dtype=values_dtype, count=length,
+            offset=offset + _align(keys_dtype.itemsize * length))
+        start = 0
+        for key_part, value_part in zip(keys, values):
+            stop = start + len(key_part)
+            np.copyto(key_view[start:stop], key_part, casting="no")
+            np.copyto(value_view[start:stop], value_part, casting="no")
+            start = stop
         del key_view, value_view  # views pin the mapping; drop them now
-        seq = self._seqs.get(worker_id, 0) + 1
-        self._seqs[worker_id] = seq
-        self._rings.setdefault(worker_id, deque()).append(
+        seq = self._seqs.get(slot, 0) + 1
+        self._seqs[slot] = seq
+        self._rings.setdefault(slot, deque()).append(
             (seq, slab.name, offset, nbytes))
         if slab.recycled:
             if self.metrics is not None:
                 self.metrics.record_transport(slab_blocks_reused=1)
             if self.tracer is not None and self.tracer.enabled:
                 self.tracer.emit(trace_events.BACKEND_SLAB_REUSE,
-                                 worker=worker_id, slab=slab.name,
+                                 worker=slot, slab=slab.name,
                                  offset=offset, nbytes=nbytes)
-        return ShardDescriptor(slab.name, offset, len(keys),
-                               str(keys.dtype), str(values.dtype), seq)
+        return ShardDescriptor(slab.name, offset, length, keys_dtype,
+                               values_dtype, seq)
 
     def reclaim(self) -> None:  # hot-path
         """Free every block whose owner has consumed past its sequence."""
         assert self._consumed is not None
-        for worker_id, ring in self._rings.items():
+        for slot, ring in self._rings.items():
             if not ring:
                 continue
-            consumed = int(self._consumed[worker_id])
+            consumed = int(self._consumed[slot])
             while ring and ring[0][0] <= consumed:
                 _, slab_name, offset, nbytes = ring.popleft()
                 self._slabs[slab_name].release(offset, nbytes)
 
-    def release_worker(self, worker_id: int) -> None:
-        """Free a worker's in-flight blocks unconditionally.
+    def release_worker(self, slot: int) -> None:
+        """Free one slot's in-flight blocks unconditionally.
 
-        Called when the owning child died (its views died with it) or
-        was removed by a scale-down after draining — either way nobody
-        will read those blocks again.  The sequence counter is *not*
-        reset; see its comment.
+        Called when the owning child died: its views died with it, so
+        nobody will read those blocks again.  The sequence counter is
+        *not* reset; see its comment.
         """
-        ring = self._rings.pop(worker_id, None)
+        ring = self._rings.pop(slot, None)
         if not ring:
             return
         for _, slab_name, offset, nbytes in ring:
             self._slabs[slab_name].release(offset, nbytes)
 
     def holders(self) -> List[int]:
-        """Workers with in-flight (unreclaimed) blocks, post-reclaim."""
+        """Slots with in-flight (unreclaimed) blocks, post-reclaim."""
         self.reclaim()
-        return [worker_id for worker_id, ring in self._rings.items()
-                if ring]
+        return [slot for slot, ring in self._rings.items() if ring]
 
     def outstanding(self) -> int:
         """In-flight (unreclaimed) block count, post-reclaim — for tests."""
@@ -338,7 +354,7 @@ class SlabArena:
 class SlabClient:
     """Child-side arena access: lazy attaches, zero-copy views.
 
-    One per worker subprocess (built in ``_child_main`` from the control
+    One per warm child (built in ``_child_main`` from the control
     block name the parent passes).  The child never closes or unlinks
     segments — the parent owns them; process exit unmaps.
     """
@@ -354,18 +370,17 @@ class SlabClient:
         if segment is None:
             segment = _attach(desc.slab)
             self._slabs[desc.slab] = segment
-        keys = np.frombuffer(segment.buf, dtype=np.dtype(desc.keys_dtype),
+        keys = np.frombuffer(segment.buf, dtype=desc.keys_dtype,
                              count=desc.length, offset=desc.offset)
-        values = np.frombuffer(segment.buf,
-                               dtype=np.dtype(desc.values_dtype),
+        values = np.frombuffer(segment.buf, dtype=desc.values_dtype,
                                count=desc.length, offset=desc.values_offset)
         keys.flags.writeable = False
         values.flags.writeable = False
         return keys, values
 
-    def done(self, worker_id: int, seq: int) -> None:  # hot-path
+    def done(self, slot: int, seq: int) -> None:  # hot-path
         """Publish "processed through ``seq``" — frees blocks parent-side."""
-        self._consumed[worker_id] = seq
+        self._consumed[slot] = seq
 
     def detach(self) -> None:
         """Drop views and close mappings — the child's exit path.

@@ -1,6 +1,6 @@
 """The process backend's shared-memory shard transport, end to end.
 
-Four promises under test (inline ≡ process equivalence across the app
+Five promises under test (inline ≡ process equivalence across the app
 matrix lives in ``test_backends.py``):
 
 1. **Exhaustion waits** — a shard the arena cannot place waits for the
@@ -19,9 +19,14 @@ matrix lives in ``test_backends.py``):
 4. **Dtypes** — the shard descriptor carries the arrays' dtypes, so
    non-default key/value dtypes round-trip instead of being misdecoded
    as uint64/int64.
+5. **Hosting** — K logical workers live on one warm child per spare
+   CPU (``w % spare``), and each child gets one arena block and one
+   ``"window"`` message per window, not one per shard.
 """
 
 import dataclasses
+import multiprocessing
+import multiprocessing.connection
 import os
 import pickle
 import signal
@@ -42,6 +47,7 @@ from repro.service import (
     SlabClient,
     StreamService,
 )
+from repro.service import procpool
 from repro.service.pool import WorkItem
 from repro.service.shm import CTRL_SLOTS, block_size
 from repro.workloads.streams import chunk_stream
@@ -66,6 +72,17 @@ def app_workload(app, tuples=6_000, seed=5):
         )
         return batch, {"num_vertices": 256}
     return ZipfGenerator(alpha=1.5, seed=seed).generate(tuples), {}
+
+
+def fake_spare_cores(monkeypatch, count):
+    """Make the backend see ``count`` spare CPUs (the hosting map's
+    input), whatever the host has."""
+    monkeypatch.setattr(procpool, "_spare_cores", lambda: count)
+
+
+def host_of(backend, worker_id):
+    """The warm child hosting one logical worker."""
+    return backend._hosts[worker_id % backend._slots]
 
 
 def result_bits(job_result):
@@ -243,17 +260,28 @@ TWO_BLOCKS = 2 * block_size(100, np.uint64, np.int64)
 
 
 def fill_stopped_worker(backend, job_id="held"):
-    """SIGSTOP worker 0, then hand it two shards: it holds the whole
-    two-block arena, alive, until it is continued or killed."""
-    child = backend._children[0]
-    os.kill(child.process.pid, signal.SIGSTOP)
+    """SIGSTOP worker 0's host, then hand it two windows' shards: it
+    holds the whole two-block arena, alive, until it is continued or
+    killed."""
+    host = host_of(backend, 0)
+    os.kill(host.process.pid, signal.SIGSTOP)
     backend.dispatch(0, WorkItem(job_id, ones(100)))
+    # A second shard for worker 0 starts the next window: the first
+    # ships; shipping every host then sends the second.
     backend.dispatch(0, WorkItem(job_id, ones(100, first_key=100)))
+    backend._ship_all()
     assert backend._arena.outstanding() == 2
-    return child
+    return host
 
 
 class TestExhaustionWaits:
+    """Workers 0 and 1 on separate children: worker 1's block waits on
+    the blocks worker 0's stopped (or dead) child holds."""
+
+    @pytest.fixture(autouse=True)
+    def two_children(self, monkeypatch):
+        fake_spare_cores(monkeypatch, 2)
+
     def test_service_inside_one_16k_slab_matches_inline(self):
         # A 2 000-tuple window splits into shards of up to ~1 000
         # tuples (16 KiB of keys and values): they wait for blocks,
@@ -268,7 +296,10 @@ class TestExhaustionWaits:
         assert int(shm_result.result.sum()) == 12_000
         assert any(e.kind == trace_events.BACKEND_SLAB_REUSE
                    for e in events)
-        assert shm_snap["transport"]["slabs_allocated"] >= 2  # oversize
+        # A window's block (up to 2 000 tuples, 32 KiB) outgrows the
+        # 16 KiB slab: it gets a slab of its own.
+        assert any(e.kind == trace_events.BACKEND_SLAB_ALLOC
+                   and e.data["nbytes"] > 16 << 10 for e in events)
 
     def test_holder_killed_mid_wait_is_revived(self):
         tracer = TraceCollector(enabled=True)
@@ -280,12 +311,13 @@ class TestExhaustionWaits:
             held.process.kill()
             held.process.join(timeout=10)
             assert not held.process.is_alive()
-            # Worker 1's shard waits on worker 0's blocks; the wait
-            # finds the holder dead, revives it and replays its two
-            # shards, then places once the replacement consumes them.
+            # Worker 1's block waits (shipped at the drain) on worker
+            # 0's blocks; the wait finds the holder dead, revives it
+            # and replays its two shards, then places once the
+            # replacement consumes them.
             backend.dispatch(1, WorkItem("held", ones(100, first_key=200)))
-            assert backend._children[0] is not held
             backend.drain()
+            assert host_of(backend, 0) is not held
             assert backend.errors("held") == []
             merged = backend.collect("held")
             assert int(merged.result.sum()) == 300
@@ -299,18 +331,19 @@ class TestExhaustionWaits:
     def test_wait_places_once_a_live_holder_consumes(self):
         backend, metrics = make_backend(slab_bytes=TWO_BLOCKS, max_slabs=1)
         backend.start()
-        held = backend._children[0]
+        held = host_of(backend, 0)
         resume = threading.Timer(0.3, os.kill,
                                  (held.process.pid, signal.SIGCONT))
         try:
             fill_stopped_worker(backend)
-            # Worker 1's shard waits while worker 0 is stopped; once it
-            # resumes and consumes, a freed block takes the shard.  The
-            # holder was alive throughout, so nothing is revived.
+            # Worker 1's block (shipped at the drain) waits while worker
+            # 0's host is stopped; once it resumes and consumes, a
+            # freed block takes the shard.  The holder was alive
+            # throughout, so nothing is revived.
             resume.start()
             backend.dispatch(1, WorkItem("held", ones(100, first_key=200)))
-            assert backend._children[0] is held
             backend.drain()
+            assert host_of(backend, 0) is held
             assert backend.errors("held") == []
             assert int(backend.collect("held").result.sum()) == 300
             transport = metrics.snapshot()["transport"]
@@ -327,11 +360,13 @@ class TestExhaustionWaits:
         backend, _ = make_backend(slab_bytes=TWO_BLOCKS, max_slabs=1,
                                   join_timeout=0.5)
         backend.start()
-        held = backend._children[0]
+        held = host_of(backend, 0)
         try:
             fill_stopped_worker(backend)
-            # Returns (no hang, no raise) with the job failed instead.
+            # Shipping returns (no hang, no raise) with the job failed
+            # instead.
             backend.dispatch(1, WorkItem("starved", ones(100)))
+            backend._ship_all()
             assert any("no shared-memory block freed" in error
                        for error in backend.errors("starved"))
             os.kill(held.process.pid, signal.SIGCONT)
@@ -369,9 +404,7 @@ class TestArenaCleanup:
         def crashing(service, batch):
             for index, events in enumerate(chunk_stream(batch, 2_000)):
                 if index == 2:
-                    child = service._pool._children[0]
-                    child.process.kill()
-                    child.process.join()
+                    kill_worker(service)
                 yield events
 
         result, _, _ = serve_one("histo", stream=crashing)
@@ -402,16 +435,17 @@ class TestArenaCleanup:
 # Lost-shard retry
 # ----------------------------------------------------------------------
 def kill_worker(service, victim=0):
-    child = service._pool._children[victim]
-    child.process.kill()
-    child.process.join()
+    """SIGKILL the child hosting one worker."""
+    host = host_of(service._pool, victim)
+    host.process.kill()
+    host.process.join()
 
 
 def killing_stream(victim=0, at_chunk=1, chunk=2_000):
-    """A source that SIGKILLs one worker subprocess mid-job.
+    """A source that SIGKILLs one worker's host mid-job.
 
-    The crash surfaces as a broken pipe on the next dispatch to the
-    victim, triggering revive-and-replay while the stream continues.
+    The crash surfaces as a broken pipe when the host's next block
+    ships, triggering revive-and-replay while the stream continues.
     """
 
     def stream(service, batch):
@@ -455,7 +489,18 @@ class TestLostShardRetry:
         assert len(crashes) == 1
         assert retries, "crash recovery must emit shard retry events"
         assert crash_snap["transport"]["shard_retries"] == len(retries)
-        assert all(e.worker == crashes[0].worker for e in retries)
+        assert crashes[0].data["retained_shards"] == len(retries)
+        # Every retry names a worker the crashed child hosted, and each
+        # hosted worker with a shard in a window before the crash's
+        # window is replayed.
+        hosted = set(crashes[0].data["workers"])
+        replayed = {e.worker for e in retries}
+        assert replayed <= hosted
+        windows = [e for e in events[:events.index(crashes[0])]
+                   if e.kind == trace_events.JOB_WINDOW]
+        earlier = {worker for window in windows[:-1]
+                   for worker, _ in window.data["shards"]}
+        assert earlier & hosted <= replayed
 
     def test_crash_at_drain_is_recovered(self):
         # Kill after the last chunk: the loss is only discovered at the
@@ -503,3 +548,94 @@ class TestDtypeHeaders:
                 backend.stop()
 
         np.testing.assert_array_equal(run(False), run(True))
+
+
+# ----------------------------------------------------------------------
+# Hosting: one warm child per spare CPU, one block per child per window
+# ----------------------------------------------------------------------
+class TestHosting:
+    def counted_run(self, monkeypatch, spare, windows=5, workers=4):
+        """Drive ``windows`` windows of one shard per worker through a
+        fresh backend on ``spare`` faked spare CPUs, counting arena
+        block writes and ``"window"`` pipe messages."""
+        fake_spare_cores(monkeypatch, spare)
+        counts = {"writes": 0, "windows": 0}
+        write_block = SlabArena.write_block
+        send = multiprocessing.connection.Connection.send
+
+        def counting_write(arena, *args):
+            counts["writes"] += 1
+            return write_block(arena, *args)
+
+        def counting_send(conn, msg):
+            counts["windows"] += msg[0] == "window"
+            return send(conn, msg)
+
+        monkeypatch.setattr(SlabArena, "write_block", counting_write)
+        monkeypatch.setattr(multiprocessing.connection.Connection, "send",
+                            counting_send)
+        config = ArchitectureConfig(lanes=8, pripes=16, secpes=0,
+                                    reschedule_threshold=0.0)
+        spec = SessionSpec(app="histo", config=config)
+        tracer = TraceCollector(enabled=True)
+        backend = ProcessBackend(workers, lambda job_id: spec,
+                                 ServiceMetrics(), tracer=tracer)
+        backend.start()
+        try:
+            for window in range(windows):
+                for worker_id in range(workers):
+                    first = (window * workers + worker_id) * 100
+                    backend.dispatch(worker_id, WorkItem(
+                        "job", ones(100, first_key=first)))
+            backend.drain()
+            children = [child for child in multiprocessing.active_children()
+                        if child.name.startswith("pipeline-proc-")]
+            assert int(backend.collect("job").result.sum()) == \
+                windows * workers * 100
+            transport = backend.metrics.snapshot()["transport"]
+        finally:
+            backend.stop()
+        forks = {e.worker: e.data["pid"] for e in tracer.events()
+                 if e.kind == trace_events.BACKEND_FORK}
+        return counts, children, transport, forks
+
+    def test_one_spare_core_is_one_child_and_one_block_per_window(
+            self, monkeypatch):
+        windows = 5
+        counts, children, transport, forks = self.counted_run(
+            monkeypatch, spare=1, windows=windows)
+        assert counts == {"writes": windows, "windows": windows}
+        assert len(children) == 1
+        assert transport["shards_shm"] == 4 * windows
+        # One backend.fork per logical worker, all naming the one host.
+        assert sorted(forks) == [0, 1, 2, 3]
+        assert len(set(forks.values())) == 1
+
+    def test_three_spare_cores_are_three_children(self, monkeypatch):
+        counts, children, transport, forks = self.counted_run(
+            monkeypatch, spare=3, windows=4)
+        assert len(children) == 3
+        assert counts == {"writes": 3 * 4, "windows": 3 * 4}
+        assert transport["shards_shm"] == 4 * 4
+        assert forks[3] == forks[0]  # worker 3 shares child 0
+        assert len({forks[0], forks[1], forks[2]}) == 3
+
+    def test_no_spare_core_is_one_child(self, monkeypatch):
+        fake_spare_cores(monkeypatch, 0)
+        backend, _ = make_backend()
+        backend.start()
+        try:
+            assert len(backend._hosts) == 1
+            backend.dispatch(0, WorkItem("job", ones(100)))
+            backend.dispatch(1, WorkItem("job", ones(100, first_key=100)))
+            backend.drain()
+            assert int(backend.collect("job").result.sum()) == 200
+        finally:
+            backend.stop()
+
+    def test_spare_cores_leave_one_cpu_to_the_dispatcher(self,
+                                                         monkeypatch):
+        assert procpool._spare_cores() == len(os.sched_getaffinity(0)) - 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert procpool._spare_cores() == 3
