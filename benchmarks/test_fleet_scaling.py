@@ -2,8 +2,8 @@
 
 The inline backend runs every worker's shards on the dispatcher thread;
 the process backend hosts the K logical workers on at most cores − 1
-warm children (worker ``w`` in child ``w % spare``, one block per child
-per window), so K is a simulation parameter and the process count
+warm children (worker ``w`` in child ``w % spare``, whole windows that
+the child splits, several per block), so K is a simulation parameter and the process count
 follows the host.  The sweep serves the same Zipf stream on both
 backends for K in {1, 2, 4} using the per-cycle simulator and asserts
 the results are bit-identical at every K.  Wall time per backend is ``python3 -m bench``'s to measure

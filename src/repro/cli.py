@@ -603,9 +603,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="execution backend: shards run inline on "
                             "the dispatcher thread (deterministic "
                             "default) or on at most cores-1 warm "
-                            "children, one per spare CPU, fed one "
-                            "shared-memory block per child per window "
-                            "(multi-core wall time; identical results)")
+                            "children, one per spare CPU, fed whole "
+                            "windows, several per shared-memory block, "
+                            "which they split (multi-core wall time; "
+                            "identical results)")
         p.add_argument("--adaptive", action="store_true",
                        help="enable the adaptive control plane: drift "
                             "detection, cost-aware replanning with plan "

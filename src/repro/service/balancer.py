@@ -34,6 +34,7 @@ that the paper improves on.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -124,10 +125,10 @@ class SkewAwareBalancer:
         self.plan: Optional[SchedulingPlan] = None
         self.last_histogram: Optional[np.ndarray] = None
         # (keys, shard ids) of the window last observed, for the split
-        # of that same array; dropped by split, and here, so ids taken
-        # modulo a previous fleet's primaries never route.
+        # of that same array; taken by route, and dropped here, so ids
+        # taken modulo a previous fleet's primaries never route.
         self._shards: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        self._teams = [[p] for p in range(self.primaries)]
+        self._teams = tuple((p,) for p in range(self.primaries))
 
     def sample_keys(self, keys: np.ndarray) -> np.ndarray:
         """A profiling sample of at most ``profile_sample`` keys.
@@ -183,7 +184,7 @@ class SkewAwareBalancer:
         teams: List[List[int]] = [[p] for p in range(self.primaries)]
         for secpe_id, target in plan.pairs:
             teams[target].append(secpe_id)
-        self._teams = teams
+        self._teams = tuple(map(tuple, teams))
 
     def reconfigure(self, workers: int,
                     secondaries: Optional[int] = None) -> None:
@@ -214,44 +215,21 @@ class SkewAwareBalancer:
     #: so a shard's keys do not all collapse onto one team lane.
     TEAM_SEED = 0x7EA12
 
+    def route(self, by_key: bool = False,
+              worker_quota: Optional[int] = None,
+              window_index: Optional[int] = None) -> "WindowRoute":
+        """The routing decision for the window ``observe`` last saw,
+        under the plan in force: its teams, and the ids memoised for
+        that window (taken, so they route one split at most)."""
+        memo, self._shards = self._shards, None
+        return WindowRoute(self._teams, by_key, worker_quota, window_index,
+                           memo)
+
     def split(self, batch: TupleBatch,
               by_key: bool = False) -> Dict[int, TupleBatch]:
-        """Partition ``batch`` into per-worker sub-batches.
-
-        Each tuple goes to its shard's team.  By default the team's
-        lanes take the shard's tuples round-robin; ``by_key=True``
-        (non-``splittable`` kernels such as heavy-hitter detection,
-        whose per-key sketch state cannot be diluted across workers)
-        picks the lane by a ``TEAM_SEED`` hash of the key instead, so
-        one key's tuples all land on one worker, and returns the
-        sub-batches in ascending worker order.  Either way a worker
-        gets its tuples in stream order.
-
-        A split of the array ``observe`` last saw routes by its
-        memoised shard ids, of any other array by hashing it here;
-        either way the memo is dropped.
-        """
-        memo, self._shards = self._shards, None
-        shards = (memo[1] if memo is not None and memo[0] is batch.keys
-                  else _shard_ids(batch.keys, self.primaries))
-        out: Dict[int, TupleBatch] = {}
-        for primary in range(self.primaries):
-            positions = np.nonzero(shards == primary)[0]
-            if positions.size == 0:
-                continue
-            team = self._teams[primary]
-            lanes = (_shard_ids(batch.keys[positions], len(team),
-                                self.TEAM_SEED)
-                     if by_key and len(team) > 1 else None)
-            for lane, worker in enumerate(team):
-                chosen = (positions[lane::len(team)] if lanes is None
-                          else positions[lanes == lane])
-                if chosen.size == 0:
-                    continue
-                out[worker] = TupleBatch(batch.keys[chosen],
-                                         batch.values[chosen],
-                                         batch.tuple_bytes)
-        return dict(sorted(out.items())) if by_key else out
+        """Partition ``batch`` by :meth:`route` (see
+        :meth:`WindowRoute.split`) — the benchmark's replay splits here."""
+        return self.route(by_key).split(batch)
 
     def describe(self) -> str:
         """One-line summary for logs and metrics renderings."""
@@ -270,3 +248,72 @@ def make_balancer(name: str, workers: int) -> SkewAwareBalancer:
     if name == "roundrobin":
         return SkewAwareBalancer(workers, secondaries=0)
     raise ValueError(f"unknown balancer {name!r} (skew | roundrobin)")
+
+
+@dataclass(frozen=True)
+class WindowRoute:
+    """One window's routing decision, applied wherever it is split:
+    the plan's ``teams`` (``teams[p]`` serves primary shard ``p``),
+    ``by_key`` lanes, the tenant's ``worker_quota`` (None: no cap below
+    the fleet size) and the ``window_index`` in its job's trace (None:
+    not one of a job's windows).  ``memo``, ``observe``'s (keys, shard
+    ids) of the window, stays in-process: a pickled route drops it,
+    and whoever splits re-derives the same ids from the keys."""
+
+    teams: Tuple[Tuple[int, ...], ...]
+    by_key: bool = False
+    worker_quota: Optional[int] = None
+    window_index: Optional[int] = None
+    memo: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, compare=False, repr=False)
+
+    def __reduce__(self):
+        return WindowRoute, (self.teams, self.by_key, self.worker_quota,
+                             self.window_index)
+
+    def split(self, batch: TupleBatch) -> Dict[int, TupleBatch]:
+        """Partition ``batch`` into per-worker sub-batches.
+
+        Each tuple goes to its shard's team.  By default the team's
+        lanes take the shard's tuples round-robin; ``by_key`` (non-
+        ``splittable`` kernels such as heavy-hitter detection, whose
+        per-key sketch state cannot be diluted across workers) picks
+        the lane by a ``TEAM_SEED`` hash of the key instead, so one
+        key's tuples all land on one worker, and returns the
+        sub-batches in ascending worker order.  Either way a worker
+        gets its tuples in stream order.  Past ``worker_quota``, a
+        worker's shard folds onto ``worker % worker_quota`` in
+        ascending worker order — deterministic, so a by-key window's
+        key still lands on one (folded) worker.
+
+        The memoised ids route ``batch`` if it is the array they were
+        taken from; any other array is hashed here.
+        """
+        memo = self.memo
+        shards = (memo[1] if memo is not None and memo[0] is batch.keys
+                  else _shard_ids(batch.keys, len(self.teams)))
+        out: Dict[int, TupleBatch] = {}
+        for primary, team in enumerate(self.teams):
+            positions = np.nonzero(shards == primary)[0]
+            if positions.size == 0:
+                continue
+            lanes = (_shard_ids(batch.keys[positions], len(team),
+                                SkewAwareBalancer.TEAM_SEED)
+                     if self.by_key and len(team) > 1 else None)
+            for lane, worker in enumerate(team):
+                chosen = (positions[lane::len(team)] if lanes is None
+                          else positions[lanes == lane])
+                if chosen.size == 0:
+                    continue
+                out[worker] = TupleBatch(batch.keys[chosen],
+                                         batch.values[chosen],
+                                         batch.tuple_bytes)
+        quota = self.worker_quota
+        if quota is None:
+            return dict(sorted(out.items())) if self.by_key else out
+        folded: Dict[int, TupleBatch] = {}
+        for worker_id in sorted(out):
+            target = worker_id % quota
+            folded[target] = (folded[target].concat(out[worker_id])
+                              if target in folded else out[worker_id])
+        return folded

@@ -19,8 +19,9 @@ phases in this order:
    order, each earning ``weight`` step credit, each whole credit
    pulling one source batch from one of the tenant's jobs (persistent
    round-robin among them) and pushing the windows it closes through
-   control, split and the backend; a source that ends is drained,
-   merged and made terminal inside its pull;
+   control and, each with the balancer's route for it, to the backend;
+   a source that ends is drained, merged and made terminal inside its
+   pull;
 4. **retire**: tenants whose last job left are dropped from the
    in-flight map and from the controller's merged load.
 
@@ -344,43 +345,12 @@ class Dispatcher:
                         reschedule_stall_cycles=(
                             changed * self.reschedule_cost_cycles),
                         tenant=job.tenant_id)
-            shards = balancer.split(batch, by_key=by_key)
-            shards = self._fold_to_quota(shards, spec)
-            if tracer.enabled:
-                # Names every shard about to be handed over; each comes
-                # back as a ``job.segment`` under the same clock.
-                tracer.emit(
-                    trace_events.JOB_WINDOW, dispatch_clock,
-                    job_id=job.job_id, tenant_id=job.tenant_id,
-                    tuples=len(batch),
-                    window_index=job.windows_dispatched,
-                    shards=[[worker_id, len(shard)]
-                            for worker_id, shard in shards.items()])
-            for worker_id, shard in shards.items():
-                self.backend.dispatch(
-                    worker_id,
-                    WorkItem(job_id=job.job_id, batch=shard,
-                             tenant_id=job.tenant_id,
-                             dispatch_clock=dispatch_clock),
-                )
+            quota = spec.worker_quota
+            self.backend.dispatch_window(
+                WorkItem(job_id=job.job_id, batch=batch,
+                         tenant_id=job.tenant_id,
+                         dispatch_clock=dispatch_clock),
+                balancer.route(by_key, quota if quota is not None
+                               and quota < self.backend.size else None,
+                               job.windows_dispatched))
             job.windows_dispatched += 1
-
-    def _fold_to_quota(self, shards, spec: TenantSpec):
-        """Cap a tenant's fan-out at its worker quota.
-
-        Shards bound for workers beyond the quota fold onto
-        ``worker_id % quota`` — deterministic, so a by-key window's
-        tuples still land on one (folded) worker per key.
-        """
-        quota = spec.worker_quota
-        if quota is None or quota >= self.backend.size:
-            return shards
-        folded = {}
-        for worker_id in sorted(shards):
-            target = worker_id % quota
-            if target in folded:
-                folded[target] = folded[target].concat(shards[worker_id])
-            else:
-                folded[target] = shards[worker_id]
-        return folded
-

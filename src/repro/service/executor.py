@@ -15,19 +15,22 @@ adapters:
 ``repro.service.procpool.ProcessBackend`` (``backend="process"``)
     The same K logical workers hosted on at most cores − 1 warm child
     processes, one per spare CPU (worker ``w`` in child
-    ``w % spare``), that stay up across jobs.  Each child gets one
-    block per window: its workers' shards are written once into a
-    shared-memory slab arena (:mod:`repro.service.shm`) and one
-    descriptor crosses its pipe; per-(worker, job) sessions live in the
-    child, and partial results come back as compact
+    ``w % spare``), that stay up across jobs.  A child gets whole
+    windows with their routes, several per block: they are written
+    once into a shared-memory slab arena (:mod:`repro.service.shm`),
+    one descriptor crosses its pipe, and the child splits each window
+    and runs its own workers' shards; per-(worker, job) sessions live
+    in the child, and partial results come back as compact
     :class:`~repro.runtime.session.SessionSnapshot`s on collection.
     This is the multi-core raw-speed path (the ModelOps warm-pool shape:
     processes are forked once and reused, never cold-started per job).
 
 Both adapters make the same guarantee: given the same dispatch sequence
-they produce bit-identical merged results and identical deterministic
-metrics, because all routing decisions happen above the port and partial
-merges happen in a fixed (worker, generation) order.
+they produce bit-identical merged results, identical deterministic
+metrics and the same ``job.window`` / ``job.segment`` events, because
+all routing *decisions* (plan, profile, control) happen above the port —
+a route only applies them, in whichever process splits the window — and
+partial merges happen in a fixed (worker, generation) order.
 
 :class:`SessionSpec` is the port's job-description currency: a small,
 picklable recipe from which any adapter — in any process — can build the
@@ -92,9 +95,13 @@ class ExecutionBackend(ABC):
     1. :meth:`start` brings the fleet up warm; workers persist across
        jobs.  After :meth:`stop` — even a failed one — the backend must
        be restartable with a fresh :meth:`start`.
-    2. :meth:`dispatch` hands one window shard to one worker; shards
-       for the same worker process in FIFO order.  An adapter may run
-       the shard before returning (the inline one does) or queue it.
+    2. :meth:`dispatch_window` hands over one closed window with the
+       balancer's :class:`~repro.service.balancer.WindowRoute` for it;
+       the adapter splits it by that route, in whichever process it
+       chooses, and traces the ``job.window`` naming the shards.
+       :meth:`dispatch` hands one shard to one worker.  Shards for the
+       same worker process in FIFO order.  An adapter may run them
+       before returning (the inline one does) or queue them.
     3. :meth:`drain` barriers until every dispatched shard has been
        processed *and its segment metrics and errors are visible* to
        the parent (:class:`~repro.service.metrics.ServiceMetrics` and
@@ -124,6 +131,10 @@ class ExecutionBackend(ABC):
     @abstractmethod
     def dispatch(self, worker_id: int, item) -> None:
         """Hand one :class:`~repro.service.pool.WorkItem` to one worker."""
+
+    @abstractmethod
+    def dispatch_window(self, item, route) -> None:
+        """Hand one whole window and its route to the fleet."""
 
     @abstractmethod
     def drain(self) -> None:

@@ -36,7 +36,7 @@ from repro.workloads.tuples import TupleBatch
 
 @dataclass
 class WorkItem:
-    """One worker's shard of one closed window.
+    """One closed window, or one worker's shard of it.
 
     ``tenant_id`` rides along so the worker can charge the segment's
     tuples and cycles to the owning tenant's metrics.  ``dispatch_clock``
@@ -156,6 +156,21 @@ class WorkerPool(ExecutionBackend):
                 job_id=item.job_id, tenant_id=item.tenant_id,
                 worker=worker_id, generation=generation,
                 tuples=outcome.tuples, cycles=outcome.cycles)
+
+    def dispatch_window(self, item: WorkItem, route) -> None:  # hot-path
+        """Split one window by its route, trace the ``job.window`` that
+        names the shards, then :meth:`dispatch` each in split order."""
+        shards = route.split(item.batch)
+        if self.tracer.enabled and route.window_index is not None:
+            self.tracer.emit(
+                trace_events.JOB_WINDOW, item.dispatch_clock,
+                job_id=item.job_id, tenant_id=item.tenant_id,
+                tuples=len(item.batch), window_index=route.window_index,
+                shards=[[worker_id, len(shard)]
+                        for worker_id, shard in shards.items()])
+        for worker_id, shard in shards.items():
+            self.dispatch(worker_id, WorkItem(
+                item.job_id, shard, item.tenant_id, item.dispatch_clock))
 
     def drain(self) -> None:
         """The port's barrier; inline shards finished inside dispatch."""

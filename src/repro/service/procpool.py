@@ -22,18 +22,21 @@ dispatcher's CPU.)  The map never moves a live
 session: a shrink takes the removed workers' sessions back as orphans
 and their host keeps serving its other workers.
 
-One block per child per window.  :meth:`ProcessBackend.dispatch` only
-stages a shard on its host's list (and in the crash-replay ledger).  A
-host's staged shards ship together when the next window begins there
-(a shard arrives for a worker already staged), before a shard of other
-dtypes, and at the start of ``drain``, ``collect``, ``resize`` and
-``stop``: one :meth:`~repro.service.shm.SlabArena.write_block` into the
-shared-memory arena (:mod:`repro.service.shm`, one consumed-sequence
-ring per child) and one ``("window", descriptor, entries)`` pipe
-message, whose entries name each shard's worker, job, tenant, dispatch
-clock and ``[start, stop)`` range in the block.  The child runs the
-entries in order on their (worker, job) sessions over read-only views,
-then publishes the block's sequence once.  Job specs
+The child splits.  :meth:`ProcessBackend.dispatch_window` stages a
+whole window with its :class:`~repro.service.balancer.WindowRoute` (and
+retains it for crash replay) on every host of a worker the route
+reaches; ``dispatch(worker, item)`` stages a window routed wholly to
+``worker``.  A host's staged windows ship once the next would push the
+block past ``slab_bytes // 8`` (a larger window ships alone), before a
+window of other dtypes, and at the start of ``drain``, ``collect``,
+``resize`` and ``stop``: one
+:meth:`~repro.service.shm.SlabArena.write_block` into the shared-memory
+arena (:mod:`repro.service.shm`, one consumed-sequence ring per child)
+and one ``("window", descriptor, entries)`` pipe message.  The child
+splits each window by its route over read-only views — the inline
+pool's shard ids, so its shards — and runs its hosted workers' shards
+in split order, each under its own ``try``, then publishes the block's
+sequence once.  Job specs
 (:class:`~repro.service.executor.SessionSpec`) cross the pipe once per
 (child, job); partials come back as
 :class:`~repro.runtime.session.SessionSnapshot`s.  When the arena is
@@ -41,10 +44,13 @@ full, shipping waits for the handshake, bounded by ``join_timeout``: a
 holder found dead meanwhile is revived and replayed (below), and a wait
 that times out fails the block's jobs through the error ledger.
 
-Determinism contract: a child records each segment's (worker, job,
-tenant, tuples, cycles, dispatch clock) locally, and every reply it
-sends carries that ledger back, where the parent folds it into the
-shared :class:`~repro.service.metrics.ServiceMetrics`.  Segment
+Determinism contract: a child ledgers each segment's (worker, job,
+tenant, tuples, cycles, dispatch clock), the shard list of each window
+it reports (when tracing: the lowest host a window reaches) and the
+shards it ran; every reply carries the ledgers back, where the parent
+folds them into the shared
+:class:`~repro.service.metrics.ServiceMetrics` and emits ``job.window``
+and ``job.segment`` under the dispatch-time clock.  Segment
 accounting is commutative per worker, and the dispatch clock is
 advanced only by the dispatcher thread, so metrics snapshots after a
 drain are identical to the inline backend's (the only backend-variant
@@ -53,30 +59,33 @@ Collection merges partials in ascending (worker_id, generation) order —
 the inline adapter's order — which keeps order-sensitive reductions
 (partition lists) bit-identical across backends.
 
-Crash recovery replays instead of failing: the parent retains a
-reference to every dispatched shard of each live job (the arrays the
-balancer already materialized — released when the job collects), per
-host in dispatch order.  When a child dies, its replacement is forked
-at the same index and the retained ledger — every worker it
-hosted — is replayed to it in order, rebuilding the sessions
-bit-identically.  Shards whose segment records were already folded
-replay with ``record=False``, so recovery never double-counts a
-segment.  Only a second failure during replay gives up and fails the
-host's jobs.
+Crash recovery replays instead of failing: the parent retains every
+window of each live job handed to a host, with its route, in dispatch
+order (released when the job collects).  A dead child's replacement
+is forked at the same index, sent the replay cursor (the segment
+records per (worker, job) already folded, which it suppresses), and
+replayed the retained windows in order, rebuilding the sessions
+bit-identically; a window report already folded is dropped.  Only a
+second failure during replay gives up and fails the host's jobs.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import time
 import traceback
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set,
+    Tuple,
+)
 
 from repro import wallclock
 from repro.obs import events as trace_events
 from repro.obs.collector import TraceCollector
 from repro.runtime.session import SessionSnapshot, StreamingSession
+from repro.service.balancer import WindowRoute
 from repro.service.executor import ExecutionBackend, SessionSpec
 from repro.service.pool import WorkItem
 from repro.service.shm import (
@@ -99,8 +108,15 @@ _ARENA_POLL = 0.0005
 #: What a pipe to a dead child raises.
 _PIPE_ERRORS = (BrokenPipeError, EOFError, OSError)
 
-#: A staged shard: (worker_id, item, record its segment).
-_Staged = Tuple[int, WorkItem, bool]
+
+class _Window(NamedTuple):
+    """A window staged on one host, which runs the ``hosted`` workers'
+    shards of it and, if ``report``, ledgers its shard list."""
+
+    item: WorkItem
+    route: WindowRoute
+    report: bool
+    hosted: FrozenSet[int]
 
 
 def _spare_cores() -> int:
@@ -131,8 +147,8 @@ def _serve(conn, slot: int, slabs: SlabClient) -> None:  # hot-path
     """The child's message loop.
 
     State lives entirely in this process: job specs, the hosted
-    workers' per-(worker, job) sessions, and the segment/error ledgers
-    every reply ships back.
+    workers' per-(worker, job) sessions, the replay cursor, and the
+    ledgers every reply ships back.
     """
     specs: Dict[str, SessionSpec] = {}
     sessions: Dict[Tuple[int, str], StreamingSession] = {}
@@ -141,6 +157,13 @@ def _serve(conn, slot: int, slabs: SlabClient) -> None:  # hot-path
     #: events with the clock stamped at dispatch time, not drain time.
     records: List[Tuple[int, str, str, int, int, int]] = []
     errors: List[Tuple[str, str]] = []        # (job_id, message)
+    #: (job_id, tenant, clock, window_index, tuples, [[worker, tuples]])
+    #: of each reported window.
+    windows: List[tuple] = []
+    ran = 0                                   # shards run
+    #: Records per (worker, job) the parent folded before a crash:
+    #: their replays record nothing.
+    skip: Dict[Tuple[int, str], int] = {}
     while True:
         try:
             msg = conn.recv()
@@ -151,24 +174,38 @@ def _serve(conn, slot: int, slabs: SlabClient) -> None:  # hot-path
             _, desc, entries = msg
             keys, values = slabs.views(desc)
             try:
-                for (worker_id, job_id, tenant_id, tuple_bytes,
-                     clock, record, start, stop) in entries:
-                    try:
-                        session = sessions.get((worker_id, job_id))
-                        if session is None:
-                            session = specs[job_id].build()
-                            sessions[worker_id, job_id] = session
-                        outcome = session.process(TupleBatch(
-                            keys[start:stop], values[start:stop],
-                            tuple_bytes))
-                        if record:
+                for (job_id, tenant_id, tuple_bytes, clock, route, report,
+                     hosted, start, stop) in entries:
+                    shards = route.split(TupleBatch(
+                        keys[start:stop], values[start:stop], tuple_bytes))
+                    if report:
+                        windows.append((
+                            job_id, tenant_id, clock, route.window_index,
+                            stop - start, [[worker_id, len(shard)]
+                                           for worker_id, shard
+                                           in shards.items()]))
+                    for worker_id, shard in shards.items():
+                        if worker_id not in hosted:
+                            continue
+                        ran += 1
+                        key = (worker_id, job_id)
+                        try:
+                            session = sessions.get(key)
+                            if session is None:
+                                session = sessions[key] = \
+                                    specs[job_id].build()
+                            outcome = session.process(shard)
+                        except Exception as exc:  # noqa: BLE001 — shipped
+                            errors.append((job_id, "".join(
+                                traceback.format_exception_only(
+                                    type(exc), exc)).strip()))
+                            continue
+                        if skip.get(key):
+                            skip[key] -= 1
+                        else:
                             records.append((
                                 worker_id, job_id, tenant_id,
                                 outcome.tuples, outcome.cycles, clock))
-                    except Exception as exc:  # noqa: BLE001 — shipped
-                        errors.append((job_id, "".join(
-                            traceback.format_exception_only(
-                                type(exc), exc)).strip()))
             finally:
                 # Drop the views, then publish the consumed
                 # sequence so the parent can recycle the block.
@@ -178,8 +215,11 @@ def _serve(conn, slot: int, slabs: SlabClient) -> None:  # hot-path
         if kind == "job":
             specs[msg[1]] = msg[2]
             continue
+        if kind == "cursor":
+            skip = msg[1]
+            continue
         # A request — flush, collect or handoff: the reply carries
-        # the surrendered snapshots and both ledgers.
+        # the surrendered snapshots and the ledgers.
         if kind == "collect":
             taken = [key for key in sessions if key[1] == msg[1]]
         elif kind == "handoff":
@@ -192,8 +232,8 @@ def _serve(conn, slot: int, slabs: SlabClient) -> None:  # hot-path
             session = sessions.pop(key)
             if session.segments:
                 snaps[key] = session.snapshot()
-        conn.send((snaps, records, errors))
-        records, errors = [], []
+        conn.send((snaps, records, errors, windows, ran))
+        records, errors, windows, ran = [], [], [], 0
         if kind == "handoff" and msg[1] is None:
             conn.close()
             return
@@ -216,37 +256,34 @@ class _Host:
         child_conn.close()
         #: Jobs whose SessionSpec this child has received.
         self.jobs: Set[str] = set()
-        #: Shards waiting for the next block, in dispatch order.
-        self.staged: List[_Staged] = []
-        self._staged_workers: Set[int] = set()
-        #: Crash-replay ledger: (worker_id, item) for every dispatched
-        #: shard of every live job hosted here, in dispatch order — the
-        #: WorkItems themselves (no copies); entries drop at collect.
-        self.retained: List[Tuple[int, WorkItem]] = []
+        #: Windows waiting for the next block, in dispatch order.
+        self.staged: List[_Window] = []
+        #: Crash-replay ledger: every window of every live job handed
+        #: to this host, in dispatch order — the WorkItems themselves
+        #: (no copies); entries drop at collect.
+        self.retained: List[_Window] = []
 
-    def fits(self, worker_id: int, batch: TupleBatch) -> bool:
-        """Whether a shard joins the staged block: same window (its
-        worker is not staged yet) and the block's dtypes."""
+    def fits(self, batch: TupleBatch, budget: int) -> bool:
+        """Whether a window joins the staged block: within ``budget``
+        bytes, and of the block's dtypes."""
         if not self.staged:
             return True
-        first = self.staged[0][1].batch
-        return (worker_id not in self._staged_workers
+        first = self.staged[0].item.batch
+        return (sum(window.item.batch.keys.nbytes
+                    + window.item.batch.values.nbytes
+                    for window in self.staged)
+                + batch.keys.nbytes + batch.values.nbytes <= budget
                 and batch.keys.dtype == first.keys.dtype
                 and batch.values.dtype == first.values.dtype)
 
-    def stage(self, worker_id: int, item: WorkItem, record: bool) -> None:
-        self.staged.append((worker_id, item, record))
-        self._staged_workers.add(worker_id)
-
-    def take(self) -> List[_Staged]:
+    def take(self) -> List[_Window]:
         staged, self.staged = self.staged, []
-        self._staged_workers = set()
         return staged
 
 
 class ProcessBackend(ExecutionBackend):
-    """K logical workers on at most cores − 1 warm children, fed one
-    slab-arena block per child per window.
+    """K logical workers on at most cores − 1 warm children, fed whole
+    windows with their routes, several per slab-arena block.
 
     Parameters
     ----------
@@ -256,7 +293,7 @@ class ProcessBackend(ExecutionBackend):
         from the host (see the module docstring), not from K.
     spec_factory:
         ``job_id -> SessionSpec``; the spec is shipped to a child with
-        the first block holding the job's shards, so the child can
+        the first block holding the job's windows, so the child can
         build the per-(worker, job) sessions itself.
     metrics:
         Shared :class:`~repro.service.metrics.ServiceMetrics`; child
@@ -272,7 +309,8 @@ class ProcessBackend(ExecutionBackend):
         trace — their ledgers carry the context and the parent emits on
         their behalf, keeping the pipe protocol free of trace traffic.
     slab_bytes / max_slabs:
-        Arena sizing (see :class:`~repro.service.shm.SlabArena`).
+        Arena sizing (see :class:`~repro.service.shm.SlabArena`); a
+        block ships before it outgrows ``slab_bytes // 8``.
     """
 
     def __init__(
@@ -309,8 +347,10 @@ class ProcessBackend(ExecutionBackend):
         #: Segment records already folded into the metrics, per
         #: (worker_id, job_id) — the replay cursor that keeps crash
         #: recovery exactly-once (pipe FIFO order makes the first N
-        #: dispatched shards of a job the first N recorded).
+        #: shards a worker runs of a job the first N recorded).
         self._recorded: Dict[Tuple[int, str], int] = {}
+        #: (job_id, window_index) of every window report folded.
+        self._reported: Set[Tuple[str, int]] = set()
         self._started = False
 
     # ------------------------------------------------------------------
@@ -330,7 +370,7 @@ class ProcessBackend(ExecutionBackend):
     def stop(self) -> None:
         """Hand off every child's state, then stop the fleet.
 
-        Staged shards ship first.  Children then surrender their
+        Staged windows ship first.  Children then surrender their
         partial sessions as orphan snapshots (so a post-stop
         :meth:`collect` still merges them, matching the inline pool's
         retained sessions) and exit.  The arena is closed and unlinked
@@ -359,6 +399,7 @@ class ProcessBackend(ExecutionBackend):
         finally:
             self._hosts = {}
             self._recorded.clear()
+            self._reported.clear()
             self._arena.close()
             self._arena = None
         if stuck:
@@ -371,23 +412,40 @@ class ProcessBackend(ExecutionBackend):
     # Dispatch
     # ------------------------------------------------------------------
     def dispatch(self, worker_id: int, item: WorkItem) -> None:  # hot-path
-        """Stage one shard on its worker's host; retain it for replay.
-
-        The staged block ships first if this shard starts the host's
-        next window or changes its dtypes (see the module docstring).
-        """
+        """Hand one shard to one worker: a window routed wholly to it."""
         if not 0 <= worker_id < self.size:
             raise ValueError(f"no such worker {worker_id}")
+        self.dispatch_window(item, WindowRoute(((worker_id,),)))
+
+    def dispatch_window(self, item: WorkItem,  # hot-path
+                        route: WindowRoute) -> None:
+        """Stage and retain a window on every host of a worker the
+        route reaches; when tracing, the lowest such host reports the
+        shard list of a window of a job's sequence.
+
+        A host's staged block ships first if this window would push it
+        past the budget or change its dtypes (see the module docstring).
+        """
         if not self._started:
             raise RuntimeError("pool is not running; call start() first")
         if len(item.batch) == 0:
             return  # parity with the inline worker's empty-shard skip
-        index = worker_id % self._slots
-        if not self._hosts[index].fits(worker_id, item.batch):
-            self._flush(index)
-        host = self._hosts[index]  # a crash while flushing replaced it
-        host.stage(worker_id, item, True)
-        host.retained.append((worker_id, item))
+        if route.memo is not None:  # the ids stay out of the ledger
+            route = dataclasses.replace(route, memo=None)
+        hosted: Dict[int, Set[int]] = {}  # host -> its workers' ids
+        for worker_id in {w for team in route.teams for w in team}:
+            if route.worker_quota is not None:
+                worker_id %= route.worker_quota
+            hosted.setdefault(worker_id % self._slots, set()).add(worker_id)
+        report = self.tracer.enabled and route.window_index is not None
+        for index in sorted(hosted):
+            if not self._hosts[index].fits(item.batch, self.slab_bytes // 8):
+                self._flush(index)
+            host = self._hosts[index]  # a crash while flushing replaced it
+            window = _Window(item, route, report, frozenset(hosted[index]))
+            host.staged.append(window)
+            host.retained.append(window)
+            report = False
 
     def drain(self) -> None:
         """Ship every staged block, then flush every child's ledgers.
@@ -396,7 +454,7 @@ class ProcessBackend(ExecutionBackend):
         barrier: when it arrives, every block shipped before it has
         been processed.  The parent never holds a recv while a child
         waits on it, so the barrier cannot deadlock.  A child found
-        dead at the barrier is revived and its retained shards replayed
+        dead at the barrier is revived and its retained windows replayed
         (sessions rebuilt, already-folded records suppressed), then
         flushed again; only a second failure gives up on its jobs.
         """
@@ -445,8 +503,10 @@ class ProcessBackend(ExecutionBackend):
                     continue
                 self._orphan(snaps)
                 host = self._hosts[index]
-                host.retained = [entry for entry in host.retained
-                                 if entry[0] < workers]
+                kept = frozenset(range(workers))
+                host.retained = [
+                    window._replace(hosted=window.hosted & kept)
+                    for window in host.retained if window.hosted & kept]
             for key in [key for key in self._recorded if key[0] >= workers]:
                 del self._recorded[key]
         del self._generations[workers:]
@@ -521,14 +581,14 @@ class ProcessBackend(ExecutionBackend):
             self._revive(index)
             return
         del host.retained[-len(staged):]  # staged: the ledger's tail
-        for job_id in sorted({item.job_id for _, item, _ in staged}):
+        for job_id in sorted({window.item.job_id for window in staged}):
             self._errors.setdefault(job_id, []).append(
                 f"RuntimeError: no shared-memory block freed for a "
                 f"window to worker process {index} within "
                 f"{self.join_timeout:g}s")
 
-    def _ship(self, host: _Host, staged: List[_Staged]) -> bool:  # hot-path
-        """Write staged shards as one block; send one window message.
+    def _ship(self, host: _Host, staged: List[_Window]) -> bool:  # hot-path
+        """Write staged windows as one block; send one window message.
 
         While the arena is full this polls the consumed-sequence
         handshake for at most ``join_timeout``, then returns False
@@ -539,8 +599,8 @@ class ProcessBackend(ExecutionBackend):
         """
         if not staged:
             return True
-        keys = [item.batch.keys for _, item, _ in staged]
-        values = [item.batch.values for _, item, _ in staged]
+        keys = [window.item.batch.keys for window in staged]
+        values = [window.item.batch.values for window in staged]
         deadline = wallclock.monotonic() + self.join_timeout
         while (desc := self._arena.write_block(host.index, keys,
                                                values)) is None:
@@ -557,19 +617,18 @@ class ProcessBackend(ExecutionBackend):
             time.sleep(_ARENA_POLL)
         entries = []
         start = 0
-        for worker_id, item, record in staged:
+        for item, route, report, hosted in staged:
             if item.job_id not in host.jobs:
                 host.conn.send(
                     ("job", item.job_id, self.spec_factory(item.job_id)))
                 host.jobs.add(item.job_id)
             stop = start + len(item.batch)
-            entries.append((worker_id, item.job_id, item.tenant_id,
+            entries.append((item.job_id, item.tenant_id,
                             item.batch.tuple_bytes, item.dispatch_clock,
-                            record, start, stop))
+                            route, report, hosted, start, stop))
             start = stop
         host.conn.send(("window", desc, entries))
         self.metrics.record_transport(
-            shards_shm=len(staged),
             shard_bytes_shared=sum(k.nbytes + v.nbytes
                                    for k, v in zip(keys, values)))
         return True
@@ -602,10 +661,10 @@ class ProcessBackend(ExecutionBackend):
             host.conn.send(msg)
             if not host.conn.poll(self.join_timeout):
                 return None
-            snaps, records, errors = host.conn.recv()
+            snaps, *ledgers = host.conn.recv()
         except _PIPE_ERRORS:
             return None
-        self._fold(records, errors)
+        self._fold(*ledgers)
         return snaps
 
     def _ask(self, index: int, msg) -> Optional[dict]:
@@ -623,16 +682,28 @@ class ProcessBackend(ExecutionBackend):
                 (worker_id, self._generations[worker_id], job_id)] = snap
 
     def _fold(self, records: List[Tuple[int, str, str, int, int, int]],
-              errors: List[Tuple[str, str]]) -> None:
+              errors: List[Tuple[str, str]], windows: List[tuple],
+              ran: int) -> None:
         """Fold a child's shipped ledgers into the parent's state.
 
-        Segment trace events are emitted here (on the parent) with the
-        dispatch-time clock the record carried across the pipe — the
-        same stamp the inline worker uses, so traces match across
-        backends.  Each folded record advances the replay cursor for
-        its (worker, job): those shards will never record again.
+        Window and segment trace events are emitted here (on the
+        parent) with the dispatch-time clock the ledger carried across
+        the pipe — the same stamp the inline pool uses, so traces match
+        across backends.  Each folded record advances the replay cursor
+        for its (worker, job): those shards will never record again.
         """
         trace = self.tracer.enabled
+        if ran:
+            self.metrics.record_transport(shards_shm=ran)
+        for job_id, tenant_id, clock, index, tuples, shards in windows:
+            if (job_id, index) in self._reported:
+                continue  # a replayed window's second report
+            self._reported.add((job_id, index))
+            if trace:
+                self.tracer.emit(
+                    trace_events.JOB_WINDOW, clock, job_id=job_id,
+                    tenant_id=tenant_id, tuples=tuples,
+                    window_index=index, shards=shards)
         for worker_id, job_id, tenant_id, tuples, cycles, clock in records:
             self.metrics.record_segment(worker_id, tuples, cycles,
                                         tenant=tenant_id)
@@ -664,25 +735,30 @@ class ProcessBackend(ExecutionBackend):
             host.process.terminate()
 
     def _revive(self, index: int) -> None:
-        """Replace a crashed child and replay its retained shards.
+        """Replace a crashed child and replay its retained windows.
 
-        The replacement takes the same index, so every worker
-        keeps its host, id and generation (merge order is per id, and a
-        replayed shard holds the tuples its window's split gave that
-        id, so results stay bit-identical).  Replay rebuilds every live
-        job's sessions from the retained ledger; records already folded
-        replay silently (``record=False``).
+        The replacement takes the same index, so every worker keeps its
+        host, id and generation (merge order is per id, and a replayed
+        window splits by its own route, so results stay bit-identical).
+        It gets the replay cursor first, then every live job's windows
+        in dispatch order; records already folded replay silently.  A
+        second failure gives up on the host's jobs.
         """
         host = self._hosts[index]
         hosted = list(range(index, self.size, self._slots))
+        # The lost shards, as the retained windows' routes split them.
+        lost = [(window.item, worker_id, len(shard))
+                for window in host.retained
+                for worker_id, shard in window.route.split(
+                    window.item.batch).items()
+                if worker_id in window.hosted]
         if self.tracer.enabled:
             self.tracer.emit(
                 trace_events.BACKEND_CRASH, workers=hosted,
-                lost_jobs=len(host.jobs),
-                retained_shards=len(host.retained))
+                lost_jobs=len(host.jobs), retained_shards=len(lost))
         self._terminate(host)
         # The dead child's unconsumed blocks are unreadable now; replay
-        # re-places the shards.
+        # re-places the windows.
         self._arena.release_worker(index)
         replacement = self._hosts[index] = _Host(index,
                                                  self._arena.ctrl_name)
@@ -690,32 +766,30 @@ class ProcessBackend(ExecutionBackend):
         if self.tracer.enabled:
             self.tracer.emit(trace_events.BACKEND_RESPAWN, workers=hosted,
                              pid=replacement.process.pid)
-        self._replay(index)
-
-    def _replay(self, index: int) -> None:
-        """Re-ship a revived host's retained shards in dispatch order."""
-        host = self._hosts[index]
         replayed: Dict[Tuple[int, str], int] = {}
+        for item, worker_id, tuples in lost:
+            key = (worker_id, item.job_id)
+            count = replayed[key] = replayed.get(key, 0) + 1
+            self.metrics.record_transport(shard_retries=1)
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    trace_events.BACKEND_SHARD_RETRY, item.dispatch_clock,
+                    job_id=item.job_id, tenant_id=item.tenant_id,
+                    worker=worker_id,
+                    generation=self._generations[worker_id], tuples=tuples,
+                    recorded=count > self._recorded.get(key, 0))
         try:
-            for worker_id, item in host.retained:
-                if not host.fits(worker_id, item.batch) \
-                        and not self._ship(host, host.take()):
+            replacement.conn.send(("cursor", {
+                key: count for key, count in self._recorded.items()
+                if key[0] % self._slots == index}))
+            for window in replacement.retained:
+                if not replacement.fits(window.item.batch,
+                                        self.slab_bytes // 8) \
+                        and not self._ship(replacement, replacement.take()):
                     break
-                key = (worker_id, item.job_id)
-                count = replayed.get(key, 0)
-                replayed[key] = count + 1
-                record = count >= self._recorded.get(key, 0)
-                host.stage(worker_id, item, record)
-                self.metrics.record_transport(shard_retries=1)
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        trace_events.BACKEND_SHARD_RETRY,
-                        item.dispatch_clock, job_id=item.job_id,
-                        tenant_id=item.tenant_id, worker=worker_id,
-                        generation=self._generations[worker_id],
-                        tuples=len(item.batch), recorded=record)
+                replacement.staged.append(window)
             else:
-                if self._ship(host, host.take()):
+                if self._ship(replacement, replacement.take()):
                     return
         except _PIPE_ERRORS:
             pass
@@ -725,7 +799,8 @@ class ProcessBackend(ExecutionBackend):
         """A host died again (or its replay found the arena full past
         the timeout) during recovery: fail its live jobs."""
         host = self._hosts[index]
-        doomed = {item.job_id for _, item in host.retained} | host.jobs
+        doomed = {window.item.job_id
+                  for window in host.retained} | host.jobs
         for job_id in sorted(doomed):
             self._errors.setdefault(job_id, []).append(
                 f"RuntimeError: worker process {index} died and its "
@@ -743,7 +818,8 @@ class ProcessBackend(ExecutionBackend):
     def _release_job(self, job_id: str) -> None:
         """Drop one job's replay ledger on every host (at collect)."""
         for host in self._hosts.values():
-            host.retained = [entry for entry in host.retained
-                             if entry[1].job_id != job_id]
+            host.retained = [window for window in host.retained
+                             if window.item.job_id != job_id]
         for key in [key for key in self._recorded if key[1] == job_id]:
             del self._recorded[key]
+        self._reported = {key for key in self._reported if key[0] != job_id}

@@ -118,10 +118,10 @@ class StreamService:
         every shard on the dispatcher thread — no worker threads;
         results and trace order are deterministic and replay safe;
         ``"process"`` hosts the K workers on at most cores − 1 warm
-        child processes, one per spare CPU, fed one
-        shared-memory block per child per window — they escape the
-        GIL for multi-core wall time.  Results are bit-identical
-        across backends.
+        child processes, one per spare CPU, fed whole windows with
+        their routes, several per shared-memory block, which the
+        children split — they escape the GIL for multi-core wall
+        time.  Results are bit-identical across backends.
     transport:
         Only ``"shm"`` is accepted: the process backend always moves
         shards through its shared-memory slab arena

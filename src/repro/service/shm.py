@@ -1,17 +1,16 @@
-"""Shared-memory slab arena: the process backend's shard transport.
+"""Shared-memory slab arena: the process backend's window transport.
 
 The paper's routing premise is that throughput dies when data movement
-sits on the critical path, so shards cross the process boundary as a
+sits on the critical path, so windows cross the process boundary as a
 *reference to a buffer*, not as a byte stream:
 
 ``SlabArena`` (parent / dispatcher side)
     A pool of ``multiprocessing.shared_memory`` slabs with a first-fit
-    free-list allocator.  ``write_block()`` copies one window's shards
-    for one child — each part straight into its place, once — into a
-    single block and returns a tiny picklable :class:`ShardDescriptor`
-    (slab name, offset, dtypes, length, sequence number); that
-    descriptor is all the pipe carries.  ``write()`` is the one-shard
-    block.
+    free-list allocator.  ``write_block()`` copies one child's staged
+    windows — each part straight into its place, once — into a single
+    block and returns a tiny picklable :class:`ShardDescriptor` (slab
+    name, offset, dtypes, length, sequence number); that descriptor is
+    all the pipe carries.  ``write()`` is the one-part block.
 
 ``SlabClient`` (child / worker side)
     Attaches slabs lazily on first use and builds NumPy views straight
@@ -224,9 +223,9 @@ class SlabArena:
     def write_block(self, slot: int,  # hot-path
                     keys: Sequence[np.ndarray],
                     values: Sequence[np.ndarray]) -> Optional[ShardDescriptor]:
-        """Place the concatenation of several shards as one block.
+        """Place the concatenation of several parts as one block.
 
-        ``keys[i]`` and ``values[i]`` are one shard; every part shares
+        ``keys[i]`` and ``values[i]`` are one part; every part shares
         the first part's dtypes.  The transport's single copy happens
         here: each part is copied straight into its place in the slab.
         Returns None — never raises — while every slab is full at the

@@ -1,14 +1,17 @@
 """The process backend's hosting map, generated against the inline pool.
 
 K logical workers (1..6) live on one warm child per spare CPU — the
-spare-CPU count faked at 0..3 — and each child gets one block per
-window.  None of that may show: for a generated dispatch sequence of
-two interleaved jobs (any served apps, ``dp``'s order-sensitive lists
-and ``hhd`` included), empty shards, shards with non-default dtypes,
-grow/shrink mid-job and drains at arbitrary points, the process backend
-and the inline :class:`~repro.service.pool.WorkerPool` must collect the
-same result bits, the same :class:`~repro.service.metrics.ServiceMetrics`
-snapshot (minus the process-only ``transport`` block) and the same
+spare-CPU count faked at 0..3 — and each child gets several windows per
+block, which it splits itself.  None of that may show: for a generated
+dispatch sequence of two interleaved jobs (any served apps, ``dp``'s
+order-sensitive lists and ``hhd`` included), empty shards, shards with
+non-default dtypes, whole windows under random routes (teams, by-key
+lanes, a worker quota; the plan changing from window to window inside
+one block), grow/shrink mid-job and drains at arbitrary points, the
+process backend and the inline :class:`~repro.service.pool.WorkerPool`
+must collect the same result bits, the same
+:class:`~repro.service.metrics.ServiceMetrics` snapshot (minus the
+process-only ``transport`` block) and the same ``job.window`` and
 ``job.segment`` trace events.
 """
 
@@ -29,6 +32,7 @@ from repro.service import (
     WorkerPool,
 )
 from repro.service import procpool
+from repro.service.balancer import WindowRoute
 from repro.service.pool import WorkItem
 from repro.workloads.tuples import TupleBatch
 
@@ -44,8 +48,20 @@ window = st.tuples(
     st.lists(st.integers(0, 80), min_size=1, max_size=6),  # tuples/worker
     st.sampled_from((None,) + NARROW),
     st.integers(0, 2**16))
+#: A whole window under a route: its tuples, its plan as a worker order
+#: cut into teams (workers beyond the fleet are dropped when it runs),
+#: by-key lanes, and a quota (none at or above the fleet size).
+routed = st.tuples(
+    st.just("routed"),
+    st.sampled_from(JOBS),
+    st.integers(1, 200),
+    st.permutations(range(6)),
+    st.lists(st.integers(1, 5), min_size=1, max_size=4),  # team sizes
+    st.booleans(),
+    st.integers(1, 6),
+    st.integers(0, 2**16))
 operations = st.lists(
-    st.one_of(window, window,
+    st.one_of(window, window, routed, routed,
               st.tuples(st.just("resize"), st.integers(1, 6)),
               st.tuples(st.just("drain"))),
     min_size=1, max_size=10)
@@ -62,6 +78,19 @@ def shard(tuples, seed, dtypes):
     return batch
 
 
+def route_of(op, workers, clock):
+    """The op's route, cut to the ``workers`` the fleet has now."""
+    _, _, _, order, sizes, by_key, quota, _ = op
+    live = [worker for worker in order if worker < workers]
+    teams, start = [], 0
+    for size in sizes:
+        if live[start:start + size]:
+            teams.append(tuple(live[start:start + size]))
+        start += size
+    return WindowRoute(tuple(teams) or ((0,),), by_key,
+                       quota if quota < workers else None, clock)
+
+
 def run(backend, ops, narrow):
     """Replay ``ops``; returns (result bits per job, snapshot)."""
     backend.start()
@@ -75,6 +104,12 @@ def run(backend, ops, narrow):
                     backend.dispatch(worker_id, WorkItem(
                         job_id, batch, tenant_id=f"tenant-{job_id}",
                         dispatch_clock=clock))
+            elif op[0] == "routed":
+                batch = shard(op[2], op[7], None)
+                backend.dispatch_window(
+                    WorkItem(op[1], batch, tenant_id=f"tenant-{op[1]}",
+                             dispatch_clock=clock),
+                    route_of(op, backend.size, clock))
             elif op[0] == "resize":
                 backend.resize(op[1])
             else:
@@ -92,6 +127,14 @@ def run(backend, ops, narrow):
     snapshot = backend.metrics.snapshot()
     snapshot.pop("transport", None)
     return collected, snapshot
+
+
+def windows(tracer):
+    """Window events as sorted (clock, job, tenant, data) tuples."""
+    return sorted(
+        (e.clock, e.job_id, e.tenant_id, e.data["tuples"],
+         e.data["window_index"], e.data["shards"])
+        for e in tracer.events() if e.kind == trace_events.JOB_WINDOW)
 
 
 def segments(tracer, generation_offset):
@@ -127,3 +170,4 @@ def test_hosting_map_is_invisible_next_to_inline(workers, spare, apps, ops):
 
     assert process_out == inline_out
     assert segments(process_tracer, 1) == segments(inline_tracer, 0)
+    assert windows(process_tracer) == windows(inline_tracer)

@@ -20,11 +20,17 @@ matrix lives in ``test_backends.py``):
    non-default key/value dtypes round-trip instead of being misdecoded
    as uint64/int64.
 5. **Hosting** — K logical workers live on one warm child per spare
-   CPU (``w % spare``), and each child gets one arena block and one
-   ``"window"`` message per window, not one per shard.
+   CPU (``w % spare``), and a child's staged windows share one arena
+   block and one ``"window"`` message until the block would outgrow
+   ``slab_bytes // 8``.
+6. **Window hand-over** — the dispatcher hands over whole windows with
+   their routes and the child splits them: no split in the parent, the
+   inline run's ``job.window`` shard lists, and a crash after a
+   multi-window block still folds every record exactly once.
 """
 
 import dataclasses
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -41,6 +47,7 @@ from repro.obs import events as trace_events
 from repro.service import (
     SERVED_APPS,
     ProcessBackend,
+    SkewAwareBalancer,
     ServiceMetrics,
     SessionSpec,
     SlabArena,
@@ -49,8 +56,8 @@ from repro.service import (
 )
 from repro.service import procpool
 from repro.service.pool import WorkItem
-from repro.service.shm import CTRL_SLOTS, block_size
-from repro.workloads.streams import chunk_stream
+from repro.service.shm import CTRL_SLOTS, DEFAULT_SLAB_BYTES, block_size
+from repro.workloads.streams import NetworkModel, chunk_stream
 from repro.workloads.tuples import TupleBatch
 from repro.workloads.zipf import ZipfGenerator
 
@@ -266,8 +273,9 @@ def fill_stopped_worker(backend, job_id="held"):
     host = host_of(backend, 0)
     os.kill(host.process.pid, signal.SIGSTOP)
     backend.dispatch(0, WorkItem(job_id, ones(100)))
-    # A second shard for worker 0 starts the next window: the first
-    # ships; shipping every host then sends the second.
+    # Two shards overrun the block budget (an eighth of the arena): the
+    # first ships when the second arrives; shipping every host then
+    # sends the second.
     backend.dispatch(0, WorkItem(job_id, ones(100, first_key=100)))
     backend._ship_all()
     assert backend._arena.outstanding() == 2
@@ -551,7 +559,7 @@ class TestDtypeHeaders:
 
 
 # ----------------------------------------------------------------------
-# Hosting: one warm child per spare CPU, one block per child per window
+# Hosting: one warm child per spare CPU, windows share a block
 # ----------------------------------------------------------------------
 class TestHosting:
     def counted_run(self, monkeypatch, spare, windows=5, workers=4):
@@ -599,12 +607,14 @@ class TestHosting:
                  if e.kind == trace_events.BACKEND_FORK}
         return counts, children, transport, forks
 
-    def test_one_spare_core_is_one_child_and_one_block_per_window(
+    def test_one_spare_core_is_one_child_and_one_block_per_drain(
             self, monkeypatch):
+        # 20 shards of 1.6 KB stay far below the block budget: they
+        # ship together at the drain.
         windows = 5
         counts, children, transport, forks = self.counted_run(
             monkeypatch, spare=1, windows=windows)
-        assert counts == {"writes": windows, "windows": windows}
+        assert counts == {"writes": 1, "windows": 1}
         assert len(children) == 1
         assert transport["shards_shm"] == 4 * windows
         # One backend.fork per logical worker, all naming the one host.
@@ -615,7 +625,7 @@ class TestHosting:
         counts, children, transport, forks = self.counted_run(
             monkeypatch, spare=3, windows=4)
         assert len(children) == 3
-        assert counts == {"writes": 3 * 4, "windows": 3 * 4}
+        assert counts == {"writes": 3, "windows": 3}  # one per child
         assert transport["shards_shm"] == 4 * 4
         assert forks[3] == forks[0]  # worker 3 shares child 0
         assert len({forks[0], forks[1], forks[2]}) == 3
@@ -639,3 +649,135 @@ class TestHosting:
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
         assert procpool._spare_cores() == 3
+
+
+# ----------------------------------------------------------------------
+# Window hand-over: the child splits, several windows per block
+# ----------------------------------------------------------------------
+#: Line-rate time of exactly 4 000 tuples: one chunk is one window.
+WINDOW_4K = 4_000 / NetworkModel().tuples_per_second
+
+
+def serve_windows(backend, windows, stream=None):
+    """One traced histo job of ``windows`` 4 000-tuple windows on K = 4;
+    (result, snapshot, events)."""
+    batch = ZipfGenerator(alpha=1.5, seed=5).generate(windows * 4_000)
+    tracer = TraceCollector(enabled=True)
+    service = StreamService(workers=4, balancer="skew", backend=backend,
+                            tracer=tracer)
+    try:
+        source = stream(service, batch) if stream is not None \
+            else chunk_stream(batch, 4_000)
+        service.submit("histo", source, window_seconds=WINDOW_4K,
+                       job_id="handover")
+        service.run()
+        result = service.result("handover")
+        snapshot = service.metrics.snapshot()
+    finally:
+        service.shutdown()
+    return result, snapshot, tracer.events()
+
+
+def job_events(events, kind):
+    """One kind of job event, order-insensitive, generation dropped."""
+    return sorted((e.clock, e.worker, sorted(e.data.items()))
+                  for e in events if e.kind == kind)
+
+
+class TestWindowHandOver:
+    WINDOWS = 20
+
+    def test_child_splits_whole_windows_shipped_several_per_block(
+            self, monkeypatch):
+        fake_spare_cores(monkeypatch, 1)
+        counts = {"splits": 0, "writes": 0, "windows": 0}
+        split = SkewAwareBalancer.split
+        write_block = SlabArena.write_block
+        send = multiprocessing.connection.Connection.send
+
+        def counting_split(*args, **kwargs):
+            counts["splits"] += 1
+            return split(*args, **kwargs)
+
+        def counting_write(arena, *args):
+            counts["writes"] += 1
+            return write_block(arena, *args)
+
+        def counting_send(conn, msg):
+            counts["windows"] += msg[0] == "window"
+            return send(conn, msg)
+
+        children = []
+
+        def stream(service, batch):
+            yield from chunk_stream(batch, 4_000)
+            children.extend(
+                child for child in multiprocessing.active_children()
+                if child.name.startswith("pipeline-proc-"))
+
+        inline_result, inline_snap, inline_events = serve_windows(
+            "inline", self.WINDOWS)
+        monkeypatch.setattr(SkewAwareBalancer, "split", counting_split)
+        monkeypatch.setattr(SlabArena, "write_block", counting_write)
+        monkeypatch.setattr(multiprocessing.connection.Connection, "send",
+                            counting_send)
+        result, snapshot, events = serve_windows(
+            "process", self.WINDOWS, stream=stream)
+
+        # 20 windows of 64 KB: eight to a 512 KiB block.
+        blocks = math.ceil(self.WINDOWS * 4_000 * 16
+                           / (DEFAULT_SLAB_BYTES // 8))
+        assert blocks == 3
+        assert counts == {"splits": 0, "writes": blocks, "windows": blocks}
+        assert len(children) == 1
+        assert snapshot["transport"]["shards_shm"] == 4 * self.WINDOWS
+        assert result_bits(result) == result_bits(inline_result)
+        assert comparable(snapshot) == comparable(inline_snap)
+        inline_windows = job_events(inline_events, trace_events.JOB_WINDOW)
+        assert len(inline_windows) == self.WINDOWS
+        assert job_events(events, trace_events.JOB_WINDOW) == inline_windows
+
+    @pytest.mark.parametrize("fold_first", (False, True))
+    def test_crash_after_a_multi_window_block_folds_records_once(
+            self, monkeypatch, fold_first):
+        # Without ``fold_first`` the child dies after the first block of
+        # eight windows; with it, a drain first folds the records of
+        # the windows before chunk 4, which the replay must suppress.
+        fake_spare_cores(monkeypatch, 1)
+        ship = ProcessBackend._ship
+        armed, killed = [] if fold_first else [True], []
+
+        def killing_ship(backend, host, staged):
+            shipped = ship(backend, host, staged)
+            if armed and not killed and len(staged) > 1:
+                killed.append(host.process.pid)
+                host.process.kill()
+                host.process.join()
+            return shipped
+
+        def stream(service, batch):
+            for index, events in enumerate(chunk_stream(batch, 4_000)):
+                if fold_first and index == 4:
+                    service._pool.drain()
+                    armed.append(True)
+                yield events
+
+        monkeypatch.setattr(ProcessBackend, "_ship", killing_ship)
+        inline_result, inline_snap, inline_events = serve_windows(
+            "inline", self.WINDOWS)
+        result, snapshot, events = serve_windows(
+            "process", self.WINDOWS, stream=stream)
+
+        assert killed
+        assert [e.kind for e in events].count(
+            trace_events.BACKEND_CRASH) == 1
+        assert result_bits(result) == result_bits(inline_result)
+        assert comparable(snapshot) == comparable(inline_snap)
+        for kind in (trace_events.JOB_SEGMENT, trace_events.JOB_WINDOW):
+            assert job_events(events, kind) == job_events(inline_events,
+                                                          kind), kind
+        retries = [e for e in events
+                   if e.kind == trace_events.BACKEND_SHARD_RETRY]
+        # Replayed records already folded are the ones suppressed.
+        assert any(not e.data["recorded"] for e in retries) == fold_first
+        assert any(e.data["recorded"] for e in retries)
