@@ -6,7 +6,8 @@
 * :mod:`repro.hashing.radix` — radix-bit extraction for data partitioning
   (Table I: "radix hash function").
 * :mod:`repro.hashing.multiply_shift` — multiply-shift hashing used for
-  histogram bin indexing inside the PEs.
+  histogram bin indexing inside the PEs and for the fleet balancer's
+  shard and team-lane routing.
 * :mod:`repro.hashing.family` — a pairwise-independent family providing
   the row hashes of the count-min sketch (heavy hitter detection).
 

@@ -1,9 +1,13 @@
-"""Multiply-shift hashing (Dietzfelbinger et al.) for histogram binning.
+"""Multiply-shift hashing (Dietzfelbinger et al.) for histogram binning
+and fleet routing.
 
 ``h(x) = (a * x mod 2^64) >> (64 - out_bits)`` with odd ``a`` is a
 2-universal-ish hash that costs a single DSP multiply in hardware —
 exactly the kind of one-cycle "lightweight computation" (§III, Challenge
 1) that makes work-stealing unprofitable for these applications.
+:func:`multiply_shift_range` takes the top 32 bits the same way and
+reduces them into ``[0, n)`` by a multiply-high (Lemire), not a modulus:
+the fleet balancer's shard and team-lane hash.
 """
 
 from __future__ import annotations
@@ -41,3 +45,16 @@ def multiply_shift_array(
     product = np.asarray(keys, dtype=np.uint64) * np.uint64(a)
     product >>= np.uint64(64 - out_bits)
     return product.view(np.int64)
+
+
+def multiply_shift_range(keys: np.ndarray, n: int, a: int) -> np.ndarray:
+    """``multiply_shift(key, 32, a) * n >> 32`` of each key: an ``int64``
+    id in ``[0, n)`` in the keys' shape, signed keys wrapped as
+    ``np.asarray(keys, uint64)`` wraps them.  ``n`` is at most 2^31, so
+    the product fits the signed 64-bit lane."""
+    if not 0 < n <= 1 << 31:
+        raise ValueError("n must be in 1..2^31")
+    ids = multiply_shift_array(keys, 32, a)
+    ids *= n
+    ids >>= 32
+    return ids

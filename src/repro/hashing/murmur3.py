@@ -10,8 +10,8 @@ Two variants are provided:
   simulated PrePEs use.
 
 Both have vectorised numpy twins that are bit-exact with the scalar code;
-:func:`murmur3_32_array`, the fleet's sharding hash, is one fused
-``uint32`` pass over little-endian words, independent of host byte order.
+:func:`murmur3_32_array` is one fused ``uint32`` pass over little-endian
+words, independent of host byte order.
 """
 
 from __future__ import annotations

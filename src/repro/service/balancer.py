@@ -8,8 +8,10 @@ histogram + greedy plan (reused directly from
 key-ranges:
 
 * ``M = workers - secondaries`` **primary workers** each own one key
-  shard (a hash range of the key space, hashed independently of the
-  kernels' on-chip routing so fleet and on-chip imbalance don't alias).
+  shard, ``((FLEET_SHARD_SEED * key mod 2^64) >> 32) * M >> 32``: a
+  multiply-shift and a multiply-high, as the PrePE routes in a few
+  multiplies and shifts.  Its odd multiplier is not the kernels'
+  on-chip one, so fleet and on-chip imbalance don't alias.
 * ``X = secondaries`` **secondary workers** are floating capacity.  Each
   profiling round builds a shard histogram from the observed keys and
   runs :func:`~repro.core.profiler.greedy_secpe_plan`; a hot shard's
@@ -18,12 +20,12 @@ key-ranges:
 
 A non-``splittable`` kernel's job (heavy hitters) is split *by key*
 with the same stateless rule at a different lane choice: a tuple of
-shard ``p`` goes to ``team[murmur3(key, TEAM_SEED) % len(team)]``, so a
-key stays whole within each window's split.  No per-key table is kept —
-as on chip, where the PrePE routes by ``HASH(key) & mask`` alone — so a
-key may land on another worker in a later window; heavy hitters are
-detected per segment (one worker's shard of one window), which that
-does not change.
+shard ``p`` goes to the lane that hash under ``TEAM_SEED`` picks in
+``range(len(team))``, so a key stays whole within each window's split.
+No per-key table is kept — as on chip, where the PrePE routes by
+``HASH(key) & mask`` alone — so a key may land on another worker in a
+later window; heavy hitters are detected per segment (one worker's
+shard of one window), which that does not change.
 
 ``secondaries=0`` is the naive round-robin baseline
 (``make_balancer("roundrobin", K)``): all ``K`` workers are primaries
@@ -40,29 +42,22 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.profiler import SchedulingPlan, greedy_secpe_plan
-from repro.hashing.murmur3 import murmur3_32_array
+from repro.hashing.multiply_shift import multiply_shift_range
+# Unused here: the benchmark (bench/tracing.py) swaps this module's
+# name to count hashed keys.  ROADMAP item 2 removes that seam.
+from repro.hashing.murmur3 import murmur3_32_array  # noqa: F401
 from repro.workloads.tuples import TupleBatch
 
-#: Hash seed for fleet sharding — distinct from any kernel's on-chip
-#: routing hash so a fleet shard does not collapse onto one PriPE.
-FLEET_SHARD_SEED = 0x51EE7
-
-
-def _shard_ids(keys: np.ndarray, shards: int,
-               seed: int = FLEET_SHARD_SEED) -> np.ndarray:
-    """``uint32`` murmur3 ``% shards`` of each key, as ``h - h // s * s``:
-    NumPy divides by a scalar fast (libdivide), ``%`` it does not."""
-    ids = murmur3_32_array(keys, seed=seed)
-    ids -= ids // np.uint32(shards) * np.uint32(shards)
-    return ids
+#: Odd multiplier for fleet sharding — not HISTO's on-chip multiplier
+#: (``DEFAULT_MULTIPLIER``), so a fleet shard does not collapse onto one PriPE.
+FLEET_SHARD_SEED = 0xD6E8FEB86659FD93
 
 
 def shard_of_keys(keys: np.ndarray, shards: int,
                   seed: int = FLEET_SHARD_SEED) -> np.ndarray:
-    """Fleet shard ID of each key (murmur3 over the raw key)."""
-    if shards <= 0:
-        raise ValueError("shards must be positive")
-    return _shard_ids(keys, shards, seed).astype(np.int64)
+    """Fleet shard ID of each key: ``int64`` multiply-shift of the raw
+    key, range-reduced into ``[0, shards)``."""
+    return multiply_shift_range(keys, shards, seed)
 
 
 class SkewAwareBalancer:
@@ -81,8 +76,8 @@ class SkewAwareBalancer:
         Keys profiled per segment before (re)planning; the paper samples
         a short profiling window rather than the full stream.  Segments
         larger than this are subsampled with a seeded RNG.  ``observe``
-        takes the whole segment's shard ids once (one murmur3 pass, one
-        modulus) and histograms the sample of those ids; ``split`` of
+        takes the whole segment's shard ids once (one multiply-shift
+        pass) and histograms the sample of those ids; ``split`` of
         the same batch routes by the memoised ids, so a window's keys
         are hashed and reduced one time, as the paper's PrePE computes
         a destination once for routing and profiling alike.
@@ -152,7 +147,7 @@ class SkewAwareBalancer:
         """
         if len(keys) == 0:
             return
-        shards = _shard_ids(keys, self.primaries)
+        shards = shard_of_keys(keys, self.primaries)
         self._shards = (keys, shards)
         # The ids are in [0, primaries) by construction: no range check.
         histogram = np.bincount(self.sample_keys(shards),
@@ -211,9 +206,9 @@ class SkewAwareBalancer:
         it for each by-key job.
         """
 
-    #: Seed for intra-team key spreading; distinct from the shard seed
-    #: so a shard's keys do not all collapse onto one team lane.
-    TEAM_SEED = 0x7EA12
+    #: Odd multiplier for intra-team key spreading; not the shard one, so
+    #: a shard's keys do not all collapse onto one team lane.
+    TEAM_SEED = 0xA0761D6478BD642F
 
     def route(self, by_key: bool = False,
               worker_quota: Optional[int] = None,
@@ -278,7 +273,7 @@ class WindowRoute:
         lanes take the shard's tuples round-robin; ``by_key`` (non-
         ``splittable`` kernels such as heavy-hitter detection, whose
         per-key sketch state cannot be diluted across workers) picks
-        the lane by a ``TEAM_SEED`` hash of the key instead, so one
+        the lane by the shard hash under ``TEAM_SEED`` instead, so one
         key's tuples all land on one worker, and returns the
         sub-batches in ascending worker order.  Either way a worker
         gets its tuples in stream order.  Past ``worker_quota``, a
@@ -291,14 +286,14 @@ class WindowRoute:
         """
         memo = self.memo
         shards = (memo[1] if memo is not None and memo[0] is batch.keys
-                  else _shard_ids(batch.keys, len(self.teams)))
+                  else shard_of_keys(batch.keys, len(self.teams)))
         out: Dict[int, TupleBatch] = {}
         for primary, team in enumerate(self.teams):
             positions = np.nonzero(shards == primary)[0]
             if positions.size == 0:
                 continue
-            lanes = (_shard_ids(batch.keys[positions], len(team),
-                                SkewAwareBalancer.TEAM_SEED)
+            lanes = (shard_of_keys(batch.keys[positions], len(team),
+                                   SkewAwareBalancer.TEAM_SEED)
                      if self.by_key and len(team) > 1 else None)
             for lane, worker in enumerate(team):
                 chosen = (positions[lane::len(team)] if lanes is None

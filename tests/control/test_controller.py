@@ -5,12 +5,14 @@ integration tests run it inside a real :class:`StreamService` and hold
 the adaptive fleet to the same golden-result bar as the static one.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.control import AdaptiveController, ControlPolicy
 from repro.service import ServiceMetrics, StreamService, WorkerPool
-from repro.service.balancer import SkewAwareBalancer
+from repro.service.balancer import SkewAwareBalancer, shard_of_keys
 from repro.service.jobs import kernel_for
 from repro.workloads.evolving import EvolvingZipfStream
 from repro.workloads.streams import NetworkModel, arrival_stream
@@ -34,6 +36,22 @@ def make_controller(workers=4, slo=None, **policy_kwargs):
 
 def hot_keys(seed, tuples=2_000):
     return ZipfGenerator(alpha=2.5, seed=seed).generate(tuples).keys
+
+
+def drifting_windows(windows, primaries):
+    """``windows`` windows of ``hot_keys`` whose hottest key lands in
+    another fleet shard than the previous window's: the hot shard
+    moves every window, by construction."""
+    chosen, previous = [], None
+    for seed in itertools.count(1):
+        window = hot_keys(seed)
+        keys, counts = np.unique(window, return_counts=True)
+        shard = int(shard_of_keys(keys[[counts.argmax()]], primaries)[0])
+        if shard != previous:
+            chosen.append(window)
+            previous = shard
+        if len(chosen) == windows:
+            return chosen
 
 
 class TestPlanCacheNamespaces:
@@ -78,11 +96,12 @@ class TestControlLoop:
     def test_fast_drift_is_held_and_charged_nothing(self):
         controller, balancer, metrics = make_controller(
             amortize_factor=4.0)
-        controller.on_window(hot_keys(1), WINDOW_TUPLES)
+        first, *moving = drifting_windows(11, balancer.primaries)
+        controller.on_window(first, WINDOW_TUPLES)
         plan_before = balancer.plan.pairs
         held = 0
-        for seed in range(2, 12):  # hot key moves every window
-            action = controller.on_window(hot_keys(seed), WINDOW_TUPLES)
+        for keys in moving:  # hot key moves every window
+            action = controller.on_window(keys, WINDOW_TUPLES)
             held += action == "hold"
         assert held >= 3
         assert metrics.control["replans_applied"] == 0
@@ -122,14 +141,13 @@ class TestControlLoop:
         assert actions[-1] == "steady"
 
     def test_burst_regime_freezes_until_unfrozen(self):
-        controller, _, metrics = make_controller(
+        controller, balancer, metrics = make_controller(
             burst_tuples=WINDOW_TUPLES * 10)
-        controller.on_window(hot_keys(1), WINDOW_TUPLES)
-        assert controller.on_window(hot_keys(2),
-                                    WINDOW_TUPLES) == "freeze"
+        first, second, third = drifting_windows(3, balancer.primaries)
+        controller.on_window(first, WINDOW_TUPLES)
+        assert controller.on_window(second, WINDOW_TUPLES) == "freeze"
         assert controller.frozen
-        assert controller.on_window(hot_keys(3),
-                                    WINDOW_TUPLES) == "frozen"
+        assert controller.on_window(third, WINDOW_TUPLES) == "frozen"
         controller.unfreeze()
         assert not controller.frozen
         assert metrics.control["replans_suppressed"] >= 1

@@ -10,7 +10,6 @@ from repro.hashing.murmur3 import (
     murmur3_32,
     murmur3_32_array,
 )
-from repro.service.balancer import FLEET_SHARD_SEED, SkewAwareBalancer
 
 U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
@@ -51,9 +50,8 @@ class TestVectorisedAgreement:
             assert fmix64(key) == int(value)
 
 
-#: The seeds the fleet hashes with, plus both ends of the 32-bit range.
-SEEDS = st.sampled_from([0, FLEET_SHARD_SEED, SkewAwareBalancer.TEAM_SEED,
-                         (1 << 32) - 1])
+#: A few seeds, among them both ends of the 32-bit range.
+SEEDS = st.sampled_from([0, 0x51EE7, 0x7EA12, (1 << 32) - 1])
 
 
 def laid_out(keys, layout):
@@ -77,14 +75,14 @@ def laid_out(keys, layout):
 
 class TestLayouts:
     """The fused ``uint32`` pass equals the scalar hash on every layout,
-    byte order and dtype the balancer may see, keeping the input's
+    byte order and dtype a caller may hand in, keeping the input's
     shape."""
 
     @given(keys=st.lists(U64, max_size=48), seed=SEEDS,
            layout=st.sampled_from(["flat", "0-d", "2-D", "strided",
                                    "read-only", ">u8", "int64"]))
     @example(keys=[], seed=0, layout="flat")
-    @example(keys=[(1 << 64) - 1, 1 << 63, 5], seed=FLEET_SHARD_SEED,
+    @example(keys=[(1 << 64) - 1, 1 << 63, 5], seed=0x51EE7,
              layout="int64")
     def test_array_matches_scalar(self, keys, seed, layout):
         arr = laid_out(keys, layout)
