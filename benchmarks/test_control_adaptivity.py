@@ -26,7 +26,6 @@ recurring distributions.  Asserted headlines, all with
 import numpy as np
 
 from repro.analysis.tables import Table
-from repro.control import ControlPolicy
 from repro.service import StreamService
 from repro.service.jobs import kernel_for
 from repro.workloads.evolving import EvolvingZipfStream
@@ -45,12 +44,16 @@ RESCHEDULE_COST = 20_000
 
 
 def serve_stream(stream: EvolvingZipfStream, *, adaptive: bool,
-                 policy: ControlPolicy = None,
                  cost: int = RESCHEDULE_COST) -> dict:
-    """Run one stream job through a fresh fleet; return the snapshot."""
+    """Run one stream job through a fresh fleet; return the snapshot.
+
+    The controller runs on the default :class:`ControlPolicy`
+    (0.5 cycles/tuple hint, 4x amortisation margin, 2 hysteresis
+    windows); both fleets pay ``cost`` per plan change.
+    """
     service = StreamService(
         workers=WORKERS, balancer="skew", adaptive=adaptive,
-        control=policy, reschedule_cost_cycles=cost,
+        reschedule_cost_cycles=cost,
     )
     job_id = service.submit("histo", arrival_stream(stream),
                             window_seconds=WINDOW_SECONDS)
@@ -62,11 +65,6 @@ def serve_stream(stream: EvolvingZipfStream, *, adaptive: bool,
     return snapshot
 
 
-def thrash_policy() -> ControlPolicy:
-    return ControlPolicy(reschedule_cost_cycles=RESCHEDULE_COST,
-                         cycles_per_tuple=0.5, amortize_factor=4.0)
-
-
 def test_adaptive_beats_reflexive_replanning_under_thrash(emit):
     """Regime 2: the distribution moves every window, so the reflexive
     balancer pays the rescheduling stall ~every window while the
@@ -76,8 +74,7 @@ def test_adaptive_beats_reflexive_replanning_under_thrash(emit):
                                   interval_tuples=WINDOW_TUPLES,
                                   total_tuples=40_000, base_seed=3)
 
-    adaptive = serve_stream(stream(), adaptive=True,
-                            policy=thrash_policy())
+    adaptive = serve_stream(stream(), adaptive=True)
     reflexive = serve_stream(stream(), adaptive=False)
     speedup = adaptive["fleet_throughput"] / reflexive["fleet_throughput"]
 
@@ -127,8 +124,7 @@ def test_no_regression_on_stationary_distribution(emit):
         return EvolvingZipfStream(alpha=ALPHA, interval_tuples=40_000,
                                   total_tuples=40_000, base_seed=5)
 
-    adaptive = serve_stream(stream(), adaptive=True,
-                            policy=thrash_policy())
+    adaptive = serve_stream(stream(), adaptive=True)
     static = serve_stream(stream(), adaptive=False)
     ratio = adaptive["fleet_throughput"] / static["fleet_throughput"]
 
@@ -157,10 +153,7 @@ def test_plan_cache_reattaches_recurring_distributions(emit):
     # A cheap reschedule puts the 4-window drift interval well into the
     # amortised regime, so the controller *does* replan — the cache is
     # what saves the greedy re-planning work.
-    policy = ControlPolicy(reschedule_cost_cycles=500,
-                           cycles_per_tuple=0.5, amortize_factor=4.0,
-                           hysteresis_windows=2)
-    snap = serve_stream(stream, adaptive=True, policy=policy, cost=500)
+    snap = serve_stream(stream, adaptive=True, cost=500)
     control = snap["control"]
     hit_rate = control["plan_cache_hit_rate"]
 
@@ -189,7 +182,6 @@ def test_regime_sweep_matches_fig9_shape(emit):
     bands (thrashing AND sub-window absorption, where the reflexive
     balancer keeps paying stalls for plans that are stale on arrival)
     and vanishes once drift is slow enough to amortise."""
-    policy = thrash_policy()
     intervals = {
         # window mixes 4 distributions -> time-averaged load ~uniform
         "absorbed": 500,
@@ -207,7 +199,7 @@ def test_regime_sweep_matches_fig9_shape(emit):
                                       interval_tuples=interval,
                                       total_tuples=total, base_seed=3)
 
-        adaptive = serve_stream(stream(), adaptive=True, policy=policy)
+        adaptive = serve_stream(stream(), adaptive=True)
         reflexive = serve_stream(stream(), adaptive=False)
         rows[regime] = {
             "interval_tuples": interval,

@@ -41,7 +41,6 @@ Run:  python examples/service_demo.py
 
 import numpy as np
 
-from repro.control import ControlPolicy
 from repro.service import StreamService, TenantSpec
 from repro.service.jobs import kernel_for
 from repro.workloads.evolving import EvolvingZipfStream
@@ -117,9 +116,7 @@ def main() -> None:
     adaptive_rates = {}
     for label, kwargs in (
         ("reflexive", dict()),
-        ("adaptive", dict(adaptive=True,
-                          control=ControlPolicy(
-                              reschedule_cost_cycles=cost))),
+        ("adaptive", dict(adaptive=True)),
     ):
         fleet = StreamService(workers=WORKERS, balancer="skew",
                               reschedule_cost_cycles=cost, **kwargs)
@@ -235,7 +232,6 @@ def main() -> None:
     # the controller's drift/replan verdicts with their regime inputs,
     # and backend fork/drain — and the analysis below is exactly what
     # `repro trace capture.jsonl --decisions` prints offline.
-    from repro.control import ControlPolicy as _Policy
     from repro.obs import (
         TraceCollector,
         decision_log,
@@ -246,8 +242,7 @@ def main() -> None:
     tracer = TraceCollector(enabled=True)
     fleet = StreamService(workers=WORKERS, balancer="skew",
                           adaptive=True, slo=2.0,
-                          control=_Policy(reschedule_cost_cycles=cost),
-                          tracer=tracer)
+                          reschedule_cost_cycles=cost, tracer=tracer)
     fleet.register_tenant(TenantSpec("interactive", weight=3.0,
                                      slo_delay_tuples=30_000))
     fleet.register_tenant(TenantSpec("batch", weight=1.0))

@@ -1,15 +1,13 @@
-"""Execution-trace rendering: sparklines for rates and occupancies.
+"""Execution-trace rendering: sparklines for windowed rates.
 
-Turns the time series the simulator and models produce (windowed
-throughput, channel occupancy samples) into compact unicode sparklines —
-the quickest way to *see* where backpressure builds and when a
-scheduling plan kicks in.  Used by the validation bench and available to
-examples/debugging.
+Turns the windowed-throughput series the simulator produces into a
+compact unicode sparkline — the quickest way to *see* when a scheduling
+plan kicks in.  Used by the validation bench.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 _BARS = "▁▂▃▄▅▆▇█"
 
@@ -60,23 +58,3 @@ def render_rate_trace(window_rates: Sequence[float],
         f"last {window_rates[-1]:.2f}"
     )
 
-
-def render_occupancy_traces(samples: Dict[str, List[int]],
-                            top: int = 8) -> str:
-    """Sparklines for the ``top`` busiest channels of an occupancy trace.
-
-    ``samples`` is :attr:`ChannelOccupancyTrace.samples`; channels are
-    ranked by their peak occupancy so the congested ones surface first.
-    """
-    if not samples:
-        raise ValueError("no channels sampled")
-    ranked = sorted(samples.items(),
-                    key=lambda kv: max(kv[1], default=0), reverse=True)
-    width = max(len(name) for name, _ in ranked[:top])
-    lines = []
-    for name, series in ranked[:top]:
-        peak = max(series, default=0)
-        lines.append(
-            f"{name.ljust(width)}  {sparkline(series)}  peak {peak}"
-        )
-    return "\n".join(lines)

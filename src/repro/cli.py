@@ -42,6 +42,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
 import sys
 from typing import List, Optional
@@ -343,8 +344,12 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     print(f"{gateway.describe()} — {args.workers} workers, "
           f"{args.engine} engine, {args.backend} backend", flush=True)
     if args.ready_file:
-        pathlib.Path(args.ready_file).write_text(
-            f"{gateway.host} {gateway.port}\n")
+        # Written beside it, then renamed into place: a reader that
+        # sees the file sees its whole contents.
+        ready = pathlib.Path(args.ready_file)
+        partial = ready.with_name(ready.name + ".partial")
+        partial.write_text(f"{gateway.host} {gateway.port}\n")
+        os.replace(partial, ready)
     failed = False
     grace = 0.0
     try:

@@ -15,7 +15,8 @@ loop one level up, around the worker fleet of :mod:`repro.service`:
     Cost-aware rescheduling with hysteresis, reusing the Fig. 9 regime
     math from :mod:`repro.perf.evolving`: replan when the drift interval
     amortises the rescheduling cost, hold the plan when replanning would
-    thrash, freeze entirely in the burst-absorption regime.
+    thrash, freeze entirely in the burst-absorption regime.  Two
+    functions of the policy, the cost and the drift interval.
 ``plan_cache``
     An LRU of :class:`~repro.core.profiler.SchedulingPlan`s keyed by a
     quantized histogram signature, so recurring distributions (diurnal
@@ -26,20 +27,22 @@ loop one level up, around the worker fleet of :mod:`repro.service`:
 ``controller``
     The :class:`AdaptiveController` façade that
     :class:`~repro.service.server.StreamService` consults once per
-    closed window (``StreamService(adaptive=True, slo=...)``).
+    closed window (``StreamService(adaptive=True, slo=...)``), and
+    :class:`ControlPolicy`, the one declaration, default and validation
+    of the loop's tunables.  The rescheduling cost is not among them:
+    the service resolves it once and hands the controller that integer.
 """
 
 from repro.control.autoscaler import Autoscaler, ScaleDecision
 from repro.control.controller import AdaptiveController, ControlPolicy
 from repro.control.detector import DriftDetector, DriftReport
 from repro.control.plan_cache import PlanCache, histogram_signature
-from repro.control.replanner import CostAwareReplanner, ReplanDecision
+from repro.control.replanner import ReplanDecision
 
 __all__ = [
     "AdaptiveController",
     "Autoscaler",
     "ControlPolicy",
-    "CostAwareReplanner",
     "DriftDetector",
     "DriftReport",
     "PlanCache",

@@ -13,6 +13,13 @@ for the load you see, not the worst case you fear.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from repro.control.controller import ControlPolicy
+
+#: Workers added or removed per resize.
+STEP = 1
 
 
 @dataclass(frozen=True)
@@ -27,59 +34,29 @@ class ScaleDecision:
 class Autoscaler:
     """Sizes the worker fleet to a cycles-per-tuple SLO.
 
-    Parameters
-    ----------
-    slo_cycles_per_tuple:
-        Target upper bound on fleet cycles per tuple (the inverse of the
-        fleet tuples/cycle throughput).
-    min_workers / max_workers:
-        Fleet size clamps.
-    shrink_margin:
-        Shrink only when observed cycles/tuple sit below
-        ``shrink_margin * slo`` — the gap between the grow and shrink
-        triggers is the hysteresis band that prevents size flapping.
-    cooldown_checks:
-        Checks to skip after any resize, letting the reshaped fleet's
-        metrics stabilise before judging it.
-    step:
-        Workers added/removed per decision.
+    ``slo_cycles_per_tuple`` is the target upper bound on fleet cycles
+    per tuple (the inverse of the fleet tuples/cycle throughput).  The
+    size clamps, the shrink margin and the cooldown are the
+    :class:`~repro.control.controller.ControlPolicy` handed to each
+    :meth:`decide`.
     """
 
-    def __init__(
-        self,
-        slo_cycles_per_tuple: float,
-        min_workers: int = 1,
-        max_workers: int = 32,
-        shrink_margin: float = 0.4,
-        cooldown_checks: int = 1,
-        step: int = 1,
-    ) -> None:
+    def __init__(self, slo_cycles_per_tuple: float) -> None:
         if slo_cycles_per_tuple <= 0:
             raise ValueError("slo_cycles_per_tuple must be positive")
-        if min_workers <= 0 or max_workers < min_workers:
-            raise ValueError("need 0 < min_workers <= max_workers")
-        if not 0.0 <= shrink_margin < 1.0:
-            raise ValueError("shrink_margin must be in [0, 1)")
-        if cooldown_checks < 0:
-            raise ValueError("cooldown_checks must be non-negative")
-        if step <= 0:
-            raise ValueError("step must be positive")
         self.slo = slo_cycles_per_tuple
-        self.min_workers = min_workers
-        self.max_workers = max_workers
-        self.shrink_margin = shrink_margin
-        self.cooldown_checks = cooldown_checks
-        self.step = step
         self._cooldown = 0
 
     def decide(
-        self, tuples_delta: int, busy_cycles_delta: int, size: int,
-        slo_pressure: bool = False,
+        self, policy: "ControlPolicy", tuples_delta: int,
+        busy_cycles_delta: int, size: int, slo_pressure: bool = False,
     ) -> ScaleDecision:
         """Fleet size for the next stretch of windows.
 
         Parameters
         ----------
+        policy:
+            The loop's tunables, read now.
         tuples_delta:
             Tuples processed since the previous check.
         busy_cycles_delta:
@@ -101,13 +78,13 @@ class Autoscaler:
             self._cooldown -= 1
             return ScaleDecision(size, observed, "hold")
         if (slo_pressure or observed > self.slo) \
-                and size < self.max_workers:
-            self._cooldown = self.cooldown_checks
+                and size < policy.max_workers:
+            self._cooldown = policy.scale_cooldown
             return ScaleDecision(
-                min(size + self.step, self.max_workers), observed, "grow")
-        if observed < self.shrink_margin * self.slo \
-                and size > self.min_workers and not slo_pressure:
-            self._cooldown = self.cooldown_checks
+                min(size + STEP, policy.max_workers), observed, "grow")
+        if observed < policy.shrink_margin * self.slo \
+                and size > policy.min_workers and not slo_pressure:
+            self._cooldown = policy.scale_cooldown
             return ScaleDecision(
-                max(size - self.step, self.min_workers), observed, "shrink")
+                max(size - STEP, policy.min_workers), observed, "shrink")
         return ScaleDecision(size, observed, "hold")

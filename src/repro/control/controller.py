@@ -8,10 +8,10 @@ a reflex:
 1. The :class:`~repro.control.detector.DriftDetector` compares the
    window's shard histogram against the one the active plan was built
    from.
-2. On drift, the :class:`~repro.control.replanner.CostAwareReplanner`
-   places the estimated drift interval into a Fig. 9 regime: replan
-   (amortised), hold the plan (thrashing), or freeze the control loop
-   (burst absorption).
+2. On drift, :func:`repro.control.replanner.decide` places the
+   estimated drift interval into a Fig. 9 regime: replan (amortised),
+   hold the plan (thrashing), or freeze the control loop (burst
+   absorption).
 3. A replan consults the :class:`~repro.control.plan_cache.PlanCache`
    before re-running the greedy assignment, and charges the fleet the
    rescheduling stall.
@@ -20,22 +20,25 @@ a reflex:
    per tuple against the SLO and resizes the worker pool, reshaping the
    balancer's primary/secondary split to match.
 
-The controller is consulted from the dispatcher thread only; it mutates
-the balancer and pool from that single thread and records its activity
-in :class:`~repro.service.metrics.ServiceMetrics`.
+Every tunable lives in one :class:`ControlPolicy`, read when a
+decision is made, and the rescheduling stall is the one integer the
+service resolved.  The controller is consulted from the dispatcher
+thread only; it mutates the balancer and pool from that single thread
+and records its activity in :class:`~repro.service.metrics.ServiceMetrics`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
+from repro.control import replanner
 from repro.control.autoscaler import Autoscaler
 from repro.control.detector import DriftDetector, total_variation
 from repro.control.plan_cache import PlanCache
-from repro.control.replanner import CostAwareReplanner, ReplanDecision
+from repro.control.replanner import ReplanDecision
 from repro.core.profiler import greedy_secpe_plan
 from repro.obs import events as trace_events
 from repro.obs.collector import TraceCollector
@@ -50,16 +53,49 @@ TENANT_ATTAINMENT_TARGET = 0.9
 
 @dataclass(frozen=True)
 class ControlPolicy:
-    """Tunables of the adaptive control loop.
+    """Tunables of the adaptive control loop — their one declaration.
 
-    Replanning knobs mirror :class:`CostAwareReplanner`; autoscaling
-    knobs mirror :class:`Autoscaler`.
-    ``reschedule_cost_cycles=None`` derives the cost from the service's
-    architecture configuration
-    (:meth:`~repro.core.config.ArchitectureConfig.reschedule_cost_cycles`).
+    The replanner and the autoscaler read these fields when they decide,
+    and :meth:`__post_init__` is their only validation.  The
+    rescheduling cost is not a tunable here: the service resolves it
+    once (``StreamService(reschedule_cost_cycles=)``).
+
+    Attributes
+    ----------
+    cycles_per_tuple:
+        Static hint converting drift intervals (measured in tuples) to
+        cycles.  A deliberate *hint*, not a live measurement, so a
+        replay of the same stream makes the same decisions.
+    amortize_factor:
+        A replan is worthwhile only when the drift interval exceeds
+        ``amortize_factor x`` the rescheduling cost — the same "good
+        cycles dominate transition cycles" margin
+        :mod:`repro.perf.evolving` uses to separate the amortised regime
+        from thrashing.
+    burst_tuples:
+        Drift intervals at or below this many tuples sit in the
+        burst-absorption regime: each distribution's excess queues in
+        the worker inboxes/channel FIFOs and drains while other
+        distributions are in force, so the controller freezes instead of
+        chasing the hot shard.  0 disables the freeze regime.
+    hysteresis_windows:
+        Minimum closed windows between applied plans, suppressing
+        replan/replan flapping when successive samples straddle the
+        drift threshold; also how many agreeing drifted windows mark a
+        shift as settled.
+    autoscale_every:
+        Closed windows between autoscaler checks (with an SLO).
+    min_workers / max_workers:
+        Fleet size clamps.
+    shrink_margin:
+        Shrink only when observed cycles/tuple sit below
+        ``shrink_margin x slo`` — the gap between the grow and shrink
+        triggers is the hysteresis band that prevents size flapping.
+    scale_cooldown:
+        Checks to skip after any resize, letting the reshaped fleet's
+        metrics stabilise before judging it.
     """
 
-    reschedule_cost_cycles: Optional[int] = None
     cycles_per_tuple: float = 0.5
     amortize_factor: float = 4.0
     burst_tuples: int = 0
@@ -70,9 +106,23 @@ class ControlPolicy:
     shrink_margin: float = 0.4
     scale_cooldown: int = 1
 
-    def with_cost(self, cost: int) -> "ControlPolicy":
-        """A copy with a concrete rescheduling cost filled in."""
-        return replace(self, reschedule_cost_cycles=cost)
+    def __post_init__(self) -> None:
+        if self.cycles_per_tuple <= 0:
+            raise ValueError("cycles_per_tuple must be positive")
+        if self.amortize_factor < 1.0:
+            raise ValueError("amortize_factor must be >= 1")
+        if self.burst_tuples < 0:
+            raise ValueError("burst_tuples must be non-negative")
+        if self.hysteresis_windows < 0:
+            raise ValueError("hysteresis_windows must be non-negative")
+        if self.autoscale_every <= 0:
+            raise ValueError("autoscale_every must be positive")
+        if self.min_workers <= 0 or self.max_workers < self.min_workers:
+            raise ValueError("need 0 < min_workers <= max_workers")
+        if not 0.0 <= self.shrink_margin < 1.0:
+            raise ValueError("shrink_margin must be in [0, 1)")
+        if self.scale_cooldown < 0:
+            raise ValueError("scale_cooldown must be non-negative")
 
 
 class AdaptiveController:
@@ -92,7 +142,11 @@ class AdaptiveController:
     metrics:
         Shared :class:`~repro.service.metrics.ServiceMetrics`.
     policy:
-        :class:`ControlPolicy` with ``reschedule_cost_cycles`` resolved.
+        :class:`ControlPolicy`; read at every decision, so assigning
+        ``controller.policy`` retunes the loop from the next window.
+    cost:
+        Fleet-wide stall (simulated cycles) charged per applied plan —
+        the service's resolved ``reschedule_cost_cycles``.
     slo:
         Cycles-per-tuple SLO enabling the autoscaler; None disables
         elastic sizing (drift control still runs).
@@ -110,6 +164,7 @@ class AdaptiveController:
         pool,
         metrics,
         policy: Optional[ControlPolicy] = None,
+        cost: int = 0,
         slo: Optional[float] = None,
         tracer: Optional[TraceCollector] = None,
     ) -> None:
@@ -119,26 +174,10 @@ class AdaptiveController:
         self.tracer = tracer if tracer is not None else TraceCollector(
             enabled=False)
         self.policy = policy or ControlPolicy()
-        if self.policy.reschedule_cost_cycles is None:
-            raise ValueError(
-                "policy.reschedule_cost_cycles must be resolved before "
-                "constructing the controller")
+        self.cost = cost
         self.detector = DriftDetector()
-        self.replanner = CostAwareReplanner(
-            self.policy.reschedule_cost_cycles,
-            cycles_per_tuple=self.policy.cycles_per_tuple,
-            amortize_factor=self.policy.amortize_factor,
-            burst_tuples=self.policy.burst_tuples,
-            hysteresis_windows=self.policy.hysteresis_windows,
-        )
         self.cache = PlanCache()
-        self.autoscaler = None if slo is None else Autoscaler(
-            slo,
-            min_workers=self.policy.min_workers,
-            max_workers=self.policy.max_workers,
-            shrink_margin=self.policy.shrink_margin,
-            cooldown_checks=self.policy.scale_cooldown,
-        )
+        self.autoscaler = None if slo is None else Autoscaler(slo)
         self.frozen = False
         self.windows = 0
         self.tuples = 0
@@ -219,8 +258,9 @@ class AdaptiveController:
                     # interval-based regime call.
                     decision = ReplanDecision.REPLAN
                 else:
-                    decision = self.replanner.decide(
-                        interval, report.windows_since_rebase)
+                    decision = replanner.decide(
+                        self.policy, self.cost, interval,
+                        report.windows_since_rebase)
                 if decision is ReplanDecision.REPLAN:
                     self._adopt_plan(histogram, tenant_id=tenant_id)
                     action = "replan"
@@ -333,12 +373,12 @@ class AdaptiveController:
         self.detector.rebase(histogram)
         self._plan_born_window = self.windows
         self._settled_drift_windows = 0
-        cost = self.policy.reschedule_cost_cycles
+        stall = 0 if initial else self.cost
         self.metrics.record_control(
             plan_cache_hits=int(hit),
             plan_cache_misses=int(not hit),
             replans_applied=0 if initial else 1,
-            reschedule_stall_cycles=0 if initial else cost,
+            reschedule_stall_cycles=stall,
             plan_age=None if initial else plan_age,
             tenant=tenant_id,
         )
@@ -349,7 +389,7 @@ class AdaptiveController:
                 cache_hit=hit,
                 initial=initial,
                 plan_age_windows=None if initial else plan_age,
-                stall_cycles=0 if initial else cost,
+                stall_cycles=stall,
                 namespace=self._cache_namespace(),
                 window=self.windows)
 
@@ -378,6 +418,7 @@ class AdaptiveController:
             for value in attainment.values()
         )
         decision = self.autoscaler.decide(
+            self.policy,
             tuples - self._scale_tuples,
             busy - self._scale_busy_cycles,
             self.pool.size,

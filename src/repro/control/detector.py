@@ -71,7 +71,6 @@ class DriftDetector:
         self.threshold = threshold
         self._reference: Optional[np.ndarray] = None
         self._windows_since_rebase = 0
-        self.drift_events = 0
 
     @property
     def reference(self) -> Optional[np.ndarray]:
@@ -100,7 +99,5 @@ class DriftDetector:
             return DriftReport(False, 0.0, 0)
         self._windows_since_rebase += 1
         distance = total_variation(histogram, self._reference)
-        drifted = distance >= self.threshold
-        if drifted:
-            self.drift_events += 1
-        return DriftReport(drifted, distance, self._windows_since_rebase)
+        return DriftReport(distance >= self.threshold, distance,
+                           self._windows_since_rebase)

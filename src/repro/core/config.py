@@ -131,19 +131,3 @@ class ArchitectureConfig:
         """A copy of this configuration with a different SecPE count."""
         return replace(self, secpes=secpes)
 
-
-@dataclass(frozen=True)
-class HostModel:
-    """Host-side (CPU) behaviour relevant to the simulation.
-
-    Only one property matters to the paper's experiments: how long the
-    OpenCL runtime takes to dequeue and re-enqueue the profiler and SecPE
-    kernels during rescheduling (Fig. 9's dominant overhead).
-    """
-
-    enqueue_overhead_s: float = 0.5e-3
-    clock_mhz: float = 200.0
-
-    def reenqueue_delay_cycles(self) -> int:
-        """Kernel-clock cycles consumed by one dequeue+enqueue round."""
-        return int(self.enqueue_overhead_s * self.clock_mhz * 1e6)

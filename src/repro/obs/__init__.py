@@ -56,8 +56,6 @@ from repro.obs.events import (
     JOB_SEGMENT,
     JOB_SUBMIT,
     JOB_WINDOW,
-    SIM_CHANNEL,
-    SIM_THROUGHPUT,
     TraceEvent,
 )
 from repro.obs.exposition import parse_prometheus, to_prometheus
@@ -100,6 +98,4 @@ __all__ = [
     "BACKEND_SLAB_ALLOC",
     "BACKEND_SLAB_REUSE",
     "BACKEND_SLAB_RELEASE",
-    "SIM_CHANNEL",
-    "SIM_THROUGHPUT",
 ]

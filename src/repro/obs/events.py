@@ -64,10 +64,6 @@ BACKEND_SLAB_ALLOC = "backend.slab.alloc"      #: slab segment created
 BACKEND_SLAB_REUSE = "backend.slab.reuse"      #: recycled block served
 BACKEND_SLAB_RELEASE = "backend.slab.release"  #: slab unlinked
 
-# --- cycle-level simulator (repro.sim.tracing) ---
-SIM_CHANNEL = "sim.channel"          #: channel occupancy sample
-SIM_THROUGHPUT = "sim.throughput"    #: windowed throughput sample
-
 
 def _registered_kinds() -> frozenset:
     """Every dotted kind constant defined above, collected at import."""

@@ -85,8 +85,10 @@ class Dispatcher:
     """Serves queued jobs over a worker fleet, one :meth:`step` at a time.
 
     ``controller=None`` keeps the balancer's reflexive per-window
-    replanning, charged ``reschedule_cost_cycles`` per plan change (the
-    controller charges its own); ``tenants`` is the live
+    replanning, charged ``reschedule_cost_cycles`` per plan change; a
+    controller charges its own ``cost``, the same resolved integer
+    (:class:`~repro.service.server.StreamService` hands both);
+    ``tenants`` is the live
     ``tenant_id -> TenantSpec`` table, an unregistered id getting the
     default contract; ``allowed_lateness`` goes to every job's window
     manager.

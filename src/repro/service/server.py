@@ -25,7 +25,7 @@ from typing import (
     Union,
 )
 
-from repro.control.controller import AdaptiveController, ControlPolicy
+from repro.control.controller import AdaptiveController
 from repro.core.config import ArchitectureConfig
 from repro.core.fastpath import validate_engine
 from repro.obs import events as trace_events
@@ -126,7 +126,7 @@ class StreamService:
         Only ``"shm"`` is accepted: the process backend always moves
         shards through its shared-memory slab arena
         (:mod:`repro.service.shm`).  The keyword survives for callers
-        that still pass it and goes with ROADMAP item 1(b).
+        that still pass it and goes with ROADMAP item 9(a).
     adaptive:
         Enable the :mod:`repro.control` control plane: the balancer
         stops replanning reflexively on every window and an
@@ -134,22 +134,24 @@ class StreamService:
         per closed window whether drift justifies a replan (with plan
         caching) and — given an SLO — whether to resize the fleet.
         Requires secondary workers to attach (any fleet but
-        ``"roundrobin"`` with K > 1).
+        ``"roundrobin"`` with K > 1).  The controller's tunables are its
+        :class:`~repro.control.controller.ControlPolicy`
+        (``service.controller.policy``), defaulted and validated there.
     slo:
         Cycles-per-tuple service objective enabling elastic autoscaling
         (only meaningful with ``adaptive=True``).  None keeps the fleet
         size fixed.
-    control:
-        Optional :class:`~repro.control.controller.ControlPolicy`
-        overriding the controller's default tunables.
     reschedule_cost_cycles:
         Fleet-wide stall (simulated cycles) charged to the makespan each
         time the active plan *changes* — the serving-level analogue of
         the paper's detection + drain + re-enqueue + re-profiling cost.
-        The default None keeps rescheduling free (the historical
-        accounting) for non-adaptive services and derives a cost from
-        the architecture configuration for adaptive ones; an explicit
-        value (including 0) is honored as given in both modes.
+        Resolved once and handed to the controller and the dispatcher:
+        an explicit value (including 0) is honored as given; the
+        default None derives the cost from the architecture
+        configuration for adaptive services
+        (:meth:`~repro.core.config.ArchitectureConfig.reschedule_cost_cycles`)
+        and keeps rescheduling free (the historical accounting) for
+        non-adaptive ones.
     retained_jobs:
         Bounded retention of *terminal* (completed / failed / cancelled)
         jobs: once more than this many are held, the oldest are dropped
@@ -180,7 +182,6 @@ class StreamService:
         transport: str = "shm",
         adaptive: bool = False,
         slo: Optional[float] = None,
-        control: Optional[ControlPolicy] = None,
         reschedule_cost_cycles: Optional[int] = None,
         retained_jobs: Optional[int] = None,
         tracer: Optional[TraceCollector] = None,
@@ -202,8 +203,12 @@ class StreamService:
             enabled=False)
         self.tracer.bind_clock(self.metrics.dispatch_clock)
         self.max_cycles_per_segment = max_cycles_per_segment
-        if reschedule_cost_cycles is not None and reschedule_cost_cycles < 0:
+        if reschedule_cost_cycles is None:
+            cost = self.config.reschedule_cost_cycles() if adaptive else 0
+        elif reschedule_cost_cycles < 0:
             raise ValueError("reschedule_cost_cycles must be non-negative")
+        else:
+            cost = reschedule_cost_cycles
         self._queue = JobQueue()
         self._tenants: Dict[str, TenantSpec] = {
             DEFAULT_TENANT: DEFAULT_TENANT_SPEC,
@@ -228,22 +233,13 @@ class StreamService:
             if self.balancer.secondaries == 0 and workers > 1:
                 raise ValueError(
                     "adaptive control requires the skew-aware balancer")
-            policy = control or ControlPolicy()
-            if policy.reschedule_cost_cycles is None:
-                # Precedence: the policy's cost, else the service-level
-                # knob (an explicit 0 means free), else the derived
-                # default from the architecture configuration.
-                policy = policy.with_cost(
-                    reschedule_cost_cycles
-                    if reschedule_cost_cycles is not None
-                    else self.config.reschedule_cost_cycles())
             # Reacting is the controller's call now, not a reflex.
             self.balancer.auto_replan = False
             self.controller = AdaptiveController(
-                self.balancer, self._pool, self.metrics,
-                policy=policy, slo=slo, tracer=self.tracer)
-        elif slo is not None or control is not None:
-            raise ValueError("slo/control require adaptive=True")
+                self.balancer, self._pool, self.metrics, cost=cost,
+                slo=slo, tracer=self.tracer)
+        elif slo is not None:
+            raise ValueError("slo requires adaptive=True")
         # Wired to the parts, never to the service: a bound method of
         # the service held below it would close the reference cycle
         # _spec_factory avoids.
@@ -251,7 +247,7 @@ class StreamService:
             self._queue, self.balancer, self._pool, self.metrics,
             tracer=self.tracer, controller=self.controller,
             tenants=self._tenants, allowed_lateness=allowed_lateness,
-            reschedule_cost_cycles=reschedule_cost_cycles or 0)
+            reschedule_cost_cycles=cost)
 
     # ------------------------------------------------------------------
     # Client API

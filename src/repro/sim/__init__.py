@@ -19,17 +19,14 @@ from repro.sim.channel import Channel, ChannelClosed
 from repro.sim.engine import SimulationReport, Simulator
 from repro.sim.memory import GlobalMemory, MemoryReadEngine, MemoryWriteEngine
 from repro.sim.module import Module
-from repro.sim.tracing import ChannelOccupancyTrace, ThroughputTrace
 
 __all__ = [
     "Channel",
     "ChannelClosed",
-    "ChannelOccupancyTrace",
     "GlobalMemory",
     "MemoryReadEngine",
     "MemoryWriteEngine",
     "Module",
     "SimulationReport",
     "Simulator",
-    "ThroughputTrace",
 ]

@@ -1,12 +1,8 @@
-"""Trace rendering: sparklines and occupancy summaries."""
+"""Trace rendering: sparklines and rate summaries."""
 
 import pytest
 
-from repro.analysis.trace import (
-    render_occupancy_traces,
-    render_rate_trace,
-    sparkline,
-)
+from repro.analysis.trace import render_rate_trace, sparkline
 
 
 class TestSparkline:
@@ -43,41 +39,3 @@ class TestRateTrace:
         with pytest.raises(ValueError):
             render_rate_trace([])
 
-
-class TestOccupancyTraces:
-    def test_ranks_by_peak(self):
-        samples = {
-            "cold": [0, 1, 0],
-            "hot": [100, 400, 512],
-            "warm": [10, 20, 30],
-        }
-        text = render_occupancy_traces(samples, top=2)
-        lines = text.splitlines()
-        assert lines[0].startswith("hot")
-        assert "peak 512" in lines[0]
-        assert len(lines) == 2
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            render_occupancy_traces({})
-
-    def test_integrates_with_simulator_trace(self):
-        """End-to-end: trace a skewed run and confirm the hot PE channel
-        ranks first."""
-        from repro.apps.histo import HistogramKernel
-        from repro.core.architecture import SkewObliviousArchitecture
-        from repro.core.config import ArchitectureConfig
-        from repro.workloads.zipf import ZipfGenerator
-
-        kernel = HistogramKernel(bins=256, pripes=16)
-        config = ArchitectureConfig(reschedule_threshold=0.0)
-        arch = SkewObliviousArchitecture(config, kernel)
-        batch = ZipfGenerator(alpha=3.0, seed=2).generate(6_000)
-        outcome = arch.run(batch, max_cycles=5_000_000)
-        peaks = {name: [peak] for name, peak
-                 in outcome.report.channel_peaks.items()
-                 if name.startswith("pe_in")}
-        text = render_occupancy_traces(peaks, top=1)
-        assert "peak" in text
-        # The top-ranked channel holds the configured depth (hot PE).
-        assert str(config.channel_depth) in text

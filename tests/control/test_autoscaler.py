@@ -1,70 +1,71 @@
 """Autoscaler: SLO comparison, hysteresis band, cooldown, clamps."""
 
+import re
+from functools import partial
+
 import pytest
 
+from repro.control import ControlPolicy
 from repro.control.autoscaler import Autoscaler
 
 
-def make(slo=0.1, **kwargs):
+def scaler(slo=0.1, **kwargs):
+    """An autoscaler's ``decide`` bound to one policy."""
     defaults = dict(min_workers=1, max_workers=8, shrink_margin=0.4,
-                    cooldown_checks=0, step=1)
+                    scale_cooldown=0)
     defaults.update(kwargs)
-    return Autoscaler(slo, **defaults)
+    return partial(Autoscaler(slo).decide, ControlPolicy(**defaults))
 
 
 class TestDecisions:
     def test_over_slo_grows(self):
-        decision = make().decide(tuples_delta=1_000,
-                                 busy_cycles_delta=200, size=4)
+        decision = scaler()(tuples_delta=1_000, busy_cycles_delta=200,
+                            size=4)
         assert decision.size == 5
         assert decision.reason == "grow"
         assert decision.observed_cycles_per_tuple == pytest.approx(0.2)
 
     def test_under_margin_shrinks(self):
-        decision = make().decide(1_000, 20, size=4)  # 0.02 < 0.4 * 0.1
+        decision = scaler()(1_000, 20, size=4)  # 0.02 < 0.4 * 0.1
         assert decision.size == 3
         assert decision.reason == "shrink"
 
     def test_inside_band_holds(self):
         # 0.06 c/t: under the SLO but above the shrink margin.
-        decision = make().decide(1_000, 60, size=4)
+        decision = scaler()(1_000, 60, size=4)
         assert decision.size == 4
         assert decision.reason == "hold"
 
     def test_no_tuples_holds(self):
-        assert make().decide(0, 999, size=4).reason == "hold"
+        assert scaler()(0, 999, size=4).reason == "hold"
 
 
 class TestClampsAndCooldown:
     def test_never_exceeds_max_workers(self):
-        scaler = make(max_workers=4)
-        assert scaler.decide(1_000, 500, size=4).size == 4
+        assert scaler(max_workers=4)(1_000, 500, size=4).size == 4
 
     def test_never_drops_below_min_workers(self):
-        scaler = make(min_workers=3)
-        assert scaler.decide(1_000, 1, size=3).size == 3
+        assert scaler(min_workers=3)(1_000, 1, size=3).size == 3
 
     def test_cooldown_skips_checks_after_resize(self):
-        scaler = make(cooldown_checks=2)
-        assert scaler.decide(1_000, 500, size=2).reason == "grow"
-        assert scaler.decide(1_000, 500, size=3).reason == "hold"
-        assert scaler.decide(1_000, 500, size=3).reason == "hold"
-        assert scaler.decide(1_000, 500, size=3).reason == "grow"
+        decide = scaler(scale_cooldown=2)
+        assert decide(1_000, 500, size=2).reason == "grow"
+        assert decide(1_000, 500, size=3).reason == "hold"
+        assert decide(1_000, 500, size=3).reason == "hold"
+        assert decide(1_000, 500, size=3).reason == "grow"
 
-    def test_step_scales_by_more_than_one(self):
-        scaler = make(step=3)
-        assert scaler.decide(1_000, 500, size=2).size == 5
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
+    def test_slo_validation(self):
+        with pytest.raises(ValueError, match="slo_cycles_per_tuple"):
             Autoscaler(0.0)
-        with pytest.raises(ValueError):
-            Autoscaler(0.1, min_workers=0)
-        with pytest.raises(ValueError):
-            Autoscaler(0.1, min_workers=5, max_workers=4)
-        with pytest.raises(ValueError):
-            Autoscaler(0.1, shrink_margin=1.0)
-        with pytest.raises(ValueError):
-            Autoscaler(0.1, cooldown_checks=-1)
-        with pytest.raises(ValueError):
-            Autoscaler(0.1, step=0)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(min_workers=0), "need 0 < min_workers <= max_workers"),
+        (dict(min_workers=5, max_workers=4),
+         "need 0 < min_workers <= max_workers"),
+        (dict(shrink_margin=1.0), "shrink_margin must be in [0, 1)"),
+        (dict(scale_cooldown=-1), "scale_cooldown must be non-negative"),
+        (dict(autoscale_every=0), "autoscale_every must be positive"),
+    ])
+    def test_policy_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ControlPolicy(**kwargs)

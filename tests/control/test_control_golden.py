@@ -14,11 +14,11 @@ regenerate the file to make a change pass.
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.control import ControlPolicy
 from repro.obs import MemorySink, TraceCollector, decision_log
 from repro.service import StreamService, TenantSpec
 from repro.workloads.evolving import EvolvingZipfStream
@@ -93,20 +93,22 @@ SCENARIOS = {
 
 
 def _stream(job):
-    kwargs = dict(alpha=job["alpha"], interval_tuples=job["interval"],
-                  total_tuples=job["total"], base_seed=job["seed"])
-    if job["seed_cycle"] is not None:
-        kwargs["seed_cycle"] = job["seed_cycle"]
-    return EvolvingZipfStream(**kwargs)
+    return EvolvingZipfStream(alpha=job["alpha"],
+                              interval_tuples=job["interval"],
+                              total_tuples=job["total"],
+                              base_seed=job["seed"],
+                              seed_cycle=job["seed_cycle"])
 
 
 def _service(scenario, tracer):
-    policy = scenario["policy"]
-    return StreamService(
+    service = StreamService(
         workers=scenario["workers"], balancer="skew",
         adaptive=scenario["adaptive"], slo=scenario["slo"],
-        control=ControlPolicy(**policy) if policy else None,
         reschedule_cost_cycles=scenario["cost"], tracer=tracer)
+    if scenario["policy"]:
+        service.controller.policy = replace(service.controller.policy,
+                                            **scenario["policy"])
+    return service
 
 
 def fingerprint(name):

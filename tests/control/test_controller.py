@@ -6,6 +6,7 @@ the adaptive fleet to the same golden-result bar as the static one.
 """
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,15 +23,14 @@ WINDOW_TUPLES = 2_000
 WINDOW = WINDOW_TUPLES / NetworkModel().tuples_per_second
 
 
-def make_controller(workers=4, slo=None, **policy_kwargs):
-    policy_kwargs.setdefault("reschedule_cost_cycles", 10_000)
+def make_controller(workers=4, slo=None, cost=10_000, **policy_kwargs):
     policy_kwargs.setdefault("cycles_per_tuple", 1.0)
     balancer = SkewAwareBalancer(workers, auto_replan=False)
     metrics = ServiceMetrics()
     pool = WorkerPool(workers, lambda job_id: None, metrics)
     controller = AdaptiveController(
         balancer, pool, metrics, policy=ControlPolicy(**policy_kwargs),
-        slo=slo)
+        cost=cost, slo=slo)
     return controller, balancer, metrics
 
 
@@ -110,7 +110,7 @@ class TestControlLoop:
 
     def test_slow_drift_replans_and_charges_the_stall(self):
         controller, balancer, metrics = make_controller(
-            reschedule_cost_cycles=100, hysteresis_windows=1)
+            cost=100, hysteresis_windows=1)
         controller.on_window(hot_keys(1), WINDOW_TUPLES)
         # Several quiet windows, then the hot key moves: the interval
         # since the last drift is large, so replanning amortises.
@@ -154,7 +154,7 @@ class TestControlLoop:
 
     def test_replans_hit_the_cache_on_recurring_distributions(self):
         controller, _, metrics = make_controller(
-            reschedule_cost_cycles=100, hysteresis_windows=1)
+            cost=100, hysteresis_windows=1)
         # Two alternating distributions, far enough apart to amortise.
         for cycle in range(3):
             for seed in (1, 4):
@@ -183,9 +183,8 @@ class TestServiceIntegration:
         stream = EvolvingZipfStream(alpha=2.0,
                                     interval_tuples=WINDOW_TUPLES,
                                     total_tuples=20_000, base_seed=3)
-        svc = StreamService(
-            workers=4, adaptive=True,
-            control=ControlPolicy(reschedule_cost_cycles=10_000))
+        svc = StreamService(workers=4, adaptive=True,
+                            reschedule_cost_cycles=10_000)
         job_id = svc.submit("histo", arrival_stream(stream),
                             window_seconds=WINDOW)
         svc.run()
@@ -201,11 +200,11 @@ class TestServiceIntegration:
     def test_autoscaler_grows_fleet_under_tight_slo(self):
         stream = EvolvingZipfStream(alpha=0.0, interval_tuples=40_000,
                                     total_tuples=40_000, base_seed=7)
-        svc = StreamService(
-            workers=2, adaptive=True, slo=0.04,
-            control=ControlPolicy(reschedule_cost_cycles=1_000,
-                                  autoscale_every=2, scale_cooldown=0,
-                                  max_workers=6))
+        svc = StreamService(workers=2, adaptive=True, slo=0.04,
+                            reschedule_cost_cycles=1_000)
+        svc.controller.policy = replace(
+            svc.controller.policy, autoscale_every=2, scale_cooldown=0,
+            max_workers=6)
         job_id = svc.submit("histo", arrival_stream(stream),
                             window_seconds=WINDOW)
         svc.run()
@@ -226,11 +225,11 @@ class TestServiceIntegration:
         still merge into the final result."""
         stream = EvolvingZipfStream(alpha=0.0, interval_tuples=40_000,
                                     total_tuples=40_000, base_seed=9)
-        svc = StreamService(
-            workers=4, adaptive=True, slo=10.0,
-            control=ControlPolicy(reschedule_cost_cycles=1_000,
-                                  autoscale_every=2, scale_cooldown=0,
-                                  min_workers=2, shrink_margin=0.9))
+        svc = StreamService(workers=4, adaptive=True, slo=10.0,
+                            reschedule_cost_cycles=1_000)
+        svc.controller.policy = replace(
+            svc.controller.policy, autoscale_every=2, scale_cooldown=0,
+            min_workers=2, shrink_margin=0.9)
         job_id = svc.submit("histo", arrival_stream(stream),
                             window_seconds=WINDOW)
         svc.run()
@@ -248,9 +247,40 @@ class TestServiceIntegration:
     def test_explicit_zero_cost_is_honored_not_derived(self):
         svc = StreamService(workers=4, adaptive=True,
                             reschedule_cost_cycles=0)
-        assert svc.controller.policy.reschedule_cost_cycles == 0
+        assert svc.controller.cost == 0
         svc_default = StreamService(workers=4, adaptive=True)
-        assert svc_default.controller.policy.reschedule_cost_cycles > 0
+        assert svc_default.controller.cost \
+            == svc_default.config.reschedule_cost_cycles() > 0
+
+    def test_cost_is_resolved_once_for_controller_and_dispatcher(self):
+        adaptive = StreamService(workers=4, adaptive=True)
+        assert adaptive.dispatcher.reschedule_cost_cycles \
+            == adaptive.controller.cost
+        assert StreamService(workers=4).dispatcher.reschedule_cost_cycles \
+            == 0
+        assert StreamService(
+            workers=4, reschedule_cost_cycles=7).dispatcher \
+            .reschedule_cost_cycles == 7
+
+    def test_policy_is_read_at_decision_time(self):
+        """Retuning ``controller.policy`` before ``run()`` changes that
+        run's decisions: no copy of a tunable outlives the policy."""
+        def replans(**tunables):
+            stream = EvolvingZipfStream(alpha=2.0, interval_tuples=8_000,
+                                        total_tuples=48_000,
+                                        base_seed=11, seed_cycle=3)
+            svc = StreamService(workers=4, adaptive=True,
+                                reschedule_cost_cycles=500)
+            svc.controller.policy = replace(svc.controller.policy,
+                                            **tunables)
+            svc.submit("histo", arrival_stream(stream),
+                       window_seconds=WINDOW)
+            svc.run()
+            svc.shutdown()
+            return svc.metrics.control["replans_applied"]
+
+        assert replans() >= 3
+        assert replans(hysteresis_windows=1_000) == 0
 
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -259,9 +289,10 @@ class TestServiceIntegration:
     def test_freeze_does_not_leak_into_the_next_job(self):
         """A burst-absorption freeze is a per-workload verdict; the next
         job must get a live control loop again."""
-        policy = ControlPolicy(reschedule_cost_cycles=100,
-                               burst_tuples=WINDOW_TUPLES * 10)
-        svc = StreamService(workers=4, adaptive=True, control=policy)
+        svc = StreamService(workers=4, adaptive=True,
+                            reschedule_cost_cycles=100)
+        svc.controller.policy = replace(svc.controller.policy,
+                                        burst_tuples=WINDOW_TUPLES * 10)
         bursty = EvolvingZipfStream(alpha=2.5,
                                     interval_tuples=WINDOW_TUPLES,
                                     total_tuples=10_000, base_seed=1)
@@ -280,9 +311,8 @@ class TestServiceIntegration:
         svc.shutdown()
 
     def test_multiple_jobs_share_one_control_loop(self):
-        svc = StreamService(
-            workers=4, adaptive=True,
-            control=ControlPolicy(reschedule_cost_cycles=5_000))
+        svc = StreamService(workers=4, adaptive=True,
+                            reschedule_cost_cycles=5_000)
         batches = {}
         for app, seed in (("histo", 1), ("hll", 2)):
             stream = EvolvingZipfStream(alpha=1.8,

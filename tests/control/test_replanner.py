@@ -1,58 +1,65 @@
 """Cost-aware replanner: Fig. 9 regime placement and hysteresis."""
 
+import re
+from dataclasses import replace
+
 import pytest
 
-from repro.control.replanner import CostAwareReplanner, ReplanDecision
+from repro.control import ControlPolicy
+from repro.control.replanner import ReplanDecision, classify, decide
 from repro.core.config import ArchitectureConfig
 
+POLICY = ControlPolicy(cycles_per_tuple=1.0, amortize_factor=4.0,
+                       burst_tuples=1_000, hysteresis_windows=2)
 
-def make(cost=10_000, **kwargs):
-    defaults = dict(cycles_per_tuple=1.0, amortize_factor=4.0,
-                    burst_tuples=1_000, hysteresis_windows=2)
-    defaults.update(kwargs)
-    return CostAwareReplanner(cost, **defaults)
+
+def regime(interval, cost=10_000, **kwargs):
+    return classify(replace(POLICY, **kwargs), cost, interval)
+
+
+def decision(interval, windows_since_replan, cost=10_000, **kwargs):
+    return decide(replace(POLICY, **kwargs), cost, interval,
+                  windows_since_replan)
 
 
 class TestRegimes:
     def test_tiny_intervals_are_absorbed(self):
-        assert make().classify(500) == "absorbed"
-        assert make().classify(1_000) == "absorbed"
+        assert regime(500) == "absorbed"
+        assert regime(1_000) == "absorbed"
 
     def test_interval_comparable_to_cost_thrashes(self):
         # 20k tuples * 1 c/t = 20k cycles <= 4 * 10k cost.
-        assert make().classify(20_000) == "thrashing"
+        assert regime(20_000) == "thrashing"
 
     def test_long_intervals_amortise(self):
-        assert make().classify(200_000) == "amortised"
+        assert regime(200_000) == "amortised"
 
     def test_burst_regime_can_be_disabled(self):
-        replanner = make(burst_tuples=0)
         # Without the freeze regime a tiny interval is just thrashing.
-        assert replanner.classify(500) == "thrashing"
+        assert regime(500, burst_tuples=0) == "thrashing"
 
     def test_regime_math_matches_evolving_model_boundaries(self):
         """The classify boundary is amortize_factor * cost, the same
         margin perf.evolving uses between amortised and thrashing."""
-        replanner = make(cost=1_000, cycles_per_tuple=1.0,
-                         amortize_factor=4.0, burst_tuples=0)
-        assert replanner.classify(4_000) == "thrashing"   # == 4x cost
-        assert replanner.classify(4_001) == "amortised"   # just past
+        assert regime(4_000, cost=1_000, burst_tuples=0) == "thrashing"
+        assert regime(4_001, cost=1_000, burst_tuples=0) == "amortised"
 
 
 class TestDecisions:
     def test_absorbed_freezes(self):
-        assert make().decide(500, 10) is ReplanDecision.FREEZE
+        assert decision(500, 10) is ReplanDecision.FREEZE
 
     def test_thrashing_holds(self):
-        assert make().decide(20_000, 10) is ReplanDecision.HOLD
+        assert decision(20_000, 10) is ReplanDecision.HOLD
 
     def test_amortised_replans(self):
-        assert make().decide(500_000, 10) is ReplanDecision.REPLAN
+        assert decision(500_000, 10) is ReplanDecision.REPLAN
 
     def test_hysteresis_suppresses_back_to_back_replans(self):
-        replanner = make(hysteresis_windows=3)
-        assert replanner.decide(500_000, 2) is ReplanDecision.HOLD
-        assert replanner.decide(500_000, 3) is ReplanDecision.REPLAN
+        assert decision(500_000, 2, hysteresis_windows=3) \
+            is ReplanDecision.HOLD
+        assert decision(500_000, 3, hysteresis_windows=3) \
+            is ReplanDecision.REPLAN
 
 
 class TestDefaults:
@@ -65,14 +72,13 @@ class TestDefaults:
                     + config.profiling_cycles + config.secpes)
         assert cost == expected
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            CostAwareReplanner(-1)
-        with pytest.raises(ValueError):
-            CostAwareReplanner(10, cycles_per_tuple=0)
-        with pytest.raises(ValueError):
-            CostAwareReplanner(10, amortize_factor=0.5)
-        with pytest.raises(ValueError):
-            CostAwareReplanner(10, burst_tuples=-1)
-        with pytest.raises(ValueError):
-            CostAwareReplanner(10, hysteresis_windows=-1)
+    @pytest.mark.parametrize("field, value, message", [
+        ("cycles_per_tuple", 0, "cycles_per_tuple must be positive"),
+        ("amortize_factor", 0.5, "amortize_factor must be >= 1"),
+        ("burst_tuples", -1, "burst_tuples must be non-negative"),
+        ("hysteresis_windows", -1,
+         "hysteresis_windows must be non-negative"),
+    ])
+    def test_policy_validation(self, field, value, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ControlPolicy(**{field: value})

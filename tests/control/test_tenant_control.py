@@ -9,15 +9,14 @@ from repro.workloads.zipf import ZipfGenerator
 WINDOW_TUPLES = 2_000
 
 
-def make_controller(workers=4, slo=None, **policy_kwargs):
-    policy_kwargs.setdefault("reschedule_cost_cycles", 10_000)
+def make_controller(workers=4, slo=None, cost=10_000, **policy_kwargs):
     policy_kwargs.setdefault("cycles_per_tuple", 1.0)
     balancer = SkewAwareBalancer(workers, auto_replan=False)
     metrics = ServiceMetrics()
     pool = WorkerPool(workers, lambda job_id: None, metrics)
     controller = AdaptiveController(
         balancer, pool, metrics, policy=ControlPolicy(**policy_kwargs),
-        slo=slo)
+        cost=cost, slo=slo)
     return controller, pool, metrics
 
 
@@ -28,7 +27,7 @@ def hot_keys(seed, tuples=WINDOW_TUPLES):
 class TestStallAttribution:
     def test_replan_charges_the_triggering_tenant(self):
         controller, _, metrics = make_controller(
-            reschedule_cost_cycles=300, hysteresis_windows=1)
+            cost=300, hysteresis_windows=1)
         # 'steady' tenant establishes the plan and holds still.
         controller.on_window(hot_keys(1), WINDOW_TUPLES,
                              tenant_id="steady")
@@ -97,30 +96,29 @@ class TestMergedHistogramAcrossTenants:
 
 class TestAutoscalerSloPressure:
     def test_pressure_grows_despite_meeting_cycle_slo(self):
-        scaler = Autoscaler(slo_cycles_per_tuple=2.0, cooldown_checks=0)
+        policy = ControlPolicy(scale_cooldown=0)
+        scaler = Autoscaler(slo_cycles_per_tuple=2.0)
         # 0.5 observed cycles/tuple is comfortably under the SLO of 2 —
         # without pressure this would hold (above the shrink margin).
-        relaxed = scaler.decide(1_000, 1_500, size=4)
+        relaxed = scaler.decide(policy, 1_000, 1_500, size=4)
         assert relaxed.reason == "hold"
-        pressured = scaler.decide(1_000, 1_500, size=4,
+        pressured = scaler.decide(policy, 1_000, 1_500, size=4,
                                   slo_pressure=True)
         assert pressured.reason == "grow"
         assert pressured.size == 5
 
     def test_pressure_blocks_shrink(self):
-        scaler = Autoscaler(slo_cycles_per_tuple=2.0, cooldown_checks=0,
-                            shrink_margin=0.9)
-        idle = scaler.decide(1_000, 100, size=4)
+        policy = ControlPolicy(scale_cooldown=0, shrink_margin=0.9)
+        idle = Autoscaler(2.0).decide(policy, 1_000, 100, size=4)
         assert idle.reason == "shrink"
-        scaler = Autoscaler(slo_cycles_per_tuple=2.0, cooldown_checks=0,
-                            shrink_margin=0.9)
-        held = scaler.decide(1_000, 100, size=4, slo_pressure=True)
+        held = Autoscaler(2.0).decide(policy, 1_000, 100, size=4,
+                                      slo_pressure=True)
         assert held.reason == "grow"
 
     def test_pressure_respects_max_workers(self):
-        scaler = Autoscaler(slo_cycles_per_tuple=2.0, max_workers=4,
-                            cooldown_checks=0)
-        decision = scaler.decide(1_000, 100, size=4, slo_pressure=True)
+        policy = ControlPolicy(max_workers=4, scale_cooldown=0)
+        decision = Autoscaler(2.0).decide(policy, 1_000, 100, size=4,
+                                          slo_pressure=True)
         assert decision.size == 4
         assert decision.reason != "grow"
 

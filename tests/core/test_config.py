@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import ArchitectureConfig, HostModel
+from repro.core.config import ArchitectureConfig
 
 
 class TestValidation:
@@ -66,8 +66,3 @@ class TestDerived:
         assert not ArchitectureConfig(lanes=8, pripes=8,
                                       ii_pe=2).balanced_for_bandwidth()
 
-
-class TestHostModel:
-    def test_reenqueue_delay_cycles(self):
-        host = HostModel(enqueue_overhead_s=1e-3, clock_mhz=200.0)
-        assert host.reenqueue_delay_cycles() == 200_000

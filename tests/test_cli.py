@@ -2,6 +2,7 @@
 
 import pytest
 
+import pathlib
 import threading
 import time
 
@@ -44,6 +45,25 @@ def start_ingest(tmp_path):
     finally:
         server.join(timeout=60.0)
         assert not server.is_alive(), "`repro ingest` outlived its test"
+
+
+@pytest.fixture
+def start_ingest_after_spy(tmp_path, monkeypatch, request):
+    """Spy on file writes, then start ``repro ingest``; yields what the
+    ready path held (None when absent) each time a write had created
+    its file but not yet filled it."""
+    ready = tmp_path / "ready"
+    seen = []
+    write_text = pathlib.Path.write_text
+
+    def stalled_write(path, text, *args, **kwargs):
+        path.touch()  # created, contents still to come
+        seen.append(ready.read_text() if ready.exists() else None)
+        return write_text(path, text, *args, **kwargs)
+
+    monkeypatch.setattr(pathlib.Path, "write_text", stalled_write)
+    request.getfixturevalue("start_ingest")
+    yield seen
 
 
 class TestParser:
@@ -233,6 +253,15 @@ class TestNetworkCLI:
             result = client.result(job_id)
         assert result.tuples == 4_000
         server.join(timeout=60.0)  # its exit report stays in this test
+
+    def test_ready_file_is_never_seen_empty(self, start_ingest_after_spy):
+        """The ready file appears with its contents: each write
+        ``repro ingest`` makes is observed after its file is created
+        and before its text lands, and the ready path must not exist
+        yet at that moment (the fixture then reads it whole)."""
+        seen = start_ingest_after_spy
+        assert seen, "ingest wrote no file"
+        assert all(state is None for state in seen), seen
 
     def test_connect_rejects_bad_address(self):
         with pytest.raises(SystemExit):
