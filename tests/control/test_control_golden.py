@@ -9,8 +9,11 @@ section, ``rebalances`` and ``makespan_cycles``, each tenant's
 capture; its entries carry no wall stamps).  The scenarios cover the
 three Fig. 9 regimes adaptive and reflexive, a burst freeze, autoscale
 growth and shrinkage, a slipping tenant queue-delay SLO, concurrent
-tenants, and the reschedule cost's resolution in both modes.  Never
-regenerate the file to make a change pass.
+tenants adaptive and reflexive, a reflexive round-robin fleet, and the
+reschedule cost's resolution in both modes.  The two scenarios added
+last (``two-tenants/reflexive`` and ``reflexive/roundrobin``) were
+written by the commit before reflexive replanning moved into the
+controller.  Never regenerate the file to make a change pass.
 """
 
 import json
@@ -36,12 +39,13 @@ def _job(interval, total, seed, alpha=2.0, seed_cycle=None):
                 seed_cycle=seed_cycle)
 
 
-def _scenario(jobs, *, workers=4, adaptive=True, slo=None, cost=None,
-              policy=None, tenants=None):
+def _scenario(jobs, *, workers=4, balancer="skew", adaptive=True,
+              slo=None, cost=None, policy=None, tenants=None):
     """``jobs`` maps a tenant id to its jobs' streams; ``tenants`` to
     its :class:`TenantSpec` keywords; ``policy`` overrides tunables."""
-    return dict(jobs=jobs, workers=workers, adaptive=adaptive, slo=slo,
-                cost=cost, policy=policy or {}, tenants=tenants or {})
+    return dict(jobs=jobs, workers=workers, balancer=balancer,
+                adaptive=adaptive, slo=slo, cost=cost, policy=policy or {},
+                tenants=tenants or {})
 
 
 THRASH = _job(WINDOW_TUPLES, 40_000, 3)
@@ -81,6 +85,14 @@ SCENARIOS = {
         {"alpha": [_job(WINDOW_TUPLES * 3, 24_000, 1, alpha=1.8)],
          "beta": [_job(WINDOW_TUPLES * 5, 24_000, 2, alpha=2.5)]},
         cost=5_000, tenants={"alpha": dict(weight=2.0), "beta": {}}),
+    "two-tenants/reflexive": _scenario(
+        {"alpha": [_job(WINDOW_TUPLES * 3, 24_000, 1, alpha=1.8)],
+         "beta": [_job(WINDOW_TUPLES * 5, 24_000, 2, alpha=2.5)]},
+        adaptive=False, cost=5_000,
+        tenants={"alpha": dict(weight=2.0), "beta": {}}),
+    "reflexive/roundrobin": _scenario(
+        {"default": [_job(6_000, 30_000, 4)]}, balancer="roundrobin",
+        adaptive=False, cost=7_000),
     "reflexive/cost": _scenario({"default": [_job(6_000, 30_000, 4)]},
                                 adaptive=False, cost=7_000),
     "reflexive/default-cost": _scenario(
@@ -102,7 +114,7 @@ def _stream(job):
 
 def _service(scenario, tracer):
     service = StreamService(
-        workers=scenario["workers"], balancer="skew",
+        workers=scenario["workers"], balancer=scenario["balancer"],
         adaptive=scenario["adaptive"], slo=scenario["slo"],
         reschedule_cost_cycles=scenario["cost"], tracer=tracer)
     if scenario["policy"]:
