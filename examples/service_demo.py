@@ -124,12 +124,12 @@ def main() -> None:
                      window_seconds=WINDOW)
         fleet.run()
         adaptive_rates[label] = fleet.metrics.fleet_throughput()
-        if fleet.controller is not None:
-            summary = fleet.metrics.snapshot()["control"]
-            print(f"\nadaptive controller under evolving skew: "
-                  f"{summary['drift_events']} drift events, "
-                  f"{summary['replans_applied']} replans, "
-                  f"{summary['replans_suppressed']} suppressed")
+        summary = fleet.metrics.snapshot()
+        print(f"\n{fleet.controller.describe()} under evolving skew: "
+              f"{summary['rebalances']} plan changes, "
+              f"{summary['control']['drift_events']} drift events, "
+              f"{summary['control']['replans_suppressed']} replans "
+              f"suppressed")
         fleet.shutdown()
 
     print(f"evolving hot keys ({cost:,}-cycle reschedule stall):")

@@ -311,8 +311,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     print(f"served {served} jobs on {service.balancer.workers} workers "
           f"[{service.balancer.describe()}, {args.engine} engine, "
           f"{args.backend} backend]")
-    if service.controller is not None:
-        print(f"  {service.controller.describe()}")
+    print(f"  {service.controller.describe()}")
     print()
     for job_id in jobs:
         _summarize_job(service, job_id)

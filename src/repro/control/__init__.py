@@ -25,12 +25,13 @@ loop one level up, around the worker fleet of :mod:`repro.service`:
 ``autoscaler``
     Elastic worker-pool sizing against a cycles-per-tuple SLO.
 ``controller``
-    The :class:`AdaptiveController` façade that
+    The :class:`AdaptiveController` façade that every
     :class:`~repro.service.server.StreamService` consults once per
-    closed window (``StreamService(adaptive=True, slo=...)``), and
-    :class:`ControlPolicy`, the one declaration, default and validation
-    of the loop's tunables.  The rescheduling cost is not among them:
-    the service resolves it once and hands the controller that integer.
+    closed window, and :class:`ControlPolicy`, the one declaration,
+    default and validation of the loop's tunables; its ``reflexive``
+    preset (``adaptive=False``, the default) replans every window.  The
+    rescheduling cost is not among them: the service resolves it once
+    and hands the controller that integer.
 """
 
 from repro.control.autoscaler import Autoscaler, ScaleDecision

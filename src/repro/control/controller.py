@@ -1,9 +1,11 @@
-"""The adaptive controller: one decision point per closed window.
+"""The fleet's controller: the one decision point per closed window.
 
-:class:`AdaptiveController` owns the control loop the serving layer was
-missing: the balancer keeps *observing* every window (cheap — a seeded
-subsample and a histogram), but *reacting* becomes a decision instead of
-a reflex:
+:class:`AdaptiveController` owns the serving layer's control loop: the
+balancer only *observes* every window (a seeded subsample and a
+histogram); reacting is :meth:`AdaptiveController.on_window`'s call.
+The reflexive policy (``StreamService(adaptive=False)``) adopts each
+window's greedy plan, the reflex the paper's Fig. 9 shows can thrash;
+the adaptive one makes reacting a decision:
 
 1. The :class:`~repro.control.detector.DriftDetector` compares the
    window's shard histogram against the one the active plan was built
@@ -24,7 +26,9 @@ Every tunable lives in one :class:`ControlPolicy`, read when a
 decision is made, and the rescheduling stall is the one integer the
 service resolved.  The controller is consulted from the dispatcher
 thread only; it mutates the balancer and pool from that single thread
-and records its activity in :class:`~repro.service.metrics.ServiceMetrics`.
+and records its activity — stalls, and the balancer's plan-change count
+beside every plan change — in
+:class:`~repro.service.metrics.ServiceMetrics`.
 """
 
 from __future__ import annotations
@@ -62,6 +66,11 @@ class ControlPolicy:
 
     Attributes
     ----------
+    reflexive:
+        Adopt the greedy plan of every window's own sample (never the
+        tenant-merged histogram), charging each plan change to the
+        window's tenant; the fields below, the detector, the plan cache
+        and ``control.*`` events go unused.
     cycles_per_tuple:
         Static hint converting drift intervals (measured in tuples) to
         cycles.  A deliberate *hint*, not a live measurement, so a
@@ -96,6 +105,7 @@ class ControlPolicy:
         metrics stabilise before judging it.
     """
 
+    reflexive: bool = False
     cycles_per_tuple: float = 0.5
     amortize_factor: float = 4.0
     burst_tuples: int = 0
@@ -131,10 +141,8 @@ class AdaptiveController:
     Parameters
     ----------
     balancer:
-        The fleet's :class:`~repro.service.balancer.SkewAwareBalancer`;
-        its ``auto_replan`` flag must be off (the service façade does
-        this) so that observing a window no longer replans as a side
-        effect.
+        The fleet's :class:`~repro.service.balancer.SkewAwareBalancer`,
+        whose plans only the controller changes.
     pool:
         The fleet's :class:`~repro.service.executor.ExecutionBackend`
         (any adapter — inline or warm subprocesses; resized by
@@ -145,7 +153,7 @@ class AdaptiveController:
         :class:`ControlPolicy`; read at every decision, so assigning
         ``controller.policy`` retunes the loop from the next window.
     cost:
-        Fleet-wide stall (simulated cycles) charged per applied plan —
+        Fleet-wide stall (simulated cycles) charged per plan change —
         the service's resolved ``reschedule_cost_cycles``.
     slo:
         Cycles-per-tuple SLO enabling the autoscaler; None disables
@@ -206,8 +214,9 @@ class AdaptiveController:
                   tenant_id: str = "default") -> str:
         """Consulted by the service once per closed window, pre-split.
 
-        ``tenant_id`` names the tenant whose window this is: if its
-        drift triggers a replan, that tenant is charged the rescheduling
+        ``tenant_id`` names the tenant whose window this is: if the
+        window changes the plan (its drift, or under the reflexive
+        policy its own sample), that tenant is charged the rescheduling
         stall in the per-tenant metrics (the fleet-wide makespan pays it
         either way — the attribution answers "who caused it").
 
@@ -217,8 +226,10 @@ class AdaptiveController:
         """
         self.windows += 1
         self.tuples += tuples
-        self.balancer.observe(keys)  # histogram only: auto_replan is off
+        self.balancer.observe(keys)
         observed = self.balancer.last_histogram
+        if self.policy.reflexive:
+            return self._reflex(observed, tenant_id)
         if observed is not None:
             self._tenant_histograms[tenant_id] = observed
         histogram = self._merged_histogram()
@@ -286,6 +297,18 @@ class AdaptiveController:
         self._maybe_autoscale()
         return action
 
+    def _reflex(self, histogram: Optional[np.ndarray],
+                tenant_id: str) -> str:
+        """The reflexive policy's window: adopt the greedy plan of the
+        window's own sample, charging ``cost`` if that changed the plan."""
+        if histogram is None or not self._apply(greedy_secpe_plan(
+                histogram, self.balancer.secondaries,
+                self.balancer.primaries)):
+            return "steady"
+        self.metrics.record_control(reschedule_stall_cycles=self.cost,
+                                    tenant=tenant_id)
+        return "replan"
+
     def _drift_has_settled(self, histogram) -> bool:
         """True when drifted windows agree with each other, not the plan.
 
@@ -334,6 +357,8 @@ class AdaptiveController:
 
     def describe(self) -> str:
         """One-line summary for logs."""
+        if self.policy.reflexive:
+            return f"reflexive control ({self.windows} windows)"
         autoscale = ("off" if self.autoscaler is None
                      else f"slo={self.autoscaler.slo:g} c/t")
         return (f"adaptive control ({self.windows} windows, "
@@ -344,6 +369,16 @@ class AdaptiveController:
     # ------------------------------------------------------------------
     # Plan application
     # ------------------------------------------------------------------
+    def _apply(self, plan) -> bool:
+        """Install ``plan``; True when it changed the plan in force, whose
+        new count goes to the metrics at once for mid-job scrapes."""
+        rebalances = self.balancer.rebalances
+        self.balancer.apply_plan(plan)
+        if self.balancer.rebalances == rebalances:
+            return False
+        self.metrics.set_rebalances(self.balancer.rebalances)
+        return True
+
     def _cache_namespace(self) -> Optional[str]:
         """Scope cached plans to the tenant mixture they balance.
 
@@ -369,7 +404,7 @@ class AdaptiveController:
             namespace=self._cache_namespace(),
         )
         plan_age = self.windows - self._plan_born_window
-        self.balancer.apply_plan(plan)
+        self._apply(plan)
         self.detector.rebase(histogram)
         self._plan_born_window = self.windows
         self._settled_drift_windows = 0

@@ -9,7 +9,6 @@ profiler.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Tuple
 
 
 @dataclass(frozen=True)
@@ -104,10 +103,6 @@ class ArchitectureConfig:
     def skew_handling(self) -> bool:
         """True when SecPEs (and hence mapper/profiler/merger) exist."""
         return self.secpes > 0
-
-    def pe_ids(self) -> Tuple[range, range]:
-        """(PriPE ID range, SecPE ID range) — IDs 0..M-1 and M..M+X-1."""
-        return range(self.pripes), range(self.pripes, self.designated_pes)
 
     def reschedule_cost_cycles(self, detection_windows: int = 2) -> int:
         """Cycles from a distribution change to a fresh effective plan:

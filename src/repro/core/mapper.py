@@ -25,13 +25,10 @@ profiler and this keeps the statistics path off the critical pipeline.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.sim.channel import Channel
 from repro.sim.module import Module
-
-PlanPair = Tuple[int, int]
-"""``(secpe_id, pripe_id)`` — one entry of the SecPE scheduling plan."""
 
 DETACH = ("detach",)
 """Control message: stop routing to SecPEs (rescheduling in progress)."""
@@ -99,11 +96,6 @@ class MappingState:
         """
         self.counter = [1] * self.pripes
         self._rr = [0] * self.pripes
-
-    def attached_secpes(self, pripe_id: int) -> List[int]:
-        """SecPEs currently serving ``pripe_id`` (test/introspection)."""
-        count = self.counter[pripe_id]
-        return [pe for pe in self.table[pripe_id][1:count]]
 
 
 class Mapper(Module):

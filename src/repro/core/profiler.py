@@ -53,10 +53,6 @@ class SchedulingPlan:
     pairs: List[Tuple[int, int]]
     workloads: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
-    def assignments_for(self, pripe_id: int) -> List[int]:
-        """SecPEs assigned to ``pripe_id`` under this plan."""
-        return [s for s, p in self.pairs if p == pripe_id]
-
     def pripe_of(self, secpe_id: int) -> Optional[int]:
         """The PriPE a SecPE serves, or None if unassigned."""
         for s, p in self.pairs:

@@ -15,9 +15,10 @@ workers serving many clients:
     Event-time window manager turning each job's stream into closable
     segments.
 ``balancer``
-    Cluster-level skew balancing: key-range sharding with the paper's
-    greedy SecPE plan (reused from :mod:`repro.core.profiler`) attaching
-    secondary workers to hot ranges; none is the round-robin baseline.
+    Cluster-level skew balancing: key-range sharding under the
+    controller's greedy SecPE plan (:mod:`repro.core.profiler`'s)
+    attaching secondary workers to hot ranges; none is the round-robin
+    baseline.
 ``executor``
     The hexagonal execution-backend port (:class:`ExecutionBackend`)
     behind which the fleet runs, plus the picklable
@@ -34,17 +35,16 @@ workers serving many clients:
 ``dispatcher``
     The serving loop between ``queue`` and the backend as one unit,
     :class:`~repro.service.dispatcher.Dispatcher`, stepped on the
-    calling thread.
+    calling thread; it makes one control call per closed window.
 ``server``
     The :class:`~repro.service.server.StreamService` façade: submit /
     poll / result / run, the job registry and the tenant table.
 ``metrics``
     Deterministic fleet accounting (simulated-cycle makespan).
 
-The adaptive control plane — drift detection, cost-aware replanning,
-plan caching and elastic autoscaling around this fleet — lives in
-:mod:`repro.control` and is enabled with
-``StreamService(adaptive=True, slo=...)``.
+Every plan is the call of the fleet's controller (:mod:`repro.control`):
+reflexive by default, or ``StreamService(adaptive=True, slo=...)``'s
+drift detection, cost-aware replanning, plan caching and autoscaling.
 """
 
 from repro.service.balancer import (

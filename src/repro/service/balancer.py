@@ -12,11 +12,15 @@ key-ranges:
   multiply-shift and a multiply-high, as the PrePE routes in a few
   multiplies and shifts.  Its odd multiplier is not the kernels'
   on-chip one, so fleet and on-chip imbalance don't alias.
-* ``X = secondaries`` **secondary workers** are floating capacity.  Each
-  profiling round builds a shard histogram from the observed keys and
-  runs :func:`~repro.core.profiler.greedy_secpe_plan`; a hot shard's
-  tuples are then round-robined across its primary plus the attached
-  secondaries — exactly the even-share assumption the greedy plan makes.
+* ``X = secondaries`` **secondary workers** are floating capacity.
+  :meth:`SkewAwareBalancer.observe` builds a shard histogram from each
+  window's keys; the fleet's controller
+  (:class:`~repro.control.controller.AdaptiveController`) decides when
+  to run :func:`~repro.core.profiler.greedy_secpe_plan` on it and
+  installs the plan with :meth:`SkewAwareBalancer.apply_plan`; a hot
+  shard's tuples are then round-robined across its primary plus the
+  attached secondaries — exactly the even-share assumption the greedy
+  plan makes.
 
 A non-``splittable`` kernel's job (heavy hitters) is split *by key*
 with the same stateless rule at a different lane choice: a tuple of
@@ -41,7 +45,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.profiler import SchedulingPlan, greedy_secpe_plan
+from repro.core.profiler import SchedulingPlan
 from repro.hashing.multiply_shift import multiply_shift_range
 # Unused here: the benchmark (bench/tracing.py) swaps this module's
 # name to count hashed keys.  ROADMAP item 2 removes that seam.
@@ -73,36 +77,32 @@ class SkewAwareBalancer:
         sharding).  The remaining ``M = K - X`` workers anchor the key
         shards.
     profile_sample:
-        Keys profiled per segment before (re)planning; the paper samples
-        a short profiling window rather than the full stream.  Segments
-        larger than this are subsampled with a seeded RNG.  ``observe``
-        takes the whole segment's shard ids once (one multiply-shift
-        pass) and histograms the sample of those ids; ``split`` of
-        the same batch routes by the memoised ids, so a window's keys
-        are hashed and reduced one time, as the paper's PrePE computes
-        a destination once for routing and profiling alike.
-    auto_replan:
-        When True (default), every ``observe`` refreshes the greedy
-        helper plan — the reflexive per-segment rescheduling the paper's
-        Fig. 9 shows can thrash.  The adaptive control plane
-        (:mod:`repro.control`) turns this off and supplies plans
-        explicitly through :meth:`apply_plan`; ``observe`` then only
-        records the sample histogram in :attr:`last_histogram`.
+        Keys profiled per segment for the controller's plans; the paper
+        samples a short profiling window rather than the full stream.
+        Segments larger than this are subsampled with a seeded RNG.
+        ``observe`` takes the whole segment's shard ids once (one
+        multiply-shift pass) and histograms the sample of those ids;
+        ``split`` of the same batch routes by the memoised ids, so a
+        window's keys are hashed and reduced one time, as the paper's
+        PrePE computes a destination once for routing and profiling
+        alike.
+
+    The balancer never plans by itself: ``observe`` only records the
+    sample histogram in :attr:`last_histogram`, and every plan arrives
+    through :meth:`apply_plan`.
     """
 
     #: Seed for the profiling subsampler (distinct from the shard seeds).
     SAMPLE_SEED = 0x5A3C1E
 
     def __init__(self, workers: int, secondaries: Optional[int] = None,
-                 profile_sample: int = 4096,
-                 auto_replan: bool = True) -> None:
+                 profile_sample: int = 4096) -> None:
         if profile_sample <= 0:
             raise ValueError("profile_sample must be positive")
         self._shape(workers, secondaries)
         self.rebalances = 0
         self.reconfigurations = 0
         self.profile_sample = profile_sample
-        self.auto_replan = auto_replan
         self._rng = np.random.default_rng(self.SAMPLE_SEED)
 
     def _shape(self, workers: int, secondaries: Optional[int]) -> None:
@@ -138,7 +138,7 @@ class SkewAwareBalancer:
         return keys[chosen]
 
     def observe(self, keys: np.ndarray) -> None:
-        """Histogram a key sample; refresh the plan if auto-replanning.
+        """Histogram a key sample into :attr:`last_histogram`.
 
         The sample is drawn from the shard ids of ``keys`` — the
         positions ``sample_keys(keys)`` would draw, so it equals the
@@ -153,13 +153,9 @@ class SkewAwareBalancer:
         histogram = np.bincount(self.sample_keys(shards),
                                 minlength=self.primaries)
         self.last_histogram = histogram
-        if not self.auto_replan:
-            return
-        self.apply_plan(greedy_secpe_plan(histogram, self.secondaries,
-                                          self.primaries))
 
     def apply_plan(self, plan: SchedulingPlan) -> None:
-        """Install an externally-supplied (or freshly built) helper plan.
+        """Install the controller's helper plan.
 
         Worker IDs: primaries are 0..M-1; the plan's SecPE IDs M..M+X-1
         map one-to-one onto the secondary workers.
@@ -230,10 +226,9 @@ class SkewAwareBalancer:
         """One-line summary for logs and metrics renderings."""
         if self.secondaries == 0:
             return f"round-robin sharding ({self.workers} static ranges)"
-        mode = "auto" if self.auto_replan else "controlled"
         return (f"skew-aware ({self.primaries} primary + "
                 f"{self.secondaries} secondary workers, "
-                f"{self.rebalances} rebalances, {mode})")
+                f"{self.rebalances} rebalances)")
 
 
 def make_balancer(name: str, workers: int) -> SkewAwareBalancer:

@@ -3,10 +3,10 @@
 A :class:`Dispatcher` is wired from the parts it drives — a
 :class:`~repro.service.queue.JobQueue`, a balancer, an
 :class:`~repro.service.executor.ExecutionBackend`, a
-:class:`~repro.service.metrics.ServiceMetrics` and, optionally, a
-tracer, the adaptive controller and the tenant table — and owns only
-the state of the jobs in flight.  It starts no thread and takes no
-lock of its own.
+:class:`~repro.service.metrics.ServiceMetrics`, the fleet's
+:class:`~repro.control.controller.AdaptiveController` and, optionally,
+a tracer and the tenant table — and owns only the state of the jobs in
+flight.  It starts no thread and takes no lock of its own.
 
 One :meth:`Dispatcher.step` is one iteration of the serving loop, four
 phases in this order:
@@ -18,10 +18,10 @@ phases in this order:
 3. one **weighted round** over the in-flight jobs: tenants in sorted
    order, each earning ``weight`` step credit, each whole credit
    pulling one source batch from one of the tenant's jobs (persistent
-   round-robin among them) and pushing the windows it closes through
-   control and, each with the balancer's route for it, to the backend;
-   a source that ends is drained, merged and made terminal inside its
-   pull;
+   round-robin among them) and pushing each window it closes through
+   one ``controller.on_window`` call and then, with the balancer's
+   route for it, to the backend; a source that ends is drained, merged
+   and made terminal inside its pull;
 4. **retire**: tenants whose last job left are dropped from the
    in-flight map and from the controller's merged load.
 
@@ -84,14 +84,12 @@ class Step(NamedTuple):
 class Dispatcher:
     """Serves queued jobs over a worker fleet, one :meth:`step` at a time.
 
-    ``controller=None`` keeps the balancer's reflexive per-window
-    replanning, charged ``reschedule_cost_cycles`` per plan change; a
-    controller charges its own ``cost``, the same resolved integer
-    (:class:`~repro.service.server.StreamService` hands both);
-    ``tenants`` is the live
-    ``tenant_id -> TenantSpec`` table, an unregistered id getting the
-    default contract; ``allowed_lateness`` goes to every job's window
-    manager.
+    ``controller`` takes the one control call per closed window,
+    whatever its policy (reflexive or adaptive): only it changes the
+    balancer's plan, charges the rescheduling stall and counts plan
+    changes.  ``tenants`` is the live ``tenant_id -> TenantSpec`` table,
+    an unregistered id getting the default contract;
+    ``allowed_lateness`` goes to every job's window manager.
     """
 
     def __init__(
@@ -100,11 +98,10 @@ class Dispatcher:
         balancer: SkewAwareBalancer,
         backend: ExecutionBackend,
         metrics: ServiceMetrics,
+        controller: AdaptiveController,
         tracer: Optional[TraceCollector] = None,
-        controller: Optional[AdaptiveController] = None,
         tenants: Optional[Mapping[str, TenantSpec]] = None,
         allowed_lateness: float = 0.0,
-        reschedule_cost_cycles: int = 0,
     ) -> None:
         self.queue = queue
         self.balancer = balancer
@@ -115,7 +112,6 @@ class Dispatcher:
         self.controller = controller
         self.tenants = tenants if tenants is not None else {}
         self.allowed_lateness = allowed_lateness
-        self.reschedule_cost_cycles = reschedule_cost_cycles
         #: tenant -> its in-flight jobs in admission order; a tenant
         #: with none has no entry.
         self._in_flight: Dict[str, List[_ActiveJob]] = {}
@@ -152,11 +148,10 @@ class Dispatcher:
         for tenant_id in tenants:
             if not self._in_flight[tenant_id]:
                 del self._in_flight[tenant_id]
-                if self.controller is not None:
-                    # The tenant's last stream left the fleet: its
-                    # histogram no longer belongs in the merged load
-                    # the control loop plans against.
-                    self.controller.forget_tenant(tenant_id)
+                # The tenant's last stream left the fleet: its
+                # histogram no longer belongs in the merged load the
+                # control loop plans against.
+                self.controller.forget_tenant(tenant_id)
         return Step(admitted, finished, pulled, waiting,
                     sum(map(len, self._in_flight.values())))
 
@@ -231,10 +226,9 @@ class Dispatcher:
         # of a window on one worker; a class-level contract, no kernel
         # built.
         by_key = not kernel_class_for(job.app).splittable
-        if self.controller is not None:
-            # A freeze is a per-workload verdict, not a service-lifetime
-            # one: re-arm the control loop for the new job's stream.
-            self.controller.unfreeze()
+        # A freeze is a per-workload verdict, not a service-lifetime
+        # one: re-arm the control loop for the new job's stream.
+        self.controller.unfreeze()
         return _ActiveJob(
             job=job,
             windows=WindowManager(job.window_seconds,
@@ -313,7 +307,6 @@ class Dispatcher:
                   by_key: bool) -> None:
         spec = self.tenant_spec(job.tenant_id)
         tracer = self.tracer
-        balancer = self.balancer
         for window in closed_windows:
             batch = window.to_batch()
             if len(batch) == 0:
@@ -326,33 +319,14 @@ class Dispatcher:
             # nothing.
             dispatch_clock = (self.metrics.dispatch_clock()
                               if tracer.enabled else 0)
-            keys = np.asarray(batch.keys)
-            plans_before = balancer.rebalances
-            if self.controller is not None:
-                self.controller.on_window(keys, len(batch),
-                                          tenant_id=job.tenant_id)
-            else:
-                # Reflexive path: observe replans as a side effect.
-                balancer.observe(keys)
-            changed = balancer.rebalances - plans_before
-            if changed:
-                # Pushed per window that moved the plan, so a scrape
-                # in the middle of a job reads the balancer's count.
-                self.metrics.set_rebalances(balancer.rebalances)
-                if self.controller is None and self.reschedule_cost_cycles:
-                    # Charge the stall for every plan change (to the
-                    # tenant whose window triggered it) so the
-                    # accounting matches the adaptive path's.
-                    self.metrics.record_control(
-                        reschedule_stall_cycles=(
-                            changed * self.reschedule_cost_cycles),
-                        tenant=job.tenant_id)
+            self.controller.on_window(np.asarray(batch.keys), len(batch),
+                                      tenant_id=job.tenant_id)
             quota = spec.worker_quota
             self.backend.dispatch_window(
                 WorkItem(job_id=job.job_id, batch=batch,
                          tenant_id=job.tenant_id,
                          dispatch_clock=dispatch_clock),
-                balancer.route(by_key, quota if quota is not None
+                self.balancer.route(by_key, quota if quota is not None
                                and quota < self.backend.size else None,
                                job.windows_dispatched))
             job.windows_dispatched += 1

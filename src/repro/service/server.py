@@ -1,8 +1,8 @@
 """The stream-serving façade: submit / poll / result over a worker fleet.
 
 :class:`StreamService` is what a client holds.  It builds the parts —
-queue, balancer, execution backend, metrics, tracer, the optional
-adaptive controller — wires them into one
+queue, balancer, execution backend, metrics, tracer, the fleet's
+controller — wires them into one
 :class:`~repro.service.dispatcher.Dispatcher`, and keeps what is not
 the serving loop: the client verbs, the job registry with its bounded
 retention, and the tenant table.  :meth:`StreamService.run` is the
@@ -25,7 +25,7 @@ from typing import (
     Union,
 )
 
-from repro.control.controller import AdaptiveController
+from repro.control.controller import AdaptiveController, ControlPolicy
 from repro.core.config import ArchitectureConfig
 from repro.core.fastpath import validate_engine
 from repro.obs import events as trace_events
@@ -128,13 +128,17 @@ class StreamService:
         (:mod:`repro.service.shm`).  The keyword survives for callers
         that still pass it and goes with ROADMAP item 9(a).
     adaptive:
-        Enable the :mod:`repro.control` control plane: the balancer
-        stops replanning reflexively on every window and an
-        :class:`~repro.control.controller.AdaptiveController` decides
-        per closed window whether drift justifies a replan (with plan
-        caching) and — given an SLO — whether to resize the fleet.
-        Requires secondary workers to attach (any fleet but
-        ``"roundrobin"`` with K > 1).  The controller's tunables are its
+        Pick the policy of the fleet's
+        :class:`~repro.control.controller.AdaptiveController`
+        (``service.controller``, consulted once per closed window).
+        False (default) selects the reflexive preset,
+        ``ControlPolicy(reflexive=True)``: every window adopts the
+        greedy plan of its own sample.  True selects the adaptive
+        :mod:`repro.control` loop, which decides per window whether
+        drift justifies a replan (with plan caching) and — given an
+        SLO — whether to resize the fleet; it requires secondary
+        workers to attach (any fleet but ``"roundrobin"`` with K > 1).
+        The tunables are the controller's
         :class:`~repro.control.controller.ControlPolicy`
         (``service.controller.policy``), defaulted and validated there.
     slo:
@@ -145,10 +149,9 @@ class StreamService:
         Fleet-wide stall (simulated cycles) charged to the makespan each
         time the active plan *changes* — the serving-level analogue of
         the paper's detection + drain + re-enqueue + re-profiling cost.
-        Resolved once and handed to the controller and the dispatcher:
-        an explicit value (including 0) is honored as given; the
-        default None derives the cost from the architecture
-        configuration for adaptive services
+        Resolved once into the controller's ``cost``: an explicit value
+        (including 0) is honored as given; the default None derives the
+        cost from the architecture configuration for adaptive services
         (:meth:`~repro.core.config.ArchitectureConfig.reschedule_cost_cycles`)
         and keeps rescheduling free (the historical accounting) for
         non-adaptive ones.
@@ -227,27 +230,23 @@ class StreamService:
             _spec_factory(self._jobs, self._jobs_lock, self.config,
                           max_cycles_per_segment, self.engine),
             self.metrics, tracer=self.tracer)
-        #: The adaptive controller, or None when ``adaptive=False``.
-        self.controller: Optional[AdaptiveController] = None
-        if adaptive:
-            if self.balancer.secondaries == 0 and workers > 1:
-                raise ValueError(
-                    "adaptive control requires the skew-aware balancer")
-            # Reacting is the controller's call now, not a reflex.
-            self.balancer.auto_replan = False
-            self.controller = AdaptiveController(
-                self.balancer, self._pool, self.metrics, cost=cost,
-                slo=slo, tracer=self.tracer)
-        elif slo is not None:
+        if adaptive and self.balancer.secondaries == 0 and workers > 1:
+            raise ValueError(
+                "adaptive control requires the skew-aware balancer")
+        if slo is not None and not adaptive:
             raise ValueError("slo requires adaptive=True")
+        #: The fleet's controller; ``adaptive`` picked its policy.
+        self.controller = AdaptiveController(
+            self.balancer, self._pool, self.metrics,
+            policy=ControlPolicy(reflexive=not adaptive), cost=cost,
+            slo=slo, tracer=self.tracer)
         # Wired to the parts, never to the service: a bound method of
         # the service held below it would close the reference cycle
         # _spec_factory avoids.
         self.dispatcher = Dispatcher(
             self._queue, self.balancer, self._pool, self.metrics,
-            tracer=self.tracer, controller=self.controller,
-            tenants=self._tenants, allowed_lateness=allowed_lateness,
-            reschedule_cost_cycles=cost)
+            self.controller, tracer=self.tracer, tenants=self._tenants,
+            allowed_lateness=allowed_lateness)
 
     # ------------------------------------------------------------------
     # Client API

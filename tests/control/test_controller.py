@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from repro.control import AdaptiveController, ControlPolicy
+from repro.core.profiler import greedy_secpe_plan
+from repro.obs import MemorySink, TraceCollector
 from repro.service import ServiceMetrics, StreamService, WorkerPool
 from repro.service.balancer import SkewAwareBalancer, shard_of_keys
 from repro.service.jobs import kernel_for
@@ -25,7 +27,7 @@ WINDOW = WINDOW_TUPLES / NetworkModel().tuples_per_second
 
 def make_controller(workers=4, slo=None, cost=10_000, **policy_kwargs):
     policy_kwargs.setdefault("cycles_per_tuple", 1.0)
-    balancer = SkewAwareBalancer(workers, auto_replan=False)
+    balancer = SkewAwareBalancer(workers)
     metrics = ServiceMetrics()
     pool = WorkerPool(workers, lambda job_id: None, metrics)
     controller = AdaptiveController(
@@ -75,6 +77,65 @@ class TestPlanCacheNamespaces:
         assert controller._cache_namespace() == "alice+bob"
         controller.forget_tenant("bob")
         assert controller._cache_namespace() == "alice"
+
+
+class TestReflexivePolicy:
+    """``ControlPolicy(reflexive=True)``: each window adopts the greedy
+    plan of its own sample, and nothing else of the loop runs."""
+
+    def test_each_window_adopts_its_own_samples_greedy_plan(self):
+        controller, balancer, metrics = make_controller(cost=700,
+                                                        reflexive=True)
+        twin = SkewAwareBalancer(4)
+        tenants = ("alpha", "beta")
+        for index, keys in enumerate(drifting_windows(6, 3)):
+            tenant = tenants[index % 2]
+            controller.on_window(keys, WINDOW_TUPLES, tenant_id=tenant)
+            # Not the tenant-merged histogram: this window's alone.
+            twin.observe(keys)
+            assert np.array_equal(balancer.last_histogram,
+                                  twin.last_histogram)
+            assert balancer.plan.pairs == greedy_secpe_plan(
+                twin.last_histogram, twin.secondaries,
+                twin.primaries).pairs
+        assert balancer.rebalances >= 3
+        assert metrics.rebalances == balancer.rebalances
+        # Only the stall counter moves, one cost per plan change, each
+        # charged to the tenant whose window changed the plan.
+        assert {name: count for name, count in metrics.control.items()
+                if count} == {"reschedule_stall_cycles":
+                              700 * balancer.rebalances}
+        assert sum(metrics.tenants[tenant]["stall_cycles"]
+                   for tenant in tenants) == 700 * balancer.rebalances
+
+    def test_emits_no_control_event(self):
+        balancer = SkewAwareBalancer(4)
+        metrics = ServiceMetrics()
+        tracer = TraceCollector(enabled=True)
+        sink = tracer.add_sink(MemorySink())
+        controller = AdaptiveController(
+            balancer, None, metrics, policy=ControlPolicy(reflexive=True),
+            cost=500, tracer=tracer)
+        for keys in drifting_windows(4, 3):
+            controller.on_window(keys, WINDOW_TUPLES)
+        assert balancer.rebalances >= 2
+        assert sink.events == []
+        assert controller.cache.hits + controller.cache.misses == 0
+
+    def test_service_defaults_to_it_on_any_fleet(self):
+        for name in ("skew", "roundrobin"):
+            svc = StreamService(workers=4, balancer=name)
+            assert svc.controller.policy.reflexive
+            stream = EvolvingZipfStream(alpha=2.0,
+                                        interval_tuples=WINDOW_TUPLES,
+                                        total_tuples=10_000, base_seed=3)
+            job_id = svc.submit("histo", arrival_stream(stream),
+                                window_seconds=WINDOW)
+            svc.run()
+            assert svc.poll(job_id)["status"] == "completed"
+            assert svc.controller.windows == svc.metrics.windows_closed
+            assert (svc.metrics.rebalances == 0) == (name == "roundrobin")
+            svc.shutdown()
 
 
 class TestControlLoop:
@@ -252,15 +313,13 @@ class TestServiceIntegration:
         assert svc_default.controller.cost \
             == svc_default.config.reschedule_cost_cycles() > 0
 
-    def test_cost_is_resolved_once_for_controller_and_dispatcher(self):
+    def test_cost_is_resolved_once_into_the_controller(self):
         adaptive = StreamService(workers=4, adaptive=True)
-        assert adaptive.dispatcher.reschedule_cost_cycles \
-            == adaptive.controller.cost
-        assert StreamService(workers=4).dispatcher.reschedule_cost_cycles \
-            == 0
+        assert adaptive.dispatcher.controller is adaptive.controller
+        assert not hasattr(adaptive.dispatcher, "reschedule_cost_cycles")
+        assert StreamService(workers=4).controller.cost == 0
         assert StreamService(
-            workers=4, reschedule_cost_cycles=7).dispatcher \
-            .reschedule_cost_cycles == 7
+            workers=4, reschedule_cost_cycles=7).controller.cost == 7
 
     def test_policy_is_read_at_decision_time(self):
         """Retuning ``controller.policy`` before ``run()`` changes that

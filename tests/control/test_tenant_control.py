@@ -11,7 +11,7 @@ WINDOW_TUPLES = 2_000
 
 def make_controller(workers=4, slo=None, cost=10_000, **policy_kwargs):
     policy_kwargs.setdefault("cycles_per_tuple", 1.0)
-    balancer = SkewAwareBalancer(workers, auto_replan=False)
+    balancer = SkewAwareBalancer(workers)
     metrics = ServiceMetrics()
     pool = WorkerPool(workers, lambda job_id: None, metrics)
     controller = AdaptiveController(

@@ -47,11 +47,6 @@ class TestDerived:
     def test_label(self, secpes, label):
         assert ArchitectureConfig(secpes=secpes).label == label
 
-    def test_pe_ids(self):
-        pri, sec = ArchitectureConfig(secpes=3).pe_ids()
-        assert list(pri) == list(range(16))
-        assert list(sec) == [16, 17, 18]
-
     def test_skew_handling_flag(self):
         assert not ArchitectureConfig(secpes=0).skew_handling
         assert ArchitectureConfig(secpes=1).skew_handling

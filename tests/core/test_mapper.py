@@ -46,12 +46,6 @@ class TestFig4Example:
         state = self.make_state()
         assert [state.redirect(1) for _ in range(3)] == [1, 1, 1]
 
-    def test_attached_secpes(self):
-        state = self.make_state()
-        assert state.attached_secpes(2) == [4, 5]
-        assert state.attached_secpes(0) == [6]
-        assert state.attached_secpes(3) == []
-
 
 class TestMappingStateValidation:
     def test_rejects_bad_shape(self):

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 import repro.service.balancer as balancer_module
 from repro.apps.histo import HistogramKernel
+from repro.control import AdaptiveController, ControlPolicy
 from repro.core.profiler import SchedulingPlan, greedy_secpe_plan
 from repro.hashing.multiply_shift import multiply_shift_range
 from repro.hashing.murmur3 import murmur3_32_array
-from repro.service import StreamService
+from repro.service import ServiceMetrics, StreamService
 from repro.service.balancer import (
     SkewAwareBalancer,
     make_balancer,
@@ -25,6 +26,14 @@ from repro.workloads.zipf import ZipfGenerator
 
 def multiset(batch: TupleBatch):
     return sorted(zip(batch.keys.tolist(), batch.values.tolist()))
+
+
+def replan(balancer, keys):
+    """One window under the reflexive control policy: observe ``keys``
+    and adopt the greedy plan of their sample."""
+    AdaptiveController(balancer, None, ServiceMetrics(),
+                       policy=ControlPolicy(reflexive=True)).on_window(
+        keys, len(keys))
 
 
 def split_conserves_tuples(balancer, batch):
@@ -75,7 +84,7 @@ class TestRoundRobin:
         balancer = make_balancer("roundrobin", 4)
         for seed in range(3):
             batch = ZipfGenerator(alpha=2.0, seed=seed).generate(3_000)
-            balancer.observe(batch.keys)
+            replan(balancer, batch.keys)
             parts = balancer.split(batch, by_key=by_key)
             shards = shard_of_keys(batch.keys, 4)
             assert list(parts) == sorted(set(shards.tolist()))
@@ -98,14 +107,14 @@ class TestSkewAware:
         balancer = SkewAwareBalancer(1)
         assert balancer.primaries == 1 and balancer.secondaries == 0
         batch = ZipfGenerator(alpha=2.0, seed=1).generate(1_000)
-        balancer.observe(batch.keys)
+        replan(balancer, batch.keys)
         parts = balancer.split(batch)
         assert list(parts) == [0] and len(parts[0]) == 1_000
 
     def test_by_key_split_keeps_keys_whole(self):
         balancer = SkewAwareBalancer(4, secondaries=2)
         batch = ZipfGenerator(alpha=1.5, seed=6).generate(4_000)
-        balancer.observe(batch.keys)
+        replan(balancer, batch.keys)
         parts = split_conserves_tuples(balancer, batch)  # tuple mode
         parts = balancer.split(batch, by_key=True)
         owners = {}
@@ -118,7 +127,7 @@ class TestSkewAware:
         hot = np.full(9_000, 0x51, dtype=np.uint64)
         cold = np.arange(1_000, dtype=np.uint64)
         keys = np.concatenate([hot, cold])
-        balancer.observe(keys)
+        replan(balancer, keys)
         hot_primary = int(shard_of_keys(hot[:1], balancer.primaries)[0])
         team = balancer.team_of(hot_primary)
         assert team[0] == hot_primary
@@ -127,7 +136,7 @@ class TestSkewAware:
     def test_split_round_robins_hot_shard_across_team(self):
         balancer = SkewAwareBalancer(4, secondaries=1)
         hot = TupleBatch.from_keys(np.full(1_000, 0x51, dtype=np.uint64))
-        balancer.observe(hot.keys)
+        replan(balancer, hot.keys)
         parts = split_conserves_tuples(balancer, hot)
         assert len(parts) == 2  # primary + its helper
         sizes = sorted(len(part) for part in parts.values())
@@ -140,16 +149,16 @@ class TestSkewAware:
             for seed in (1, 2, 3)
         ]
         for keys in streams:
-            balancer.observe(keys)
+            replan(balancer, keys)
         # Fresh hot keys land in fresh shards; at least one plan change.
         assert balancer.rebalances >= 1
 
     def test_identical_samples_yield_stable_plan(self):
         balancer = SkewAwareBalancer(4, secondaries=1)
         keys = ZipfGenerator(alpha=1.5, seed=9).generate(8_000).keys
-        balancer.observe(keys)
+        replan(balancer, keys)
         first = balancer.plan.pairs
-        balancer.observe(keys)
+        replan(balancer, keys)
         assert balancer.plan.pairs == first
         assert balancer.rebalances == 0
 
@@ -167,7 +176,7 @@ class TestProfileSampling:
         plans = []
         for _ in range(2):
             balancer = SkewAwareBalancer(4, profile_sample=512)
-            balancer.observe(keys)
+            replan(balancer, keys)
             plans.append(balancer.plan.pairs)
         assert plans[0] == plans[1]
 
@@ -179,7 +188,7 @@ class TestProfileSampling:
         keys = np.concatenate([cold, hot])  # hot mass entirely in tail
         balancer = SkewAwareBalancer(4, secondaries=1,
                                      profile_sample=4_096)
-        balancer.observe(keys)
+        replan(balancer, keys)
         hot_primary = int(shard_of_keys(hot[:1], balancer.primaries)[0])
         assert balancer.plan.pairs[0][1] == hot_primary
 
@@ -246,7 +255,7 @@ class TestHashOnce:
                                                        tuples):
         balancer = SkewAwareBalancer(4)
         batch = numbered(1.5, tuples, seed=3)
-        balancer.observe(batch.keys)
+        replan(balancer, batch.keys)
         assert hashed == [tuples]
         expected = reference_split(balancer, batch)
         del hashed[:]
@@ -280,7 +289,7 @@ class TestHashOnce:
         for seed, alpha in enumerate(alphas):
             tuples = ABOVE_SAMPLE if seed % 2 else BELOW_SAMPLE
             batch = numbered(alpha, tuples, seed=seed)
-            balancer.observe(batch.keys)
+            replan(balancer, batch.keys)
             reference_observe(twin, batch.keys)
             assert np.array_equal(balancer.last_histogram,
                                   twin.last_histogram)
@@ -309,7 +318,7 @@ class TestHashOnce:
         observed = numbered(1.5, BELOW_SAMPLE, seed=5)
         twin = TupleBatch(observed.keys.copy(), observed.values)
         other = numbered(0.0, BELOW_SAMPLE, seed=6)
-        balancer.observe(observed.keys)
+        replan(balancer, observed.keys)
         batches = (twin, other, observed, observed)
         expected = [reference_split(balancer, batch) for batch in batches]
         del hashed[:]
@@ -332,7 +341,7 @@ class TestHashOnce:
         balancer = SkewAwareBalancer(4)
         batch = numbered(1.5, BELOW_SAMPLE, seed=9)
         alive = weakref.ref(batch.keys)
-        balancer.observe(batch.keys)
+        replan(balancer, batch.keys)
         parts = balancer.split(batch)
         del batch
         gc.collect()
@@ -373,7 +382,7 @@ class TestShardRouting:
         batch = TupleBatch(np.array(keys, dtype=np.uint64),
                            np.arange(len(keys), dtype=np.int64))
         if observed:
-            balancer.observe(batch.keys)
+            replan(balancer, batch.keys)
         expected = expected_workers(balancer, batch.keys)
         parts = balancer.split(batch)
         assert sum(len(part) for part in parts.values()) == len(keys)
@@ -474,8 +483,7 @@ class TestByKeyRouting:
             calls.append(len(array))
             return hash_range(array, *args, **kwargs)
 
-        balancer = SkewAwareBalancer(workers, secondaries=secondaries,
-                                     auto_replan=False)
+        balancer = SkewAwareBalancer(workers, secondaries=secondaries)
         balancer.apply_plan(plan)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(balancer_module, "multiply_shift_range",
@@ -518,16 +526,23 @@ class TestByKeyRouting:
 
 
 class TestExternalControl:
-    def test_observe_without_auto_replan_only_histograms(self):
-        balancer = SkewAwareBalancer(4, auto_replan=False)
+    def test_observe_never_changes_plan_or_rebalances(self):
+        balancer = SkewAwareBalancer(4)
         keys = ZipfGenerator(alpha=2.0, seed=1).generate(2_000).keys
         balancer.observe(keys)
         assert balancer.plan is None
         assert balancer.last_histogram is not None
         assert balancer.last_histogram.sum() == 2_000
+        plan = SchedulingPlan(pairs=[(3, 0)])
+        balancer.apply_plan(plan)
+        for seed in range(2, 6):
+            balancer.observe(
+                ZipfGenerator(alpha=3.0, seed=seed).generate(2_000).keys)
+        assert balancer.plan is plan
+        assert balancer.rebalances == 0
 
     def test_apply_plan_rebuilds_teams_and_counts_changes(self):
-        balancer = SkewAwareBalancer(4, secondaries=1, auto_replan=False)
+        balancer = SkewAwareBalancer(4, secondaries=1)
         balancer.apply_plan(SchedulingPlan(pairs=[(3, 0)]))
         assert balancer.team_of(0) == [0, 3]
         assert balancer.rebalances == 0  # first plan is not a change
@@ -545,8 +560,8 @@ class TestExternalControl:
 
     def test_reconfigure_reshapes_and_drops_stale_plan(self):
         balancer = SkewAwareBalancer(4, secondaries=1)
-        balancer.observe(
-            ZipfGenerator(alpha=2.0, seed=2).generate(2_000).keys)
+        replan(balancer,
+               ZipfGenerator(alpha=2.0, seed=2).generate(2_000).keys)
         assert balancer.plan is not None
         balancer.reconfigure(8)
         assert (balancer.workers, balancer.primaries,

@@ -14,6 +14,7 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.control import AdaptiveController, ControlPolicy
 from repro.service import (
     Dispatcher,
     JobQueue,
@@ -49,7 +50,10 @@ def standalone_dispatcher(config, tenants=None):
     metrics = ServiceMetrics()
     spec = SessionSpec(app="histo", config=config)
     pool = WorkerPool(1, lambda job_id: spec.build(), metrics)
-    return Dispatcher(JobQueue(), SkewAwareBalancer(1), pool, metrics,
+    balancer = SkewAwareBalancer(1)
+    controller = AdaptiveController(balancer, pool, metrics,
+                                    policy=ControlPolicy(reflexive=True))
+    return Dispatcher(JobQueue(), balancer, pool, metrics, controller,
                       tenants=tenants)
 
 
