@@ -34,6 +34,8 @@ class KernelSpec(ABC):
     * Non-decomposable applications (data partitioning) set
       :attr:`decomposable` to False; their SecPEs "output results to
       their own memory space" and :meth:`collect` receives all buffers.
+    * :attr:`order_free` kernels (histogram, HLL) may have a whole
+      window's shards run as one :meth:`process_shard` call.
     """
 
     #: Number of PriPEs this spec routes across (set by the architecture
@@ -53,6 +55,20 @@ class KernelSpec(ABC):
     #: so a key stays whole within each window's split (it keeps no
     #: per-key table, so not across windows).
     splittable: bool = True
+
+    #: Whether :meth:`combine_results` is exact, commutative and
+    #: associative, so the merged result of a job cannot depend on which
+    #: worker's session holds which part of it, or in what order the
+    #: parts fold.  True for histogram add and HLL max.  False for DP
+    #: (its lists keep merge order) and HHD (it detects per segment);
+    #: PageRank's fixed-point add would qualify but stays on the
+    #: per-shard path until it is measured.  A fleet on the fast engine
+    #: runs an order-free window as one pass over all its shards
+    #: (:func:`repro.core.fastpath.run_lanes`): every worker still gets
+    #: its own tuples and modeled cycles, and the window's result folds
+    #: into the first worker's session.  A class contract, not a
+    #: setting.
+    order_free: bool = False
 
     # ------------------------------------------------------------------
     # Routing (PrePE logic)

@@ -87,15 +87,27 @@ class StreamingSession:
         outcome = (run_fast(self.config, self.kernel, batch) if self._fast
                    else self._architecture.run(
                        batch, max_cycles=self.max_cycles_per_segment))
-        if self.result is None:
-            self.result = outcome.result
-        else:
-            self.result = self.kernel.combine_results(self.result,
-                                                      outcome.result)
-        self.segments += 1
-        self.total_tuples += outcome.tuples
-        self.total_cycles += outcome.cycles
+        self.fold(outcome.result, outcome.tuples, outcome.cycles)
         return outcome
+
+    @property
+    def one_pass(self) -> bool:
+        """Whether a window's shards of this session's job may run as
+        one lane-aware pass (:func:`~repro.core.fastpath.run_lanes`):
+        an order-free kernel on the fast engine."""
+        return self._fast and self.kernel.order_free
+
+    def fold(self, result: Any, tuples: int, cycles: int) -> None:  # hot-path
+        """Fold one segment in: its result (None: the segment's result
+        was folded into another session, see ``one_pass``) and its
+        tuples and cycles."""
+        if result is not None:
+            self.result = (result if self.result is None
+                           else self.kernel.combine_results(self.result,
+                                                            result))
+        self.segments += 1
+        self.total_tuples += tuples
+        self.total_cycles += cycles
 
     def merge_from(self, other: "StreamingSession") -> None:
         """Fold another session's running result and totals into this one.
@@ -143,8 +155,3 @@ class StreamingSession:
         self.segments += snapshot.segments
         self.total_tuples += snapshot.total_tuples
         self.total_cycles += snapshot.total_cycles
-
-    def average_throughput(self) -> float:
-        """Session-wide tuples per cycle."""
-        cycles = self.total_cycles
-        return self.total_tuples / cycles if cycles else 0.0

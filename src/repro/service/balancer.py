@@ -41,7 +41,7 @@ that the paper improves on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -119,10 +119,12 @@ class SkewAwareBalancer:
         self.secondaries = secondaries
         self.plan: Optional[SchedulingPlan] = None
         self.last_histogram: Optional[np.ndarray] = None
-        # (keys, shard ids) of the window last observed, for the split
-        # of that same array; taken by route, and dropped here, so ids
-        # taken modulo a previous fleet's primaries never route.
-        self._shards: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # (keys, shard ids, exact counts or None) of the window last
+        # observed, for the split of that same array; taken by route,
+        # and dropped here, so ids taken modulo a previous fleet's
+        # primaries never route.
+        self._shards: Optional[
+            Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = None
         self._teams = tuple((p,) for p in range(self.primaries))
 
     def sample_keys(self, keys: np.ndarray) -> np.ndarray:
@@ -143,15 +145,20 @@ class SkewAwareBalancer:
         The sample is drawn from the shard ids of ``keys`` — the
         positions ``sample_keys(keys)`` would draw, so it equals the
         shard ids of that sample — and the ids, not the raw hashes, are
-        kept for the ``split`` of that same array.
+        kept for the ``split`` of that same array, with the shard counts
+        when the sample was the whole window.
         """
         if len(keys) == 0:
             return
         shards = shard_of_keys(keys, self.primaries)
-        self._shards = (keys, shards)
+        sample = self.sample_keys(shards)
         # The ids are in [0, primaries) by construction: no range check.
-        histogram = np.bincount(self.sample_keys(shards),
-                                minlength=self.primaries)
+        histogram = np.bincount(sample, minlength=self.primaries)
+        # A window no larger than the sample was histogrammed whole, so
+        # its split reuses those exact counts (read only, as the
+        # controller reads the histogram).
+        self._shards = (keys, shards,
+                        histogram if sample is shards else None)
         self.last_histogram = histogram
 
     def apply_plan(self, plan: SchedulingPlan) -> None:
@@ -247,63 +254,138 @@ class WindowRoute:
     ``by_key`` lanes, the tenant's ``worker_quota`` (None: no cap below
     the fleet size) and the ``window_index`` in its job's trace (None:
     not one of a job's windows).  ``memo``, ``observe``'s (keys, shard
-    ids) of the window, stays in-process: a pickled route drops it,
-    and whoever splits re-derives the same ids from the keys."""
+    ids, exact shard counts or None) of the window, stays in-process: a
+    pickled route drops it, and whoever splits re-derives the same ids
+    (and counts) from the keys."""
 
     teams: Tuple[Tuple[int, ...], ...]
     by_key: bool = False
     worker_quota: Optional[int] = None
     window_index: Optional[int] = None
-    memo: Optional[Tuple[np.ndarray, np.ndarray]] = field(
-        default=None, compare=False, repr=False)
+    memo: Optional[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = \
+        field(default=None, compare=False, repr=False)
 
     def __reduce__(self):
         return WindowRoute, (self.teams, self.by_key, self.worker_quota,
                              self.window_index)
 
-    def split(self, batch: TupleBatch) -> Dict[int, TupleBatch]:
-        """Partition ``batch`` into per-worker sub-batches.
+    def lanes(self, batch: TupleBatch) -> "Lanes":
+        """The routing rule, stated once: which lane each tuple takes,
+        and the shards the lanes make, in split order.
 
         Each tuple goes to its shard's team.  By default the team's
         lanes take the shard's tuples round-robin; ``by_key`` (non-
         ``splittable`` kernels such as heavy-hitter detection, whose
         per-key sketch state cannot be diluted across workers) picks
-        the lane by the shard hash under ``TEAM_SEED`` instead, so one
-        key's tuples all land on one worker, and returns the
-        sub-batches in ascending worker order.  Either way a worker
-        gets its tuples in stream order.  Past ``worker_quota``, a
-        worker's shard folds onto ``worker % worker_quota`` in
-        ascending worker order — deterministic, so a by-key window's
-        key still lands on one (folded) worker.
+        the lane by the key's hash under ``TEAM_SEED`` instead, so one
+        key's tuples all take one lane.  A lane is the worker its team
+        picked, and takes its tuples in stream order.  Shards come team
+        by team (the primary, then its helpers), or in ascending worker
+        order ``by_key``.  Past ``worker_quota``, a worker's lane folds
+        onto ``worker % worker_quota`` in ascending worker order, so a
+        folded shard concatenates its lanes in that order —
+        deterministic, so a by-key window's key still lands on one
+        (folded) worker.
 
-        The memoised ids route ``batch`` if it is the array they were
-        taken from; any other array is hashed here.
+        The memoised ids (and counts) route ``batch`` if it is the
+        array they were taken from; any other array is hashed here.
         """
         memo = self.memo
-        shards = (memo[1] if memo is not None and memo[0] is batch.keys
-                  else shard_of_keys(batch.keys, len(self.teams)))
-        out: Dict[int, TupleBatch] = {}
+        if memo is not None and memo[0] is batch.keys:
+            _, ids, counts = memo
+        else:
+            ids, counts = shard_of_keys(batch.keys, len(self.teams)), None
+        if counts is None:
+            counts = np.bincount(ids, minlength=len(self.teams))
+        counts = counts.tolist()
+        sizes: Dict[int, int] = {}
+        spread: Dict[int, np.ndarray] = {}
         for primary, team in enumerate(self.teams):
-            positions = np.nonzero(shards == primary)[0]
-            if positions.size == 0:
+            if not counts[primary]:
                 continue
-            lanes = (shard_of_keys(batch.keys[positions], len(team),
+            if len(team) == 1:
+                sizes[team[0]] = counts[primary]
+                continue
+            mine = (ids == primary).nonzero()[0]
+            picks = (shard_of_keys(batch.keys[mine], len(team),
                                    SkewAwareBalancer.TEAM_SEED)
-                     if self.by_key and len(team) > 1 else None)
+                     if self.by_key else None)
             for lane, worker in enumerate(team):
-                chosen = (positions[lane::len(team)] if lanes is None
-                          else positions[lanes == lane])
-                if chosen.size == 0:
-                    continue
-                out[worker] = TupleBatch(batch.keys[chosen],
-                                         batch.values[chosen],
-                                         batch.tuple_bytes)
+                chosen = (mine[lane::len(team)] if picks is None
+                          else mine[picks == lane])
+                if chosen.size:
+                    spread[worker] = chosen
+                    sizes[worker] = chosen.size
         quota = self.worker_quota
         if quota is None:
-            return dict(sorted(out.items())) if self.by_key else out
-        folded: Dict[int, TupleBatch] = {}
-        for worker_id in sorted(out):
-            target = worker_id % quota
-            folded[target] = (folded[target].concat(out[worker_id])
-                              if target in folded else out[worker_id])
-        return folded
+            order = sorted(sizes) if self.by_key else list(sizes)
+            shards = tuple((worker, (worker,)) for worker in order)
+        else:
+            folded: Dict[int, List[int]] = {}
+            for worker in sorted(sizes):
+                folded.setdefault(worker % quota, []).append(worker)
+            shards = tuple((target, tuple(lanes))
+                           for target, lanes in folded.items())
+        return Lanes(ids, tuple(team[0] for team in self.teams), spread,
+                     sizes, shards)
+
+    def split(self, batch: TupleBatch) -> Dict[int, TupleBatch]:
+        """Partition ``batch`` into per-worker sub-batches by
+        :meth:`lanes`, in split order; a worker gets its tuples in
+        stream order (a folded one, lane after lane)."""
+        return self.lanes(batch).split(batch)
+
+
+class Lanes(NamedTuple):
+    """One window's routing under a :class:`WindowRoute`.
+
+    A lane is the worker a tuple's team picked, before any quota fold.
+    ``ids`` are the window's fleet shard ids and ``heads[p]`` the worker
+    heading team ``p``: a team alone gives its head every tuple of its
+    shard.  ``spread[w]`` are the stream positions, ascending, of each
+    lane ``w`` of a team with helpers, and ``sizes[w]`` counts every
+    lane's tuples, for each lane that takes any.  ``shards`` lists, in
+    split order, each worker that gets tuples with the ascending lanes
+    its shard concatenates (one, unless the quota folds several onto
+    it).
+    """
+
+    ids: np.ndarray
+    heads: Tuple[int, ...]
+    spread: Dict[int, np.ndarray]
+    sizes: Dict[int, int]
+    shards: Tuple[Tuple[int, Tuple[int, ...]], ...]
+
+    def tuples(self) -> List[List[int]]:
+        """``[worker, tuples]`` per shard, in split order."""
+        return [[worker, sum(self.sizes[lane] for lane in lanes)]
+                for worker, lanes in self.shards]
+
+    def positions(self, lane: int) -> np.ndarray:
+        """The stream positions lane ``lane`` takes, ascending."""
+        chosen = self.spread.get(lane)
+        if chosen is None:
+            chosen = (self.ids == self.heads.index(lane)).nonzero()[0]
+        return chosen
+
+    def of(self) -> np.ndarray:
+        """Each tuple's lane, as int64."""
+        # Every tuple starts on its team's head; helpers take theirs.
+        heads = self.heads
+        lane_of = (self.ids.copy() if heads == tuple(range(len(heads)))
+                   else np.asarray(heads)[self.ids])
+        for lane, chosen in self.spread.items():
+            if lane not in heads:
+                lane_of[chosen] = lane
+        return lane_of
+
+    def split(self, batch: TupleBatch) -> Dict[int, TupleBatch]:
+        """Gather ``batch`` into the shards, in split order."""
+        out: Dict[int, TupleBatch] = {}
+        for worker, lanes in self.shards:
+            chosen = (self.positions(lanes[0]) if len(lanes) == 1
+                      else np.concatenate([self.positions(lane)
+                                           for lane in lanes]))
+            out[worker] = TupleBatch(batch.keys[chosen], batch.values[chosen],
+                                     batch.tuple_bytes)
+        return out

@@ -26,9 +26,12 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from repro.core.architecture import ArchitectureResult
+from repro.core.fastpath import run_lanes
 from repro.obs import events as trace_events
 from repro.obs.collector import TraceCollector
 from repro.runtime.session import StreamingSession
+from repro.service.balancer import Lanes
 from repro.service.executor import ExecutionBackend
 from repro.service.jobs import DEFAULT_TENANT
 from repro.workloads.tuples import TupleBatch
@@ -51,6 +54,38 @@ class WorkItem:
     batch: TupleBatch
     tenant_id: str = DEFAULT_TENANT
     dispatch_clock: int = 0
+
+
+def error_text(exc: Exception) -> str:
+    """The one-line message an error ledger keeps for ``exc``."""
+    return "".join(traceback.format_exception_only(type(exc), exc)).strip()
+
+
+def run_window(session_of: Callable[[int], StreamingSession],  # hot-path
+               batch: TupleBatch, lanes: Lanes,
+               ) -> Optional[List[Tuple[int, ArchitectureResult]]]:
+    """Run a window of a one-pass job as one lane-aware pass.
+
+    ``session_of(worker)`` is the worker's session of the window's job.
+    If the first shard's session is not ``one_pass`` (an order-free
+    kernel on the fast engine) this returns None, and the caller runs
+    the shards one by one.  Otherwise one
+    :func:`~repro.core.fastpath.run_lanes` call models every shard:
+    each worker's session folds its shard's tuples and cycles, the
+    first worker's the window's result too, and the ``(worker,
+    outcome)`` pairs come back in split order for the caller to record.
+    """
+    session = session_of(lanes.shards[0][0])
+    if not session.one_pass:
+        return None
+    outcomes = run_lanes(session.config, session.kernel, batch, lanes.of(),
+                         [shard for _, shard in lanes.shards])
+    ran = []
+    for (worker_id, _), outcome in zip(lanes.shards, outcomes):
+        session_of(worker_id).fold(outcome.result, outcome.tuples,
+                                   outcome.cycles)
+        ran.append((worker_id, outcome))
+    return ran
 
 
 class WorkerPool(ExecutionBackend):
@@ -133,44 +168,73 @@ class WorkerPool(ExecutionBackend):
             raise RuntimeError("pool is not running; call start() first")
         if len(item.batch) == 0:
             return
-        generation = self._generations[worker_id]
-        key = (worker_id, generation, item.job_id)
         try:
-            session = self._sessions.get(key)
-            if session is None:
-                session = self._sessions[key] = self.session_factory(
-                    item.job_id)
-            outcome = session.process(item.batch)
+            outcome = self._session(worker_id, item.job_id).process(
+                item.batch)
         except Exception as exc:  # noqa: BLE001 — reported via errors()
-            self._errors.setdefault(item.job_id, []).append(
-                "".join(traceback.format_exception_only(type(exc), exc))
-                .strip())
+            self._fail(item.job_id, exc)
             return
-        self.metrics.record_segment(
-            worker_id, outcome.tuples, outcome.cycles,
-            tenant=item.tenant_id)
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.emit(
-                trace_events.JOB_SEGMENT, item.dispatch_clock,
-                job_id=item.job_id, tenant_id=item.tenant_id,
-                worker=worker_id, generation=generation,
-                tuples=outcome.tuples, cycles=outcome.cycles)
+        self._record(worker_id, item, outcome.tuples, outcome.cycles)
 
     def dispatch_window(self, item: WorkItem, route) -> None:  # hot-path
-        """Split one window by its route, trace the ``job.window`` that
-        names the shards, then :meth:`dispatch` each in split order."""
-        shards = route.split(item.batch)
+        """Route one window, trace the ``job.window`` that names its
+        shards, then run them in split order.
+
+        An order-free kernel on the fast engine runs the window as one
+        lane-aware pass (:func:`~repro.core.fastpath.run_lanes`): each
+        worker's session folds its own tuples and cycles, and the first
+        worker's the window's result.  Any other job's shards are
+        gathered and :meth:`dispatch`ed one by one.
+        """
+        if not self._started:
+            raise RuntimeError("pool is not running; call start() first")
+        lanes = route.lanes(item.batch)
         if self.tracer.enabled and route.window_index is not None:
             self.tracer.emit(
                 trace_events.JOB_WINDOW, item.dispatch_clock,
                 job_id=item.job_id, tenant_id=item.tenant_id,
                 tuples=len(item.batch), window_index=route.window_index,
-                shards=[[worker_id, len(shard)]
-                        for worker_id, shard in shards.items()])
-        for worker_id, shard in shards.items():
-            self.dispatch(worker_id, WorkItem(
-                item.job_id, shard, item.tenant_id, item.dispatch_clock))
+                shards=lanes.tuples())
+        if not lanes.shards:
+            return
+        try:
+            outcomes = run_window(
+                lambda worker_id: self._session(worker_id, item.job_id),
+                item.batch, lanes)
+        except Exception as exc:  # noqa: BLE001 — reported via errors()
+            self._fail(item.job_id, exc)
+            return
+        if outcomes is None:
+            for worker_id, shard in lanes.split(item.batch).items():
+                self.dispatch(worker_id, WorkItem(
+                    item.job_id, shard, item.tenant_id, item.dispatch_clock))
+            return
+        for worker_id, outcome in outcomes:
+            self._record(worker_id, item, outcome.tuples, outcome.cycles)
+
+    def _session(self, worker_id: int, job_id: str) -> StreamingSession:
+        """The worker's session for the job, built on first use."""
+        key = (worker_id, self._generations[worker_id], job_id)
+        session = self._sessions.get(key)
+        if session is None:
+            session = self._sessions[key] = self.session_factory(job_id)
+        return session
+
+    def _fail(self, job_id: str, exc: Exception) -> None:
+        self._errors.setdefault(job_id, []).append(error_text(exc))
+
+    def _record(self, worker_id: int, item: WorkItem, tuples: int,
+                cycles: int) -> None:
+        """Charge one segment to the worker and the tenant; trace it."""
+        self.metrics.record_segment(worker_id, tuples, cycles,
+                                    tenant=item.tenant_id)
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.emit(
+                trace_events.JOB_SEGMENT, item.dispatch_clock,
+                job_id=item.job_id, tenant_id=item.tenant_id,
+                worker=worker_id, generation=self._generations[worker_id],
+                tuples=tuples, cycles=cycles)
 
     def drain(self) -> None:
         """The port's barrier; inline shards finished inside dispatch."""

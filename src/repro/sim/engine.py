@@ -74,7 +74,6 @@ class Simulator:
         # list), and the modules asleep, by the channel they wait on.
         self._parking: List[Tuple[Module, Channel]] = []
         self._parked: Dict[Channel, List[Module]] = {}
-        self._pending_enqueue: List[Module] = []
         self.cycle = 0
 
     # ------------------------------------------------------------------
@@ -98,14 +97,6 @@ class Simulator:
         channel._dirty = self._dirty
         return channel
 
-    def enqueue_module(self, module: Module) -> None:
-        """Schedule ``module`` to start ticking from the *next* cycle.
-
-        Models the host-side ``clEnqueueTask`` the paper uses to re-launch
-        the runtime profiler and the SecPEs after a rescheduling event.
-        """
-        self._pending_enqueue.append(module)
-
     @property
     def modules(self) -> List[Module]:
         """Registered modules, in tick order."""
@@ -127,10 +118,6 @@ class Simulator:
         :meth:`Module.idle_until`, then commits only the channels written
         or closed this cycle and wakes the modules parked on them.
         """
-        if self._pending_enqueue:
-            for module in self._pending_enqueue:
-                self.add_module(module)
-            self._pending_enqueue.clear()
         cycle = self.cycle
         for module in self._modules:
             if not module._done and module._parked_at is None:
@@ -183,7 +170,7 @@ class Simulator:
             if until is not None and until(self):
                 completed = True
                 break
-            if all(m.done for m in self._modules) and not self._pending_enqueue:
+            if all(m.done for m in self._modules):
                 completed = True
                 break
         return self._report(completed)

@@ -1,5 +1,5 @@
-"""Simulator scheduling: ordering, stop conditions, dynamic enqueue,
-dirty-channel commits and parked modules."""
+"""Simulator scheduling: ordering, stop conditions, dirty-channel
+commits and parked modules."""
 
 import gc
 import weakref
@@ -90,28 +90,6 @@ def test_report_contents():
     assert "producer" in report.module_utilization
     assert report.channel_peaks["p2c"] <= 2
     assert report.throughput(8) > 0
-
-def test_enqueue_module_joins_next_cycle():
-    sim = Simulator()
-    ch = sim.add_channel(Channel("c"))
-    late = Consumer(ch)
-
-    class Enqueuer(Module):
-        def __init__(self):
-            super().__init__("enq")
-
-        def tick(self, cycle):
-            if cycle == 2:
-                sim.enqueue_module(late)
-                ch.write("hello")
-                ch.close()
-                self.finish()
-            self.note_idle()
-
-    sim.add_module(Enqueuer())
-    report = sim.run(max_cycles=50)
-    assert report.completed
-    assert late.received == ["hello"]
 
 
 class ScheduledProducer(Module):
