@@ -39,7 +39,6 @@ class HistogramKernel(KernelSpec):
     """
 
     decomposable = True
-    order_free = True
 
     def __init__(self, bins: int = 1024, pripes: int = 16,
                  hashed: bool = True) -> None:

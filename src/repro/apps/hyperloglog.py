@@ -85,7 +85,6 @@ class HyperLogLogKernel(KernelSpec):
     """
 
     decomposable = True
-    order_free = True
 
     def __init__(self, precision: int = 14, pripes: int = 16) -> None:
         if not 4 <= precision <= 18:

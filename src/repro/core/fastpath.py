@@ -28,16 +28,15 @@ than cycle-stepping; this module does the same in NumPy:
   model delegates to the windowed :class:`~repro.perf.epoch.EpochModel`
   (still vectorised, O(N / window) work).
 
-The pass is lane-aware (:func:`run_lanes`).  A fleet splits a window
-into K workers' shards; for an order-free kernel
-(:attr:`~repro.core.kernel.KernelSpec.order_free`) the window need not
-be gathered into K batches and run K times.  One ``process_shard`` call
-takes the whole window, and one ``bincount(lane * M + destination)``
-gives every lane's tuples and PE loads, from which each shard's cycles
-follow by the same rule as above — the bottleneck bound, or the epoch
-model over the shard's own destinations in its own order.  Each shard's
-modeled outcome is the one it would get alone; :func:`run_fast` is the
-one-lane case.
+A fleet splits a window into K workers' shards.  For a kernel whose
+parts merge freely (:attr:`~repro.core.kernel.KernelSpec.order_free`)
+the window need not be gathered into K batches and run K times:
+:func:`run_lanes` makes one ``process_shard`` call on the whole window,
+and one ``bincount(lane * M + destination)`` gives every lane's tuples
+and PE loads, from which each shard's cycles follow by the same rule as
+above — the bottleneck bound, or the epoch model over the shard's own
+destinations in its own order.  Each shard's modeled outcome is the one
+:func:`run_fast` gives it alone.
 
 The cycle-accurate engine remains the oracle: the equivalence suite in
 ``tests/core/test_fastpath.py`` asserts bit-identical results and
@@ -47,7 +46,7 @@ modeled cycles within 10% of simulated across Zipf skew factors.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -160,53 +159,65 @@ def run_fast(config: ArchitectureConfig, kernel: KernelSpec,  # hot-path
 
     Returns the same :class:`~repro.core.architecture.ArchitectureResult`
     shape as the cycle engine: an exact application result plus modeled
-    cycles, per-PE loads and scheduling plans.  The one-lane case of
-    :func:`run_lanes`.
-    """
-    return run_lanes(config, kernel, batch)[0]
-
-
-def run_lanes(config: ArchitectureConfig, kernel: KernelSpec,  # hot-path
-              batch: TupleBatch, lanes: Optional[np.ndarray] = None,
-              shards: Sequence[Sequence[int]] = ((0,),),
-              ) -> List[ArchitectureResult]:
-    """Process ``batch`` as the shards its ``lanes`` name, in one pass.
-
-    ``lanes[i]`` is tuple ``i``'s lane (None: every tuple is lane 0),
-    and each entry of ``shards`` lists the ascending lanes one shard
-    concatenates; every lane belongs to exactly one shard (what
-    :meth:`~repro.service.balancer.WindowRoute.lanes` returns).
-    Returns one outcome per shard, in ``shards`` order,
-    each with exactly the tuples, cycles, PE loads and plans
-    :func:`run_fast` models for that shard on its own, its lanes'
-    tuples in stream order and lane after lane; only the first carries
-    the application result (the whole batch's), the rest carry None.
-    That split of the result is only sound for an order-free kernel
-    (:attr:`~repro.core.kernel.KernelSpec.order_free`), whose
-    ``combine_results`` cannot tell where a part was folded.
+    cycles, per-PE loads and scheduling plans.
     """
     tuples = len(batch)
     if tuples == 0:
         raise ValueError("cannot run an empty batch")
-    pripes = kernel.pripes = config.pripes
+    kernel.pripes = config.pripes
 
-    # Exact result: one fused pass routes the batch and reduces it to
+    # Exact result: one fused pass routes the shard and reduces it to
     # what the PriPEs' private buffers would collect to, stream order
     # kept within each PE.  SecPE partials always merge back into (or
     # union with) the owning PriPE's state, so routing straight to the
     # PriPE reproduces the post-merge result.
     destinations, result = kernel.process_shard(batch.keys, batch.values)
 
-    # Modeled cycles, per shard.  Without skew handling the closed-form
-    # bottleneck applies to the shard's PE loads; with SecPEs the
-    # windowed epoch model captures the profiling transient and the
-    # hot channel's drain.
-    if lanes is None:
-        counts = np.bincount(destinations, minlength=pripes)
-        loads, sizes, peaks = (counts,), (tuples,), (counts.max(),)
+    # Modeled cycles.  Without skew handling the closed-form bottleneck
+    # applies; with SecPEs the windowed epoch model captures the
+    # profiling transient and the hot channel's drain.
+    counts = np.bincount(destinations, minlength=config.pripes)
+    if config.skew_handling:
+        # Imported here: repro.perf.epoch imports repro.core, whose
+        # package init imports this module.
+        from repro.perf.epoch import EpochModel
+
+        epoch = EpochModel(config).run(destinations)
+        cycles = int(round(epoch.cycles))
+        plans, reschedules = list(epoch.plans), epoch.reschedules
     else:
-        loads = _shard_loads(lanes, destinations, pripes, shards)
-        sizes, peaks = loads.sum(axis=1), loads.max(axis=1)
+        cycles = bottleneck_cycles(config, tuples, int(counts.max()))
+        plans, reschedules = [], 0
+    return _ModeledResult(config, result, tuples, cycles, counts, plans,
+                          reschedules)
+
+
+def run_lanes(config: ArchitectureConfig, kernel: KernelSpec,  # hot-path
+              batch: TupleBatch, lanes: np.ndarray,
+              shards: Sequence[Sequence[int]]) -> List[ArchitectureResult]:
+    """Process ``batch`` as the shards its ``lanes`` name, in one pass.
+
+    ``lanes[i]`` is tuple ``i``'s lane, and each entry of ``shards``
+    lists the ascending lanes one shard concatenates; every lane with
+    tuples belongs to exactly one shard (what
+    :meth:`~repro.service.balancer.Lanes.shards` lists).
+    Returns one outcome per shard, in ``shards`` order, each with
+    exactly the tuples, cycles, PE loads and plans :func:`run_fast`
+    models for that shard on its own, its lanes' tuples in stream order
+    and lane after lane.  Only the first carries the application result
+    (the whole batch's); the rest carry None.  That is sound only for a
+    kernel whose parts merge freely
+    (:attr:`~repro.core.kernel.KernelSpec.order_free`).
+    """
+    if len(batch) == 0:
+        raise ValueError("cannot run an empty batch")
+    pripes = kernel.pripes = config.pripes
+    # The whole window's exact result, as in run_fast.
+    destinations, result = kernel.process_shard(batch.keys, batch.values)
+
+    # Modeled cycles, per shard, by run_fast's rule.
+    loads = _shard_loads(lanes, destinations, pripes, shards)
+    sizes, peaks = loads.sum(axis=1), loads.max(axis=1)
     epochs = (_shard_epochs(config, destinations, lanes, shards)
               if config.skew_handling else None)
     outcomes: List[ArchitectureResult] = []
@@ -241,7 +252,7 @@ def _shard_loads(lanes: np.ndarray, destinations: np.ndarray, pripes: int,
 
 
 def _shard_epochs(config: ArchitectureConfig, destinations: np.ndarray,
-                  lanes: Optional[np.ndarray],
+                  lanes: np.ndarray,
                   shards: Sequence[Sequence[int]]) -> list:
     """The epoch model over each shard's destinations in the shard's
     own order: its lanes one after another, stream order within each."""
@@ -249,8 +260,6 @@ def _shard_epochs(config: ArchitectureConfig, destinations: np.ndarray,
     # package init imports this module.
     from repro.perf.epoch import EpochModel
 
-    if lanes is None:
-        return [EpochModel(config).run(destinations)]
     bound = max(max(shard) for shard in shards) + 1
     ordered = destinations[stable_order(lanes, bound)]
     edges = np.concatenate(([0], np.cumsum(np.bincount(lanes,

@@ -34,8 +34,9 @@ class KernelSpec(ABC):
     * Non-decomposable applications (data partitioning) set
       :attr:`decomposable` to False; their SecPEs "output results to
       their own memory space" and :meth:`collect` receives all buffers.
-    * :attr:`order_free` kernels (histogram, HLL) may have a whole
-      window's shards run as one :meth:`process_shard` call.
+    * :attr:`order_free` kernels (decomposable and splittable: histogram,
+      HLL, PageRank) may have a whole window's shards run as one
+      :meth:`process_shard` call.
     """
 
     #: Number of PriPEs this spec routes across (set by the architecture
@@ -56,19 +57,22 @@ class KernelSpec(ABC):
     #: per-key table, so not across windows).
     splittable: bool = True
 
-    #: Whether :meth:`combine_results` is exact, commutative and
-    #: associative, so the merged result of a job cannot depend on which
-    #: worker's session holds which part of it, or in what order the
-    #: parts fold.  True for histogram add and HLL max.  False for DP
-    #: (its lists keep merge order) and HHD (it detects per segment);
-    #: PageRank's fixed-point add would qualify but stays on the
-    #: per-shard path until it is measured.  A fleet on the fast engine
-    #: runs an order-free window as one pass over all its shards
-    #: (:func:`repro.core.fastpath.run_lanes`): every worker still gets
-    #: its own tuples and modeled cycles, and the window's result folds
-    #: into the first worker's session.  A class contract, not a
-    #: setting.
-    order_free: bool = False
+    @property
+    def order_free(self) -> bool:
+        """Whether a job's parts merge freely: ``decomposable`` (parts
+        fold arithmetically, not in an order-keeping way as DP's lists
+        do) and ``splittable`` (a key's tuples may be processed by
+        independent groups that meet only in :meth:`combine_results`).
+        True for histogram add, HLL max and PageRank's fixed-point add;
+        False for DP and HHD.  Then one :meth:`process_shard` call over
+        several groups' tuples gives their combined result, and the
+        merged result of a job cannot depend on which worker's session
+        holds which part.  A fleet on the fast engine runs such a job's
+        window as one pass over all its shards
+        (:func:`repro.core.fastpath.run_lanes`): every worker still gets
+        its own tuples and modeled cycles, and the window's result folds
+        into the first worker's session."""
+        return self.decomposable and self.splittable
 
     # ------------------------------------------------------------------
     # Routing (PrePE logic)

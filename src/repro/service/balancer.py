@@ -41,7 +41,7 @@ that the paper improves on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -119,12 +119,10 @@ class SkewAwareBalancer:
         self.secondaries = secondaries
         self.plan: Optional[SchedulingPlan] = None
         self.last_histogram: Optional[np.ndarray] = None
-        # (keys, shard ids, exact counts or None) of the window last
-        # observed, for the split of that same array; taken by route,
-        # and dropped here, so ids taken modulo a previous fleet's
-        # primaries never route.
-        self._shards: Optional[
-            Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = None
+        # (keys, shard ids) of the window last observed, for the split
+        # of that same array; taken by route, and dropped here, so ids
+        # taken modulo a previous fleet's primaries never route.
+        self._shards: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._teams = tuple((p,) for p in range(self.primaries))
 
     def sample_keys(self, keys: np.ndarray) -> np.ndarray:
@@ -145,20 +143,15 @@ class SkewAwareBalancer:
         The sample is drawn from the shard ids of ``keys`` — the
         positions ``sample_keys(keys)`` would draw, so it equals the
         shard ids of that sample — and the ids, not the raw hashes, are
-        kept for the ``split`` of that same array, with the shard counts
-        when the sample was the whole window.
+        kept for the ``split`` of that same array.
         """
         if len(keys) == 0:
             return
         shards = shard_of_keys(keys, self.primaries)
-        sample = self.sample_keys(shards)
+        self._shards = (keys, shards)
         # The ids are in [0, primaries) by construction: no range check.
-        histogram = np.bincount(sample, minlength=self.primaries)
-        # A window no larger than the sample was histogrammed whole, so
-        # its split reuses those exact counts (read only, as the
-        # controller reads the histogram).
-        self._shards = (keys, shards,
-                        histogram if sample is shards else None)
+        histogram = np.bincount(self.sample_keys(shards),
+                                minlength=self.primaries)
         self.last_histogram = histogram
 
     def apply_plan(self, plan: SchedulingPlan) -> None:
@@ -254,24 +247,22 @@ class WindowRoute:
     ``by_key`` lanes, the tenant's ``worker_quota`` (None: no cap below
     the fleet size) and the ``window_index`` in its job's trace (None:
     not one of a job's windows).  ``memo``, ``observe``'s (keys, shard
-    ids, exact shard counts or None) of the window, stays in-process: a
-    pickled route drops it, and whoever splits re-derives the same ids
-    (and counts) from the keys."""
+    ids) of the window, stays in-process: a pickled route drops it, and
+    whoever splits re-derives the same ids from the keys."""
 
     teams: Tuple[Tuple[int, ...], ...]
     by_key: bool = False
     worker_quota: Optional[int] = None
     window_index: Optional[int] = None
-    memo: Optional[Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]] = \
-        field(default=None, compare=False, repr=False)
+    memo: Optional[Tuple[np.ndarray, np.ndarray]] = field(
+        default=None, compare=False, repr=False)
 
     def __reduce__(self):
         return WindowRoute, (self.teams, self.by_key, self.worker_quota,
                              self.window_index)
 
     def lanes(self, batch: TupleBatch) -> "Lanes":
-        """The routing rule, stated once: which lane each tuple takes,
-        and the shards the lanes make, in split order.
+        """The routing rule, stated once: which lane each tuple takes.
 
         Each tuple goes to its shard's team.  By default the team's
         lanes take the shard's tuples round-robin; ``by_key`` (non-
@@ -279,55 +270,32 @@ class WindowRoute:
         per-key sketch state cannot be diluted across workers) picks
         the lane by the key's hash under ``TEAM_SEED`` instead, so one
         key's tuples all take one lane.  A lane is the worker its team
-        picked, and takes its tuples in stream order.  Shards come team
-        by team (the primary, then its helpers), or in ascending worker
-        order ``by_key``.  Past ``worker_quota``, a worker's lane folds
-        onto ``worker % worker_quota`` in ascending worker order, so a
-        folded shard concatenates its lanes in that order —
-        deterministic, so a by-key window's key still lands on one
-        (folded) worker.
+        picked, and takes its tuples in stream order; a team alone is
+        one lane, its head.  The returned :class:`Lanes` orders and
+        folds the lanes into shards.
 
-        The memoised ids (and counts) route ``batch`` if it is the
-        array they were taken from; any other array is hashed here.
+        The memoised ids route ``batch`` if it is the array they were
+        taken from; any other array is hashed here.
         """
         memo = self.memo
-        if memo is not None and memo[0] is batch.keys:
-            _, ids, counts = memo
-        else:
-            ids, counts = shard_of_keys(batch.keys, len(self.teams)), None
-        if counts is None:
-            counts = np.bincount(ids, minlength=len(self.teams))
-        counts = counts.tolist()
-        sizes: Dict[int, int] = {}
+        ids = (memo[1] if memo is not None and memo[0] is batch.keys
+               else shard_of_keys(batch.keys, len(self.teams)))
         spread: Dict[int, np.ndarray] = {}
         for primary, team in enumerate(self.teams):
-            if not counts[primary]:
-                continue
             if len(team) == 1:
-                sizes[team[0]] = counts[primary]
                 continue
             mine = (ids == primary).nonzero()[0]
+            if mine.size == 0:
+                continue
             picks = (shard_of_keys(batch.keys[mine], len(team),
                                    SkewAwareBalancer.TEAM_SEED)
                      if self.by_key else None)
-            for lane, worker in enumerate(team):
-                chosen = (mine[lane::len(team)] if picks is None
-                          else mine[picks == lane])
+            for index, worker in enumerate(team):
+                chosen = (mine[index::len(team)] if picks is None
+                          else mine[picks == index])
                 if chosen.size:
                     spread[worker] = chosen
-                    sizes[worker] = chosen.size
-        quota = self.worker_quota
-        if quota is None:
-            order = sorted(sizes) if self.by_key else list(sizes)
-            shards = tuple((worker, (worker,)) for worker in order)
-        else:
-            folded: Dict[int, List[int]] = {}
-            for worker in sorted(sizes):
-                folded.setdefault(worker % quota, []).append(worker)
-            shards = tuple((target, tuple(lanes))
-                           for target, lanes in folded.items())
-        return Lanes(ids, tuple(team[0] for team in self.teams), spread,
-                     sizes, shards)
+        return Lanes(self, ids, spread)
 
     def split(self, batch: TupleBatch) -> Dict[int, TupleBatch]:
         """Partition ``batch`` into per-worker sub-batches by
@@ -337,55 +305,79 @@ class WindowRoute:
 
 
 class Lanes(NamedTuple):
-    """One window's routing under a :class:`WindowRoute`.
+    """One window's lanes under its :class:`WindowRoute`, and the
+    shards they make.
 
-    A lane is the worker a tuple's team picked, before any quota fold.
-    ``ids`` are the window's fleet shard ids and ``heads[p]`` the worker
-    heading team ``p``: a team alone gives its head every tuple of its
-    shard.  ``spread[w]`` are the stream positions, ascending, of each
-    lane ``w`` of a team with helpers, and ``sizes[w]`` counts every
-    lane's tuples, for each lane that takes any.  ``shards`` lists, in
-    split order, each worker that gets tuples with the ascending lanes
-    its shard concatenates (one, unless the quota folds several onto
-    it).
+    ``ids`` are the window's fleet shard ids: a team alone takes every
+    tuple of its shard.  ``spread[w]`` are the stream positions,
+    ascending, of each lane ``w`` of a team with helpers that takes any.
+    Shards come team by team (the primary, then its helpers), or in
+    ascending worker order ``by_key``.  Past ``worker_quota``, a lane
+    folds onto worker ``lane % worker_quota`` in ascending lane order,
+    so a folded shard concatenates its lanes in that order —
+    deterministic, so a by-key window's key still lands on one (folded)
+    worker.  :meth:`split` gathers the shards; :meth:`shards` and
+    :meth:`of` describe them without gathering.
     """
 
+    route: WindowRoute
     ids: np.ndarray
-    heads: Tuple[int, ...]
     spread: Dict[int, np.ndarray]
-    sizes: Dict[int, int]
-    shards: Tuple[Tuple[int, Tuple[int, ...]], ...]
 
-    def tuples(self) -> List[List[int]]:
-        """``[worker, tuples]`` per shard, in split order."""
-        return [[worker, sum(self.sizes[lane] for lane in lanes)]
-                for worker, lanes in self.shards]
+    def _fold(self, taken: Dict[int, Any]) -> List[Tuple[int, List[Any]]]:
+        """Split order and quota fold of ``taken`` (lane: its tuples,
+        for each lane that takes any, team by team): each shard's
+        worker with its lanes' entries."""
+        quota = self.route.worker_quota
+        if quota is None:
+            order = sorted(taken) if self.route.by_key else taken
+            return [(worker, [taken[worker]]) for worker in order]
+        folded: Dict[int, List[Any]] = {}
+        for worker in sorted(taken):
+            folded.setdefault(worker % quota, []).append(taken[worker])
+        return list(folded.items())
 
-    def positions(self, lane: int) -> np.ndarray:
-        """The stream positions lane ``lane`` takes, ascending."""
-        chosen = self.spread.get(lane)
-        if chosen is None:
-            chosen = (self.ids == self.heads.index(lane)).nonzero()[0]
-        return chosen
+    def split(self, batch: TupleBatch) -> Dict[int, TupleBatch]:
+        """Gather ``batch`` into the shards, in split order."""
+        ids, spread = self.ids, self.spread
+        taken: Dict[int, np.ndarray] = {}
+        for primary, team in enumerate(self.route.teams):
+            if len(team) > 1:
+                taken.update((worker, spread[worker])
+                             for worker in team if worker in spread)
+                continue
+            mine = (ids == primary).nonzero()[0]
+            if mine.size:
+                taken[team[0]] = mine
+        out: Dict[int, TupleBatch] = {}
+        for worker, parts in self._fold(taken):
+            chosen = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            out[worker] = TupleBatch(batch.keys[chosen], batch.values[chosen],
+                                     batch.tuple_bytes)
+        return out
+
+    def shards(self) -> List[Tuple[int, int, List[int]]]:
+        """``(worker, tuples, lanes)`` per shard, in split order."""
+        teams, spread = self.route.teams, self.spread
+        counts = np.bincount(self.ids, minlength=len(teams)).tolist()
+        taken: Dict[int, Tuple[int, int]] = {}
+        for primary, team in enumerate(teams):
+            if len(team) > 1:
+                taken.update((worker, (worker, spread[worker].size))
+                             for worker in team if worker in spread)
+            elif counts[primary]:
+                taken[team[0]] = (team[0], counts[primary])
+        return [(worker, sum(size for _, size in parts),
+                 [lane for lane, _ in parts])
+                for worker, parts in self._fold(taken)]
 
     def of(self) -> np.ndarray:
         """Each tuple's lane, as int64."""
         # Every tuple starts on its team's head; helpers take theirs.
-        heads = self.heads
+        heads = tuple(team[0] for team in self.route.teams)
         lane_of = (self.ids.copy() if heads == tuple(range(len(heads)))
                    else np.asarray(heads)[self.ids])
-        for lane, chosen in self.spread.items():
-            if lane not in heads:
-                lane_of[chosen] = lane
+        for worker, positions in self.spread.items():
+            if worker not in heads:
+                lane_of[positions] = worker
         return lane_of
-
-    def split(self, batch: TupleBatch) -> Dict[int, TupleBatch]:
-        """Gather ``batch`` into the shards, in split order."""
-        out: Dict[int, TupleBatch] = {}
-        for worker, lanes in self.shards:
-            chosen = (self.positions(lanes[0]) if len(lanes) == 1
-                      else np.concatenate([self.positions(lane)
-                                           for lane in lanes]))
-            out[worker] = TupleBatch(batch.keys[chosen], batch.values[chosen],
-                                     batch.tuple_bytes)
-        return out

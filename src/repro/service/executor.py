@@ -97,10 +97,10 @@ class ExecutionBackend(ABC):
        be restartable with a fresh :meth:`start`.
     2. :meth:`dispatch_window` hands over one closed window with the
        balancer's :class:`~repro.service.balancer.WindowRoute` for it;
-       the adapter routes it by that route's ``lanes``, in whichever
-       process it chooses, traces the ``job.window`` naming the shards,
-       and runs them — as one pass for an order-free job on the fast
-       engine (``repro.service.pool.run_window``), else shard by shard.
+       the adapter splits it by that route, in whichever process it
+       chooses, and traces the ``job.window`` naming the shards (the
+       inline pool runs an order-free job's window on the fast engine
+       as one pass instead of gathering the shards).
        :meth:`dispatch` hands one shard to one worker.  Shards for the
        same worker process in FIFO order.  An adapter may run them
        before returning (the inline one does) or queue them.

@@ -26,12 +26,10 @@ import traceback
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.core.architecture import ArchitectureResult
 from repro.core.fastpath import run_lanes
 from repro.obs import events as trace_events
 from repro.obs.collector import TraceCollector
 from repro.runtime.session import StreamingSession
-from repro.service.balancer import Lanes
 from repro.service.executor import ExecutionBackend
 from repro.service.jobs import DEFAULT_TENANT
 from repro.workloads.tuples import TupleBatch
@@ -59,33 +57,6 @@ class WorkItem:
 def error_text(exc: Exception) -> str:
     """The one-line message an error ledger keeps for ``exc``."""
     return "".join(traceback.format_exception_only(type(exc), exc)).strip()
-
-
-def run_window(session_of: Callable[[int], StreamingSession],  # hot-path
-               batch: TupleBatch, lanes: Lanes,
-               ) -> Optional[List[Tuple[int, ArchitectureResult]]]:
-    """Run a window of a one-pass job as one lane-aware pass.
-
-    ``session_of(worker)`` is the worker's session of the window's job.
-    If the first shard's session is not ``one_pass`` (an order-free
-    kernel on the fast engine) this returns None, and the caller runs
-    the shards one by one.  Otherwise one
-    :func:`~repro.core.fastpath.run_lanes` call models every shard:
-    each worker's session folds its shard's tuples and cycles, the
-    first worker's the window's result too, and the ``(worker,
-    outcome)`` pairs come back in split order for the caller to record.
-    """
-    session = session_of(lanes.shards[0][0])
-    if not session.one_pass:
-        return None
-    outcomes = run_lanes(session.config, session.kernel, batch, lanes.of(),
-                         [shard for _, shard in lanes.shards])
-    ran = []
-    for (worker_id, _), outcome in zip(lanes.shards, outcomes):
-        session_of(worker_id).fold(outcome.result, outcome.tuples,
-                                   outcome.cycles)
-        ran.append((worker_id, outcome))
-    return ran
 
 
 class WorkerPool(ExecutionBackend):
@@ -183,34 +154,53 @@ class WorkerPool(ExecutionBackend):
         An order-free kernel on the fast engine runs the window as one
         lane-aware pass (:func:`~repro.core.fastpath.run_lanes`): each
         worker's session folds its own tuples and cycles, and the first
-        worker's the window's result.  Any other job's shards are
-        gathered and :meth:`dispatch`ed one by one.
+        worker's the window's result.  Any other job's shards, and the
+        shards of a window whose pass raised, are gathered and
+        :meth:`dispatch`ed one by one.
         """
         if not self._started:
             raise RuntimeError("pool is not running; call start() first")
+        job_id = item.job_id
         lanes = route.lanes(item.batch)
+        try:
+            # Any of the job's sessions knows its kernel and engine;
+            # team 0's head is in every route (an idle session is
+            # dropped at collect).
+            session = self._session(route.teams[0][0], job_id)
+            shards = lanes.shards() if session.one_pass else []
+            outcomes = (run_lanes(session.config, session.kernel,
+                                  item.batch, lanes.of(),
+                                  [lanes_of for _, _, lanes_of in shards])
+                        if shards else None)
+        except Exception:  # noqa: BLE001 — rerun shard by shard below
+            # Each failing shard then reports its own error, and the
+            # others fold, as on the per-shard path.
+            outcomes = None
+        if outcomes is None:
+            split = lanes.split(item.batch)
+            self._trace_window(item, route, (
+                (worker_id, len(shard)) for worker_id, shard in split.items()))
+            for worker_id, shard in split.items():
+                self.dispatch(worker_id, WorkItem(
+                    job_id, shard, item.tenant_id, item.dispatch_clock))
+            return
+        self._trace_window(item, route, ((worker_id, tuples)
+                                         for worker_id, tuples, _ in shards))
+        for (worker_id, _, _), outcome in zip(shards, outcomes):
+            self._session(worker_id, job_id).fold(
+                outcome.result, outcome.tuples, outcome.cycles)
+            self._record(worker_id, item, outcome.tuples, outcome.cycles)
+
+    def _trace_window(self, item: WorkItem, route,
+                      shards: Iterable[Tuple[int, int]]) -> None:
+        """The ``job.window`` naming a job window's ``(worker, tuples)``
+        shards."""
         if self.tracer.enabled and route.window_index is not None:
             self.tracer.emit(
                 trace_events.JOB_WINDOW, item.dispatch_clock,
                 job_id=item.job_id, tenant_id=item.tenant_id,
                 tuples=len(item.batch), window_index=route.window_index,
-                shards=lanes.tuples())
-        if not lanes.shards:
-            return
-        try:
-            outcomes = run_window(
-                lambda worker_id: self._session(worker_id, item.job_id),
-                item.batch, lanes)
-        except Exception as exc:  # noqa: BLE001 — reported via errors()
-            self._fail(item.job_id, exc)
-            return
-        if outcomes is None:
-            for worker_id, shard in lanes.split(item.batch).items():
-                self.dispatch(worker_id, WorkItem(
-                    item.job_id, shard, item.tenant_id, item.dispatch_clock))
-            return
-        for worker_id, outcome in outcomes:
-            self._record(worker_id, item, outcome.tuples, outcome.cycles)
+                shards=[[worker_id, tuples] for worker_id, tuples in shards])
 
     def _session(self, worker_id: int, job_id: str) -> StreamingSession:
         """The worker's session for the job, built on first use."""

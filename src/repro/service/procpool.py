@@ -33,12 +33,10 @@ window of other dtypes, and at the start of ``drain``, ``collect``,
 :meth:`~repro.service.shm.SlabArena.write_block` into the shared-memory
 arena (:mod:`repro.service.shm`, one consumed-sequence ring per child)
 and one ``("window", descriptor, entries)`` pipe message.  The child
-routes each window by its route over read-only views — the inline
+splits each window by its route over read-only views — the inline
 pool's shard ids, so its shards — and runs its hosted workers' shards
-in split order, each under its own ``try`` (or, when it hosts every
-worker the window reaches, an order-free window as the inline pool's
-one pass, :func:`~repro.service.pool.run_window`), then publishes the
-block's sequence once.  Job specs
+in split order, each under its own ``try``, then publishes the block's
+sequence once.  Job specs
 (:class:`~repro.service.executor.SessionSpec`) cross the pipe once per
 (child, job); partials come back as
 :class:`~repro.runtime.session.SessionSnapshot`s.  When the arena is
@@ -88,7 +86,7 @@ from repro.obs.collector import TraceCollector
 from repro.runtime.session import SessionSnapshot, StreamingSession
 from repro.service.balancer import WindowRoute
 from repro.service.executor import ExecutionBackend, SessionSpec
-from repro.service.pool import WorkItem, error_text, run_window
+from repro.service.pool import WorkItem, error_text
 from repro.service.shm import (
     CTRL_SLOTS,
     DEFAULT_MAX_SLABS,
@@ -165,23 +163,6 @@ def _serve(conn, slot: int, slabs: SlabClient) -> None:  # hot-path
     #: Records per (worker, job) the parent folded before a crash:
     #: their replays record nothing.
     skip: Dict[Tuple[int, str], int] = {}
-
-    def session_of(worker_id: int, job_id: str) -> StreamingSession:
-        """The hosted worker's session for the job, built on first use."""
-        session = sessions.get((worker_id, job_id))
-        if session is None:
-            session = sessions[worker_id, job_id] = specs[job_id].build()
-        return session
-
-    def record(worker_id: int, job_id: str, tenant_id: str,
-               outcome, clock: int) -> None:
-        key = (worker_id, job_id)
-        if skip.get(key):
-            skip[key] -= 1
-        else:
-            records.append((worker_id, job_id, tenant_id,
-                            outcome.tuples, outcome.cycles, clock))
-
     while True:
         try:
             msg = conn.recv()
@@ -194,50 +175,38 @@ def _serve(conn, slot: int, slabs: SlabClient) -> None:  # hot-path
             try:
                 for (job_id, tenant_id, tuple_bytes, clock, route, report,
                      hosted, start, stop) in entries:
-                    batch = TupleBatch(keys[start:stop], values[start:stop],
-                                       tuple_bytes)
-                    lanes = route.lanes(batch)
+                    shards = route.split(TupleBatch(
+                        keys[start:stop], values[start:stop], tuple_bytes))
                     if report:
                         windows.append((
                             job_id, tenant_id, clock, route.window_index,
-                            stop - start, lanes.tuples()))
-                    # The pool's one pass when this child hosts every
-                    # worker the window reaches; otherwise its workers'
-                    # shards, one by one.
-                    outcomes = None
-                    if lanes.shards and all(worker_id in hosted
-                                            for worker_id, _ in lanes.shards):
-                        try:
-                            outcomes = run_window(
-                                lambda worker_id: session_of(worker_id,
-                                                             job_id),
-                                batch, lanes)
-                        except Exception as exc:  # noqa: BLE001 — shipped
-                            ran += len(lanes.shards)
-                            errors.append((job_id, error_text(exc)))
-                            continue
-                    if outcomes is not None:
-                        ran += len(outcomes)
-                        for worker_id, outcome in outcomes:
-                            record(worker_id, job_id, tenant_id, outcome,
-                                   clock)
-                        continue
-                    for worker_id, shard in lanes.split(batch).items():
+                            stop - start, [[worker_id, len(shard)]
+                                           for worker_id, shard
+                                           in shards.items()]))
+                    for worker_id, shard in shards.items():
                         if worker_id not in hosted:
                             continue
                         ran += 1
+                        key = (worker_id, job_id)
                         try:
-                            outcome = session_of(worker_id,
-                                                 job_id).process(shard)
+                            session = sessions.get(key)
+                            if session is None:
+                                session = sessions[key] = \
+                                    specs[job_id].build()
+                            outcome = session.process(shard)
                         except Exception as exc:  # noqa: BLE001 — shipped
                             errors.append((job_id, error_text(exc)))
                             continue
-                        record(worker_id, job_id, tenant_id, outcome, clock)
+                        if skip.get(key):
+                            skip[key] -= 1
+                        else:
+                            records.append((
+                                worker_id, job_id, tenant_id,
+                                outcome.tuples, outcome.cycles, clock))
             finally:
                 # Drop the views, then publish the consumed
                 # sequence so the parent can recycle the block.
                 del keys, values
-                batch = None
                 slabs.done(slot, desc.seq)
             continue
         if kind == "job":
@@ -775,10 +744,10 @@ class ProcessBackend(ExecutionBackend):
         host = self._hosts[index]
         hosted = list(range(index, self.size, self._slots))
         # The lost shards, as the retained windows' routes split them.
-        lost = [(window.item, worker_id, tuples)
+        lost = [(window.item, worker_id, len(shard))
                 for window in host.retained
-                for worker_id, tuples in window.route.lanes(
-                    window.item.batch).tuples()
+                for worker_id, shard in window.route.split(
+                    window.item.batch).items()
                 if worker_id in window.hosted]
         if self.tracer.enabled:
             self.tracer.emit(

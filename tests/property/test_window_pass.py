@@ -1,7 +1,8 @@
 """The lane-aware window pass against the per-shard path it replaces.
 
 A fleet on the fast engine runs an order-free kernel's window (HISTO,
-HLL) as one :func:`~repro.core.fastpath.run_lanes` call over the lanes
+HLL, PageRank) as one :func:`~repro.core.fastpath.run_lanes` call over
+the lanes
 :meth:`WindowRoute.lanes` assigns, instead of ``route.split`` plus one
 ``run_fast`` per shard.  The per-shard path stays in the tree, so it is
 the oracle: every worker must get the same ``(tuples, cycles)`` — and
@@ -23,17 +24,39 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.apps.histo import HistogramKernel
 from repro.apps.hyperloglog import HyperLogLogKernel
+from repro.apps.pagerank import PageRankKernel
 from repro.core.config import ArchitectureConfig
 from repro.core.fastpath import run_fast, run_lanes
 from repro.core.profiler import greedy_secpe_plan
 from repro.perf.epoch import EpochModel
 from repro.service.balancer import SkewAwareBalancer
+from repro.workloads.tuples import TupleBatch
 from repro.workloads.zipf import ZipfGenerator
+
+#: PageRank's vertices: its windows' keys and values are taken modulo.
+VERTICES = 1 << 12
+
+
+def pagerank(pripes):
+    kernel = PageRankKernel(VERTICES, pripes=pripes)
+    kernel.set_contributions(
+        np.random.default_rng(2).integers(0, 1 << 20, VERTICES))
+    return kernel
+
 
 KERNELS = {
     "histo": lambda pripes: HistogramKernel(bins=256, pripes=pripes),
     "hll": lambda pripes: HyperLogLogKernel(precision=8, pripes=pripes),
+    "pagerank": pagerank,
 }
+
+
+def zipf_window(alpha, universe, seed, tuples):
+    """A Zipf window whose keys and values are vertices of the graph."""
+    batch = ZipfGenerator(alpha=alpha, universe=universe,
+                          seed=seed).generate(tuples)
+    return TupleBatch(batch.keys, batch.values % VERTICES,
+                      batch.tuple_bytes)
 
 
 @st.composite
@@ -41,15 +64,14 @@ def windows(draw):
     """``(batch, route, config)``: a Zipf window, a fleet of K = 1..6
     under a greedy plan of a random histogram, an optional quota below
     K, and a pipeline with or without on-chip SecPEs."""
-    batch = ZipfGenerator(
+    batch = zipf_window(
         alpha=draw(st.sampled_from([0.0, 0.8, 1.5, 2.5])),
-        universe=draw(st.sampled_from([16, 1 << 12])),
+        universe=draw(st.sampled_from([16, VERTICES])),
         seed=draw(st.integers(0, 1 << 16)),
-    ).generate(draw(st.integers(1, 2_500)))
+        tuples=draw(st.integers(1, 2_500)))
     workers = draw(st.integers(1, 6))
     balancer = SkewAwareBalancer(
         workers, secondaries=draw(st.integers(0, workers - 1)),
-        # Windows past the sample memoise ids without exact counts.
         profile_sample=draw(st.sampled_from([64, 4096])))
     if balancer.secondaries:
         histogram = draw(st.lists(st.integers(0, 1_000),
@@ -95,9 +117,10 @@ def per_shard(kernel, config, batch, route):
 
 def one_pass(kernel, config, batch, route):
     lanes = route.lanes(batch)
+    shards = lanes.shards()
     outcomes = run_lanes(config, kernel, batch, lanes.of(),
-                         [shard for _, shard in lanes.shards])
-    return [worker for worker, _ in lanes.shards], outcomes
+                         [lanes_of for _, _, lanes_of in shards])
+    return [worker for worker, _, _ in shards], outcomes
 
 
 def shape(outcome):
@@ -138,21 +161,21 @@ def test_folded_lanes_reach_the_epoch_model_in_split_order():
     # and 3 onto worker 1.  Stream order interleaves lanes 0 and 2;
     # split's order is all of lane 0, then all of lane 2.
     balancer = SkewAwareBalancer(4, secondaries=0)
-    batch = ZipfGenerator(alpha=1.2, universe=1 << 10, seed=3).generate(
-        3_000)
+    batch = zipf_window(alpha=1.2, universe=1 << 10, seed=3, tuples=3_000)
     route = balancer.route(worker_quota=2)
     lanes = route.lanes(batch)
-    assert [lanes_of for _, lanes_of in lanes.shards] == [(0, 2), (1, 3)]
+    assert [lanes_of for _, _, lanes_of in lanes.shards()] \
+        == [[0, 2], [1, 3]]
     config = ArchitectureConfig(secpes=4)
     kernel = KERNELS["histo"](config.pripes)
 
     with epoch_inputs() as fed:
         _, outcomes = one_pass(kernel, config, batch, route)
     destinations = kernel.route_array(batch.keys)
-    folded = np.concatenate([destinations[lanes.positions(0)],
-                             destinations[lanes.positions(2)]])
-    stream = destinations[np.sort(np.concatenate(
-        [lanes.positions(0), lanes.positions(2)]))]
+    lane_of = lanes.of()
+    first, third = (lane_of == 0).nonzero()[0], (lane_of == 2).nonzero()[0]
+    folded = np.concatenate([destinations[first], destinations[third]])
+    stream = destinations[np.sort(np.concatenate([first, third]))]
     assert not np.array_equal(folded, stream)
     assert np.array_equal(fed[0], folded)
     assert outcomes[0].cycles \
@@ -170,12 +193,16 @@ def test_lanes_cover_the_window_once(quota, by_key):
     route = balancer.route(by_key=by_key, worker_quota=quota)
     lanes = route.lanes(batch)
     lane_of = lanes.of()
-    for lane, size in lanes.sizes.items():
-        chosen = lanes.positions(lane)
-        assert chosen.size == size and np.all(np.diff(chosen) > 0)
-        assert np.all(lane_of[chosen] == lane)
-    assert sorted(np.concatenate([lanes.positions(lane)
-                                  for lane in lanes.sizes]).tolist()) \
-        == list(range(len(batch)))
-    assert lanes.tuples() == [[worker, len(shard)] for worker, shard
-                              in route.split(batch).items()]
+    split = route.split(batch)
+    shards = lanes.shards()
+    assert [[worker, tuples] for worker, tuples, _ in shards] \
+        == [[worker, len(shard)] for worker, shard in split.items()]
+    assert sum(tuples for _, tuples, _ in shards) == len(batch)
+    for (_, _, lanes_of), shard in zip(shards, split.values()):
+        # A shard is its lanes' tuples, lane after lane, in stream
+        # order within each.
+        assert lanes_of == sorted(lanes_of)
+        chosen = np.concatenate([(lane_of == lane).nonzero()[0]
+                                 for lane in lanes_of])
+        assert np.array_equal(shard.keys, batch.keys[chosen])
+        assert np.array_equal(shard.values, batch.values[chosen])

@@ -55,6 +55,7 @@ from repro.service import (
     StreamService,
 )
 from repro.service import procpool
+from repro.service.jobs import kernel_for
 from repro.service.pool import WorkItem
 from repro.service.shm import CTRL_SLOTS, DEFAULT_SLAB_BYTES, block_size
 from repro.workloads.streams import NetworkModel, chunk_stream
@@ -516,6 +517,40 @@ class TestLostShardRetry:
         clean_result, clean_snap, _ = serve_one("histo")
         crash_result, crash_snap, _ = serve_one(
             "histo", stream=kill_after_stream())
+        assert result_bits(clean_result) == result_bits(crash_result)
+        assert comparable(clean_snap) == comparable(crash_snap)
+
+    @pytest.mark.parametrize("app", ("histo", "hll", "pagerank"))
+    def test_crash_after_scale_down_rebuilds_every_shard(self, monkeypatch,
+                                                         app):
+        # One child hosts all four workers.  The scale-down hands
+        # workers 2 and 3's sessions off as orphans and cuts the
+        # retained windows to workers 0 and 1; the crash then replays
+        # those windows for 0 and 1 alone, so each worker's session
+        # must hold exactly its own shards' part of every window.
+        fake_spare_cores(monkeypatch, 1)
+
+        def shrink_then_kill(kill):
+            # Windows close a few chunks behind the source: several are
+            # retained by the resize, and more by the crash.
+            def stream(service, batch):
+                for index, events in enumerate(chunk_stream(batch, 1_500)):
+                    if index == 8:
+                        service._pool.drain()
+                        service.balancer.reconfigure(2)
+                        service._pool.resize(2)
+                    if index == 12 and kill:
+                        kill_worker(service, 0)
+                    yield events
+            return stream
+
+        clean_result, clean_snap, _ = serve_one(
+            app, stream=shrink_then_kill(False), tuples=24_000)
+        crash_result, crash_snap, _ = serve_one(
+            app, stream=shrink_then_kill(True), tuples=24_000)
+        batch, params = app_workload(app, tuples=24_000)
+        golden = kernel_for(app, 16, params).golden(batch.keys, batch.values)
+        assert np.array_equal(crash_result.result, golden)
         assert result_bits(clean_result) == result_bits(crash_result)
         assert comparable(clean_snap) == comparable(crash_snap)
 

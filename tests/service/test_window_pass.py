@@ -1,10 +1,10 @@
 """Which windows take the one-pass path, and what they leave behind.
 
-An order-free kernel (HISTO, HLL) on the fast engine runs each window as
-one :func:`~repro.core.fastpath.run_lanes` call; every other job — DP,
-PageRank and HHD, and any job on the cycle engine — keeps the per-shard
-path: the window is gathered by :meth:`Lanes.split` (what
-``WindowRoute.split`` calls) and each shard goes through
+An order-free kernel (HISTO, HLL, PageRank) on the fast engine runs each
+window as one :func:`~repro.core.fastpath.run_lanes` call in the inline
+pool; every other job — DP and HHD, and any job on the cycle engine —
+keeps the per-shard path: the window is gathered by :meth:`Lanes.split`
+(what ``WindowRoute.split`` calls) and each shard goes through
 ``StreamingSession.process``.  The spies pin that routing, and the trace
 test pins that a one-pass window emits exactly the ``job.window`` and
 ``job.segment`` sequence the per-shard path emits for it.
@@ -15,8 +15,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.apps.histo import HistogramKernel
-from repro.apps.hyperloglog import HyperLogLogKernel
 from repro.obs import TraceCollector
 from repro.obs import events as trace_events
 from repro.runtime.session import StreamingSession
@@ -67,8 +65,9 @@ def serve(app, engine, tracer=None, tenant=None):
 
 
 @pytest.mark.parametrize("app,engine", [
-    ("dp", "fast"), ("pagerank", "fast"), ("hhd", "fast"),
-    ("histo", "cycle"), ("hll", "cycle"), ("dp", "cycle"),
+    ("dp", "fast"), ("hhd", "fast"),
+    ("histo", "cycle"), ("hll", "cycle"), ("pagerank", "cycle"),
+    ("dp", "cycle"),
 ])
 def test_other_jobs_split_and_process_per_shard(monkeypatch, app, engine):
     splits = count_calls(monkeypatch, Lanes, "split")
@@ -84,7 +83,7 @@ def test_other_jobs_split_and_process_per_shard(monkeypatch, app, engine):
     assert passes == []
 
 
-@pytest.mark.parametrize("app", ["histo", "hll"])
+@pytest.mark.parametrize("app", ["histo", "hll", "pagerank"])
 def test_order_free_fast_windows_run_one_pass(monkeypatch, app):
     splits = count_calls(monkeypatch, Lanes, "split")
     processed = count_calls(monkeypatch, StreamingSession, "process")
@@ -102,7 +101,7 @@ def event_rows(tracer):
             for event in tracer.events("job.")]
 
 
-@pytest.mark.parametrize("app", ["histo", "hll"])
+@pytest.mark.parametrize("app", ["histo", "hll", "pagerank"])
 @pytest.mark.parametrize("quota", [None, 2])
 def test_one_pass_trace_and_results_match_the_per_shard_path(
         monkeypatch, app, quota):
@@ -112,8 +111,8 @@ def test_one_pass_trace_and_results_match_the_per_shard_path(
               else TenantSpec("capped", worker_quota=quota))
     one_pass = TraceCollector(enabled=True)
     fast_result, fast_snapshot = serve(app, "fast", one_pass, tenant)
-    kernel = {"histo": HistogramKernel, "hll": HyperLogLogKernel}[app]
-    monkeypatch.setattr(kernel, "order_free", False)
+    monkeypatch.setattr(StreamingSession, "one_pass",
+                        property(lambda session: False))
     per_shard = TraceCollector(enabled=True)
     shard_result, shard_snapshot = serve(app, "fast", per_shard, tenant)
 
