@@ -29,10 +29,3 @@ def speedup(ours: float, baseline: float) -> float:
     if baseline <= 0:
         raise ValueError("baseline must be positive")
     return ours / baseline
-
-
-def cycles_to_seconds(cycles: float, frequency_mhz: float) -> float:
-    """Wall time of ``cycles`` at ``frequency_mhz``."""
-    if frequency_mhz <= 0:
-        raise ValueError("frequency must be positive")
-    return cycles / (frequency_mhz * 1e6)

@@ -20,6 +20,14 @@ holds at least its own count: a key counted ``track_fraction *
 threshold`` times is tracked.  Only a key reaching the threshold below
 that line, through collisions, is replayed up to its last occurrence.
 
+A fleet window's by-key shards take the same route at once
+(:meth:`HeavyHitterKernel.process_lanes`, which ``process_shard`` calls
+with one shard): a by-key lane depends on the key alone, so each
+distinct key of the window has one shard, and every shard's sketches
+come from one ``np.unique``, one ``hash_rows`` and one scatter-add over
+(shard, row, PE, column) cells — each shard's own hitters, as its own
+``process_shard`` call would find them.
+
 The paper's uniform-comparison dataset has "half of the tuples with the
 same key" — a single guaranteed heavy hitter — which
 :func:`half_duplicate_stream` generates.
@@ -28,7 +36,7 @@ same key" — a single guaranteed heavy hitter — which
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,6 +104,8 @@ class HeavyHitterKernel(KernelSpec):
         self.track_fraction = track_fraction
         self.pripes = pripes
         self.family = PairwiseFamily(depth, width, seed=seed)
+        # Scratch cell totals for process_lanes.
+        self._totals = np.empty(0, dtype=np.int64)
 
     # -- KernelSpec ----------------------------------------------------
     def route(self, key: int) -> int:
@@ -123,36 +133,70 @@ class HeavyHitterKernel(KernelSpec):
 
     def process_shard(self, keys: np.ndarray,
                       values: np.ndarray) -> Tuple[np.ndarray, Dict[int, int]]:
-        # Bit-identical to the per-tuple loop on fresh sketches, from
-        # the distinct keys.  A key's cells depend on the key alone, so
-        # one bincount of the distinct keys' counts is every cell's
-        # final total, and a gather and a min every key's final
-        # estimate.  Estimates only grow, so candidacy is decided at a
-        # key's last occurrence, where its cells hold at least its own
-        # count: only a key counted below the track line that reaches
-        # the threshold has its cells counted up to that occurrence.
+        # The window pass over one shard of one lane.
+        destinations, (hitters,) = self.process_lanes(
+            keys, values, np.zeros(len(keys), dtype=np.int64), [[0]], None)
+        return destinations, hitters
+
+    def process_lanes(self, keys: np.ndarray, values: np.ndarray,
+                      lanes: np.ndarray, shards: Sequence[Sequence[int]],
+                      key_lanes: Optional[Callable[[np.ndarray], np.ndarray]]
+                      ) -> Tuple[np.ndarray, List[Dict[int, int]]]:
+        # Each by-key shard's hitters, bit-identical to the per-tuple
+        # loop on its fresh sketches, by the module docstring's two
+        # facts.  A key's lane depends on the key alone, so each
+        # distinct key has one shard and the shards' sketches lie side
+        # by side; a doubtful key replays its own shard's prefix.
         keys = np.asarray(keys, dtype=np.uint64)
-        destinations = self.route_array(keys)
         uniques, counts = np.unique(keys, return_counts=True)
+        owners = np.zeros(uniques.size, dtype=np.int64)
+        if len(shards) > 1:
+            shard_of_lane = np.zeros(max(map(max, shards)) + 1,
+                                     dtype=np.int64)
+            for index, shard in enumerate(shards):
+                shard_of_lane[list(shard)] = index
+            owners = shard_of_lane[key_lanes(uniques)]
         pes = self.pripe_of(uniques)
-        # Cells of the (d, M, w) sketches laid side by side.
-        row_base = np.arange(self.depth)[:, None] * (self.pripes * self.width)
-        cells = self.family.hash_rows(uniques) + (pes * self.width + row_base)
-        totals = np.bincount(cells.ravel(), np.tile(counts, self.depth))
-        final = totals[cells].min(axis=0).astype(np.int64)
+        plane = self.pripes * self.width
+        cells = self.family.hash_rows(uniques) + (
+            np.arange(self.depth)[:, None] * plane
+            + (owners * (self.depth * plane) + pes * self.width))
+        # The cells live in a scratch array kept across calls: a fresh
+        # one spanning every shard's sketches costs more to allocate
+        # than the counting.  Only the keys' cells are zeroed, then
+        # counted and read, so no other cell need ever be cleared.  The
+        # scatter-add takes flat cells and tiled counts: a 2-D index
+        # with broadcast counts reads past the counts on NumPy 2.4.
+        if self._totals.size < len(shards) * self.depth * plane:
+            self._totals = np.empty(len(shards) * self.depth * plane,
+                                    dtype=np.int64)
+        totals = self._totals
+        totals[cells] = 0
+        np.add.at(totals, cells.ravel(), np.tile(counts, self.depth))
+        final = totals[cells].min(axis=0)
         line = self.track_fraction * self.threshold
         hitters = final >= self.threshold
-        doubtful = np.flatnonzero(hitters & (counts < line))
-        if doubtful.size:
-            inverse = np.searchsorted(uniques, keys)
-            for at in doubtful.tolist():
-                upto = np.flatnonzero(inverse == at)[-1] + 1
-                running = cells[:, inverse[:upto]] == cells[:, at, None]
-                hitters[at] = running.sum(axis=1).min() >= line
-        # PE-major, ascending key within each PE's table.
-        order = np.argsort(pes[hitters], kind="stable")
-        return destinations, dict(zip(uniques[hitters][order].tolist(),
-                                      final[hitters][order].tolist()))
+        inverses: Dict[int, np.ndarray] = {}
+        for at in np.flatnonzero(hitters & (counts < line)).tolist():
+            owner = int(owners[at])
+            if owner not in inverses:
+                # The shard's keys in its own order, lane after lane.
+                inverses[owner] = np.searchsorted(uniques, np.concatenate(
+                    [keys[lanes == lane] for lane in shards[owner]]))
+            inverse = inverses[owner]
+            upto = np.flatnonzero(inverse == at)[-1] + 1
+            running = cells[:, inverse[:upto]] == cells[:, at, None]
+            hitters[at] = running.sum(axis=1).min() >= line
+        # Shard by shard, PE-major, ascending key within a PE's table.
+        chosen = np.flatnonzero(hitters)
+        chosen = chosen[np.argsort(owners[chosen] * self.pripes
+                                   + pes[chosen], kind="stable")]
+        results: List[Dict[int, int]] = [{} for _ in shards]
+        for owner, key, estimate in zip(owners[chosen].tolist(),
+                                        uniques[chosen].tolist(),
+                                        final[chosen].tolist()):
+            results[owner][key] = estimate
+        return self.route_array(keys), results
 
     def merge_into(self, primary: SketchBuffer,
                    secondary: SketchBuffer) -> None:

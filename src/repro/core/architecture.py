@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
 from repro.core.config import ArchitectureConfig
 from repro.core.host import HostController
 from repro.core.kernel import KernelSpec
@@ -310,16 +308,3 @@ class SkewObliviousArchitecture:
             pe.tuples_processed
             for pe in self._pripe_modules + self._secpe_modules
         )
-
-    # ------------------------------------------------------------------
-    # Convenience
-    # ------------------------------------------------------------------
-    def workload_heatmap_row(self, batch: TupleBatch) -> np.ndarray:
-        """Per-PriPE workload share of ``batch`` (before redirection).
-
-        The Fig. 2a heatmap normalises these counts by the uniform
-        expectation ``len(batch) / M``.
-        """
-        dst = self.kernel.route_array(batch.keys)
-        counts = np.bincount(dst, minlength=self.config.pripes)
-        return counts / (len(batch) / self.config.pripes)

@@ -28,15 +28,18 @@ than cycle-stepping; this module does the same in NumPy:
   model delegates to the windowed :class:`~repro.perf.epoch.EpochModel`
   (still vectorised, O(N / window) work).
 
-A fleet splits a window into K workers' shards.  For a kernel whose
-parts merge freely (:attr:`~repro.core.kernel.KernelSpec.order_free`)
-the window need not be gathered into K batches and run K times:
-:func:`run_lanes` makes one ``process_shard`` call on the whole window,
-and one ``bincount(lane * M + destination)`` gives every lane's tuples
-and PE loads, from which each shard's cycles follow by the same rule as
-above — the bottleneck bound, or the epoch model over the shard's own
-destinations in its own order.  Each shard's modeled outcome is the one
-:func:`run_fast` gives it alone.
+A fleet splits a window into K workers' shards.  For a
+``decomposable`` kernel the window need not be gathered into K batches
+and run K times: :func:`run_lanes` makes one
+:meth:`~repro.core.kernel.KernelSpec.process_lanes` call on the whole
+window, which returns every shard's result (an order-free kernel's
+whole-window result on the first shard; heavy hitters' per-shard
+sketches from one keyed pass), and one ``bincount(lane * M +
+destination)`` gives every lane's tuples and PE loads, from which each
+shard's cycles follow by the same rule as above — the bottleneck bound,
+or the epoch model over the shard's own destinations in its own order.
+Each shard's modeled outcome is the one :func:`run_fast` gives it
+alone.
 
 The cycle-accurate engine remains the oracle: the equivalence suite in
 ``tests/core/test_fastpath.py`` asserts bit-identical results and
@@ -46,7 +49,7 @@ modeled cycles within 10% of simulated across Zipf skew factors.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -194,26 +197,32 @@ def run_fast(config: ArchitectureConfig, kernel: KernelSpec,  # hot-path
 
 def run_lanes(config: ArchitectureConfig, kernel: KernelSpec,  # hot-path
               batch: TupleBatch, lanes: np.ndarray,
-              shards: Sequence[Sequence[int]]) -> List[ArchitectureResult]:
+              shards: Sequence[Sequence[int]],
+              key_lanes: Callable[[np.ndarray], np.ndarray]
+              ) -> List[ArchitectureResult]:
     """Process ``batch`` as the shards its ``lanes`` name, in one pass.
 
     ``lanes[i]`` is tuple ``i``'s lane, and each entry of ``shards``
     lists the ascending lanes one shard concatenates; every lane with
     tuples belongs to exactly one shard (what
-    :meth:`~repro.service.balancer.Lanes.shards` lists).
-    Returns one outcome per shard, in ``shards`` order, each with
-    exactly the tuples, cycles, PE loads and plans :func:`run_fast`
-    models for that shard on its own, its lanes' tuples in stream order
-    and lane after lane.  Only the first carries the application result
-    (the whole batch's); the rest carry None.  That is sound only for a
-    kernel whose parts merge freely
-    (:attr:`~repro.core.kernel.KernelSpec.order_free`).
+    :meth:`~repro.service.balancer.Lanes.shards` lists).  ``key_lanes``
+    maps keys to their lanes where a key's lane depends on the key alone
+    (:meth:`~repro.service.balancer.WindowRoute.key_lanes`, which
+    raises for a route that is not by key).  Returns one outcome per
+    shard, in ``shards`` order, each with exactly the tuples, cycles, PE
+    loads and plans :func:`run_fast` models for that shard on its own,
+    its lanes' tuples in stream order and lane after lane, and the
+    result the kernel's
+    :meth:`~repro.core.kernel.KernelSpec.process_lanes` gives the shard:
+    an order-free kernel's whole-window result on the first outcome and
+    None on the rest, heavy hitters' own hitters on each.
     """
     if len(batch) == 0:
         raise ValueError("cannot run an empty batch")
     pripes = kernel.pripes = config.pripes
-    # The whole window's exact result, as in run_fast.
-    destinations, result = kernel.process_shard(batch.keys, batch.values)
+    # Every shard's exact result from one kernel call.
+    destinations, results = kernel.process_lanes(
+        batch.keys, batch.values, lanes, shards, key_lanes)
 
     # Modeled cycles, per shard, by run_fast's rule.
     loads = _shard_loads(lanes, destinations, pripes, shards)
@@ -230,9 +239,9 @@ def run_lanes(config: ArchitectureConfig, kernel: KernelSpec,  # hot-path
             epoch = epochs[index]
             cycles = int(round(epoch.cycles))
             plans, reschedules = list(epoch.plans), epoch.reschedules
-        outcomes.append(_ModeledResult(config, result, size, cycles,
-                                       loads[index], plans, reschedules))
-        result = None
+        outcomes.append(_ModeledResult(config, results[index], size,
+                                       cycles, loads[index], plans,
+                                       reschedules))
     return outcomes
 
 

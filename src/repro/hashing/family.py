@@ -9,7 +9,7 @@ independence the CMS error bound requires.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -59,6 +59,16 @@ class PairwiseFamily:
         self._b: List[int] = [
             int(rng.integers(0, _MERSENNE_P)) for _ in range(rows)
         ]
+        self._columns = self._limb_columns()
+
+    def _limb_columns(self) -> Tuple[Tuple[List[int], List[int]],
+                                     np.ndarray, np.ndarray, np.ndarray]:
+        """The coefficients :meth:`hash_rows` broadcasts, as ``(rows, 1)``
+        ``uint64`` columns ``a >> 31``, ``a & (2^31 - 1)`` and ``b``,
+        after the ``(a, b)`` lists they were built from."""
+        a = np.array(self._a, dtype=np.uint64)[:, None]
+        return ((list(self._a), list(self._b)), a >> _U31, a & _LOW31,
+                np.array(self._b, dtype=np.uint64)[:, None])
 
     def hash(self, row: int, key: int) -> int:
         """Row ``row``'s hash of ``key`` (scalar)."""
@@ -76,14 +86,16 @@ class PairwiseFamily:
         same way per row, and the limb products are reduced with
         ``2^61 = 1`` and ``2^62 = 2`` (mod p), which keeps the partial
         sum under ``2^64``.  The ``d`` coefficient pairs broadcast over
-        the keys' limbs.
+        the keys' limbs; they are synthesis-time constants, split once
+        (and again only if ``_a`` or ``_b`` is rewritten after
+        construction, as the tests' extreme-coefficient case does).
         """
+        if self._columns[0] != (self._a, self._b):
+            self._columns = self._limb_columns()
+        _, a_hi, a_lo, b = self._columns
         k = _fold_mersenne(np.asarray(keys, dtype=np.uint64))
         k_hi = k >> _U31
         k_lo = k & _LOW31
-        a = np.array(self._a, dtype=np.uint64)[:, None]
-        a_hi = a >> _U31
-        a_lo = a & _LOW31
         # a*k = a_hi*k_hi * 2^62 + mid * 2^31 + a_lo*k_lo, and
         # mid * 2^31 = (mid >> 30) * 2^61 + (mid & (2^30 - 1)) * 2^31.
         mid = a_hi * k_lo + a_lo * k_hi                      # < 2^62
@@ -91,6 +103,6 @@ class PairwiseFamily:
                  + (mid >> _U30)                             # < 2^32
                  + ((mid & _LOW30) << _U31)                  # < 2^61
                  + a_lo * k_lo                               # < 2^62
-                 + np.array(self._b, dtype=np.uint64)[:, None])  # < 2^61
+                 + b)                                        # < 2^61
         hashed = _fold_mersenne(total) % np.uint64(self.width)
         return hashed.astype(np.int64)

@@ -94,8 +94,8 @@ class StreamingSession:
     def one_pass(self) -> bool:
         """Whether a window's shards of this session's job may run as
         one lane-aware pass (:func:`~repro.core.fastpath.run_lanes`):
-        an order-free kernel on the fast engine."""
-        return self._fast and self.kernel.order_free
+        a ``decomposable`` kernel on the fast engine."""
+        return self._fast and self.kernel.decomposable
 
     def fold(self, result: Any, tuples: int, cycles: int) -> None:  # hot-path
         """Fold one segment in: its result (None: the segment's result

@@ -297,6 +297,13 @@ class WindowRoute:
                     spread[worker] = chosen
         return Lanes(self, ids, spread)
 
+    def key_lanes(self, keys: np.ndarray) -> np.ndarray:
+        """Each key's lane under a ``by_key`` route, where every tuple
+        of a key takes one lane: :meth:`lanes` of the keys alone."""
+        if not self.by_key:
+            raise ValueError("only a by-key route gives a key one lane")
+        return self.lanes(TupleBatch.from_keys(keys)).of()
+
     def split(self, batch: TupleBatch) -> Dict[int, TupleBatch]:
         """Partition ``batch`` into per-worker sub-batches by
         :meth:`lanes`, in split order; a worker gets its tuples in

@@ -151,12 +151,14 @@ class WorkerPool(ExecutionBackend):
         """Route one window, trace the ``job.window`` that names its
         shards, then run them in split order.
 
-        An order-free kernel on the fast engine runs the window as one
-        lane-aware pass (:func:`~repro.core.fastpath.run_lanes`): each
-        worker's session folds its own tuples and cycles, and the first
-        worker's the window's result.  Any other job's shards, and the
-        shards of a window whose pass raised, are gathered and
-        :meth:`dispatch`ed one by one.
+        A ``decomposable`` kernel on the fast engine (HISTO, HLL,
+        PageRank, HHD) runs the window as one lane-aware pass
+        (:func:`~repro.core.fastpath.run_lanes`, one kernel call): each
+        worker's session folds its own tuples, cycles and result — an
+        order-free kernel's whole-window result on the first worker, a
+        by-key HHD shard's own hitters on each.  DP's and cycle-engine
+        jobs' shards, and the shards of a window whose pass raised, are
+        gathered and :meth:`dispatch`ed one by one.
         """
         if not self._started:
             raise RuntimeError("pool is not running; call start() first")
@@ -170,7 +172,8 @@ class WorkerPool(ExecutionBackend):
             shards = lanes.shards() if session.one_pass else []
             outcomes = (run_lanes(session.config, session.kernel,
                                   item.batch, lanes.of(),
-                                  [lanes_of for _, _, lanes_of in shards])
+                                  [lanes_of for _, _, lanes_of in shards],
+                                  route.key_lanes)
                         if shards else None)
         except Exception:  # noqa: BLE001 — rerun shard by shard below
             # Each failing shard then reports its own error, and the

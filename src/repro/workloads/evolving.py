@@ -101,16 +101,3 @@ class EvolvingZipfStream:
         keys = np.concatenate([b.keys for b in batches])
         values = np.concatenate([b.values for b in batches])
         return TupleBatch(keys, values, self.tuple_bytes)
-
-    def segment_shares(self, destinations: int = 16) -> np.ndarray:
-        """Per-segment destination shares (segments x destinations).
-
-        Used by the epoch model: each row is the routing distribution in
-        force during one interval.
-        """
-        rows = []
-        for segment in self.segments():
-            dst = (segment.batch.keys % np.uint64(destinations)).astype(int)
-            counts = np.bincount(dst, minlength=destinations).astype(float)
-            rows.append(counts / max(1, len(segment.batch)))
-        return np.asarray(rows)

@@ -58,12 +58,6 @@ class NetworkModel:
             raise ValueError("seconds must be non-negative")
         return int(self.tuples_per_second * seconds)
 
-    def seconds_for(self, tuples: int) -> float:
-        """Wall time needed to deliver ``tuples`` at line rate."""
-        if tuples < 0:
-            raise ValueError("tuples must be non-negative")
-        return tuples / self.tuples_per_second
-
     def throughput_gbps(self, tuples: int, seconds: float) -> float:
         """Achieved throughput in Gbps for ``tuples`` over ``seconds``."""
         if seconds <= 0:

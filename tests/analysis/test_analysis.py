@@ -6,7 +6,6 @@ import pytest
 from repro.analysis import paper_data
 from repro.analysis.figures import render_heatmap, render_series
 from repro.analysis.metrics import (
-    cycles_to_seconds,
     gbps,
     mteps,
     mtps,
@@ -28,12 +27,9 @@ class TestMetrics:
     def test_speedup(self):
         assert speedup(12.0, 1.0) == 12.0
 
-    def test_cycles_to_seconds(self):
-        assert cycles_to_seconds(246e6, 246.0) == pytest.approx(1.0)
-
     @pytest.mark.parametrize("fn,args", [
         (mtps, (1, 0)), (mteps, (1, 0)), (gbps, (1, 0)),
-        (speedup, (1.0, 0.0)), (cycles_to_seconds, (1.0, 0.0)),
+        (speedup, (1.0, 0.0)),
     ])
     def test_rejects_degenerate_denominators(self, fn, args):
         with pytest.raises(ValueError):

@@ -104,13 +104,6 @@ class TestSkewBehaviour:
         total = sum(pri_counts) + sum(sec_counts)
         assert max(pri_counts + sec_counts) / total < 0.4
 
-    def test_workload_heatmap_row_normalisation(self, uniform_batch):
-        kernel = HistogramKernel(bins=512, pripes=16)
-        arch = SkewObliviousArchitecture(ArchitectureConfig(), kernel)
-        row = arch.workload_heatmap_row(uniform_batch)
-        assert row.shape == (16,)
-        assert row.mean() == pytest.approx(1.0)
-
 
 class TestRescheduling:
     def test_distribution_change_triggers_replan(self):

@@ -1,13 +1,15 @@
 """The lane-aware window pass against the per-shard path it replaces.
 
-A fleet on the fast engine runs an order-free kernel's window (HISTO,
-HLL, PageRank) as one :func:`~repro.core.fastpath.run_lanes` call over
-the lanes
+A fleet on the fast engine runs a decomposable kernel's window as one
+:func:`~repro.core.fastpath.run_lanes` call over the lanes
 :meth:`WindowRoute.lanes` assigns, instead of ``route.split`` plus one
 ``run_fast`` per shard.  The per-shard path stays in the tree, so it is
 the oracle: every worker must get the same ``(tuples, cycles)`` — and
-the same plans and reschedules — in the same split order, and the first
-outcome's result must equal the per-shard results folded together.
+the same plans and reschedules — in the same split order.  For an
+order-free kernel (HISTO, HLL, PageRank) the first outcome's result
+must equal the per-shard results folded together; for heavy hitters,
+routed by key, every outcome must carry its own shard's hitter dict,
+equal in content and insertion order.
 
 The epoch model (``skew_handling``) is order-sensitive, so each shard's
 destinations must reach it in the shard's own order: a folded shard's
@@ -22,6 +24,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro.apps.heavy_hitter import HeavyHitterKernel
 from repro.apps.histo import HistogramKernel
 from repro.apps.hyperloglog import HyperLogLogKernel
 from repro.apps.pagerank import PageRankKernel
@@ -50,6 +53,14 @@ KERNELS = {
     "pagerank": pagerank,
 }
 
+#: Heavy hitters at the serving default, and on sketches narrow enough
+#: that keys reach the threshold through collisions (the replay).
+KEYED_KERNELS = {
+    "hhd": lambda pripes: HeavyHitterKernel(pripes=pripes),
+    "hhd_narrow": lambda pripes: HeavyHitterKernel(
+        width=4, threshold=8, pripes=pripes),
+}
+
 
 def zipf_window(alpha, universe, seed, tuples):
     """A Zipf window whose keys and values are vertices of the graph."""
@@ -60,10 +71,11 @@ def zipf_window(alpha, universe, seed, tuples):
 
 
 @st.composite
-def windows(draw):
+def windows(draw, by_key=None):
     """``(batch, route, config)``: a Zipf window, a fleet of K = 1..6
     under a greedy plan of a random histogram, an optional quota below
-    K, and a pipeline with or without on-chip SecPEs."""
+    K, ``by_key`` lanes (drawn when None), and a pipeline with or
+    without on-chip SecPEs."""
     batch = zipf_window(
         alpha=draw(st.sampled_from([0.0, 0.8, 1.5, 2.5])),
         universe=draw(st.sampled_from([16, VERTICES])),
@@ -82,7 +94,8 @@ def windows(draw):
     if draw(st.booleans()):
         balancer.observe(batch.keys)  # the memoised ids route it
     quota = draw(st.one_of(st.none(), st.integers(1, max(1, workers - 1))))
-    route = balancer.route(by_key=draw(st.booleans()),
+    route = balancer.route(by_key=(draw(st.booleans()) if by_key is None
+                                   else by_key),
                            worker_quota=quota if quota and quota < workers
                            else None)
     config = ArchitectureConfig(secpes=draw(st.sampled_from([0, 4])))
@@ -119,7 +132,8 @@ def one_pass(kernel, config, batch, route):
     lanes = route.lanes(batch)
     shards = lanes.shards()
     outcomes = run_lanes(config, kernel, batch, lanes.of(),
-                         [lanes_of for _, _, lanes_of in shards])
+                         [lanes_of for _, _, lanes_of in shards],
+                         route.key_lanes)
     return [worker for worker, _, _ in shards], outcomes
 
 
@@ -154,6 +168,61 @@ def test_one_pass_matches_split_plus_run_fast(app, window):
     assert len(fed_one_pass) == len(fed_per_shard)
     for ours, theirs in zip(fed_one_pass, fed_per_shard):
         assert np.array_equal(ours, theirs)
+
+
+@pytest.mark.parametrize("app", sorted(KEYED_KERNELS))
+@settings(deadline=None, max_examples=100)
+@given(window=windows(by_key=True))
+def test_keyed_pass_matches_split_plus_run_fast(app, window):
+    batch, route, config = window
+    kernel = KEYED_KERNELS[app](config.pripes)
+    assert kernel.decomposable and not kernel.order_free
+
+    with epoch_inputs() as fed_per_shard:
+        expected = [(worker, run_fast(config, kernel, shard))
+                    for worker, shard in route.split(batch).items()]
+    with epoch_inputs() as fed_one_pass:
+        workers, outcomes = one_pass(kernel, config, batch, route)
+
+    assert workers == [worker for worker, _ in expected]
+    assert [shape(outcome) for outcome in outcomes] \
+        == [shape(outcome) for _, outcome in expected]
+    assert [outcome.pe_tuple_counts for outcome in outcomes] \
+        == [outcome.pe_tuple_counts for _, outcome in expected]
+    # Each shard's own hitters, inserted in the same order.
+    assert [list(outcome.result.items()) for outcome in outcomes] \
+        == [list(outcome.result.items()) for _, outcome in expected]
+    assert len(fed_one_pass) == len(fed_per_shard)
+    for ours, theirs in zip(fed_one_pass, fed_per_shard):
+        assert np.array_equal(ours, theirs)
+
+
+def doubtful(kernel, shard):
+    """The shard's keys that reach the threshold while counted below
+    the track line: the ones whose candidacy the hook replays."""
+    uniques, counts = np.unique(shard.keys, return_counts=True)
+    count = dict(zip(uniques.tolist(), counts.tolist()))
+    line = kernel.track_fraction * kernel.threshold
+    return [key for key in kernel.golden(shard.keys, shard.values)
+            if count[key] < line]
+
+
+def test_keyed_pass_replays_collisions_shard_by_shard():
+    # K = 4 by key with the quota at 2: a folded shard's lanes meet in
+    # one worker's sketches, lane after lane.
+    balancer = SkewAwareBalancer(4, secondaries=0)
+    batch = zipf_window(alpha=0.8, universe=VERTICES, seed=9, tuples=1_000)
+    route = balancer.route(by_key=True, worker_quota=2)
+    config = ArchitectureConfig()
+    kernel = KEYED_KERNELS["hhd_narrow"](config.pripes)
+    split = route.split(batch)
+    assert all(doubtful(kernel, shard) for shard in split.values())
+
+    _, outcomes = one_pass(kernel, config, batch, route)
+    assert [list(outcome.result.items()) for outcome in outcomes] \
+        == [list(run_fast(config, kernel, shard).result.items())
+            for shard in split.values()]
+    assert all(outcome.result for outcome in outcomes)
 
 
 def test_folded_lanes_reach_the_epoch_model_in_split_order():

@@ -1,13 +1,14 @@
 """Which windows take the one-pass path, and what they leave behind.
 
-An order-free kernel (HISTO, HLL, PageRank) on the fast engine runs each
-window as one :func:`~repro.core.fastpath.run_lanes` call in the inline
-pool; every other job — DP and HHD, and any job on the cycle engine —
+A decomposable kernel (HISTO, HLL, PageRank, HHD) on the fast engine
+runs each window as one :func:`~repro.core.fastpath.run_lanes` call in
+the inline pool; every other job — DP, and any job on the cycle engine —
 keeps the per-shard path: the window is gathered by :meth:`Lanes.split`
 (what ``WindowRoute.split`` calls) and each shard goes through
 ``StreamingSession.process``.  The spies pin that routing, and the trace
 test pins that a one-pass window emits exactly the ``job.window`` and
-``job.segment`` sequence the per-shard path emits for it.
+``job.segment`` sequence the per-shard path emits for it, and leaves
+the same result and ``snapshot()``.
 """
 
 import dataclasses
@@ -65,7 +66,7 @@ def serve(app, engine, tracer=None, tenant=None):
 
 
 @pytest.mark.parametrize("app,engine", [
-    ("dp", "fast"), ("hhd", "fast"),
+    ("dp", "fast"),
     ("histo", "cycle"), ("hll", "cycle"), ("pagerank", "cycle"),
     ("dp", "cycle"),
 ])
@@ -83,8 +84,8 @@ def test_other_jobs_split_and_process_per_shard(monkeypatch, app, engine):
     assert passes == []
 
 
-@pytest.mark.parametrize("app", ["histo", "hll", "pagerank"])
-def test_order_free_fast_windows_run_one_pass(monkeypatch, app):
+@pytest.mark.parametrize("app", ["histo", "hll", "pagerank", "hhd"])
+def test_decomposable_fast_windows_run_one_pass(monkeypatch, app):
     splits = count_calls(monkeypatch, Lanes, "split")
     processed = count_calls(monkeypatch, StreamingSession, "process")
     passes = count_calls(monkeypatch, pool_module, "run_lanes")
@@ -101,7 +102,7 @@ def event_rows(tracer):
             for event in tracer.events("job.")]
 
 
-@pytest.mark.parametrize("app", ["histo", "hll", "pagerank"])
+@pytest.mark.parametrize("app", ["histo", "hll", "pagerank", "hhd"])
 @pytest.mark.parametrize("quota", [None, 2])
 def test_one_pass_trace_and_results_match_the_per_shard_path(
         monkeypatch, app, quota):
@@ -119,7 +120,13 @@ def test_one_pass_trace_and_results_match_the_per_shard_path(
     assert event_rows(one_pass) == event_rows(per_shard)
     segments = per_shard.events(trace_events.JOB_SEGMENT)
     assert len({event.worker for event in segments}) > 1
-    assert np.array_equal(fast_result.result, shard_result.result)
+    if app == "hhd":
+        # Each worker's hitters, folded in the same order.
+        assert fast_result.result
+        assert list(fast_result.result.items()) \
+            == list(shard_result.result.items())
+    else:
+        assert np.array_equal(fast_result.result, shard_result.result)
     assert dataclasses.replace(fast_result, result=None) \
         == dataclasses.replace(shard_result, result=None)
     assert fast_snapshot == shard_snapshot

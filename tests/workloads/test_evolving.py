@@ -38,10 +38,3 @@ def test_materialize_concatenates_everything():
                                 total_tuples=1000)
     batch = stream.materialize()
     assert len(batch) == 1000
-
-def test_segment_shares_shape_and_normalisation():
-    stream = EvolvingZipfStream(alpha=2.0, interval_tuples=500,
-                                total_tuples=1500)
-    shares = stream.segment_shares(destinations=16)
-    assert shares.shape == (3, 16)
-    assert np.allclose(shares.sum(axis=1), 1.0)

@@ -9,11 +9,6 @@ def test_100gbps_8byte_rate():
     net = NetworkModel(line_rate_gbps=100.0, tuple_bytes=8)
     assert net.tuples_per_second == pytest.approx(1.5625e9)
 
-def test_roundtrip_tuples_seconds():
-    net = NetworkModel()
-    n = net.tuples_in(2e-3)
-    assert net.seconds_for(n) == pytest.approx(2e-3, rel=1e-6)
-
 def test_throughput_gbps():
     net = NetworkModel()
     # 1.5625e9 tuples in one second is exactly line rate.
@@ -27,7 +22,5 @@ def test_validation():
     net = NetworkModel()
     with pytest.raises(ValueError):
         net.tuples_in(-1)
-    with pytest.raises(ValueError):
-        net.seconds_for(-1)
     with pytest.raises(ValueError):
         net.throughput_gbps(10, 0)
