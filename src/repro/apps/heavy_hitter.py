@@ -22,11 +22,11 @@ that line, through collisions, is replayed up to its last occurrence.
 
 A fleet window's by-key shards take the same route at once
 (:meth:`HeavyHitterKernel.process_lanes`, which ``process_shard`` calls
-with one shard): a by-key lane depends on the key alone, so each
-distinct key of the window has one shard, and every shard's sketches
-come from one ``np.unique``, one ``hash_rows`` and one scatter-add over
-(shard, row, PE, column) cells — each shard's own hitters, as its own
-``process_shard`` call would find them.
+with one worker): a by-key lane depends on the key alone, so each
+distinct key of the window has one lane and one (folded) worker, and
+every worker's sketches come from one ``np.unique``, one ``hash_rows``
+and one scatter-add over (worker, row, PE, column) cells — each shard's
+own hitters, as its own ``process_shard`` call would find them.
 
 The paper's uniform-comparison dataset has "half of the tuples with the
 same key" — a single guaranteed heavy hitter — which
@@ -36,7 +36,7 @@ same key" — a single guaranteed heavy hitter — which
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -133,29 +133,24 @@ class HeavyHitterKernel(KernelSpec):
 
     def process_shard(self, keys: np.ndarray,
                       values: np.ndarray) -> Tuple[np.ndarray, Dict[int, int]]:
-        # The window pass over one shard of one lane.
+        # The window pass over one worker's one lane: every key on
+        # lane 0, and lane 0 on worker 0.
         destinations, (hitters,) = self.process_lanes(
-            keys, values, np.zeros(len(keys), dtype=np.int64), [[0]], None)
+            keys, values, np.zeros_like, np.zeros(1, dtype=np.int64))
         return destinations, hitters
 
     def process_lanes(self, keys: np.ndarray, values: np.ndarray,
-                      lanes: np.ndarray, shards: Sequence[Sequence[int]],
-                      key_lanes: Optional[Callable[[np.ndarray], np.ndarray]]
+                      key_lanes: Callable[[np.ndarray], np.ndarray],
+                      folds: np.ndarray
                       ) -> Tuple[np.ndarray, List[Dict[int, int]]]:
-        # Each by-key shard's hitters, bit-identical to the per-tuple
-        # loop on its fresh sketches, by the module docstring's two
-        # facts.  A key's lane depends on the key alone, so each
-        # distinct key has one shard and the shards' sketches lie side
-        # by side; a doubtful key replays its own shard's prefix.
+        # Each worker's hitters, bit-identical to the per-tuple loop on
+        # its fresh sketches, by the module docstring's two facts.  A
+        # key's lane depends on the key alone, so each distinct key has
+        # one worker and the workers' sketches lie side by side; a
+        # doubtful key replays its own worker's prefix.
         keys = np.asarray(keys, dtype=np.uint64)
         uniques, counts = np.unique(keys, return_counts=True)
-        owners = np.zeros(uniques.size, dtype=np.int64)
-        if len(shards) > 1:
-            shard_of_lane = np.zeros(max(map(max, shards)) + 1,
-                                     dtype=np.int64)
-            for index, shard in enumerate(shards):
-                shard_of_lane[list(shard)] = index
-            owners = shard_of_lane[key_lanes(uniques)]
+        owners = folds[key_lanes(uniques)]
         pes = self.pripe_of(uniques)
         plane = self.pripes * self.width
         cells = self.family.hash_rows(uniques) + (
@@ -167,8 +162,8 @@ class HeavyHitterKernel(KernelSpec):
         # counted and read, so no other cell need ever be cleared.  The
         # scatter-add takes flat cells and tiled counts: a 2-D index
         # with broadcast counts reads past the counts on NumPy 2.4.
-        if self._totals.size < len(shards) * self.depth * plane:
-            self._totals = np.empty(len(shards) * self.depth * plane,
+        if self._totals.size < len(folds) * self.depth * plane:
+            self._totals = np.empty(len(folds) * self.depth * plane,
                                     dtype=np.int64)
         totals = self._totals
         totals[cells] = 0
@@ -177,21 +172,25 @@ class HeavyHitterKernel(KernelSpec):
         line = self.track_fraction * self.threshold
         hitters = final >= self.threshold
         inverses: Dict[int, np.ndarray] = {}
+        lanes = None
         for at in np.flatnonzero(hitters & (counts < line)).tolist():
             owner = int(owners[at])
             if owner not in inverses:
+                if lanes is None:
+                    lanes = key_lanes(keys)
                 # The shard's keys in its own order, lane after lane.
                 inverses[owner] = np.searchsorted(uniques, np.concatenate(
-                    [keys[lanes == lane] for lane in shards[owner]]))
+                    [keys[lanes == lane]
+                     for lane in np.flatnonzero(folds == owner)]))
             inverse = inverses[owner]
             upto = np.flatnonzero(inverse == at)[-1] + 1
             running = cells[:, inverse[:upto]] == cells[:, at, None]
             hitters[at] = running.sum(axis=1).min() >= line
-        # Shard by shard, PE-major, ascending key within a PE's table.
+        # Worker by worker, PE-major, ascending key within a PE's table.
         chosen = np.flatnonzero(hitters)
         chosen = chosen[np.argsort(owners[chosen] * self.pripes
                                    + pes[chosen], kind="stable")]
-        results: List[Dict[int, int]] = [{} for _ in shards]
+        results: List[Dict[int, int]] = [{} for _ in folds]
         for owner, key, estimate in zip(owners[chosen].tolist(),
                                         uniques[chosen].tolist(),
                                         final[chosen].tolist()):

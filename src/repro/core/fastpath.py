@@ -30,16 +30,18 @@ than cycle-stepping; this module does the same in NumPy:
 
 A fleet splits a window into K workers' shards.  For a
 ``decomposable`` kernel the window need not be gathered into K batches
-and run K times: :func:`run_lanes` makes one
-:meth:`~repro.core.kernel.KernelSpec.process_lanes` call on the whole
-window, which returns every shard's result (an order-free kernel's
-whole-window result on the first shard; heavy hitters' per-shard
-sketches from one keyed pass), and one ``bincount(lane * M +
-destination)`` gives every lane's tuples and PE loads, from which each
-shard's cycles follow by the same rule as above — the bottleneck bound,
-or the epoch model over the shard's own destinations in its own order.
-Each shard's modeled outcome is the one :func:`run_fast` gives it
-alone.
+and run K times: :func:`run_lanes` makes one kernel call on the whole
+window — an order-free kernel's
+:meth:`~repro.core.kernel.KernelSpec.process_shard`, whose
+whole-window result the first shard carries, or heavy hitters'
+:meth:`~repro.core.kernel.KernelSpec.process_lanes`, every worker's own
+sketches from one keyed pass — and then one ``bincount(lane * M +
+destination)``, the PrePE's destination reused as the route's label,
+gives every lane's tuples and PE loads.  The shards are listed from
+those lane counts, and each shard's cycles follow by the same rule as
+above — the bottleneck bound, or the epoch model over the shard's own
+destinations in its own order.  Each shard's modeled outcome is the one
+:func:`run_fast` gives it alone.
 
 The cycle-accurate engine remains the oracle: the equivalence suite in
 ``tests/core/test_fastpath.py`` asserts bit-identical results and
@@ -49,7 +51,7 @@ modeled cycles within 10% of simulated across Zipf skew factors.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -196,41 +198,58 @@ def run_fast(config: ArchitectureConfig, kernel: KernelSpec,  # hot-path
 
 
 def run_lanes(config: ArchitectureConfig, kernel: KernelSpec,  # hot-path
-              batch: TupleBatch, lanes: np.ndarray,
-              shards: Sequence[Sequence[int]],
-              key_lanes: Callable[[np.ndarray], np.ndarray]
-              ) -> List[ArchitectureResult]:
-    """Process ``batch`` as the shards its ``lanes`` name, in one pass.
+              batch: TupleBatch, lanes) -> List[Tuple[int,
+                                                        ArchitectureResult]]:
+    """Process ``batch`` as the shards its ``lanes`` make, in one pass.
 
-    ``lanes[i]`` is tuple ``i``'s lane, and each entry of ``shards``
-    lists the ascending lanes one shard concatenates; every lane with
-    tuples belongs to exactly one shard (what
-    :meth:`~repro.service.balancer.Lanes.shards` lists).  ``key_lanes``
-    maps keys to their lanes where a key's lane depends on the key alone
-    (:meth:`~repro.service.balancer.WindowRoute.key_lanes`, which
-    raises for a route that is not by key).  Returns one outcome per
-    shard, in ``shards`` order, each with exactly the tuples, cycles, PE
-    loads and plans :func:`run_fast` models for that shard on its own,
-    its lanes' tuples in stream order and lane after lane, and the
-    result the kernel's
-    :meth:`~repro.core.kernel.KernelSpec.process_lanes` gives the shard:
-    an order-free kernel's whole-window result on the first outcome and
-    None on the rest, heavy hitters' own hitters on each.
+    ``lanes`` is the window's :class:`~repro.service.balancer.Lanes`.
+    Returns ``(worker, outcome)`` per shard, in split order (as
+    :meth:`~repro.service.balancer.Lanes.split` would list them), each
+    outcome with exactly the tuples, cycles, PE loads and plans
+    :func:`run_fast` models for that shard on its own — its lanes'
+    tuples lane after lane, in stream order within each — and the
+    shard's result: an :attr:`~repro.core.kernel.KernelSpec.order_free`
+    kernel's whole-window result on the first shard and None on the
+    rest, or what :meth:`~repro.core.kernel.KernelSpec.process_lanes`
+    gives the shard's worker (heavy hitters' own hitters).
     """
     if len(batch) == 0:
         raise ValueError("cannot run an empty batch")
     pripes = kernel.pripes = config.pripes
+    folds = lanes.route.folds
     # Every shard's exact result from one kernel call.
-    destinations, results = kernel.process_lanes(
-        batch.keys, batch.values, lanes, shards, key_lanes)
+    if kernel.order_free:
+        destinations, result = kernel.process_shard(batch.keys,
+                                                    batch.values)
+    else:
+        destinations, results = kernel.process_lanes(
+            batch.keys, batch.values, lanes.route.key_lanes, folds)
+
+    # One bincount counts every lane's tuples per PriPE; the shards are
+    # the non-empty lanes, folded, and a shard sums its lanes' rows.
+    cells = lanes.cells(destinations, pripes)
+    counts = np.bincount(cells, minlength=len(folds) * pripes).reshape(
+        len(folds), pripes)
+    shards = lanes.shards(counts.sum(axis=1))
+    if kernel.order_free:
+        results = [result] + [None] * (len(shards) - 1)
+    else:
+        results = [results[worker] for worker, _ in shards]
+    order: List[int] = []
+    starts = []
+    for _, lanes_of in shards:
+        starts.append(len(order))
+        order.extend(lanes_of)
+    loads = counts[order]
+    if len(order) > len(shards):
+        loads = np.add.reduceat(loads, starts)
 
     # Modeled cycles, per shard, by run_fast's rule.
-    loads = _shard_loads(lanes, destinations, pripes, shards)
     sizes, peaks = loads.sum(axis=1), loads.max(axis=1)
-    epochs = (_shard_epochs(config, destinations, lanes, shards)
+    epochs = (_shard_epochs(config, destinations, cells // pripes, shards)
               if config.skew_handling else None)
-    outcomes: List[ArchitectureResult] = []
-    for index in range(len(shards)):
+    outcomes: List[Tuple[int, ArchitectureResult]] = []
+    for index, (worker, _) in enumerate(shards):
         size = int(sizes[index])
         if epochs is None:
             cycles = bottleneck_cycles(config, size, int(peaks[index]))
@@ -239,40 +258,25 @@ def run_lanes(config: ArchitectureConfig, kernel: KernelSpec,  # hot-path
             epoch = epochs[index]
             cycles = int(round(epoch.cycles))
             plans, reschedules = list(epoch.plans), epoch.reschedules
-        outcomes.append(_ModeledResult(config, results[index], size,
-                                       cycles, loads[index], plans,
-                                       reschedules))
+        outcomes.append((worker, _ModeledResult(
+            config, results[index], size, cycles, loads[index], plans,
+            reschedules)))
     return outcomes
 
 
-def _shard_loads(lanes: np.ndarray, destinations: np.ndarray, pripes: int,
-                 shards: Sequence[Sequence[int]]) -> np.ndarray:
-    """Row ``s``: shard ``s``'s tuples per PriPE.  One bincount over
-    ``lane * M + destination`` counts every lane's tuples per PriPE; a
-    shard sums its lanes' rows."""
-    bound = max(max(shard) for shard in shards) + 1
-    cells = lanes * pripes
-    cells += destinations
-    counts = np.bincount(cells, minlength=bound * pripes).reshape(
-        bound, pripes)
-    if all(len(shard) == 1 for shard in shards):
-        return counts[[shard[0] for shard in shards]]
-    return np.stack([counts[list(shard)].sum(axis=0) for shard in shards])
-
-
 def _shard_epochs(config: ArchitectureConfig, destinations: np.ndarray,
-                  lanes: np.ndarray,
-                  shards: Sequence[Sequence[int]]) -> list:
+                  lane_of: np.ndarray,
+                  shards: Sequence[Tuple[int, List[int]]]) -> list:
     """The epoch model over each shard's destinations in the shard's
     own order: its lanes one after another, stream order within each."""
     # Imported here: repro.perf.epoch imports repro.core, whose
     # package init imports this module.
     from repro.perf.epoch import EpochModel
 
-    bound = max(max(shard) for shard in shards) + 1
-    ordered = destinations[stable_order(lanes, bound)]
-    edges = np.concatenate(([0], np.cumsum(np.bincount(lanes,
+    bound = max(max(lanes_of) for _, lanes_of in shards) + 1
+    ordered = destinations[stable_order(lane_of, bound)]
+    edges = np.concatenate(([0], np.cumsum(np.bincount(lane_of,
                                                        minlength=bound))))
     return [EpochModel(config).run(np.concatenate(
-        [ordered[edges[lane]:edges[lane + 1]] for lane in shard]))
-        for shard in shards]
+        [ordered[edges[lane]:edges[lane + 1]] for lane in lanes_of]))
+        for _, lanes_of in shards]

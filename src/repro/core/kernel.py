@@ -11,7 +11,7 @@ models consume it.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -34,10 +34,11 @@ class KernelSpec(ABC):
     * Non-decomposable applications (data partitioning) set
       :attr:`decomposable` to False; their SecPEs "output results to
       their own memory space" and :meth:`collect` receives all buffers.
-    * :meth:`process_lanes` is every shard of a fleet window at once —
-      one call that returns each shard's own result (the one-pass
-      window's hook; defaults to one :meth:`process_shard` over the
-      window for :attr:`order_free` kernels: histogram, HLL, PageRank).
+    * :meth:`process_lanes` is every worker's shard of a fleet window at
+      once — one call that returns each worker's own result (the
+      one-pass window's hook for a kernel that is not :attr:`order_free`;
+      an order-free one — histogram, HLL, PageRank — runs the window as
+      one :meth:`process_shard`).
     """
 
     #: Number of PriPEs this spec routes across (set by the architecture
@@ -68,7 +69,7 @@ class KernelSpec(ABC):
         False for DP and HHD.  Then one :meth:`process_shard` call over
         several groups' tuples gives their combined result, and the
         merged result of a job cannot depend on which worker's session
-        holds which part: that is :meth:`process_lanes`' default."""
+        holds which part: a one-pass window runs them so."""
         return self.decomposable and self.splittable
 
     # ------------------------------------------------------------------
@@ -169,37 +170,30 @@ class KernelSpec(ABC):
         return destinations, self.collect(buffers)
 
     def process_lanes(self, keys: np.ndarray, values: np.ndarray,
-                      lanes: np.ndarray, shards: Sequence[Sequence[int]],
-                      key_lanes: Optional[Callable[[np.ndarray], np.ndarray]]
-                      ) -> Tuple[np.ndarray, List[Any]]:
-        """Every shard of one fleet window from one call.
+                      key_lanes: Callable[[np.ndarray], np.ndarray],
+                      folds: np.ndarray) -> Tuple[np.ndarray, List[Any]]:
+        """Every worker's shard of one fleet window from one call.
 
-        ``lanes[i]`` is tuple ``i``'s lane and ``shards[s]`` lists the
-        ascending lanes shard ``s`` concatenates, as for
-        :func:`~repro.core.fastpath.run_lanes`; ``key_lanes(keys)``
-        gives each key's lane where a lane depends on the key alone (a
-        by-key route; it raises otherwise, and may be None for one
-        shard).  Returns ``(destinations, results)``: ``destinations``
-        as :meth:`process_shard` gives it for the whole window, and
-        ``results[s]`` what it returns for shard ``s`` on its own — its
-        lanes one after another, stream order within each.
+        ``key_lanes(keys)`` gives each key's lane (a by-key route, where
+        a lane depends on the key alone) and ``folds[lane]`` the worker
+        the lane folds onto; a worker's shard is its lanes' tuples, lane
+        after lane in ascending order, stream order within each.
+        Returns ``(destinations, results)``: ``destinations`` as
+        :meth:`process_shard` gives it for the whole window, and
+        ``results[w]``, for each ``w < len(folds)``, what it returns for
+        worker ``w``'s shard on its own.
 
         A fleet on the fast engine runs a ``decomposable`` kernel's
-        window through this hook (one call instead of a gather and a
-        :meth:`process_shard` per shard); every worker still gets its
-        own tuples and modeled cycles.  This default serves an
-        :attr:`order_free` kernel: one :meth:`process_shard` over the
-        window, whose result stands for the shards' combined results,
-        on the first shard, and None on the rest.  A kernel whose
-        shards keep separate state (HHD's per-worker sketches)
-        overrides it.
+        window in one call instead of a gather and a
+        :meth:`process_shard` per shard
+        (:func:`~repro.core.fastpath.run_lanes`); an :attr:`order_free`
+        kernel's call is one :meth:`process_shard` over the window.  A
+        kernel whose shards keep separate state (HHD's per-worker
+        sketches) overrides this.
         """
-        if not self.order_free:
-            raise NotImplementedError(
-                f"{type(self).__name__} is not order-free; it must return "
-                "each shard's own result from process_lanes")
-        destinations, result = self.process_shard(keys, values)
-        return destinations, [result] + [None] * (len(shards) - 1)
+        raise NotImplementedError(
+            f"{type(self).__name__} is not order-free; it must return "
+            "each worker's own result from process_lanes")
 
     # ------------------------------------------------------------------
     # Merging (merger logic)

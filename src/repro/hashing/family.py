@@ -9,7 +9,7 @@ independence the CMS error bound requires.
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -47,28 +47,36 @@ class PairwiseFamily:
     def __init__(self, rows: int, width: int, seed: int = 0x5EED) -> None:
         if rows <= 0:
             raise ValueError("rows must be positive")
-        if width <= 0:
-            raise ValueError("width must be positive")
-        self.rows = rows
-        self.width = width
         rng = np.random.default_rng(seed)
         # a in [1, p), b in [0, p)
-        self._a: List[int] = [
-            int(rng.integers(1, _MERSENNE_P)) for _ in range(rows)
-        ]
-        self._b: List[int] = [
-            int(rng.integers(0, _MERSENNE_P)) for _ in range(rows)
-        ]
-        self._columns = self._limb_columns()
+        a = [int(rng.integers(1, _MERSENNE_P)) for _ in range(rows)]
+        b = [int(rng.integers(0, _MERSENNE_P)) for _ in range(rows)]
+        self._install(width, a, b)
 
-    def _limb_columns(self) -> Tuple[Tuple[List[int], List[int]],
-                                     np.ndarray, np.ndarray, np.ndarray]:
-        """The coefficients :meth:`hash_rows` broadcasts, as ``(rows, 1)``
-        ``uint64`` columns ``a >> 31``, ``a & (2^31 - 1)`` and ``b``,
-        after the ``(a, b)`` lists they were built from."""
-        a = np.array(self._a, dtype=np.uint64)[:, None]
-        return ((list(self._a), list(self._b)), a >> _U31, a & _LOW31,
-                np.array(self._b, dtype=np.uint64)[:, None])
+    @classmethod
+    def from_coefficients(cls, width: int, a: Sequence[int],
+                          b: Sequence[int]) -> "PairwiseFamily":
+        """The family whose row ``i`` is ``((a[i] * x + b[i]) mod p) mod
+        width``, for chosen coefficients ``1 <= a[i] < p`` and
+        ``0 <= b[i] < p`` instead of seeded ones."""
+        if len(a) != len(b):
+            raise ValueError("need one (a, b) pair per row")
+        family = cls.__new__(cls)
+        family._install(width, list(a), list(b))
+        return family
+
+    def _install(self, width: int, a: List[int], b: List[int]) -> None:
+        """Fix the coefficients, and the ``(rows, 1)`` ``uint64`` columns
+        ``a >> 31``, ``a & (2^31 - 1)`` and ``b`` that :meth:`hash_rows`
+        broadcasts: synthesis-time constants, split once here."""
+        if width <= 0:
+            raise ValueError("width must be positive")
+        self.rows = len(a)
+        self.width = width
+        self._a, self._b = tuple(a), tuple(b)
+        column = np.array(a, dtype=np.uint64)[:, None]
+        self._a_hi, self._a_lo = column >> _U31, column & _LOW31
+        self._b_column = np.array(b, dtype=np.uint64)[:, None]
 
     def hash(self, row: int, key: int) -> int:
         """Row ``row``'s hash of ``key`` (scalar)."""
@@ -86,13 +94,9 @@ class PairwiseFamily:
         same way per row, and the limb products are reduced with
         ``2^61 = 1`` and ``2^62 = 2`` (mod p), which keeps the partial
         sum under ``2^64``.  The ``d`` coefficient pairs broadcast over
-        the keys' limbs; they are synthesis-time constants, split once
-        (and again only if ``_a`` or ``_b`` is rewritten after
-        construction, as the tests' extreme-coefficient case does).
+        the keys' limbs; they are split once, at construction.
         """
-        if self._columns[0] != (self._a, self._b):
-            self._columns = self._limb_columns()
-        _, a_hi, a_lo, b = self._columns
+        a_hi, a_lo, b = self._a_hi, self._a_lo, self._b_column
         k = _fold_mersenne(np.asarray(keys, dtype=np.uint64))
         k_hi = k >> _U31
         k_lo = k & _LOW31

@@ -41,7 +41,7 @@ that the paper improves on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -158,8 +158,13 @@ class SkewAwareBalancer:
         """Install the controller's helper plan.
 
         Worker IDs: primaries are 0..M-1; the plan's SecPE IDs M..M+X-1
-        map one-to-one onto the secondary workers.
+        map one-to-one onto the secondary workers.  A plan with the
+        pairs in force changes nothing, so it is neither validated again
+        nor counted, and the teams stay as they are.
         """
+        if self.plan is not None and plan.pairs == self.plan.pairs:
+            self.plan = plan  # the teams already serve these pairs
+            return
         for secpe_id, target in plan.pairs:
             if not 0 <= target < self.primaries:
                 raise ValueError(
@@ -169,7 +174,7 @@ class SkewAwareBalancer:
                 raise ValueError(
                     f"plan uses secondary {secpe_id}, fleet has workers "
                     f"{self.primaries}..{self.workers - 1}")
-        if self.plan is not None and plan.pairs != self.plan.pairs:
+        if self.plan is not None:
             self.rebalances += 1
         self.plan = plan
         teams: List[List[int]] = [[p] for p in range(self.primaries)]
@@ -248,7 +253,10 @@ class WindowRoute:
     the fleet size) and the ``window_index`` in its job's trace (None:
     not one of a job's windows).  ``memo``, ``observe``'s (keys, shard
     ids) of the window, stays in-process: a pickled route drops it, and
-    whoever splits re-derives the same ids from the keys."""
+    whoever splits re-derives the same ids from the keys.  Per tuple
+    the rule is :meth:`lanes`; per key (a by-key window's keyed pass)
+    it is :meth:`key_lanes`, and :attr:`folds` is the quota fold per
+    lane."""
 
     teams: Tuple[Tuple[int, ...], ...]
     by_key: bool = False
@@ -281,15 +289,7 @@ class WindowRoute:
         ids = (memo[1] if memo is not None and memo[0] is batch.keys
                else shard_of_keys(batch.keys, len(self.teams)))
         spread: Dict[int, np.ndarray] = {}
-        for primary, team in enumerate(self.teams):
-            if len(team) == 1:
-                continue
-            mine = (ids == primary).nonzero()[0]
-            if mine.size == 0:
-                continue
-            picks = (shard_of_keys(batch.keys[mine], len(team),
-                                   SkewAwareBalancer.TEAM_SEED)
-                     if self.by_key else None)
+        for team, mine, picks in self._helped(batch.keys, ids):
             for index, worker in enumerate(team):
                 chosen = (mine[index::len(team)] if picks is None
                           else mine[picks == index])
@@ -299,16 +299,53 @@ class WindowRoute:
 
     def key_lanes(self, keys: np.ndarray) -> np.ndarray:
         """Each key's lane under a ``by_key`` route, where every tuple
-        of a key takes one lane: :meth:`lanes` of the keys alone."""
+        of a key takes one lane: :meth:`lanes`' rule over the keys
+        alone — its shard's head, or the team lane its hash under
+        ``TEAM_SEED`` picks."""
         if not self.by_key:
             raise ValueError("only a by-key route gives a key one lane")
-        return self.lanes(TupleBatch.from_keys(keys)).of()
+        ids = shard_of_keys(keys, len(self.teams))
+        lane_of = _heads(self.teams, ids, 1)
+        for team, mine, picks in self._helped(keys, ids):
+            lane_of[mine] = np.asarray(team)[picks]
+        return lane_of
+
+    def _helped(self, keys: np.ndarray, ids: np.ndarray):
+        """Each team with helpers that takes any of ``keys`` (shard ids
+        ``ids``): the team, the positions it takes and, ``by_key``,
+        each one's index in the team, its key's hash under
+        ``TEAM_SEED`` (None: the team takes them round-robin)."""
+        for primary, team in enumerate(self.teams):
+            if len(team) == 1:
+                continue
+            mine = (ids == primary).nonzero()[0]
+            if mine.size:
+                yield team, mine, (shard_of_keys(
+                    keys[mine], len(team), SkewAwareBalancer.TEAM_SEED)
+                    if self.by_key else None)
+
+    @property
+    def folds(self) -> np.ndarray:
+        """``folds[lane]``: the worker each lane folds onto (itself
+        with no ``worker_quota``), for every lane up to the highest."""
+        lanes = np.arange(max(map(max, self.teams)) + 1)
+        return lanes if self.worker_quota is None \
+            else lanes % self.worker_quota
 
     def split(self, batch: TupleBatch) -> Dict[int, TupleBatch]:
         """Partition ``batch`` into per-worker sub-batches by
         :meth:`lanes`, in split order; a worker gets its tuples in
         stream order (a folded one, lane after lane)."""
         return self.lanes(batch).split(batch)
+
+
+def _heads(teams: Tuple[Tuple[int, ...], ...], ids: np.ndarray,
+           scale: int) -> np.ndarray:
+    """``scale`` times the head of each id's team, a fresh int64 array."""
+    heads = [team[0] for team in teams]
+    if heads == list(range(len(heads))):
+        return ids * scale
+    return np.asarray(heads)[ids] * scale
 
 
 class Lanes(NamedTuple):
@@ -323,8 +360,10 @@ class Lanes(NamedTuple):
     folds onto worker ``lane % worker_quota`` in ascending lane order,
     so a folded shard concatenates its lanes in that order —
     deterministic, so a by-key window's key still lands on one (folded)
-    worker.  :meth:`split` gathers the shards; :meth:`shards` and
-    :meth:`of` describe them without gathering.
+    worker.  :meth:`split` gathers the shards (the per-shard path); the
+    one-pass path never gathers: :meth:`cells` labels each tuple with
+    its lane and PE, and :meth:`shards` lists the shards from the lane
+    counts one ``bincount`` of those labels gives.
     """
 
     route: WindowRoute
@@ -363,28 +402,21 @@ class Lanes(NamedTuple):
                                      batch.tuple_bytes)
         return out
 
-    def shards(self) -> List[Tuple[int, int, List[int]]]:
-        """``(worker, tuples, lanes)`` per shard, in split order."""
-        teams, spread = self.route.teams, self.spread
-        counts = np.bincount(self.ids, minlength=len(teams)).tolist()
-        taken: Dict[int, Tuple[int, int]] = {}
-        for primary, team in enumerate(teams):
-            if len(team) > 1:
-                taken.update((worker, (worker, spread[worker].size))
-                             for worker in team if worker in spread)
-            elif counts[primary]:
-                taken[team[0]] = (team[0], counts[primary])
-        return [(worker, sum(size for _, size in parts),
-                 [lane for lane, _ in parts])
-                for worker, parts in self._fold(taken)]
+    def cells(self, destinations, pripes: int) -> np.ndarray:
+        """Each tuple's ``lane * pripes + destination``, a fresh int64
+        array: every tuple starts on its team's head, and each helper
+        lane's positions are set to the helper in place."""
+        cells = _heads(self.route.teams, self.ids, pripes)
+        for team in self.route.teams:
+            for worker in team[1:]:
+                if worker in self.spread:
+                    cells[self.spread[worker]] = worker * pripes
+        cells += destinations
+        return cells
 
-    def of(self) -> np.ndarray:
-        """Each tuple's lane, as int64."""
-        # Every tuple starts on its team's head; helpers take theirs.
-        heads = tuple(team[0] for team in self.route.teams)
-        lane_of = (self.ids.copy() if heads == tuple(range(len(heads)))
-                   else np.asarray(heads)[self.ids])
-        for worker, positions in self.spread.items():
-            if worker not in heads:
-                lane_of[positions] = worker
-        return lane_of
+    def shards(self, sizes: Sequence[int]) -> List[Tuple[int, List[int]]]:
+        """``(worker, lanes)`` per shard, in split order, where
+        ``sizes[lane]`` is each lane's tuple count (an empty lane joins
+        no shard)."""
+        return self._fold({lane: lane for team in self.route.teams
+                           for lane in team if sizes[lane]})

@@ -18,7 +18,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -300,18 +300,29 @@ class ServiceMetrics:
 
     def record_segment(self, worker: int, tuples: int, cycles: int,
                        tenant: Optional[str] = None) -> None:
+        self.record_segments([(worker, tuples, cycles)], tenant)
+
+    def record_segments(self, segments: Sequence[Tuple[int, int, int]],
+                        tenant: Optional[str] = None) -> None:
+        """Charge ``(worker, tuples, cycles)`` segments — a window's
+        shards — to their workers, and their sum to ``tenant``, under
+        one lock acquisition."""
         with self._lock:
-            record = self.workers.get(worker)
-            if record is None:
-                record = self.workers[worker] = dict.fromkeys(
-                    WORKER_COUNTERS, 0)
-            record["segments"] += 1
-            record["tuples"] += tuples
-            record["cycles"] += cycles
-            if tenant is not None:
-                record = self._tenant(tenant)
+            total_tuples = total_cycles = 0
+            for worker, tuples, cycles in segments:
+                record = self.workers.get(worker)
+                if record is None:
+                    record = self.workers[worker] = dict.fromkeys(
+                        WORKER_COUNTERS, 0)
+                record["segments"] += 1
                 record["tuples"] += tuples
                 record["cycles"] += cycles
+                total_tuples += tuples
+                total_cycles += cycles
+            if tenant is not None and segments:
+                record = self._tenant(tenant)
+                record["tuples"] += total_tuples
+                record["cycles"] += total_cycles
 
     def record_window(self, tuples: int) -> None:
         with self._lock:

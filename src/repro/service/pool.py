@@ -145,7 +145,7 @@ class WorkerPool(ExecutionBackend):
         except Exception as exc:  # noqa: BLE001 — reported via errors()
             self._fail(item.job_id, exc)
             return
-        self._record(worker_id, item, outcome.tuples, outcome.cycles)
+        self._record(item, [(worker_id, outcome.tuples, outcome.cycles)])
 
     def dispatch_window(self, item: WorkItem, route) -> None:  # hot-path
         """Route one window, trace the ``job.window`` that names its
@@ -153,12 +153,14 @@ class WorkerPool(ExecutionBackend):
 
         A ``decomposable`` kernel on the fast engine (HISTO, HLL,
         PageRank, HHD) runs the window as one lane-aware pass
-        (:func:`~repro.core.fastpath.run_lanes`, one kernel call): each
-        worker's session folds its own tuples, cycles and result — an
-        order-free kernel's whole-window result on the first worker, a
-        by-key HHD shard's own hitters on each.  DP's and cycle-engine
-        jobs' shards, and the shards of a window whose pass raised, are
-        gathered and :meth:`dispatch`ed one by one.
+        (:func:`~repro.core.fastpath.run_lanes`: one kernel call, then
+        one ``bincount`` of lane and PE that lists the shards and their
+        loads): each worker's session folds its own tuples, cycles and
+        result — an order-free kernel's whole-window result on the first
+        worker, a by-key HHD shard's own hitters on each — and the
+        window's segments are charged to the metrics in one call.  DP's
+        and cycle-engine jobs' shards, and the shards of a window whose
+        pass raised, are gathered and :meth:`dispatch`ed one by one.
         """
         if not self._started:
             raise RuntimeError("pool is not running; call start() first")
@@ -169,17 +171,14 @@ class WorkerPool(ExecutionBackend):
             # team 0's head is in every route (an idle session is
             # dropped at collect).
             session = self._session(route.teams[0][0], job_id)
-            shards = lanes.shards() if session.one_pass else []
-            outcomes = (run_lanes(session.config, session.kernel,
-                                  item.batch, lanes.of(),
-                                  [lanes_of for _, _, lanes_of in shards],
-                                  route.key_lanes)
-                        if shards else None)
+            shards = (run_lanes(session.config, session.kernel,
+                                item.batch, lanes)
+                      if session.one_pass else None)
         except Exception:  # noqa: BLE001 — rerun shard by shard below
             # Each failing shard then reports its own error, and the
             # others fold, as on the per-shard path.
-            outcomes = None
-        if outcomes is None:
+            shards = None
+        if shards is None:
             split = lanes.split(item.batch)
             self._trace_window(item, route, (
                 (worker_id, len(shard)) for worker_id, shard in split.items()))
@@ -187,12 +186,14 @@ class WorkerPool(ExecutionBackend):
                 self.dispatch(worker_id, WorkItem(
                     job_id, shard, item.tenant_id, item.dispatch_clock))
             return
-        self._trace_window(item, route, ((worker_id, tuples)
-                                         for worker_id, tuples, _ in shards))
-        for (worker_id, _, _), outcome in zip(shards, outcomes):
+        self._trace_window(item, route, ((worker_id, outcome.tuples)
+                                         for worker_id, outcome in shards))
+        segments = []
+        for worker_id, outcome in shards:
             self._session(worker_id, job_id).fold(
                 outcome.result, outcome.tuples, outcome.cycles)
-            self._record(worker_id, item, outcome.tuples, outcome.cycles)
+            segments.append((worker_id, outcome.tuples, outcome.cycles))
+        self._record(item, segments)
 
     def _trace_window(self, item: WorkItem, route,
                       shards: Iterable[Tuple[int, int]]) -> None:
@@ -216,18 +217,20 @@ class WorkerPool(ExecutionBackend):
     def _fail(self, job_id: str, exc: Exception) -> None:
         self._errors.setdefault(job_id, []).append(error_text(exc))
 
-    def _record(self, worker_id: int, item: WorkItem, tuples: int,
-                cycles: int) -> None:
-        """Charge one segment to the worker and the tenant; trace it."""
-        self.metrics.record_segment(worker_id, tuples, cycles,
-                                    tenant=item.tenant_id)
+    def _record(self, item: WorkItem,
+                segments: List[Tuple[int, int, int]]) -> None:
+        """Charge a window's ``(worker, tuples, cycles)`` segments to
+        the workers and the tenant in one call; trace each."""
+        self.metrics.record_segments(segments, tenant=item.tenant_id)
         tracer = self.tracer
         if tracer.enabled:
-            tracer.emit(
-                trace_events.JOB_SEGMENT, item.dispatch_clock,
-                job_id=item.job_id, tenant_id=item.tenant_id,
-                worker=worker_id, generation=self._generations[worker_id],
-                tuples=tuples, cycles=cycles)
+            for worker_id, tuples, cycles in segments:
+                tracer.emit(
+                    trace_events.JOB_SEGMENT, item.dispatch_clock,
+                    job_id=item.job_id, tenant_id=item.tenant_id,
+                    worker=worker_id,
+                    generation=self._generations[worker_id],
+                    tuples=tuples, cycles=cycles)
 
     def drain(self) -> None:
         """The port's barrier; inline shards finished inside dispatch."""

@@ -65,7 +65,8 @@ class WindowManager:
     """Groups a timestamped stream into closable event-time windows.
 
     Window assignment is monotone in event time, so ``observe`` cuts a
-    chunk with non-decreasing stamps into one slice per window; only an
+    chunk with non-decreasing stamps into one slice per window, with a
+    ``searchsorted`` per window boundary inside the chunk; only an
     out-of-order chunk is indexed and masked per tuple.  Same windows,
     tuple order and late count either way.  A window copies what it
     takes (sources may reuse chunk buffers); a NaN or infinite stamp
@@ -166,24 +167,28 @@ class WindowManager:
         return self._close_ready()
 
     def _runs(self, ts: np.ndarray) -> Iterator[Tuple[int, int, int]]:
-        """``(window, lo, hi)`` slices of a non-decreasing chunk: each
-        window is one run, its end bisected over positions."""
-        window_of, stamp, end = self._window_of_stamp, ts.item, len(ts)
-        last = window_of(stamp(-1))
-        lo = 0
-        while lo < end:
-            index = window_of(stamp(lo))
-            inside, hi = lo, end  # ts[inside] is in `index`, ts[hi] is not
-            if index != last:
-                hi = end - 1
-                while hi - inside > 1:
-                    mid = (inside + hi) // 2
-                    if window_of(stamp(mid)) == index:
-                        inside = mid
-                    else:
-                        hi = mid
+        """``(window, lo, hi)`` slices of a non-decreasing chunk.  The
+        windows of the first and last stamps bound it; each cut inside
+        is one ``searchsorted`` of the next window's start, which the
+        scalar rule then fixes up, moving past a run of equal stamps at
+        a time (a stamp within a few ulp of a boundary may sit on
+        either side of it)."""
+        window_of, stamp = self._window_of_stamp, ts.item
+        index, last, lo = window_of(stamp(0)), window_of(stamp(-1)), 0
+        while index != last:
+            # ts[lo] is in `index` and ts[-1] is not: the cut lies
+            # strictly between them.
+            hi = max(lo + 1, int(ts.searchsorted(
+                (index + 1) * self.window_seconds)))
+            while window_of(stamp(hi - 1)) != index:
+                hi = int(ts.searchsorted(stamp(hi - 1)))
+            following = window_of(stamp(hi))
+            while following == index:
+                hi = int(ts.searchsorted(stamp(hi), "right"))
+                following = window_of(stamp(hi))
             yield index, lo, hi
-            lo = hi
+            lo, index = hi, following
+        yield index, lo, len(ts)
 
     def _close_cutoff(self) -> float:
         return self.watermark - self.allowed_lateness

@@ -48,7 +48,8 @@ def test_property_hash_rows_is_exact_over_all_of_uint64(keys, width,
     also with the largest coefficients the family can draw."""
     fam = PairwiseFamily(2, width, seed=3)
     if extreme:
-        fam._a[0] = fam._b[0] = _MERSENNE_P - 1
+        fam = PairwiseFamily.from_coefficients(
+            width, [_MERSENNE_P - 1, fam._a[1]], [_MERSENNE_P - 1, fam._b[1]])
     keys = EDGE_KEYS + keys
     vector = fam.hash_rows(np.array(keys, dtype=np.uint64))
     assert vector.dtype == np.int64

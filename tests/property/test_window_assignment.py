@@ -1,13 +1,14 @@
 """``WindowManager.observe`` against a per-tuple oracle.
 
-An in-order chunk is cut into one slice per window by bisecting
-positions with a scalar assignment rule; an out-of-order chunk is
-indexed and masked per tuple.  The oracle below is the masked
-implementation applied to *every* chunk (what ``observe`` was before the
-run path existed).  The two must agree on everything a caller can see —
-the closed-window sequence with keys and values in stream order,
-``late_tuples``, ``windows_closed``, the watermark and the open set —
-for any window width, lateness, time base, stamp pattern and chunking.
+An in-order chunk is cut into one slice per window by one
+``searchsorted`` per window boundary, each cut fixed up by a scalar
+assignment rule; an out-of-order chunk is indexed and masked per
+tuple.  The oracle below is the masked implementation applied to
+*every* chunk (what ``observe`` was before the run path existed).  The
+two must agree on everything a caller can see — the closed-window
+sequence with keys and values in stream order, ``late_tuples``,
+``windows_closed``, the watermark and the open set — for any window
+width, lateness, time base, stamp pattern and chunking.
 The run path rests on two facts, each its own property: the scalar rule
 equals ``_window_of`` elementwise, and ``_window_of`` is monotone.
 """

@@ -18,6 +18,7 @@ interleaved in stream order.  The spy below records the arrays both
 paths feed it and compares them element for element.
 """
 
+import dataclasses
 from contextlib import contextmanager
 
 import numpy as np
@@ -30,9 +31,15 @@ from repro.apps.hyperloglog import HyperLogLogKernel
 from repro.apps.pagerank import PageRankKernel
 from repro.core.config import ArchitectureConfig
 from repro.core.fastpath import run_fast, run_lanes
-from repro.core.profiler import greedy_secpe_plan
+from repro.core.profiler import SchedulingPlan, greedy_secpe_plan
+from repro.obs import TraceCollector
+from repro.obs import events as trace_events
 from repro.perf.epoch import EpochModel
-from repro.service.balancer import SkewAwareBalancer
+from repro.runtime.session import StreamingSession
+from repro.service.balancer import SkewAwareBalancer, shard_of_keys
+from repro.service.jobs import kernel_for
+from repro.service.metrics import ServiceMetrics
+from repro.service.pool import WorkItem, WorkerPool
 from repro.workloads.tuples import TupleBatch
 from repro.workloads.zipf import ZipfGenerator
 
@@ -129,12 +136,8 @@ def per_shard(kernel, config, batch, route):
 
 
 def one_pass(kernel, config, batch, route):
-    lanes = route.lanes(batch)
-    shards = lanes.shards()
-    outcomes = run_lanes(config, kernel, batch, lanes.of(),
-                         [lanes_of for _, _, lanes_of in shards],
-                         route.key_lanes)
-    return [worker for worker, _, _ in shards], outcomes
+    shards = run_lanes(config, kernel, batch, route.lanes(batch))
+    return [worker for worker, _ in shards], [outcome for _, outcome in shards]
 
 
 def shape(outcome):
@@ -233,7 +236,9 @@ def test_folded_lanes_reach_the_epoch_model_in_split_order():
     batch = zipf_window(alpha=1.2, universe=1 << 10, seed=3, tuples=3_000)
     route = balancer.route(worker_quota=2)
     lanes = route.lanes(batch)
-    assert [lanes_of for _, _, lanes_of in lanes.shards()] \
+    lane_of = lanes.cells(0, 1)  # each tuple's lane
+    assert [lanes_of for _, lanes_of
+            in lanes.shards(np.bincount(lane_of, minlength=4))] \
         == [[0, 2], [1, 3]]
     config = ArchitectureConfig(secpes=4)
     kernel = KERNELS["histo"](config.pripes)
@@ -241,7 +246,6 @@ def test_folded_lanes_reach_the_epoch_model_in_split_order():
     with epoch_inputs() as fed:
         _, outcomes = one_pass(kernel, config, batch, route)
     destinations = kernel.route_array(batch.keys)
-    lane_of = lanes.of()
     first, third = (lane_of == 0).nonzero()[0], (lane_of == 2).nonzero()[0]
     folded = np.concatenate([destinations[first], destinations[third]])
     stream = destinations[np.sort(np.concatenate([first, third]))]
@@ -261,13 +265,15 @@ def test_lanes_cover_the_window_once(quota, by_key):
     balancer.apply_plan(greedy_secpe_plan(balancer.last_histogram, 2, 3))
     route = balancer.route(by_key=by_key, worker_quota=quota)
     lanes = route.lanes(batch)
-    lane_of = lanes.of()
+    lane_of = lanes.cells(0, 1)  # each tuple's lane
     split = route.split(batch)
-    shards = lanes.shards()
-    assert [[worker, tuples] for worker, tuples, _ in shards] \
+    sizes = np.bincount(lane_of, minlength=len(route.folds))
+    shards = lanes.shards(sizes)
+    assert [[worker, sum(sizes[lanes_of])] for worker, lanes_of in shards] \
         == [[worker, len(shard)] for worker, shard in split.items()]
-    assert sum(tuples for _, tuples, _ in shards) == len(batch)
-    for (_, _, lanes_of), shard in zip(shards, split.values()):
+    assert sum(int(sizes[lanes_of].sum()) for _, lanes_of in shards) \
+        == len(batch)
+    for (_, lanes_of), shard in zip(shards, split.values()):
         # A shard is its lanes' tuples, lane after lane, in stream
         # order within each.
         assert lanes_of == sorted(lanes_of)
@@ -275,3 +281,96 @@ def test_lanes_cover_the_window_once(quota, by_key):
                                  for lane in lanes_of])
         assert np.array_equal(shard.keys, batch.keys[chosen])
         assert np.array_equal(shard.values, batch.values[chosen])
+
+
+def window_of_lanes(route, lanes, tuples=1_500, seed=6):
+    """A window whose tuples take only ``lanes`` under ``route``: Zipf
+    keys, kept where :meth:`WindowRoute.key_lanes` (the by-key rule)
+    or, for a route of single-worker teams, the shard id picks one."""
+    keys = ZipfGenerator(alpha=1.1, universe=1 << 12,
+                         seed=seed).generate(4 * tuples).keys
+    lane_of = (route.key_lanes(keys) if route.by_key
+               else shard_of_keys(keys, len(route.teams)))
+    keys = keys[np.isin(lane_of, lanes)][:tuples]
+    return TupleBatch(keys, (keys % VERTICES).astype(np.int64))
+
+
+def traced_window_shards(app, batch, route):
+    """The ``job.window`` shards an inline pool traces for ``batch``,
+    run as one pass (no shard is processed on its own)."""
+    config = ArchitectureConfig()
+    tracer = TraceCollector(enabled=True)
+    pool = WorkerPool(len(route.folds),
+                      lambda job_id: StreamingSession(
+                          config=config, kernel=kernel_for(app, 16),
+                          engine="fast"),
+                      ServiceMetrics(), tracer=tracer)
+    processed = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StreamingSession, "process",
+                      lambda session, shard: processed.append(shard))
+        pool.start()
+        pool.dispatch_window(WorkItem("job", batch),
+                             dataclasses.replace(route, window_index=0))
+        pool.stop()
+    assert processed == [] and pool.errors("job") == []
+    (window,) = tracer.events(trace_events.JOB_WINDOW)
+    return window.data["shards"]
+
+
+def check_fold_order(route, batch, workers, lanes_of_shards, apps):
+    """The one-pass window of ``batch`` under ``route``: split order
+    and lanes as named, and, per app, every shard's size, loads and
+    cycles as ``run_fast`` gives them, the order-free result on the
+    first non-empty shard (or each worker's own hitters), and the
+    traced ``job.window`` shards those of ``Lanes.split``."""
+    lanes = route.lanes(batch)
+    split = lanes.split(batch)
+    assert list(split) == workers
+    assert all(len(shard) for shard in split.values())
+    sizes = np.bincount(lanes.cells(0, 1), minlength=len(route.folds))
+    assert lanes.shards(sizes) == list(zip(workers, lanes_of_shards))
+    config = ArchitectureConfig()
+    for app in apps:
+        kernel = kernel_for(app, config.pripes)
+        outcomes = run_lanes(config, kernel, batch, lanes)
+        assert [worker for worker, _ in outcomes] == workers
+        alone = [run_fast(config, kernel, shard) for shard in split.values()]
+        assert [shape(outcome) for _, outcome in outcomes] \
+            == [shape(outcome) for outcome in alone]
+        assert [outcome.pe_tuple_counts for _, outcome in outcomes] \
+            == [outcome.pe_tuple_counts for outcome in alone]
+        if kernel.order_free:
+            first, *rest = [outcome.result for _, outcome in outcomes]
+            assert np.array_equal(first, kernel.golden(batch.keys,
+                                                       batch.values))
+            assert rest == [None] * len(rest)
+        else:
+            assert [list(outcome.result.items()) for _, outcome in outcomes] \
+                == [list(outcome.result.items()) for outcome in alone]
+        assert traced_window_shards(app, batch, route) \
+            == [[worker, len(shard)] for worker, shard in split.items()]
+
+
+def test_quota_fold_with_its_lowest_lane_empty():
+    # K = 4 under a quota of 2: lanes 0 and 2 fold onto worker 0, 1 and
+    # 3 onto worker 1.  Lane 0 is empty, so lane 1 is the first lane
+    # with tuples and worker 1's shard leads the split.
+    route = SkewAwareBalancer(4, secondaries=0).route(worker_quota=2)
+    batch = window_of_lanes(route, [1, 2, 3])
+    check_fold_order(route, batch, workers=[1, 0],
+                     lanes_of_shards=[[1, 3], [2]], apps=["histo", "hll"])
+
+
+def test_by_key_team_with_an_empty_lane():
+    # Primaries 0..2, helper 3 on shard 0, by key, under a quota of 2:
+    # every key of shard 0 takes helper lane 3, so the team's head
+    # (lane 0) is empty; the lanes with tuples, 1, 2 and 3, fold onto
+    # workers 1, 0 and 1, and worker 1's shard leads.
+    balancer = SkewAwareBalancer(4, secondaries=1)
+    balancer.apply_plan(SchedulingPlan(pairs=[(3, 0)]))
+    route = balancer.route(by_key=True, worker_quota=2)
+    assert route.teams == ((0, 3), (1,), (2,))
+    batch = window_of_lanes(route, [1, 2, 3])
+    check_fold_order(route, batch, workers=[1, 0],
+                     lanes_of_shards=[[1, 3], [2]], apps=["histo", "hhd"])

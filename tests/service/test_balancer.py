@@ -551,6 +551,24 @@ class TestExternalControl:
         assert balancer.team_of(2) == [2, 3]
         assert balancer.rebalances == 1
 
+    def test_apply_plan_with_the_pairs_in_force_changes_nothing(self):
+        balancer = SkewAwareBalancer(4, secondaries=1)
+        batch = ZipfGenerator(alpha=1.5, seed=4).generate(2_000)
+        balancer.apply_plan(SchedulingPlan(pairs=[(3, 2)]))
+        balancer.apply_plan(SchedulingPlan(pairs=[(3, 0)]))
+        teams = [balancer.team_of(primary) for primary in range(3)]
+        before = balancer.split(batch)
+        again = SchedulingPlan(pairs=[(3, 0)])
+        balancer.apply_plan(again)
+        assert balancer.plan is again
+        assert balancer.rebalances == 1
+        assert [balancer.team_of(primary) for primary in range(3)] == teams
+        after = balancer.split(batch)
+        assert list(after) == list(before)
+        for worker, part in after.items():
+            assert np.array_equal(part.keys, before[worker].keys)
+            assert np.array_equal(part.values, before[worker].values)
+
     def test_apply_plan_validates_worker_ids(self):
         balancer = SkewAwareBalancer(4, secondaries=1)
         with pytest.raises(ValueError, match="targets primary"):

@@ -154,6 +154,31 @@ class TestQueueDepthRingBuffer:
         assert snap["control"]["plan_cache_hit_rate"] == 0.0
 
 
+class TestWindowRecord:
+    def test_one_window_record_equals_its_segment_records(self):
+        """A window's K segments charged in one call leave the snapshot
+        that K ``record_segment`` calls leave."""
+        windows = [
+            ([(1, 700, 180), (0, 1_300, 410), (3, 2_000, 520)], "gold"),
+            ([(0, 5, 2), (1, 9, 4)], None),
+            ([(3, 40, 11)], "silver"),
+        ]
+        batched, single = ServiceMetrics(), ServiceMetrics()
+        for segments, tenant in windows:
+            batched.record_segments(segments, tenant=tenant)
+            for worker, tuples, cycles in segments:
+                single.record_segment(worker, tuples, cycles, tenant=tenant)
+        snap = batched.snapshot()
+        assert snap == single.snapshot()
+        assert {worker: (record["segments"], record["tuples"],
+                         record["cycles"])
+                for worker, record in snap["workers"].items()} \
+            == {1: (2, 709, 184), 0: (2, 1_305, 412), 3: (2, 2_040, 531)}
+        assert {name: (record["tuples"], record["cycles"])
+                for name, record in snap["tenants"].items()} \
+            == {"gold": (4_000, 1_110), "silver": (40, 11)}
+
+
 class TestStallAccounting:
     def test_stalls_extend_makespan_but_not_worker_cycles(self):
         metrics = ServiceMetrics()
