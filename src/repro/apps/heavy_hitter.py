@@ -21,9 +21,10 @@ threshold`` times is tracked.  Only a key reaching the threshold below
 that line, through collisions, is replayed up to its last occurrence.
 
 A fleet window's by-key shards take the same route at once
-(:meth:`HeavyHitterKernel.process_lanes`, which ``process_shard`` calls
-with one worker): a by-key lane depends on the key alone, so each
-distinct key of the window has one lane and one (folded) worker, and
+(:meth:`HeavyHitterKernel.process_lanes`, whose keyed pass
+``process_shard`` runs with one worker): a by-key lane depends on the
+key alone, so each distinct key of the window has one lane and one
+(folded) worker, and
 every worker's sketches come from one ``np.unique``, one ``hash_rows``
 and one scatter-add over (worker, row, PE, column) cells — each shard's
 own hitters, as its own ``process_shard`` call would find them.
@@ -104,7 +105,7 @@ class HeavyHitterKernel(KernelSpec):
         self.track_fraction = track_fraction
         self.pripes = pripes
         self.family = PairwiseFamily(depth, width, seed=seed)
-        # Scratch cell totals for process_lanes.
+        # Scratch cell totals for the keyed pass.
         self._totals = np.empty(0, dtype=np.int64)
 
     # -- KernelSpec ----------------------------------------------------
@@ -135,14 +136,22 @@ class HeavyHitterKernel(KernelSpec):
                       values: np.ndarray) -> Tuple[np.ndarray, Dict[int, int]]:
         # The window pass over one worker's one lane: every key on
         # lane 0, and lane 0 on worker 0.
-        destinations, (hitters,) = self.process_lanes(
-            keys, values, np.zeros_like, np.zeros(1, dtype=np.int64))
+        destinations, (hitters,) = self._keyed_pass(
+            keys, np.zeros_like, np.zeros(1, dtype=np.int64))
         return destinations, hitters
 
-    def process_lanes(self, keys: np.ndarray, values: np.ndarray,
-                      key_lanes: Callable[[np.ndarray], np.ndarray],
-                      folds: np.ndarray
+    def process_lanes(self, keys: np.ndarray, values: np.ndarray, lanes
                       ) -> Tuple[np.ndarray, List[Dict[int, int]]]:
+        # A by-key lane depends on the key alone.
+        return self._keyed_pass(keys, lanes.route.key_lanes,
+                                lanes.route.folds)
+
+    def _keyed_pass(self, keys: np.ndarray,
+                    key_lanes: Callable[[np.ndarray], np.ndarray],
+                    folds: np.ndarray
+                    ) -> Tuple[np.ndarray, List[Dict[int, int]]]:
+        """``process_lanes`` where ``key_lanes(keys)`` gives each key's
+        lane and ``folds[lane]`` the worker the lane folds onto."""
         # Each worker's hitters, bit-identical to the per-tuple loop on
         # its fresh sketches, by the module docstring's two facts.  A
         # key's lane depends on the key alone, so each distinct key has

@@ -13,15 +13,24 @@ and SecPEs output results to their own memory space of the global
 memory", and the consumer of a partition reads multiple chunks.  The
 kernel therefore sets ``decomposable = False`` and ``collect`` gathers
 chunk lists per partition.
+
+A fleet window's shards are partitioned the same way, all at once
+(:meth:`PartitionKernel.process_lanes`, whose grouping
+``process_shard`` runs with one worker): each tuple is labelled with
+its worker, PE and partition (and, where a worker quota folds lanes,
+its lane), one stable sort and one ``bincount`` of the labels give
+every group's span, and one gather cuts every worker's chunks — each
+shard's own partitions, as its own ``process_shard`` call would list
+them, with no per-shard gather.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.fastpath import group_spans
+from repro.core.fastpath import group_spans, stable_order
 from repro.core.kernel import KernelSpec
 from repro.hashing.radix import radix_bits, radix_bits_array
 from repro.resources.estimator import AppResourceProfile
@@ -76,21 +85,74 @@ class PartitionKernel(KernelSpec):
     def process_shard(
         self, keys: np.ndarray, values: np.ndarray,
     ) -> Tuple[np.ndarray, Dict[int, List[int]]]:
+        # The window pass over one worker's one lane.
         keys = np.asarray(keys, dtype=np.uint64)
         parts = self.partition_array(keys)
         destinations = self.pripe_of(parts)
+        (partitions,) = self._partition(keys, parts, destinations, 1)
+        return destinations, partitions
+
+    def process_lanes(
+        self, keys: np.ndarray, values: np.ndarray, lanes,
+    ) -> Tuple[np.ndarray, List[Dict[int, List[int]]]]:
+        keys = np.asarray(keys, dtype=np.uint64)
+        parts = self.partition_array(keys)
+        destinations = self.pripe_of(parts)
+        folds = lanes.route.folds
+        # Each tuple's lane * M + PE: with no quota a lane is its own
+        # worker, so this already names the tuple's (worker, PE).
+        cells = lanes.cells(destinations, self.pripes)
+        if lanes.route.worker_quota is None:
+            return destinations, self._partition(keys, parts, cells,
+                                                 len(folds))
+        lane_of = cells // self.pripes
+        return destinations, self._partition(
+            keys, parts, folds[lane_of] * self.pripes + destinations,
+            len(folds), lane_of)
+
+    def _partition(
+        self, keys: np.ndarray, parts: np.ndarray, worker_pe: np.ndarray,
+        workers: int, lane_of: Optional[np.ndarray] = None,
+    ) -> List[Dict[int, List[int]]]:
+        """Every worker's partitions from one grouping of the window:
+        ``parts[i]`` is key ``i``'s partition and ``worker_pe[i]`` its
+        worker ``* M +`` its PE, for workers in ``[0, workers)``; where
+        a worker takes several lanes, ``lane_of[i]`` is its lane, in the
+        same range."""
         # The result's key order is pinned (its pickle, and so a digest
         # of it, sees it): PE-major as ``collect`` walks the PEs,
         # ascending partition id within a PE — what grouping by
-        # (PE, partition) yields directly.  group_spans keeps stream
-        # order within each partition, as the per-tuple appends do.
-        order, spans = group_spans(destinations * self.fanout + parts,
-                                   self.pripes * self.fanout)
+        # (worker, PE, partition) yields directly, worker by worker.  A
+        # partition is labelled by its rank within its PE, so the
+        # labels span each worker's partitions once.  The stable sort
+        # keeps stream order within each group, as the per-tuple
+        # appends do; a folded shard's tuples carry their lane as the
+        # last digit, so each group takes them lane after lane, in the
+        # shard's own order.
+        ranks = -(-self.fanout // self.pripes)
+        span = self.pripes * ranks  # labels per worker
+        labels = worker_pe * ranks + parts // self.pripes
+        lane_count = 1
+        if lane_of is not None:
+            lane_count = workers
+            labels = labels * lane_count + lane_of
+        order = stable_order(labels, workers * span * lane_count)
+        sizes = np.bincount(labels, minlength=workers * span * lane_count)
+        if lane_count > 1:
+            sizes = sizes.reshape(-1, lane_count).sum(axis=1)
+        filled = np.flatnonzero(sizes)
+        stops = np.cumsum(sizes)[filled]
         gathered = keys[order].tolist()
-        return destinations, {
-            label % self.fanout: gathered[start:stop]
-            for label, start, stop in spans
-        }
+        chunks = list(map(gathered.__getitem__, map(
+            slice, (stops - sizes[filled]).tolist(), stops.tolist())))
+        # Each worker's groups are a run of ``filled``, and a group's
+        # label names its PE and its partition's rank there.
+        edges = [0, *np.searchsorted(
+            filled, np.arange(1, workers + 1) * span).tolist()]
+        local = filled % span
+        ids = (local % ranks * self.pripes + local // ranks).tolist()
+        return [dict(zip(ids[start:stop], chunks[start:stop]))
+                for start, stop in zip(edges, edges[1:])]
 
     def collect(
         self, buffers: List[Dict[int, List[int]]]

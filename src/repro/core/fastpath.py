@@ -28,20 +28,20 @@ than cycle-stepping; this module does the same in NumPy:
   model delegates to the windowed :class:`~repro.perf.epoch.EpochModel`
   (still vectorised, O(N / window) work).
 
-A fleet splits a window into K workers' shards.  For a
-``decomposable`` kernel the window need not be gathered into K batches
-and run K times: :func:`run_lanes` makes one kernel call on the whole
-window — an order-free kernel's
+A fleet splits a window into K workers' shards.  The window need not
+be gathered into K batches and run K times: :func:`run_lanes` makes one
+kernel call on the whole window — an order-free kernel's
 :meth:`~repro.core.kernel.KernelSpec.process_shard`, whose
-whole-window result the first shard carries, or heavy hitters'
+whole-window result the first shard carries, or any other kernel's
 :meth:`~repro.core.kernel.KernelSpec.process_lanes`, every worker's own
-sketches from one keyed pass — and then one ``bincount(lane * M +
-destination)``, the PrePE's destination reused as the route's label,
-gives every lane's tuples and PE loads.  The shards are listed from
-those lane counts, and each shard's cycles follow by the same rule as
-above — the bottleneck bound, or the epoch model over the shard's own
-destinations in its own order.  Each shard's modeled outcome is the one
-:func:`run_fast` gives it alone.
+result: heavy hitters' sketches from one keyed pass, DP's partitions
+from one grouping by (worker, PE, partition) — and then one
+``bincount(lane * M + destination)``, the PrePE's destination reused as
+the route's label, gives every lane's tuples and PE loads.  The shards
+are listed from those lane counts, and each shard's cycles follow by
+the same rule as above — the bottleneck bound, or the epoch model over
+the shard's own destinations in its own order.  Each shard's modeled
+outcome is the one :func:`run_fast` gives it alone.
 
 The cycle-accurate engine remains the oracle: the equivalence suite in
 ``tests/core/test_fastpath.py`` asserts bit-identical results and
@@ -128,11 +128,12 @@ class _ModeledResult(ArchitectureResult):
 
     ``report`` and ``pe_tuple_counts`` describe a run nobody stepped;
     no serving caller reads them, so they are derived on first read
-    instead of once per shard.
+    instead of once per shard, from ``counts``, the run's tuples per
+    PriPE.
     """
 
     def __init__(self, config: ArchitectureConfig, result, tuples: int,
-                 cycles: int, counts: np.ndarray,
+                 cycles: int, counts: Sequence[int],
                  plans: List[SchedulingPlan], reschedules: int) -> None:
         self.config = config
         self.result = result
@@ -211,57 +212,55 @@ def run_lanes(config: ArchitectureConfig, kernel: KernelSpec,  # hot-path
     shard's result: an :attr:`~repro.core.kernel.KernelSpec.order_free`
     kernel's whole-window result on the first shard and None on the
     rest, or what :meth:`~repro.core.kernel.KernelSpec.process_lanes`
-    gives the shard's worker (heavy hitters' own hitters).
+    gives the shard's worker (heavy hitters' own hitters, DP's own
+    partitions).
     """
     if len(batch) == 0:
         raise ValueError("cannot run an empty batch")
     pripes = kernel.pripes = config.pripes
-    folds = lanes.route.folds
     # Every shard's exact result from one kernel call.
     if kernel.order_free:
         destinations, result = kernel.process_shard(batch.keys,
                                                     batch.values)
     else:
-        destinations, results = kernel.process_lanes(
-            batch.keys, batch.values, lanes.route.key_lanes, folds)
+        destinations, results = kernel.process_lanes(batch.keys,
+                                                     batch.values, lanes)
 
     # One bincount counts every lane's tuples per PriPE; the shards are
     # the non-empty lanes, folded, and a shard sums its lanes' rows.
     cells = lanes.cells(destinations, pripes)
-    counts = np.bincount(cells, minlength=len(folds) * pripes).reshape(
-        len(folds), pripes)
-    shards = lanes.shards(counts.sum(axis=1))
+    rows = _lane_rows(cells, len(lanes.route.folds), pripes)
+    shards = lanes.shards(list(map(sum, rows)))
     if kernel.order_free:
         results = [result] + [None] * (len(shards) - 1)
     else:
         results = [results[worker] for worker, _ in shards]
-    order: List[int] = []
-    starts = []
-    for _, lanes_of in shards:
-        starts.append(len(order))
-        order.extend(lanes_of)
-    loads = counts[order]
-    if len(order) > len(shards):
-        loads = np.add.reduceat(loads, starts)
+    loads = [rows[lanes_of[0]] if len(lanes_of) == 1
+             else list(map(sum, zip(*[rows[lane] for lane in lanes_of])))
+             for _, lanes_of in shards]
 
     # Modeled cycles, per shard, by run_fast's rule.
-    sizes, peaks = loads.sum(axis=1), loads.max(axis=1)
-    epochs = (_shard_epochs(config, destinations, cells // pripes, shards)
-              if config.skew_handling else None)
-    outcomes: List[Tuple[int, ArchitectureResult]] = []
-    for index, (worker, _) in enumerate(shards):
-        size = int(sizes[index])
-        if epochs is None:
-            cycles = bottleneck_cycles(config, size, int(peaks[index]))
-            plans, reschedules = [], 0
-        else:
-            epoch = epochs[index]
-            cycles = int(round(epoch.cycles))
-            plans, reschedules = list(epoch.plans), epoch.reschedules
-        outcomes.append((worker, _ModeledResult(
-            config, results[index], size, cycles, loads[index], plans,
-            reschedules)))
-    return outcomes
+    if config.skew_handling:
+        modeled = [(int(round(epoch.cycles)), list(epoch.plans),
+                    epoch.reschedules) for epoch in _shard_epochs(
+                        config, destinations, cells // pripes, shards)]
+    else:
+        modeled = [(bottleneck_cycles(config, sum(load), max(load)), [], 0)
+                   for load in loads]
+    return [(worker, _ModeledResult(config, shard_result, sum(load),
+                                    cycles, load, plans, reschedules))
+            for (worker, _), shard_result, load, (cycles, plans, reschedules)
+            in zip(shards, results, loads, modeled)]
+
+
+def _lane_rows(cells: np.ndarray, lane_count: int,
+               pripes: int) -> List[List[int]]:
+    """Each lane's tuples per PriPE from one bincount of the tuples'
+    ``lane * pripes + destination`` cells, as Python ints: the rows are
+    a few dozen counts, so summing them in Python costs less than a
+    NumPy reduction per shard."""
+    return np.bincount(cells, minlength=lane_count * pripes).reshape(
+        lane_count, pripes).tolist()
 
 
 def _shard_epochs(config: ArchitectureConfig, destinations: np.ndarray,

@@ -11,7 +11,7 @@ models consume it.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -36,9 +36,9 @@ class KernelSpec(ABC):
       their own memory space" and :meth:`collect` receives all buffers.
     * :meth:`process_lanes` is every worker's shard of a fleet window at
       once — one call that returns each worker's own result (the
-      one-pass window's hook for a kernel that is not :attr:`order_free`;
-      an order-free one — histogram, HLL, PageRank — runs the window as
-      one :meth:`process_shard`).
+      fast engine's window hook for a kernel that is not
+      :attr:`order_free`; an order-free one — histogram, HLL, PageRank
+      — runs the window as one :meth:`process_shard`).
     """
 
     #: Number of PriPEs this spec routes across (set by the architecture
@@ -170,30 +170,38 @@ class KernelSpec(ABC):
         return destinations, self.collect(buffers)
 
     def process_lanes(self, keys: np.ndarray, values: np.ndarray,
-                      key_lanes: Callable[[np.ndarray], np.ndarray],
-                      folds: np.ndarray) -> Tuple[np.ndarray, List[Any]]:
+                      lanes) -> Tuple[np.ndarray, List[Any]]:
         """Every worker's shard of one fleet window from one call.
 
-        ``key_lanes(keys)`` gives each key's lane (a by-key route, where
-        a lane depends on the key alone) and ``folds[lane]`` the worker
-        the lane folds onto; a worker's shard is its lanes' tuples, lane
-        after lane in ascending order, stream order within each.
-        Returns ``(destinations, results)``: ``destinations`` as
+        ``lanes`` is the window's :class:`~repro.service.balancer.Lanes`:
+        ``lanes.cells(0, 1)`` is each tuple's lane and
+        ``lanes.route.folds[lane]`` the worker the lane folds onto; a
+        worker's shard is its lanes' tuples, lane after lane in
+        ascending order, stream order within each.  Returns
+        ``(destinations, results)``: ``destinations`` as
         :meth:`process_shard` gives it for the whole window, and
-        ``results[w]``, for each ``w < len(folds)``, what it returns for
-        worker ``w``'s shard on its own.
+        ``results[w]``, for each worker ``w`` that takes tuples, what
+        :meth:`process_shard` returns for ``w``'s shard on its own.
 
-        A fleet on the fast engine runs a ``decomposable`` kernel's
-        window in one call instead of a gather and a
-        :meth:`process_shard` per shard
-        (:func:`~repro.core.fastpath.run_lanes`); an :attr:`order_free`
-        kernel's call is one :meth:`process_shard` over the window.  A
-        kernel whose shards keep separate state (HHD's per-worker
-        sketches) overrides this.
+        A fleet on the fast engine runs every window through this hook
+        (:func:`~repro.core.fastpath.run_lanes`), unless the kernel is
+        :attr:`order_free`: then the call is one :meth:`process_shard`
+        over the window.  This default gathers each worker's shard and
+        calls :meth:`process_shard` on it; a kernel overrides it with
+        one pass over the window (DP's partitions, HHD's keyed
+        sketches).
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} is not order-free; it must return "
-            "each worker's own result from process_lanes")
+        lane_of = lanes.cells(0, 1)
+        folds = lanes.route.folds
+        destinations = np.empty(len(keys), dtype=np.int64)
+        results: List[Any] = [None] * len(folds)
+        for worker, lanes_of in lanes.shards(
+                np.bincount(lane_of, minlength=len(folds))):
+            chosen = np.concatenate([np.flatnonzero(lane_of == lane)
+                                     for lane in lanes_of])
+            destinations[chosen], results[worker] = self.process_shard(
+                keys[chosen], values[chosen])
+        return destinations, results
 
     # ------------------------------------------------------------------
     # Merging (merger logic)

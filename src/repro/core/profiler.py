@@ -103,13 +103,19 @@ def greedy_secpe_plan(
         raise ValueError("workloads length must equal the PriPE count")
     if secpes < 0:
         raise ValueError("secpes must be non-negative")
-    attached = np.zeros(m, dtype=np.int64)
+    # Python floats, not 1-32-element arrays: the same IEEE divisions,
+    # and ``index(max(...))`` is np.argmax's first-maximum pick.  A NaN
+    # workload is np.argmax's pick on every round, as there.
+    loads = base.tolist()
+    effective = list(loads)
+    sharers = [1] * m  # each PriPE and its attached SecPEs
     pairs: List[Tuple[int, int]] = []
-    for index in range(secpes):
-        effective = base / (1 + attached)
-        target = int(np.argmax(effective))
-        pairs.append((m + index, target))
-        attached[target] += 1
+    nans = [pripe for pripe, load in enumerate(loads) if load != load]
+    for secpe in range(m, m + secpes):
+        target = nans[0] if nans else effective.index(max(effective))
+        pairs.append((secpe, target))
+        sharers[target] += 1
+        effective[target] = loads[target] / sharers[target]
     return SchedulingPlan(pairs=pairs, workloads=base)
 
 

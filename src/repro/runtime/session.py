@@ -92,10 +92,10 @@ class StreamingSession:
 
     @property
     def one_pass(self) -> bool:
-        """Whether a window's shards of this session's job may run as
-        one lane-aware pass (:func:`~repro.core.fastpath.run_lanes`):
-        a ``decomposable`` kernel on the fast engine."""
-        return self._fast and self.kernel.decomposable
+        """Whether a window's shards of this session's job run as one
+        lane-aware pass (:func:`~repro.core.fastpath.run_lanes`): any
+        kernel on the fast engine."""
+        return self._fast
 
     def fold(self, result: Any, tuples: int, cycles: int) -> None:  # hot-path
         """Fold one segment in: its result (None: the segment's result

@@ -41,6 +41,7 @@ that the paper improves on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -324,10 +325,12 @@ class WindowRoute:
                     keys[mine], len(team), SkewAwareBalancer.TEAM_SEED)
                     if self.by_key else None)
 
-    @property
+    @cached_property
     def folds(self) -> np.ndarray:
         """``folds[lane]``: the worker each lane folds onto (itself
-        with no ``worker_quota``), for every lane up to the highest."""
+        with no ``worker_quota``), for every lane up to the highest;
+        worked out once per route, which the window pass and its kernel
+        both read."""
         lanes = np.arange(max(map(max, self.teams)) + 1)
         return lanes if self.worker_quota is None \
             else lanes % self.worker_quota

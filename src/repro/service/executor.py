@@ -99,9 +99,9 @@ class ExecutionBackend(ABC):
        balancer's :class:`~repro.service.balancer.WindowRoute` for it;
        the adapter splits it by that route, in whichever process it
        chooses, and traces the ``job.window`` naming the shards (the
-       inline pool runs a decomposable job's window on the fast engine
-       as one pass, one kernel call returning every shard's result,
-       instead of gathering the shards).
+       inline pool runs every window of a fast-engine job as one pass,
+       one kernel call returning every shard's result, instead of
+       gathering the shards).
        :meth:`dispatch` hands one shard to one worker.  Shards for the
        same worker process in FIFO order.  An adapter may run them
        before returning (the inline one does) or queue them.

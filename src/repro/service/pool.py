@@ -151,16 +151,16 @@ class WorkerPool(ExecutionBackend):
         """Route one window, trace the ``job.window`` that names its
         shards, then run them in split order.
 
-        A ``decomposable`` kernel on the fast engine (HISTO, HLL,
-        PageRank, HHD) runs the window as one lane-aware pass
+        A job on the fast engine runs the window as one lane-aware pass
         (:func:`~repro.core.fastpath.run_lanes`: one kernel call, then
         one ``bincount`` of lane and PE that lists the shards and their
         loads): each worker's session folds its own tuples, cycles and
         result — an order-free kernel's whole-window result on the first
-        worker, a by-key HHD shard's own hitters on each — and the
-        window's segments are charged to the metrics in one call.  DP's
-        and cycle-engine jobs' shards, and the shards of a window whose
-        pass raised, are gathered and :meth:`dispatch`ed one by one.
+        worker, a by-key HHD shard's own hitters or a DP shard's own
+        partitions on each — and the window's segments are charged to
+        the metrics in one call.  Cycle-engine jobs' shards, and the
+        shards of a window whose pass raised, are gathered and
+        :meth:`dispatch`ed one by one.
         """
         if not self._started:
             raise RuntimeError("pool is not running; call start() first")

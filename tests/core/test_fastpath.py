@@ -175,8 +175,8 @@ class TestPerShardCost:
         count(repro.apps.hyperloglog, "fmix64_array", "hll")
         count(PartitionKernel, "partition_array", "dp")
         count(repro.core.fastpath, "group_spans", "run_fast.group_spans")
-        count(repro.apps.partition, "group_spans", "dp.group_spans")
-        count(repro.core.fastpath, "stable_order", "dp.stable_order")
+        count(repro.core.fastpath, "stable_order", "run_fast.stable_order")
+        count(repro.apps.partition, "stable_order", "dp.stable_order")
         count(PairwiseFamily, "hash_rows", "hhd")
         count(np, "argsort", "argsort")
 
@@ -192,11 +192,11 @@ class TestPerShardCost:
         if app in ("histo", "hll", "pagerank", "hhd"):
             assert calls["make_buffer"] == 0
         assert calls["run_fast.group_spans"] == 0
-        # DP groups by partition id once per shard through the
+        assert calls["run_fast.stable_order"] == 0
+        # DP groups by (PE, partition) once per shard through the
         # narrow-label sort, HHD orders its hitters by PE; nobody else
         # sorts.
-        assert calls["dp.group_spans"] == (self.SHARDS if app == "dp" else 0)
-        assert calls["dp.stable_order"] == calls["dp.group_spans"]
+        assert calls["dp.stable_order"] == (self.SHARDS if app == "dp" else 0)
         assert calls["argsort"] == (
             calls["dp.stable_order"] + (self.SHARDS if app == "hhd" else 0))
 

@@ -214,3 +214,36 @@ class TestProfilerPhases:
                 "p", 4, 1, [Channel("s0")], [],
                 Channel("m"), Channel("h"),
             )
+
+
+def argmax_plan(workloads, secpes):
+    """Fig. 5 in array arithmetic: each round recomputes every PriPE's
+    workload shared evenly with its attached SecPEs and helps the first
+    largest (``np.argmax``; a NaN workload is that first pick)."""
+    base = np.asarray(workloads, dtype=np.float64)
+    attached = np.zeros(len(base), dtype=np.int64)
+    pairs = []
+    for secpe in range(len(base), len(base) + secpes):
+        target = int(np.argmax(base / (1 + attached)))
+        pairs.append((secpe, target))
+        attached[target] += 1
+    return pairs
+
+
+@given(
+    workloads=st.lists(st.one_of(st.integers(min_value=0, max_value=4),
+                                 st.integers(min_value=0, max_value=10_000),
+                                 st.floats(allow_nan=True,
+                                           allow_infinity=True)),
+                       min_size=1, max_size=32),
+    secpes=st.integers(min_value=0, max_value=40),
+)
+def test_property_greedy_plan_matches_the_argmax_oracle(workloads, secpes):
+    """Same pairs as the array form, ties (small counts, equal floats,
+    signed zeros, infinities) and NaNs included; the workloads are kept
+    as the float64 array they were planned from."""
+    plan = greedy_secpe_plan(workloads, secpes)
+    assert plan.pairs == argmax_plan(workloads, secpes)
+    assert plan.workloads.dtype == np.float64
+    assert np.array_equal(plan.workloads, np.asarray(workloads, float),
+                          equal_nan=True)

@@ -1,6 +1,6 @@
 """The lane-aware window pass against the per-shard path it replaces.
 
-A fleet on the fast engine runs a decomposable kernel's window as one
+A fleet on the fast engine runs every window as one
 :func:`~repro.core.fastpath.run_lanes` call over the lanes
 :meth:`WindowRoute.lanes` assigns, instead of ``route.split`` plus one
 ``run_fast`` per shard.  The per-shard path stays in the tree, so it is
@@ -9,7 +9,8 @@ the same plans and reschedules — in the same split order.  For an
 order-free kernel (HISTO, HLL, PageRank) the first outcome's result
 must equal the per-shard results folded together; for heavy hitters,
 routed by key, every outcome must carry its own shard's hitter dict,
-equal in content and insertion order.
+equal in content and insertion order, and for DP its own shard's
+partitions, pickle for pickle.
 
 The epoch model (``skew_handling``) is order-sensitive, so each shard's
 destinations must reach it in the shard's own order: a folded shard's
@@ -19,6 +20,7 @@ paths feed it and compares them element for element.
 """
 
 import dataclasses
+import pickle
 from contextlib import contextmanager
 
 import numpy as np
@@ -28,6 +30,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.apps.heavy_hitter import HeavyHitterKernel
 from repro.apps.histo import HistogramKernel
 from repro.apps.hyperloglog import HyperLogLogKernel
+from repro.apps.partition import PartitionKernel
 from repro.apps.pagerank import PageRankKernel
 from repro.core.config import ArchitectureConfig
 from repro.core.fastpath import run_fast, run_lanes
@@ -173,14 +176,11 @@ def test_one_pass_matches_split_plus_run_fast(app, window):
         assert np.array_equal(ours, theirs)
 
 
-@pytest.mark.parametrize("app", sorted(KEYED_KERNELS))
-@settings(deadline=None, max_examples=100)
-@given(window=windows(by_key=True))
-def test_keyed_pass_matches_split_plus_run_fast(app, window):
-    batch, route, config = window
-    kernel = KEYED_KERNELS[app](config.pripes)
-    assert kernel.decomposable and not kernel.order_free
-
+def own_results(kernel, config, batch, route):
+    """Run a window whose every worker keeps its own result both ways,
+    check what both give alike — the workers in split order, each
+    shard's shape and PE loads, and the epoch model's inputs — and
+    return the per-shard results: the pass's, then the oracle's."""
     with epoch_inputs() as fed_per_shard:
         expected = [(worker, run_fast(config, kernel, shard))
                     for worker, shard in route.split(batch).items()]
@@ -192,12 +192,38 @@ def test_keyed_pass_matches_split_plus_run_fast(app, window):
         == [shape(outcome) for _, outcome in expected]
     assert [outcome.pe_tuple_counts for outcome in outcomes] \
         == [outcome.pe_tuple_counts for _, outcome in expected]
-    # Each shard's own hitters, inserted in the same order.
-    assert [list(outcome.result.items()) for outcome in outcomes] \
-        == [list(outcome.result.items()) for _, outcome in expected]
     assert len(fed_one_pass) == len(fed_per_shard)
     for ours, theirs in zip(fed_one_pass, fed_per_shard):
         assert np.array_equal(ours, theirs)
+    return ([outcome.result for outcome in outcomes],
+            [outcome.result for _, outcome in expected])
+
+
+@pytest.mark.parametrize("app", sorted(KEYED_KERNELS))
+@settings(deadline=None, max_examples=100)
+@given(window=windows(by_key=True))
+def test_keyed_pass_matches_split_plus_run_fast(app, window):
+    batch, route, config = window
+    kernel = KEYED_KERNELS[app](config.pripes)
+    assert kernel.decomposable and not kernel.order_free
+
+    ours, theirs = own_results(kernel, config, batch, route)
+    # Each shard's own hitters, inserted in the same order.
+    assert [list(result.items()) for result in ours] \
+        == [list(result.items()) for result in theirs]
+
+
+@settings(deadline=None, max_examples=60)
+@given(window=windows())
+def test_partition_pass_matches_split_plus_run_fast(window):
+    batch, route, config = window
+    kernel = PartitionKernel(pripes=config.pripes)
+    assert not kernel.decomposable
+
+    ours, theirs = own_results(kernel, config, batch, route)
+    # Each shard's own partitions: the same chunks, keys and order.
+    assert [pickle.dumps(result) for result in ours] \
+        == [pickle.dumps(result) for result in theirs]
 
 
 def doubtful(kernel, shard):

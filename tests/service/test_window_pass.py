@@ -1,17 +1,18 @@
 """Which windows take the one-pass path, and what they leave behind.
 
-A decomposable kernel (HISTO, HLL, PageRank, HHD) on the fast engine
-runs each window as one :func:`~repro.core.fastpath.run_lanes` call in
-the inline pool; every other job — DP, and any job on the cycle engine —
-keeps the per-shard path: the window is gathered by :meth:`Lanes.split`
-(what ``WindowRoute.split`` calls) and each shard goes through
-``StreamingSession.process``.  The spies pin that routing, and the trace
-test pins that a one-pass window emits exactly the ``job.window`` and
-``job.segment`` sequence the per-shard path emits for it, and leaves
-the same result and ``snapshot()``.
+Every job on the fast engine (HISTO, HLL, PageRank, HHD and DP) runs
+each window as one :func:`~repro.core.fastpath.run_lanes` call in the
+inline pool; a job on the cycle engine keeps the per-shard path: the
+window is gathered by :meth:`Lanes.split` (what ``WindowRoute.split``
+calls) and each shard goes through ``StreamingSession.process``.  The
+spies pin that routing, and the trace test pins that a one-pass window
+emits exactly the ``job.window`` and ``job.segment`` sequence the
+per-shard path emits for it, and leaves the same result (pickle for
+pickle) and ``snapshot()``.
 """
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -66,7 +67,6 @@ def serve(app, engine, tracer=None, tenant=None):
 
 
 @pytest.mark.parametrize("app,engine", [
-    ("dp", "fast"),
     ("histo", "cycle"), ("hll", "cycle"), ("pagerank", "cycle"),
     ("dp", "cycle"),
 ])
@@ -84,8 +84,8 @@ def test_other_jobs_split_and_process_per_shard(monkeypatch, app, engine):
     assert passes == []
 
 
-@pytest.mark.parametrize("app", ["histo", "hll", "pagerank", "hhd"])
-def test_decomposable_fast_windows_run_one_pass(monkeypatch, app):
+@pytest.mark.parametrize("app", ["histo", "hll", "pagerank", "hhd", "dp"])
+def test_fast_windows_run_one_pass(monkeypatch, app):
     splits = count_calls(monkeypatch, Lanes, "split")
     processed = count_calls(monkeypatch, StreamingSession, "process")
     passes = count_calls(monkeypatch, pool_module, "run_lanes")
@@ -102,12 +102,12 @@ def event_rows(tracer):
             for event in tracer.events("job.")]
 
 
-@pytest.mark.parametrize("app", ["histo", "hll", "pagerank", "hhd"])
-@pytest.mark.parametrize("quota", [None, 2])
+@pytest.mark.parametrize("app", ["histo", "hll", "pagerank", "hhd", "dp"])
+@pytest.mark.parametrize("quota", [None, 2, 3])
 def test_one_pass_trace_and_results_match_the_per_shard_path(
         monkeypatch, app, quota):
     # A quota of 2 folds lanes 2 and 3 of the 4-worker fleet onto
-    # workers 0 and 1.
+    # workers 0 and 1; a quota of 3 folds lane 3 onto worker 0.
     tenant = (None if quota is None
               else TenantSpec("capped", worker_quota=quota))
     one_pass = TraceCollector(enabled=True)
@@ -120,13 +120,11 @@ def test_one_pass_trace_and_results_match_the_per_shard_path(
     assert event_rows(one_pass) == event_rows(per_shard)
     segments = per_shard.events(trace_events.JOB_SEGMENT)
     assert len({event.worker for event in segments}) > 1
-    if app == "hhd":
-        # Each worker's hitters, folded in the same order.
-        assert fast_result.result
-        assert list(fast_result.result.items()) \
-            == list(shard_result.result.items())
-    else:
-        assert np.array_equal(fast_result.result, shard_result.result)
+    # Each worker's hitters or partitions, folded in the same order:
+    # the pickle sees dict order and every array's dtype.
+    assert len(fast_result.result)
+    assert pickle.dumps(fast_result.result) \
+        == pickle.dumps(shard_result.result)
     assert dataclasses.replace(fast_result, result=None) \
         == dataclasses.replace(shard_result, result=None)
     assert fast_snapshot == shard_snapshot
