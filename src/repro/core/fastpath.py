@@ -239,18 +239,21 @@ def run_lanes(config: ArchitectureConfig, kernel: KernelSpec,  # hot-path
              else list(map(sum, zip(*[rows[lane] for lane in lanes_of])))
              for _, lanes_of in shards]
 
+    sizes = list(map(sum, loads))
+
     # Modeled cycles, per shard, by run_fast's rule.
     if config.skew_handling:
         modeled = [(int(round(epoch.cycles)), list(epoch.plans),
                     epoch.reschedules) for epoch in _shard_epochs(
                         config, destinations, cells // pripes, shards)]
     else:
-        modeled = [(bottleneck_cycles(config, sum(load), max(load)), [], 0)
-                   for load in loads]
-    return [(worker, _ModeledResult(config, shard_result, sum(load),
-                                    cycles, load, plans, reschedules))
-            for (worker, _), shard_result, load, (cycles, plans, reschedules)
-            in zip(shards, results, loads, modeled)]
+        modeled = [(bottleneck_cycles(config, size, max(load)), [], 0)
+                   for size, load in zip(sizes, loads)]
+    return [(worker, _ModeledResult(config, shard_result, size, cycles,
+                                    load, plans, reschedules))
+            for (worker, _), shard_result, size, load,
+            (cycles, plans, reschedules)
+            in zip(shards, results, sizes, loads, modeled)]
 
 
 def _lane_rows(cells: np.ndarray, lane_count: int,
