@@ -238,7 +238,6 @@ def run_lanes(config: ArchitectureConfig, kernel: KernelSpec,  # hot-path
     loads = [rows[lanes_of[0]] if len(lanes_of) == 1
              else list(map(sum, zip(*[rows[lane] for lane in lanes_of])))
              for _, lanes_of in shards]
-
     sizes = list(map(sum, loads))
 
     # Modeled cycles, per shard, by run_fast's rule.

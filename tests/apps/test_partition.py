@@ -101,14 +101,18 @@ def test_process_shard_equals_the_per_tuple_loop(keys, pripes):
                                                             part))
 
 
-@given(keys=window_keys, pripes=st.sampled_from([3, 16]),
-       workers=st.integers(1, 6), data=st.data())
+@given(seed=st.integers(0, 1 << 16), tuples=st.integers(1, 2_000),
+       universe=st.sampled_from([64, 1 << 64]),
+       pripes=st.sampled_from([3, 16]), workers=st.integers(1, 6),
+       data=st.data())
 def test_process_lanes_gives_each_worker_its_own_partitions(
-        keys, pripes, workers, data):
+        seed, tuples, universe, pripes, workers, data):
     """One pass over the window equals the default hook, the exact
-    per-worker gather and ``process_shard``, under any plan and quota."""
+    per-worker gather and ``process_shard``, under any plan and quota:
+    a folded worker's partitions take its lanes' keys lane after lane."""
     kernel = PartitionKernel(radix_bits_count=6, pripes=pripes)
-    keys = np.array(keys, dtype=np.uint64)
+    keys = np.random.default_rng(seed).integers(
+        0, universe, tuples, dtype=np.uint64)
     batch = TupleBatch(keys, np.zeros(keys.size, dtype=np.int64))
     balancer = SkewAwareBalancer(
         workers, secondaries=data.draw(st.integers(0, workers - 1)))

@@ -3,7 +3,7 @@ monitor/reschedule path."""
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from repro.core.mapper import DETACH
 from repro.core.profiler import (
@@ -238,6 +238,9 @@ def argmax_plan(workloads, secpes):
                        min_size=1, max_size=32),
     secpes=st.integers(min_value=0, max_value=40),
 )
+@example(workloads=[4, 4, 2, 4], secpes=5)
+@example(workloads=[1.0, float("nan"), 3.0, float("nan")], secpes=3)
+@example(workloads=[0.0, -0.0, float("inf"), float("inf")], secpes=4)
 def test_property_greedy_plan_matches_the_argmax_oracle(workloads, secpes):
     """Same pairs as the array form, ties (small counts, equal floats,
     signed zeros, infinities) and NaNs included; the workloads are kept

@@ -30,8 +30,8 @@ from hypothesis import example, given, settings, strategies as st
 from repro.apps.heavy_hitter import HeavyHitterKernel
 from repro.apps.histo import HistogramKernel
 from repro.apps.hyperloglog import HyperLogLogKernel
-from repro.apps.partition import PartitionKernel
 from repro.apps.pagerank import PageRankKernel
+from repro.apps.partition import PartitionKernel
 from repro.core.config import ArchitectureConfig
 from repro.core.fastpath import run_fast, run_lanes
 from repro.core.profiler import SchedulingPlan, greedy_secpe_plan
