@@ -5,9 +5,11 @@ the process backend hosts the K logical workers on at most cores − 1
 warm children (worker ``w`` in child ``w % spare``, whole windows that
 the child splits, several per block), so K is a simulation parameter and the process count
 follows the host.  The sweep serves the same Zipf stream on both
-backends for K in {1, 2, 4} using the per-cycle simulator and asserts
-the results are bit-identical at every K.  Wall time per backend is ``python3 -m bench``'s to measure
-(``procshm_histo`` against ``histo_zipf_inline``).
+backends for K in {1, 2, 4} and asserts the results are bit-identical
+at every K: inline windows run as one fast-engine pass each, while the
+children split them and run one shard at a time.  Wall time per
+backend is ``python3 -m bench``'s to measure (``procshm_histo`` against
+``histo_zipf_inline``).
 """
 
 import pickle
@@ -28,9 +30,9 @@ SEED = 11
 
 
 def serve_once(backend: str, workers: int, batch) -> tuple:
-    """Result bytes and tuple count of one cycle-engine histo job."""
+    """Result bytes and tuple count of one histo job."""
     service = StreamService(workers=workers, balancer="skew",
-                            engine="cycle", backend=backend)
+                            backend=backend)
     job_id = service.submit("histo", chunk_stream(batch, CHUNK),
                             window_seconds=WINDOW_SECONDS,
                             job_id=f"scale-{backend}-{workers}")
@@ -43,9 +45,8 @@ def serve_once(backend: str, workers: int, batch) -> tuple:
 def test_fleet_scaling_curve(emit):
     batch = ZipfGenerator(alpha=ALPHA, seed=SEED).generate(TUPLES)
     table = Table(["K", "tuples", "inline == process"],
-                  title=f"Backend equivalence, cycle engine, {TUPLES} tuples")
-    data = {"tuples": TUPLES, "alpha": ALPHA, "engine": "cycle",
-            "sweep": []}
+                  title=f"Backend equivalence, {TUPLES} tuples")
+    data = {"tuples": TUPLES, "alpha": ALPHA, "sweep": []}
     for workers in FLEET_SIZES:
         inline_bits, tuples = serve_once("inline", workers, batch)
         process_bits, _ = serve_once("process", workers, batch)

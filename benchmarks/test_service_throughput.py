@@ -10,9 +10,10 @@ near its balanced rate.
 Throughput is deterministic simulated-cycle accounting: fleet rate =
 total tuples / makespan, where makespan is the busiest worker's cycles
 (workers run in parallel).  The serving hot loop runs on the vectorized
-fast-path executor by default; ``test_fast_engine_speedup_over_cycle``
-pins that it lands on the per-cycle simulator's fleet throughput and
-reports (does not assert) the wall-time ratio — wall time is
+fast-path executor; ``test_fast_engine_speedup_over_cycle`` pins that
+it lands on the per-cycle simulator's fleet throughput, replaying the
+job's windows shard by shard on the cycle engine (``tests/oracle.py``),
+and reports (does not assert) the wall-time ratio — wall time is
 ``python3 -m bench``'s to measure.
 
 Asserted headlines: on a Zipf(1.2+) stream with K >= 4 workers, the
@@ -28,6 +29,7 @@ from repro.analysis.tables import Table
 from repro.service import StreamService
 from repro.workloads.streams import chunk_stream
 from repro.workloads.zipf import ZipfGenerator
+from tests.oracle import record_windows, replay
 
 WORKERS = 4
 ALPHAS = [1.2, 1.5, 2.0]
@@ -36,12 +38,10 @@ WINDOW_SECONDS = 2.56e-6
 SEED = 11
 
 
-def fleet_throughput(balancer: str, alpha: float,
-                     engine: str = "fast") -> float:
+def fleet_throughput(balancer: str, alpha: float) -> float:
     """Fleet tuples/cycle serving one Zipf stream job end to end."""
     batch = ZipfGenerator(alpha=alpha, seed=SEED).generate(TUPLES)
-    service = StreamService(workers=WORKERS, balancer=balancer,
-                            engine=engine)
+    service = StreamService(workers=WORKERS, balancer=balancer)
     job_id = service.submit(
         "histo", chunk_stream(batch, 4_000),
         window_seconds=WINDOW_SECONDS,
@@ -105,17 +105,18 @@ def test_uniform_streams_pay_no_balancing_penalty(benchmark, emit):
     assert skew >= 0.75 * naive
 
 
-def test_fast_engine_speedup_over_cycle(emit):
+def test_fast_engine_speedup_over_cycle(emit, monkeypatch):
     """The vectorized fast path lands on the cycle engine's fleet
     throughput (its modeled cycle counts sit within the equivalence
     suite's 10% envelope); the wall-time ratio is reported only."""
-    def timed(engine):
-        start = time.perf_counter()
-        throughput = fleet_throughput("skew", 1.5, engine=engine)
-        return time.perf_counter() - start, throughput
-
-    fast_s, fast_tp = timed("fast")
-    cycle_s, cycle_tp = timed("cycle")
+    windows = record_windows(monkeypatch)
+    start = time.perf_counter()
+    fast_tp = fleet_throughput("skew", 1.5)
+    fast_s = time.perf_counter() - start
+    start = time.perf_counter()
+    cycle_tp = replay(windows, "histo", StreamService().config) \
+        .fleet_throughput()
+    cycle_s = time.perf_counter() - start
     speedup = cycle_s / fast_s
     emit("service_engine_speedup",
          f"cycle engine {cycle_s:.2f}s vs fast engine {fast_s:.3f}s "

@@ -211,7 +211,7 @@ def main() -> None:
     times = {}
     for backend in ("inline", "process"):
         fleet = StreamService(workers=WORKERS, balancer="skew",
-                              engine="cycle", backend=backend)
+                              backend=backend)
         started = time.perf_counter()
         job = fleet.submit("histo", zipf_source(1.8, 12_000, seed=2),
                            window_seconds=WINDOW)
@@ -220,7 +220,7 @@ def main() -> None:
         backend_result = fleet.result(job).result
         fleet.shutdown()
         assert np.array_equal(backend_result, golden)
-    print(f"\nexecution backends (cycle engine, {WORKERS} workers):")
+    print(f"\nexecution backends ({WORKERS} workers):")
     print(f"  inline (dispatcher)  : {times['inline']:.2f}s wall")
     print(f"  warm subprocesses    : {times['process']:.2f}s wall "
           f"({times['inline'] / times['process']:.2f}x)")

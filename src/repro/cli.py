@@ -218,7 +218,7 @@ def _service_for(args: argparse.Namespace):
         tracer = TraceCollector(enabled=True)
         tracer.add_sink(JsonlSink(args.trace))
     service = StreamService(workers=args.workers, balancer=args.balancer,
-                            engine=args.engine, backend=args.backend,
+                            backend=args.backend,
                             adaptive=args.adaptive, slo=args.slo,
                             reschedule_cost_cycles=args.reschedule_cost,
                             retained_jobs=args.retain_jobs,
@@ -309,8 +309,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ]
     served = service.run()
     print(f"served {served} jobs on {service.balancer.workers} workers "
-          f"[{service.balancer.describe()}, {args.engine} engine, "
-          f"{args.backend} backend]")
+          f"[{service.balancer.describe()}, {args.backend} backend]")
     print(f"  {service.controller.describe()}")
     print()
     for job_id in jobs:
@@ -341,7 +340,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         high_water=None if args.no_backpressure else args.high_water)
     gateway.start()
     print(f"{gateway.describe()} — {args.workers} workers, "
-          f"{args.engine} engine, {args.backend} backend", flush=True)
+          f"{args.backend} backend", flush=True)
     if args.ready_file:
         # Written beside it, then renamed into place: a reader that
         # sees the file sees its whole contents.
@@ -598,10 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--window-us", type=positive(float), default=2.56,
                        help="event-time window width in microseconds")
-        p.add_argument("--engine", default="fast",
-                       choices=["fast", "cycle"],
-                       help="segment executor: vectorized fast path "
-                            "(modeled cycles) or the per-cycle simulator")
         p.add_argument("--backend", default="inline",
                        choices=["inline", "process"],
                        help="execution backend: shards run inline on "

@@ -8,7 +8,9 @@ HLL register file, growing partitions — and three running totals
 size does not grow with the stream.
 
 Accumulation uses :meth:`KernelSpec.combine_results`, implemented per
-application (histograms add, HLL registers max-fold, partitions extend).
+application (histograms add, HLL registers max-fold, partitions extend)
+by :meth:`StreamingSession.fold`, which the inline pool's window pass
+calls directly.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from repro.core.architecture import (
     SkewObliviousArchitecture,
 )
 from repro.core.config import ArchitectureConfig
-from repro.core.fastpath import run_fast, validate_engine
+from repro.core.fastpath import validate_engine
 from repro.core.kernel import KernelSpec
 from repro.workloads.tuples import TupleBatch
 
@@ -77,29 +79,24 @@ class StreamingSession:
     total_cycles: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
-        # One pipeline and one engine choice per session, not per segment.
+        # One pipeline per session, not per segment; an unknown engine
+        # fails here.
         self._architecture = SkewObliviousArchitecture(self.config,
                                                        self.kernel)
-        self._fast = validate_engine(self.engine) == "fast"
+        validate_engine(self.engine)
 
     def process(self, batch: TupleBatch) -> ArchitectureResult:  # hot-path
-        """Run one segment, fold it in, and return the engine's outcome."""
-        outcome = (run_fast(self.config, self.kernel, batch) if self._fast
-                   else self._architecture.run(
-                       batch, max_cycles=self.max_cycles_per_segment))
+        """Run one segment, fold it in, and return the engine's outcome
+        (``bench/tracing.py`` wraps this name until ROADMAP item 2)."""
+        outcome = self._architecture.run(
+            batch, max_cycles=self.max_cycles_per_segment,
+            engine=self.engine)
         self.fold(outcome.result, outcome.tuples, outcome.cycles)
         return outcome
 
-    @property
-    def one_pass(self) -> bool:
-        """Whether a window's shards of this session's job run as one
-        lane-aware pass (:func:`~repro.core.fastpath.run_lanes`): any
-        kernel on the fast engine."""
-        return self._fast
-
     def fold(self, result: Any, tuples: int, cycles: int) -> None:  # hot-path
-        """Fold one segment in: its result (None: the segment's result
-        was folded into another session, see ``one_pass``) and its
+        """Fold one segment in: its result (None: a window pass folded
+        the segment's result into another worker's session) and its
         tuples and cycles."""
         if result is not None:
             self.result = (result if self.result is None
@@ -116,6 +113,7 @@ class StreamingSession:
         holding a partial :class:`StreamingSession`; the partials merge
         back into a single session exactly as :meth:`absorb` folds a
         snapshot (which is what rejects another application's session).
+        ``bench/tracing.py`` wraps this name until ROADMAP item 2.
         """
         self.absorb(other.snapshot())
 
@@ -138,7 +136,8 @@ class StreamingSession:
         """Fold a :class:`SessionSnapshot` into this session.
 
         Results fold with the same ``combine_results`` reduction used
-        between segments; the totals add.
+        between segments; the totals add (``bench/tracing.py`` wraps
+        this name until ROADMAP item 2).
         """
         if snapshot.kernel_type != type(self.kernel).__name__:
             raise ValueError(

@@ -7,10 +7,11 @@ module), and the concrete mechanics of *where* a worker runs live in
 adapters:
 
 ``repro.service.pool.WorkerPool`` (``backend="inline"``)
-    K workers that are ids and sessions, not threads: every shard runs
-    on the dispatcher thread inside ``dispatch``.  Deterministic in
-    results *and* trace order, replay safe, zero serialization; the
-    fleet's parallelism is simulated-cycle accounting only.
+    K workers that are ids and sessions, not threads: every window runs
+    on the dispatcher thread inside ``dispatch_window``, as one
+    fast-engine pass.  Deterministic in results *and* trace order,
+    replay safe, zero serialization; the fleet's parallelism is
+    simulated-cycle accounting only.
 
 ``repro.service.procpool.ProcessBackend`` (``backend="process"``)
     The same K logical workers hosted on at most cores − 1 warm child
@@ -64,9 +65,11 @@ class SessionSpec:
 
     Everything a worker — inline or subprocess — needs to build a fresh
     :class:`StreamingSession` with its own kernel instance: the app
-    name and params (the kernel factory's inputs), the architecture
-    configuration, and the engine/budget knobs.  Live objects (the Job,
-    its source iterator, the service) never cross the port.
+    name and params (the kernel factory's inputs) and the architecture
+    configuration.  Live objects (the Job, its source iterator, the
+    service) never cross the port.  ``engine`` and
+    ``max_cycles_per_segment`` keep their defaults in the service;
+    ``bench/replay.py`` passes both (ROADMAP item 2 retires them).
     """
 
     app: str
@@ -99,12 +102,13 @@ class ExecutionBackend(ABC):
        balancer's :class:`~repro.service.balancer.WindowRoute` for it;
        the adapter splits it by that route, in whichever process it
        chooses, and traces the ``job.window`` naming the shards (the
-       inline pool runs every window of a fast-engine job as one pass,
-       one kernel call returning every shard's result, instead of
+       inline pool runs every window as one fast-engine pass, one
+       kernel call returning every shard's result, instead of
        gathering the shards).
-       :meth:`dispatch` hands one shard to one worker.  Shards for the
-       same worker process in FIFO order.  An adapter may run them
-       before returning (the inline one does) or queue them.
+       :meth:`dispatch` hands one shard to one worker: a window routed
+       wholly to it.  Shards for the same worker process in FIFO order.
+       An adapter may run them before returning (the inline one does)
+       or queue them.
     3. :meth:`drain` barriers until every dispatched shard has been
        processed *and its segment metrics and errors are visible* to
        the parent (:class:`~repro.service.metrics.ServiceMetrics` and

@@ -6,9 +6,10 @@ id, a generation and its per-job
 :class:`~repro.runtime.session.StreamingSession`s (one worker
 accumulates its shard of every job it touches across windows — session
 reuse is what makes per-window dispatch cheap), and
-:meth:`WorkerPool.dispatch` runs the shard to completion on the calling
-thread.  There are no worker threads, queues or locks: under the GIL
-they bought no wall-clock parallelism (that is the process adapter's
+:meth:`WorkerPool.dispatch_window` runs each window as one fast-engine
+pass on the calling thread (:meth:`WorkerPool.dispatch`: the same pass
+over one worker).  There are no worker threads, queues or locks: under
+the GIL they bought no wall-clock parallelism (that is the process adapter's
 job, :mod:`repro.service.procpool`) and cost a thread hand-off per
 shard.  Fleet parallelism is accounted in deterministic simulated
 cycles per worker (:mod:`repro.service.metrics`); results, metrics
@@ -30,6 +31,7 @@ from repro.core.fastpath import run_lanes
 from repro.obs import events as trace_events
 from repro.obs.collector import TraceCollector
 from repro.runtime.session import StreamingSession
+from repro.service.balancer import WindowRoute
 from repro.service.executor import ExecutionBackend
 from repro.service.jobs import DEFAULT_TENANT
 from repro.workloads.tuples import TupleBatch
@@ -127,58 +129,55 @@ class WorkerPool(ExecutionBackend):
     # Dispatch
     # ------------------------------------------------------------------
     def dispatch(self, worker_id: int, item: WorkItem) -> None:  # hot-path
-        """Run one shard on one worker, on the calling thread.
+        """Run one shard on one worker, on the calling thread: the
+        window pass over a route that takes it wholly to that worker
+        (by key, so HHD's keyed pass takes it too).
 
         A kernel exception fails the shard's job (through the per-job
         error ledger the dispatcher reads after :meth:`drain`), not the
-        dispatcher.
+        dispatcher.  ``bench/tracing.py`` wraps this name; ROADMAP item
+        2 retires the wrapper.
         """
         if not 0 <= worker_id < self.size:
             raise ValueError(f"no such worker {worker_id}")
+        self._run(item, WindowRoute(((worker_id,),), by_key=True), False)
+
+    def dispatch_window(self, item: WorkItem, route) -> None:  # hot-path
+        """Route one window, run it as one lane-aware pass, and trace
+        the ``job.window`` that names its shards.
+
+        The pass (:func:`~repro.core.fastpath.run_lanes`) is one kernel
+        call, then one ``bincount`` of lane and PE that lists the shards
+        and their loads: each worker's session folds its own tuples,
+        cycles and result — an order-free kernel's whole-window result
+        on the first worker, a by-key HHD shard's own hitters or a DP
+        shard's own partitions on each — and the window's segments are
+        charged to the metrics in one call.  The shards of a window
+        whose pass raised are gathered and :meth:`dispatch`ed one by
+        one, so each failing shard reports its own error and the others
+        fold, as in the process backend's children.
+        """
+        self._run(item, route, True)
+
+    def _run(self, item: WorkItem, route, rerun: bool) -> None:  # hot-path
+        """The window pass; a raising one fails the job, or with
+        ``rerun`` is rerun shard by shard."""
         if not self._started:
             raise RuntimeError("pool is not running; call start() first")
         if len(item.batch) == 0:
             return
-        try:
-            outcome = self._session(worker_id, item.job_id).process(
-                item.batch)
-        except Exception as exc:  # noqa: BLE001 — reported via errors()
-            self._fail(item.job_id, exc)
-            return
-        self._record(item, [(worker_id, outcome.tuples, outcome.cycles)])
-
-    def dispatch_window(self, item: WorkItem, route) -> None:  # hot-path
-        """Route one window, trace the ``job.window`` that names its
-        shards, then run them in split order.
-
-        A job on the fast engine runs the window as one lane-aware pass
-        (:func:`~repro.core.fastpath.run_lanes`: one kernel call, then
-        one ``bincount`` of lane and PE that lists the shards and their
-        loads): each worker's session folds its own tuples, cycles and
-        result — an order-free kernel's whole-window result on the first
-        worker, a by-key HHD shard's own hitters or a DP shard's own
-        partitions on each — and the window's segments are charged to
-        the metrics in one call.  Cycle-engine jobs' shards, and the
-        shards of a window whose pass raised, are gathered and
-        :meth:`dispatch`ed one by one.
-        """
-        if not self._started:
-            raise RuntimeError("pool is not running; call start() first")
         job_id = item.job_id
         lanes = route.lanes(item.batch)
         try:
-            # Any of the job's sessions knows its kernel and engine;
-            # team 0's head is in every route (an idle session is
-            # dropped at collect).
+            # Any of the job's sessions knows its kernel; team 0's head
+            # is in every route (an idle session is dropped at collect).
             session = self._session(route.teams[0][0], job_id)
-            shards = (run_lanes(session.config, session.kernel,
-                                item.batch, lanes)
-                      if session.one_pass else None)
-        except Exception:  # noqa: BLE001 — rerun shard by shard below
-            # Each failing shard then reports its own error, and the
-            # others fold, as on the per-shard path.
-            shards = None
-        if shards is None:
+            shards = run_lanes(session.config, session.kernel, item.batch,
+                               lanes)
+        except Exception as exc:  # noqa: BLE001 — via errors(), or rerun
+            if not rerun:
+                self._fail(job_id, exc)
+                return
             split = lanes.split(item.batch)
             self._trace_window(item, route, (
                 (worker_id, len(shard)) for worker_id, shard in split.items()))

@@ -27,7 +27,6 @@ from typing import (
 
 from repro.control.controller import AdaptiveController, ControlPolicy
 from repro.core.config import ArchitectureConfig
-from repro.core.fastpath import validate_engine
 from repro.obs import events as trace_events
 from repro.obs.collector import TraceCollector
 from repro.service.balancer import SkewAwareBalancer, make_balancer
@@ -60,15 +59,13 @@ def _spec_factory(
     jobs: Dict[str, Job],
     jobs_lock,
     config: ArchitectureConfig,
-    max_cycles_per_segment: int,
-    engine: str,
 ) -> Callable[[str], SessionSpec]:
     """``job_id -> SessionSpec``: the backend's per-job session recipes.
 
     The backend port never sees the live :class:`Job` (it holds the
     source iterator); only the picklable spec crosses it — and, for the
     process backend, the process boundary.  The factory is bound to the
-    job registry and the service's fixed knobs, not to the service: a
+    job registry and the service's configuration, not to the service: a
     backend holding a bound method of its own service closes a
     reference cycle, and a dropped service's jobs and results would then
     live until the cyclic collector's next full pass.
@@ -77,13 +74,7 @@ def _spec_factory(
     def spec_for(job_id: str) -> SessionSpec:
         with jobs_lock:
             job = jobs[job_id]
-        return SessionSpec(
-            app=job.app,
-            config=config,
-            max_cycles_per_segment=max_cycles_per_segment,
-            engine=engine,
-            params=job.params,
-        )
+        return SessionSpec(app=job.app, config=config, params=job.params)
 
     return spec_for
 
@@ -103,20 +94,14 @@ class StreamService:
         Per-worker pipeline shape; defaults to the paper's 16-PriPE
         design without on-chip SecPEs (fleet-level balancing supplies
         the skew handling).
-    max_cycles_per_segment:
-        Cycle budget for one worker's shard of one window.
     allowed_lateness:
         Event-time slack forwarded to every job's window manager.
-    engine:
-        Segment executor: ``"fast"`` (default) computes exact results
-        with vectorised reductions and modeled cycles
-        (:mod:`repro.core.fastpath`); ``"cycle"`` ticks the full
-        per-cycle simulator for every window shard.
     backend:
         Execution backend behind the fleet port
         (:mod:`repro.service.executor`): ``"inline"`` (default) runs
-        every shard on the dispatcher thread — no worker threads;
-        results and trace order are deterministic and replay safe;
+        every window on the dispatcher thread as one fast-engine pass —
+        no worker threads; results and trace order are deterministic
+        and replay safe;
         ``"process"`` hosts the K workers on at most cores − 1 warm
         child processes, one per spare CPU, fed whole windows with
         their routes, several per shared-memory block, which the
@@ -173,14 +158,17 @@ class StreamService:
         dispatch clock.
     """
 
+    #: The sessions' engine and cycle budget, read by ``bench/replay.py``
+    #: until ROADMAP item 2.
+    engine = SessionSpec.engine
+    max_cycles_per_segment = SessionSpec.max_cycles_per_segment
+
     def __init__(
         self,
         workers: int = 4,
         balancer: Union[str, SkewAwareBalancer] = "skew",
         config: Optional[ArchitectureConfig] = None,
-        max_cycles_per_segment: int = 20_000_000,
         allowed_lateness: float = 0.0,
-        engine: str = "fast",
         backend: str = "inline",
         transport: str = "shm",
         adaptive: bool = False,
@@ -191,7 +179,6 @@ class StreamService:
     ) -> None:
         self.config = config or ArchitectureConfig(
             lanes=8, pripes=16, secpes=0, reschedule_threshold=0.0)
-        self.engine = validate_engine(engine)
         self.backend = validate_backend(backend)
         if transport != "shm":
             raise ValueError(
@@ -205,7 +192,6 @@ class StreamService:
         self.tracer = tracer if tracer is not None else TraceCollector(
             enabled=False)
         self.tracer.bind_clock(self.metrics.dispatch_clock)
-        self.max_cycles_per_segment = max_cycles_per_segment
         if reschedule_cost_cycles is None:
             cost = self.config.reschedule_cost_cycles() if adaptive else 0
         elif reschedule_cost_cycles < 0:
@@ -227,8 +213,7 @@ class StreamService:
         self._terminal: "OrderedDict[str, None]" = OrderedDict()  # guarded-by: _jobs_lock
         self._pool = make_backend(
             self.backend, workers,
-            _spec_factory(self._jobs, self._jobs_lock, self.config,
-                          max_cycles_per_segment, self.engine),
+            _spec_factory(self._jobs, self._jobs_lock, self.config),
             self.metrics, tracer=self.tracer)
         if adaptive and self.balancer.secondaries == 0 and workers > 1:
             raise ValueError(

@@ -61,12 +61,11 @@ def comparable(snapshot):
     return stripped
 
 
-def serve_one(backend, app, *, workers=4, stream=None, engine="fast",
-              **service_kw):
+def serve_one(backend, app, *, workers=4, stream=None, **service_kw):
     """Run one job on a fresh service; return (JobResult, metrics)."""
     batch, params = app_workload(app)
     service = StreamService(workers=workers, balancer="skew",
-                            engine=engine, backend=backend, **service_kw)
+                            backend=backend, **service_kw)
     try:
         source = stream(service, batch) if stream is not None \
             else chunk_stream(batch, 2_000)
@@ -91,13 +90,6 @@ class TestBackendEquivalence:
             == (inline.segments, inline.tuples, inline.cycles)
         # Every process shard crossed through the arena, none as bytes.
         assert process_metrics["transport"]["shard_bytes_shared"] > 0
-
-    def test_cycle_engine_identical_across_backends(self):
-        # The per-cycle simulator exercises a completely different
-        # execution path in the child than the vectorised fast path.
-        inline, _ = serve_one("inline", "histo", engine="cycle")
-        process, _ = serve_one("process", "histo", engine="cycle")
-        assert result_bits(inline) == result_bits(process)
 
     def test_per_tenant_metrics_identical(self):
         def run(backend):

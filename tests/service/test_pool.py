@@ -1,12 +1,18 @@
-"""Worker pool elasticity: resize up/down, session survival, collection."""
+"""Worker pool: one shard on one worker, resize up/down, session
+survival, collection."""
+
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.core.config import ArchitectureConfig
+from repro.core.fastpath import run_fast
 from repro.obs import TraceCollector
 from repro.obs import events as trace_events
 from repro.runtime.session import StreamingSession
+from repro.service import SERVED_APPS
+from repro.service.executor import SessionSpec
 from repro.service.jobs import kernel_for
 from repro.service.metrics import ServiceMetrics
 from repro.service.pool import WorkItem, WorkerPool
@@ -28,6 +34,60 @@ def make_pool(workers=2, tracer=None):
 
 def batch_of(keys):
     return TupleBatch.from_keys(np.asarray(keys, dtype=np.uint64))
+
+
+class TestDispatch:
+    """``dispatch`` is the window pass over a route that takes the
+    whole shard to one worker: the session it leaves is the one
+    ``run_fast`` gives the shard alone."""
+
+    CONFIG = ArchitectureConfig(lanes=8, pripes=16, secpes=0,
+                                reschedule_threshold=0.0)
+
+    def pool_for(self, app, params):
+        spec = SessionSpec(app=app, config=self.CONFIG, params=params)
+        tracer = TraceCollector(enabled=True)
+        pool = WorkerPool(4, lambda job_id: spec.build(), ServiceMetrics(),
+                          tracer=tracer)
+        pool.start()
+        return pool, spec, tracer
+
+    @pytest.mark.parametrize("app", SERVED_APPS)
+    def test_shard_folds_run_fast_into_its_worker(self, app):
+        rng = np.random.default_rng(8)
+        params = {"num_vertices": 256} if app == "pagerank" else {}
+        shard = TupleBatch(
+            keys=rng.zipf(1.5, 1_500).astype(np.uint64) % 256,
+            values=rng.integers(0, 256, 1_500, dtype=np.int64))
+        pool, spec, tracer = self.pool_for(app, params)
+        try:
+            pool.dispatch(2, WorkItem("job", shard, dispatch_clock=7))
+            expected = run_fast(self.CONFIG, spec.build().kernel, shard)
+            assert list(pool._sessions) == [(2, 0, "job")]
+            session = pool._sessions[(2, 0, "job")]
+            assert pickle.dumps(session.result) \
+                == pickle.dumps(expected.result)
+            assert (session.segments, session.total_tuples,
+                    session.total_cycles) \
+                == (1, expected.tuples, expected.cycles)
+        finally:
+            pool.stop()
+        assert tracer.events(trace_events.JOB_WINDOW) == []
+        [segment] = tracer.events(trace_events.JOB_SEGMENT)
+        assert (segment.clock, segment.worker, segment.data["tuples"],
+                segment.data["cycles"]) \
+            == (7, 2, expected.tuples, expected.cycles)
+        assert pool.metrics.workers[2]["cycles"] == expected.cycles
+
+    def test_raising_shard_leaves_one_ledger_entry(self):
+        pool, _, tracer = self.pool_for("pagerank", {"num_vertices": 64})
+        try:
+            pool.dispatch(2, WorkItem("job", batch_of([1, 64, 3])))
+            assert len(pool.errors("job")) == 1
+            assert pool.collect("job") is None
+        finally:
+            pool.stop()
+        assert tracer.events(trace_events.JOB_SEGMENT) == []
 
 
 class TestResize:

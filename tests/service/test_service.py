@@ -9,6 +9,7 @@ from repro.service.jobs import kernel_for
 from repro.workloads.streams import chunk_stream, timestamp_batch
 from repro.workloads.tuples import TupleBatch
 from repro.workloads.zipf import ZipfGenerator
+from tests.oracle import record_windows, replay
 
 WINDOW = 2e-6
 
@@ -265,31 +266,24 @@ class TestResubmittedJobId:
 
 
 class TestEngineSwitch:
-    def test_cycle_engine_still_served(self):
-        batch = zipf_batch(tuples=3_000)
-        svc = StreamService(workers=2, balancer="skew", engine="cycle")
-        job_id = svc.submit("histo", chunk_stream(batch, 1_500),
-                            window_seconds=WINDOW)
-        svc.run()
-        golden = kernel_for("histo", 16).golden(batch.keys, batch.values)
-        assert np.array_equal(svc.result(job_id).result, golden)
-        svc.shutdown()
-
-    def test_engines_agree_on_results(self):
+    def test_engines_agree_on_results(self, monkeypatch):
         batch = zipf_batch(alpha=1.8, tuples=4_000, seed=21)
         results = {}
-        for engine in ("fast", "cycle"):
-            svc = StreamService(workers=4, balancer="skew", engine=engine)
-            job_id = svc.submit("histo", chunk_stream(batch, 2_000),
-                                window_seconds=WINDOW)
-            svc.run()
-            results[engine] = svc.result(job_id).result
-            svc.shutdown()
+        windows = record_windows(monkeypatch)
+        svc = StreamService(workers=4, balancer="skew")
+        job_id = svc.submit("histo", chunk_stream(batch, 2_000),
+                            window_seconds=WINDOW)
+        svc.run()
+        results["fast"] = svc.result(job_id).result
+        results["cycle"] = replay(windows, "histo", svc.config).result
+        svc.shutdown()
         assert np.array_equal(results["fast"], results["cycle"])
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            StreamService(workers=2, engine="warp")
+    @pytest.mark.parametrize("knob", [{"engine": "cycle"},
+                                      {"max_cycles_per_segment": 10}])
+    def test_engine_is_not_a_service_option(self, knob):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            StreamService(workers=2, **knob)
 
 
 class TestRoundRobinService:

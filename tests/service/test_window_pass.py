@@ -1,17 +1,16 @@
-"""Which windows take the one-pass path, and what they leave behind.
+"""Every window is one pass, and it leaves what the per-shard path would.
 
-Every job on the fast engine (HISTO, HLL, PageRank, HHD and DP) runs
-each window as one :func:`~repro.core.fastpath.run_lanes` call in the
-inline pool; a job on the cycle engine keeps the per-shard path: the
-window is gathered by :meth:`Lanes.split` (what ``WindowRoute.split``
-calls) and each shard goes through ``StreamingSession.process``.  The
-spies pin that routing, and the trace test pins that a one-pass window
-emits exactly the ``job.window`` and ``job.segment`` sequence the
-per-shard path emits for it, and leaves the same result (pickle for
-pickle) and ``snapshot()``.
+Every job (HISTO, HLL, PageRank, HHD and DP) runs each window as one
+:func:`~repro.core.fastpath.run_lanes` call in the inline pool: the
+spies pin that no successful window gathers its shards
+(:meth:`Lanes.split`, what ``WindowRoute.split`` calls) or runs one
+through ``StreamingSession.process``.  The trace test holds the pass to
+the oracle helper (``tests/oracle.py``) on the fast engine: each
+recorded window split by its route and every shard run on its own must
+give the same ``job.window`` shards, ``job.segment`` rows, result
+(pickle for pickle) and per-worker and per-tenant tuples and cycles.
 """
 
-import dataclasses
 import pickle
 
 import numpy as np
@@ -26,6 +25,7 @@ from repro.service.balancer import Lanes
 from repro.workloads.streams import chunk_stream
 from repro.workloads.tuples import TupleBatch
 from repro.workloads.zipf import ZipfGenerator
+from tests.oracle import record_windows, replay
 
 
 def stream_for(app):
@@ -50,9 +50,9 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def serve(app, engine, tracer=None, tenant=None):
+def serve(app, tracer=None, tenant=None):
     batch, params = stream_for(app)
-    service = StreamService(workers=4, engine=engine, tracer=tracer)
+    service = StreamService(workers=4, tracer=tracer)
     try:
         if tenant is not None:
             service.register_tenant(tenant)
@@ -61,27 +61,10 @@ def serve(app, engine, tracer=None, tenant=None):
             params=params, job_id=f"pin-{app}",
             tenant_id=None if tenant is None else tenant.tenant_id)
         service.run()
-        return service.result(job_id), service.metrics.snapshot()
+        return (service.result(job_id), service.metrics.snapshot(),
+                service.config)
     finally:
         service.shutdown()
-
-
-@pytest.mark.parametrize("app,engine", [
-    ("histo", "cycle"), ("hll", "cycle"), ("pagerank", "cycle"),
-    ("dp", "cycle"),
-])
-def test_other_jobs_split_and_process_per_shard(monkeypatch, app, engine):
-    splits = count_calls(monkeypatch, Lanes, "split")
-    processed = count_calls(monkeypatch, StreamingSession, "process")
-    passes = count_calls(monkeypatch, pool_module, "run_lanes")
-    tracer = TraceCollector(enabled=True)
-    serve(app, engine, tracer)
-    windows = tracer.events(trace_events.JOB_WINDOW)
-    assert windows and len(splits) == len(windows)
-    assert len(processed) == len(tracer.events(trace_events.JOB_SEGMENT))
-    assert len(processed) == sum(len(event.data["shards"])
-                                 for event in windows)
-    assert passes == []
 
 
 @pytest.mark.parametrize("app", ["histo", "hll", "pagerank", "hhd", "dp"])
@@ -90,16 +73,10 @@ def test_fast_windows_run_one_pass(monkeypatch, app):
     processed = count_calls(monkeypatch, StreamingSession, "process")
     passes = count_calls(monkeypatch, pool_module, "run_lanes")
     tracer = TraceCollector(enabled=True)
-    serve(app, "fast", tracer)
+    serve(app, tracer)
     windows = tracer.events(trace_events.JOB_WINDOW)
     assert windows and len(passes) == len(windows)
     assert splits == [] and processed == []
-
-
-def event_rows(tracer):
-    return [(event.kind, event.clock, event.job_id, event.tenant_id,
-             event.worker, event.generation, event.data)
-            for event in tracer.events("job.")]
 
 
 @pytest.mark.parametrize("app", ["histo", "hll", "pagerank", "hhd", "dp"])
@@ -110,21 +87,31 @@ def test_one_pass_trace_and_results_match_the_per_shard_path(
     # workers 0 and 1; a quota of 3 folds lane 3 onto worker 0.
     tenant = (None if quota is None
               else TenantSpec("capped", worker_quota=quota))
+    windows = record_windows(monkeypatch)
     one_pass = TraceCollector(enabled=True)
-    fast_result, fast_snapshot = serve(app, "fast", one_pass, tenant)
-    monkeypatch.setattr(StreamingSession, "one_pass",
-                        property(lambda session: False))
-    per_shard = TraceCollector(enabled=True)
-    shard_result, shard_snapshot = serve(app, "fast", per_shard, tenant)
+    fast_result, fast_snapshot, config = serve(app, one_pass, tenant)
+    per_shard = replay(windows, app, config, stream_for(app)[1],
+                       engine="fast")
 
-    assert event_rows(one_pass) == event_rows(per_shard)
-    segments = per_shard.events(trace_events.JOB_SEGMENT)
+    assert [event.data["shards"]
+            for event in one_pass.events(trace_events.JOB_WINDOW)] \
+        == [[[worker, tuples] for worker, tuples, _ in window]
+            for window in per_shard.windows]
+    segments = one_pass.events(trace_events.JOB_SEGMENT)
+    assert [(event.worker, event.data["tuples"], event.data["cycles"])
+            for event in segments] \
+        == [row for window in per_shard.windows for row in window]
     assert len({event.worker for event in segments}) > 1
     # Each worker's hitters or partitions, folded in the same order:
     # the pickle sees dict order and every array's dtype.
     assert len(fast_result.result)
     assert pickle.dumps(fast_result.result) \
-        == pickle.dumps(shard_result.result)
-    assert dataclasses.replace(fast_result, result=None) \
-        == dataclasses.replace(shard_result, result=None)
-    assert fast_snapshot == shard_snapshot
+        == pickle.dumps(per_shard.result)
+    assert (fast_result.segments, fast_result.tuples, fast_result.cycles) \
+        == tuple(map(sum, zip(*per_shard.workers.values())))
+    assert {worker: (row["segments"], row["tuples"], row["cycles"])
+            for worker, row in fast_snapshot["workers"].items()} \
+        == per_shard.workers
+    assert {tenant_id: (row["tuples"], row["cycles"])
+            for tenant_id, row in fast_snapshot["tenants"].items()} \
+        == per_shard.tenants

@@ -83,6 +83,14 @@ class TestParser:
                 [command, "--backend", "process", "--transport", "shm"])
         assert "--transport" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ("serve", "submit", "ingest"))
+    def test_engine_flag_is_gone(self, command, capsys):
+        # Serving runs the fast engine only; the cycle engine is the
+        # tests' oracle (tests/oracle.py), not a serving mode.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([command, "--engine", "cycle"])
+        assert "--engine" in capsys.readouterr().err
+
 
 class TestExperiment:
     def test_list(self, capsys):
