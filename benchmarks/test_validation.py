@@ -2,13 +2,13 @@
 
 EXPERIMENTS.md cites the model-vs-cycle agreement as the licence for
 running the paper-scale sweeps on the models; this bench materialises
-the comparison table (and the windowed-rate sparkline of one skewed run)
+the comparison table (and the windowed rates of one skewed run)
 into ``benchmarks/results/``.
 """
 
 
+from repro.analysis.figures import render_series
 from repro.analysis.tables import Table
-from repro.analysis.trace import render_rate_trace
 from repro.apps.histo import HistogramKernel
 from repro.core.config import ArchitectureConfig
 from repro.perf.epoch import EpochModel
@@ -67,7 +67,11 @@ def test_validation_rate_trace(benchmark, emit):
         return model.run(kernel.route_array(batch.keys))
 
     result = benchmark.pedantic(measure, rounds=1, iterations=1)
-    text = render_rate_trace(result.window_rates, label="t/c per window")
+    rates = result.window_rates
+    text = render_series([str(i) for i in range(len(rates))],
+                         {"t/c": rates},
+                         title="Windowed throughput per 2048-tuple window",
+                         value_format="{:.2f}")
     emit("validation_rate_trace", text)
     # The trace must show the transition: channels absorb the first
     # burst at full bandwidth, then a throttled window while the hot

@@ -16,12 +16,10 @@ loop one level up, around the worker fleet of :mod:`repro.service`:
     math from :mod:`repro.perf.evolving`: replan when the drift interval
     amortises the rescheduling cost, hold the plan when replanning would
     thrash, freeze entirely in the burst-absorption regime.  Two
-    functions of the policy, the cost and the drift interval.
-``plan_cache``
-    An LRU of :class:`~repro.core.profiler.SchedulingPlan`s keyed by a
-    quantized histogram signature, so recurring distributions (diurnal
-    tenants, A/B flips) reattach helpers without re-running the greedy
-    plan.
+    functions of the policy, the cost and the drift interval.  A replan
+    always adopts the greedy plan of the merged histogram it is made
+    for, as the paper's host re-runs the greedy SecPE assignment on
+    every reschedule; no plan is reused.
 ``autoscaler``
     Elastic worker-pool sizing against a cycles-per-tuple SLO.
 ``controller``
@@ -37,7 +35,6 @@ loop one level up, around the worker fleet of :mod:`repro.service`:
 from repro.control.autoscaler import Autoscaler, ScaleDecision
 from repro.control.controller import AdaptiveController, ControlPolicy
 from repro.control.detector import DriftDetector, DriftReport
-from repro.control.plan_cache import PlanCache, histogram_signature
 from repro.control.replanner import ReplanDecision
 
 __all__ = [
@@ -46,8 +43,6 @@ __all__ = [
     "ControlPolicy",
     "DriftDetector",
     "DriftReport",
-    "PlanCache",
     "ReplanDecision",
     "ScaleDecision",
-    "histogram_signature",
 ]

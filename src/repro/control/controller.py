@@ -14,9 +14,9 @@ the adaptive one makes reacting a decision:
    estimated drift interval into a Fig. 9 regime: replan (amortised),
    hold the plan (thrashing), or freeze the control loop (burst
    absorption).
-3. A replan consults the :class:`~repro.control.plan_cache.PlanCache`
-   before re-running the greedy assignment, and charges the fleet the
-   rescheduling stall.
+3. A replan re-runs the greedy assignment on the merged histogram, as
+   the paper's host re-runs it on every reschedule, and charges the
+   fleet the rescheduling stall.
 4. Every ``autoscale_every`` windows the
    :class:`~repro.control.autoscaler.Autoscaler` checks recent cycles
    per tuple against the SLO and resizes the worker pool, reshaping the
@@ -41,7 +41,6 @@ import numpy as np
 from repro.control import replanner
 from repro.control.autoscaler import Autoscaler
 from repro.control.detector import DriftDetector, total_variation
-from repro.control.plan_cache import PlanCache
 from repro.control.replanner import ReplanDecision
 from repro.core.profiler import greedy_secpe_plan
 from repro.obs import events as trace_events
@@ -69,8 +68,8 @@ class ControlPolicy:
     reflexive:
         Adopt the greedy plan of every window's own sample (never the
         tenant-merged histogram), charging each plan change to the
-        window's tenant; the fields below, the detector, the plan cache
-        and ``control.*`` events go unused.
+        window's tenant; the fields below, the detector and
+        ``control.*`` events go unused.
     cycles_per_tuple:
         Static hint converting drift intervals (measured in tuples) to
         cycles.  A deliberate *hint*, not a live measurement, so a
@@ -161,7 +160,7 @@ class AdaptiveController:
     tracer:
         Optional :class:`~repro.obs.collector.TraceCollector`; every
         control decision (drift, replan/hold/freeze with its regime
-        inputs, plan adoption with cache outcome, autoscaler resizes
+        inputs, plan adoption, autoscaler resizes
         with their reason) is emitted as an audit-log event.  Disabled
         collector by default.
     """
@@ -184,7 +183,6 @@ class AdaptiveController:
         self.policy = policy or ControlPolicy()
         self.cost = cost
         self.detector = DriftDetector()
-        self.cache = PlanCache()
         self.autoscaler = None if slo is None else Autoscaler(slo)
         self.frozen = False
         self.windows = 0
@@ -362,7 +360,6 @@ class AdaptiveController:
         autoscale = ("off" if self.autoscaler is None
                      else f"slo={self.autoscaler.slo:g} c/t")
         return (f"adaptive control ({self.windows} windows, "
-                f"cache {self.cache.hits}/{self.cache.hits + self.cache.misses} hits, "
                 f"autoscale {autoscale}"
                 f"{', frozen' if self.frozen else ''})")
 
@@ -379,39 +376,17 @@ class AdaptiveController:
         self.metrics.set_rebalances(self.balancer.rebalances)
         return True
 
-    def _cache_namespace(self) -> Optional[str]:
-        """Scope cached plans to the tenant mixture they balance.
-
-        A plan is built from the *merged* histogram of the in-flight
-        tenants, so the cache key must name that mixture: a single
-        tenant's recurring distribution caches under its own id (two
-        tenants with clashing signatures no longer evict each other —
-        the ROADMAP's per-tenant plan-cache item), and a concurrent
-        mixture caches under the joined ids, separate from any one
-        member's solo plans.
-        """
-        if not self._tenant_histograms:
-            return None
-        return "+".join(sorted(self._tenant_histograms))
-
     def _adopt_plan(self, histogram: np.ndarray,
                     initial: bool = False,
                     tenant_id: Optional[str] = None) -> None:
-        plan, hit = self.cache.get_or_build(
-            histogram,
-            lambda: greedy_secpe_plan(histogram, self.balancer.secondaries,
-                                      self.balancer.primaries),
-            namespace=self._cache_namespace(),
-        )
         plan_age = self.windows - self._plan_born_window
-        self._apply(plan)
+        self._apply(greedy_secpe_plan(histogram, self.balancer.secondaries,
+                                      self.balancer.primaries))
         self.detector.rebase(histogram)
         self._plan_born_window = self.windows
         self._settled_drift_windows = 0
         stall = 0 if initial else self.cost
         self.metrics.record_control(
-            plan_cache_hits=int(hit),
-            plan_cache_misses=int(not hit),
             replans_applied=0 if initial else 1,
             reschedule_stall_cycles=stall,
             plan_age=None if initial else plan_age,
@@ -421,11 +396,9 @@ class AdaptiveController:
             self.tracer.emit(
                 trace_events.CONTROL_PLAN,
                 tenant_id=tenant_id,
-                cache_hit=hit,
                 initial=initial,
                 plan_age_windows=None if initial else plan_age,
                 stall_cycles=stall,
-                namespace=self._cache_namespace(),
                 window=self.windows)
 
     # ------------------------------------------------------------------
@@ -483,11 +456,10 @@ class AdaptiveController:
             # partial sessions stay in the pool for collection.
             self.balancer.reconfigure(decision.size)
             self.pool.resize(decision.size)
-        # The fleet shape changed: cached plans and the drift reference
-        # describe a histogram space that no longer exists, and the busy
-        # baseline must restart from the surviving workers (a removed
-        # worker may have held the old maximum).
-        self.cache.clear()
+        # The fleet shape changed: the drift reference describes a
+        # histogram space that no longer exists, and the busy baseline
+        # must restart from the surviving workers (a removed worker may
+        # have held the old maximum).
         self.detector.reset()
         self._plan_born_window = self.windows
         self._previous_histogram = None

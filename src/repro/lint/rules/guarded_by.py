@@ -1,9 +1,9 @@
 """*guarded-by*: lock-guarded attributes stay behind their lock.
 
-The torn-read class of bug (the ``ServiceMetrics`` snapshot and
-plan-cache hit-rate fixes): two counters that are updated
-together under a lock get *read* in two separate unlocked loads, and
-the derived figure describes no instant that ever existed.
+The torn-read class of bug (the ``ServiceMetrics`` snapshot fix: its
+fleet throughput divides tuples by cycles): two counters that are
+updated together under a lock get *read* in two separate unlocked
+loads, and the derived figure describes no instant that ever existed.
 
 Two ways an attribute becomes guarded:
 

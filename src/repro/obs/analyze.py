@@ -197,7 +197,7 @@ def decision_log(events: Iterable[TraceEvent]) -> List[Dict[str, Any]]:
     """The control plane's audit trail, in trace order.
 
     Each entry is a flat dict: the event kind, clock, tenant, and the
-    decision payload (verdict, regime inputs, cache hit, resize reason
+    decision payload (verdict, regime inputs, plan age, resize reason
     ...) — what ``repro trace --decisions`` prints.
     """
     log: List[Dict[str, Any]] = []

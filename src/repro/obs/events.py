@@ -42,7 +42,7 @@ JOB_CANCEL = "job.cancel"        #: job withdrawn before running
 # --- control plane (repro.control) ---
 CONTROL_DRIFT = "control.drift"          #: drift detected vs the plan
 CONTROL_DECISION = "control.decision"    #: replan/hold/freeze verdict
-CONTROL_PLAN = "control.plan"            #: plan adopted (cache hit/miss)
+CONTROL_PLAN = "control.plan"            #: greedy plan adopted
 CONTROL_RESIZE = "control.resize"        #: autoscaler changed the fleet
 
 # --- network front-end (repro.net) ---

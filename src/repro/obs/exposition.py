@@ -152,9 +152,6 @@ def to_prometheus(snapshot: Dict[str, Any], prefix: str = "repro") -> str:
               snapshot.get("transport", {}))
     control = snapshot.get("control", {})
     _counters(exp, "control", COUNTERS["control"], control)
-    exp.sample("control_plan_cache_hit_rate",
-               "Plan cache hits over lookups", "gauge",
-               control.get("plan_cache_hit_rate", 0.0))
     exp.sample("control_plan_age_windows",
                "Median windows a retired plan served", "gauge",
                control.get("plan_age_p50", 0.0))

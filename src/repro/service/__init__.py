@@ -44,7 +44,7 @@ workers serving many clients:
 
 Every plan is the call of the fleet's controller (:mod:`repro.control`):
 reflexive by default, or ``StreamService(adaptive=True, slo=...)``'s
-drift detection, cost-aware replanning, plan caching and autoscaling.
+drift detection, cost-aware replanning and autoscaling.
 """
 
 from repro.service.balancer import (

@@ -137,7 +137,7 @@ class Dispatcher:
                 tenant for tenant, entries in self._in_flight.items()
                 if len(entries) >= self.tenant_spec(tenant).max_in_flight
             }
-            job = self.queue.pop(timeout=0.0, blocked=blocked)
+            job = self.queue.pop(blocked=blocked)
             if job is None:
                 break
             entry = self._start_job(job)

@@ -133,8 +133,6 @@ COUNTERS: Dict[str, Dict[str, str]] = {
         "drift_events": "Drift detections",
         "replans_applied": "Replans applied",
         "replans_suppressed": "Replans suppressed (hold/freeze)",
-        "plan_cache_hits": "Plan cache hits",
-        "plan_cache_misses": "Plan cache misses",
         "scale_up_events": "Autoscaler grow events",
         "scale_down_events": "Autoscaler shrink events",
         "reschedule_stall_cycles": "Fleet-wide rescheduling stalls",
@@ -426,7 +424,7 @@ class ServiceMetrics:
 
         The whole dict is built under a **single** lock acquisition, so
         every derived figure (fleet throughput, makespan, imbalance, the
-        plan-cache hit rate, the per-tenant sections) describes the same
+        median plan age, the per-tenant sections) describes the same
         instant — composing the public single-metric accessors would let
         the counters move between reads and tear the snapshot.
 
@@ -445,8 +443,6 @@ class ServiceMetrics:
         makespan = self._makespan_locked()
         mean_cycles = sum(cycles) / len(cycles) if cycles else 0.0
         depths = self.queue_depth_samples
-        hits = self.control["plan_cache_hits"]
-        lookups = hits + self.control["plan_cache_misses"]
         return {
             "jobs": dict(self.jobs),
             "windows_closed": self.windows_closed,
@@ -474,7 +470,6 @@ class ServiceMetrics:
             "transport": dict(self.transport),
             "control": {
                 **self.control,
-                "plan_cache_hit_rate": hits / lookups if lookups else 0.0,
                 "plan_age_p50": _percentile(list(self.plan_ages), 50),
             },
             "tenants": {

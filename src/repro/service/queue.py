@@ -43,7 +43,6 @@ from typing import (
     Tuple,
 )
 
-from repro import wallclock
 from repro.service.jobs import (
     Job,
     JobStatus,
@@ -97,7 +96,6 @@ class JobQueue:
         self._pops = 0  # guarded-by: _lock
         self._virtual = 0.0  # guarded-by: _lock
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
 
     # ------------------------------------------------------------------
     # Tenant registry
@@ -129,7 +127,7 @@ class JobQueue:
         squeeze past the last slot.  Raises
         :class:`~repro.service.jobs.QuotaExceededError` when full.
         """
-        with self._not_empty:
+        with self._lock:
             if job.job_id in self._entries:
                 raise ValueError(f"duplicate job id {job.job_id!r}")
             spec = self._specs.get(job.tenant_id)
@@ -144,7 +142,6 @@ class JobQueue:
             self._enqueue_pop[job.job_id] = self._pops
             state.push(job)
             self._runnable += 1
-            self._not_empty.notify()
 
     def cancel(self, job_id: str) -> bool:
         """Withdraw a queued job.  Returns False if it already left."""
@@ -164,44 +161,15 @@ class JobQueue:
     # ------------------------------------------------------------------
     # Pop
     # ------------------------------------------------------------------
-    def pop(self, timeout: Optional[float] = 0.0,
-            blocked: Collection[str] = ()) -> Optional[Job]:
-        """Next runnable job, or None if the queue stays empty.
-
-        ``timeout=0`` polls; ``timeout=None`` blocks until a job arrives.
-        A finite timeout is a single absolute deadline: spurious wakeups
-        (e.g. a submit immediately cancelled) wait only the *remaining*
-        time, so repeated submit+cancel cycles cannot block a finite
-        ``pop`` past its deadline.
+    def pop(self, blocked: Collection[str] = ()) -> Optional[Job]:
+        """Next runnable job, or None when none is runnable (never waits).
 
         ``blocked`` names tenants the caller will not serve right now
         (e.g. at their in-flight cap); their jobs stay queued and their
         virtual time is not charged.
         """
-        blocked = frozenset(blocked)
-        with self._not_empty:
-            # The deadline is host time by necessity (it bounds a real
-            # thread wait) but goes through the vetted shim: it decides
-            # *when* pop wakes, never *what* it returns.
-            deadline = (
-                None if timeout is None
-                else wallclock.monotonic() + timeout
-            )
-            while True:
-                job = self._pop_runnable(blocked)
-                if job is not None:
-                    return job
-                if timeout == 0.0:
-                    return None
-                if deadline is None:
-                    self._not_empty.wait()
-                    continue
-                remaining = deadline - wallclock.monotonic()
-                if remaining <= 0.0:
-                    # The lock is held: nothing can have arrived since
-                    # the runnable check at the top of this iteration.
-                    return None
-                self._not_empty.wait(timeout=remaining)
+        with self._lock:
+            return self._pop_runnable(frozenset(blocked))
 
     def _live(self, job: Job) -> bool:  # guarded-by: _lock
         return (job.status is JobStatus.PENDING

@@ -120,7 +120,7 @@ class StreamService:
         ``ControlPolicy(reflexive=True)``: every window adopts the
         greedy plan of its own sample.  True selects the adaptive
         :mod:`repro.control` loop, which decides per window whether
-        drift justifies a replan (with plan caching) and — given an
+        drift justifies a replan of the merged histogram and — given an
         SLO — whether to resize the fleet; it requires secondary
         workers to attach (any fleet but ``"roundrobin"`` with K > 1).
         The tunables are the controller's

@@ -19,9 +19,10 @@ Two functions, mirroring the two legitimate uses:
     input to scheduling, accounting, or results.
 
 ``monotonic()``
-    Monotonic seconds — *timeouts and waits* (a queue pop deadline, an
-    idle probe).  Affects when Python threads wake, never what the
-    deterministic dispatch clock or any result contains.
+    Monotonic seconds — *timeouts and waits* (the ingest buffer's idle
+    probe, the shared-memory arena's write deadline).  Affects when
+    Python threads wake, never what the deterministic dispatch clock or
+    any result contains.
 
 Shadow replay can later substitute both (e.g. replaying a capture's
 recorded ``wall`` stamps) by patching this module alone.

@@ -50,9 +50,8 @@ class EvolvingZipfStream:
     seed_cycle:
         When set, segment seeds cycle through ``seed_cycle`` distinct
         values instead of being fresh forever — the recurring-workload
-        shape (diurnal tenants, A/B flips) the control plane's plan
-        cache exploits.  None (default) keeps every segment's seed
-        unique, as in Fig. 9.
+        shape of diurnal tenants and A/B flips.  None (default) keeps
+        every segment's seed unique, as in Fig. 9.
     """
 
     alpha: float

@@ -1,4 +1,4 @@
-"""AdaptiveController end to end: drift loop, cache, elastic sizing.
+"""AdaptiveController end to end: drift loop, exact plans, elastic sizing.
 
 Unit tests drive the controller directly with synthetic windows; the
 integration tests run it inside a real :class:`StreamService` and hold
@@ -56,27 +56,50 @@ def drifting_windows(windows, primaries):
             return chosen
 
 
-class TestPlanCacheNamespaces:
-    def test_plans_cache_under_the_tenant_namespace(self):
-        controller, balancer, _ = make_controller()
-        controller.on_window(hot_keys(1), WINDOW_TUPLES,
-                             tenant_id="alice")
-        hist = balancer.last_histogram
-        assert controller._cache_namespace() == "alice"
-        assert controller.cache.lookup(hist,
-                                       namespace="alice") is not None
-        # The same signature under another tenant is a different key:
-        # bob can no longer evict (or poach) alice's plan.
-        assert controller.cache.lookup(hist, namespace="bob") is None
+def shard_window(counts, primaries=3):
+    """A window whose fleet shard ``s`` receives exactly ``counts[s]``
+    tuples, its keys picked per shard with :func:`shard_of_keys`."""
+    candidates = np.arange(1, 20_000, dtype=np.uint64)
+    shards = shard_of_keys(candidates, primaries)
+    return np.concatenate([np.resize(candidates[shards == shard], count)
+                           for shard, count in enumerate(counts)])
 
-    def test_mixture_namespace_joins_in_flight_tenants(self):
-        controller, _, _ = make_controller()
-        controller.on_window(hot_keys(1), WINDOW_TUPLES, tenant_id="bob")
-        controller.on_window(hot_keys(1), WINDOW_TUPLES,
-                             tenant_id="alice")
-        assert controller._cache_namespace() == "alice+bob"
-        controller.forget_tenant("bob")
-        assert controller._cache_namespace() == "alice"
+
+class TestExactPlans:
+    """A replan adopts the greedy plan of the merged histogram it is
+    made for; no plan built for another histogram is reused."""
+
+    def test_every_plan_is_the_greedy_plan_of_its_histogram(self):
+        balancer = SkewAwareBalancer(4)
+        tracer = TraceCollector(enabled=True)
+        sink = tracer.add_sink(MemorySink())
+        controller = AdaptiveController(
+            balancer, None, ServiceMetrics(),
+            policy=ControlPolicy(cycles_per_tuple=1.0,
+                                 hysteresis_windows=0),
+            cost=100, tracer=tracer)
+        # A and B quantise alike (shard shares rounded to eighths read
+        # 3, 3, 2 in both) but shard 0 is hottest in A, shard 1 in B;
+        # C moves the load away in between.
+        a, c, b = (840, 660, 500), (200, 200, 1600), (660, 840, 500)
+        histograms, actions = [], []
+        for counts in (a, c, b):
+            actions.append(controller.on_window(shard_window(counts),
+                                                sum(counts)))
+            histogram = balancer.last_histogram
+            histograms.append(histogram)
+            (event,) = [e for e in sink.events
+                        if e.kind == "control.plan"
+                        and e.data["window"] == controller.windows]
+            assert event.data["initial"] == (counts is a)
+            assert balancer.plan.pairs == greedy_secpe_plan(
+                histogram, balancer.secondaries, balancer.primaries).pairs
+        assert actions == ["plan", "replan", "replan"]
+        shares_a, _, shares_b = (np.round(h / h.sum() * 8)
+                                 for h in histograms)
+        assert np.array_equal(shares_a, shares_b)
+        assert histograms[0].argmax() != histograms[2].argmax()
+        assert balancer.rebalances == 2
 
 
 class TestReflexivePolicy:
@@ -120,7 +143,6 @@ class TestReflexivePolicy:
             controller.on_window(keys, WINDOW_TUPLES)
         assert balancer.rebalances >= 2
         assert sink.events == []
-        assert controller.cache.hits + controller.cache.misses == 0
 
     def test_service_defaults_to_it_on_any_fleet(self):
         for name in ("skew", "roundrobin"):
@@ -213,20 +235,7 @@ class TestControlLoop:
         assert not controller.frozen
         assert metrics.control["replans_suppressed"] >= 1
 
-    def test_replans_hit_the_cache_on_recurring_distributions(self):
-        controller, _, metrics = make_controller(
-            cost=100, hysteresis_windows=1)
-        # Two alternating distributions, far enough apart to amortise.
-        for cycle in range(3):
-            for seed in (1, 4):
-                controller.on_window(hot_keys(seed), WINDOW_TUPLES)
-                for _ in range(5):
-                    controller.on_window(hot_keys(seed), WINDOW_TUPLES)
-        assert metrics.control["replans_applied"] >= 3
-        assert metrics.control["plan_cache_hits"] \
-            >= metrics.control["replans_applied"] - 2
-
-    def test_describe_mentions_cache_and_slo(self):
+    def test_describe_mentions_slo(self):
         controller, _, _ = make_controller(slo=0.5)
         assert "slo=0.5" in controller.describe()
 

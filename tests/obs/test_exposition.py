@@ -80,8 +80,8 @@ def _golden_metrics() -> ServiceMetrics:
         slab_blocks_reused=9, slabs_released=1, shard_retries=6)
     metrics.record_control(
         drift_events=7, replans_applied=3, replans_suppressed=4,
-        plan_cache_hits=2, plan_cache_misses=1, scale_up_events=1,
-        scale_down_events=2, reschedule_stall_cycles=600, plan_age=7,
+        scale_up_events=1, scale_down_events=2,
+        reschedule_stall_cycles=600, plan_age=7,
         tenant="alice")
     metrics.record_control(plan_age=3)
     return metrics
@@ -118,7 +118,7 @@ class TestToPrometheus:
                      for suffix in ("", "_peak", "_samples")}
         hand_written = summaries | {
             "jobs_total", "tenant_jobs_total",
-            "control_plan_cache_hit_rate", "control_plan_age_windows"}
+            "control_plan_age_windows"}
         assert not declared & hand_written
         assert families == {f"repro_{family}"
                             for family in declared | hand_written}

@@ -48,7 +48,7 @@ class TestDeclaredCounters:
 
     def test_the_table_is_the_three_flat_sections(self):
         assert list(COUNTERS) == ["gateway", "transport", "control"]
-        assert len(DECLARED) == 23
+        assert len(DECLARED) == 21
 
     def test_every_figure_has_a_recording_case(self):
         assert list(FLEET_RECORDED) == list(FLEET_FIGURES)
@@ -151,7 +151,7 @@ class TestQueueDepthRingBuffer:
                                        "peak": 0, "last": 0,
                                        "samples": 0}
         assert snap["fleet_throughput"] == 0.0
-        assert snap["control"]["plan_cache_hit_rate"] == 0.0
+        assert snap["control"]["plan_age_p50"] == 0.0
 
 
 class TestWindowRecord:
@@ -204,68 +204,65 @@ class TestStallAccounting:
         metrics.record_segment(0, tuples=10, cycles=10)
         assert "\ncontrol " not in metrics.render()
         metrics.record_control(drift_events=2, replans_applied=1,
-                               replans_suppressed=1, plan_cache_hits=1,
+                               replans_suppressed=1,
                                reschedule_stall_cycles=123)
         line = metrics.render().split("\ncontrol ", 1)[1]
         # Only the non-zero declared counters, in table order.
         assert line.split(": ", 1)[1] == (
             "drift_events 2, replans_applied 1, replans_suppressed 1, "
-            "plan_cache_hits 1, reschedule_stall_cycles 123")
+            "reschedule_stall_cycles 123")
 
     def test_snapshot_control_section_tracks_counters(self):
         metrics = ServiceMetrics()
         metrics.record_control(drift_events=3, replans_applied=2,
                                replans_suppressed=1,
-                               plan_cache_hits=1, plan_cache_misses=1,
                                scale_up_events=1, scale_down_events=2,
                                reschedule_stall_cycles=42, plan_age=7)
         control = metrics.snapshot()["control"]
         assert control["drift_events"] == 3
         assert control["replans_applied"] == 2
         assert control["replans_suppressed"] == 1
-        assert control["plan_cache_hit_rate"] == 0.5
         assert control["scale_up_events"] == 1
         assert control["scale_down_events"] == 2
         assert control["reschedule_stall_cycles"] == 42
         assert control["plan_age_p50"] == 7
 
 
-class TestPlanCacheHitRateLocking:
-    """Regression: the plan-cache hit rate was once read from hits and
-    misses in two unlocked loads, so a concurrent record_control could
-    surface a rate describing no instant that ever existed (torn read).
-    The snapshot computes it under its single lock acquisition."""
+class TestSnapshotLocking:
+    """Regression: a derived figure was once read from two counters in
+    two unlocked loads, so a concurrent writer could surface a value
+    describing no instant that ever existed (torn read).  The snapshot
+    derives every figure under its single lock acquisition."""
 
     def test_snapshot_reuses_the_held_lock_without_deadlock(self):
-        # _snapshot_locked computes the rate while already holding the
-        # non-reentrant lock; a naive `with self._lock` in the public
-        # accessor would deadlock here.
+        # _snapshot_locked derives the throughput while already holding
+        # the non-reentrant lock; a naive `with self._lock` in the
+        # accessor it calls would deadlock here.
         metrics = ServiceMetrics()
-        metrics.record_control(plan_cache_hits=1, plan_cache_misses=3)
+        metrics.record_segment(0, tuples=3, cycles=4)
         snapshot = metrics.snapshot()
-        assert snapshot["control"]["plan_cache_hit_rate"] == \
-            pytest.approx(0.25)
+        assert snapshot["fleet_throughput"] == pytest.approx(0.75)
 
-    def test_no_torn_reads_under_concurrent_lookups(self):
-        # The writer bumps hits and misses together, so a correctly
-        # locked reader can only ever observe a 0.5 rate; a torn read
-        # sees one counter's update without the other.
+    def test_no_torn_reads_under_concurrent_segments(self):
+        # The writer adds tuples and cycles together, so a correctly
+        # locked reader can only ever observe a throughput of 1.0; a
+        # torn read sees one counter's update without the other.
         import threading
 
         metrics = ServiceMetrics()
-        metrics.record_control(plan_cache_hits=1, plan_cache_misses=1)
+        metrics.record_segment(0, tuples=2, cycles=2)
         stop = threading.Event()
 
         def writer():
             while not stop.is_set():
-                metrics.record_control(plan_cache_hits=1, plan_cache_misses=1)
+                metrics.record_segment(0, tuples=2, cycles=2)
 
         thread = threading.Thread(target=writer, daemon=True)
         thread.start()
         try:
             for _ in range(2_000):
                 snapshot = metrics.snapshot()
-                assert snapshot["control"]["plan_cache_hit_rate"] == 0.5
+                assert snapshot["fleet_throughput"] == 1.0
         finally:
             stop.set()
             thread.join(timeout=10.0)

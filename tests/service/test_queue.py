@@ -1,8 +1,5 @@
 """Job model and admission queue: ordering, cancellation, validation."""
 
-import threading
-import time
-
 import numpy as np
 import pytest
 
@@ -102,67 +99,6 @@ class TestQueueLifecycle:
             queue.submit(job)
         queue.cancel(jobs[1].job_id)
         assert queue.depth() == len(queue) == 2
-
-
-class TestPopDeadline:
-    """A finite-timeout pop waits against one absolute deadline."""
-
-    def test_submit_cancel_churn_cannot_extend_a_finite_timeout(self):
-        """Each submit+cancel wakes the popper, which used to re-wait
-        the *full* timeout — steady churn then blocked a finite pop
-        indefinitely.  With the deadline fix it returns by ~timeout."""
-        queue = JobQueue()
-        outcome = {}
-
-        def popper():
-            start = time.monotonic()
-            outcome["job"] = queue.pop(timeout=0.3)
-            outcome["elapsed"] = time.monotonic() - start
-
-        thread = threading.Thread(target=popper)
-        thread.start()
-        churn_until = time.monotonic() + 1.2
-        while thread.is_alive() and time.monotonic() < churn_until:
-            job = make_job()
-            queue.submit(job)
-            queue.cancel(job.job_id)
-            time.sleep(0.02)
-        thread.join(timeout=2.0)
-        assert not thread.is_alive()
-        assert outcome["job"] is None
-        # Generous bound: the buggy restart behaviour lands at ~1.5s.
-        assert outcome["elapsed"] < 1.0
-
-    def test_finite_timeout_returns_job_arriving_in_time(self):
-        queue = JobQueue()
-        job = make_job()
-        popped = {}
-
-        def popper():
-            popped["job"] = queue.pop(timeout=2.0)
-
-        thread = threading.Thread(target=popper)
-        thread.start()
-        time.sleep(0.05)
-        queue.submit(job)
-        thread.join(timeout=2.0)
-        assert popped["job"] is job
-
-    def test_blocking_pop_waits_for_submit(self):
-        queue = JobQueue()
-        job = make_job()
-        popped = {}
-
-        def popper():
-            popped["job"] = queue.pop(timeout=None)
-
-        thread = threading.Thread(target=popper)
-        thread.start()
-        time.sleep(0.05)
-        queue.submit(job)
-        thread.join(timeout=2.0)
-        assert not thread.is_alive()
-        assert popped["job"] is job
 
 
 class TestTimestampedBatch:

@@ -3,8 +3,7 @@
 ``repro.wallclock`` is the only sanctioned door to host time for
 modules on the deterministic dispatch-clock path (enforced by the
 ``determinism`` lint rule).  These tests pin its consumer sites —
-trace wall stamps, queue pop deadlines and the ingest buffer's idle
-clock — to the shim, so shadow replay and tests can fake all of them by
+trace wall stamps and the ingest buffer's idle clock — to the shim, so shadow replay and tests can fake all of them by
 patching one module.
 """
 
@@ -16,7 +15,6 @@ from repro import wallclock
 from repro.net.buffer import IngestBuffer
 from repro.obs import events as trace_events
 from repro.obs.collector import TraceCollector
-from repro.service.queue import JobQueue
 
 
 class TestShim:
@@ -41,20 +39,6 @@ class TestCollectorUsesShim:
         (event,) = tracer.events()
         assert event.wall == 123.5
         assert event.clock == 7
-
-
-class TestQueueUsesShim:
-    def test_pop_deadline_reads_the_shim_not_time(self, monkeypatch):
-        # Each fake reading advances a full second, so the 0.5 s
-        # timeout expires on the shim's clock before any real wait: a
-        # queue still reading time.monotonic() directly would sleep
-        # the real half second instead.
-        ticks = iter(float(i) for i in range(10))
-        monkeypatch.setattr(wallclock, "monotonic",
-                            lambda: next(ticks))
-        start = time.monotonic()
-        assert JobQueue().pop(timeout=0.5) is None
-        assert time.monotonic() - start < 0.4
 
 
 class TestBufferUsesShim:
