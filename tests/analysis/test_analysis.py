@@ -73,6 +73,28 @@ class TestFigures:
         assert len(lines) == 3
         assert "4.0" in lines[2]
 
+    def test_series_title_is_the_first_line(self):
+        text = render_series(["0"], {"a": [1.0]}, title="rates")
+        assert text.splitlines()[0] == "rates"
+        assert render_series(["0"], {"a": [1.0]}).splitlines()[0] \
+            .startswith("x")
+
+    def test_series_value_format_applies_to_every_cell(self):
+        text = render_series(["0", "1"], {"a": [0.5, 2.25]},
+                             value_format="{:.3f}")
+        assert text.splitlines()[1].split() == ["a", "0.500", "2.250"]
+
+    def test_series_columns_share_one_width(self):
+        # The widest x label or value sets every column's width, and
+        # the series names are padded to the longest one.
+        text = render_series(["t0", "t1"], {"rate": [1.0, 1234.5],
+                                            "r": [2.0, 3.0]})
+        lines = text.splitlines()
+        assert len({len(line) for line in lines}) == 1
+        assert lines[0] == "x   " + "     t0" + "     t1"
+        assert lines[1] == "rate" + "    1.0" + " 1234.5"
+        assert lines[2] == "r   " + "    2.0" + "    3.0"
+
     def test_series_validates_lengths(self):
         with pytest.raises(ValueError):
             render_series(["0"], {"a": [1.0, 2.0]})

@@ -101,6 +101,135 @@ class TestExactPlans:
         assert histograms[0].argmax() != histograms[2].argmax()
         assert balancer.rebalances == 2
 
+    @pytest.mark.parametrize("workers", [3, 4, 6, 8, 12])
+    def test_every_adoption_is_greedy_on_any_fleet_shape(self, workers):
+        # One to three secondaries over two to nine primaries; a single
+        # tenant's merged histogram is its window's own.
+        controller, balancer, metrics = make_controller(
+            workers=workers, cost=100, hysteresis_windows=0)
+        actions = []
+        for keys in drifting_windows(8, balancer.primaries):
+            actions.append(controller.on_window(keys, WINDOW_TUPLES))
+            if actions[-1] in ("plan", "replan"):
+                assert balancer.plan.pairs == greedy_plan(
+                    balancer, balancer.last_histogram).pairs
+        assert actions[0] == "plan"
+        assert metrics.control["replans_applied"] \
+            == actions.count("replan") >= 1
+
+    def test_a_recurring_distribution_pays_the_full_stall(self):
+        # Alternating streams bring back plans adopted before; each
+        # return is a fresh plan and charges the whole stall.
+        controller, balancer, metrics = make_controller(
+            cost=100, hysteresis_windows=1)
+        for _ in range(3):
+            for seed in (1, 4):
+                for _ in range(6):
+                    action = controller.on_window(hot_keys(seed),
+                                                  WINDOW_TUPLES)
+                    if action == "replan":
+                        assert balancer.plan.pairs == greedy_plan(
+                            balancer, balancer.last_histogram).pairs
+        replans = metrics.control["replans_applied"]
+        assert replans >= 3
+        assert metrics.control["reschedule_stall_cycles"] == 100 * replans
+
+    def test_plan_event_fields(self):
+        balancer = SkewAwareBalancer(4)
+        tracer = TraceCollector(enabled=True)
+        sink = tracer.add_sink(MemorySink())
+        controller = AdaptiveController(
+            balancer, None, ServiceMetrics(),
+            policy=ControlPolicy(cycles_per_tuple=1.0,
+                                 hysteresis_windows=0),
+            cost=100, tracer=tracer)
+        for counts in ((840, 660, 500), (200, 200, 1600)):
+            controller.on_window(shard_window(counts), sum(counts),
+                                 tenant_id="alice")
+        first, replan = [e for e in sink.events if e.kind == "control.plan"]
+        assert set(first.data) == set(replan.data) == {
+            "initial", "plan_age_windows", "stall_cycles", "window"}
+        assert (first.tenant_id, replan.tenant_id) == (None, "alice")
+        assert (first.data["stall_cycles"], replan.data["stall_cycles"]) \
+            == (0, 100)
+        assert replan.data["plan_age_windows"] == 1
+
+    def test_two_tenants_plan_on_their_summed_histogram(self):
+        controller, balancer, _ = make_controller(
+            cost=100, hysteresis_windows=0)
+        controller.on_window(shard_window((900, 50, 50)), 1_000,
+                             tenant_id="alice")
+        alice = balancer.last_histogram
+        action = controller.on_window(shard_window((50, 500, 450)), 1_000,
+                                      tenant_id="bob")
+        bob = balancer.last_histogram
+        assert action == "replan"
+        # Bob's window alone would send the helper to shard 1; the
+        # fleet's load (alice's and bob's) keeps it on shard 0.
+        assert balancer.plan.pairs == greedy_plan(balancer,
+                                                  alice + bob).pairs
+        assert balancer.plan.pairs != greedy_plan(balancer, bob).pairs
+
+    def test_forgotten_tenant_leaves_the_next_plan(self):
+        controller, balancer, _ = make_controller(
+            cost=100, hysteresis_windows=0)
+        controller.on_window(shard_window((900, 50, 50)), 1_000,
+                             tenant_id="alice")
+        controller.on_window(shard_window((50, 500, 450)), 1_000,
+                             tenant_id="bob")
+        controller.forget_tenant("alice")
+        action = controller.on_window(shard_window((50, 500, 450)), 1_000,
+                                      tenant_id="bob")
+        assert action == "replan"
+        assert balancer.plan.pairs == greedy_plan(
+            balancer, balancer.last_histogram).pairs
+
+    def test_reshaped_fleet_plans_afresh_on_its_new_shards(self):
+        controller, balancer, metrics = make_controller(
+            cost=100, hysteresis_windows=0)
+        controller.on_window(shard_window((900, 50, 50)), 1_000)
+        balancer.reconfigure(8)
+        assert balancer.plan is None
+        action = controller.on_window(
+            shard_window((500, 50, 50, 50, 50, 300), primaries=6), 1_000)
+        # The old shape's histogram is dropped, not summed into the new.
+        assert action == "plan"
+        assert len(balancer.last_histogram) == balancer.primaries == 6
+        assert balancer.plan.pairs == greedy_plan(
+            balancer, balancer.last_histogram).pairs
+        assert metrics.control["reschedule_stall_cycles"] == 0
+
+    def test_plan_ages_count_the_windows_each_plan_served(self):
+        controller, _, metrics = make_controller(
+            cost=100, hysteresis_windows=0)
+        a, c, b = (840, 660, 500), (200, 200, 1600), (660, 840, 500)
+        actions = [controller.on_window(shard_window(counts), sum(counts))
+                   for counts in (a, a, a, c, c, b)]
+        assert actions == ["plan", "steady", "steady",
+                           "replan", "steady", "replan"]
+        assert list(metrics.plan_ages) == [3, 2]
+
+    def test_single_tenant_replans_match_the_reflexive_plans(self):
+        # The reflexive policy plans every window's own sample; on one
+        # tenant the adaptive replans pick the very same plans.
+        adaptive, adaptive_balancer, _ = make_controller(
+            cost=100, hysteresis_windows=0)
+        reflexive, reflexive_balancer, _ = make_controller(reflexive=True)
+        replans = 0
+        for keys in drifting_windows(8, adaptive_balancer.primaries):
+            action = adaptive.on_window(keys, WINDOW_TUPLES)
+            reflexive.on_window(keys, WINDOW_TUPLES)
+            if action in ("plan", "replan"):
+                replans += action == "replan"
+                assert adaptive_balancer.plan.pairs \
+                    == reflexive_balancer.plan.pairs
+        assert replans >= 1
+
+
+def greedy_plan(balancer, histogram):
+    return greedy_secpe_plan(histogram, balancer.secondaries,
+                             balancer.primaries)
+
 
 class TestReflexivePolicy:
     """``ControlPolicy(reflexive=True)``: each window adopts the greedy

@@ -267,3 +267,38 @@ class TestSnapshotLocking:
             stop.set()
             thread.join(timeout=10.0)
         assert not thread.is_alive()
+
+    def test_a_window_s_shards_land_together(self):
+        # One record_segments call charges two workers alike, so a
+        # locked reader always sees them level: imbalance exactly 1.
+        import threading
+
+        metrics = ServiceMetrics()
+        metrics.record_segments([(0, 1, 1), (1, 1, 1)])
+        stop = threading.Event()
+
+        def writer():
+            while not stop.is_set():
+                metrics.record_segments([(0, 1, 1), (1, 1, 1)])
+
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        try:
+            for _ in range(2_000):
+                snapshot = metrics.snapshot()
+                assert snapshot["imbalance"] == 1.0
+                workers = snapshot["workers"]
+                assert workers[0]["cycles"] == workers[1]["cycles"]
+        finally:
+            stop.set()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+
+    def test_control_section_is_its_counters_and_the_plan_age(self):
+        # No figure is derived into the control section but the median
+        # plan age; every other key is a declared counter.
+        metrics = ServiceMetrics()
+        metrics.record_control(replans_applied=1, plan_age=3)
+        control = metrics.snapshot()["control"]
+        assert set(control) == set(COUNTERS["control"]) | {"plan_age_p50"}
+        assert control["plan_age_p50"] == 3

@@ -3,7 +3,8 @@
 ``repro.wallclock`` is the only sanctioned door to host time for
 modules on the deterministic dispatch-clock path (enforced by the
 ``determinism`` lint rule).  These tests pin its consumer sites —
-trace wall stamps and the ingest buffer's idle clock — to the shim, so shadow replay and tests can fake all of them by
+trace wall stamps and the ingest buffer's idle clock and blocking
+deadline — to the shim, so shadow replay and tests can fake all of them by
 patching one module.
 """
 
@@ -56,3 +57,16 @@ class TestBufferUsesShim:
         assert buffer.poll_ready()
         with pytest.raises(RuntimeError, match="idle for 0.2s"):
             next(buffer)
+
+    def test_blocking_next_deadline_reads_the_shim(self, monkeypatch):
+        # The shim jumps past the deadline after the consumer computes
+        # it: the pull fails at once.  A buffer timing its wait with
+        # time.monotonic() would block for the whole minute instead.
+        readings = iter([100.0, 100.0, 161.0])
+        monkeypatch.setattr(wallclock, "monotonic",
+                            lambda: next(readings))
+        buffer = IngestBuffer(idle_timeout=60.0)
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match="idle for 60s"):
+            next(buffer)
+        assert time.monotonic() - started < 5.0

@@ -33,6 +33,33 @@ def test_segments_have_distinct_seeds_and_hot_keys():
     # should move at least once across three segments.
     assert len(set(hot_pes)) >= 2
 
+def test_seed_cycle_repeats_segments():
+    stream = EvolvingZipfStream(alpha=3.0, interval_tuples=500,
+                                total_tuples=2500, seed_cycle=2)
+    segments = list(stream.segments())
+    seeds = [s.seed for s in segments]
+    assert seeds[0::2] == [seeds[0]] * 3
+    assert seeds[1::2] == [seeds[1]] * 2
+    assert seeds[0] != seeds[1]
+    assert np.array_equal(segments[0].batch.keys, segments[2].batch.keys)
+    assert np.array_equal(segments[1].batch.keys, segments[3].batch.keys)
+
+def test_seed_cycle_longer_than_the_stream_changes_nothing():
+    plain = EvolvingZipfStream(alpha=2.0, interval_tuples=400,
+                               total_tuples=1200)
+    cycled = EvolvingZipfStream(alpha=2.0, interval_tuples=400,
+                                total_tuples=1200, seed_cycle=3)
+    assert [s.seed for s in plain.segments()] \
+        == [s.seed for s in cycled.segments()]
+    assert np.array_equal(plain.materialize().keys,
+                          cycled.materialize().keys)
+
+@pytest.mark.parametrize("seed_cycle", [0, -1])
+def test_seed_cycle_validation(seed_cycle):
+    with pytest.raises(ValueError, match="seed_cycle must be positive"):
+        EvolvingZipfStream(alpha=3.0, interval_tuples=10, total_tuples=10,
+                           seed_cycle=seed_cycle)
+
 def test_materialize_concatenates_everything():
     stream = EvolvingZipfStream(alpha=1.0, interval_tuples=400,
                                 total_tuples=1000)
