@@ -23,11 +23,11 @@ that line, through collisions, is replayed up to its last occurrence.
 A fleet window's by-key shards take the same route at once
 (:meth:`HeavyHitterKernel.process_lanes`, whose keyed pass
 ``process_shard`` runs with one worker): a by-key lane depends on the
-key alone, so each distinct key of the window has one lane and one
-(folded) worker, and
-every worker's sketches come from one ``np.unique``, one ``hash_rows``
-and one scatter-add over (worker, row, PE, column) cells — each shard's
-own hitters, as its own ``process_shard`` call would find them.
+key alone, so each distinct key of the window has one lane, which is
+one worker, and every worker's sketches come from one ``np.unique``,
+one ``hash_rows`` and one scatter-add over (worker, row, PE, column)
+cells — each shard's own hitters, as its own ``process_shard`` call
+would find them.
 
 The paper's uniform-comparison dataset has "half of the tuples with the
 same key" — a single guaranteed heavy hitter — which
@@ -134,24 +134,23 @@ class HeavyHitterKernel(KernelSpec):
 
     def process_shard(self, keys: np.ndarray,
                       values: np.ndarray) -> Tuple[np.ndarray, Dict[int, int]]:
-        # The window pass over one worker's one lane: every key on
-        # lane 0, and lane 0 on worker 0.
+        # The window pass over one worker: every key on lane 0.
         destinations, (hitters,) = self._keyed_pass(
-            keys, np.zeros_like, np.zeros(1, dtype=np.int64))
+            keys, lambda found: np.zeros(len(found), dtype=np.int64), 1)
         return destinations, hitters
 
     def process_lanes(self, keys: np.ndarray, values: np.ndarray, lanes
                       ) -> Tuple[np.ndarray, List[Dict[int, int]]]:
         # A by-key lane depends on the key alone.
         return self._keyed_pass(keys, lanes.route.key_lanes,
-                                lanes.route.folds)
+                                lanes.route.lane_count)
 
     def _keyed_pass(self, keys: np.ndarray,
                     key_lanes: Callable[[np.ndarray], np.ndarray],
-                    folds: np.ndarray
+                    workers: int
                     ) -> Tuple[np.ndarray, List[Dict[int, int]]]:
         """``process_lanes`` where ``key_lanes(keys)`` gives each key's
-        lane and ``folds[lane]`` the worker the lane folds onto."""
+        lane, which is its worker, in ``[0, workers)``."""
         # Each worker's hitters, bit-identical to the per-tuple loop on
         # its fresh sketches, by the module docstring's two facts.  A
         # key's lane depends on the key alone, so each distinct key has
@@ -159,7 +158,7 @@ class HeavyHitterKernel(KernelSpec):
         # doubtful key replays its own worker's prefix.
         keys = np.asarray(keys, dtype=np.uint64)
         uniques, counts = np.unique(keys, return_counts=True)
-        owners = folds[key_lanes(uniques)]
+        owners = key_lanes(uniques)
         pes = self.pripe_of(uniques)
         plane = self.pripes * self.width
         cells = self.family.hash_rows(uniques) + (
@@ -171,8 +170,8 @@ class HeavyHitterKernel(KernelSpec):
         # counted and read, so no other cell need ever be cleared.  The
         # scatter-add takes flat cells and tiled counts: a 2-D index
         # with broadcast counts reads past the counts on NumPy 2.4.
-        if self._totals.size < len(folds) * self.depth * plane:
-            self._totals = np.empty(len(folds) * self.depth * plane,
+        if self._totals.size < workers * self.depth * plane:
+            self._totals = np.empty(workers * self.depth * plane,
                                     dtype=np.int64)
         totals = self._totals
         totals[cells] = 0
@@ -187,10 +186,9 @@ class HeavyHitterKernel(KernelSpec):
             if owner not in inverses:
                 if lanes is None:
                     lanes = key_lanes(keys)
-                # The shard's keys in its own order, lane after lane.
-                inverses[owner] = np.searchsorted(uniques, np.concatenate(
-                    [keys[lanes == lane]
-                     for lane in np.flatnonzero(folds == owner)]))
+                # The shard's keys in its own order.
+                inverses[owner] = np.searchsorted(uniques,
+                                                  keys[lanes == owner])
             inverse = inverses[owner]
             upto = np.flatnonzero(inverse == at)[-1] + 1
             running = cells[:, inverse[:upto]] == cells[:, at, None]
@@ -199,7 +197,7 @@ class HeavyHitterKernel(KernelSpec):
         chosen = np.flatnonzero(hitters)
         chosen = chosen[np.argsort(owners[chosen] * self.pripes
                                    + pes[chosen], kind="stable")]
-        results: List[Dict[int, int]] = [{} for _ in folds]
+        results: List[Dict[int, int]] = [{} for _ in range(workers)]
         for owner, key, estimate in zip(owners[chosen].tolist(),
                                         uniques[chosen].tolist(),
                                         final[chosen].tolist()):

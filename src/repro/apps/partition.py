@@ -17,16 +17,15 @@ chunk lists per partition.
 A fleet window's shards are partitioned the same way, all at once
 (:meth:`PartitionKernel.process_lanes`, whose grouping
 ``process_shard`` runs with one worker): each tuple is labelled with
-its worker, PE and partition (and, where a worker quota folds lanes,
-its lane), one stable sort and one ``bincount`` of the labels give
-every group's span, and one gather cuts every worker's chunks — each
-shard's own partitions, as its own ``process_shard`` call would list
-them, with no per-shard gather.
+its worker, PE and partition, one stable sort and one ``bincount`` of
+the labels give every group's span, and one gather cuts every worker's
+chunks — each shard's own partitions, as its own ``process_shard`` call
+would list them, with no per-shard gather.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -98,27 +97,19 @@ class PartitionKernel(KernelSpec):
         keys = np.asarray(keys, dtype=np.uint64)
         parts = self.partition_array(keys)
         destinations = self.pripe_of(parts)
-        folds = lanes.route.folds
-        # Each tuple's lane * M + PE: with no quota a lane is its own
-        # worker, so this already names the tuple's (worker, PE).
+        # Each tuple's lane * M + PE, and a lane is its own worker, so
+        # this names the tuple's (worker, PE).
         cells = lanes.cells(destinations, self.pripes)
-        if lanes.route.worker_quota is None:
-            return destinations, self._partition(keys, parts, cells,
-                                                 len(folds))
-        lane_of = cells // self.pripes
-        return destinations, self._partition(
-            keys, parts, folds[lane_of] * self.pripes + destinations,
-            len(folds), lane_of)
+        return destinations, self._partition(keys, parts, cells,
+                                             lanes.route.lane_count)
 
     def _partition(
         self, keys: np.ndarray, parts: np.ndarray, worker_pe: np.ndarray,
-        workers: int, lane_of: Optional[np.ndarray] = None,
+        workers: int,
     ) -> List[Dict[int, List[int]]]:
         """Every worker's partitions from one grouping of the window:
         ``parts[i]`` is key ``i``'s partition and ``worker_pe[i]`` its
-        worker ``* M +`` its PE, for workers in ``[0, workers)``; where
-        a worker takes several lanes, ``lane_of[i]`` is its lane, in the
-        same range."""
+        worker ``* M +`` its PE, for workers in ``[0, workers)``."""
         # The result's key order is pinned (its pickle, and so a digest
         # of it, sees it): PE-major as ``collect`` walks the PEs,
         # ascending partition id within a PE — what grouping by
@@ -126,20 +117,12 @@ class PartitionKernel(KernelSpec):
         # partition is labelled by its rank within its PE, so the
         # labels span each worker's partitions once.  The stable sort
         # keeps stream order within each group, as the per-tuple
-        # appends do; a folded shard's tuples carry their lane as the
-        # last digit, so each group takes them lane after lane, in the
-        # shard's own order.
+        # appends do.
         ranks = -(-self.fanout // self.pripes)
         span = self.pripes * ranks  # labels per worker
         labels = worker_pe * ranks + parts // self.pripes
-        lane_count = 1
-        if lane_of is not None:
-            lane_count = workers
-            labels = labels * lane_count + lane_of
-        order = stable_order(labels, workers * span * lane_count)
-        sizes = np.bincount(labels, minlength=workers * span * lane_count)
-        if lane_count > 1:
-            sizes = sizes.reshape(-1, lane_count).sum(axis=1)
+        order = stable_order(labels, workers * span)
+        sizes = np.bincount(labels, minlength=workers * span)
         filled = np.flatnonzero(sizes)
         stops = np.cumsum(sizes)[filled]
         gathered = keys[order].tolist()

@@ -608,8 +608,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "identical results)")
         p.add_argument("--adaptive", action="store_true",
                        help="enable the adaptive control plane: drift "
-                            "detection, cost-aware replanning with plan "
-                            "caching, and (with --slo) autoscaling")
+                            "detection, cost-aware replanning, and "
+                            "(with --slo) autoscaling")
         p.add_argument("--slo", type=positive(float), default=None,
                        help="cycles-per-tuple SLO for elastic worker-"
                             "pool sizing (requires --adaptive)")

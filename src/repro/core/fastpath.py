@@ -203,17 +203,17 @@ def run_lanes(config: ArchitectureConfig, kernel: KernelSpec,  # hot-path
                                                         ArchitectureResult]]:
     """Process ``batch`` as the shards its ``lanes`` make, in one pass.
 
-    ``lanes`` is the window's :class:`~repro.service.balancer.Lanes`.
-    Returns ``(worker, outcome)`` per shard, in split order (as
+    ``lanes`` is the window's :class:`~repro.service.balancer.Lanes`;
+    each non-empty lane is one shard, on its own worker.  Returns
+    ``(worker, outcome)`` per shard, in split order (as
     :meth:`~repro.service.balancer.Lanes.split` would list them), each
     outcome with exactly the tuples, cycles, PE loads and plans
-    :func:`run_fast` models for that shard on its own — its lanes'
-    tuples lane after lane, in stream order within each — and the
-    shard's result: an :attr:`~repro.core.kernel.KernelSpec.order_free`
-    kernel's whole-window result on the first shard and None on the
-    rest, or what :meth:`~repro.core.kernel.KernelSpec.process_lanes`
-    gives the shard's worker (heavy hitters' own hitters, DP's own
-    partitions).
+    :func:`run_fast` models for that shard on its own — its lane's
+    tuples in stream order — and the shard's result: an
+    :attr:`~repro.core.kernel.KernelSpec.order_free` kernel's
+    whole-window result on the first shard and None on the rest, or
+    what :meth:`~repro.core.kernel.KernelSpec.process_lanes` gives the
+    shard's worker (heavy hitters' own hitters, DP's own partitions).
     """
     if len(batch) == 0:
         raise ValueError("cannot run an empty batch")
@@ -227,30 +227,30 @@ def run_lanes(config: ArchitectureConfig, kernel: KernelSpec,  # hot-path
                                                      batch.values, lanes)
 
     # One bincount counts every lane's tuples per PriPE; the shards are
-    # the non-empty lanes, folded, and a shard sums its lanes' rows.
+    # the non-empty lanes.
     cells = lanes.cells(destinations, pripes)
-    rows = _lane_rows(cells, len(lanes.route.folds), pripes)
-    shards = lanes.shards(list(map(sum, rows)))
+    rows = _lane_rows(cells, lanes.route.lane_count, pripes)
+    lane_sizes = list(map(sum, rows))
+    shards = lanes.shards(lane_sizes)
     if kernel.order_free:
         results = [result] + [None] * (len(shards) - 1)
     else:
-        results = [results[worker] for worker, _ in shards]
-    loads = [rows[lanes_of[0]] if len(lanes_of) == 1
-             else list(map(sum, zip(*[rows[lane] for lane in lanes_of])))
-             for _, lanes_of in shards]
-    sizes = list(map(sum, loads))
+        results = [results[worker] for worker in shards]
+    loads = [rows[worker] for worker in shards]
+    sizes = [lane_sizes[worker] for worker in shards]
 
     # Modeled cycles, per shard, by run_fast's rule.
     if config.skew_handling:
         modeled = [(int(round(epoch.cycles)), list(epoch.plans),
                     epoch.reschedules) for epoch in _shard_epochs(
-                        config, destinations, cells // pripes, shards)]
+                        config, destinations, cells // pripes, lane_sizes,
+                        shards)]
     else:
         modeled = [(bottleneck_cycles(config, size, max(load)), [], 0)
                    for size, load in zip(sizes, loads)]
     return [(worker, _ModeledResult(config, shard_result, size, cycles,
                                     load, plans, reschedules))
-            for (worker, _), shard_result, size, load,
+            for worker, shard_result, size, load,
             (cycles, plans, reschedules)
             in zip(shards, results, sizes, loads, modeled)]
 
@@ -266,18 +266,15 @@ def _lane_rows(cells: np.ndarray, lane_count: int,
 
 
 def _shard_epochs(config: ArchitectureConfig, destinations: np.ndarray,
-                  lane_of: np.ndarray,
-                  shards: Sequence[Tuple[int, List[int]]]) -> list:
+                  lane_of: np.ndarray, lane_sizes: Sequence[int],
+                  shards: Sequence[int]) -> list:
     """The epoch model over each shard's destinations in the shard's
-    own order: its lanes one after another, stream order within each."""
+    own order: its lane's, in stream order."""
     # Imported here: repro.perf.epoch imports repro.core, whose
     # package init imports this module.
     from repro.perf.epoch import EpochModel
 
-    bound = max(max(lanes_of) for _, lanes_of in shards) + 1
-    ordered = destinations[stable_order(lane_of, bound)]
-    edges = np.concatenate(([0], np.cumsum(np.bincount(lane_of,
-                                                       minlength=bound))))
-    return [EpochModel(config).run(np.concatenate(
-        [ordered[edges[lane]:edges[lane + 1]] for lane in lanes_of]))
-        for _, lanes_of in shards]
+    ordered = destinations[stable_order(lane_of, len(lane_sizes))]
+    edges = np.concatenate(([0], np.cumsum(lane_sizes))).tolist()
+    return [EpochModel(config).run(ordered[edges[lane]:edges[lane + 1]])
+            for lane in shards]

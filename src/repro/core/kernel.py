@@ -174,14 +174,13 @@ class KernelSpec(ABC):
         """Every worker's shard of one fleet window from one call.
 
         ``lanes`` is the window's :class:`~repro.service.balancer.Lanes`:
-        ``lanes.cells(0, 1)`` is each tuple's lane and
-        ``lanes.route.folds[lane]`` the worker the lane folds onto; a
-        worker's shard is its lanes' tuples, lane after lane in
-        ascending order, stream order within each.  Returns
-        ``(destinations, results)``: ``destinations`` as
+        ``lanes.cells(0, 1)`` is each tuple's lane, and a lane is a
+        worker, whose shard is its lane's tuples in stream order.
+        Returns ``(destinations, results)``: ``destinations`` as
         :meth:`process_shard` gives it for the whole window, and
         ``results[w]``, for each worker ``w`` that takes tuples, what
-        :meth:`process_shard` returns for ``w``'s shard on its own.
+        :meth:`process_shard` returns for ``w``'s shard on its own
+        (``lanes.route.lane_count`` entries in all).
 
         A fleet on the fast engine runs every window through this hook
         (:func:`~repro.core.fastpath.run_lanes`), unless the kernel is
@@ -192,13 +191,11 @@ class KernelSpec(ABC):
         sketches).
         """
         lane_of = lanes.cells(0, 1)
-        folds = lanes.route.folds
+        count = lanes.route.lane_count
         destinations = np.empty(len(keys), dtype=np.int64)
-        results: List[Any] = [None] * len(folds)
-        for worker, lanes_of in lanes.shards(
-                np.bincount(lane_of, minlength=len(folds))):
-            chosen = np.concatenate([np.flatnonzero(lane_of == lane)
-                                     for lane in lanes_of])
+        results: List[Any] = [None] * count
+        for worker in lanes.shards(np.bincount(lane_of, minlength=count)):
+            chosen = np.flatnonzero(lane_of == worker)
             destinations[chosen], results[worker] = self.process_shard(
                 keys[chosen], values[chosen])
         return destinations, results

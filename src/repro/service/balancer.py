@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -77,33 +77,32 @@ class SkewAwareBalancer:
         (0 for a single-worker fleet, which degenerates to static
         sharding).  The remaining ``M = K - X`` workers anchor the key
         shards.
-    profile_sample:
-        Keys profiled per segment for the controller's plans; the paper
-        samples a short profiling window rather than the full stream.
-        Segments larger than this are subsampled with a seeded RNG.
-        ``observe`` takes the whole segment's shard ids once (one
-        multiply-shift pass) and histograms the sample of those ids;
-        ``split`` of the same batch routes by the memoised ids, so a
-        window's keys are hashed and reduced one time, as the paper's
-        PrePE computes a destination once for routing and profiling
-        alike.
+
+    ``observe`` takes the whole segment's shard ids once (one
+    multiply-shift pass) and histograms a sample of at most
+    :attr:`PROFILE_SAMPLE` of those ids; ``split`` of the same batch
+    routes by the memoised ids, so a window's keys are hashed and
+    reduced one time, as the paper's PrePE computes a destination once
+    for routing and profiling alike.
 
     The balancer never plans by itself: ``observe`` only records the
     sample histogram in :attr:`last_histogram`, and every plan arrives
     through :meth:`apply_plan`.
     """
 
+    #: Keys profiled per segment for the controller's plans; the paper
+    #: samples a short profiling window rather than the full stream.
+    #: Larger segments are subsampled with a seeded RNG.
+    PROFILE_SAMPLE = 4096
+
     #: Seed for the profiling subsampler (distinct from the shard seeds).
     SAMPLE_SEED = 0x5A3C1E
 
-    def __init__(self, workers: int, secondaries: Optional[int] = None,
-                 profile_sample: int = 4096) -> None:
-        if profile_sample <= 0:
-            raise ValueError("profile_sample must be positive")
+    def __init__(self, workers: int,
+                 secondaries: Optional[int] = None) -> None:
         self._shape(workers, secondaries)
         self.rebalances = 0
         self.reconfigurations = 0
-        self.profile_sample = profile_sample
         self._rng = np.random.default_rng(self.SAMPLE_SEED)
 
     def _shape(self, workers: int, secondaries: Optional[int]) -> None:
@@ -127,15 +126,15 @@ class SkewAwareBalancer:
         self._teams = tuple((p,) for p in range(self.primaries))
 
     def sample_keys(self, keys: np.ndarray) -> np.ndarray:
-        """A profiling sample of at most ``profile_sample`` keys.
+        """A profiling sample of at most :attr:`PROFILE_SAMPLE` keys.
 
         Sampling (with replacement, seeded) rather than truncating makes
         the histogram representative of the whole segment instead of its
-        head, at the same O(profile_sample) cost.
+        head, at the same O(PROFILE_SAMPLE) cost.
         """
-        if len(keys) <= self.profile_sample:
+        if len(keys) <= self.PROFILE_SAMPLE:
             return keys
-        chosen = self._rng.integers(0, len(keys), size=self.profile_sample)
+        chosen = self._rng.integers(0, len(keys), size=self.PROFILE_SAMPLE)
         return keys[chosen]
 
     def observe(self, keys: np.ndarray) -> None:
@@ -213,14 +212,12 @@ class SkewAwareBalancer:
     TEAM_SEED = 0xA0761D6478BD642F
 
     def route(self, by_key: bool = False,
-              worker_quota: Optional[int] = None,
               window_index: Optional[int] = None) -> "WindowRoute":
         """The routing decision for the window ``observe`` last saw,
         under the plan in force: its teams, and the ids memoised for
         that window (taken, so they route one split at most)."""
         memo, self._shards = self._shards, None
-        return WindowRoute(self._teams, by_key, worker_quota, window_index,
-                           memo)
+        return WindowRoute(self._teams, by_key, window_index, memo)
 
     def split(self, batch: TupleBatch,
               by_key: bool = False) -> Dict[int, TupleBatch]:
@@ -250,25 +247,22 @@ def make_balancer(name: str, workers: int) -> SkewAwareBalancer:
 class WindowRoute:
     """One window's routing decision, applied wherever it is split:
     the plan's ``teams`` (``teams[p]`` serves primary shard ``p``),
-    ``by_key`` lanes, the tenant's ``worker_quota`` (None: no cap below
-    the fleet size) and the ``window_index`` in its job's trace (None:
+    ``by_key`` lanes and the ``window_index`` in its job's trace (None:
     not one of a job's windows).  ``memo``, ``observe``'s (keys, shard
     ids) of the window, stays in-process: a pickled route drops it, and
     whoever splits re-derives the same ids from the keys.  Per tuple
     the rule is :meth:`lanes`; per key (a by-key window's keyed pass)
-    it is :meth:`key_lanes`, and :attr:`folds` is the quota fold per
-    lane."""
+    it is :meth:`key_lanes`.  A lane is a worker, and a shard is one
+    lane: :attr:`lane_count` sizes a window pass's per-lane arrays."""
 
     teams: Tuple[Tuple[int, ...], ...]
     by_key: bool = False
-    worker_quota: Optional[int] = None
     window_index: Optional[int] = None
     memo: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, compare=False, repr=False)
 
     def __reduce__(self):
-        return WindowRoute, (self.teams, self.by_key, self.worker_quota,
-                             self.window_index)
+        return WindowRoute, (self.teams, self.by_key, self.window_index)
 
     def lanes(self, batch: TupleBatch) -> "Lanes":
         """The routing rule, stated once: which lane each tuple takes.
@@ -280,15 +274,16 @@ class WindowRoute:
         the lane by the key's hash under ``TEAM_SEED`` instead, so one
         key's tuples all take one lane.  A lane is the worker its team
         picked, and takes its tuples in stream order; a team alone is
-        one lane, its head.  The returned :class:`Lanes` orders and
-        folds the lanes into shards.
+        one lane, its head.  The returned :class:`Lanes` orders the
+        lanes into shards.
 
         The memoised ids route ``batch`` if it is the array they were
-        taken from; any other array is hashed here.
+        taken from; any other array is hashed here, unless the route
+        has one team, whose shard every tuple is.
         """
         memo = self.memo
         ids = (memo[1] if memo is not None and memo[0] is batch.keys
-               else shard_of_keys(batch.keys, len(self.teams)))
+               else self._shard_ids(batch.keys))
         spread: Dict[int, np.ndarray] = {}
         for team, mine, picks in self._helped(batch.keys, ids):
             for index, worker in enumerate(team):
@@ -305,11 +300,18 @@ class WindowRoute:
         ``TEAM_SEED`` picks."""
         if not self.by_key:
             raise ValueError("only a by-key route gives a key one lane")
-        ids = shard_of_keys(keys, len(self.teams))
+        ids = self._shard_ids(keys)
         lane_of = _heads(self.teams, ids, 1)
         for team, mine, picks in self._helped(keys, ids):
             lane_of[mine] = np.asarray(team)[picks]
         return lane_of
+
+    def _shard_ids(self, keys: np.ndarray) -> np.ndarray:
+        """Each key's fleet shard id, hashed only if there is more than
+        one shard."""
+        if len(self.teams) == 1:
+            return np.zeros(len(keys), dtype=np.int64)
+        return shard_of_keys(keys, len(self.teams))
 
     def _helped(self, keys: np.ndarray, ids: np.ndarray):
         """Each team with helpers that takes any of ``keys`` (shard ids
@@ -326,19 +328,15 @@ class WindowRoute:
                     if self.by_key else None)
 
     @cached_property
-    def folds(self) -> np.ndarray:
-        """``folds[lane]``: the worker each lane folds onto (itself
-        with no ``worker_quota``), for every lane up to the highest;
-        worked out once per route, which the window pass and its kernel
-        both read."""
-        lanes = np.arange(max(map(max, self.teams)) + 1)
-        return lanes if self.worker_quota is None \
-            else lanes % self.worker_quota
+    def lane_count(self) -> int:
+        """Lanes up to the highest worker the route reaches: the size of
+        a window pass's per-lane arrays."""
+        return max(map(max, self.teams)) + 1
 
     def split(self, batch: TupleBatch) -> Dict[int, TupleBatch]:
         """Partition ``batch`` into per-worker sub-batches by
         :meth:`lanes`, in split order; a worker gets its tuples in
-        stream order (a folded one, lane after lane)."""
+        stream order."""
         return self.lanes(batch).split(batch)
 
 
@@ -353,38 +351,27 @@ def _heads(teams: Tuple[Tuple[int, ...], ...], ids: np.ndarray,
 
 class Lanes(NamedTuple):
     """One window's lanes under its :class:`WindowRoute`, and the
-    shards they make.
+    shards they make: each non-empty lane is one shard, on its own
+    worker.
 
     ``ids`` are the window's fleet shard ids: a team alone takes every
     tuple of its shard.  ``spread[w]`` are the stream positions,
     ascending, of each lane ``w`` of a team with helpers that takes any.
     Shards come team by team (the primary, then its helpers), or in
-    ascending worker order ``by_key``.  Past ``worker_quota``, a lane
-    folds onto worker ``lane % worker_quota`` in ascending lane order,
-    so a folded shard concatenates its lanes in that order —
-    deterministic, so a by-key window's key still lands on one (folded)
-    worker.  :meth:`split` gathers the shards (the per-shard path); the
-    one-pass path never gathers: :meth:`cells` labels each tuple with
-    its lane and PE, and :meth:`shards` lists the shards from the lane
-    counts one ``bincount`` of those labels gives.
+    ascending worker order ``by_key``.  :meth:`split` gathers the
+    shards (the per-shard path); the one-pass path never gathers:
+    :meth:`cells` labels each tuple with its lane and PE, and
+    :meth:`shards` lists the shards from the lane counts one
+    ``bincount`` of those labels gives.
     """
 
     route: WindowRoute
     ids: np.ndarray
     spread: Dict[int, np.ndarray]
 
-    def _fold(self, taken: Dict[int, Any]) -> List[Tuple[int, List[Any]]]:
-        """Split order and quota fold of ``taken`` (lane: its tuples,
-        for each lane that takes any, team by team): each shard's
-        worker with its lanes' entries."""
-        quota = self.route.worker_quota
-        if quota is None:
-            order = sorted(taken) if self.route.by_key else taken
-            return [(worker, [taken[worker]]) for worker in order]
-        folded: Dict[int, List[Any]] = {}
-        for worker in sorted(taken):
-            folded.setdefault(worker % quota, []).append(taken[worker])
-        return list(folded.items())
+    def _in_split_order(self, workers: List[int]) -> List[int]:
+        """``workers``, listed team by team, in split order."""
+        return sorted(workers) if self.route.by_key else workers
 
     def split(self, batch: TupleBatch) -> Dict[int, TupleBatch]:
         """Gather ``batch`` into the shards, in split order."""
@@ -398,12 +385,10 @@ class Lanes(NamedTuple):
             mine = (ids == primary).nonzero()[0]
             if mine.size:
                 taken[team[0]] = mine
-        out: Dict[int, TupleBatch] = {}
-        for worker, parts in self._fold(taken):
-            chosen = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            out[worker] = TupleBatch(batch.keys[chosen], batch.values[chosen],
-                                     batch.tuple_bytes)
-        return out
+        return {worker: TupleBatch(batch.keys[taken[worker]],
+                                   batch.values[taken[worker]],
+                                   batch.tuple_bytes)
+                for worker in self._in_split_order(list(taken))}
 
     def cells(self, destinations, pripes: int) -> np.ndarray:
         """Each tuple's ``lane * pripes + destination``, a fresh int64
@@ -417,9 +402,8 @@ class Lanes(NamedTuple):
         cells += destinations
         return cells
 
-    def shards(self, sizes: Sequence[int]) -> List[Tuple[int, List[int]]]:
-        """``(worker, lanes)`` per shard, in split order, where
-        ``sizes[lane]`` is each lane's tuple count (an empty lane joins
-        no shard)."""
-        return self._fold({lane: lane for team in self.route.teams
-                           for lane in team if sizes[lane]})
+    def shards(self, sizes: Sequence[int]) -> List[int]:
+        """The shards' workers, in split order, where ``sizes[lane]`` is
+        each lane's tuple count (an empty lane makes no shard)."""
+        return self._in_split_order([lane for team in self.route.teams
+                                     for lane in team if sizes[lane]])

@@ -88,8 +88,7 @@ class Dispatcher:
     whatever its policy (reflexive or adaptive): only it changes the
     balancer's plan, charges the rescheduling stall and counts plan
     changes.  ``tenants`` is the live ``tenant_id -> TenantSpec`` table,
-    an unregistered id getting the default contract;
-    ``allowed_lateness`` goes to every job's window manager.
+    an unregistered id getting the default contract.
     """
 
     def __init__(
@@ -101,7 +100,6 @@ class Dispatcher:
         controller: AdaptiveController,
         tracer: Optional[TraceCollector] = None,
         tenants: Optional[Mapping[str, TenantSpec]] = None,
-        allowed_lateness: float = 0.0,
     ) -> None:
         self.queue = queue
         self.balancer = balancer
@@ -111,7 +109,6 @@ class Dispatcher:
             enabled=False)
         self.controller = controller
         self.tenants = tenants if tenants is not None else {}
-        self.allowed_lateness = allowed_lateness
         #: tenant -> its in-flight jobs in admission order; a tenant
         #: with none has no entry.
         self._in_flight: Dict[str, List[_ActiveJob]] = {}
@@ -231,8 +228,7 @@ class Dispatcher:
         self.controller.unfreeze()
         return _ActiveJob(
             job=job,
-            windows=WindowManager(job.window_seconds,
-                                  allowed_lateness=self.allowed_lateness),
+            windows=WindowManager(job.window_seconds),
             source=iter(job.source),
             by_key=by_key,
         )
@@ -305,7 +301,6 @@ class Dispatcher:
 
     def _dispatch(self, job: Job, closed_windows,  # hot-path
                   by_key: bool) -> None:
-        spec = self.tenant_spec(job.tenant_id)
         tracer = self.tracer
         for window in closed_windows:
             batch = window.to_batch()
@@ -321,12 +316,9 @@ class Dispatcher:
                               if tracer.enabled else 0)
             self.controller.on_window(np.asarray(batch.keys), len(batch),
                                       tenant_id=job.tenant_id)
-            quota = spec.worker_quota
             self.backend.dispatch_window(
                 WorkItem(job_id=job.job_id, batch=batch,
                          tenant_id=job.tenant_id,
                          dispatch_clock=dispatch_clock),
-                self.balancer.route(by_key, quota if quota is not None
-                               and quota < self.backend.size else None,
-                               job.windows_dispatched))
+                self.balancer.route(by_key, job.windows_dispatched))
             job.windows_dispatched += 1

@@ -68,10 +68,6 @@ class TenantSpec:
         Admission quota: submissions beyond this many PENDING jobs are
         rejected with :class:`QuotaExceededError`.  None admits
         unboundedly.
-    worker_quota:
-        Optional cap on how many pipeline workers the tenant's windows
-        may fan out to; shards for workers beyond the quota fold onto
-        ``worker_id % worker_quota``.  None uses the whole fleet.
     """
 
     tenant_id: str
@@ -79,7 +75,6 @@ class TenantSpec:
     slo_delay_tuples: Optional[int] = None
     max_in_flight: int = 1
     max_queued: Optional[int] = None
-    worker_quota: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not self.tenant_id:
@@ -92,8 +87,6 @@ class TenantSpec:
             raise ValueError("max_in_flight must be at least 1")
         if self.max_queued is not None and self.max_queued < 1:
             raise ValueError("max_queued must be at least 1")
-        if self.worker_quota is not None and self.worker_quota < 1:
-            raise ValueError("worker_quota must be at least 1")
 
 
 #: The implicit spec of unregistered tenants (and of ``DEFAULT_TENANT``).

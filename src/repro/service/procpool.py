@@ -431,8 +431,6 @@ class ProcessBackend(ExecutionBackend):
             route = dataclasses.replace(route, memo=None)
         hosted: Dict[int, Set[int]] = {}  # host -> its workers' ids
         for worker_id in {w for team in route.teams for w in team}:
-            if route.worker_quota is not None:
-                worker_id %= route.worker_quota
             hosted.setdefault(worker_id % self._slots, set()).add(worker_id)
         report = self.tracer.enabled and route.window_index is not None
         for index in sorted(hosted):

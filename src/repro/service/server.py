@@ -94,8 +94,6 @@ class StreamService:
         Per-worker pipeline shape; defaults to the paper's 16-PriPE
         design without on-chip SecPEs (fleet-level balancing supplies
         the skew handling).
-    allowed_lateness:
-        Event-time slack forwarded to every job's window manager.
     backend:
         Execution backend behind the fleet port
         (:mod:`repro.service.executor`): ``"inline"`` (default) runs
@@ -168,7 +166,6 @@ class StreamService:
         workers: int = 4,
         balancer: Union[str, SkewAwareBalancer] = "skew",
         config: Optional[ArchitectureConfig] = None,
-        allowed_lateness: float = 0.0,
         backend: str = "inline",
         transport: str = "shm",
         adaptive: bool = False,
@@ -230,8 +227,7 @@ class StreamService:
         # _spec_factory avoids.
         self.dispatcher = Dispatcher(
             self._queue, self.balancer, self._pool, self.metrics,
-            self.controller, tracer=self.tracer, tenants=self._tenants,
-            allowed_lateness=allowed_lateness)
+            self.controller, tracer=self.tracer, tenants=self._tenants)
 
     # ------------------------------------------------------------------
     # Client API
@@ -242,13 +238,8 @@ class StreamService:
         Unregistered tenant IDs are accepted at submit time with the
         default contract (weight 1, no SLO, one job in flight);
         registration is how a tenant gets a weight, an admission quota,
-        a queue-delay SLO, or a worker quota.
+        an in-flight cap or a queue-delay SLO.
         """
-        if spec.worker_quota is not None \
-                and spec.worker_quota > self._pool.size:
-            raise ValueError(
-                f"worker_quota {spec.worker_quota} exceeds the fleet "
-                f"({self._pool.size} workers)")
         self._tenants[spec.tenant_id] = spec
         self._queue.register_tenant(spec)
         self.metrics.register_tenant(

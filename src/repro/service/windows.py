@@ -5,14 +5,14 @@ event-time windows (the OpenDT sim-worker's window lifecycle, scaled to
 microsecond FPGA feeds).  A window ``w`` covers
 ``[w * size, (w + 1) * size)`` event seconds; the *watermark* is the
 largest event time observed so far, and a window closes once the
-watermark passes its end by ``allowed_lateness``.  Closed windows become
+watermark passes its end.  Closed windows become
 :class:`~repro.workloads.tuples.TupleBatch` segments that feed the
 pipeline workers through the fleet balancer.
 
-Tuples older than the close cutoff are *late*: they are counted and
-dropped rather than reopening emitted results (a deliberate at-window
-semantics — re-emission would break the per-window accumulation the
-streaming sessions rely on).
+A tuple whose window ends at or before the watermark is *late*: it is
+counted and dropped rather than reopening emitted results (a deliberate
+at-window semantics — re-emission would break the per-window
+accumulation the streaming sessions rely on).
 """
 
 from __future__ import annotations
@@ -76,19 +76,12 @@ class WindowManager:
     ----------
     window_seconds:
         Event-time width of each window.
-    allowed_lateness:
-        Extra event-time slack before a window closes; raises tolerance
-        to out-of-order feeds at the cost of result latency.
     """
 
-    def __init__(self, window_seconds: float,
-                 allowed_lateness: float = 0.0) -> None:
+    def __init__(self, window_seconds: float) -> None:
         if window_seconds <= 0:
             raise ValueError("window_seconds must be positive")
-        if allowed_lateness < 0:
-            raise ValueError("allowed_lateness must be non-negative")
         self.window_seconds = window_seconds
-        self.allowed_lateness = allowed_lateness
         self._open: Dict[int, EventWindow] = {}
         self.watermark = -math.inf
         self.late_tuples = 0
@@ -140,7 +133,7 @@ class WindowManager:
             return []
         ts = events.timestamps
         keys, values = events.batch.keys, events.batch.values
-        cutoff = self._close_cutoff()
+        cutoff = self.watermark
         # NaN fails the ordering test and ±inf can only sit at the ends
         # of an ordered chunk; min/max propagate both.
         in_order = (ts[1:] >= ts[:-1]).all()
@@ -190,14 +183,10 @@ class WindowManager:
             lo, index = hi, following
         yield index, lo, len(ts)
 
-    def _close_cutoff(self) -> float:
-        return self.watermark - self.allowed_lateness
-
     def _close_ready(self) -> List[EventWindow]:
-        cutoff = self._close_cutoff()
         ready = sorted(
             index for index, window in self._open.items()
-            if window.end <= cutoff
+            if window.end <= self.watermark
         )
         return [self._close(index) for index in ready]
 

@@ -108,8 +108,7 @@ def test_process_shard_equals_the_per_tuple_loop(keys, pripes):
 def test_process_lanes_gives_each_worker_its_own_partitions(
         seed, tuples, universe, pripes, workers, data):
     """One pass over the window equals the default hook, the exact
-    per-worker gather and ``process_shard``, under any plan and quota:
-    a folded worker's partitions take its lanes' keys lane after lane."""
+    per-worker gather and ``process_shard``, under any plan."""
     kernel = PartitionKernel(radix_bits_count=6, pripes=pripes)
     keys = np.random.default_rng(seed).integers(
         0, universe, tuples, dtype=np.uint64)
@@ -122,8 +121,7 @@ def test_process_lanes_gives_each_worker_its_own_partitions(
                                min_size=balancer.primaries,
                                max_size=balancer.primaries)),
             balancer.secondaries, balancer.primaries))
-    quota = data.draw(st.one_of(st.none(), st.integers(1, workers)))
-    lanes = balancer.route(worker_quota=quota).lanes(batch)
+    lanes = balancer.route().lanes(batch)
 
     destinations, results = kernel.process_lanes(keys, batch.values, lanes)
     expected_destinations, expected = KernelSpec.process_lanes(

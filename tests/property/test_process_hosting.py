@@ -6,7 +6,7 @@ block, which it splits itself.  None of that may show: for a generated
 dispatch sequence of two interleaved jobs (any served apps, ``dp``'s
 order-sensitive lists and ``hhd`` included), empty shards, shards with
 non-default dtypes, whole windows under random routes (teams, by-key
-lanes, a worker quota; the plan changing from window to window inside
+lanes; the plan changing from window to window inside
 one block), grow/shrink mid-job and drains at arbitrary points, the
 process backend and the inline :class:`~repro.service.pool.WorkerPool`
 must collect the same result bits, the same
@@ -50,7 +50,7 @@ window = st.tuples(
     st.integers(0, 2**16))
 #: A whole window under a route: its tuples, its plan as a worker order
 #: cut into teams (workers beyond the fleet are dropped when it runs),
-#: by-key lanes, and a quota (none at or above the fleet size).
+#: and by-key lanes.
 routed = st.tuples(
     st.just("routed"),
     st.sampled_from(JOBS),
@@ -58,7 +58,6 @@ routed = st.tuples(
     st.permutations(range(6)),
     st.lists(st.integers(1, 5), min_size=1, max_size=4),  # team sizes
     st.booleans(),
-    st.integers(1, 6),
     st.integers(0, 2**16))
 operations = st.lists(
     st.one_of(window, window, routed, routed,
@@ -80,15 +79,14 @@ def shard(tuples, seed, dtypes):
 
 def route_of(op, workers, clock):
     """The op's route, cut to the ``workers`` the fleet has now."""
-    _, _, _, order, sizes, by_key, quota, _ = op
+    _, _, _, order, sizes, by_key, _ = op
     live = [worker for worker in order if worker < workers]
     teams, start = [], 0
     for size in sizes:
         if live[start:start + size]:
             teams.append(tuple(live[start:start + size]))
         start += size
-    return WindowRoute(tuple(teams) or ((0,),), by_key,
-                       quota if quota < workers else None, clock)
+    return WindowRoute(tuple(teams) or ((0,),), by_key, clock)
 
 
 def run(backend, ops, narrow):
@@ -105,7 +103,7 @@ def run(backend, ops, narrow):
                         job_id, batch, tenant_id=f"tenant-{job_id}",
                         dispatch_clock=clock))
             elif op[0] == "routed":
-                batch = shard(op[2], op[7], None)
+                batch = shard(op[2], op[6], None)
                 backend.dispatch_window(
                     WorkItem(op[1], batch, tenant_id=f"tenant-{op[1]}",
                              dispatch_clock=clock),

@@ -8,7 +8,7 @@ tuple.  The oracle below is the masked implementation applied to
 two must agree on everything a caller can see — the closed-window
 sequence with keys and values in stream order, ``late_tuples``,
 ``windows_closed``, the watermark and the open set — for any window
-width, lateness, time base, stamp pattern and chunking.
+width, time base, stamp pattern and chunking.
 The run path rests on two facts, each its own property: the scalar rule
 equals ``_window_of`` elementwise, and ``_window_of`` is monotone.
 """
@@ -37,8 +37,7 @@ class MaskedManager(WindowManager):
             return []
         ts = events.timestamps
         indices = self._window_of(ts)
-        cutoff = self._close_cutoff()
-        late = (indices + 1) * self.window_seconds <= cutoff
+        late = (indices + 1) * self.window_seconds <= self.watermark
         self.late_tuples += int(late.sum())
         fresh = ~late
         for index in np.unique(indices[fresh]):
@@ -75,7 +74,6 @@ def stamps(draw, width, base, max_size=120):
 @st.composite
 def streams(draw):
     width = draw(st.sampled_from(WIDTHS))
-    lateness = draw(st.sampled_from([0.0, 0.5, 1.0, 3.0])) * width
     base = draw(st.sampled_from(BASES))
     times = np.asarray(draw(stamps(width, base)), dtype=np.float64)
     order = draw(st.sampled_from(["sorted", "jittered", "as-drawn"]))
@@ -86,7 +84,7 @@ def streams(draw):
                                max_size=len(times)))
         times = times + np.asarray(jitter) * width
     cuts = draw(st.lists(st.integers(1, 40), min_size=1, max_size=12))
-    return width, lateness, times, cuts
+    return width, times, cuts
 
 
 def chunks(times, cuts):
@@ -125,9 +123,9 @@ def manager_and_stamps(draw):
 @settings(deadline=None, max_examples=150)
 @given(stream=streams())
 def test_observe_equals_the_per_tuple_oracle(stream):
-    width, lateness, times, cuts = stream
-    manager = WindowManager(width, allowed_lateness=lateness)
-    oracle = MaskedManager(width, allowed_lateness=lateness)
+    width, times, cuts = stream
+    manager = WindowManager(width)
+    oracle = MaskedManager(width)
     for events in chunks(times, cuts):
         assert visible(manager, manager.observe(events)) \
             == visible(oracle, oracle.observe(events))

@@ -13,10 +13,9 @@ equal in content and insertion order, and for DP its own shard's
 partitions, pickle for pickle.
 
 The epoch model (``skew_handling``) is order-sensitive, so each shard's
-destinations must reach it in the shard's own order: a folded shard's
-lanes one after the other, in ascending original worker order, not
-interleaved in stream order.  The spy below records the arrays both
-paths feed it and compares them element for element.
+destinations must reach it in the shard's own order, its lane's stream
+order.  The spy below records the arrays both paths feed it and
+compares them element for element.
 """
 
 import dataclasses
@@ -25,7 +24,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.heavy_hitter import HeavyHitterKernel
 from repro.apps.histo import HistogramKernel
@@ -82,19 +81,21 @@ def zipf_window(alpha, universe, seed, tuples):
 
 @st.composite
 def windows(draw, by_key=None):
-    """``(batch, route, config)``: a Zipf window, a fleet of K = 1..6
-    under a greedy plan of a random histogram, an optional quota below
-    K, ``by_key`` lanes (drawn when None), and a pipeline with or
-    without on-chip SecPEs."""
+    """``(batch, route, config)``: a Zipf window (some above the
+    balancer's profiling sample, so an observed one is subsampled), a
+    fleet of K = 1..6 under a greedy plan of a random histogram,
+    ``by_key`` lanes (drawn when None), and a pipeline with or without
+    on-chip SecPEs."""
     batch = zipf_window(
         alpha=draw(st.sampled_from([0.0, 0.8, 1.5, 2.5])),
         universe=draw(st.sampled_from([16, VERTICES])),
         seed=draw(st.integers(0, 1 << 16)),
-        tuples=draw(st.integers(1, 2_500)))
+        tuples=draw(st.integers(1, 2_500)
+                    | st.integers(SkewAwareBalancer.PROFILE_SAMPLE + 1,
+                                  6_000)))
     workers = draw(st.integers(1, 6))
     balancer = SkewAwareBalancer(
-        workers, secondaries=draw(st.integers(0, workers - 1)),
-        profile_sample=draw(st.sampled_from([64, 4096])))
+        workers, secondaries=draw(st.integers(0, workers - 1)))
     if balancer.secondaries:
         histogram = draw(st.lists(st.integers(0, 1_000),
                                   min_size=balancer.primaries,
@@ -103,11 +104,8 @@ def windows(draw, by_key=None):
             histogram, balancer.secondaries, balancer.primaries))
     if draw(st.booleans()):
         balancer.observe(batch.keys)  # the memoised ids route it
-    quota = draw(st.one_of(st.none(), st.integers(1, max(1, workers - 1))))
     route = balancer.route(by_key=(draw(st.booleans()) if by_key is None
-                                   else by_key),
-                           worker_quota=quota if quota and quota < workers
-                           else None)
+                                   else by_key))
     config = ArchitectureConfig(secpes=draw(st.sampled_from([0, 4])))
     return batch, route, config
 
@@ -237,14 +235,16 @@ def doubtful(kernel, shard):
 
 
 def test_keyed_pass_replays_collisions_shard_by_shard():
-    # K = 4 by key with the quota at 2: a folded shard's lanes meet in
-    # one worker's sketches, lane after lane.
-    balancer = SkewAwareBalancer(4, secondaries=0)
-    batch = zipf_window(alpha=0.8, universe=VERTICES, seed=9, tuples=1_000)
-    route = balancer.route(by_key=True, worker_quota=2)
+    # K = 4 by key, helper 3 on shard 0: four shards, each with a key
+    # that reaches the threshold only through collisions.
+    balancer = SkewAwareBalancer(4, secondaries=1)
+    balancer.apply_plan(SchedulingPlan(pairs=[(3, 0)]))
+    batch = zipf_window(alpha=0.8, universe=VERTICES, seed=9, tuples=2_000)
+    route = balancer.route(by_key=True)
     config = ArchitectureConfig()
     kernel = KEYED_KERNELS["hhd_narrow"](config.pripes)
     split = route.split(batch)
+    assert list(split) == [0, 1, 2, 3]
     assert all(doubtful(kernel, shard) for shard in split.values())
 
     _, outcomes = one_pass(kernel, config, batch, route)
@@ -254,59 +254,49 @@ def test_keyed_pass_replays_collisions_shard_by_shard():
     assert all(outcome.result for outcome in outcomes)
 
 
-def test_folded_lanes_reach_the_epoch_model_in_split_order():
-    # K = 4 with the quota at 2: lanes 0 and 2 fold onto worker 0, 1
-    # and 3 onto worker 1.  Stream order interleaves lanes 0 and 2;
-    # split's order is all of lane 0, then all of lane 2.
-    balancer = SkewAwareBalancer(4, secondaries=0)
-    batch = zipf_window(alpha=1.2, universe=1 << 10, seed=3, tuples=3_000)
-    route = balancer.route(worker_quota=2)
-    lanes = route.lanes(batch)
-    lane_of = lanes.cells(0, 1)  # each tuple's lane
-    assert [lanes_of for _, lanes_of
-            in lanes.shards(np.bincount(lane_of, minlength=4))] \
-        == [[0, 2], [1, 3]]
-    config = ArchitectureConfig(secpes=4)
-    kernel = KERNELS["histo"](config.pripes)
-
-    with epoch_inputs() as fed:
-        _, outcomes = one_pass(kernel, config, batch, route)
-    destinations = kernel.route_array(batch.keys)
-    first, third = (lane_of == 0).nonzero()[0], (lane_of == 2).nonzero()[0]
-    folded = np.concatenate([destinations[first], destinations[third]])
-    stream = destinations[np.sort(np.concatenate([first, third]))]
-    assert not np.array_equal(folded, stream)
-    assert np.array_equal(fed[0], folded)
-    assert outcomes[0].cycles \
-        == run_fast(config, kernel, route.split(batch)[0]).cycles
-
-
-@example(quota=None, by_key=False)
-@given(quota=st.sampled_from([None, 1, 2, 3]), by_key=st.booleans())
-@settings(deadline=None, max_examples=8)
-def test_lanes_cover_the_window_once(quota, by_key):
+@pytest.mark.parametrize("by_key", [False, True])
+def test_lanes_cover_the_window_once(by_key):
     balancer = SkewAwareBalancer(5, secondaries=2)
     batch = ZipfGenerator(alpha=2.0, universe=64, seed=1).generate(1_000)
     balancer.observe(batch.keys)
     balancer.apply_plan(greedy_secpe_plan(balancer.last_histogram, 2, 3))
-    route = balancer.route(by_key=by_key, worker_quota=quota)
+    route = balancer.route(by_key=by_key)
     lanes = route.lanes(batch)
     lane_of = lanes.cells(0, 1)  # each tuple's lane
     split = route.split(batch)
-    sizes = np.bincount(lane_of, minlength=len(route.folds))
+    sizes = np.bincount(lane_of, minlength=route.lane_count)
     shards = lanes.shards(sizes)
-    assert [[worker, sum(sizes[lanes_of])] for worker, lanes_of in shards] \
+    assert [[worker, sizes[worker]] for worker in shards] \
         == [[worker, len(shard)] for worker, shard in split.items()]
-    assert sum(int(sizes[lanes_of].sum()) for _, lanes_of in shards) \
-        == len(batch)
-    for (_, lanes_of), shard in zip(shards, split.values()):
-        # A shard is its lanes' tuples, lane after lane, in stream
-        # order within each.
-        assert lanes_of == sorted(lanes_of)
-        chosen = np.concatenate([(lane_of == lane).nonzero()[0]
-                                 for lane in lanes_of])
+    assert sum(sizes[shards]) == len(batch)
+    for worker, shard in zip(shards, split.values()):
+        # A shard is its lane's tuples, in stream order.
+        chosen = (lane_of == worker).nonzero()[0]
         assert np.array_equal(shard.keys, batch.keys[chosen])
         assert np.array_equal(shard.values, batch.values[chosen])
+
+
+def test_each_lane_reaches_the_epoch_model_in_stream_order():
+    # K = 4, helper 3 on shard 0: shard 0's tuples alternate between
+    # lanes 0 and 3.  Each shard is one lane, and the epoch model sees
+    # its destinations in stream order, shard after shard in split
+    # order.
+    balancer = SkewAwareBalancer(4, secondaries=1)
+    balancer.apply_plan(SchedulingPlan(pairs=[(3, 0)]))
+    route = balancer.route()
+    batch = zipf_window(alpha=1.2, universe=1 << 10, seed=3, tuples=3_000)
+    lane_of = route.lanes(batch).cells(0, 1)  # each tuple's lane
+    config = ArchitectureConfig(secpes=4)
+    kernel = KERNELS["histo"](config.pripes)
+
+    with epoch_inputs() as fed:
+        workers, _ = one_pass(kernel, config, batch, route)
+    assert workers == list(route.split(batch))
+    assert sorted(workers) == [0, 1, 2, 3]
+    destinations = kernel.route_array(batch.keys)
+    assert len(fed) == len(workers)
+    for worker, ours in zip(workers, fed):
+        assert np.array_equal(ours, destinations[lane_of == worker])
 
 
 def window_of_lanes(route, lanes, tuples=1_500, seed=6):
@@ -326,7 +316,7 @@ def traced_window_shards(app, batch, route):
     run as one pass (no shard is processed on its own)."""
     config = ArchitectureConfig()
     tracer = TraceCollector(enabled=True)
-    pool = WorkerPool(len(route.folds),
+    pool = WorkerPool(route.lane_count,
                       lambda job_id: StreamingSession(
                           config=config, kernel=kernel_for(app, 16),
                           engine="fast"),
@@ -344,18 +334,18 @@ def traced_window_shards(app, batch, route):
     return window.data["shards"]
 
 
-def check_fold_order(route, batch, workers, lanes_of_shards, apps):
+def check_split_order(route, batch, workers, apps):
     """The one-pass window of ``batch`` under ``route``: split order
-    and lanes as named, and, per app, every shard's size, loads and
-    cycles as ``run_fast`` gives them, the order-free result on the
-    first non-empty shard (or each worker's own hitters), and the
-    traced ``job.window`` shards those of ``Lanes.split``."""
+    as named, and, per app, every shard's size, loads and cycles as
+    ``run_fast`` gives them, the order-free result on the first
+    non-empty shard (or each worker's own hitters), and the traced
+    ``job.window`` shards those of ``Lanes.split``."""
     lanes = route.lanes(batch)
     split = lanes.split(batch)
     assert list(split) == workers
     assert all(len(shard) for shard in split.values())
-    sizes = np.bincount(lanes.cells(0, 1), minlength=len(route.folds))
-    assert lanes.shards(sizes) == list(zip(workers, lanes_of_shards))
+    sizes = np.bincount(lanes.cells(0, 1), minlength=route.lane_count)
+    assert lanes.shards(sizes) == workers
     config = ArchitectureConfig()
     for app in apps:
         kernel = kernel_for(app, config.pripes)
@@ -378,25 +368,37 @@ def check_fold_order(route, batch, workers, lanes_of_shards, apps):
             == [[worker, len(shard)] for worker, shard in split.items()]
 
 
-def test_quota_fold_with_its_lowest_lane_empty():
-    # K = 4 under a quota of 2: lanes 0 and 2 fold onto worker 0, 1 and
-    # 3 onto worker 1.  Lane 0 is empty, so lane 1 is the first lane
-    # with tuples and worker 1's shard leads the split.
-    route = SkewAwareBalancer(4, secondaries=0).route(worker_quota=2)
-    batch = window_of_lanes(route, [1, 2, 3])
-    check_fold_order(route, batch, workers=[1, 0],
-                     lanes_of_shards=[[1, 3], [2]], apps=["histo", "hll"])
-
-
 def test_by_key_team_with_an_empty_lane():
-    # Primaries 0..2, helper 3 on shard 0, by key, under a quota of 2:
-    # every key of shard 0 takes helper lane 3, so the team's head
-    # (lane 0) is empty; the lanes with tuples, 1, 2 and 3, fold onto
-    # workers 1, 0 and 1, and worker 1's shard leads.
+    # Primaries 0..2, helper 3 on shard 0, by key: every key of shard 0
+    # takes helper lane 3, so the team's head (lane 0) is empty, and
+    # the shards are lanes 1, 2 and 3 in ascending worker order.
     balancer = SkewAwareBalancer(4, secondaries=1)
     balancer.apply_plan(SchedulingPlan(pairs=[(3, 0)]))
-    route = balancer.route(by_key=True, worker_quota=2)
+    route = balancer.route(by_key=True)
     assert route.teams == ((0, 3), (1,), (2,))
     batch = window_of_lanes(route, [1, 2, 3])
-    check_fold_order(route, batch, workers=[1, 0],
-                     lanes_of_shards=[[1, 3], [2]], apps=["histo", "hhd"])
+    assert (shard_of_keys(batch.keys, 3) == 0).any()
+    assert (route.key_lanes(batch.keys) != 0).all()
+    check_split_order(route, batch, workers=[1, 2, 3],
+                      apps=["histo", "hhd"])
+
+
+def test_lowest_lane_empty():
+    # K = 4, no helpers, nothing on lane 0: lane 1 is the first lane
+    # with tuples, so its shard leads the split and carries the
+    # window's order-free result.
+    route = SkewAwareBalancer(4, secondaries=0).route()
+    batch = window_of_lanes(route, [1, 2, 3])
+    check_split_order(route, batch, workers=[1, 2, 3],
+                      apps=["histo", "hll"])
+
+
+def test_highest_lane_empty():
+    # K = 4 by key, no helpers, nothing on lane 3: the pass sizes its
+    # arrays by the route's lane count, not by the lanes the window
+    # fills.
+    route = SkewAwareBalancer(4, secondaries=0).route(by_key=True)
+    assert route.lane_count == 4
+    batch = window_of_lanes(route, [0, 1, 2])
+    check_split_order(route, batch, workers=[0, 1, 2],
+                      apps=["histo", "hhd"])

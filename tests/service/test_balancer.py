@@ -16,6 +16,7 @@ from repro.hashing.murmur3 import murmur3_32_array
 from repro.service import ServiceMetrics, StreamService
 from repro.service.balancer import (
     SkewAwareBalancer,
+    WindowRoute,
     make_balancer,
     shard_of_keys,
 )
@@ -165,9 +166,9 @@ class TestSkewAware:
 
 class TestProfileSampling:
     def test_sample_is_bounded_by_profile_sample(self):
-        balancer = SkewAwareBalancer(4, profile_sample=256)
+        balancer = SkewAwareBalancer(4)
         keys = np.arange(10_000, dtype=np.uint64)
-        assert len(balancer.sample_keys(keys)) == 256
+        assert len(balancer.sample_keys(keys)) == 4096
         # Small segments are profiled whole.
         assert len(balancer.sample_keys(keys[:100])) == 100
 
@@ -175,7 +176,7 @@ class TestProfileSampling:
         keys = ZipfGenerator(alpha=1.5, seed=3).generate(50_000).keys
         plans = []
         for _ in range(2):
-            balancer = SkewAwareBalancer(4, profile_sample=512)
+            balancer = SkewAwareBalancer(4)
             replan(balancer, keys)
             plans.append(balancer.plan.pairs)
         assert plans[0] == plans[1]
@@ -186,8 +187,7 @@ class TestProfileSampling:
         cold = np.arange(8_192, dtype=np.uint64)
         hot = np.full(32_768, 0x51, dtype=np.uint64)
         keys = np.concatenate([cold, hot])  # hot mass entirely in tail
-        balancer = SkewAwareBalancer(4, secondaries=1,
-                                     profile_sample=4_096)
+        balancer = SkewAwareBalancer(4, secondaries=1)
         replan(balancer, keys)
         hot_primary = int(shard_of_keys(hot[:1], balancer.primaries)[0])
         assert balancer.plan.pairs[0][1] == hot_primary
@@ -242,7 +242,7 @@ def numbered(alpha, tuples, seed):
     return TupleBatch(keys, np.arange(tuples, dtype=np.int64))
 
 
-#: Window sizes either side of the default ``profile_sample`` (4096).
+#: Window sizes either side of ``PROFILE_SAMPLE`` (4096).
 BELOW_SAMPLE, ABOVE_SAMPLE = 3_000, 20_000
 
 
@@ -336,6 +336,18 @@ class TestHashOnce:
         del hashed[:]
         assert routed(balancer.split(batch)) == expected
         assert hashed == [BELOW_SAMPLE]
+
+    def test_one_team_route_hashes_no_key(self, hashed):
+        # A route of one team puts every tuple in its one shard: the
+        # worker's whole shard, as the pool's per-shard dispatch sends.
+        batch = numbered(1.5, BELOW_SAMPLE, seed=10)
+        route = WindowRoute(((2,),), by_key=True)
+        split = route.lanes(batch).split(batch)
+        assert (route.key_lanes(batch.keys) == 2).all()
+        assert hashed == []
+        assert list(split) == [2]
+        assert np.array_equal(split[2].keys, batch.keys)
+        assert np.array_equal(split[2].values, batch.values)
 
     def test_nothing_keeps_the_window_alive_after_split(self):
         balancer = SkewAwareBalancer(4)
@@ -504,13 +516,15 @@ class TestByKeyRouting:
         for worker, part in parts.items():
             for key in part.keys.tolist():
                 assert owners.setdefault(key, worker) == worker
-        # The window is hashed once (observed or not); only the tuples
-        # of multi-lane teams are hashed again, for their lane.
+        # The window is hashed once (observed or not), unless a fleet
+        # of one shard splits it unobserved; only the tuples of
+        # multi-lane teams are hashed again, for their lane.
         shards = shard_of_keys(batch.keys, balancer.primaries)
         multi_lane = [int(np.count_nonzero(shards == primary))
                       for primary in range(balancer.primaries)
                       if len(balancer.team_of(primary)) > 1]
-        assert calls == [len(keys)] + [n for n in multi_lane if n]
+        once = [len(keys)] if observed or balancer.primaries > 1 else []
+        assert calls == once + [n for n in multi_lane if n]
         # History-independent: another plan's split and two reshapes
         # later, the same plan routes exactly as a fresh balancer's.
         h_workers, h_secondaries, h_plan = history

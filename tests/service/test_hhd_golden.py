@@ -31,11 +31,10 @@ THRESHOLD = 32
 TUPLES = 96_000
 
 
-def _scenario(workers, control=None, quota=None, backend="inline",
-              tenants=1):
+def _scenario(workers, control=None, backend="inline", tenants=1):
     """``tenants`` HHD jobs, one per tenant, served concurrently."""
-    return dict(workers=workers, control=control, quota=quota,
-                backend=backend, tenants=tenants)
+    return dict(workers=workers, control=control, backend=backend,
+                tenants=tenants)
 
 
 SCENARIOS = {
@@ -47,14 +46,10 @@ SCENARIOS = {
     "w8/adaptive": _scenario(8, "adaptive"),
     "w6/adaptive+slo": _scenario(6, "slo"),
     "w8/adaptive+slo": _scenario(8, "slo"),
-    "w6/reflexive/quota2": _scenario(6, quota=2),
-    "w8/adaptive/quota2": _scenario(8, "adaptive", quota=2),
     "w6/reflexive/two-tenants": _scenario(6, tenants=2),
     "w8/adaptive+slo/two-tenants": _scenario(8, "slo", tenants=2),
     "w4/reflexive/process": _scenario(4, backend="process"),
     "w6/adaptive/process": _scenario(6, "adaptive", backend="process"),
-    "w8/adaptive+slo/quota2/process": _scenario(8, "slo", quota=2,
-                                               backend="process"),
 }
 
 
@@ -77,8 +72,7 @@ def fingerprint(name):
     try:
         for index in range(scenario["tenants"]):
             tenant = f"t{index}"
-            service.register_tenant(TenantSpec(
-                tenant, worker_quota=scenario["quota"]))
+            service.register_tenant(TenantSpec(tenant))
             jobs[tenant] = service.submit(
                 "hhd", chunk_stream(_stream(7 + index), 2_000),
                 window_seconds=WINDOW, params={"threshold": THRESHOLD},

@@ -51,7 +51,7 @@ class TestTenantSpec:
         {"slo_delay_tuples": -1},
         {"max_in_flight": 0},
         {"max_queued": 0},
-        {"worker_quota": 0},
+        {"weight": float("nan")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -335,27 +335,22 @@ class TestTenantService:
         svc.shutdown()
         assert "running" in observed
 
-    def test_worker_quota_folds_fanout(self):
+    def test_tenant_fans_out_over_the_whole_fleet(self):
+        # No tenant is narrowed to part of the fleet: an even stream's
+        # shards reach every worker, one lane each.
         svc = StreamService(workers=4, balancer="skew")
-        svc.register_tenant(TenantSpec("narrow", worker_quota=2))
+        svc.register_tenant(TenantSpec("wide"))
         batch = ZipfGenerator(alpha=0.0, seed=3).generate(4_000)
         job_id = svc.submit("histo", chunk_stream(batch, 2_000),
-                            window_seconds=WINDOW, tenant_id="narrow")
+                            window_seconds=WINDOW, tenant_id="wide")
         svc.run()
         svc.shutdown()
         golden = kernel_for("histo", 16).golden(batch.keys, batch.values)
         assert np.array_equal(svc.result(job_id).result, golden)
-        # Only workers 0 and 1 ever saw this tenant's shards.
         workers = svc.metrics.snapshot()["workers"]
         busy = {worker for worker, stats in workers.items()
                 if stats["tuples"] > 0}
-        assert busy <= {0, 1}
-
-    def test_worker_quota_cannot_exceed_fleet(self):
-        svc = StreamService(workers=2, balancer="skew")
-        with pytest.raises(ValueError, match="worker_quota"):
-            svc.register_tenant(TenantSpec("greedy", worker_quota=8))
-        svc.shutdown()
+        assert busy == {0, 1, 2, 3}
 
     def test_poll_reports_queue_delay(self, two_tenant_service):
         svc = two_tenant_service

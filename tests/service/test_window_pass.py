@@ -19,7 +19,7 @@ import pytest
 from repro.obs import TraceCollector
 from repro.obs import events as trace_events
 from repro.runtime.session import StreamingSession
-from repro.service import StreamService, TenantSpec
+from repro.service import StreamService
 from repro.service import pool as pool_module
 from repro.service.balancer import Lanes
 from repro.workloads.streams import chunk_stream
@@ -50,16 +50,13 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
-def serve(app, tracer=None, tenant=None):
+def serve(app, tracer=None, workers=4):
     batch, params = stream_for(app)
-    service = StreamService(workers=4, tracer=tracer)
+    service = StreamService(workers=workers, tracer=tracer)
     try:
-        if tenant is not None:
-            service.register_tenant(tenant)
         job_id = service.submit(
             app, chunk_stream(batch, 1_000), window_seconds=1e-6,
-            params=params, job_id=f"pin-{app}",
-            tenant_id=None if tenant is None else tenant.tenant_id)
+            params=params, job_id=f"pin-{app}")
         service.run()
         return (service.result(job_id), service.metrics.snapshot(),
                 service.config)
@@ -80,16 +77,12 @@ def test_fast_windows_run_one_pass(monkeypatch, app):
 
 
 @pytest.mark.parametrize("app", ["histo", "hll", "pagerank", "hhd", "dp"])
-@pytest.mark.parametrize("quota", [None, 2, 3])
+@pytest.mark.parametrize("workers", [2, 3, 4])
 def test_one_pass_trace_and_results_match_the_per_shard_path(
-        monkeypatch, app, quota):
-    # A quota of 2 folds lanes 2 and 3 of the 4-worker fleet onto
-    # workers 0 and 1; a quota of 3 folds lane 3 onto worker 0.
-    tenant = (None if quota is None
-              else TenantSpec("capped", worker_quota=quota))
+        monkeypatch, app, workers):
     windows = record_windows(monkeypatch)
     one_pass = TraceCollector(enabled=True)
-    fast_result, fast_snapshot, config = serve(app, one_pass, tenant)
+    fast_result, fast_snapshot, config = serve(app, one_pass, workers)
     per_shard = replay(windows, app, config, stream_for(app)[1],
                        engine="fast")
 

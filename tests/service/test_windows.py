@@ -30,6 +30,14 @@ class TestWindowClosing:
         assert [w.index for w in closed] == [0]
         assert closed[0].closed and closed[0].tuples == 2
 
+    def test_window_closes_once_the_watermark_reaches_its_end(self):
+        # No grace after the end: a tuple stamped at 1.0 closes window
+        # 0, and one at 1.2 closes it however far it trails the next.
+        manager = WindowManager(window_seconds=1.0)
+        assert manager.observe(stamped([0.1, 0.9])) == []
+        assert [w.index for w in manager.observe(stamped([1.0]))] == [0]
+        assert manager.open_windows == (1,)
+
     def test_multiple_windows_close_oldest_first(self):
         manager = WindowManager(window_seconds=1.0)
         # Watermark jumps to 2.4, so windows 0 and 1 close immediately.
@@ -44,13 +52,6 @@ class TestWindowClosing:
         assert [w.index for w in closed] == [0, 1]
         assert sorted(closed[0].to_batch().keys.tolist()) == [10, 11]
         assert closed[1].to_batch().keys.tolist() == [12]
-
-    def test_allowed_lateness_delays_close(self):
-        strict = WindowManager(window_seconds=1.0)
-        lax = WindowManager(window_seconds=1.0, allowed_lateness=0.5)
-        assert strict.observe(stamped([0.1, 1.2]))
-        assert not lax.observe(stamped([0.1, 1.2]))
-        assert lax.observe(stamped([1.6]))
 
 
 class TestBoundaryAssignment:
@@ -177,8 +178,6 @@ class TestValidationAndAdapters:
     def test_bad_parameters_rejected(self):
         with pytest.raises(ValueError):
             WindowManager(window_seconds=0.0)
-        with pytest.raises(ValueError):
-            WindowManager(window_seconds=1.0, allowed_lateness=-1.0)
 
     def test_timestamp_batch_uses_line_rate(self):
         network = NetworkModel(line_rate_gbps=100.0, tuple_bytes=8)
