@@ -14,18 +14,21 @@ memory", and the consumer of a partition reads multiple chunks.  The
 kernel therefore sets ``decomposable = False`` and ``collect`` gathers
 chunk lists per partition.
 
-A fleet window's shards are partitioned the same way, all at once
-(:meth:`PartitionKernel.process_lanes`, whose grouping
-``process_shard`` runs with one worker): each tuple is labelled with
-its worker, PE and partition, one stable sort and one ``bincount`` of
-the labels give every group's span, and one gather cuts every worker's
-chunks — each shard's own partitions, as its own ``process_shard`` call
-would list them, with no per-shard gather.
+A fleet keeps DP's state as §IV-B's PEs keep their output: each worker
+writes its chunks to its own space and the consumer gathers a
+partition's chunks only when it reads them.  The window pass
+(:meth:`PartitionKernel.process_lanes`) hands each worker a *run*: one
+piece per window it took, its shard's keys and their partitions in
+stream order.  Runs fold by appending their pieces
+(:meth:`PartitionKernel.combine_results`), and
+:meth:`PartitionKernel.answer` builds the job's partition lists once,
+at collect, from one stable sort of the run by partition.
+``process_shard`` is the answer of a one-piece run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -33,6 +36,11 @@ from repro.core.fastpath import group_spans, stable_order
 from repro.core.kernel import KernelSpec
 from repro.hashing.radix import radix_bits, radix_bits_array
 from repro.resources.estimator import AppResourceProfile
+
+#: DP's state: *pieces*, each an array of keys and the array of their
+#: partitions, in fold order; a piece is one worker's keys of one window
+#: in stream order.
+Run = List[Tuple[np.ndarray, np.ndarray]]
 
 
 class PartitionKernel(KernelSpec):
@@ -84,58 +92,66 @@ class PartitionKernel(KernelSpec):
     def process_shard(
         self, keys: np.ndarray, values: np.ndarray,
     ) -> Tuple[np.ndarray, Dict[int, List[int]]]:
-        # The window pass over one worker's one lane.
         keys = np.asarray(keys, dtype=np.uint64)
         parts = self.partition_array(keys)
-        destinations = self.pripe_of(parts)
-        (partitions,) = self._partition(keys, parts, destinations, 1)
-        return destinations, partitions
+        return self.pripe_of(parts), self.answer([(keys, parts)])
 
-    def process_lanes(
+    def process_lanes(  # hot-path
         self, keys: np.ndarray, values: np.ndarray, lanes,
-    ) -> Tuple[np.ndarray, List[Dict[int, List[int]]]]:
+    ) -> Tuple[np.ndarray, List[Run]]:
+        """Each worker's run of the window: one piece, its shard's keys
+        and their partitions in stream order, gathered into arrays the
+        run owns (an empty lane's run has no piece)."""
         keys = np.asarray(keys, dtype=np.uint64)
         parts = self.partition_array(keys)
-        destinations = self.pripe_of(parts)
-        # Each tuple's lane * M + PE, and a lane is its own worker, so
-        # this names the tuple's (worker, PE).
-        cells = lanes.cells(destinations, self.pripes)
-        return destinations, self._partition(keys, parts, cells,
-                                             lanes.route.lane_count)
+        runs: List[Run] = [[] for _ in range(lanes.route.lane_count)]
+        for worker, chosen in lanes.positions().items():
+            runs[worker].append((keys[chosen], parts[chosen]))
+        return self.pripe_of(parts), runs
 
-    def _partition(
-        self, keys: np.ndarray, parts: np.ndarray, worker_pe: np.ndarray,
-        workers: int,
-    ) -> List[Dict[int, List[int]]]:
-        """Every worker's partitions from one grouping of the window:
-        ``parts[i]`` is key ``i``'s partition and ``worker_pe[i]`` its
-        worker ``* M +`` its PE, for workers in ``[0, workers)``."""
-        # The result's key order is pinned (its pickle, and so a digest
-        # of it, sees it): PE-major as ``collect`` walks the PEs,
-        # ascending partition id within a PE — what grouping by
-        # (worker, PE, partition) yields directly, worker by worker.  A
-        # partition is labelled by its rank within its PE, so the
-        # labels span each worker's partitions once.  The stable sort
-        # keeps stream order within each group, as the per-tuple
-        # appends do.
-        ranks = -(-self.fanout // self.pripes)
-        span = self.pripes * ranks  # labels per worker
-        labels = worker_pe * ranks + parts // self.pripes
-        order = stable_order(labels, workers * span)
-        sizes = np.bincount(labels, minlength=workers * span)
+    def combine_results(  # hot-path
+        self,
+        first: Union[Run, Dict[int, List[int]]],
+        second: Union[Run, Dict[int, List[int]]],
+    ) -> Union[Run, Dict[int, List[int]]]:
+        """Runs append their pieces; answers (a session that runs each
+        segment through the architecture folds those) extend each
+        partition's list.  Either way ``first`` grows in place, so a
+        job's fold costs its new part, not a copy of all so far."""
+        if isinstance(first, list):
+            first += second
+            return first
+        for part, chunk in second.items():
+            first.setdefault(part, []).extend(chunk)
+        return first
+
+    def answer(self, state: Run) -> Dict[int, List[int]]:
+        """A run's partitions, each its keys in fold order.
+
+        The partitions are listed as folding each piece's own answer in
+        turn lists them: by the first piece a partition appears in,
+        then PE-major as ``collect`` walks the PEs, and by ascending
+        partition id within a PE.  The result's key order is pinned
+        (its pickle, and so a digest of it, sees it).
+        """
+        if not state:
+            return {}
+        keys, parts = map(np.concatenate, zip(*state))
+        order = stable_order(parts, self.fanout)
+        sizes = np.bincount(parts, minlength=self.fanout)
         filled = np.flatnonzero(sizes)
         stops = np.cumsum(sizes)[filled]
+        starts = stops - sizes[filled]
+        # A partition's first key in fold order heads its group (the
+        # sort is stable); the piece holding it is where it appears.
+        edges = np.cumsum([piece_keys.size for piece_keys, _ in state])
+        first_piece = np.searchsorted(edges, order[starts], side="right")
+        listed = np.lexsort((filled // self.pripes, filled % self.pripes,
+                             first_piece))
         gathered = keys[order].tolist()
-        chunks = list(map(gathered.__getitem__, map(
-            slice, (stops - sizes[filled]).tolist(), stops.tolist())))
-        # Each worker's groups are a run of ``filled``, and a group's
-        # label names its PE and its partition's rank there.
-        edges = [0, *np.searchsorted(
-            filled, np.arange(1, workers + 1) * span).tolist()]
-        local = filled % span
-        ids = (local % ranks * self.pripes + local // ranks).tolist()
-        return [dict(zip(ids[start:stop], chunks[start:stop]))
-                for start, stop in zip(edges, edges[1:])]
+        return {part: gathered[start:stop] for part, start, stop in zip(
+            filled[listed].tolist(), starts[listed].tolist(),
+            stops[listed].tolist())}
 
     def collect(
         self, buffers: List[Dict[int, List[int]]]
@@ -150,20 +166,6 @@ class PartitionKernel(KernelSpec):
             for part, chunk in buffer.items():
                 partitions.setdefault(part, []).extend(chunk)
         return partitions
-
-    def combine_results(
-        self,
-        first: Dict[int, List[int]],
-        second: Dict[int, List[int]],
-    ) -> Dict[int, List[int]]:
-        """Partition chunks of consecutive segments concatenate.
-
-        ``first`` is extended in place, so a job's fold costs its new
-        chunks, not a copy of every chunk accumulated so far.
-        """
-        for part, chunk in second.items():
-            first.setdefault(part, []).extend(chunk)
-        return first
 
     def golden(self, keys: np.ndarray,
                values: np.ndarray) -> Dict[int, List[int]]:

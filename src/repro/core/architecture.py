@@ -256,8 +256,6 @@ class SkewObliviousArchitecture:
         result with vectorised reductions and models the cycle count
         from the analytic bottleneck (:mod:`repro.core.fastpath`).
         """
-        from repro.core.fastpath import run_fast, validate_engine
-
         if validate_engine(engine) == "fast":
             return run_fast(self.config, self.kernel, batch)
         if len(batch) == 0:
@@ -308,3 +306,8 @@ class SkewObliviousArchitecture:
             pe.tuples_processed
             for pe in self._pripe_modules + self._secpe_modules
         )
+
+
+# Imported last, once: the fast path subclasses ArchitectureResult, so
+# it can load only after this module has defined it.
+from repro.core.fastpath import run_fast, validate_engine  # noqa: E402

@@ -34,8 +34,8 @@ kernel call on the whole window — an order-free kernel's
 :meth:`~repro.core.kernel.KernelSpec.process_shard`, whose
 whole-window result the first shard carries, or any other kernel's
 :meth:`~repro.core.kernel.KernelSpec.process_lanes`, every worker's own
-result: heavy hitters' sketches from one keyed pass, DP's partitions
-from one grouping by (worker, PE, partition) — and then one
+state: heavy hitters' sketches from one keyed pass, DP's own runs
+of keys from one stable sort by lane — and then one
 ``bincount(lane * M + destination)``, the PrePE's destination reused as
 the route's label, gives every lane's tuples and PE loads.  The shards
 are listed from those lane counts, and each shard's cycles follow by
@@ -212,8 +212,9 @@ def run_lanes(config: ArchitectureConfig, kernel: KernelSpec,  # hot-path
     tuples in stream order — and the shard's result: an
     :attr:`~repro.core.kernel.KernelSpec.order_free` kernel's
     whole-window result on the first shard and None on the rest, or
-    what :meth:`~repro.core.kernel.KernelSpec.process_lanes` gives the
-    shard's worker (heavy hitters' own hitters, DP's own partitions).
+    the state :meth:`~repro.core.kernel.KernelSpec.process_lanes` gives
+    the shard's worker (heavy hitters' own hitters, DP's own runs),
+    whose answer is read at collect.
     """
     if len(batch) == 0:
         raise ValueError("cannot run an empty batch")

@@ -35,10 +35,15 @@ class KernelSpec(ABC):
       :attr:`decomposable` to False; their SecPEs "output results to
       their own memory space" and :meth:`collect` receives all buffers.
     * :meth:`process_lanes` is every worker's shard of a fleet window at
-      once — one call that returns each worker's own result (the
+      once — one call that returns each worker's own *state* (the
       fast engine's window hook for a kernel that is not
       :attr:`order_free`; an order-free one — histogram, HLL, PageRank
       — runs the window as one :meth:`process_shard`).
+    * :meth:`combine_results` folds two states, and :meth:`answer`
+      reads a job's answer off its merged state, once, at collect.
+      The state is the answer for every kernel but DP, whose state is
+      a run of key and partition-id arrays in fold order
+      (:mod:`repro.apps.partition`).
     """
 
     #: Number of PriPEs this spec routes across (set by the architecture
@@ -174,28 +179,28 @@ class KernelSpec(ABC):
         """Every worker's shard of one fleet window from one call.
 
         ``lanes`` is the window's :class:`~repro.service.balancer.Lanes`:
-        ``lanes.cells(0, 1)`` is each tuple's lane, and a lane is a
-        worker, whose shard is its lane's tuples in stream order.
-        Returns ``(destinations, results)``: ``destinations`` as
+        a lane is a worker, whose shard is its lane's tuples in stream
+        order (``lanes.positions()`` lists them, ``lanes.cells(0, 1)``
+        is each tuple's lane).
+        Returns ``(destinations, states)``: ``destinations`` as
         :meth:`process_shard` gives it for the whole window, and
-        ``results[w]``, for each worker ``w`` that takes tuples, what
-        :meth:`process_shard` returns for ``w``'s shard on its own
-        (``lanes.route.lane_count`` entries in all).
+        ``states[w]``, for each worker ``w`` that takes tuples, the
+        state of ``w``'s shard on its own, whose :meth:`answer` is what
+        :meth:`process_shard` returns for that shard
+        (``lanes.route.lane_count`` entries in all).  A state owns its
+        memory, by :meth:`process_shard`'s rule.
 
         A fleet on the fast engine runs every window through this hook
         (:func:`~repro.core.fastpath.run_lanes`), unless the kernel is
         :attr:`order_free`: then the call is one :meth:`process_shard`
         over the window.  This default gathers each worker's shard and
-        calls :meth:`process_shard` on it; a kernel overrides it with
-        one pass over the window (DP's partitions, HHD's keyed
-        sketches).
+        calls :meth:`process_shard` on it, which is exact for a kernel
+        whose answer is its state; a kernel overrides it with one pass
+        over the window (DP's runs, HHD's keyed sketches).
         """
-        lane_of = lanes.cells(0, 1)
-        count = lanes.route.lane_count
         destinations = np.empty(len(keys), dtype=np.int64)
-        results: List[Any] = [None] * count
-        for worker in lanes.shards(np.bincount(lane_of, minlength=count)):
-            chosen = np.flatnonzero(lane_of == worker)
+        results: List[Any] = [None] * lanes.route.lane_count
+        for worker, chosen in lanes.positions().items():
             destinations[chosen], results[worker] = self.process_shard(
                 keys[chosen], values[chosen])
         return destinations, results
@@ -220,24 +225,35 @@ class KernelSpec(ABC):
         return pripe_buffers
 
     def combine_results(self, first: Any, second: Any) -> Any:
-        """Fold two *collected* results (streaming sessions).
+        """Fold two states (streaming sessions).
 
         Used by :class:`repro.runtime.session.StreamingSession` to keep
-        a running result across stream segments.  Applications override
-        with their reduction (histograms add, HLL registers max-fold).
+        a running state across stream segments.  Applications override
+        with their reduction (histograms add, HLL registers max-fold,
+        DP's runs append).  An answer whose kernel's state is not its
+        answer folds here too (DP's partition lists extend): a session
+        that runs each segment through the architecture folds answers.
 
-        ``first`` is the caller's running result and is consumed: an
-        override may fold into it in place and return it (DP's lists
-        extend), so the caller keeps only the return value.  ``second``
-        is neither modified nor aliased by the return value.  Every
-        caller folds state it owns: ``WorkerPool.collect`` pops and
-        discards the partials, the process backend's snapshots arrive
-        pickled, and nothing keeps a segment's ``outcome.result``.
+        ``first`` is the caller's running state and is consumed: an
+        override may fold into it in place and return it, so the caller
+        keeps only the return value.  ``second`` is not modified, and
+        the return value is not ``second`` itself, but it may share
+        ``second``'s arrays: a state's arrays are never written after
+        they are made.  Every caller folds state it owns:
+        ``WorkerPool.collect`` pops and discards the partials, the
+        process backend's snapshots arrive pickled, and nothing keeps a
+        segment's ``outcome.result``.
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not define a streaming "
             "result combiner"
         )
+
+    def answer(self, state: Any) -> Any:
+        """The job's answer from its merged state, read once, at
+        collect (the state itself by default: for histogram, HLL, heavy
+        hitters and PageRank the state is the answer)."""
+        return state
 
     # ------------------------------------------------------------------
     # Golden reference

@@ -10,7 +10,9 @@ size does not grow with the stream.
 Accumulation uses :meth:`KernelSpec.combine_results`, implemented per
 application (histograms add, HLL registers max-fold, partitions extend)
 by :meth:`StreamingSession.fold`, which the inline pool's window pass
-calls directly.
+calls directly with each worker's kernel *state* (DP's runs of keys);
+the job's answer is read off the merged state once, at collect
+(:meth:`KernelSpec.answer`).
 """
 
 from __future__ import annotations
@@ -51,6 +53,13 @@ class SessionSnapshot:
 @dataclass
 class StreamingSession:
     """Processes stream segments and accumulates the application result.
+
+    ``result`` is whatever the session folded: :meth:`process` folds
+    each segment's answer, as the architecture returns it, while the
+    inline pool's window pass folds kernel states with :meth:`fold`,
+    and its ``collect`` turns the merged state into the answer
+    (:meth:`KernelSpec.answer`).  The two differ only for DP, whose
+    state is a run of key arrays.
 
     Parameters
     ----------

@@ -61,7 +61,10 @@ FLEET_SHARD_SEED = 0xD6E8FEB86659FD93
 def shard_of_keys(keys: np.ndarray, shards: int,
                   seed: int = FLEET_SHARD_SEED) -> np.ndarray:
     """Fleet shard ID of each key: ``int64`` multiply-shift of the raw
-    key, range-reduced into ``[0, shards)``."""
+    key, range-reduced into ``[0, shards)``; one shard hashes nothing,
+    every id is 0."""
+    if shards == 1:
+        return np.zeros(len(keys), dtype=np.int64)
     return multiply_shift_range(keys, shards, seed)
 
 
@@ -283,7 +286,7 @@ class WindowRoute:
         """
         memo = self.memo
         ids = (memo[1] if memo is not None and memo[0] is batch.keys
-               else self._shard_ids(batch.keys))
+               else shard_of_keys(batch.keys, len(self.teams)))
         spread: Dict[int, np.ndarray] = {}
         for team, mine, picks in self._helped(batch.keys, ids):
             for index, worker in enumerate(team):
@@ -300,18 +303,11 @@ class WindowRoute:
         ``TEAM_SEED`` picks."""
         if not self.by_key:
             raise ValueError("only a by-key route gives a key one lane")
-        ids = self._shard_ids(keys)
+        ids = shard_of_keys(keys, len(self.teams))
         lane_of = _heads(self.teams, ids, 1)
         for team, mine, picks in self._helped(keys, ids):
             lane_of[mine] = np.asarray(team)[picks]
         return lane_of
-
-    def _shard_ids(self, keys: np.ndarray) -> np.ndarray:
-        """Each key's fleet shard id, hashed only if there is more than
-        one shard."""
-        if len(self.teams) == 1:
-            return np.zeros(len(keys), dtype=np.int64)
-        return shard_of_keys(keys, len(self.teams))
 
     def _helped(self, keys: np.ndarray, ids: np.ndarray):
         """Each team with helpers that takes any of ``keys`` (shard ids
@@ -358,11 +354,12 @@ class Lanes(NamedTuple):
     tuple of its shard.  ``spread[w]`` are the stream positions,
     ascending, of each lane ``w`` of a team with helpers that takes any.
     Shards come team by team (the primary, then its helpers), or in
-    ascending worker order ``by_key``.  :meth:`split` gathers the
-    shards (the per-shard path); the one-pass path never gathers:
-    :meth:`cells` labels each tuple with its lane and PE, and
-    :meth:`shards` lists the shards from the lane counts one
-    ``bincount`` of those labels gives.
+    ascending worker order ``by_key``.  :meth:`positions` lists each
+    shard's tuples, which :meth:`split` gathers (the per-shard path)
+    and a kernel's window pass may gather itself (DP's runs); the
+    one-pass path's accounting never gathers: :meth:`cells` labels each
+    tuple with its lane and PE, and :meth:`shards` lists the shards
+    from the lane counts one ``bincount`` of those labels gives.
     """
 
     route: WindowRoute
@@ -373,8 +370,9 @@ class Lanes(NamedTuple):
         """``workers``, listed team by team, in split order."""
         return sorted(workers) if self.route.by_key else workers
 
-    def split(self, batch: TupleBatch) -> Dict[int, TupleBatch]:
-        """Gather ``batch`` into the shards, in split order."""
+    def positions(self) -> Dict[int, np.ndarray]:
+        """Each shard's stream positions, ascending, by its worker, in
+        split order."""
         ids, spread = self.ids, self.spread
         taken: Dict[int, np.ndarray] = {}
         for primary, team in enumerate(self.route.teams):
@@ -385,10 +383,14 @@ class Lanes(NamedTuple):
             mine = (ids == primary).nonzero()[0]
             if mine.size:
                 taken[team[0]] = mine
-        return {worker: TupleBatch(batch.keys[taken[worker]],
-                                   batch.values[taken[worker]],
-                                   batch.tuple_bytes)
+        return {worker: taken[worker]
                 for worker in self._in_split_order(list(taken))}
+
+    def split(self, batch: TupleBatch) -> Dict[int, TupleBatch]:
+        """Gather ``batch`` into the shards, in split order."""
+        return {worker: TupleBatch(batch.keys[chosen], batch.values[chosen],
+                                   batch.tuple_bytes)
+                for worker, chosen in self.positions().items()}
 
     def cells(self, destinations, pripes: int) -> np.ndarray:
         """Each tuple's ``lane * pripes + destination``, a fresh int64

@@ -153,7 +153,14 @@ class ExecutionBackend(ABC):
 
     @abstractmethod
     def collect(self, job_id: str) -> Optional[StreamingSession]:
-        """Merge and release one finished job's partial sessions."""
+        """Merge and release one finished job's partial sessions.
+
+        The merged session's ``result`` is the job's answer: where the
+        workers folded kernel states, :meth:`KernelSpec.answer
+        <repro.core.kernel.KernelSpec.answer>` is applied once, to the
+        merged state.  Workers that fold each shard's answer through
+        ``StreamingSession.process`` merge answers, which need no
+        further step."""
 
     @abstractmethod
     def errors(self, job_id: str) -> List[str]:

@@ -149,9 +149,9 @@ class WorkerPool(ExecutionBackend):
         The pass (:func:`~repro.core.fastpath.run_lanes`) is one kernel
         call, then one ``bincount`` of lane and PE that lists the shards
         and their loads: each worker's session folds its own tuples,
-        cycles and result — an order-free kernel's whole-window result
+        cycles and state — an order-free kernel's whole-window result
         on the first worker, a by-key HHD shard's own hitters or a DP
-        shard's own partitions on each — and the window's segments are
+        shard's own run on each — and the window's segments are
         charged to the metrics in one call.  The shards of a window
         whose pass raised are gathered and :meth:`dispatch`ed one by
         one, so each failing shard reports its own error and the others
@@ -283,7 +283,8 @@ class WorkerPool(ExecutionBackend):
         so collection is one-shot.  Partials merge in ascending
         (worker_id, generation) order — the fixed order both backends
         share, which keeps order-sensitive reductions (partition lists)
-        bit-identical across backends.
+        bit-identical across backends.  The workers folded kernel
+        states, so the merged state's answer is read here, once.
         """
         self._errors.pop(job_id, None)
         # Iterate the session registry, not range(size): workers
@@ -296,4 +297,5 @@ class WorkerPool(ExecutionBackend):
         merged = self.session_factory(job_id)
         for partial in partials:
             merged.merge_from(partial)
+        merged.result = merged.kernel.answer(merged.result)
         return merged

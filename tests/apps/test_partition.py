@@ -108,7 +108,8 @@ def test_process_shard_equals_the_per_tuple_loop(keys, pripes):
 def test_process_lanes_gives_each_worker_its_own_partitions(
         seed, tuples, universe, pripes, workers, data):
     """One pass over the window equals the default hook, the exact
-    per-worker gather and ``process_shard``, under any plan."""
+    per-worker gather and ``process_shard``, under any plan: each
+    worker's run answers its own partitions."""
     kernel = PartitionKernel(radix_bits_count=6, pripes=pripes)
     keys = np.random.default_rng(seed).integers(
         0, universe, tuples, dtype=np.uint64)
@@ -128,7 +129,8 @@ def test_process_lanes_gives_each_worker_its_own_partitions(
         kernel, keys, batch.values, lanes)
     assert np.array_equal(destinations, expected_destinations)
     split = lanes.split(batch)
-    assert [pickle.dumps(results[worker]) for worker in split] \
+    assert [pickle.dumps(kernel.answer(results[worker]))
+            for worker in split] \
         == [pickle.dumps(expected[worker]) for worker in split]
-    assert all(results[worker] == {} for worker in range(len(results))
-               if worker not in split)
+    assert all(kernel.answer(results[worker]) == {}
+               for worker in range(len(results)) if worker not in split)

@@ -5,6 +5,7 @@ bit-identical to the cycle engine's and modeled cycles stay within 10%
 of simulated, across Zipf skew factors, for every splittable app.
 """
 
+import builtins
 from collections import Counter
 
 import numpy as np
@@ -245,6 +246,30 @@ class TestFallbackAndInterface:
             architecture.run(batch, engine="warp")
         with pytest.raises(ValueError, match="unknown engine"):
             validate_engine("warp")
+
+    def test_fast_run_imports_nothing(self, monkeypatch):
+        # The engine is resolved when the module loads, not per call:
+        # a process child runs every shard through this method.
+        kernel, batch = make_app("histo")
+        architecture = SkewObliviousArchitecture(SERVING_CONFIG, kernel)
+        imported = []
+        real_import = builtins.__import__
+
+        def counting(name, *args, **kwargs):
+            imported.append(name)
+            return real_import(name, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "__import__", counting)
+        outcomes = [architecture.run(batch, engine="fast")
+                    for _ in range(3)]
+        monkeypatch.undo()
+        assert imported == []
+        assert all(np.array_equal(outcome.result,
+                                  run_fast(SERVING_CONFIG, kernel,
+                                           batch).result)
+                   for outcome in outcomes)
+        with pytest.raises(ValueError, match="unknown engine"):
+            architecture.run(batch, engine="warp")
 
     def test_modeled_pe_counts_cover_the_stream(self):
         kernel, batch = make_app("histo", alpha=1.5)

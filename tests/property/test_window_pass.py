@@ -9,8 +9,8 @@ the same plans and reschedules — in the same split order.  For an
 order-free kernel (HISTO, HLL, PageRank) the first outcome's result
 must equal the per-shard results folded together; for heavy hitters,
 routed by key, every outcome must carry its own shard's hitter dict,
-equal in content and insertion order, and for DP its own shard's
-partitions, pickle for pickle.
+equal in content and insertion order, and for DP a run whose answer
+is its own shard's partitions, pickle for pickle.
 
 The epoch model (``skew_handling``) is order-sensitive, so each shard's
 destinations must reach it in the shard's own order, its lane's stream
@@ -219,8 +219,9 @@ def test_partition_pass_matches_split_plus_run_fast(window):
     assert not kernel.decomposable
 
     ours, theirs = own_results(kernel, config, batch, route)
-    # Each shard's own partitions: the same chunks, keys and order.
-    assert [pickle.dumps(result) for result in ours] \
+    # Each shard's own run answers its own partitions: the same
+    # chunks, keys and order.
+    assert [pickle.dumps(kernel.answer(result)) for result in ours] \
         == [pickle.dumps(result) for result in theirs]
 
 

@@ -349,6 +349,20 @@ class TestHashOnce:
         assert np.array_equal(split[2].keys, batch.keys)
         assert np.array_equal(split[2].values, batch.values)
 
+    @pytest.mark.parametrize("tuples", [BELOW_SAMPLE, ABOVE_SAMPLE])
+    def test_one_primary_observe_hashes_no_key(self, hashed, tuples):
+        # One primary: every shard id is 0, so there is nothing to hash;
+        # the sample still counts every key it draws.
+        balancer = SkewAwareBalancer(1)
+        batch = numbered(1.5, tuples, seed=11)
+        balancer.observe(batch.keys)
+        assert hashed == []
+        assert balancer.last_histogram.tolist() \
+            == [min(tuples, SkewAwareBalancer.PROFILE_SAMPLE)]
+        assert routed(balancer.split(batch)) == reference_split(balancer,
+                                                                batch)
+        assert hashed == []
+
     def test_nothing_keeps_the_window_alive_after_split(self):
         balancer = SkewAwareBalancer(4)
         batch = numbered(1.5, BELOW_SAMPLE, seed=9)
@@ -516,14 +530,14 @@ class TestByKeyRouting:
         for worker, part in parts.items():
             for key in part.keys.tolist():
                 assert owners.setdefault(key, worker) == worker
-        # The window is hashed once (observed or not), unless a fleet
-        # of one shard splits it unobserved; only the tuples of
-        # multi-lane teams are hashed again, for their lane.
+        # The window is hashed once (observed or not), unless the
+        # fleet has one shard; only the tuples of multi-lane teams are
+        # hashed again, for their lane.
         shards = shard_of_keys(batch.keys, balancer.primaries)
         multi_lane = [int(np.count_nonzero(shards == primary))
                       for primary in range(balancer.primaries)
                       if len(balancer.team_of(primary)) > 1]
-        once = [len(keys)] if observed or balancer.primaries > 1 else []
+        once = [len(keys)] if balancer.primaries > 1 else []
         assert calls == once + [n for n in multi_lane if n]
         # History-independent: another plan's split and two reshapes
         # later, the same plan routes exactly as a fresh balancer's.

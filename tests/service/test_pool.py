@@ -65,7 +65,7 @@ class TestDispatch:
             expected = run_fast(self.CONFIG, spec.build().kernel, shard)
             assert list(pool._sessions) == [(2, 0, "job")]
             session = pool._sessions[(2, 0, "job")]
-            assert pickle.dumps(session.result) \
+            assert pickle.dumps(session.kernel.answer(session.result)) \
                 == pickle.dumps(expected.result)
             assert (session.segments, session.total_tuples,
                     session.total_cycles) \
