@@ -20,14 +20,11 @@ holds at least its own count: a key counted ``track_fraction *
 threshold`` times is tracked.  Only a key reaching the threshold below
 that line, through collisions, is replayed up to its last occurrence.
 
-A fleet window's by-key shards take the same route at once
-(:meth:`HeavyHitterKernel.process_lanes`, whose keyed pass
-``process_shard`` runs with one worker): a by-key lane depends on the
-key alone, so each distinct key of the window has one lane, which is
-one worker, and every worker's sketches come from one ``np.unique``,
-one ``hash_rows`` and one scatter-add over (worker, row, PE, column)
-cells — each shard's own hitters, as its own ``process_shard`` call
-would find them.
+A fleet does not split an HHD window: the whole window goes to one
+worker (:meth:`~repro.service.balancer.SkewAwareBalancer.route`), so
+all of a key's updates in the window meet in one PE's sketch on that
+worker, and the window pass is one ``process_shard`` call over its one
+lane (the default :meth:`~repro.core.kernel.KernelSpec.process_lanes`).
 
 The paper's uniform-comparison dataset has "half of the tuples with the
 same key" — a single guaranteed heavy hitter — which
@@ -37,7 +34,7 @@ same key" — a single guaranteed heavy hitter — which
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -80,8 +77,8 @@ class HeavyHitterKernel(KernelSpec):
     # A key's count must accumulate in ONE sketch per stream segment:
     # splitting its tuples across independent workers dilutes every
     # per-worker estimate below the detection threshold.  The fleet
-    # routes such a job by key, so each window's tuples of a key meet
-    # in one worker's segment; hitters are detected per segment.
+    # sends each window of such a job whole to one worker, so a window
+    # is one segment; hitters are detected per segment.
     splittable = False
 
     def __init__(
@@ -105,7 +102,7 @@ class HeavyHitterKernel(KernelSpec):
         self.track_fraction = track_fraction
         self.pripes = pripes
         self.family = PairwiseFamily(depth, width, seed=seed)
-        # Scratch cell totals for the keyed pass.
+        # Scratch cell totals for process_shard.
         self._totals = np.empty(0, dtype=np.int64)
 
     # -- KernelSpec ----------------------------------------------------
@@ -134,75 +131,42 @@ class HeavyHitterKernel(KernelSpec):
 
     def process_shard(self, keys: np.ndarray,
                       values: np.ndarray) -> Tuple[np.ndarray, Dict[int, int]]:
-        # The window pass over one worker: every key on lane 0.
-        destinations, (hitters,) = self._keyed_pass(
-            keys, lambda found: np.zeros(len(found), dtype=np.int64), 1)
-        return destinations, hitters
-
-    def process_lanes(self, keys: np.ndarray, values: np.ndarray, lanes
-                      ) -> Tuple[np.ndarray, List[Dict[int, int]]]:
-        # A by-key lane depends on the key alone.
-        return self._keyed_pass(keys, lanes.route.key_lanes,
-                                lanes.route.lane_count)
-
-    def _keyed_pass(self, keys: np.ndarray,
-                    key_lanes: Callable[[np.ndarray], np.ndarray],
-                    workers: int
-                    ) -> Tuple[np.ndarray, List[Dict[int, int]]]:
-        """``process_lanes`` where ``key_lanes(keys)`` gives each key's
-        lane, which is its worker, in ``[0, workers)``."""
-        # Each worker's hitters, bit-identical to the per-tuple loop on
-        # its fresh sketches, by the module docstring's two facts.  A
-        # key's lane depends on the key alone, so each distinct key has
-        # one worker and the workers' sketches lie side by side; a
-        # doubtful key replays its own worker's prefix.
+        # The hitters, bit-identical to the per-tuple loop on fresh
+        # sketches, by the module docstring's two facts.
         keys = np.asarray(keys, dtype=np.uint64)
         uniques, counts = np.unique(keys, return_counts=True)
-        owners = key_lanes(uniques)
         pes = self.pripe_of(uniques)
         plane = self.pripes * self.width
         cells = self.family.hash_rows(uniques) + (
-            np.arange(self.depth)[:, None] * plane
-            + (owners * (self.depth * plane) + pes * self.width))
+            np.arange(self.depth)[:, None] * plane + pes * self.width)
         # The cells live in a scratch array kept across calls: a fresh
-        # one spanning every shard's sketches costs more to allocate
-        # than the counting.  Only the keys' cells are zeroed, then
-        # counted and read, so no other cell need ever be cleared.  The
-        # scatter-add takes flat cells and tiled counts: a 2-D index
-        # with broadcast counts reads past the counts on NumPy 2.4.
-        if self._totals.size < workers * self.depth * plane:
-            self._totals = np.empty(workers * self.depth * plane,
-                                    dtype=np.int64)
+        # one costs more to allocate than the counting.  Only the keys'
+        # cells are zeroed, then counted and read, so no other cell
+        # need ever be cleared.  The scatter-add takes flat cells and
+        # tiled counts: a 2-D index with broadcast counts reads past
+        # the counts on NumPy 2.4.
+        if self._totals.size < self.depth * plane:
+            self._totals = np.empty(self.depth * plane, dtype=np.int64)
         totals = self._totals
         totals[cells] = 0
         np.add.at(totals, cells.ravel(), np.tile(counts, self.depth))
         final = totals[cells].min(axis=0)
         line = self.track_fraction * self.threshold
         hitters = final >= self.threshold
-        inverses: Dict[int, np.ndarray] = {}
-        lanes = None
+        inverse = None
         for at in np.flatnonzero(hitters & (counts < line)).tolist():
-            owner = int(owners[at])
-            if owner not in inverses:
-                if lanes is None:
-                    lanes = key_lanes(keys)
-                # The shard's keys in its own order.
-                inverses[owner] = np.searchsorted(uniques,
-                                                  keys[lanes == owner])
-            inverse = inverses[owner]
+            if inverse is None:
+                # Each tuple's distinct key, found only for a doubtful
+                # key: most shards have none.
+                inverse = np.searchsorted(uniques, keys)
             upto = np.flatnonzero(inverse == at)[-1] + 1
             running = cells[:, inverse[:upto]] == cells[:, at, None]
             hitters[at] = running.sum(axis=1).min() >= line
-        # Worker by worker, PE-major, ascending key within a PE's table.
+        # PE-major, ascending key within a PE's table.
         chosen = np.flatnonzero(hitters)
-        chosen = chosen[np.argsort(owners[chosen] * self.pripes
-                                   + pes[chosen], kind="stable")]
-        results: List[Dict[int, int]] = [{} for _ in range(workers)]
-        for owner, key, estimate in zip(owners[chosen].tolist(),
-                                        uniques[chosen].tolist(),
-                                        final[chosen].tolist()):
-            results[owner][key] = estimate
-        return self.route_array(keys), results
+        chosen = chosen[np.argsort(pes[chosen], kind="stable")]
+        return self.route_array(keys), dict(zip(uniques[chosen].tolist(),
+                                                final[chosen].tolist()))
 
     def merge_into(self, primary: SketchBuffer,
                    secondary: SketchBuffer) -> None:

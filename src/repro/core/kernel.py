@@ -58,10 +58,9 @@ class KernelSpec(ABC):
     #: in between).  True for per-tuple reductions (histogram add, HLL
     #: max, partition extend, rank-mass add); False when per-key state
     #: must stay together, e.g. heavy-hitter thresholds evaluated on
-    #: each group's private sketch.  The fleet balancer then picks a
-    #: shard team's lane by a hash of the key instead of round-robin,
-    #: so a key stays whole within each window's split (it keeps no
-    #: per-key table, so not across windows).
+    #: each group's private sketch.  The fleet balancer then does not
+    #: split a window: it goes whole to one worker, ``window_index % K``
+    #: (``SkewAwareBalancer.route``).
     splittable: bool = True
 
     @property
@@ -195,8 +194,8 @@ class KernelSpec(ABC):
         :attr:`order_free`: then the call is one :meth:`process_shard`
         over the window.  This default gathers each worker's shard and
         calls :meth:`process_shard` on it, which is exact for a kernel
-        whose answer is its state; a kernel overrides it with one pass
-        over the window (DP's runs, HHD's keyed sketches).
+        whose answer is its state (HHD, whose window is one lane); a
+        kernel overrides it with one pass over the window (DP's runs).
         """
         destinations = np.empty(len(keys), dtype=np.int64)
         results: List[Any] = [None] * lanes.route.lane_count

@@ -22,14 +22,13 @@ key-ranges:
   attached secondaries — exactly the even-share assumption the greedy
   plan makes.
 
-A non-``splittable`` kernel's job (heavy hitters) is split *by key*
-with the same stateless rule at a different lane choice: a tuple of
-shard ``p`` goes to the lane that hash under ``TEAM_SEED`` picks in
-``range(len(team))``, so a key stays whole within each window's split.
-No per-key table is kept — as on chip, where the PrePE routes by
-``HASH(key) & mask`` alone — so a key may land on another worker in a
-later window; heavy hitters are detected per segment (one worker's
-shard of one window), which that does not change.
+A non-``splittable`` kernel's job (heavy hitters) is not split: each
+window goes whole to one worker, ``window_index % K``
+(:meth:`SkewAwareBalancer.route`), so every update of a key in the
+window meets in one worker's sketches, as on chip every update of a
+key meets in one PE's sketch.  Hitters are detected per segment, and
+such a window is one segment whatever the fleet size, so the job's
+answer is a one-worker fleet's.
 
 ``secondaries=0`` is the naive round-robin baseline
 (``make_balancer("roundrobin", K)``): all ``K`` workers are primaries
@@ -193,8 +192,8 @@ class SkewAwareBalancer:
         usable on its own to convert primaries into secondaries (or back)
         at a fixed fleet size.  The active plan and last histogram are
         dropped — they describe a shard space that no longer exists — so
-        the next plan starts fresh; by-key routing, which keeps no
-        per-key state, follows the new teams from the next split.
+        the next plan starts fresh; a non-splittable job's next window
+        goes to a worker of the new fleet.
         """
         self._shape(workers, secondaries)
         self.reconfigurations += 1
@@ -204,23 +203,27 @@ class SkewAwareBalancer:
         return list(self._teams[primary])
 
     def reset_key_ownership(self) -> None:
-        """No-op: by-key routing keeps no per-key state to forget.
+        """No-op: no routing keeps per-key state to forget.
 
         Kept because the benchmark's replay (``bench/replay.py``) calls
-        it for each by-key job.
+        it for each non-splittable job.
         """
-
-    #: Odd multiplier for intra-team key spreading; not the shard one, so
-    #: a shard's keys do not all collapse onto one team lane.
-    TEAM_SEED = 0xA0761D6478BD642F
 
     def route(self, by_key: bool = False,
               window_index: Optional[int] = None) -> "WindowRoute":
         """The routing decision for the window ``observe`` last saw,
         under the plan in force: its teams, and the ids memoised for
-        that window (taken, so they route one split at most)."""
+        that window (taken, so they route one split at most).
+
+        ``by_key`` (a non-``splittable`` job's window) sends the window
+        whole to worker ``window_index % workers``, or to worker 0 with
+        no window index: the one-team route ``((worker,),)``.
+        """
         memo, self._shards = self._shards, None
-        return WindowRoute(self._teams, by_key, window_index, memo)
+        if by_key:
+            worker = (window_index or 0) % self.workers
+            return WindowRoute(((worker,),), window_index)
+        return WindowRoute(self._teams, window_index, memo)
 
     def split(self, batch: TupleBatch,
               by_key: bool = False) -> Dict[int, TupleBatch]:
@@ -249,33 +252,27 @@ def make_balancer(name: str, workers: int) -> SkewAwareBalancer:
 @dataclass(frozen=True)
 class WindowRoute:
     """One window's routing decision, applied wherever it is split:
-    the plan's ``teams`` (``teams[p]`` serves primary shard ``p``),
-    ``by_key`` lanes and the ``window_index`` in its job's trace (None:
-    not one of a job's windows).  ``memo``, ``observe``'s (keys, shard
-    ids) of the window, stays in-process: a pickled route drops it, and
-    whoever splits re-derives the same ids from the keys.  Per tuple
-    the rule is :meth:`lanes`; per key (a by-key window's keyed pass)
-    it is :meth:`key_lanes`.  A lane is a worker, and a shard is one
-    lane: :attr:`lane_count` sizes a window pass's per-lane arrays."""
+    the plan's ``teams`` (``teams[p]`` serves primary shard ``p``) and
+    the ``window_index`` in its job's trace (None: not one of a job's
+    windows).  ``memo``, ``observe``'s (keys, shard ids) of the window,
+    stays in-process: a pickled route drops it, and whoever splits
+    re-derives the same ids from the keys.  Per tuple the rule is
+    :meth:`lanes`.  A lane is a worker, and a shard is one lane:
+    :attr:`lane_count` sizes a window pass's per-lane arrays."""
 
     teams: Tuple[Tuple[int, ...], ...]
-    by_key: bool = False
     window_index: Optional[int] = None
     memo: Optional[Tuple[np.ndarray, np.ndarray]] = field(
         default=None, compare=False, repr=False)
 
     def __reduce__(self):
-        return WindowRoute, (self.teams, self.by_key, self.window_index)
+        return WindowRoute, (self.teams, self.window_index)
 
     def lanes(self, batch: TupleBatch) -> "Lanes":
         """The routing rule, stated once: which lane each tuple takes.
 
-        Each tuple goes to its shard's team.  By default the team's
-        lanes take the shard's tuples round-robin; ``by_key`` (non-
-        ``splittable`` kernels such as heavy-hitter detection, whose
-        per-key sketch state cannot be diluted across workers) picks
-        the lane by the key's hash under ``TEAM_SEED`` instead, so one
-        key's tuples all take one lane.  A lane is the worker its team
+        Each tuple goes to its shard's team, whose lanes take the
+        shard's tuples round-robin.  A lane is the worker its team
         picked, and takes its tuples in stream order; a team alone is
         one lane, its head.  The returned :class:`Lanes` orders the
         lanes into shards.
@@ -288,40 +285,15 @@ class WindowRoute:
         ids = (memo[1] if memo is not None and memo[0] is batch.keys
                else shard_of_keys(batch.keys, len(self.teams)))
         spread: Dict[int, np.ndarray] = {}
-        for team, mine, picks in self._helped(batch.keys, ids):
-            for index, worker in enumerate(team):
-                chosen = (mine[index::len(team)] if picks is None
-                          else mine[picks == index])
-                if chosen.size:
-                    spread[worker] = chosen
-        return Lanes(self, ids, spread)
-
-    def key_lanes(self, keys: np.ndarray) -> np.ndarray:
-        """Each key's lane under a ``by_key`` route, where every tuple
-        of a key takes one lane: :meth:`lanes`' rule over the keys
-        alone — its shard's head, or the team lane its hash under
-        ``TEAM_SEED`` picks."""
-        if not self.by_key:
-            raise ValueError("only a by-key route gives a key one lane")
-        ids = shard_of_keys(keys, len(self.teams))
-        lane_of = _heads(self.teams, ids, 1)
-        for team, mine, picks in self._helped(keys, ids):
-            lane_of[mine] = np.asarray(team)[picks]
-        return lane_of
-
-    def _helped(self, keys: np.ndarray, ids: np.ndarray):
-        """Each team with helpers that takes any of ``keys`` (shard ids
-        ``ids``): the team, the positions it takes and, ``by_key``,
-        each one's index in the team, its key's hash under
-        ``TEAM_SEED`` (None: the team takes them round-robin)."""
         for primary, team in enumerate(self.teams):
             if len(team) == 1:
                 continue
             mine = (ids == primary).nonzero()[0]
-            if mine.size:
-                yield team, mine, (shard_of_keys(
-                    keys[mine], len(team), SkewAwareBalancer.TEAM_SEED)
-                    if self.by_key else None)
+            for index, worker in enumerate(team):
+                chosen = mine[index::len(team)]
+                if chosen.size:
+                    spread[worker] = chosen
+        return Lanes(self, ids, spread)
 
     @cached_property
     def lane_count(self) -> int:
@@ -353,8 +325,8 @@ class Lanes(NamedTuple):
     ``ids`` are the window's fleet shard ids: a team alone takes every
     tuple of its shard.  ``spread[w]`` are the stream positions,
     ascending, of each lane ``w`` of a team with helpers that takes any.
-    Shards come team by team (the primary, then its helpers), or in
-    ascending worker order ``by_key``.  :meth:`positions` lists each
+    Shards come team by team (the primary, then its helpers): that is
+    split order.  :meth:`positions` lists each
     shard's tuples, which :meth:`split` gathers (the per-shard path)
     and a kernel's window pass may gather itself (DP's runs); the
     one-pass path's accounting never gathers: :meth:`cells` labels each
@@ -365,10 +337,6 @@ class Lanes(NamedTuple):
     route: WindowRoute
     ids: np.ndarray
     spread: Dict[int, np.ndarray]
-
-    def _in_split_order(self, workers: List[int]) -> List[int]:
-        """``workers``, listed team by team, in split order."""
-        return sorted(workers) if self.route.by_key else workers
 
     def positions(self) -> Dict[int, np.ndarray]:
         """Each shard's stream positions, ascending, by its worker, in
@@ -383,8 +351,7 @@ class Lanes(NamedTuple):
             mine = (ids == primary).nonzero()[0]
             if mine.size:
                 taken[team[0]] = mine
-        return {worker: taken[worker]
-                for worker in self._in_split_order(list(taken))}
+        return taken
 
     def split(self, batch: TupleBatch) -> Dict[int, TupleBatch]:
         """Gather ``batch`` into the shards, in split order."""
@@ -407,5 +374,5 @@ class Lanes(NamedTuple):
     def shards(self, sizes: Sequence[int]) -> List[int]:
         """The shards' workers, in split order, where ``sizes[lane]`` is
         each lane's tuple count (an empty lane makes no shard)."""
-        return self._in_split_order([lane for team in self.route.teams
-                                     for lane in team if sizes[lane]])
+        return [lane for team in self.route.teams
+                for lane in team if sizes[lane]]

@@ -219,9 +219,8 @@ class Dispatcher:
                 queue_delay=job.queue_delay)
         # A resubmitted job id must not inherit a previous run's errors.
         self.backend.clear_errors(job.job_id)
-        # Non-splittable kernels (heavy hitters) need each key's tuples
-        # of a window on one worker; a class-level contract, no kernel
-        # built.
+        # A non-splittable kernel's (heavy hitters') windows each go
+        # whole to one worker; a class-level contract, no kernel built.
         by_key = not kernel_class_for(job.app).splittable
         # A freeze is a per-workload verdict, not a service-lifetime
         # one: re-arm the control loop for the new job's stream.

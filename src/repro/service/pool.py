@@ -130,8 +130,8 @@ class WorkerPool(ExecutionBackend):
     # ------------------------------------------------------------------
     def dispatch(self, worker_id: int, item: WorkItem) -> None:  # hot-path
         """Run one shard on one worker, on the calling thread: the
-        window pass over a route that takes it wholly to that worker
-        (by key, so HHD's keyed pass takes it too).
+        window pass over the one-team route ``((worker_id,),)``, which
+        takes it wholly to that worker.
 
         A kernel exception fails the shard's job (through the per-job
         error ledger the dispatcher reads after :meth:`drain`), not the
@@ -140,7 +140,7 @@ class WorkerPool(ExecutionBackend):
         """
         if not 0 <= worker_id < self.size:
             raise ValueError(f"no such worker {worker_id}")
-        self._run(item, WindowRoute(((worker_id,),), by_key=True), False)
+        self._run(item, WindowRoute(((worker_id,),)), False)
 
     def dispatch_window(self, item: WorkItem, route) -> None:  # hot-path
         """Route one window, run it as one lane-aware pass, and trace
@@ -150,9 +150,9 @@ class WorkerPool(ExecutionBackend):
         call, then one ``bincount`` of lane and PE that lists the shards
         and their loads: each worker's session folds its own tuples,
         cycles and state — an order-free kernel's whole-window result
-        on the first worker, a by-key HHD shard's own hitters or a DP
-        shard's own run on each — and the window's segments are
-        charged to the metrics in one call.  The shards of a window
+        on the first worker, a DP shard's own run on each, or an HHD
+        window's hitters on its one worker — and the window's segments
+        are charged to the metrics in one call.  The shards of a window
         whose pass raised are gathered and :meth:`dispatch`ed one by
         one, so each failing shard reports its own error and the others
         fold, as in the process backend's children.

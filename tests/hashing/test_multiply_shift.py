@@ -12,7 +12,7 @@ from repro.hashing.multiply_shift import (
     multiply_shift_array,
     multiply_shift_range,
 )
-from repro.service.balancer import FLEET_SHARD_SEED, SkewAwareBalancer
+from repro.service.balancer import FLEET_SHARD_SEED
 from repro.service.shm import CTRL_SLOTS
 
 
@@ -62,16 +62,13 @@ U64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
 
 
 class TestRange:
-    """``multiply_shift_range``, the fleet's shard and team-lane hash."""
+    """``multiply_shift_range``, the fleet's shard hash."""
 
     @given(keys=st.lists(st.one_of(
                st.sampled_from([0, 1 << 63, (1 << 64) - 1]), U64),
                max_size=64),
            n=st.integers(min_value=1, max_value=CTRL_SLOTS),
-           a=st.one_of(
-               st.sampled_from([FLEET_SHARD_SEED,
-                                SkewAwareBalancer.TEAM_SEED]),
-               U64.map(lambda x: x | 1)),
+           a=st.one_of(st.just(FLEET_SHARD_SEED), U64.map(lambda x: x | 1)),
            layout=st.sampled_from(["flat", "2-D", "int64"]))
     @example(keys=[0, 1 << 63, (1 << 64) - 1], n=CTRL_SLOTS,
              a=FLEET_SHARD_SEED, layout="int64")
@@ -99,7 +96,6 @@ class TestRange:
             multiply_shift_range(keys, 4, 2)
 
     def test_fleet_multipliers_differ_from_histo_binning(self):
-        multipliers = {FLEET_SHARD_SEED, SkewAwareBalancer.TEAM_SEED,
-                       DEFAULT_MULTIPLIER}
-        assert len(multipliers) == 3
+        multipliers = {FLEET_SHARD_SEED, DEFAULT_MULTIPLIER}
+        assert len(multipliers) == 2
         assert all(a % 2 for a in multipliers)

@@ -134,6 +134,31 @@ class TestBackendInvariantTimestamps:
             seen.update(worker for worker, _ in shards)
         assert seen == set(range(workers))
 
+    @pytest.mark.parametrize("backend", CONFIGS)
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_hhd_window_goes_whole_to_one_worker(self, backend, adaptive):
+        """A heavy-hitter window is not split: its ``job.window`` names
+        one shard, the whole window, on worker ``window_index % K``."""
+        workers = 3
+        tracer = TraceCollector(enabled=True)
+        service = StreamService(workers=workers, backend=backend,
+                                adaptive=adaptive, tracer=tracer)
+        try:
+            batch = ZipfGenerator(alpha=1.5, seed=5).generate(20_000)
+            service.submit("hhd", chunk_stream(batch, 2_000),
+                           window_seconds=2e-6)
+            service.run()
+        finally:
+            service.shutdown()
+        windows = tracer.events(trace_events.JOB_WINDOW)
+        assert [w.data["window_index"] for w in windows] \
+            == list(range(len(windows)))
+        assert len(windows) > workers
+        for window in windows:
+            assert window.data["shards"] == [
+                [window.data["window_index"] % workers,
+                 window.data["tuples"]]]
+
     def test_process_backend_traces_forks_and_drain(self):
         events, _, _ = traced_run("histo", "process")
         forks = [e for e in events

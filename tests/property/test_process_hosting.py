@@ -5,9 +5,9 @@ spare-CPU count faked at 0..3 — and each child gets several windows per
 block, which it splits itself.  None of that may show: for a generated
 dispatch sequence of two interleaved jobs (any served apps, ``dp``'s
 order-sensitive lists and ``hhd`` included), empty shards, shards with
-non-default dtypes, whole windows under random routes (teams, by-key
-lanes; the plan changing from window to window inside
-one block), grow/shrink mid-job and drains at arbitrary points, the
+non-default dtypes, whole windows under random routes (teams, or the
+whole window on one worker as a by-key window goes; the plan changing
+from window to window inside one block), grow/shrink mid-job and drains at arbitrary points, the
 process backend and the inline :class:`~repro.service.pool.WorkerPool`
 must collect the same result bits, the same
 :class:`~repro.service.metrics.ServiceMetrics` snapshot (minus the
@@ -50,7 +50,7 @@ window = st.tuples(
     st.integers(0, 2**16))
 #: A whole window under a route: its tuples, its plan as a worker order
 #: cut into teams (workers beyond the fleet are dropped when it runs),
-#: and by-key lanes.
+#: or the whole window on one worker.
 routed = st.tuples(
     st.just("routed"),
     st.sampled_from(JOBS),
@@ -78,15 +78,18 @@ def shard(tuples, seed, dtypes):
 
 
 def route_of(op, workers, clock):
-    """The op's route, cut to the ``workers`` the fleet has now."""
-    _, _, _, order, sizes, by_key, _ = op
+    """The op's route, cut to the ``workers`` the fleet has now: its
+    teams, or (``whole``) the one-team route of a by-key window."""
+    _, _, _, order, sizes, whole, _ = op
+    if whole:
+        return WindowRoute(((clock % workers,),), clock)
     live = [worker for worker in order if worker < workers]
     teams, start = [], 0
     for size in sizes:
         if live[start:start + size]:
             teams.append(tuple(live[start:start + size]))
         start += size
-    return WindowRoute(tuple(teams) or ((0,),), by_key, clock)
+    return WindowRoute(tuple(teams) or ((0,),), clock)
 
 
 def run(backend, ops, narrow):

@@ -8,9 +8,9 @@ the oracle: every worker must get the same ``(tuples, cycles)`` — and
 the same plans and reschedules — in the same split order.  For an
 order-free kernel (HISTO, HLL, PageRank) the first outcome's result
 must equal the per-shard results folded together; for heavy hitters,
-routed by key, every outcome must carry its own shard's hitter dict,
-equal in content and insertion order, and for DP a run whose answer
-is its own shard's partitions, pickle for pickle.
+whose window goes whole to one worker, the one outcome must carry its
+shard's hitter dict, equal in content and insertion order, and for DP
+a run whose answer is its own shard's partitions, pickle for pickle.
 
 The epoch model (``skew_handling``) is order-sensitive, so each shard's
 destinations must reach it in the shard's own order, its lane's stream
@@ -83,9 +83,10 @@ def zipf_window(alpha, universe, seed, tuples):
 def windows(draw, by_key=None):
     """``(batch, route, config)``: a Zipf window (some above the
     balancer's profiling sample, so an observed one is subsampled), a
-    fleet of K = 1..6 under a greedy plan of a random histogram,
-    ``by_key`` lanes (drawn when None), and a pipeline with or without
-    on-chip SecPEs."""
+    fleet of K = 1..6 under a greedy plan of a random histogram, a
+    by-key (one-worker) or tuple route (drawn when ``by_key`` is None)
+    for a window index that may be absent, and a pipeline with or
+    without on-chip SecPEs."""
     batch = zipf_window(
         alpha=draw(st.sampled_from([0.0, 0.8, 1.5, 2.5])),
         universe=draw(st.sampled_from([16, VERTICES])),
@@ -104,8 +105,9 @@ def windows(draw, by_key=None):
             histogram, balancer.secondaries, balancer.primaries))
     if draw(st.booleans()):
         balancer.observe(batch.keys)  # the memoised ids route it
-    route = balancer.route(by_key=(draw(st.booleans()) if by_key is None
-                                   else by_key))
+    route = balancer.route(
+        by_key=draw(st.booleans()) if by_key is None else by_key,
+        window_index=draw(st.none() | st.integers(0, 20)))
     config = ArchitectureConfig(secpes=draw(st.sampled_from([0, 4])))
     return batch, route, config
 
@@ -205,10 +207,14 @@ def test_keyed_pass_matches_split_plus_run_fast(app, window):
     kernel = KEYED_KERNELS[app](config.pripes)
     assert kernel.decomposable and not kernel.order_free
 
+    # The window goes whole to one worker (window_index % K).
+    (team,) = route.teams
+    assert len(team) == 1
     ours, theirs = own_results(kernel, config, batch, route)
-    # Each shard's own hitters, inserted in the same order.
+    # The shard's hitters, inserted in the same order.
     assert [list(result.items()) for result in ours] \
         == [list(result.items()) for result in theirs]
+    assert len(ours) == 1
 
 
 @settings(deadline=None, max_examples=60)
@@ -225,43 +231,15 @@ def test_partition_pass_matches_split_plus_run_fast(window):
         == [pickle.dumps(result) for result in theirs]
 
 
-def doubtful(kernel, shard):
-    """The shard's keys that reach the threshold while counted below
-    the track line: the ones whose candidacy the hook replays."""
-    uniques, counts = np.unique(shard.keys, return_counts=True)
-    count = dict(zip(uniques.tolist(), counts.tolist()))
-    line = kernel.track_fraction * kernel.threshold
-    return [key for key in kernel.golden(shard.keys, shard.values)
-            if count[key] < line]
-
-
-def test_keyed_pass_replays_collisions_shard_by_shard():
-    # K = 4 by key, helper 3 on shard 0: four shards, each with a key
-    # that reaches the threshold only through collisions.
-    balancer = SkewAwareBalancer(4, secondaries=1)
-    balancer.apply_plan(SchedulingPlan(pairs=[(3, 0)]))
-    batch = zipf_window(alpha=0.8, universe=VERTICES, seed=9, tuples=2_000)
-    route = balancer.route(by_key=True)
-    config = ArchitectureConfig()
-    kernel = KEYED_KERNELS["hhd_narrow"](config.pripes)
-    split = route.split(batch)
-    assert list(split) == [0, 1, 2, 3]
-    assert all(doubtful(kernel, shard) for shard in split.values())
-
-    _, outcomes = one_pass(kernel, config, batch, route)
-    assert [list(outcome.result.items()) for outcome in outcomes] \
-        == [list(run_fast(config, kernel, shard).result.items())
-            for shard in split.values()]
-    assert all(outcome.result for outcome in outcomes)
-
-
 @pytest.mark.parametrize("by_key", [False, True])
 def test_lanes_cover_the_window_once(by_key):
     balancer = SkewAwareBalancer(5, secondaries=2)
     batch = ZipfGenerator(alpha=2.0, universe=64, seed=1).generate(1_000)
     balancer.observe(batch.keys)
     balancer.apply_plan(greedy_secpe_plan(balancer.last_histogram, 2, 3))
-    route = balancer.route(by_key=by_key)
+    route = balancer.route(by_key=by_key, window_index=7)
+    if by_key:  # the whole window on worker 7 % 5
+        assert route.teams == ((2,),)
     lanes = route.lanes(batch)
     lane_of = lanes.cells(0, 1)  # each tuple's lane
     split = route.split(batch)
@@ -281,7 +259,7 @@ def test_each_lane_reaches_the_epoch_model_in_stream_order():
     # K = 4, helper 3 on shard 0: shard 0's tuples alternate between
     # lanes 0 and 3.  Each shard is one lane, and the epoch model sees
     # its destinations in stream order, shard after shard in split
-    # order.
+    # order, team by team: the primary, then its helper.
     balancer = SkewAwareBalancer(4, secondaries=1)
     balancer.apply_plan(SchedulingPlan(pairs=[(3, 0)]))
     route = balancer.route()
@@ -292,8 +270,7 @@ def test_each_lane_reaches_the_epoch_model_in_stream_order():
 
     with epoch_inputs() as fed:
         workers, _ = one_pass(kernel, config, batch, route)
-    assert workers == list(route.split(batch))
-    assert sorted(workers) == [0, 1, 2, 3]
+    assert workers == list(route.split(batch)) == [0, 3, 1, 2]
     destinations = kernel.route_array(batch.keys)
     assert len(fed) == len(workers)
     for worker, ours in zip(workers, fed):
@@ -301,13 +278,12 @@ def test_each_lane_reaches_the_epoch_model_in_stream_order():
 
 
 def window_of_lanes(route, lanes, tuples=1_500, seed=6):
-    """A window whose tuples take only ``lanes`` under ``route``: Zipf
-    keys, kept where :meth:`WindowRoute.key_lanes` (the by-key rule)
-    or, for a route of single-worker teams, the shard id picks one."""
+    """A window whose tuples take only ``lanes`` under ``route``, a
+    route of single-worker teams: Zipf keys, kept where the shard id
+    picks one."""
     keys = ZipfGenerator(alpha=1.1, universe=1 << 12,
                          seed=seed).generate(4 * tuples).keys
-    lane_of = (route.key_lanes(keys) if route.by_key
-               else shard_of_keys(keys, len(route.teams)))
+    lane_of = shard_of_keys(keys, len(route.teams))
     keys = keys[np.isin(lane_of, lanes)][:tuples]
     return TupleBatch(keys, (keys % VERTICES).astype(np.int64))
 
@@ -339,7 +315,7 @@ def check_split_order(route, batch, workers, apps):
     """The one-pass window of ``batch`` under ``route``: split order
     as named, and, per app, every shard's size, loads and cycles as
     ``run_fast`` gives them, the order-free result on the first
-    non-empty shard (or each worker's own hitters), and the traced
+    non-empty shard (or each worker's own state), and the traced
     ``job.window`` shards those of ``Lanes.split``."""
     lanes = route.lanes(batch)
     split = lanes.split(batch)
@@ -369,36 +345,27 @@ def check_split_order(route, batch, workers, apps):
             == [[worker, len(shard)] for worker, shard in split.items()]
 
 
-def test_by_key_team_with_an_empty_lane():
-    # Primaries 0..2, helper 3 on shard 0, by key: every key of shard 0
-    # takes helper lane 3, so the team's head (lane 0) is empty, and
-    # the shards are lanes 1, 2 and 3 in ascending worker order.
-    balancer = SkewAwareBalancer(4, secondaries=1)
-    balancer.apply_plan(SchedulingPlan(pairs=[(3, 0)]))
-    route = balancer.route(by_key=True)
-    assert route.teams == ((0, 3), (1,), (2,))
-    batch = window_of_lanes(route, [1, 2, 3])
-    assert (shard_of_keys(batch.keys, 3) == 0).any()
-    assert (route.key_lanes(batch.keys) != 0).all()
-    check_split_order(route, batch, workers=[1, 2, 3],
-                      apps=["histo", "hhd"])
-
-
 def test_lowest_lane_empty():
     # K = 4, no helpers, nothing on lane 0: lane 1 is the first lane
     # with tuples, so its shard leads the split and carries the
     # window's order-free result.
-    route = SkewAwareBalancer(4, secondaries=0).route()
+    balancer = SkewAwareBalancer(4, secondaries=0)
+    route = balancer.route()
     batch = window_of_lanes(route, [1, 2, 3])
     check_split_order(route, batch, workers=[1, 2, 3],
                       apps=["histo", "hll"])
+    # By key, window 6 goes whole to worker 6 % 4: lanes 0 and 1 (and
+    # 3) are empty, and the one shard is lane 2's.
+    route = balancer.route(by_key=True, window_index=6)
+    assert route.teams == ((2,),)
+    check_split_order(route, batch, workers=[2], apps=["histo", "hhd"])
 
 
 def test_highest_lane_empty():
-    # K = 4 by key, no helpers, nothing on lane 3: the pass sizes its
-    # arrays by the route's lane count, not by the lanes the window
-    # fills.
-    route = SkewAwareBalancer(4, secondaries=0).route(by_key=True)
+    # K = 4, no helpers, nothing on lane 3: the pass sizes its arrays
+    # by the route's lane count, not by the lanes the window fills.
+    # Heavy hitters take the default per-worker gather on any route.
+    route = SkewAwareBalancer(4, secondaries=0).route()
     assert route.lane_count == 4
     batch = window_of_lanes(route, [0, 1, 2])
     check_split_order(route, batch, workers=[0, 1, 2],

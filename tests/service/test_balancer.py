@@ -11,7 +11,6 @@ import repro.service.balancer as balancer_module
 from repro.apps.histo import HistogramKernel
 from repro.control import AdaptiveController, ControlPolicy
 from repro.core.profiler import SchedulingPlan, greedy_secpe_plan
-from repro.hashing.multiply_shift import multiply_shift_range
 from repro.hashing.murmur3 import murmur3_32_array
 from repro.service import ServiceMetrics, StreamService
 from repro.service.balancer import (
@@ -81,13 +80,15 @@ class TestRoundRobin:
     @pytest.mark.parametrize("by_key", [False, True])
     def test_shard_s_always_goes_to_worker_s(self, by_key):
         """Profiling skewed windows never moves a range: worker ``s``
-        gets exactly the tuples of shard ``s``, in stream order."""
+        gets exactly the tuples of shard ``s``, in stream order.  By
+        key, window ``i`` goes whole to worker ``i % 4`` instead."""
         balancer = make_balancer("roundrobin", 4)
-        for seed in range(3):
+        for seed in range(6):
             batch = ZipfGenerator(alpha=2.0, seed=seed).generate(3_000)
             replan(balancer, batch.keys)
-            parts = balancer.split(batch, by_key=by_key)
-            shards = shard_of_keys(batch.keys, 4)
+            parts = balancer.route(by_key, window_index=seed).split(batch)
+            shards = (np.full(len(batch), seed % 4) if by_key
+                      else shard_of_keys(batch.keys, 4))
             assert list(parts) == sorted(set(shards.tolist()))
             for worker, part in parts.items():
                 mask = shards == worker
@@ -117,11 +118,10 @@ class TestSkewAware:
         batch = ZipfGenerator(alpha=1.5, seed=6).generate(4_000)
         replan(balancer, batch.keys)
         parts = split_conserves_tuples(balancer, batch)  # tuple mode
+        # By key the window is not split: every key stays whole.
         parts = balancer.split(batch, by_key=True)
-        owners = {}
-        for worker, part in parts.items():
-            for key in np.unique(part.keys):
-                assert owners.setdefault(int(key), worker) == worker
+        assert list(parts) == [0]
+        assert multiset(parts[0]) == multiset(batch)
 
     def test_plan_attaches_helpers_to_hot_shard(self):
         balancer = SkewAwareBalancer(4, secondaries=1)
@@ -339,15 +339,20 @@ class TestHashOnce:
 
     def test_one_team_route_hashes_no_key(self, hashed):
         # A route of one team puts every tuple in its one shard: the
-        # worker's whole shard, as the pool's per-shard dispatch sends.
+        # worker's whole shard, as the pool's per-shard dispatch sends
+        # and as a by-key window takes, even after observe.
         batch = numbered(1.5, BELOW_SAMPLE, seed=10)
-        route = WindowRoute(((2,),), by_key=True)
-        split = route.lanes(batch).split(batch)
-        assert (route.key_lanes(batch.keys) == 2).all()
+        balancer = SkewAwareBalancer(6)
+        replan(balancer, batch.keys)
+        del hashed[:]
+        for route in (WindowRoute(((2,),)),
+                      balancer.route(by_key=True, window_index=8)):
+            assert route.teams == ((2,),)
+            split = route.lanes(batch).split(batch)
+            assert list(split) == [2]
+            assert np.array_equal(split[2].keys, batch.keys)
+            assert np.array_equal(split[2].values, batch.values)
         assert hashed == []
-        assert list(split) == [2]
-        assert np.array_equal(split[2].keys, batch.keys)
-        assert np.array_equal(split[2].values, batch.values)
 
     @pytest.mark.parametrize("tuples", [BELOW_SAMPLE, ABOVE_SAMPLE])
     def test_one_primary_observe_hashes_no_key(self, hashed, tuples):
@@ -428,8 +433,7 @@ class TestShardRouting:
         windows its mean max/mean shard load is within 2 % of murmur3's
         on the same keys; over the whole 2^20 key universe, each
         shard's distinct keys (b) spread evenly over HISTO's 16 on-chip
-        PEs — the two multiply-shifts do not alias — and (c) over the
-        ``TEAM_SEED`` lanes of a 2-4 worker team."""
+        PEs — the two multiply-shifts do not alias."""
         for alpha in (0.0, 1.0, 1.2, 1.5, 2.0):
             loads = {"multiply-shift": [], "murmur3": []}
             for seed in range(20):
@@ -453,104 +457,6 @@ class TestShardRouting:
                 mine = shards == shard
                 counts = np.bincount(pes[mine], minlength=16)
                 assert counts.max() <= 1.01 * counts.mean()
-                for team in (2, 3, 4):
-                    counts = np.bincount(multiply_shift_range(
-                        universe[mine], team, SkewAwareBalancer.TEAM_SEED))
-                    assert len(counts) == team
-                    assert counts.max() <= 1.01 * counts.mean()
-
-
-def scalar_range(key: int, n: int, multiplier: int) -> int:
-    """The fleet hash in Python ints: multiply-shift, then multiply-high
-    into ``[0, n)``."""
-    return ((key * multiplier) % 2**64 >> 32) * n >> 32
-
-
-def by_key_worker(balancer: SkewAwareBalancer, key: int) -> int:
-    """A by-key tuple's worker, by the scalar hash: its shard's team
-    lane that the ``TEAM_SEED`` hash of the key picks."""
-    team = balancer.team_of(scalar_range(
-        key, balancer.primaries, balancer_module.FLEET_SHARD_SEED))
-    return team[scalar_range(key, len(team), SkewAwareBalancer.TEAM_SEED)]
-
-
-@st.composite
-def planned_fleets(draw):
-    """A fleet of M = 1, 3 or 4 primaries and a random helper plan."""
-    workers, secondaries = draw(st.sampled_from(
-        [(1, 0), (2, 1), (4, 1), (5, 1), (6, 2), (7, 3)]))
-    primaries = workers - secondaries
-    targets = draw(st.lists(st.integers(0, primaries - 1),
-                            min_size=secondaries, max_size=secondaries))
-    return workers, secondaries, SchedulingPlan(
-        pairs=[(primaries + i, t) for i, t in enumerate(targets)])
-
-
-class TestByKeyRouting:
-    """A by-key split is a stateless lane rule: each tuple's worker is a
-    function of its key and the plan in force, never of history."""
-
-    @settings(deadline=None, max_examples=30)
-    @given(keys=st.lists(st.one_of(st.integers(0, 15),
-                                   st.integers(0, (1 << 64) - 1)),
-                         min_size=1, max_size=300),
-           fleet=planned_fleets(),
-           history=planned_fleets(),
-           observed=st.booleans())
-    def test_each_tuple_goes_to_its_key_hashed_team_lane(
-            self, keys, fleet, history, observed):
-        workers, secondaries, plan = fleet
-        batch = TupleBatch(np.array(keys, dtype=np.uint64),
-                           np.arange(len(keys), dtype=np.int64))
-        calls = []
-        hash_range = balancer_module.multiply_shift_range
-
-        def counting(array, *args, **kwargs):
-            calls.append(len(array))
-            return hash_range(array, *args, **kwargs)
-
-        balancer = SkewAwareBalancer(workers, secondaries=secondaries)
-        balancer.apply_plan(plan)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(balancer_module, "multiply_shift_range",
-                          counting)
-            if observed:
-                balancer.observe(batch.keys)
-            parts = balancer.split(batch, by_key=True)
-        expected = np.array([by_key_worker(balancer, key) for key in keys])
-        assert list(parts) == sorted(parts)
-        for worker, part in parts.items():
-            # Stream order, nothing lost: the values number the tuples.
-            assert np.array_equal(part.values,
-                                  np.nonzero(expected == worker)[0])
-            assert np.array_equal(part.keys, batch.keys[part.values])
-        assert sum(len(part) for part in parts.values()) == len(keys)
-        # Every key whole: one worker per key within the split.
-        owners = {}
-        for worker, part in parts.items():
-            for key in part.keys.tolist():
-                assert owners.setdefault(key, worker) == worker
-        # The window is hashed once (observed or not), unless the
-        # fleet has one shard; only the tuples of multi-lane teams are
-        # hashed again, for their lane.
-        shards = shard_of_keys(batch.keys, balancer.primaries)
-        multi_lane = [int(np.count_nonzero(shards == primary))
-                      for primary in range(balancer.primaries)
-                      if len(balancer.team_of(primary)) > 1]
-        once = [len(keys)] if balancer.primaries > 1 else []
-        assert calls == once + [n for n in multi_lane if n]
-        # History-independent: another plan's split and two reshapes
-        # later, the same plan routes exactly as a fresh balancer's.
-        h_workers, h_secondaries, h_plan = history
-        balancer.reconfigure(h_workers, secondaries=h_secondaries)
-        balancer.apply_plan(h_plan)
-        balancer.split(batch, by_key=True)
-        balancer.reconfigure(workers, secondaries=secondaries)
-        balancer.apply_plan(plan)
-        assert [(worker, part.values.tolist()) for worker, part
-                in balancer.split(batch, by_key=True).items()] \
-            == [(worker, part.values.tolist())
-                for worker, part in parts.items()]
 
 
 class TestExternalControl:

@@ -4,15 +4,17 @@
 in :data:`SCENARIOS`, as the commit before by-key routing dropped its
 sticky key table computed it: per job, the tuple count and the sorted
 ``(key, estimate)`` items of the merged answer.  HHD's answer is
-collected per segment (one worker's shard of one window), so which
-worker a key lands on in a later window must not change what is
-detected, only that a key stays whole within one window's split.  The
-streams shift their hot keys every few windows, so the plan changes
-under the by-key jobs.  Cycles are not pinned; never regenerate the file
-to make a change pass.
+collected per segment, and the fleet sends each window whole to one
+worker (``window_index % K``), so a window is one segment whatever the
+fleet: every scenario must also equal the same jobs served by one
+worker.  The streams shift their hot keys every few windows, so the
+plan changes under the jobs, and the answer must not follow it.
+Cycles are not pinned; never regenerate the file to make a change
+pass.
 """
 
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -60,9 +62,8 @@ def _stream(seed):
                               base_seed=seed).materialize()
 
 
-def fingerprint(name):
+def fingerprint(scenario):
     """Each job's tuples and answer, and the plan changes served."""
-    scenario = SCENARIOS[name]
     control = scenario["control"]
     service = StreamService(workers=scenario["workers"], balancer="skew",
                             backend=scenario["backend"],
@@ -93,6 +94,12 @@ def fingerprint(name):
     }
 
 
+@lru_cache(maxsize=None)
+def one_worker(tenants):
+    """The jobs of a ``tenants`` scenario served by one inline worker."""
+    return fingerprint(_scenario(1, tenants=tenants))["jobs"]
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN.read_text())
@@ -109,8 +116,9 @@ def test_golden_covers_every_scenario(golden):
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_hhd_answers_match_golden(golden, name):
-    observed = fingerprint(name)
-    # The plan must move under the by-key jobs, or the scenario pins
-    # nothing that key placement across windows could change.
+    observed = fingerprint(SCENARIOS[name])
+    # The plan must move under the jobs, or the scenario would not show
+    # that an HHD window's worker ignores the plan in force.
     assert observed["rebalances"] > 0
     assert observed["jobs"] == golden[name]
+    assert observed["jobs"] == one_worker(SCENARIOS[name]["tenants"])

@@ -479,9 +479,9 @@ def kill_after_stream(victim=0, chunk=2_000):
 class TestLostShardRetry:
     @pytest.mark.parametrize("app", SERVED_APPS)
     def test_crash_replays_instead_of_failing(self, app):
-        # hhd is by_key: replay must land on the same worker id, with
-        # the tuples its window's split gave that id, or the segments
-        # (and the merged result) would shift.
+        # Replay must land on the same worker id, with the tuples its
+        # window's split gave that id (an hhd window's all of them), or
+        # the segments (and the merged result) would shift.
         clean_result, clean_snap, _ = serve_one(app)
         tracer = TraceCollector(enabled=True)
         crash_result, crash_snap, events = serve_one(
